@@ -7,7 +7,7 @@
 // (ParallelEngine) and the report helpers (maximal patterns / top-K).
 //
 // Usage: ./build/examples/checkin_groups [--users=N] [--checkins=N]
-//        [--workers=N] [--seed=N]
+//        [--shards=N] [--seed=N]
 
 #include <algorithm>
 #include <cstdio>
@@ -92,8 +92,6 @@ int main(int argc, char** argv) {
   const uint32_t users = static_cast<uint32_t>(flags.GetInt("users", 2000));
   const uint32_t checkins =
       static_cast<uint32_t>(flags.GetInt("checkins", 60000));
-  const uint32_t workers =
-      static_cast<uint32_t>(flags.GetInt("workers", 2));
   const uint32_t shards =
       static_cast<uint32_t>(flags.GetInt("shards", 1));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 5));
@@ -109,7 +107,6 @@ int main(int argc, char** argv) {
   params.max_pattern_size = 4;
 
   fcp::ParallelEngineOptions options;
-  options.num_workers = workers;
   options.num_miner_shards = shards;
   fcp::ParallelEngine engine(fcp::MinerKind::kCooMine, params, options);
 
@@ -121,11 +118,9 @@ int main(int argc, char** argv) {
   fcp::PatternSupportIndex report;
   report.AddAll(engine.results());
 
-  std::printf("\n%zu events in %.2fs (%.0f/s, %u segmenter workers, "
-              "%u miner shards)\n",
+  std::printf("\n%zu events in %.2fs (%.0f/s, %u miner shards)\n",
               trace.events.size(), elapsed,
-              static_cast<double>(trace.events.size()) / elapsed, workers,
-              shards);
+              static_cast<double>(trace.events.size()) / elapsed, shards);
   std::printf("%zu distinct venue patterns; maximal ones:\n", report.size());
   for (const auto& entry : report.MaximalPatterns()) {
     if (entry.pattern.size() < 2) continue;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "core/slow_op.h"
@@ -21,25 +20,21 @@ int64_t SteadyNowNs() {
       .count();
 }
 
-/// Trace-flow id for a worker-local (pre-relabel) segment. Worker scratch
-/// ids restart at 1 in every worker AND collide with the merge thread's
-/// final global ids, so the worker index is folded into the top bits; the
-/// merge thread recomputes the same id from (worker, head->id()) to stitch
-/// the worker->merge hop without shipping extra state through the queue.
-inline uint64_t WorkerFlowId(uint32_t worker_index, uint64_t scratch_id) {
-  return (static_cast<uint64_t>(worker_index + 1) << 48) | scratch_id;
-}
-
 }  // namespace
 
 ParallelEngine::ParallelEngine(MinerKind kind, const MiningParams& params,
                                ParallelEngineOptions options)
     : params_(params),
       options_(options),
+      // Off-CPU wait tags: the consumer-side wait names the starved stage,
+      // the producer-side wait the backpressure source.
+      events_(options.event_queue_capacity, "ingest/events-empty",
+              "ingest/events-full"),
+      mux_(params.xi, &segment_pool_),
       collector_(options.suppression_window),
       publish_(options.publish_metrics) {
   FCP_CHECK(params.Validate().ok());
-  FCP_CHECK(options.num_workers >= 1);
+  FCP_CHECK(options.num_workers == 1);
   FCP_CHECK(options.num_miner_shards >= 1);
   const uint32_t num_shards = options_.num_miner_shards;
   ShardRouterOptions router_options;
@@ -68,30 +63,14 @@ ParallelEngine::ParallelEngine(MinerKind kind, const MiningParams& params,
       shard_runtime_.back()->active_placement = options_.placement;
     }
   }
-  workers_.resize(options_.num_workers);
-  for (uint32_t w = 0; w < options_.num_workers; ++w) {
-    // Off-CPU wait tags: consumer-side waits name the stage that is
-    // starved, producer-side waits name the backpressure source.
-    workers_[w].events =
-        std::make_unique<BoundedQueue<ObjectEvent>>(
-            options_.event_queue_capacity, "worker/events-empty",
-            "ingest/events-full");
-    segments_.push_back(std::make_unique<BoundedQueue<SegmentRef>>(
-        options_.segment_queue_capacity, "merge/segments-empty",
-        "worker/segments-full"));
-  }
   RegisterMetrics();
   RegisterWatchdogStages();
-  // Start consumers before producers so segment production never deadlocks
-  // on a full queue with nobody draining it: shards first, then the merge,
-  // then the workers.
+  // Start the consumers before the producer so routing never blocks on a
+  // full shard queue with nobody draining it.
   for (uint32_t s = 0; s < num_shards; ++s) {
     shard_threads_.emplace_back([this, s] { ShardLoop(s); });
   }
-  merge_thread_ = std::thread([this] { MergeLoop(); });
-  for (uint32_t w = 0; w < options_.num_workers; ++w) {
-    workers_[w].thread = std::thread([this, w] { WorkerLoop(w); });
-  }
+  ingest_thread_ = std::thread([this] { IngestLoop(); });
 }
 
 ParallelEngine::~ParallelEngine() { Finish(); }
@@ -106,8 +85,10 @@ void ParallelEngine::RegisterMetrics() {
   events_ingested_ = registry_->GetCounter("fcp_events_ingested_total");
   segments_completed_metric_ =
       registry_->GetCounter("fcp_segments_completed_total");
-  merge_stalls_ = registry_->GetCounter("fcp_merge_stalls_total");
   watermark_lag_ms_ = registry_->GetGauge("fcp_watermark_lag_ms");
+  event_queue_depth_ = registry_->GetGauge("fcp_event_queue_depth");
+  event_queue_high_watermark_ =
+      registry_->GetGauge("fcp_event_queue_high_watermark");
   rebalance_rounds_ = registry_->GetCounter("fcp_rebalance_rounds_total");
   migrations_ = registry_->GetCounter("fcp_migrations_total");
   backfill_deliveries_ =
@@ -144,21 +125,6 @@ void ParallelEngine::RegisterMetrics() {
     t.watermark_lag_ms =
         registry_->GetGauge("fcp_shard_watermark_lag_ms{" + label + "}");
   }
-  worker_telemetry_.resize(options_.num_workers);
-  for (uint32_t w = 0; w < options_.num_workers; ++w) {
-    const std::string label =
-        telemetry::FormatLabel("worker", std::to_string(w));
-    WorkerTelemetry& t = worker_telemetry_[w];
-    t.event_queue_depth =
-        registry_->GetGauge("fcp_event_queue_depth{" + label + "}");
-    t.event_queue_high_watermark =
-        registry_->GetGauge("fcp_event_queue_high_watermark{" + label + "}");
-    t.segment_queue_depth =
-        registry_->GetGauge("fcp_segment_queue_depth{" + label + "}");
-    t.segment_queue_high_watermark =
-        registry_->GetGauge("fcp_segment_queue_high_watermark{" + label +
-                            "}");
-  }
 }
 
 void ParallelEngine::RegisterWatchdogStages() {
@@ -167,21 +133,11 @@ void ParallelEngine::RegisterWatchdogStages() {
   // Stage names match the trace thread names, so a stalled row in /statusz
   // points straight at the matching Perfetto track. Probes capture `this`;
   // the watchdog contract (Stop() before the engine dies) makes that safe.
-  worker_heartbeats_.resize(options_.num_workers, nullptr);
-  for (uint32_t w = 0; w < options_.num_workers; ++w) {
-    BoundedQueue<ObjectEvent>* queue = workers_[w].events.get();
-    worker_heartbeats_[w] = watchdog->RegisterStage(
-        "worker-" + std::to_string(w), [queue] { return queue->depth(); },
-        options_.event_queue_capacity);
-  }
-  merge_heartbeat_ = watchdog->RegisterStage(
-      "merge",
-      [this] {
-        size_t depth = 0;
-        for (const auto& queue : segments_) depth += queue->depth();
-        return depth;
-      },
-      options_.segment_queue_capacity * options_.num_workers);
+  // "ingest" is also the serial engine's stage name; here it has a queue, so
+  // it gets a depth probe.
+  ingest_heartbeat_ = watchdog->RegisterStage(
+      "ingest", [this] { return events_.depth(); },
+      options_.event_queue_capacity);
   shard_heartbeats_.resize(options_.num_miner_shards, nullptr);
   for (uint32_t s = 0; s < options_.num_miner_shards; ++s) {
     shard_heartbeats_[s] = watchdog->RegisterStage(
@@ -218,16 +174,9 @@ void ParallelEngine::RefreshGauges() {
     t.watermark_lag_ms->Set(
         (routed == kMinTimestamp || seen == kMinTimestamp) ? 0 : routed - seen);
   }
-  for (uint32_t w = 0; w < options_.num_workers; ++w) {
-    WorkerTelemetry& t = worker_telemetry_[w];
-    t.event_queue_depth->Set(
-        static_cast<int64_t>(workers_[w].events->depth()));
-    t.event_queue_high_watermark->Set(
-        static_cast<int64_t>(workers_[w].events->high_watermark()));
-    t.segment_queue_depth->Set(static_cast<int64_t>(segments_[w]->depth()));
-    t.segment_queue_high_watermark->Set(
-        static_cast<int64_t>(segments_[w]->high_watermark()));
-  }
+  event_queue_depth_->Set(static_cast<int64_t>(events_.depth()));
+  event_queue_high_watermark_->Set(
+      static_cast<int64_t>(events_.high_watermark()));
   const SegmentPoolStats pool = segment_pool_.stats();
   pool_live_refs_->Set(static_cast<int64_t>(pool.live));
   pool_hits_->Set(static_cast<int64_t>(pool.pool_hits));
@@ -246,31 +195,18 @@ std::vector<telemetry::MetricSample> ParallelEngine::SnapshotMetrics() {
 
 void ParallelEngine::Push(const ObjectEvent& event) {
   FCP_CHECK(!finished_);
-  const uint32_t w = event.stream % options_.num_workers;
-  // Lossless ingestion: block until the worker accepts the event.
-  workers_[w].events->Push(event);
+  // Lossless ingestion: block until the ingest thread makes room.
+  events_.Push(event);
   ++events_pushed_;
   if (publish_) events_ingested_->Increment();
 }
 
 void ParallelEngine::PushBatch(std::span<const ObjectEvent> events) {
   FCP_CHECK(!finished_);
-  size_t k = 0;
-  while (k < events.size()) {
-    // Hand each maximal run of same-worker events to the queue in one lock
-    // acquisition. Per-worker FIFO order is exactly what Push produces, so
-    // downstream segmentation is unchanged.
-    const uint32_t w = events[k].stream % options_.num_workers;
-    size_t run_end = k + 1;
-    while (run_end < events.size() &&
-           events[run_end].stream % options_.num_workers == w) {
-      ++run_end;
-    }
-    push_batch_scratch_.assign(events.begin() + static_cast<ptrdiff_t>(k),
-                               events.begin() + static_cast<ptrdiff_t>(run_end));
-    workers_[w].events->PushAll(&push_batch_scratch_);
-    k = run_end;
-  }
+  // FIFO order is exactly what per-event Push produces, so segmentation is
+  // unchanged; PushAll only takes fewer locks.
+  push_batch_scratch_.assign(events.begin(), events.end());
+  events_.PushAll(&push_batch_scratch_);
   events_pushed_ += events.size();
   if (publish_ && !events.empty()) events_ingested_->Increment(events.size());
 }
@@ -278,16 +214,10 @@ void ParallelEngine::PushBatch(std::span<const ObjectEvent> events) {
 void ParallelEngine::Finish() {
   if (finished_) return;
   finished_ = true;
-  for (Worker& worker : workers_) worker.events->Close();
-  for (Worker& worker : workers_) {
-    if (worker.thread.joinable()) worker.thread.join();
-  }
-  // All workers flushed their trailing windows before exiting; now the
-  // segment queues can be closed and drained by the merge thread.
-  for (auto& queue : segments_) queue->Close();
-  if (merge_thread_.joinable()) merge_thread_.join();
-  // The merge routed everything; close the shard queues and let the miners
-  // drain them.
+  events_.Close();
+  if (ingest_thread_.joinable()) ingest_thread_.join();
+  // The ingest thread routed everything, trailing windows included; close
+  // the shard queues and let the miners drain them.
   router_->Close();
   for (std::thread& thread : shard_threads_) {
     if (thread.joinable()) thread.join();
@@ -323,218 +253,89 @@ void ParallelEngine::Finish() {
   collector_.OfferAll(merged);
 }
 
-void ParallelEngine::WorkerLoop(uint32_t worker_index) {
-  char thread_name[32];
-  std::snprintf(thread_name, sizeof(thread_name), "worker-%u", worker_index);
-  trace::SetThreadName(thread_name);
-  prof::ThreadScope prof_scope(thread_name);
-  std::unordered_map<StreamId, std::unique_ptr<Segmenter>> segmenters;
-  // Worker-local scratch ids; the merge thread assigns the final, globally
-  // monotone ids in consumption order (index posting lists rely on segment
-  // ids increasing in insertion order).
-  SegmentIdGen scratch_ids;
+void ParallelEngine::IngestLoop() {
+  trace::SetThreadName("ingest");
+  prof::ThreadScope prof_scope("ingest");
+  obs::StageHeartbeat* heartbeat = ingest_heartbeat_;
   std::vector<SegmentRef> completed;
-
-  BoundedQueue<SegmentRef>& out = *segments_[worker_index];
-  auto emit = [&](std::vector<SegmentRef>& batch) {
-    for (SegmentRef& segment : batch) {
-      // The span covers the push, so backpressure from a full segment queue
-      // is visible as a stretched worker/segment slice; the flow-begin is
-      // the tail of the arrow the merge thread extends.
-      const uint64_t flow = WorkerFlowId(worker_index, segment->id());
-      FCP_TRACE_SPAN_FLOW("worker/segment", flow,
-                          static_cast<uint32_t>(segment->length()));
-      FCP_TRACE_FLOW_BEGIN("segment", flow);
-      // Blocking push: backpressure without spinning. False = shutdown.
-      if (!out.Push(std::move(segment))) return;
-    }
-    batch.clear();
-  };
-
-  obs::StageHeartbeat* heartbeat =
-      worker_heartbeats_.empty() ? nullptr : worker_heartbeats_[worker_index];
-  while (true) {
-    if (heartbeat != nullptr) heartbeat->MarkIdle(true);
-    auto event = workers_[worker_index].events->Pop();
-    if (!event) break;
-    if (heartbeat != nullptr) heartbeat->MarkIdle(false);
-    auto it = segmenters.find(event->stream);
-    if (it == segmenters.end()) {
-      it = segmenters
-               .emplace(event->stream,
-                        std::make_unique<Segmenter>(event->stream, params_.xi,
-                                                    &scratch_ids,
-                                                    &segment_pool_))
-               .first;
-    }
-    completed.clear();
-    it->second->Push(event->object, event->time, &completed);
-    emit(completed);
-    if (heartbeat != nullptr) heartbeat->Beat();
-  }
-  // Queue closed: flush trailing windows.
-  completed.clear();
-  for (auto& [stream, segmenter] : segmenters) segmenter->Flush(&completed);
-  emit(completed);
-}
-
-void ParallelEngine::MergeLoop() {
-  // Merge the per-worker segment streams by end time: processing the
-  // smallest available end time keeps the mining watermark aligned with a
-  // serial run, so no worker's supporters expire early just because another
-  // worker raced ahead. A worker that stays quiet for merge_idle_timeout_us
-  // while others have segments waiting is skipped until it produces again.
-  trace::SetThreadName("merge");
-  prof::ThreadScope prof_scope("merge");
-  obs::StageHeartbeat* heartbeat = merge_heartbeat_;
-  const uint32_t n = options_.num_workers;
-  std::vector<SegmentRef> heads(n);  // null slot = no head buffered
-  std::vector<bool> exhausted(n, false);
-  SegmentIdGen final_ids;
   uint64_t moves_published = 0;
   uint64_t rounds_published = 0;
   uint64_t backfills_published = 0;
 
-  while (true) {
-    // Refill empty head slots without blocking.
-    bool any_head = false;
-    bool missing_active_head = false;
-    for (uint32_t w = 0; w < n; ++w) {
-      if (exhausted[w] || heads[w]) {
-        any_head |= static_cast<bool>(heads[w]);
-        continue;
+  // Routes the segments the last mux call completed, in completion order —
+  // the order MiningEngine mines them in.
+  auto route_completed = [&] {
+    for (const SegmentRef& segment : completed) {
+      {
+        // The mux began this segment's flow; the step ties the route slice
+        // into the arrow that ends on every shard mining the segment.
+        // Routing blocks on full shard queues, so shard backpressure shows
+        // up as a stretched ingest/route slice.
+        FCP_TRACE_SPAN_FLOW("ingest/route", segment->id(),
+                            static_cast<uint32_t>(segment->length()));
+        FCP_TRACE_FLOW_STEP("segment", segment->id());
+        router_->Route(segment);
       }
-      if (auto segment = segments_[w]->TryPop()) {
-        heads[w] = std::move(*segment);
-        any_head = true;
-      } else if (segments_[w]->closed()) {
-        // Drain anything that raced in between TryPop and closed().
-        if (auto last = segments_[w]->TryPop()) {
-          heads[w] = std::move(*last);
-          any_head = true;
-        } else {
-          exhausted[w] = true;
-        }
-      } else {
-        missing_active_head = true;
-      }
-    }
-
-    if (!any_head) {
-      bool all_exhausted = true;
-      for (uint32_t w = 0; w < n; ++w) all_exhausted &= exhausted[w];
-      if (all_exhausted) break;
-      // Nothing to merge: block on the first still-active queue until it
-      // produces, closes, or the timeout passes (then re-poll the others).
-      if (publish_) merge_stalls_->Increment();
-      if (heartbeat != nullptr) heartbeat->MarkIdle(true);
-      for (uint32_t w = 0; w < n; ++w) {
-        if (exhausted[w]) continue;
-        if (auto segment =
-                segments_[w]->PopFor(options_.merge_idle_timeout_us)) {
-          heads[w] = std::move(*segment);
-        }
-        break;
-      }
-      continue;
-    }
-    if (heartbeat != nullptr) heartbeat->MarkIdle(false);
-
-    if (missing_active_head) {
-      // Give quiet workers a bounded chance to contribute the next-smallest
-      // end time before we commit to the current minimum. Each round blocks
-      // on the quiet queues' condition variables instead of busy-sleeping.
-      int64_t waited_us = 0;
-      while (missing_active_head &&
-             waited_us < options_.merge_idle_timeout_us) {
-        missing_active_head = false;
-        for (uint32_t w = 0; w < n; ++w) {
-          if (exhausted[w] || heads[w]) continue;
-          if (auto segment = segments_[w]->PopFor(100)) {
-            heads[w] = std::move(*segment);
-          } else if (segments_[w]->closed()) {
-            exhausted[w] = true;
-          } else {
-            missing_active_head = true;
+      if (rebalancer_ != nullptr) {
+        rebalancer_->ObserveSegment(*segment);
+        if (auto next = rebalancer_->MaybeRebalance(*router_)) {
+          // Migration: backfill the new owners' indexes through the delivery
+          // path, then switch routing to the successor snapshot. The span's
+          // duration is the routing-thread cost of the migration (backfill
+          // enqueues, possibly blocking on full shard queues).
+          FCP_TRACE_SPAN_FLOW("router/rebalance", next->version(),
+                              rebalancer_->stats().objects_moved);
+          Stopwatch migrate_timer;
+          router_->ApplyPlacement(std::move(next));
+          if (publish_) {
+            migration_latency_us_->Record(
+                static_cast<uint64_t>(migrate_timer.ElapsedNanos()) / 1000);
           }
-          waited_us += 100;
         }
-      }
-    }
-
-    // Route the head with the smallest end time.
-    uint32_t best = n;
-    for (uint32_t w = 0; w < n; ++w) {
-      if (!heads[w]) continue;
-      if (best == n || heads[w]->end_time() < heads[best]->end_time()) {
-        best = w;
-      }
-    }
-    FCP_DCHECK(best < n);
-    SegmentRef segment = std::move(heads[best]);
-    // Compute the worker-hop flow id from the scratch id BEFORE the relabel
-    // renames it; the ref is still unique here (the worker queue handed over
-    // its only reference), so the rename is race-free by construction.
-    const uint64_t worker_flow = WorkerFlowId(best, segment->id());
-    segment.RelabelId(final_ids.Next());
-    {
-      // One slice per routed segment: the flow-step receives the worker's
-      // arrow, the flow-begin (keyed by the post-relabel global id, the same
-      // id the router stamps into each delivery) fans out to every shard
-      // that mines this segment. Routing blocks on full shard queues, so
-      // shard backpressure shows up as a stretched merge/route slice.
-      FCP_TRACE_SPAN_FLOW("merge/route", segment->id(),
-                          static_cast<uint32_t>(segment->length()));
-      FCP_TRACE_FLOW_STEP("segment", worker_flow);
-      FCP_TRACE_FLOW_BEGIN("segment", segment->id());
-      router_->Route(segment);
-    }
-    if (rebalancer_ != nullptr) {
-      rebalancer_->ObserveSegment(*segment);
-      if (auto next = rebalancer_->MaybeRebalance(*router_)) {
-        // Migration: backfill the new owners' indexes through the delivery
-        // path, then switch routing to the successor snapshot. The span's
-        // duration is the routing-thread cost of the migration (backfill
-        // enqueues, possibly blocking on full shard queues).
-        FCP_TRACE_SPAN_FLOW("router/rebalance", next->version(),
-                            rebalancer_->stats().objects_moved);
-        Stopwatch migrate_timer;
-        router_->ApplyPlacement(std::move(next));
         if (publish_) {
-          migration_latency_us_->Record(
-              static_cast<uint64_t>(migrate_timer.ElapsedNanos()) / 1000);
+          imbalance_permille_->Set(rebalancer_->imbalance_permille());
+          // Counters are monotone; publish the deltas since the last segment.
+          const RebalancerStats& rstats = rebalancer_->stats();
+          if (rstats.objects_moved > moves_published) {
+            migrations_->Increment(rstats.objects_moved - moves_published);
+            moves_published = rstats.objects_moved;
+          }
+          if (rstats.rounds_triggered > rounds_published) {
+            rebalance_rounds_->Increment(rstats.rounds_triggered -
+                                         rounds_published);
+            rounds_published = rstats.rounds_triggered;
+          }
+          const uint64_t backfills = router_->stats().backfill_deliveries;
+          if (backfills > backfills_published) {
+            backfill_deliveries_->Increment(backfills - backfills_published);
+            backfills_published = backfills;
+          }
         }
       }
+      ++segments_completed_;
       if (publish_) {
-        imbalance_permille_->Set(rebalancer_->imbalance_permille());
-        // Counters are monotone; publish the deltas since the last loop.
-        const RebalancerStats& rstats = rebalancer_->stats();
-        if (rstats.objects_moved > moves_published) {
-          migrations_->Increment(rstats.objects_moved - moves_published);
-          moves_published = rstats.objects_moved;
-        }
-        if (rstats.rounds_triggered > rounds_published) {
-          rebalance_rounds_->Increment(rstats.rounds_triggered -
-                                       rounds_published);
-          rounds_published = rstats.rounds_triggered;
-        }
-        const uint64_t backfills = router_->stats().backfill_deliveries;
-        if (backfills > backfills_published) {
-          backfill_deliveries_->Increment(backfills - backfills_published);
-          backfills_published = backfills;
-        }
+        segments_completed_metric_->Increment();
+        // How far the just-routed segment trails the stream-time watermark:
+        // nonzero when it ends before a segment of another stream that
+        // completed earlier (the same skew a serial run sees).
+        watermark_lag_ms_->Set(router_->watermark() - segment->end_time());
       }
     }
-    ++segments_completed_;
+    completed.clear();
+  };
+
+  while (true) {
+    if (heartbeat != nullptr) heartbeat->MarkIdle(true);
+    std::optional<ObjectEvent> event = events_.Pop();
+    if (!event) break;
+    if (heartbeat != nullptr) heartbeat->MarkIdle(false);
+    mux_.Push(*event, &completed);
+    route_completed();
     if (heartbeat != nullptr) heartbeat->Beat();
-    if (publish_) {
-      segments_completed_metric_->Increment();
-      // How far the just-routed segment trails the stream-time watermark:
-      // nonzero when a straggler worker's older segment lands after newer
-      // data was already routed (merge-order skew).
-      watermark_lag_ms_->Set(router_->watermark() - segment->end_time());
-    }
   }
+  // Queue closed and drained: flush every stream's trailing window.
+  mux_.FlushAll(&completed);
+  route_completed();
 }
 
 void ParallelEngine::ProcessDelivery(uint32_t shard_index,
@@ -551,7 +352,7 @@ void ParallelEngine::ProcessDelivery(uint32_t shard_index,
   }
   // Adopt the router's global watermark before mining: a shard only sees
   // the segments containing its objects, so its own max-end-time anchor
-  // can lag the merge's and would expire supporters later than a serial
+  // can lag the router's and would expire supporters later than a serial
   // run (breaking shard-count invariance of the output).
   miner.AdvanceWatermark(delivery.watermark);
   // Per-shard lag mirror + heartbeat: stolen deliveries credit the VICTIM's
@@ -578,7 +379,7 @@ void ParallelEngine::ProcessDelivery(uint32_t shard_index,
   std::vector<Fcp>& mined = runtime.mined_scratch;
   mined.clear();
   {
-    // The flow-end closes the arrow the merge thread began under the same
+    // The flow-end closes the arrow the ingest thread began under the same
     // id (the router-stamped trace_flow), tying this mine slice to the
     // segment's route slice across the thread boundary — for stolen
     // segments the arrow lands on the thief's thread track, which is how
@@ -721,7 +522,6 @@ std::string ParallelEngine::StatusJson() const {
   // one another; each is individually coherent.
   const Timestamp watermark = router_->watermark();
   std::string out = "{\"engine\":\"parallel\"";
-  out += ",\"workers\":" + std::to_string(options_.num_workers);
   out += ",\"shards\":" + std::to_string(options_.num_miner_shards);
   out += ",\"rebalance\":";
   out += options_.rebalance ? "true" : "false";
@@ -750,20 +550,10 @@ std::string ParallelEngine::StatusJson() const {
            ",\"imbalance_permille\":" +
            std::to_string(rstats.imbalance_permille) + "}";
   }
-  out += ",\"worker_queues\":[";
-  for (uint32_t w = 0; w < options_.num_workers; ++w) {
-    if (w > 0) out += ",";
-    out += "{\"worker\":" + std::to_string(w) + ",";
-    AppendQueueJson(&out, "events", workers_[w].events->depth(),
-                    workers_[w].events->high_watermark(),
-                    options_.event_queue_capacity);
-    out += ",";
-    AppendQueueJson(&out, "segments", segments_[w]->depth(),
-                    segments_[w]->high_watermark(),
-                    options_.segment_queue_capacity);
-    out += "}";
-  }
-  out += "],\"shard_queues\":[";
+  out += ",";
+  AppendQueueJson(&out, "ingest_queue", events_.depth(),
+                  events_.high_watermark(), options_.event_queue_capacity);
+  out += ",\"shard_queues\":[";
   for (uint32_t s = 0; s < options_.num_miner_shards; ++s) {
     if (s > 0) out += ",";
     const Timestamp seen =

@@ -1,30 +1,27 @@
-// Parallel ingestion + mining: the paper's future-work direction ("extend
-// the proposed approaches ... to handle greater scales of data streams").
+// Parallel mining: the paper's future-work direction ("extend the proposed
+// approaches ... to handle greater scales of data streams").
 //
-// Segmentation is embarrassingly parallel (each stream's windows depend only
-// on that stream). Mining is a cross-stream operation, but it *object*-
-// partitions cleanly: S miner shards each own the patterns whose minimum
-// object hashes to them (see common/shard.h), and a ShardRouter multicasts
-// every completed segment to the shards owning >= 1 of its objects. Each
-// shard runs a full miner instance restricted to its owned patterns, so the
-// union of shard outputs equals the serial output exactly (every occurrence
-// of an owned pattern contains the owned minimum object, hence reaches the
-// owner).
+// Mining is a cross-stream operation, but it *object*-partitions cleanly: S
+// miner shards each own the patterns whose minimum object maps to them (see
+// common/shard.h), and a ShardRouter multicasts every completed segment to
+// the shards owning >= 1 of its objects. Each shard runs a full miner
+// instance restricted to its owned patterns, so the union of shard outputs
+// equals the serial output exactly (every occurrence of an owned pattern
+// contains the owned minimum object, hence reaches the owner).
 //
-//   Push(event) -> worker[stream % W] -> Segmenter -> segment queue
-//     -> merge thread (end-time order, global ids, watermark)
-//       -> ShardRouter -> shard[0..S-1] miner threads -> merged results
+//   Push(event) -> event queue -> ingest thread: StreamMux -> ShardRouter
+//     -> shard[0..S-1] miner threads -> merged results
 //
-// Semantics: the merge thread sees segments in a valid completion order of
-// some interleaving of the input streams (workers run at their own pace), so
-// results match a serial MiningEngine run up to the watermark skew between
-// workers; with one worker they match exactly, for any shard count. Every
-// emitted FCP is sound (its supporters really co-occurred within tau).
-// Tests verify soundness against the Definition-3 checker, full recall of
-// planted ground truth, and shard-count invariance of the result multiset.
+// Semantics: the ingest thread segments the one event feed with the same
+// StreamMux MiningEngine uses, so segment ids, completion order, the
+// watermark shipped with each delivery and the end-of-feed flush order are
+// all the serial engine's. results() therefore equals a serial MiningEngine
+// run byte for byte (triggers, patterns, streams, windows) for every shard
+// count, placement, rebalance and steal setting — by construction, not by
+// timing. Tests check this on repeated runs of each configuration.
 //
 // All backpressure blocks on condition variables (BoundedQueue::Push /
-// PopFor) — no spin loops anywhere in the pipeline.
+// Pop) — no spin loops anywhere in the pipeline.
 
 #ifndef FCP_CORE_PARALLEL_ENGINE_H_
 #define FCP_CORE_PARALLEL_ENGINE_H_
@@ -50,27 +47,25 @@
 #include "stream/rebalancer.h"
 #include "stream/segment.h"
 #include "stream/segment_ref.h"
-#include "stream/segmenter.h"
 #include "stream/shard_router.h"
+#include "stream/stream_mux.h"
 #include "telemetry/registry.h"
 
 namespace fcp {
 
 /// Configuration of the parallel front end.
 struct ParallelEngineOptions {
-  uint32_t num_workers = 2;
+  /// Must be 1 (checked): segmentation runs on the one ingest thread. The
+  /// field survives only because the benchmark driver
+  /// (perfbench/perfbench.cc) still sets it; it goes away together with
+  /// that line when the benchmark is next revised.
+  uint32_t num_workers = 1;
   /// Miner shards: independent miner replicas partitioning the pattern
   /// space by min-object ownership. 1 = classic single miner thread.
   uint32_t num_miner_shards = 1;
-  size_t event_queue_capacity = 8192;    ///< per worker
-  size_t segment_queue_capacity = 1024;  ///< per worker, feeds the merge
-  size_t shard_queue_capacity = 1024;    ///< per shard, feeds the miners
-  DurationMs suppression_window = 0;     ///< ResultCollector dedup
-  /// The merge orders per-worker segment streams by end time. When some
-  /// worker has produced nothing for this long while others have segments
-  /// waiting, the merge stops waiting for it (bounds stalls on quiet
-  /// stream partitions at the cost of a little ordering skew).
-  int64_t merge_idle_timeout_us = 2000;
+  size_t event_queue_capacity = 8192;  ///< feeds the ingest thread
+  size_t shard_queue_capacity = 1024;  ///< per shard, feeds the miners
+  DurationMs suppression_window = 0;   ///< ResultCollector dedup
   /// Registry receiving the pipeline's metrics (per-shard counters labeled
   /// `{shard="s"}`); null means the engine owns a private one.
   telemetry::MetricRegistry* metrics = nullptr;
@@ -80,7 +75,7 @@ struct ParallelEngineOptions {
   /// callers (fcpmine --placement=freq) via BuildGreedyPlacement over an
   /// observation pass.
   std::shared_ptr<const PlacementMap> placement;
-  /// Live rebalancing: the merge thread closes load intervals and migrates
+  /// Live rebalancing: the ingest thread closes load intervals and migrates
   /// hot objects between shards through the router's backfill fence. The
   /// imbalance gauge is published for S > 1 regardless; this flag only
   /// controls whether placements actually change.
@@ -93,8 +88,8 @@ struct ParallelEngineOptions {
   /// Minimum victim queue depth before a steal is attempted.
   size_t steal_min_depth = 2;
   /// Health supervision (DESIGN.md §2.8): when set, every pipeline stage
-  /// registers a heartbeat with this watchdog (worker-w, merge, shard-s)
-  /// plus the watermark-lag probe. The watchdog must outlive the engine's
+  /// registers a heartbeat with this watchdog (ingest, shard-s) plus the
+  /// watermark-lag probe. The watchdog must outlive the engine's
   /// threads and be Stop()ped before the engine is destroyed. Heartbeats
   /// are single relaxed atomics — zero cost on the mining hot path, and
   /// null leaves the pipeline exactly as instrumented as before.
@@ -103,7 +98,7 @@ struct ParallelEngineOptions {
 
 class ParallelEngine {
  public:
-  /// Starts the worker, merge and shard miner threads. `params` must
+  /// Starts the ingest thread and the S shard miner threads. `params` must
   /// validate OK.
   ParallelEngine(MinerKind kind, const MiningParams& params,
                  ParallelEngineOptions options = {});
@@ -114,15 +109,15 @@ class ParallelEngine {
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
 
-  /// Routes one event to its stream's worker. Blocks (condition variable)
-  /// while that worker's queue is full — ingestion is lossless, unlike the
+  /// Queues one event for the ingest thread. Blocks (condition variable)
+  /// while the event queue is full — ingestion is lossless, unlike the
   /// Fig. 8 saturation harness. Must not be called after Finish().
   void Push(const ObjectEvent& event);
 
-  /// Routes a batch of events in order. Equivalent to Push per event, but
-  /// consecutive same-worker runs are handed to the worker queue in one
-  /// lock acquisition (BoundedQueue::PushAll) and the ingestion counter
-  /// takes one delta per batch. Must not be called after Finish().
+  /// Queues a batch of events in order. Equivalent to Push per event, but
+  /// the batch is handed to the event queue in one lock acquisition per
+  /// admitted chunk (BoundedQueue::PushAll) and the ingestion counter takes
+  /// one delta per batch. Must not be called after Finish().
   void PushBatch(std::span<const ObjectEvent> events);
 
   /// Flushes every open window, drains the pipeline, joins all threads and
@@ -162,8 +157,8 @@ class ParallelEngine {
   /// metric. Thread-safe; callable while the pipeline runs.
   std::vector<telemetry::MetricSample> SnapshotMetrics();
 
-  /// Pipeline topology for /statusz: shards, workers, placement version,
-  /// queue depth/high-watermark/capacity, pool occupancy, per-shard
+  /// Pipeline topology for /statusz: shards, placement version, ingest and
+  /// shard queue depth/high-watermark/capacity, pool occupancy, per-shard
   /// watermark lag, rebalancer activity. Thread-safe (built entirely from
   /// relaxed atomics and snapshot mutexes); callable while the pipeline
   /// runs. Counter-derived fields read the published metrics, so they stay
@@ -176,8 +171,10 @@ class ParallelEngine {
   int64_t WatermarkLagMs() const;
 
  private:
-  void WorkerLoop(uint32_t worker_index);
-  void MergeLoop();
+  /// Pops events, segments them through mux_ and routes every completed
+  /// segment (plus the rebalancer's observe/migrate step); flushes every
+  /// stream's open window once the event queue is closed and drained.
+  void IngestLoop();
   void ShardLoop(uint32_t shard_index);
   /// Applies the delivery's placement snapshot, advances the watermark and
   /// mines (or index-backfills) it with shard `shard_index`'s miner. When
@@ -195,29 +192,20 @@ class ParallelEngine {
   MiningParams params_;
   ParallelEngineOptions options_;
 
-  /// Slab pool behind every segment in flight. Declared before the router,
-  /// queues and miners so it is destroyed LAST — every SegmentRef (shard
-  /// deliveries, the router's live set, merge heads) must release back into
-  /// it first (checked in ~SegmentPool).
+  /// Slab pool behind every segment in flight. Declared before the mux,
+  /// router and miners so it is destroyed LAST — every SegmentRef (shard
+  /// deliveries, the router's live set) must release back into it first
+  /// (checked in ~SegmentPool).
   SegmentPool segment_pool_;
 
-  // Each worker owns an event queue and the segmenters of its streams.
-  struct Worker {
-    std::unique_ptr<BoundedQueue<ObjectEvent>> events;
-    std::thread thread;
-  };
-  std::vector<Worker> workers_;
-
-  // Per-worker segment queues; MergeLoop merges them by segment end time
-  // (aligned watermark), relabels with globally monotone ids (in place —
-  // the ref is still unique at that point), and routes through the
-  // ShardRouter to the shard miner threads.
-  std::vector<std::unique_ptr<BoundedQueue<SegmentRef>>> segments_;
-  std::thread merge_thread_;
+  // Front end: Push/PushBatch fill the event queue; the ingest thread alone
+  // touches mux_ (per-stream segmenters, global segment ids) and routes.
+  BoundedQueue<ObjectEvent> events_;
+  StreamMux mux_;
 
   std::unique_ptr<ShardRouter> router_;
   /// Per-interval load measurement + migration decisions; owned by the
-  /// merge thread, created for S > 1 (measure-only unless options_.rebalance).
+  /// ingest thread, created for S > 1 (measure-only unless options_.rebalance).
   std::unique_ptr<Rebalancer> rebalancer_;
   std::vector<std::unique_ptr<FcpMiner>> shard_miners_;
   std::vector<std::thread> shard_threads_;
@@ -260,19 +248,14 @@ class ParallelEngine {
     telemetry::Gauge* queue_high_watermark = nullptr;
     telemetry::Gauge* watermark_lag_ms = nullptr;
   };
-  struct WorkerTelemetry {
-    telemetry::Gauge* event_queue_depth = nullptr;
-    telemetry::Gauge* event_queue_high_watermark = nullptr;
-    telemetry::Gauge* segment_queue_depth = nullptr;
-    telemetry::Gauge* segment_queue_high_watermark = nullptr;
-  };
   std::unique_ptr<telemetry::MetricRegistry> owned_registry_;
   telemetry::MetricRegistry* registry_ = nullptr;
   bool publish_ = true;
   telemetry::Counter* events_ingested_ = nullptr;
   telemetry::Counter* segments_completed_metric_ = nullptr;
-  telemetry::Counter* merge_stalls_ = nullptr;
   telemetry::Gauge* watermark_lag_ms_ = nullptr;
+  telemetry::Gauge* event_queue_depth_ = nullptr;
+  telemetry::Gauge* event_queue_high_watermark_ = nullptr;
   telemetry::Counter* rebalance_rounds_ = nullptr;
   telemetry::Counter* migrations_ = nullptr;
   telemetry::Counter* backfill_deliveries_ = nullptr;
@@ -290,12 +273,13 @@ class ParallelEngine {
   /// Engine construction time, behind fcp_uptime_seconds.
   std::chrono::steady_clock::time_point start_time_;
   std::vector<ShardTelemetry> shard_telemetry_;
-  std::vector<WorkerTelemetry> worker_telemetry_;
 
   // Watchdog heartbeats (null / empty when no watchdog was attached).
-  obs::StageHeartbeat* merge_heartbeat_ = nullptr;
-  std::vector<obs::StageHeartbeat*> worker_heartbeats_;
+  obs::StageHeartbeat* ingest_heartbeat_ = nullptr;
   std::vector<obs::StageHeartbeat*> shard_heartbeats_;
+
+  /// Declared after every member IngestLoop uses; Finish() joins it.
+  std::thread ingest_thread_;
 };
 
 }  // namespace fcp

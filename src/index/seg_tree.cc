@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "common/check.h"
-#include "util/memory.h"
 
 namespace fcp {
 

@@ -36,7 +36,7 @@ namespace fcp {
 ///
 /// Off-CPU profiling: the optional wait tags name this queue's block points
 /// to fcp::prof (`wait;<tag>` pseudo stacks). `pop_wait_tag` covers
-/// consumer-side empty waits (Pop/PopFor/WaitNonEmptyFor), `push_wait_tag`
+/// consumer-side empty waits (Pop/WaitNonEmptyFor), `push_wait_tag`
 /// covers producer-side full waits, i.e. backpressure (Push/PushAll). Tags
 /// must have static storage duration. When the profiler is not armed the
 /// instrumentation costs one relaxed load on paths that were about to
@@ -121,18 +121,6 @@ class BoundedQueue {
     if (!closed_ && count_ == 0) {
       prof::WaitTimer wait(pop_wait_tag_);
       cv_.wait(lock, [&] { return closed_ || count_ > 0; });
-    }
-    return PopLockedOrNull(lock);
-  }
-
-  /// Pop with timeout: waits up to `timeout_us` for an item. Returns nullopt
-  /// on timeout or when closed and empty (check `closed()` to distinguish).
-  std::optional<T> PopFor(int64_t timeout_us) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!closed_ && count_ == 0) {
-      prof::WaitTimer wait(pop_wait_tag_);
-      cv_.wait_for(lock, std::chrono::microseconds(timeout_us),
-                   [&] { return closed_ || count_ > 0; });
     }
     return PopLockedOrNull(lock);
   }

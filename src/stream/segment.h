@@ -92,13 +92,7 @@ class Segment {
   friend bool operator==(const Segment&, const Segment&) = default;
 
  private:
-  friend class SegmentRef;   // RelabelId on uniquely-owned slabs
   friend class SegmentPool;  // vector-capacity management when recycling
-
-  /// Only the merge thread relabels (scratch id -> global id), and only
-  /// through SegmentRef::RelabelId which checks unique ownership — segments
-  /// are otherwise immutable once shared.
-  void set_id(SegmentId id) { id_ = id; }
 
   void RebuildDistinct();
 

@@ -14,9 +14,7 @@
 //
 // Threading: SegmentRef copies/destructions are thread-safe (the refcount is
 // atomic); the pool's freelists are mutex-guarded. The Segment payload is
-// immutable once shared — the single mutation, RelabelId (merge-thread
-// scratch-id -> global-id rename), is checked to happen while the refcount
-// is exactly 1.
+// immutable once built.
 
 #ifndef FCP_STREAM_SEGMENT_REF_H_
 #define FCP_STREAM_SEGMENT_REF_H_
@@ -107,15 +105,6 @@ class SegmentRef {
     return slab_ != nullptr ? slab_->refs.load(std::memory_order_relaxed) : 0;
   }
   bool unique() const { return use_count() == 1; }
-
-  /// Renames the segment (worker scratch id -> merge-assigned global id).
-  /// Checked to run while this is the only handle — after that the payload
-  /// is immutable and may be shared across threads freely.
-  void RelabelId(SegmentId id) {
-    FCP_CHECK(slab_ != nullptr);
-    FCP_CHECK(slab_->refs.load(std::memory_order_acquire) == 1);
-    slab_->segment.set_id(id);
-  }
 
  private:
   friend class SegmentPool;

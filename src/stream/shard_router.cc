@@ -96,55 +96,6 @@ uint32_t ShardRouter::Route(const SegmentRef& segment) {
   return delivered;
 }
 
-uint64_t ShardRouter::RouteBatch(const SegmentRef* segments, size_t count) {
-  if (count == 0) return 0;
-  // The live set needs one delivered-mask per segment; the batch staging
-  // below only keeps per-shard buffers, so the tracking variant just routes
-  // one at a time (migration runs care about adaptivity, not the last few
-  // percent of routing throughput).
-  if (options_.track_live) {
-    uint64_t delivered = 0;
-    for (size_t k = 0; k < count; ++k) delivered += Route(segments[k]);
-    return delivered;
-  }
-  const int64_t now_ns = SteadyNowNs();
-  // Stage the deliveries per shard first — the watermark must advance
-  // cumulatively in segment order (delivery k ships the max end time over
-  // segments [0, k]), which a per-shard flush after the fact preserves.
-  if (batch_scratch_.size() < num_shards_) batch_scratch_.resize(num_shards_);
-  for (auto& staged : batch_scratch_) staged.clear();
-  for (size_t k = 0; k < count; ++k) {
-    const SegmentRef& segment = segments[k];
-    watermark_ = std::max(watermark_, segment->end_time());
-    ++stats_.segments_routed;
-    if (num_shards_ == 1) {
-      batch_scratch_[0].push_back(ShardDelivery{segment, watermark_, now_ns,
-                                                segment->id(), placement_,
-                                                /*index_only=*/false});
-      continue;
-    }
-    MarkTargets(*segment);
-    for (uint32_t s = 0; s < num_shards_; ++s) {
-      if (!target_scratch_[s]) continue;
-      batch_scratch_[s].push_back(ShardDelivery{segment, watermark_, now_ns,
-                                                segment->id(), placement_,
-                                                /*index_only=*/false});
-    }
-  }
-  watermark_pub_.store(watermark_, std::memory_order_relaxed);
-  uint64_t delivered = 0;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    if (batch_scratch_[s].empty()) continue;
-    // PushAll moves the staged deliveries out and leaves the scratch
-    // buffer's capacity for the next batch — no per-batch vector churn.
-    const size_t pushed = queues_[s]->PushAll(&batch_scratch_[s]);
-    routed_to_[s].fetch_add(pushed, std::memory_order_relaxed);
-    delivered += pushed;
-  }
-  stats_.deliveries += delivered;
-  return delivered;
-}
-
 void ShardRouter::CompactLive() {
   routes_since_compact_ = 0;
   while (!live_.empty() &&

@@ -1,7 +1,7 @@
 // ShardRouter: multicasts completed segments to object-partitioned miner
 // shards.
 //
-// One producer (the ParallelEngine's merge thread, or a bench driver) calls
+// One producer (the ParallelEngine's ingest thread, or a bench driver) calls
 // Route() with segments in global completion order; the router delivers each
 // segment to every shard that owns at least one of its distinct objects,
 // together with the *global* stream-time watermark at routing time. Each
@@ -59,10 +59,10 @@ struct ShardDelivery {
   /// thread turns (now - routed_at_ns) into the segment->discovery latency
   /// histogram (queue wait + mining).
   int64_t routed_at_ns = 0;
-  /// Trace-flow id stamped at route time (the segment's post-relabel global
-  /// id). Shard threads emit flow-end events against it so one segment's
-  /// journey — ingest, route, per-shard mine — renders as a connected arrow
-  /// chain in Perfetto. Stamped unconditionally (one uint64 store) so the
+  /// Trace-flow id stamped at route time (the segment's global id). Shard
+  /// threads emit flow-end events against it so one segment's journey —
+  /// ingest, route, per-shard mine — renders as a connected arrow chain in
+  /// Perfetto. Stamped unconditionally (one uint64 store) so the
   /// router stays independent of the recorder's enabled state.
   uint64_t trace_flow = 0;
   /// The placement snapshot in force when this delivery was enqueued (null =
@@ -110,13 +110,6 @@ class ShardRouter {
   /// are full. Returns the number of shards the segment was delivered to
   /// (0 only if the router was closed mid-route).
   uint32_t Route(const SegmentRef& segment);
-
-  /// Routes `count` segments in order with one queue lock per (shard, batch)
-  /// instead of one per delivery. The watermark advances cumulatively in
-  /// segment order, so each delivery carries exactly the watermark a
-  /// sequence of Route() calls would have shipped — sharded output stays
-  /// byte-identical to serial. Returns the total deliveries enqueued.
-  uint64_t RouteBatch(const SegmentRef* segments, size_t count);
 
   /// Switches routing to `next` (a successor snapshot, normally produced by
   /// Rebalancer / PlacementMap::WithMoves) after enqueuing index-only
@@ -196,15 +189,12 @@ class ShardRouter {
   std::unique_ptr<std::atomic<uint64_t>[]> routed_to_;  ///< per-shard count
   /// Routing-thread working copy; watermark_pub_ mirrors it for cross-thread
   /// reads (the hot routing loop reads the plain field, the atomic is only
-  /// stored once per Route/RouteBatch).
+  /// stored once per Route).
   Timestamp watermark_ = kMinTimestamp;
   std::atomic<Timestamp> watermark_pub_{kMinTimestamp};
   std::atomic<uint64_t> placement_version_{0};
   std::shared_ptr<const PlacementMap> placement_;  ///< null = hash
   std::vector<uint8_t> target_scratch_;  ///< per-shard "owns an object" flags
-  /// RouteBatch's per-shard staging buffers (capacity reused across calls;
-  /// deliveries are MOVED into the queues, never copied).
-  std::vector<std::vector<ShardDelivery>> batch_scratch_;
   /// Valid routed segments (track_live). A ring, not a deque: the live set
   /// is a watermark-bounded FIFO, so once its capacity covers the tau window
   /// the expiry churn performs zero allocations (a deque would allocate and

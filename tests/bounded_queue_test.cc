@@ -183,7 +183,7 @@ TEST(BoundedQueueTest, PushAllLargerThanCapacityBlocksUntilDrained) {
 }
 
 TEST(BoundedQueueTest, HighWatermarkAcrossPushAllBursts) {
-  // Burst ingestion is the RouteBatch path: the watermark must capture the
+  // Burst ingestion is the PushBatch path: the watermark must capture the
   // peak occupancy of every burst, not just single-Push increments, and
   // must survive full drains between bursts.
   BoundedQueue<int> q(16);

@@ -8,8 +8,8 @@
 //
 // The router-level test drives the ShardRouter directly (deterministic
 // forced moves, every miner kind); the engine-level tests run the whole
-// ParallelEngine with live rebalancing and with work stealing, one worker so
-// serial equivalence is exact.
+// ParallelEngine with live rebalancing and with work stealing and check
+// exact serial equivalence.
 
 #include <cstdint>
 #include <memory>
@@ -282,9 +282,9 @@ std::vector<FcpSignature> SerialEngineSignatures(
 }
 
 TEST(MigrationTest, RebalancingEngineMatchesSerialByteForByte) {
-  // One worker removes merge skew; with live rebalancing migrating the zipf
-  // head between shards mid-stream the output must STILL be byte-identical
-  // to serial — the end-to-end proof of the fence through the real pipeline.
+  // With live rebalancing migrating the zipf head between shards mid-stream
+  // the output must STILL be byte-identical to serial — the end-to-end proof
+  // of the fence through the real pipeline.
   const MiningParams params = Params();
   const std::vector<ObjectEvent> events =
       ZipfEvents(61, 12000, /*vocab=*/50, /*skew=*/1.2, /*streams=*/8);
@@ -293,7 +293,6 @@ TEST(MigrationTest, RebalancingEngineMatchesSerialByteForByte) {
   ASSERT_FALSE(serial.empty());
 
   ParallelEngineOptions options;
-  options.num_workers = 1;
   options.num_miner_shards = 4;
   options.rebalance = true;
   options.rebalancer.interval_segments = 64;
@@ -319,7 +318,6 @@ TEST(MigrationTest, RebalancingEngineAllMinersStaySound) {
     const std::vector<FcpSignature> serial =
         SerialEngineSignatures(kind, params, events);
     ParallelEngineOptions options;
-    options.num_workers = 1;
     options.num_miner_shards = 4;
     options.rebalance = true;
     options.rebalancer.interval_segments = 64;
@@ -344,7 +342,6 @@ TEST(StealTest, StealingEngineMatchesSerialByteForByte) {
   ASSERT_FALSE(serial.empty());
 
   ParallelEngineOptions options;
-  options.num_workers = 1;
   options.num_miner_shards = 4;
   options.steal = true;
   options.steal_min_depth = 1;  // steal eagerly so the path really runs
@@ -365,7 +362,6 @@ TEST(StealTest, StealingPlusRebalancingMatchesSerialByteForByte) {
   ASSERT_FALSE(serial.empty());
 
   ParallelEngineOptions options;
-  options.num_workers = 1;
   options.num_miner_shards = 4;
   options.steal = true;
   options.steal_min_depth = 1;
@@ -380,7 +376,7 @@ TEST(StealTest, StealingPlusRebalancingMatchesSerialByteForByte) {
 }
 
 TEST(StealTest, StressManyWorkersSmallQueuesUnderSkew) {
-  // The TSan workhorse: multiple workers, tiny shard queues (constant
+  // The TSan workhorse: tiny event and shard queues (constant
   // backpressure), eager stealing and live rebalancing all at once. The
   // assertions are liveness + accounting; the value is every data race this
   // run would surface under -fsanitize=thread.
@@ -389,10 +385,8 @@ TEST(StealTest, StressManyWorkersSmallQueuesUnderSkew) {
       ZipfEvents(65, 16000, /*vocab=*/60, /*skew=*/1.2, /*streams=*/12);
 
   ParallelEngineOptions options;
-  options.num_workers = 3;
   options.num_miner_shards = 4;
   options.shard_queue_capacity = 8;
-  options.segment_queue_capacity = 16;
   options.event_queue_capacity = 64;
   options.steal = true;
   options.steal_min_depth = 1;

@@ -268,7 +268,6 @@ TEST(ObsServerTest, ConcurrentScrapesDuringActiveMiningAreBenign) {
     wd_options.metrics = &registry;
     Watchdog watchdog(wd_options);
     ParallelEngineOptions options;
-    options.num_workers = 2;
     options.num_miner_shards = 4;
     options.rebalance = true;
     options.steal = true;

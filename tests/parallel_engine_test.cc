@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <span>
-#include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/placement.h"
 #include "core/mining_engine.h"
 #include "datagen/traffic_gen.h"
 #include "test_util.h"
@@ -40,7 +43,6 @@ using testing::IsGenuineFcp;
 TEST(ParallelEngineTest, RecoversPlantedConvoys) {
   const TrafficTrace trace = Trace();
   ParallelEngineOptions options;
-  options.num_workers = 3;
   ParallelEngine engine(MinerKind::kCooMine, Params(), options);
   for (const ObjectEvent& event : trace.events) engine.Push(event);
   engine.Finish();
@@ -64,7 +66,6 @@ TEST(ParallelEngineTest, EveryEmittedPatternIsSound) {
   const MiningParams params = Params();
   const TrafficTrace trace = Trace(32);
   ParallelEngineOptions options;
-  options.num_workers = 4;
   ParallelEngine engine(MinerKind::kCooMine, params, options);
   for (const ObjectEvent& event : trace.events) engine.Push(event);
   engine.Finish();
@@ -77,45 +78,11 @@ TEST(ParallelEngineTest, EveryEmittedPatternIsSound) {
   }
 }
 
-TEST(ParallelEngineTest, MatchesSerialEngineOnPatternSet) {
-  // With workers >= streams progressing at comparable pace and a final
-  // flush, the discovered pattern set matches the serial engine's.
-  const MiningParams params = Params();
-  const TrafficTrace trace = Trace(33);
-
-  MiningEngine serial(MinerKind::kCooMine, params);
-  std::vector<Fcp> serial_all;
-  for (const ObjectEvent& event : trace.events) {
-    for (Fcp& f : serial.PushEvent(event)) serial_all.push_back(std::move(f));
-  }
-  for (Fcp& f : serial.Flush()) serial_all.push_back(std::move(f));
-
-  ParallelEngineOptions options;
-  options.num_workers = 2;
-  ParallelEngine parallel(MinerKind::kCooMine, params, options);
-  for (const ObjectEvent& event : trace.events) parallel.Push(event);
-  parallel.Finish();
-
-  EXPECT_EQ(testing::PatternsOf(parallel.results()),
-            testing::PatternsOf(serial_all));
-}
-
-TEST(ParallelEngineTest, SingleWorkerStillWorks) {
-  ParallelEngineOptions options;
-  options.num_workers = 1;
-  ParallelEngine engine(MinerKind::kDiMine, Params(), options);
-  const TrafficTrace trace = Trace(34);
-  for (const ObjectEvent& event : trace.events) engine.Push(event);
-  engine.Finish();
-  EXPECT_GT(engine.results().size(), 0u);
-}
-
 TEST(ParallelEngineTest, PushBatchMatchesPerEventPush) {
-  // One worker removes merge skew, so batch and per-event ingestion must
-  // produce identical results (the batch path only changes queue handoff).
+  // Batch and per-event ingestion must produce identical results (the batch
+  // path only changes the queue handoff).
   const TrafficTrace trace = Trace(35);
   ParallelEngineOptions options;
-  options.num_workers = 1;
 
   ParallelEngine per_event(MinerKind::kCooMine, Params(), options);
   for (const ObjectEvent& event : trace.events) per_event.Push(event);
@@ -135,20 +102,6 @@ TEST(ParallelEngineTest, PushBatchMatchesPerEventPush) {
             testing::FullSignatures(per_event.results()));
 }
 
-TEST(ParallelEngineTest, PushBatchSplitsRunsAcrossWorkers) {
-  // Multi-worker smoke test: the run-splitting must deliver every event to
-  // the right worker (soundness is checked by the dedicated tests; here we
-  // just confirm nothing is lost and the pipeline completes).
-  const TrafficTrace trace = Trace(36);
-  ParallelEngineOptions options;
-  options.num_workers = 3;
-  ParallelEngine engine(MinerKind::kDiMine, Params(), options);
-  engine.PushBatch(std::span(trace.events.data(), trace.events.size()));
-  engine.Finish();
-  EXPECT_EQ(engine.events_pushed(), trace.events.size());
-  EXPECT_GT(engine.results().size(), 0u);
-}
-
 TEST(ParallelEngineTest, FinishIsIdempotent) {
   ParallelEngine engine(MinerKind::kCooMine, Params());
   engine.Push({0, 1, 100});
@@ -166,9 +119,20 @@ TEST(ParallelEngineTest, EmptyRun) {
 
 using testing::FullSignatures;
 
+std::shared_ptr<const PlacementMap> FreqPlacement(
+    const std::vector<ObjectEvent>& events, uint32_t shards) {
+  std::map<ObjectId, uint64_t> counts;
+  for (const ObjectEvent& event : events) ++counts[event.object];
+  std::vector<std::pair<ObjectId, uint64_t>> weights(counts.begin(),
+                                                     counts.end());
+  return BuildGreedyPlacement(weights, shards);
+}
+
 TEST(ParallelEngineTest, ShardedEngineMatchesSerialByteForByte) {
-  // One worker removes merge skew, so every shard count must reproduce the
-  // serial engine's discoveries exactly (triggers, streams, windows).
+  // One ingest thread segments in serial completion order, so every shard
+  // count, ingestion call, placement, rebalance and steal setting must
+  // reproduce the serial engine's discoveries exactly (triggers, streams,
+  // windows) — on every run, not just on a lucky schedule.
   const MiningParams params = Params();
   const TrafficTrace trace = Trace(36);
 
@@ -179,24 +143,63 @@ TEST(ParallelEngineTest, ShardedEngineMatchesSerialByteForByte) {
   }
   for (Fcp& f : serial.Flush()) serial_all.push_back(std::move(f));
   ASSERT_FALSE(serial_all.empty());
+  const std::vector<testing::FcpSignature> expected =
+      FullSignatures(serial_all);
 
-  for (uint32_t shards : {2u, 4u}) {
-    ParallelEngineOptions options;
-    options.num_workers = 1;
-    options.num_miner_shards = shards;
-    ParallelEngine engine(MinerKind::kCooMine, params, options);
-    for (const ObjectEvent& event : trace.events) engine.Push(event);
-    engine.Finish();
-    EXPECT_EQ(FullSignatures(engine.results()), FullSignatures(serial_all))
-        << "shard count " << shards;
+  constexpr int kRuns = 3;
+  for (uint32_t shards : {1u, 2u, 4u, 8u}) {
+    for (bool batched : {false, true}) {
+      for (bool adaptive : {false, true}) {
+        ParallelEngineOptions options;
+        options.num_miner_shards = shards;
+        if (adaptive) {
+          options.placement = FreqPlacement(trace.events, shards);
+          options.rebalance = true;
+          options.rebalancer.interval_segments = 32;
+          options.rebalancer.imbalance_threshold = 1.0;  // any skew
+          options.rebalancer.min_move_weight = 2;
+          options.steal = true;
+          options.steal_min_depth = 1;
+        }
+        for (int run = 0; run < kRuns; ++run) {
+          ParallelEngine engine(MinerKind::kCooMine, params, options);
+          if (batched) {
+            constexpr size_t kBatch = 97;
+            for (size_t i = 0; i < trace.events.size(); i += kBatch) {
+              const size_t n = std::min(kBatch, trace.events.size() - i);
+              engine.PushBatch(std::span(trace.events.data() + i, n));
+            }
+          } else {
+            for (const ObjectEvent& event : trace.events) engine.Push(event);
+          }
+          engine.Finish();
+          EXPECT_EQ(FullSignatures(engine.results()), expected)
+              << "shards=" << shards << " batched=" << batched
+              << " adaptive=" << adaptive << " run=" << run;
+          if (adaptive && shards > 1 && run == 0) {
+            // The adaptive leg must really migrate, or it checks nothing
+            // beyond the plain leg.
+            EXPECT_GT(engine.router_stats().placements_applied, 0u)
+                << "shards=" << shards;
+          }
+        }
+      }
+    }
   }
+}
+
+TEST(ParallelEngineDeathTest, MoreThanOneWorkerAborts) {
+  ParallelEngineOptions options;
+  options.num_workers = 2;
+  EXPECT_DEATH(
+      { ParallelEngine engine(MinerKind::kCooMine, Params(), options); },
+      "FCP_CHECK");
 }
 
 TEST(ParallelEngineTest, ShardedEngineIsSoundAndRecoversConvoys) {
   const MiningParams params = Params();
   const TrafficTrace trace = Trace(37);
   ParallelEngineOptions options;
-  options.num_workers = 3;
   options.num_miner_shards = 3;
   ParallelEngine engine(MinerKind::kCooMine, params, options);
   for (const ObjectEvent& event : trace.events) engine.Push(event);
@@ -226,10 +229,8 @@ TEST(ParallelEngineTest, ShardedEngineIsSoundAndRecoversConvoys) {
 
 TEST(ParallelEngineTest, SmallShardQueuesExerciseBackpressure) {
   ParallelEngineOptions options;
-  options.num_workers = 2;
   options.num_miner_shards = 4;
   options.event_queue_capacity = 4;
-  options.segment_queue_capacity = 4;
   options.shard_queue_capacity = 2;
   ParallelEngine engine(MinerKind::kCooMine, Params(), options);
   const TrafficTrace trace = Trace(38);
@@ -241,9 +242,7 @@ TEST(ParallelEngineTest, SmallShardQueuesExerciseBackpressure) {
 
 TEST(ParallelEngineTest, SmallQueuesExerciseBackpressure) {
   ParallelEngineOptions options;
-  options.num_workers = 2;
   options.event_queue_capacity = 4;
-  options.segment_queue_capacity = 4;
   ParallelEngine engine(MinerKind::kCooMine, Params(), options);
   const TrafficTrace trace = Trace(35);
   for (const ObjectEvent& event : trace.events) engine.Push(event);

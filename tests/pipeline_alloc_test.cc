@@ -1,8 +1,7 @@
 // Full-pipeline allocation regression for the zero-copy segment fabric:
-// events flow StreamMux-style through the ParallelEngine's workers ->
-// pool-backed Segmenters -> merge (in-place relabel) -> ShardRouter
-// multicast -> shard miner threads, with frequency placement, live
-// rebalancing and work stealing all enabled. After a warm-up half of a
+// events flow through the ParallelEngine's ingest thread (StreamMux ->
+// pool-backed Segmenters) -> ShardRouter multicast -> shard miner threads,
+// with frequency placement, live rebalancing and work stealing all enabled. After a warm-up half of a
 // closed-universe cyclic trace, every layer has converged: queue slots are
 // preallocated, segment slabs recycle through the SegmentPool, deliveries
 // share one slab per segment, and the miners' arenas are warm — so the
@@ -96,7 +95,6 @@ SteadyState SteadyStatePipeline(uint32_t num_shards) {
     weights.push_back({object, events.size() / kVocab});
   }
   ParallelEngineOptions options;
-  options.num_workers = 2;
   options.num_miner_shards = num_shards;
   options.placement = BuildGreedyPlacement(weights, num_shards);
   options.rebalance = true;

@@ -60,7 +60,6 @@ std::vector<testing::FcpSignature> RunSharded(
     if (!armed) return {};
   }
   ParallelEngineOptions options;
-  options.num_workers = 2;
   options.num_miner_shards = 4;
   options.rebalance = true;
   options.steal = true;
@@ -111,8 +110,7 @@ TEST_F(ProfPipelineTest, ArmedSamplingLeavesShardedOutputByteIdentical) {
   // every wait pseudo-stack names a known instrumented block point.
   EXPECT_FALSE(folded.empty()) << "armed run produced an empty profile";
   const std::set<std::string> known_tags = {
-      "wait;worker/events-empty",    "wait;ingest/events-full",
-      "wait;merge/segments-empty",   "wait;worker/segments-full",
+      "wait;ingest/events-empty",    "wait;ingest/events-full",
       "wait;shard/deliveries-empty", "wait;router/deliveries-full",
   };
   std::istringstream lines(folded);
@@ -157,7 +155,6 @@ TEST_F(ProfPipelineTest, ArmedSamplingAddsZeroSteadyStateAllocations) {
   const std::vector<ObjectEvent> events = BuildUniformTrace(40000);
 
   ParallelEngineOptions options;
-  options.num_workers = 2;
   options.num_miner_shards = 4;
   options.rebalance = true;
   options.steal = true;

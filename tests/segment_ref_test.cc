@@ -47,22 +47,6 @@ TEST(SegmentRefTest, AdoptCopyMoveResetRefcounts) {
   a.reset();  // idempotent on null
 }
 
-TEST(SegmentRefTest, RelabelRenamesUniqueRefInPlace) {
-  SegmentRef a = SegmentRef::Adopt(MakeSegment(7, 2, {4, 9}, 50));
-  const Segment* slab = a.get();
-  a.RelabelId(123);
-  EXPECT_EQ(a->id(), 123u);
-  EXPECT_EQ(a.get(), slab);  // no copy: same storage, new name
-  EXPECT_EQ(a->stream(), 2u);
-  EXPECT_EQ(a->length(), 2u);
-}
-
-TEST(SegmentRefDeathTest, RelabelSharedRefAborts) {
-  SegmentRef a = SegmentRef::Adopt(MakeSegment(1, 0, {1}, 5));
-  SegmentRef b = a;
-  EXPECT_DEATH(a.RelabelId(9), "FCP_CHECK");
-}
-
 TEST(SegmentPoolTest, MakePopulatesSegmentAndDistinctCache) {
   SegmentPool pool;
   const std::vector<SegmentEntry> entries = {

@@ -1,7 +1,6 @@
 #include "stream/shard_router.h"
 
 #include <set>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -103,78 +102,6 @@ TEST(ShardRouterTest, WatermarkIsMonotoneAcrossOutOfOrderSegments) {
       }
     }
   }
-}
-
-TEST(ShardRouterTest, RouteBatchMatchesPerSegmentRoute) {
-  // The same segment sequence through Route and RouteBatch must yield the
-  // same deliveries per shard — same segments, same (cumulative) watermarks
-  // — and the same router stats.
-  constexpr uint32_t kShards = 3;
-  std::vector<SegmentRef> segments;
-  segments.push_back(Ref(MakeSegment(1, 0, {1, 5, 9}, 100)));
-  segments.push_back(Ref(MakeSegment(2, 1, {2}, 700)));
-  segments.push_back(Ref(MakeSegment(3, 0, {3, 4}, 300)));  // watermark holds 700
-  segments.push_back(Ref(MakeSegment(4, 2, {1, 2, 3, 4, 5, 6}, 900)));
-
-  ShardRouter serial(kShards, 64);
-  uint64_t serial_delivered = 0;
-  for (const SegmentRef& segment : segments) {
-    serial_delivered += serial.Route(segment);
-  }
-  serial.Close();
-
-  ShardRouter batched(kShards, 64);
-  const uint64_t batch_delivered =
-      batched.RouteBatch(segments.data(), segments.size());
-  batched.Close();
-
-  EXPECT_EQ(batch_delivered, serial_delivered);
-  EXPECT_EQ(batched.watermark(), serial.watermark());
-  EXPECT_EQ(batched.stats().segments_routed, serial.stats().segments_routed);
-  EXPECT_EQ(batched.stats().deliveries, serial.stats().deliveries);
-  for (uint32_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(batched.routed_to(s), serial.routed_to(s)) << "shard " << s;
-    const std::vector<ShardDelivery> expected = Drain(serial, s);
-    const std::vector<ShardDelivery> got = Drain(batched, s);
-    ASSERT_EQ(got.size(), expected.size()) << "shard " << s;
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(*got[i].segment, *expected[i].segment) << "shard " << s;
-      EXPECT_EQ(got[i].watermark, expected[i].watermark)
-          << "shard " << s << " delivery " << i;
-    }
-  }
-}
-
-TEST(ShardRouterTest, RouteBatchLargerThanQueueCapacity) {
-  // Single-shard router with a tiny queue: the batch must flow through in
-  // chunks while the consumer drains, losing nothing.
-  ShardRouter router(1, 4);
-  std::vector<SegmentRef> segments;
-  for (SegmentId id = 1; id <= 20; ++id) {
-    segments.push_back(
-        Ref(MakeSegment(id, 0, {static_cast<ObjectId>(id % 5)},
-                        static_cast<Timestamp>(id * 10))));
-  }
-  std::vector<ShardDelivery> got;
-  std::thread consumer([&] {
-    while (auto delivery = router.queue(0).Pop()) {
-      got.push_back(std::move(*delivery));
-    }
-  });
-  EXPECT_EQ(router.RouteBatch(segments.data(), segments.size()), 20u);
-  router.Close();
-  consumer.join();
-  ASSERT_EQ(got.size(), 20u);
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].segment->id(), segments[i]->id());
-    EXPECT_EQ(got[i].watermark, segments[i]->end_time());
-  }
-}
-
-TEST(ShardRouterTest, EmptyRouteBatchIsANoOp) {
-  ShardRouter router(2, 8);
-  EXPECT_EQ(router.RouteBatch(nullptr, 0), 0u);
-  EXPECT_EQ(router.stats().segments_routed, 0u);
 }
 
 TEST(ShardRouterTest, CloseEndsConsumers) {

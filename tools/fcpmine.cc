@@ -38,8 +38,6 @@
 //   --shards=S            mine with the parallel pipeline (S miner shards);
 //                         0 (default) = serial MiningEngine. Results are
 //                         invariant in S; alerts print after the run drains.
-//   --workers=W           parallel ingestion workers (default 2; needs
-//                         --shards >= 1)
 //   --placement=hash|freq initial object->shard placement (default hash).
 //                         freq runs an offline frequency pre-pass over the
 //                         trace and seeds a greedy (LPT) placement, so hot
@@ -144,6 +142,12 @@ std::string PatternToString(const fcp::Pattern& pattern) {
 
 int main(int argc, char** argv) {
   fcp::Flags flags(argc, argv);
+  // Flags ignores unknown keys; reject this removed one so old scripts fail
+  // loudly instead of silently running a different pipeline shape.
+  if (flags.Has("workers")) {
+    return Fail("--workers was removed: the sharded pipeline segments on one "
+                "ingest thread");
+  }
 
   // --- Flight recorder + slow-op forensics: arm before any mining runs so
   // the whole run (including engine construction) is on the record. ---------
@@ -379,9 +383,7 @@ int main(int argc, char** argv) {
   };
 
   const int64_t shards = flags.GetInt("shards", 0);
-  const int64_t workers = flags.GetInt("workers", 2);
   if (shards < 0) return Fail("--shards must be >= 0 (0 = serial engine)");
-  if (shards > 0 && workers < 1) return Fail("--workers must be >= 1");
 
   const std::string placement_mode = flags.GetString("placement", "hash");
   const bool rebalance = flags.GetBool("rebalance", false);
@@ -453,7 +455,6 @@ int main(int argc, char** argv) {
     // Parallel pipeline: alerts surface only after Finish() drains the
     // shards, so stream mode prints them post-hoc in merged order.
     fcp::ParallelEngineOptions poptions;
-    poptions.num_workers = static_cast<uint32_t>(workers);
     poptions.num_miner_shards = static_cast<uint32_t>(shards);
     poptions.suppression_window = suppression;
     poptions.metrics = &fcp::telemetry::MetricRegistry::Global();
