@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/apriori.h"
 #include "core/miner.h"
 #include "index/di_index.h"
 #include "index/matrix_index.h"
@@ -169,17 +168,6 @@ void BM_MatrixInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MatrixInsert);
-
-void BM_AprioriGenerate(benchmark::State& state) {
-  // n frequent singletons -> C(n,2) candidates.
-  const int n = static_cast<int>(state.range(0));
-  std::vector<Pattern> f1;
-  for (ObjectId o = 0; o < static_cast<ObjectId>(n); ++o) f1.push_back({o});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(GenerateCandidates(f1));
-  }
-}
-BENCHMARK(BM_AprioriGenerate)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_MinerAddSegment(benchmark::State& state) {
   const MinerKind kind = static_cast<MinerKind>(state.range(0));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 
 #include "common/check.h"
 #include "telemetry/trace.h"
@@ -16,6 +17,127 @@ CooMine::CooMine(const MiningParams& params, CooMineOptions options,
   FCP_CHECK(params.Validate().ok());
   FCP_CHECK(shard.count >= 1 && shard.index < shard.count);
 }
+
+// Tidset support (Algorithm 4, counted Eclat-style): a pattern's support is
+// the bitset of the live LCP rows whose common set holds all its objects,
+// and extending a pattern ANDs its bitset with the joined-in object's.
+class CooMine::TidsetSupport {
+ public:
+  using Elem = uint64_t;
+
+  TidsetSupport(const Segment& trigger, const MiningParams& params,
+                MiningScratch* scratch)
+      : s_(*scratch),
+        probe_{trigger.stream(), trigger.start_time(), trigger.end_time()},
+        ops_(kernels::Ops()),
+        row_threshold_(params.theta == 0
+                           ? 0
+                           : static_cast<size_t>(params.theta) - 1) {}
+
+  // Compacts the LCP table to its *live* rows — rows sharing >= 1 owned
+  // probe object — and builds the per-object tidsets over live-row bit
+  // positions: bit b of object oi's tidset is set iff live row b's common
+  // set contains objects[oi]. Every supporting row of an owned pattern
+  // contains the pattern's (owned) minimum object, so dropping the other
+  // rows loses no support; it shrinks the bitset width each shard pays for.
+  // (Non-owned singletons' tidsets thus undercount, which can never drop a
+  // singleton whose owned superset is frequent: that superset's supporting
+  // rows are all live.) Both sides of the per-row merge are sorted, so one
+  // linear merge per row replaces a binary search per (row, object) pair.
+  // Objects in a row's common set beyond the max_segment_objects cap find no
+  // merge partner and are skipped.
+  void Load(std::span<const ObjectId> objects, std::span<const uint8_t> owned) {
+    const LcpTable& lcp = s_.lcp;
+    const size_t num_objects = objects.size();
+    const size_t max_rows = lcp.rows.size();
+    const size_t max_words = (max_rows + 63) / 64;
+    s_.object_bits.assign(num_objects * max_words, 0);
+    s_.live_rows.clear();
+    for (size_t r = 0; r < max_rows; ++r) {
+      const LcpTable::Row& row = lcp.rows[r];
+      const ObjectId* c = lcp.CommonBegin(row);
+      const ObjectId* ce = lcp.CommonEnd(row);
+      s_.row_match.clear();
+      bool row_owned = false;
+      size_t oi = 0;
+      while (c != ce && oi < num_objects) {
+        if (*c < objects[oi]) {
+          ++c;
+        } else if (objects[oi] < *c) {
+          ++oi;
+        } else {
+          s_.row_match.push_back(static_cast<uint32_t>(oi));
+          row_owned |= owned[oi] != 0;
+          ++c;
+          ++oi;
+        }
+      }
+      if (!row_owned) continue;  // cannot support any owned pattern
+      const size_t b = s_.live_rows.size();
+      s_.live_rows.push_back(static_cast<uint32_t>(r));
+      const uint64_t bit_word = uint64_t{1} << (b % 64);
+      const size_t word = b / 64;
+      for (uint32_t match : s_.row_match) {
+        s_.object_bits[match * max_words + word] |= bit_word;
+      }
+    }
+    words_ = (s_.live_rows.size() + 63) / 64;
+    // Repack the per-object bitsets to the live width (max_words >= words_;
+    // rows beyond the live count never got a bit, so this is a pure
+    // shift-down).
+    if (words_ != max_words) {
+      for (size_t oi = 1; oi < num_objects; ++oi) {
+        for (size_t w = 0; w < words_; ++w) {
+          s_.object_bits[oi * words_ + w] = s_.object_bits[oi * max_words + w];
+        }
+      }
+      s_.object_bits.resize(num_objects * words_);
+    }
+  }
+
+  // The popcount bound is exact pruning, not an approximation: popcount
+  // rows plus the probe bounds the distinct supporting streams, so failing
+  // it proves the candidate infrequent without touching the rows. The
+  // kernels exit early at the threshold; only the boolean is consumed.
+  bool Singleton(uint32_t oi, std::span<const uint64_t>* support) const {
+    const uint64_t* bits = s_.object_bits.data() + oi * words_;
+    *support = {bits, words_};
+    return ops_.popcount_atleast(bits, words_, row_threshold_);
+  }
+
+  // Fused AND + popcount bound: the candidate's tidset is written in full
+  // (carried to the next level on success) while the bound is counted in
+  // the same pass.
+  bool Extend(std::span<const uint64_t> parent, const uint32_t* /*prefix*/,
+              size_t /*k*/, uint32_t last, std::vector<uint64_t>* cand) const {
+    cand->resize(words_);
+    return ops_.and_popcount_atleast(parent.data(),
+                                     s_.object_bits.data() + last * words_,
+                                     cand->data(), words_, row_threshold_);
+  }
+
+  // The probe's own occurrence first, then one per set bit.
+  void Occurrences(std::span<const uint64_t> support,
+                   std::vector<Occurrence>* out) const {
+    out->push_back(probe_);
+    for (size_t w = 0; w < support.size(); ++w) {
+      uint64_t word = support[w];
+      while (word != 0) {
+        const size_t b = w * 64 + static_cast<size_t>(std::countr_zero(word));
+        word &= word - 1;
+        const LcpTable::Row& row = s_.lcp.rows[s_.live_rows[b]];
+        out->push_back(Occurrence{row.stream, row.start, row.end});
+      }
+    }
+  }
+
+ private:
+  MiningScratch& s_;
+  const Occurrence probe_;
+  const kernels::KernelOps& ops_;
+  const size_t row_threshold_;
+  size_t words_ = 0;  ///< bitset words per tidset
+};
 
 void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
   // Validity is anchored at the stream-time watermark (max end time seen):
@@ -35,25 +157,18 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
   stats_.lcp_rows += scratch_.lcp.rows.size();
   {
     FCP_TRACE_SPAN("coomine/apriori");
-    MineFromLcps(segment, scratch_.lcp, out);
+    TidsetSupport support(segment, params_, &scratch_);
+    MineApriori(segment, params_, shard_, support, &scratch_.apriori, &stats_,
+                out);
   }
   stats_.mining_ns += mine_timer.ElapsedNanos();
 
-  // --- Maintenance phase: lazy deletion + insert + periodic sweep. --------
+  // --- Maintenance phase: lazy deletion + periodic sweep + insert. --------
   FCP_TRACE_SPAN("coomine/maintenance");
   Stopwatch maint_timer;
   for (SegmentId id : scratch_.expired) tree_.Remove(id);
   stats_.segments_expired += scratch_.expired.size();
-  if (options_.periodic_sweep &&
-      (last_sweep_ == kMinTimestamp ||
-       now - last_sweep_ >= params_.maintenance_interval)) {
-    if (last_sweep_ != kMinTimestamp) {
-      stats_.segments_expired += tree_.RemoveExpired(now, params_.tau);
-      ++stats_.maintenance_runs;
-    }
-    last_sweep_ = now;
-  }
-  tree_.Insert(segment);
+  IndexSegment(segment, now);
   stats_.maintenance_ns += maint_timer.ElapsedNanos();
 
   ++stats_.segments_processed;
@@ -66,9 +181,14 @@ void CooMine::AddSegmentIndexOnly(const Segment& segment) {
   // insensitive to Hlist chain order (streams are sorted and the window is
   // a min/max), so inserting an old segment after newer ones is safe.
   watermark_ = std::max(watermark_, segment.end_time());
-  const Timestamp now = watermark_;
   FCP_TRACE_SPAN("coomine/index_backfill");
   Stopwatch maint_timer;
+  IndexSegment(segment, watermark_);
+  stats_.maintenance_ns += maint_timer.ElapsedNanos();
+  ++stats_.segments_indexed_only;
+}
+
+void CooMine::IndexSegment(const Segment& segment, Timestamp now) {
   if (options_.periodic_sweep &&
       (last_sweep_ == kMinTimestamp ||
        now - last_sweep_ >= params_.maintenance_interval)) {
@@ -79,8 +199,6 @@ void CooMine::AddSegmentIndexOnly(const Segment& segment) {
     last_sweep_ = now;
   }
   tree_.Insert(segment);
-  stats_.maintenance_ns += maint_timer.ElapsedNanos();
-  ++stats_.segments_indexed_only;
 }
 
 void CooMine::ForceMaintenance(Timestamp now) {
@@ -113,280 +231,6 @@ MinerIntrospection CooMine::Introspect() const {
   view.arena_bytes = tree_.ArenaBytes();
   view.compression_ratio = tree_.CompressionRatio();
   return view;
-}
-
-void CooMine::MineFromLcps(const Segment& segment, const LcpTable& lcp,
-                           std::vector<Fcp>* out) {
-  MiningScratch& s = scratch_;
-
-  // Distinct probe objects, capped — the construction-time cache, same
-  // result as DistinctObjectsCapped, copied into scratch.
-  const std::vector<ObjectId>& distinct = segment.distinct_objects();
-  s.objects.assign(distinct.begin(), distinct.end());
-  if (params_.max_segment_objects > 0 &&
-      s.objects.size() > params_.max_segment_objects) {
-    s.objects.resize(params_.max_segment_objects);
-  }
-  if (s.objects.empty()) return;
-
-  const size_t num_objects = s.objects.size();
-
-  // Shard ownership of each probe object (all true for the serial shard).
-  s.owned.resize(num_objects);
-  bool any_owned = false;
-  for (size_t oi = 0; oi < num_objects; ++oi) {
-    s.owned[oi] = shard_.Owns(s.objects[oi]) ? 1 : 0;
-    any_owned |= s.owned[oi] != 0;
-  }
-  // No owned probe object means no owned pattern can trigger here (every
-  // pattern is a subset of the probe's objects).
-  if (!any_owned) return;
-  stats_.slcp_probes += num_objects;
-
-  // Compact the LCP table to its *live* rows — rows sharing >= 1 owned probe
-  // object — and build the per-object tidsets over live-row bit positions:
-  // bit b of object_bits[oi] is set iff live row b's common set contains
-  // objects[oi]. Every supporting row of an owned pattern contains the
-  // pattern's (owned) minimum object, so dropping the other rows loses no
-  // support; it shrinks the bitset width each shard pays for. Both sides of
-  // the per-row merge are sorted, so one linear merge per row replaces a
-  // binary search per (row, object) pair. Objects in a row's common set
-  // beyond the max_segment_objects cap simply find no merge partner and are
-  // skipped, as before.
-  const size_t max_rows = lcp.rows.size();
-  const size_t max_words = (max_rows + 63) / 64;
-  s.object_bits.assign(num_objects * max_words, 0);
-  s.live_rows.clear();
-  for (size_t r = 0; r < max_rows; ++r) {
-    const LcpTable::Row& row = lcp.rows[r];
-    const ObjectId* c = lcp.CommonBegin(row);
-    const ObjectId* ce = lcp.CommonEnd(row);
-    s.row_match.clear();
-    bool row_owned = false;
-    size_t oi = 0;
-    while (c != ce && oi < num_objects) {
-      if (*c < s.objects[oi]) {
-        ++c;
-      } else if (s.objects[oi] < *c) {
-        ++oi;
-      } else {
-        s.row_match.push_back(static_cast<uint32_t>(oi));
-        row_owned |= s.owned[oi] != 0;
-        ++c;
-        ++oi;
-      }
-    }
-    if (!row_owned) continue;  // cannot support any owned pattern
-    const size_t b = s.live_rows.size();
-    s.live_rows.push_back(static_cast<uint32_t>(r));
-    const uint64_t bit_word = uint64_t{1} << (b % 64);
-    const size_t word = b / 64;
-    for (uint32_t match : s.row_match) {
-      s.object_bits[match * max_words + word] |= bit_word;
-    }
-  }
-  const size_t num_rows = s.live_rows.size();
-  const size_t words = (num_rows + 63) / 64;  // bitset words per tidset
-  // Repack the per-object bitsets to the live width (max_words >= words;
-  // rows beyond num_rows never got a bit, so this is a pure shift-down).
-  if (words != max_words) {
-    for (size_t oi = 1; oi < num_objects; ++oi) {
-      for (size_t w = 0; w < words; ++w) {
-        s.object_bits[oi * words + w] = s.object_bits[oi * max_words + w];
-      }
-    }
-    s.object_bits.resize(num_objects * words);
-  }
-
-  const Occurrence probe_occurrence{segment.stream(), segment.start_time(),
-                                    segment.end_time()};
-
-  // Evaluates one candidate from its tidset. The popcount prefilter is
-  // exact pruning, not an approximation: popcount rows plus the probe is an
-  // upper bound on distinct supporting streams, so failing it proves the
-  // candidate infrequent without touching the rows. The kernel's
-  // early-exit-at-threshold keeps that exactness: only the boolean
-  // "popcount >= theta - 1" is consumed, never the count. On success,
-  // s.occurrences holds the supporting occurrences (probe first) and
-  // s.streams the sorted distinct stream ids.
-  const kernels::KernelOps& ops = kernels::Ops();
-  const size_t row_threshold =
-      params_.theta == 0 ? 0 : static_cast<size_t>(params_.theta) - 1;
-
-  // The slow path of candidate evaluation: materialize the supporting
-  // occurrences and count distinct streams. Callers run the popcount
-  // prefilter first.
-  auto verify_streams = [&](const uint64_t* bits) -> bool {
-    s.occurrences.clear();
-    s.occurrences.push_back(probe_occurrence);
-    for (size_t w = 0; w < words; ++w) {
-      uint64_t word = bits[w];
-      while (word != 0) {
-        const size_t b = w * 64 + static_cast<size_t>(std::countr_zero(word));
-        word &= word - 1;
-        const LcpTable::Row& row = lcp.rows[s.live_rows[b]];
-        s.occurrences.push_back(Occurrence{row.stream, row.start, row.end});
-      }
-    }
-    s.streams.clear();
-    for (const Occurrence& occ : s.occurrences) s.streams.push_back(occ.stream);
-    std::sort(s.streams.begin(), s.streams.end());
-    s.streams.erase(std::unique(s.streams.begin(), s.streams.end()),
-                    s.streams.end());
-    return s.streams.size() >= params_.theta;
-  };
-
-  auto evaluate = [&](const uint64_t* bits) -> bool {
-    if (!ops.popcount_atleast(bits, words, row_threshold)) return false;
-    return verify_streams(bits);
-  };
-
-  // Emits the Fcp for the pattern at `idx` (object indices, `size` of them)
-  // from the evaluate() scratch. Allocation here is output, not overhead.
-  auto emit = [&](const uint32_t* idx, size_t size) {
-    Fcp fcp;
-    fcp.objects.reserve(size);
-    for (size_t i = 0; i < size; ++i) fcp.objects.push_back(s.objects[idx[i]]);
-    fcp.streams.assign(s.streams.begin(), s.streams.end());
-    fcp.trigger = segment.id();
-    fcp.window_start = kMaxTimestamp;
-    fcp.window_end = kMinTimestamp;
-    for (const Occurrence& occ : s.occurrences) {
-      fcp.window_start = std::min(fcp.window_start, occ.start);
-      fcp.window_end = std::max(fcp.window_end, occ.end);
-    }
-    out->push_back(std::move(fcp));
-    ++stats_.fcps_emitted;
-  };
-
-  // A pattern owned by this shard has an owned minimum object, and that
-  // object must itself be a frequent singleton (supports only shrink as
-  // patterns grow). So when every owned probe object is infrequent, the
-  // delivery cannot emit anything — skip the level build outright. Most
-  // deliveries of a sharded run are owned only via unpopular objects, which
-  // fail the popcount prefilter immediately, so the gate is cheap; the
-  // serial shard skips it (owned == everything, the level-1 loop below
-  // does the same work once).
-  if (!shard_.IsSingleton()) {
-    bool any_owned_frequent = false;
-    for (uint32_t oi = 0; oi < num_objects && !any_owned_frequent; ++oi) {
-      if (!s.owned[oi]) continue;
-      any_owned_frequent = evaluate(s.object_bits.data() + oi * words);
-    }
-    if (!any_owned_frequent) return;
-  }
-
-  // Level 1 (FCP_1): each object's tidset is its support. Non-owned
-  // singletons stay in the level store — they are join partners for owned
-  // size-2 candidates — but only owned ones are emitted. (Their tidsets only
-  // cover live rows, an undercount that can never drop a singleton whose
-  // owned superset is frequent: that superset's supporting rows are all
-  // live.)
-  s.level_idx.clear();
-  s.level_bits.clear();
-  for (uint32_t oi = 0; oi < num_objects; ++oi) {
-    ++stats_.candidates_checked;
-    const uint64_t* bits = s.object_bits.data() + oi * words;
-    if (!evaluate(bits)) {
-      ++stats_.candidates_pruned;
-      continue;
-    }
-    s.level_idx.push_back(oi);
-    s.level_bits.insert(s.level_bits.end(), bits, bits + words);
-    if (params_.min_pattern_size <= 1 && s.owned[oi]) emit(&oi, 1);
-  }
-
-  // Level-wise Apriori: F_k x F_k join on a shared (k-1)-prefix, subset
-  // prune, then tidset intersection with the joined-in object — the
-  // candidate's support is parent_bits AND object_bits[last], carried to the
-  // next level so no support is ever recomputed from the table.
-  s.subset.clear();
-  s.cand_bits.assign(words, 0);
-  uint32_t level = 1;
-  while (!s.level_idx.empty() &&
-         (params_.max_pattern_size == 0 || level < params_.max_pattern_size)) {
-    const size_t k = level;  // current pattern size
-    const size_t level_count = s.level_idx.size() / k;
-    ++level;
-    s.next_idx.clear();
-    s.next_bits.clear();
-
-    // True iff every size-k subset of (prefix[0..k-1], last) obtained by
-    // dropping a non-parent position is in the (lexicographically sorted)
-    // level store. Binary search over the flat stride-k rows. Dropping
-    // position 0 yields a subset whose minimum is prefix[1]; if this shard
-    // does not own that minimum the subset belongs to another shard's store
-    // and is skipped (conservative: pruning is an optimization, the tidset
-    // intersection still rejects infrequent candidates exactly).
-    auto all_subsets_frequent = [&](const uint32_t* prefix, uint32_t last) {
-      s.subset.resize(k);
-      for (size_t drop = 0; drop + 2 < k + 1; ++drop) {
-        if (drop == 0 && k >= 2 && !s.owned[prefix[1]]) continue;
-        size_t w = 0;
-        for (size_t i = 0; i < k; ++i) {
-          if (i != drop) s.subset[w++] = prefix[i];
-        }
-        s.subset[w] = last;
-        size_t lo = 0, hi = level_count;
-        bool found = false;
-        while (lo < hi) {
-          const size_t mid = (lo + hi) / 2;
-          const uint32_t* row = s.level_idx.data() + mid * k;
-          if (std::lexicographical_compare(row, row + k, s.subset.data(),
-                                           s.subset.data() + k)) {
-            lo = mid + 1;
-          } else {
-            hi = mid;
-          }
-        }
-        if (lo < level_count) {
-          const uint32_t* row = s.level_idx.data() + lo * k;
-          found = std::equal(row, row + k, s.subset.data());
-        }
-        if (!found) return false;
-      }
-      return true;
-    };
-
-    for (size_t i = 0; i < level_count; ++i) {
-      const uint32_t* pi = s.level_idx.data() + i * k;
-      // Size-2 candidates fix the pattern's minimum object: only extend
-      // owned minima, so every pattern at level >= 2 has an owned minimum.
-      if (k == 1 && !s.owned[pi[0]]) continue;
-      const uint64_t* bi = s.level_bits.data() + i * words;
-      for (size_t j = i + 1; j < level_count; ++j) {
-        const uint32_t* pj = s.level_idx.data() + j * k;
-        // Patterns sharing the first k-1 indices are contiguous in
-        // lexicographic order; stop as soon as the prefix diverges.
-        if (!std::equal(pi, pi + k - 1, pj)) break;
-        const uint32_t last = pj[k - 1];
-        if (!all_subsets_frequent(pi, last)) {
-          ++stats_.candidates_pruned;
-          continue;
-        }
-        ++stats_.candidates_checked;
-        // Fused AND + popcount prefilter: the candidate's tidset is written
-        // in full (carried to the next level on success) while the support
-        // upper bound is counted in the same pass.
-        const uint64_t* bo = s.object_bits.data() + last * words;
-        if (!ops.and_popcount_atleast(bi, bo, s.cand_bits.data(), words,
-                                      row_threshold) ||
-            !verify_streams(s.cand_bits.data())) {
-          ++stats_.candidates_pruned;
-          continue;
-        }
-        s.next_idx.insert(s.next_idx.end(), pi, pi + k);
-        s.next_idx.push_back(last);
-        s.next_bits.insert(s.next_bits.end(), s.cand_bits.begin(),
-                           s.cand_bits.end());
-        if (level >= params_.min_pattern_size) {
-          emit(s.next_idx.data() + s.next_idx.size() - (k + 1), k + 1);
-        }
-      }
-    }
-    std::swap(s.level_idx, s.next_idx);
-    std::swap(s.level_bits, s.next_bits);
-  }
 }
 
 }  // namespace fcp

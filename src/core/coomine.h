@@ -6,9 +6,10 @@
 // completes. Expired segments discovered by the search are deleted lazily
 // (the paper's LD strategy); a periodic sweep bounds memory.
 //
-// The Apriori pass counts support Eclat-style: each probe object gets a
-// bitset over the LCP rows (its tidset), a pattern's supporting rows are the
-// AND of its parent's bitset with the last object's bitset (carried level to
+// The Apriori pass is the shared driver (core/apriori.h); CooMine supplies
+// its support policy, counted Eclat-style: each probe object gets a bitset
+// over the LCP rows (its tidset), a pattern's supporting rows are the AND of
+// its parent's bitset with the last object's bitset (carried level to
 // level), and a popcount prefilter rejects infrequent candidates before any
 // occurrence list is materialized. All per-trigger state lives in a reusable
 // MiningScratch, so steady-state AddSegment performs no heap allocations.
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "common/params.h"
+#include "core/apriori.h"
 #include "core/miner.h"
 #include "index/seg_tree.h"
 #include "stream/segment.h"
@@ -69,34 +71,24 @@ class CooMine : public FcpMiner {
   const SegTree& seg_tree() const { return tree_; }
 
  private:
+  /// The Apriori support policy: tidsets over the live LCP rows.
+  class TidsetSupport;
+
   /// Reusable per-trigger buffers: every vector is cleared (capacity kept)
   /// at the start of a trigger, so a warm miner allocates nothing on the
-  /// mining path. Frequent patterns of the current level are stored flat:
-  /// `level_idx` holds level-many uint32 indices into `objects` per pattern
-  /// (lexicographic order of index tuples == lexicographic order of the
-  /// patterns, since `objects` is sorted) and `level_bits` holds the
-  /// matching row bitsets, `words` words per pattern.
+  /// mining path.
   struct MiningScratch {
     LcpTable lcp;                       ///< SLCP output table
     std::vector<SegmentId> expired;     ///< lazily deleted segments
-    std::vector<ObjectId> objects;      ///< distinct probe objects (capped)
-    std::vector<uint8_t> owned;         ///< per-object shard ownership flag
     std::vector<uint32_t> live_rows;    ///< LCP rows given a bit position
     std::vector<uint32_t> row_match;    ///< one row's matched object indexes
     std::vector<uint64_t> object_bits;  ///< per-object row bitsets
-    std::vector<uint32_t> level_idx;    ///< frequent patterns, stride k
-    std::vector<uint64_t> level_bits;   ///< their bitsets, stride words
-    std::vector<uint32_t> next_idx;
-    std::vector<uint64_t> next_bits;
-    std::vector<uint64_t> cand_bits;    ///< one candidate's bitset
-    std::vector<uint32_t> subset;       ///< Apriori prune scratch
-    std::vector<Occurrence> occurrences;
-    std::vector<StreamId> streams;
+    AprioriScratch<uint64_t> apriori;   ///< level store, tidsets as words
   };
 
-  /// Runs the Apriori pass of Algorithm 4 over the LCP table.
-  void MineFromLcps(const Segment& segment, const LcpTable& lcp,
-                    std::vector<Fcp>* out);
+  /// The periodic full sweep (when due) followed by the Seg-tree insert:
+  /// the indexing step AddSegment and AddSegmentIndexOnly share.
+  void IndexSegment(const Segment& segment, Timestamp now);
 
   MiningParams params_;
   CooMineOptions options_;

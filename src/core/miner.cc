@@ -5,8 +5,7 @@
 #include "common/check.h"
 #include "core/brute_force.h"
 #include "core/coomine.h"
-#include "core/dimine.h"
-#include "core/matrixmine.h"
+#include "core/posting_miner.h"
 
 namespace fcp {
 

@@ -62,8 +62,9 @@ struct Occurrence {
 };
 
 /// The distinct objects of `segment` (sorted), truncated to the first `cap`
-/// objects when cap > 0 (MiningParams::max_segment_objects). All miners use
-/// this helper so the cap is applied identically everywhere.
+/// objects when cap > 0 (MiningParams::max_segment_objects). The brute-force
+/// oracle uses this helper; the Apriori miners apply the same cap in
+/// MineApriori (core/apriori.h).
 std::vector<ObjectId> DistinctObjectsCapped(const Segment& segment,
                                             uint32_t cap);
 

@@ -12,8 +12,7 @@ MiningEngine::MiningEngine(MinerKind kind, const MiningParams& params,
     : params_(params),
       mux_(params.xi),
       miner_(MakeMiner(kind, params)),
-      collector_(options.suppression_window),
-      publish_(options.publish_metrics) {
+      collector_(options.suppression_window) {
   FCP_CHECK(params.Validate().ok());
   if (options.metrics != nullptr) {
     registry_ = options.metrics;
@@ -72,7 +71,7 @@ std::string MiningEngine::StatusJson() const {
 
 std::vector<Fcp> MiningEngine::PushEvent(const ObjectEvent& event) {
   if (heartbeat_ != nullptr) heartbeat_->MarkIdle(false);
-  if (publish_) events_ingested_->Increment();
+  events_ingested_->Increment();
   scratch_segments_.clear();
   mux_.Push(event, &scratch_segments_);
   return ProcessSegments(scratch_segments_);
@@ -83,7 +82,7 @@ std::vector<Fcp> MiningEngine::IngestBatch(std::span<const ObjectEvent> events) 
                       static_cast<uint32_t>(events.size()));
   if (heartbeat_ != nullptr) heartbeat_->MarkIdle(false);
   // One counter delta per batch — same final totals as per-event increments.
-  if (publish_ && !events.empty()) events_ingested_->Increment(events.size());
+  if (!events.empty()) events_ingested_->Increment(events.size());
   scratch_segments_.clear();
   mux_.PushBatch(events.data(), events.size(), &scratch_segments_);
   return ProcessSegments(scratch_segments_);
@@ -118,28 +117,19 @@ std::vector<Fcp> MiningEngine::ProcessSegments(
       FCP_TRACE_SPAN_FLOW("engine/mine", segments[k]->id(),
                           static_cast<uint32_t>(segments[k]->length()));
       FCP_TRACE_FLOW_END("segment", segments[k]->id());
-      // Timing is needed for the latency histogram (publish on) or the
-      // slow-op detector (threshold set); with both off the baseline path
-      // stays clock-free.
+      Stopwatch timer;
+      miner_->AddSegment(segments[k], &mined);
+      const int64_t elapsed = timer.ElapsedNanos();
+      mine_latency_us_->Record(static_cast<uint64_t>(elapsed) / 1000);
       const int64_t slow_ns = trace::SlowOpThresholdNs();
-      if (publish_ || slow_ns > 0) {
-        Stopwatch timer;
-        miner_->AddSegment(segments[k], &mined);
-        const int64_t elapsed = timer.ElapsedNanos();
-        if (publish_) {
-          mine_latency_us_->Record(static_cast<uint64_t>(elapsed) / 1000);
-        }
-        if (slow_ns > 0 && elapsed >= slow_ns) {
-          DumpSlowOp("engine/mine", *segments[k], *miner_, 0, elapsed);
-        }
-      } else {
-        miner_->AddSegment(segments[k], &mined);
+      if (slow_ns > 0 && elapsed >= slow_ns) {
+        DumpSlowOp("engine/mine", *segments[k], *miner_, 0, elapsed);
       }
     }
     ++segments_completed_;
     collector_.OfferAll(mined, &accepted);
   }
-  if (publish_ && !segments.empty()) {
+  if (!segments.empty()) {
     // Per-batch counter deltas: same totals as per-segment increments, one
     // atomic add per batch.
     segments_completed_metric_->Increment(segments.size());

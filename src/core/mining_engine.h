@@ -39,9 +39,6 @@ struct EngineOptions {
   /// private one (readable via metrics()/SnapshotMetrics()). Tools pass
   /// telemetry::MetricRegistry::Global() to share one process-wide registry.
   telemetry::MetricRegistry* metrics = nullptr;
-  /// Telemetry is always compiled in; benches flip this off to measure the
-  /// record-path overhead against a compiled-but-unread baseline.
-  bool publish_metrics = true;
   /// Health supervision (DESIGN.md §2.8): when set, the engine registers a
   /// single "ingest" stage heartbeat (the whole pipeline runs on the caller's
   /// thread). The watchdog must be Stop()ped before the engine is destroyed.
@@ -120,7 +117,6 @@ class MiningEngine {
 
   std::unique_ptr<telemetry::MetricRegistry> owned_registry_;
   telemetry::MetricRegistry* registry_ = nullptr;
-  bool publish_ = true;
   MinerMetrics miner_metrics_;
   MinerStats published_stats_;  ///< last stats pushed via PublishDelta
   telemetry::Counter* events_ingested_ = nullptr;

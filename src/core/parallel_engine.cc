@@ -31,8 +31,7 @@ ParallelEngine::ParallelEngine(MinerKind kind, const MiningParams& params,
       events_(options.event_queue_capacity, "ingest/events-empty",
               "ingest/events-full"),
       mux_(params.xi, &segment_pool_),
-      collector_(options.suppression_window),
-      publish_(options.publish_metrics) {
+      collector_(options.suppression_window) {
   FCP_CHECK(params.Validate().ok());
   FCP_CHECK(options.num_workers == 1);
   FCP_CHECK(options.num_miner_shards >= 1);
@@ -198,7 +197,7 @@ void ParallelEngine::Push(const ObjectEvent& event) {
   // Lossless ingestion: block until the ingest thread makes room.
   events_.Push(event);
   ++events_pushed_;
-  if (publish_) events_ingested_->Increment();
+  events_ingested_->Increment();
 }
 
 void ParallelEngine::PushBatch(std::span<const ObjectEvent> events) {
@@ -208,7 +207,7 @@ void ParallelEngine::PushBatch(std::span<const ObjectEvent> events) {
   push_batch_scratch_.assign(events.begin(), events.end());
   events_.PushAll(&push_batch_scratch_);
   events_pushed_ += events.size();
-  if (publish_ && !events.empty()) events_ingested_->Increment(events.size());
+  if (!events.empty()) events_ingested_->Increment(events.size());
 }
 
 void ParallelEngine::Finish() {
@@ -287,39 +286,33 @@ void ParallelEngine::IngestLoop() {
                               rebalancer_->stats().objects_moved);
           Stopwatch migrate_timer;
           router_->ApplyPlacement(std::move(next));
-          if (publish_) {
-            migration_latency_us_->Record(
-                static_cast<uint64_t>(migrate_timer.ElapsedNanos()) / 1000);
-          }
+          migration_latency_us_->Record(
+              static_cast<uint64_t>(migrate_timer.ElapsedNanos()) / 1000);
         }
-        if (publish_) {
-          imbalance_permille_->Set(rebalancer_->imbalance_permille());
-          // Counters are monotone; publish the deltas since the last segment.
-          const RebalancerStats& rstats = rebalancer_->stats();
-          if (rstats.objects_moved > moves_published) {
-            migrations_->Increment(rstats.objects_moved - moves_published);
-            moves_published = rstats.objects_moved;
-          }
-          if (rstats.rounds_triggered > rounds_published) {
-            rebalance_rounds_->Increment(rstats.rounds_triggered -
-                                         rounds_published);
-            rounds_published = rstats.rounds_triggered;
-          }
-          const uint64_t backfills = router_->stats().backfill_deliveries;
-          if (backfills > backfills_published) {
-            backfill_deliveries_->Increment(backfills - backfills_published);
-            backfills_published = backfills;
-          }
+        imbalance_permille_->Set(rebalancer_->imbalance_permille());
+        // Counters are monotone; publish the deltas since the last segment.
+        const RebalancerStats& rstats = rebalancer_->stats();
+        if (rstats.objects_moved > moves_published) {
+          migrations_->Increment(rstats.objects_moved - moves_published);
+          moves_published = rstats.objects_moved;
+        }
+        if (rstats.rounds_triggered > rounds_published) {
+          rebalance_rounds_->Increment(rstats.rounds_triggered -
+                                       rounds_published);
+          rounds_published = rstats.rounds_triggered;
+        }
+        const uint64_t backfills = router_->stats().backfill_deliveries;
+        if (backfills > backfills_published) {
+          backfill_deliveries_->Increment(backfills - backfills_published);
+          backfills_published = backfills;
         }
       }
       ++segments_completed_;
-      if (publish_) {
-        segments_completed_metric_->Increment();
-        // How far the just-routed segment trails the stream-time watermark:
-        // nonzero when it ends before a segment of another stream that
-        // completed earlier (the same skew a serial run sees).
-        watermark_lag_ms_->Set(router_->watermark() - segment->end_time());
-      }
+      segments_completed_metric_->Increment();
+      // How far the just-routed segment trails the stream-time watermark:
+      // nonzero when it ends before a segment of another stream that
+      // completed earlier (the same skew a serial run sees).
+      watermark_lag_ms_->Set(router_->watermark() - segment->end_time());
     }
     completed.clear();
   };
@@ -370,10 +363,8 @@ void ParallelEngine::ProcessDelivery(uint32_t shard_index,
     FCP_TRACE_SPAN_FLOW("shard/index_backfill", delivery.trace_flow,
                         shard_index);
     miner.AddSegmentIndexOnly(*delivery.segment);
-    if (publish_) {
-      telemetry.miner.PublishDelta(miner.stats(), &telemetry.published);
-      telemetry.miner.PublishIntrospection(miner.Introspect());
-    }
+    telemetry.miner.PublishDelta(miner.stats(), &telemetry.published);
+    telemetry.miner.PublishIntrospection(miner.Introspect());
     return;
   }
   std::vector<Fcp>& mined = runtime.mined_scratch;
@@ -402,20 +393,18 @@ void ParallelEngine::ProcessDelivery(uint32_t shard_index,
   }
   std::vector<Fcp>& buffer = shard_mined_[shard_index];
   for (Fcp& fcp : mined) buffer.push_back(std::move(fcp));
-  if (publish_) {
-    if (stolen) segments_stolen_->Increment();
-    // Segment->discovery latency: shard-queue wait + mining, measured
-    // from the router's enqueue stamp.
-    telemetry.discovery_latency_us->Record(
-        static_cast<uint64_t>(
-            std::max<int64_t>(0, SteadyNowNs() - delivery.routed_at_ns)) /
-        1000);
-    // The caller holds this shard's runtime mutex (or is its only thread),
-    // so delta-publishing the miner's plain-counter stats is race-free; the
-    // reporter only reads the atomics.
-    telemetry.miner.PublishDelta(miner.stats(), &telemetry.published);
-    telemetry.miner.PublishIntrospection(miner.Introspect());
-  }
+  if (stolen) segments_stolen_->Increment();
+  // Segment->discovery latency: shard-queue wait + mining, measured
+  // from the router's enqueue stamp.
+  telemetry.discovery_latency_us->Record(
+      static_cast<uint64_t>(
+          std::max<int64_t>(0, SteadyNowNs() - delivery.routed_at_ns)) /
+      1000);
+  // The caller holds this shard's runtime mutex (or is its only thread),
+  // so delta-publishing the miner's plain-counter stats is race-free; the
+  // reporter only reads the atomics.
+  telemetry.miner.PublishDelta(miner.stats(), &telemetry.published);
+  telemetry.miner.PublishIntrospection(miner.Introspect());
 }
 
 bool ParallelEngine::TrySteal(uint32_t thief_index) {

@@ -69,8 +69,6 @@ struct ParallelEngineOptions {
   /// Registry receiving the pipeline's metrics (per-shard counters labeled
   /// `{shard="s"}`); null means the engine owns a private one.
   telemetry::MetricRegistry* metrics = nullptr;
-  /// Benches flip this off to measure record-path overhead.
-  bool publish_metrics = true;
   /// Initial object->shard placement snapshot (null = Mix64 hash). Built by
   /// callers (fcpmine --placement=freq) via BuildGreedyPlacement over an
   /// observation pass.
@@ -161,8 +159,7 @@ class ParallelEngine {
   /// shard queue depth/high-watermark/capacity, pool occupancy, per-shard
   /// watermark lag, rebalancer activity. Thread-safe (built entirely from
   /// relaxed atomics and snapshot mutexes); callable while the pipeline
-  /// runs. Counter-derived fields read the published metrics, so they stay
-  /// zero when publish_metrics is off.
+  /// runs. Counter-derived fields read the published metrics.
   std::string StatusJson() const;
 
   /// Max over shards of (router watermark - shard last-processed
@@ -250,7 +247,6 @@ class ParallelEngine {
   };
   std::unique_ptr<telemetry::MetricRegistry> owned_registry_;
   telemetry::MetricRegistry* registry_ = nullptr;
-  bool publish_ = true;
   telemetry::Counter* events_ingested_ = nullptr;
   telemetry::Counter* segments_completed_metric_ = nullptr;
   telemetry::Gauge* watermark_lag_ms_ = nullptr;

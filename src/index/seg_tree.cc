@@ -395,20 +395,14 @@ void SegTree::CollectRelevantTails(const Node* start, Timestamp now,
                                    DurationMs tau,
                                    std::vector<const TailEntry*>* out,
                                    std::vector<SegmentId>* expired) const {
-  struct Item {
-    const Node* node;
-    uint32_t budget;  // how many more levels we may descend
-    uint32_t depth;   // edges from `start`
-  };
   constexpr uint32_t kUnbounded = 0xffffffffu;
-  // Reused across calls to avoid per-search allocation on the hot path.
-  static thread_local std::vector<Item> queue;
+  std::vector<SearchItem>& queue = search_queue_;
   queue.clear();
-  queue.push_back(Item{
+  queue.push_back(SearchItem{
       start, options_.use_distance_bound ? start->distance : kUnbounded, 0});
 
   while (!queue.empty()) {
-    const Item item = queue.back();
+    const SearchItem item = queue.back();
     queue.pop_back();
     ++stats_.distance_bound_visits;
     const Node* n = item.node;
@@ -427,8 +421,8 @@ void SegTree::CollectRelevantTails(const Node* start, Timestamp now,
     for (const Node* c : n->children) {
       const uint32_t child_bound =
           options_.use_distance_bound ? c->distance : kUnbounded;
-      queue.push_back(Item{c, std::min(child_bound, item.budget - 1),
-                           item.depth + 1});
+      queue.push_back(SearchItem{c, std::min(child_bound, item.budget - 1),
+                                 item.depth + 1});
     }
   }
 }
@@ -459,13 +453,8 @@ void SegTree::SlcpInto(const Segment& probe, Timestamp now, DurationMs tau,
   // faster than hash-accumulating per hit (popular objects produce
   // thousands of hits per probe); the TailEntry pointer carries the row
   // metadata so no registry lookups happen at all.
-  struct Hit {
-    SegmentId segment;
-    ObjectId object;
-    const TailEntry* tail;
-  };
-  static thread_local std::vector<Hit> hit_records;
-  static thread_local std::vector<const TailEntry*> hits;
+  std::vector<Hit>& hit_records = hit_records_;
+  std::vector<const TailEntry*>& hits = tail_hits_;
   hit_records.clear();
   // The probe's sorted distinct objects, cached at segment construction.
   const std::vector<ObjectId>& probe_objects = probe.distinct_objects();
@@ -476,7 +465,7 @@ void SegTree::SlcpInto(const Segment& probe, Timestamp now, DurationMs tau,
     // Phase 1: the chains of the owned probe objects find every segment
     // whose common set contains >= 1 owned object — exactly the rows a
     // shard-owned pattern can draw support from.
-    static thread_local std::vector<const TailEntry*> live;
+    std::vector<const TailEntry*>& live = tail_hits_;
     live.clear();
     for (ObjectId object : probe_objects) {
       if (!shard.Owns(object)) continue;

@@ -257,6 +257,20 @@ class SegTree {
     Timestamp end = 0;
   };
 
+  // CollectRelevantTails' depth-first worklist item.
+  struct SearchItem {
+    const Node* node;
+    uint32_t budget;  // how many more levels we may descend
+    uint32_t depth;   // edges from the search start
+  };
+
+  // One (segment, probe-object) hit of the serial SLCP, grouped into rows.
+  struct Hit {
+    SegmentId segment;
+    ObjectId object;
+    const TailEntry* tail;
+  };
+
   // --- construction helpers ---
   // Fills prefix_best_scratch_ with the nodes of the longest matching
   // prefix (possibly empty), in segment order.
@@ -300,6 +314,12 @@ class SegTree {
   std::vector<Node*> prefix_path_scratch_;  // prefix-match trial path
   std::vector<Node*> prefix_best_scratch_;  // prefix-match best path
   std::vector<std::pair<Node*, Node*>> graft_work_;  // TryGraft worklist
+  // Search scratch, owned by the tree (not per thread) so a shard's miner
+  // holds it whichever thread runs the search. Searches are const; the
+  // buffers are not observable state.
+  mutable std::vector<SearchItem> search_queue_;     // CollectRelevantTails
+  mutable std::vector<Hit> hit_records_;             // serial SLCP hits
+  mutable std::vector<const TailEntry*> tail_hits_;  // SLCP tail hits
   mutable SegTreeStats stats_;
 };
 

@@ -1,4 +1,4 @@
-#include "core/dimine.h"
+#include "core/posting_miner.h"
 
 #include <gtest/gtest.h>
 
