@@ -149,12 +149,15 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
   // --- Mining phase: SLCP + Apriori over the LCP table. -------------------
   Stopwatch mine_timer;
   scratch_.expired.clear();
+  const uint64_t visits_before = tree_.stats().distance_bound_visits;
   {
     FCP_TRACE_SPAN("coomine/slcp");
     tree_.SlcpInto(segment, now, params_.tau, &scratch_.expired, &scratch_.lcp,
                    shard_);
   }
   stats_.lcp_rows += scratch_.lcp.rows.size();
+  stats_.slcp_nodes_visited +=
+      tree_.stats().distance_bound_visits - visits_before;
   {
     FCP_TRACE_SPAN("coomine/apriori");
     TidsetSupport support(segment, params_, &scratch_);

@@ -25,6 +25,8 @@ MinerMetrics MinerMetrics::Register(telemetry::MetricRegistry* registry,
       registry->GetCounter(Name("fcp_candidates_pruned_total", labels));
   m.slcp_probes = registry->GetCounter(Name("fcp_slcp_probes_total", labels));
   m.lcp_rows = registry->GetCounter(Name("fcp_lcp_rows_total", labels));
+  m.slcp_nodes_visited =
+      registry->GetCounter(Name("fcp_slcp_nodes_visited_total", labels));
   m.maintenance_runs =
       registry->GetCounter(Name("fcp_maintenance_runs_total", labels));
   m.segments_expired =
@@ -62,6 +64,8 @@ void MinerMetrics::PublishDelta(const MinerStats& current,
   Bump(candidates_pruned, current.candidates_pruned - last->candidates_pruned);
   Bump(slcp_probes, current.slcp_probes - last->slcp_probes);
   Bump(lcp_rows, current.lcp_rows - last->lcp_rows);
+  Bump(slcp_nodes_visited,
+       current.slcp_nodes_visited - last->slcp_nodes_visited);
   Bump(maintenance_runs, current.maintenance_runs - last->maintenance_runs);
   Bump(segments_expired, current.segments_expired - last->segments_expired);
   Bump(mining_ns, static_cast<uint64_t>(current.mining_ns - last->mining_ns));

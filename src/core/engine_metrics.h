@@ -28,6 +28,7 @@ struct MinerMetrics {
   telemetry::Counter* candidates_pruned = nullptr;
   telemetry::Counter* slcp_probes = nullptr;
   telemetry::Counter* lcp_rows = nullptr;
+  telemetry::Counter* slcp_nodes_visited = nullptr;
   telemetry::Counter* maintenance_runs = nullptr;
   telemetry::Counter* segments_expired = nullptr;
   telemetry::Counter* mining_ns = nullptr;

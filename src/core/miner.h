@@ -35,6 +35,9 @@ struct MinerStats {
                                    ///< for CooMine, posting/matrix probes
                                    ///< for DIMine/MatrixMine)
   uint64_t lcp_rows = 0;           ///< CooMine: LCP-table rows built
+  uint64_t slcp_nodes_visited = 0; ///< CooMine: Seg-tree nodes visited by
+                                   ///< SLCP's DistanceBound searches (0 for
+                                   ///< DIMine/MatrixMine)
   uint64_t maintenance_runs = 0;   ///< full expiry sweeps executed
   uint64_t segments_expired = 0;
   int64_t mining_ns = 0;

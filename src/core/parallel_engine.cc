@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "common/check.h"
 #include "core/slow_op.h"
@@ -210,6 +211,23 @@ void ParallelEngine::PushBatch(std::span<const ObjectEvent> events) {
   if (!events.empty()) events_ingested_->Increment(events.size());
 }
 
+void ParallelEngine::WaitUntilIdle() const {
+  FCP_CHECK(!finished_);
+  const auto poll = std::chrono::milliseconds(1);
+  while (events_routed_.load(std::memory_order_acquire) < events_pushed_) {
+    std::this_thread::sleep_for(poll);
+  }
+  // The acquire above orders every routed_to() increment for those events
+  // before these reads.
+  for (uint32_t s = 0; s < options_.num_miner_shards; ++s) {
+    const uint64_t routed = router_->routed_to(s);
+    while (shard_runtime_[s]->segments_mined.load(std::memory_order_acquire) <
+           routed) {
+      std::this_thread::sleep_for(poll);
+    }
+  }
+}
+
 void ParallelEngine::Finish() {
   if (finished_) return;
   finished_ = true;
@@ -317,6 +335,7 @@ void ParallelEngine::IngestLoop() {
     completed.clear();
   };
 
+  uint64_t routed_events = 0;
   while (true) {
     if (heartbeat != nullptr) heartbeat->MarkIdle(true);
     std::optional<ObjectEvent> event = events_.Pop();
@@ -324,6 +343,7 @@ void ParallelEngine::IngestLoop() {
     if (heartbeat != nullptr) heartbeat->MarkIdle(false);
     mux_.Push(*event, &completed);
     route_completed();
+    events_routed_.store(++routed_events, std::memory_order_release);
     if (heartbeat != nullptr) heartbeat->Beat();
   }
   // Queue closed and drained: flush every stream's trailing window.
@@ -405,6 +425,7 @@ void ParallelEngine::ProcessDelivery(uint32_t shard_index,
   // reporter only reads the atomics.
   telemetry.miner.PublishDelta(miner.stats(), &telemetry.published);
   telemetry.miner.PublishIntrospection(miner.Introspect());
+  runtime.segments_mined.fetch_add(1, std::memory_order_release);
 }
 
 bool ParallelEngine::TrySteal(uint32_t thief_index) {

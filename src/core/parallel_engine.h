@@ -118,6 +118,13 @@ class ParallelEngine {
   /// one delta per batch. Must not be called after Finish().
   void PushBatch(std::span<const ObjectEvent> events);
 
+  /// Blocks until the pipeline has caught up with every event pushed so
+  /// far: the ingest thread has segmented and routed each one, and every
+  /// shard has mined every segment routed to it. Windows still open stay
+  /// open (later events or Finish() close them). Polls atomics every
+  /// millisecond. Call from the pushing thread, before Finish().
+  void WaitUntilIdle() const;
+
   /// Flushes every open window, drains the pipeline, joins all threads and
   /// merges the per-shard outputs into the collector. Idempotent. After
   /// Finish(), results() is complete and stable.
@@ -221,6 +228,9 @@ class ParallelEngine {
     /// Watermark of the last delivery this shard processed; sampled by the
     /// observability plane against the router's to compute per-shard lag.
     std::atomic<Timestamp> last_watermark{kMinTimestamp};
+    /// Routed (not backfill) deliveries this shard has mined; compared with
+    /// the router's routed_to() by WaitUntilIdle().
+    std::atomic<uint64_t> segments_mined{0};
   };
   std::vector<std::unique_ptr<ShardRuntime>> shard_runtime_;
   // Per-shard output buffers, written only by the owning shard thread while
@@ -230,6 +240,9 @@ class ParallelEngine {
   ResultCollector collector_;
   uint64_t segments_completed_ = 0;
   uint64_t events_pushed_ = 0;
+  /// Events the ingest thread has segmented and routed (release-stored after
+  /// each one's segments are routed; read by WaitUntilIdle()).
+  std::atomic<uint64_t> events_routed_{0};
   bool finished_ = false;
   std::vector<ObjectEvent> push_batch_scratch_;  ///< PushBatch staging
 

@@ -28,6 +28,7 @@ std::string DumpSlowOp(const char* op, const Segment& segment,
       {"candidates_pruned", static_cast<int64_t>(stats.candidates_pruned)},
       {"slcp_probes", static_cast<int64_t>(stats.slcp_probes)},
       {"lcp_rows", static_cast<int64_t>(stats.lcp_rows)},
+      {"slcp_nodes_visited", static_cast<int64_t>(stats.slcp_nodes_visited)},
       {"maintenance_runs", static_cast<int64_t>(stats.maintenance_runs)},
       {"segments_expired", static_cast<int64_t>(stats.segments_expired)},
       {"mining_ns", stats.mining_ns},

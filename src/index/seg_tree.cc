@@ -157,11 +157,54 @@ void SegTree::FindLongestMatchingPrefix(
   }
 }
 
+namespace {
+
+// True iff two adjacent entries share a timestamp (entries are time-sorted).
+bool HasTiedTimes(const std::vector<SegmentEntry>& entries) {
+  for (size_t i = 1; i < entries.size(); ++i) {
+    if (entries[i].time == entries[i - 1].time) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+void SegTree::OrderTiedRuns(const std::vector<SegmentEntry>& entries) {
+  std::vector<SegmentEntry>& ordered = tie_path_scratch_;
+  std::vector<uint64_t>& keys = tie_keys_scratch_;
+  ordered.clear();
+  for (size_t i = 0; i < entries.size();) {
+    const Timestamp time = entries[i].time;
+    size_t end = i + 1;
+    while (end < entries.size() && entries[end].time == time) ++end;
+    // (count, id) is a total order on distinct objects and equal keys are
+    // identical entries, so an unstable, non-allocating sort is exact.
+    keys.clear();
+    for (size_t k = i; k < end; ++k) {
+      const ObjectId object = entries[k].object;
+      const uint32_t* count = tie_counts_.Find(object);
+      const uint64_t tie_count = count == nullptr ? 0 : *count;
+      keys.push_back((tie_count << 32) | object);
+    }
+    std::sort(keys.begin(), keys.end());
+    for (uint64_t key : keys) {
+      ordered.push_back(SegmentEntry{static_cast<ObjectId>(key), time});
+    }
+    i = end;
+  }
+}
+
 void SegTree::Insert(const Segment& segment) {
-  const auto& entries = segment.entries();
-  const uint32_t length = static_cast<uint32_t>(entries.size());
+  const uint32_t length = static_cast<uint32_t>(segment.length());
   FCP_CHECK(length > 0);
   FCP_CHECK(registry_.Find(segment.id()) == nullptr);
+
+  // The tie rule (see the header): only segments with simultaneous objects
+  // pay for the reordering and the counting.
+  const bool tied = HasTiedTimes(segment.entries());
+  if (tied) OrderTiedRuns(segment.entries());
+  const std::vector<SegmentEntry>& entries =
+      tied ? tie_path_scratch_ : segment.entries();
 
   FindLongestMatchingPrefix(entries);
   const std::vector<Node*>& prefix = prefix_best_scratch_;
@@ -187,11 +230,14 @@ void SegTree::Insert(const Segment& segment) {
   }
 
   // `cur` is the tail node of this segment.
-  TailEntry tail_entry{segment.id(), length, segment.stream(),
-                       segment.start_time(), segment.end_time(), {}};
+  TailEntry tail_entry{segment.id(),         length,
+                       tied,                 segment.stream(),
+                       segment.start_time(), segment.end_time(),
+                       {}};
   // Construction-time distinct cache: no per-insert sort+unique.
   for (ObjectId object : segment.distinct_objects()) {
     tail_entry.objects.push_back(object, object_arena_);
+    if (tied) ++tie_counts_[object];
   }
   cur->tails.push_back(tail_entry, tail_arena_);
   tail_of_.Insert(segment.id(), cur);
@@ -226,6 +272,13 @@ void SegTree::RemoveSegmentPath(SegmentId id) {
   size_t te = 0;
   while (te < tails.size() && tails[te].segment != id) ++te;
   FCP_CHECK(te < tails.size());
+  if (tails[te].tie_counted) {
+    for (ObjectId object : tails[te].objects) {
+      uint32_t* count = tie_counts_.Find(object);
+      FCP_DCHECK(count != nullptr && *count > 0);
+      if (--*count == 0) tie_counts_.Erase(object);
+    }
+  }
   tails[te].objects.Reset(object_arena_);
   tails.erase_at(te);
 
@@ -409,7 +462,7 @@ void SegTree::CollectRelevantTails(const Node* start, Timestamp now,
     for (const TailEntry& t : n->tails) {
       // The segment covers `start` iff `start` lies within length-1 edges
       // above the tail (Theorem 2 / Section 5.2.1).
-      if (item.depth <= t.length - 1) {
+      if (item.depth < t.length) {
         if (now - t.start > tau) {
           if (expired != nullptr) expired->push_back(t.segment);
         } else {
@@ -607,7 +660,8 @@ size_t SegTree::MemoryUsage() const {
   // space alike — already covers the whole tree without walking it. That
   // memory is held either way, so the figure never undercounts.
   return ArenaBytes() + hlist_.MemoryUsage() + tlist_.MemoryUsage() +
-         tail_of_.MemoryUsage() + registry_.MemoryUsage();
+         tail_of_.MemoryUsage() + tie_counts_.MemoryUsage() +
+         registry_.MemoryUsage();
 }
 
 void SegTree::CheckInvariants() const {
@@ -638,6 +692,7 @@ void SegTree::CheckInvariants() const {
   // Pass 2: every live segment's path exists, matches its length, and
   // contributes to counts; distance is an upper bound along the path.
   uint64_t objects_total = 0;
+  std::unordered_map<ObjectId, uint32_t> expected_ties;
   for (const auto& [id, info] : registry_) {
     Node* const* tail_slot = tail_of_.Find(id);
     FCP_CHECK(tail_slot != nullptr);
@@ -647,6 +702,9 @@ void SegTree::CheckInvariants() const {
       if (t.segment == id) {
         FCP_CHECK(t.length == info.length);
         tail_entry_found = true;
+        if (t.tie_counted) {
+          for (ObjectId object : t.objects) ++expected_ties[object];
+        }
       }
     }
     FCP_CHECK(tail_entry_found);
@@ -663,6 +721,12 @@ void SegTree::CheckInvariants() const {
     FCP_CHECK(node->count == cnt);
   }
   FCP_CHECK(tail_of_.size() == registry_.size());
+  // Tie counts are exactly the tie-counted live segments' distinct objects.
+  FCP_CHECK(tie_counts_.size() == expected_ties.size());
+  for (const auto& [object, cnt] : expected_ties) {
+    const uint32_t* count = tie_counts_.Find(object);
+    FCP_CHECK(count != nullptr && *count == cnt);
+  }
 
   // Pass 3: Hlist chains exactly cover the tree's nodes per object.
   size_t chained = 0;

@@ -15,6 +15,13 @@
 //  - Disconnected subtrees produced by deletion are re-attached under the
 //    root by default; the paper's prefix-graft is available as an option
 //    (`SegTreeOptions::graft_on_delete`) and benchmarked as an ablation.
+//  - Objects that share a timestamp are laid along the path rare-first (the
+//    paper leaves the order of simultaneous objects open): each run of
+//    equal-time entries is ordered by ascending tie count, the number of
+//    live tied segments in this tree that contain the object, then by
+//    object id. Popular objects thus sit near the tail, where the
+//    DistanceBound subtrees below them are small. Untied entries keep time
+//    order, and a segment without ties is inserted as given.
 //
 // Hot-path memory layout (DESIGN.md §2 "Hot-path memory layout"): nodes live
 // in a slab ObjectPool; their child and tail arrays live in size-class
@@ -138,7 +145,8 @@ class SegTree {
   /// Inserts a completed segment (paper Section 4.4): finds its longest
   /// matching prefix via Hlist, shares it, appends the remainder, updates
   /// (distance, count) along the prefix, appends the tail to Tlist and the
-  /// new nodes to their Hlist chains.
+  /// new nodes to their Hlist chains. Runs of entries sharing a timestamp
+  /// are laid down rare-first (see the header comment).
   void Insert(const Segment& segment);
 
   /// Removes one segment (paper Section 4.5): backtracks length-1 steps from
@@ -211,6 +219,11 @@ class SegTree {
   /// Bytes held by the node arena (slabs + free-list bookkeeping).
   size_t ArenaBytes() const;
 
+  /// Number of objects with a nonzero tie count: the distinct objects of the
+  /// live segments that had tied timestamps when inserted. 0 once every
+  /// such segment is removed.
+  size_t num_tie_counted_objects() const { return tie_counts_.size(); }
+
   const SegTreeStats& stats() const { return stats_; }
   const SegmentRegistry& registry() const { return registry_; }
 
@@ -234,7 +247,10 @@ class SegTree {
   // Seg-tree stores per-segment membership (paper Section 4.3).
   struct TailEntry {
     SegmentId segment;
-    uint32_t length;
+    uint32_t length : 31;
+    // Set iff the segment had tied timestamps at insertion and so added its
+    // distinct objects to tie_counts_ (RemoveSegmentPath takes them back).
+    uint32_t tie_counted : 1;
     // Denormalized segment metadata so the search path never touches the
     // registry hash map (one entry per live segment; the duplication is
     // tiny).
@@ -272,6 +288,9 @@ class SegTree {
   };
 
   // --- construction helpers ---
+  // Fills tie_path_scratch_ with `entries`, each run of equal timestamps
+  // reordered by (tie count, object id). Only called for tied segments.
+  void OrderTiedRuns(const std::vector<SegmentEntry>& entries);
   // Fills prefix_best_scratch_ with the nodes of the longest matching
   // prefix (possibly empty), in segment order.
   void FindLongestMatchingPrefix(const std::vector<SegmentEntry>& entries);
@@ -305,6 +324,10 @@ class SegTree {
   FlatMap<ObjectId, Node*> hlist_;
   RingBuffer<TlistEntry> tlist_;
   FlatMap<SegmentId, Node*> tail_of_;  // segment -> its tail node
+  // object -> number of live tied segments containing it: the popularity
+  // key of the tie rule. Untied segments are not counted, so data without
+  // simultaneous objects never touches this map.
+  FlatMap<ObjectId, uint32_t> tie_counts_;
   SegmentRegistry registry_;
   size_t num_nodes_ = 0;
   uint64_t total_objects_ = 0;
@@ -314,6 +337,8 @@ class SegTree {
   std::vector<Node*> prefix_path_scratch_;  // prefix-match trial path
   std::vector<Node*> prefix_best_scratch_;  // prefix-match best path
   std::vector<std::pair<Node*, Node*>> graft_work_;  // TryGraft worklist
+  std::vector<SegmentEntry> tie_path_scratch_;  // tied segment's path order
+  std::vector<uint64_t> tie_keys_scratch_;      // (count << 32 | object)
   // Search scratch, owned by the tree (not per thread) so a shard's miner
   // holds it whichever thread runs the search. Searches are const; the
   // buffers are not observable state.

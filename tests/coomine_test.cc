@@ -172,6 +172,34 @@ TEST(CooMineTest, StatsAccumulate) {
   EXPECT_GE(stats.maintenance_ns, 0);
 }
 
+// slcp_nodes_visited is exactly the Seg-tree's DistanceBound visits made by
+// each AddSegment's SLCP, on the serial and the ownership-filtered paths.
+TEST(CooMineTest, SlcpNodesVisitedMatchesSegTreeVisits) {
+  for (const ShardSpec shard : {ShardSpec{}, ShardSpec{1, 3}}) {
+    CooMine miner(Example4Params(), {}, shard);
+    std::vector<Fcp> out;
+    std::vector<Segment> segments = PaperSegments();
+    segments.push_back(MakeSegment(30, 3, {m, n, p, o}, 600));
+    for (const Segment& g : segments) {
+      const uint64_t tree_before =
+          miner.seg_tree().stats().distance_bound_visits;
+      const uint64_t stat_before = miner.stats().slcp_nodes_visited;
+      miner.AddSegment(g, &out);
+      EXPECT_EQ(miner.stats().slcp_nodes_visited - stat_before,
+                miner.seg_tree().stats().distance_bound_visits - tree_before)
+          << g.DebugString();
+    }
+    EXPECT_GT(miner.stats().slcp_nodes_visited, 0u);
+  }
+  // The posting-list miners have no Seg-tree to walk.
+  for (MinerKind kind : {MinerKind::kDiMine, MinerKind::kMatrixMine}) {
+    auto miner = MakeMiner(kind, Example4Params());
+    std::vector<Fcp> out;
+    for (const Segment& g : PaperSegments()) miner->AddSegment(g, &out);
+    EXPECT_EQ(miner->stats().slcp_nodes_visited, 0u) << miner->name();
+  }
+}
+
 TEST(CooMineTest, MaxSegmentObjectsCapBoundsWork) {
   MiningParams params = Example4Params();
   params.theta = 1;  // everything frequent -> worst case

@@ -77,6 +77,9 @@ TEST_P(MetricsConsistencyTest, SerialAndShardedAgreeOnSemanticCounters) {
   EXPECT_EQ(Find(serial_metrics, "fcp_events_ingested_total").counter_value,
             events.size());
   EXPECT_EQ(
+      Find(serial_metrics, "fcp_slcp_nodes_visited_total").counter_value,
+      serial.miner().stats().slcp_nodes_visited);
+  EXPECT_EQ(
       static_cast<uint64_t>(Find(serial_metrics, "fcp_index_bytes").gauge_value),
       serial.MemoryUsage());
 
@@ -118,6 +121,10 @@ TEST_P(MetricsConsistencyTest, SerialAndShardedAgreeOnSemanticCounters) {
     EXPECT_EQ(Find(sharded_metrics, "fcp_candidates_checked_total" + label)
                   .counter_value,
               stats.candidates_checked)
+        << "shard " << s;
+    EXPECT_EQ(Find(sharded_metrics, "fcp_slcp_nodes_visited_total" + label)
+                  .counter_value,
+              stats.slcp_nodes_visited)
         << "shard " << s;
 
     // Every delivery landed somewhere: discovery latency histogram counted

@@ -11,7 +11,7 @@
 // only when the number of in-flight slabs exceeds the pool's all-time peak,
 // e.g. when a shard thread gets descheduled and its queue backs up — so the
 // measured half may still grow the pool toward its high-water mark. That
-// growth is bounded by queue capacity + the tau live window (the lifetime
+// growth is bounded by the feed chunk + the tau live window (the lifetime
 // tests assert the pool never leaks), not by the event count, so the
 // assertion charges exactly kAllocsPerSlabMiss heap allocations per observed
 // miss and allows 1 per 100 events on top. Any per-event regression fails
@@ -21,10 +21,9 @@
 
 #include "util/alloc_counter.h"  // must be first: defines operator new/delete
 
-#include <chrono>
+#include <algorithm>
 #include <cstdint>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -67,12 +66,21 @@ MiningParams PipelineParams() {
   return params;
 }
 
-// Waits for the queued half to drain. Fixed sleeps (not state polling) keep
-// this benign under TSan; bleed-over of converged processing into the
-// measured window is itself allocation-free, so timing slop cannot fail the
-// test — only real steady-state allocations can.
-void LetPipelineDrain() {
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+// Pushes `events` kFeedChunk at a time and waits after each chunk until the
+// pipeline is idle: every event routed, every routed segment mined. The wait
+// is a barrier on the engine's atomics, not a timed sleep, so neither half
+// can bleed into the other however the threads are scheduled. The chunking
+// bounds how far ingest runs ahead of starved shard threads: an unchunked
+// half on a loaded host can back thousands of segments up in the shard
+// queues and miss the pool on each one beyond the warm half's peak.
+constexpr size_t kFeedChunk = 500;
+
+void FeedAndDrain(ParallelEngine& engine, std::span<const ObjectEvent> events) {
+  for (size_t i = 0; i < events.size(); i += kFeedChunk) {
+    const size_t n = std::min(kFeedChunk, events.size() - i);
+    engine.PushBatch(events.subspan(i, n));
+    engine.WaitUntilIdle();
+  }
 }
 
 // A pool miss performs one allocation each for the slab, its entry vector,
@@ -102,13 +110,11 @@ SteadyState SteadyStatePipeline(uint32_t num_shards) {
 
   ParallelEngine engine(MinerKind::kCooMine, params, options);
   const size_t warm = events.size() / 2;
-  engine.PushBatch(std::span(events.data(), warm));
-  LetPipelineDrain();
+  FeedAndDrain(engine, std::span(events.data(), warm));
 
   const SegmentPoolStats warm_pool = engine.segment_pool().stats();
   const uint64_t before = alloc_counter::allocations();
-  engine.PushBatch(std::span(events.data() + warm, events.size() - warm));
-  LetPipelineDrain();
+  FeedAndDrain(engine, std::span(events.data() + warm, events.size() - warm));
   const uint64_t steady = alloc_counter::allocations() - before;
   const SegmentPoolStats pool = engine.segment_pool().stats();
 

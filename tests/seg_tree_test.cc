@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace fcp {
 namespace {
@@ -24,25 +25,36 @@ constexpr ObjectId b = 1, c = 2, d = 3, e = 4, f = 5, h = 6, j = 7, k = 8,
 
 constexpr DurationMs kTau = Minutes(30);
 
-// The segments of Fig. 3 (stream s1 = 1, stream s2 = 2). Timestamps are
-// spread a little so ordering is realistic but everything stays valid.
+// A segment whose objects arrive 1 ms apart from `time` in listed order. The
+// paper's segments are time-ordered sequences, so with no tied timestamps
+// the Seg-tree path is exactly the listed sequence.
+Segment MakeSequence(SegmentId id, StreamId stream,
+                     std::initializer_list<ObjectId> objects, Timestamp time) {
+  std::vector<SegmentEntry> entries;
+  for (ObjectId o : objects) entries.push_back(SegmentEntry{o, time++});
+  return Segment(id, stream, std::move(entries));
+}
+
+// The segments of Fig. 3 (stream s1 = 1, stream s2 = 2), as paper-order
+// sequences. Start times are spread a little so ordering is realistic but
+// everything stays valid.
 std::vector<Segment> PaperS1Segments() {
   return {
-      MakeSegment(10, 1, {b, c, d}, 100),
-      MakeSegment(11, 1, {c, d, f, k}, 200),
-      MakeSegment(12, 1, {h, m, n}, 300),
-      MakeSegment(13, 1, {n, c, p, o}, 400),
-      MakeSegment(14, 1, {h, b, k, r, s, t}, 500),
+      MakeSequence(10, 1, {b, c, d}, 100),
+      MakeSequence(11, 1, {c, d, f, k}, 200),
+      MakeSequence(12, 1, {h, m, n}, 300),
+      MakeSequence(13, 1, {n, c, p, o}, 400),
+      MakeSequence(14, 1, {h, b, k, r, s, t}, 500),
   };
 }
 
 std::vector<Segment> PaperS2Segments() {
   return {
-      MakeSegment(20, 2, {e, c, f}, 150),
-      MakeSegment(21, 2, {c, f, h, j}, 250),
-      MakeSegment(22, 2, {j, p, o}, 350),
-      MakeSegment(23, 2, {e, c, m, n}, 450),
-      MakeSegment(24, 2, {n, s, w, z}, 550),
+      MakeSequence(20, 2, {e, c, f}, 150),
+      MakeSequence(21, 2, {c, f, h, j}, 250),
+      MakeSequence(22, 2, {j, p, o}, 350),
+      MakeSequence(23, 2, {e, c, m, n}, 450),
+      MakeSequence(24, 2, {n, s, w, z}, 550),
   };
 }
 
@@ -309,9 +321,9 @@ TEST(SegTreeTest, GraftReusesExistingBranch) {
   // removing G0, the orphaned (c,d,f,k) subtree should graft onto the
   // existing standalone (c,d) path of another segment.
   SegTree tree;  // graft_on_delete is on by default
-  tree.Insert(MakeSegment(1, 1, {b, c, d}, 0));
-  tree.Insert(MakeSegment(2, 1, {c, d, f, k}, 10));
-  tree.Insert(MakeSegment(3, 2, {m, c, d}, 20));
+  tree.Insert(MakeSequence(1, 1, {b, c, d}, 0));
+  tree.Insert(MakeSequence(2, 1, {c, d, f, k}, 10));
+  tree.Insert(MakeSequence(3, 2, {m, c, d}, 20));
   const size_t nodes_before = tree.num_nodes();  // b,c,d,f,k + m,c,d = 8
   EXPECT_EQ(nodes_before, 8u);
   tree.Remove(1);
@@ -329,9 +341,9 @@ TEST(SegTreeTest, RootAttachModeKeepsCorrectness) {
   SegTreeOptions options;
   options.graft_on_delete = false;
   SegTree tree(options);
-  tree.Insert(MakeSegment(1, 1, {b, c, d}, 0));
-  tree.Insert(MakeSegment(2, 1, {c, d, f, k}, 10));
-  tree.Insert(MakeSegment(3, 2, {m, c, d}, 20));
+  tree.Insert(MakeSequence(1, 1, {b, c, d}, 0));
+  tree.Insert(MakeSequence(2, 1, {c, d, f, k}, 10));
+  tree.Insert(MakeSequence(3, 2, {m, c, d}, 20));
   tree.Remove(1);
   tree.CheckInvariants();
   // No merging: the orphan chain re-roots as-is (7 nodes remain).
@@ -386,13 +398,13 @@ TEST(SegTreeTest, UnboundedPrefixProbesMatchPaperAlgorithm) {
   unbounded.max_prefix_probes = 0;
   SegTree tree(unbounded);
   for (int i = 0; i < 32; ++i) {
-    tree.Insert(MakeSegment(static_cast<SegmentId>(i), 1,
-                            {static_cast<ObjectId>(100 + i), c},
-                            static_cast<Timestamp>(i)));
+    tree.Insert(MakeSequence(static_cast<SegmentId>(i), 1,
+                             {static_cast<ObjectId>(100 + i), c},
+                             static_cast<Timestamp>(i)));
   }
   // A (c, d) segment must find SOME c to extend, even though every c sits
   // at the bottom of a different branch.
-  tree.Insert(MakeSegment(99, 2, {c, d}, 40));
+  tree.Insert(MakeSequence(99, 2, {c, d}, 40));
   EXPECT_EQ(tree.stats().prefix_nodes_shared, 1u);
   tree.CheckInvariants();
 }
@@ -412,6 +424,126 @@ TEST(SegTreeTest, SweepStopsAtFirstLiveEntry) {
   EXPECT_EQ(tree.RemoveExpired(later, kTau), 2u);
   EXPECT_EQ(tree.num_segments(), 0u);
   tree.CheckInvariants();
+}
+
+// --- The tie rule: a run of equal-time entries is laid rare-first. -------
+
+// Inserts a few tied segments so b, c and d have distinct tie counts
+// (b: 3, c: 2, d: 1), giving the rule something to order by.
+void InsertTiedHistory(SegTree* tree) {
+  tree->Insert(MakeSegment(1, 1, {b, c, d}, 0));
+  tree->Insert(MakeSegment(2, 2, {b, c, w}, 10));
+  tree->Insert(MakeSegment(3, 3, {b, z}, 20));
+}
+
+TEST(SegTreeTest, TiedRunPermutationsBuildIdenticalTrees) {
+  std::vector<ObjectId> run = {b, c, d, h, k};  // sorted: first permutation
+  std::string want;
+  do {
+    SegTree tree;
+    InsertTiedHistory(&tree);
+    // An untied lead-in and tail keep their places around the tied run.
+    std::vector<SegmentEntry> entries = {{m, 100}};
+    for (ObjectId o : run) entries.push_back(SegmentEntry{o, 101});
+    entries.push_back(SegmentEntry{n, 102});
+    tree.Insert(Segment(9, 4, std::move(entries)));
+    tree.CheckInvariants();
+    const std::string dump = tree.DebugString();
+    if (want.empty()) want = dump;
+    EXPECT_EQ(dump, want);
+  } while (std::next_permutation(run.begin(), run.end()));
+}
+
+TEST(SegTreeTest, MoreFrequentTiedObjectLandsNearerTheTail) {
+  SegTree tree;
+  InsertTiedHistory(&tree);
+  // Id order would put b (id 1) first; b is in three live tied segments and
+  // h in none, so the path is h -> d -> c -> b and b carries the tail.
+  tree.Insert(MakeSegment(9, 4, {b, c, d, h}, 100));
+  tree.CheckInvariants();
+  const std::string dump = tree.DebugString();
+  EXPECT_NE(dump.find("obj=6 (dist=3, cnt=1)\n"
+                      "    obj=3 (dist=2, cnt=1)\n"
+                      "      obj=2 (dist=1, cnt=1)\n"
+                      "        obj=1 (dist=0, cnt=1) tail{G9, len=4}"),
+            std::string::npos)
+      << dump;
+}
+
+TEST(SegTreeTest, UntiedSegmentsKeepTimeOrderAndAreNotCounted) {
+  SegTree tree;
+  InsertTiedHistory(&tree);
+  const size_t counted = tree.num_tie_counted_objects();
+  // Strictly increasing times: the listed order is the path, even though it
+  // runs popular-first, and the tie counts do not move.
+  tree.Insert(MakeSequence(9, 4, {b, c, h}, 100));
+  EXPECT_EQ(tree.num_tie_counted_objects(), counted);
+  EXPECT_NE(tree.DebugString().find("obj=6 (dist=0, cnt=1) tail{G9, len=3}"),
+            std::string::npos)
+      << tree.DebugString();
+  tree.CheckInvariants();
+}
+
+TEST(SegTreeTest, InvariantsHoldUnderChurnWithTies) {
+  for (const bool graft : {true, false}) {
+    SegTreeOptions options;
+    options.graft_on_delete = graft;
+    SegTree tree(options);
+    Rng rng(graft ? 7 : 8);
+    std::vector<SegmentId> live;
+    SegmentId next_id = 1;
+    Timestamp now = 0;
+    for (int step = 0; step < 600; ++step) {
+      now += static_cast<Timestamp>(rng.Below(30));
+      if (live.empty() || rng.Below(100) < 60) {
+        // Two or three tweet-like runs: each run's objects share a time.
+        std::vector<SegmentEntry> entries;
+        Timestamp t = now;
+        const uint64_t runs = 1 + rng.Below(3);
+        for (uint64_t r = 0; r < runs; ++r) {
+          const uint64_t run_length = 1 + rng.Below(5);
+          for (uint64_t i = 0; i < run_length; ++i) {
+            entries.push_back(
+                SegmentEntry{static_cast<ObjectId>(rng.Below(12)), t});
+          }
+          t += 1 + static_cast<Timestamp>(rng.Below(4));
+        }
+        tree.Insert(Segment(next_id, static_cast<StreamId>(rng.Below(5)),
+                            std::move(entries)));
+        live.push_back(next_id++);
+      } else if (rng.Below(4) == 0) {
+        tree.RemoveExpired(now, 300);
+        std::erase_if(live, [&](SegmentId id) {
+          return tree.registry().Find(id) == nullptr;
+        });
+      } else {
+        const size_t pick = rng.Below(live.size());
+        tree.Remove(live[pick]);
+        live.erase(live.begin() + static_cast<ptrdiff_t>(pick));
+      }
+      tree.CheckInvariants();
+    }
+    EXPECT_GT(tree.num_tie_counted_objects(), 0u);
+    // Removing every segment takes back every tie count.
+    for (SegmentId id : live) tree.Remove(id);
+    tree.CheckInvariants();
+    EXPECT_EQ(tree.num_segments(), 0u);
+    EXPECT_EQ(tree.num_nodes(), 0u);
+    EXPECT_EQ(tree.num_tie_counted_objects(), 0u);
+  }
+}
+
+TEST(SegTreeTest, RemovingEveryTiedSegmentEmptiesTheTieCounts) {
+  SegTree tree;
+  InsertTiedHistory(&tree);
+  tree.Insert(MakeSequence(9, 4, {b, c, h}, 100));  // untied
+  EXPECT_EQ(tree.num_tie_counted_objects(), 5u);    // b, c, d, w, z
+  for (SegmentId id : {1, 2, 3, 9}) {
+    tree.Remove(id);
+    tree.CheckInvariants();
+  }
+  EXPECT_EQ(tree.num_tie_counted_objects(), 0u);
+  EXPECT_EQ(tree.num_nodes(), 0u);
 }
 
 TEST(SegTreeDeathTest, DuplicateIdAborts) {

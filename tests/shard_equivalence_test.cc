@@ -17,6 +17,7 @@
 #include "stream/segment.h"
 #include "test_util.h"
 #include "util/rng.h"
+#include "util/zipf.h"
 
 namespace fcp {
 namespace {
@@ -104,6 +105,48 @@ std::vector<Fcp> MineSharded(MinerKind kind, const MiningParams& params,
   return out;
 }
 
+// Tweet-like workload: each segment holds one to three tweets of one user
+// stream, every tweet a run of Zipf-drawn words sharing one timestamp, with
+// the hottest words on the smallest ids. Within a tweet the words are sorted
+// by id (hottest first, as a (time, stream, object)-sorted trace lays them
+// out) or, with `permute_ties`, shuffled; the words drawn are the same
+// either way.
+std::vector<Segment> TweetSegments(uint64_t seed, bool permute_ties) {
+  Rng rng(seed);
+  Rng shuffle(seed ^ 0x5eed);
+  const ZipfDistribution words(200, 1.0);
+  std::vector<Segment> out;
+  Timestamp time = 0;
+  for (size_t i = 0; i < 600; ++i) {
+    time += 1 + static_cast<Timestamp>(rng.Below(Seconds(45)));
+    std::vector<SegmentEntry> entries;
+    const uint64_t tweets = 1 + rng.Below(3);
+    for (uint64_t tweet = 0; tweet < tweets; ++tweet) {
+      const Timestamp at = time + static_cast<Timestamp>(tweet) * 1000;
+      const size_t first = entries.size();
+      const uint64_t length = 3 + rng.Below(6);
+      for (uint64_t w = 0; w < length; ++w) {
+        entries.push_back(
+            SegmentEntry{static_cast<ObjectId>(words.Sample(rng)), at});
+      }
+      const auto run = entries.begin() + static_cast<ptrdiff_t>(first);
+      std::sort(run, entries.end(),
+                [](const SegmentEntry& a, const SegmentEntry& b) {
+                  return a.object < b.object;
+                });
+      if (permute_ties) {
+        for (size_t k = entries.size() - first; k > 1; --k) {
+          std::swap(run[static_cast<ptrdiff_t>(k - 1)],
+                    run[static_cast<ptrdiff_t>(shuffle.Below(k))]);
+        }
+      }
+    }
+    out.emplace_back(static_cast<SegmentId>(i + 1),
+                     static_cast<StreamId>(rng.Below(10)), std::move(entries));
+  }
+  return out;
+}
+
 MiningParams Params() {
   MiningParams params;
   params.xi = Seconds(60);
@@ -139,6 +182,35 @@ INSTANTIATE_TEST_SUITE_P(
                                          MinerKind::kDiMine,
                                          MinerKind::kMatrixMine),
                        ::testing::Values(2u, 3u, 8u)));
+
+// The Seg-tree lays each run of simultaneous objects rare-first; the order a
+// run arrives in must not reach the output, serial or sharded.
+TEST(ShardEquivalenceTest, TiedEntryOrderDoesNotChangeCooMineOutput) {
+  const MiningParams params = Params();
+  for (uint64_t seed : {21u, 22u}) {
+    const std::vector<Segment> sorted = TweetSegments(seed, false);
+    const std::vector<Segment> permuted = TweetSegments(seed, true);
+    const std::vector<FcpSignature> reference =
+        FullSignatures(MineSerial(MinerKind::kCooMine, params, sorted));
+    ASSERT_FALSE(reference.empty()) << "workload mined nothing (seed " << seed
+                                    << ") — the test is vacuous";
+    EXPECT_EQ(FullSignatures(MineSerial(MinerKind::kCooMine, params, permuted)),
+              reference)
+        << "seed " << seed;
+    EXPECT_EQ(
+        FullSignatures(MineSharded(MinerKind::kCooMine, params, 4, sorted)),
+        reference)
+        << "seed " << seed;
+    EXPECT_EQ(
+        FullSignatures(MineSharded(MinerKind::kCooMine, params, 4, permuted)),
+        reference)
+        << "seed " << seed;
+    // DIMine's postings never see entry order: an independent reference.
+    EXPECT_EQ(FullSignatures(MineSerial(MinerKind::kDiMine, params, permuted)),
+              reference)
+        << "seed " << seed;
+  }
+}
 
 TEST(ShardEquivalenceTest, BruteForceOracleShardsExactly) {
   // The oracle shares no code with the real miners; sharding it the same

@@ -493,6 +493,7 @@ int main(int argc, char** argv) {
       stats.maintenance_ns += shard_stats.maintenance_ns;
       stats.candidates_checked += shard_stats.candidates_checked;
       stats.lcp_rows += shard_stats.lcp_rows;
+      stats.slcp_nodes_visited += shard_stats.slcp_nodes_visited;
       stats.segments_expired += shard_stats.segments_expired;
     }
     pool_stats = engine.segment_pool().stats();
@@ -606,11 +607,12 @@ int main(int argc, char** argv) {
   if (flags.GetBool("stats", false)) {
     std::fprintf(stderr,
                  "  mining %.1f ms, maintenance %.1f ms, candidates %llu, "
-                 "lcp rows %llu, expired %llu\n",
+                 "lcp rows %llu, slcp nodes visited %llu, expired %llu\n",
                  static_cast<double>(stats.mining_ns) / 1e6,
                  static_cast<double>(stats.maintenance_ns) / 1e6,
                  static_cast<unsigned long long>(stats.candidates_checked),
                  static_cast<unsigned long long>(stats.lcp_rows),
+                 static_cast<unsigned long long>(stats.slcp_nodes_visited),
                  static_cast<unsigned long long>(stats.segments_expired));
     std::fprintf(
         stderr,
