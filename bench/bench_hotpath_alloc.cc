@@ -47,6 +47,7 @@
 #include "stream/segment_ref.h"
 #include "stream/shard_router.h"
 #include "telemetry/registry.h"
+#include "telemetry/thread_registry.h"
 #include "telemetry/trace.h"
 #include "util/flags.h"
 #include "util/stopwatch.h"
@@ -645,7 +646,7 @@ int Run(int argc, char** argv) {
   int exit_code = 0;
   {
     constexpr int kProfHz = 100;
-    prof::ThreadScope prof_scope("bench-mine");
+    telemetry::ThreadScope thread_scope("bench-mine");
     struct ProfLeg {
       double cpu_ns_per_op = 0;
       double allocs_per_op = 0;

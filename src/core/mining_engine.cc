@@ -35,7 +35,6 @@ MiningEngine::MiningEngine(MinerKind kind, const MiningParams& params,
   open_windows_gauge_ = registry_->GetGauge("fcp_open_windows");
   streams_seen_gauge_ = registry_->GetGauge("fcp_streams_seen");
   uptime_seconds_ = RegisterBuildInfo(registry_);
-  start_time_ = std::chrono::steady_clock::now();
   if (options.watchdog != nullptr) {
     // No depth probe: the serial engine has no input queue — the caller's
     // thread IS the pipeline, so only the busy-and-silent predicate applies.
@@ -46,9 +45,7 @@ MiningEngine::MiningEngine(MinerKind kind, const MiningParams& params,
 void MiningEngine::RefreshGauges() const {
   open_windows_gauge_->Set(mux_.open_windows());
   streams_seen_gauge_->Set(mux_.streams_seen());
-  uptime_seconds_->Set(std::chrono::duration_cast<std::chrono::seconds>(
-                           std::chrono::steady_clock::now() - start_time_)
-                           .count());
+  uptime_seconds_->Set(uptime_.ElapsedNanos() / 1000000000);
 }
 
 std::string MiningEngine::StatusJson() const {

@@ -12,7 +12,6 @@
 #ifndef FCP_CORE_MINING_ENGINE_H_
 #define FCP_CORE_MINING_ENGINE_H_
 
-#include <chrono>
 #include <memory>
 #include <span>
 #include <string>
@@ -28,6 +27,7 @@
 #include "stream/segment_ref.h"
 #include "stream/stream_mux.h"
 #include "telemetry/registry.h"
+#include "util/stopwatch.h"
 
 namespace fcp {
 
@@ -132,7 +132,7 @@ class MiningEngine {
   telemetry::Gauge* open_windows_gauge_ = nullptr;
   telemetry::Gauge* streams_seen_gauge_ = nullptr;
   telemetry::Gauge* uptime_seconds_ = nullptr;
-  std::chrono::steady_clock::time_point start_time_;
+  Stopwatch uptime_;  ///< started at construction
   obs::StageHeartbeat* heartbeat_ = nullptr;  ///< null without a watchdog
 };
 

@@ -8,20 +8,10 @@
 
 #include "common/check.h"
 #include "core/slow_op.h"
-#include "prof/prof.h"
-#include "telemetry/trace.h"
+#include "telemetry/thread_registry.h"
 #include "util/stopwatch.h"
 
 namespace fcp {
-namespace {
-
-int64_t SteadyNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 ParallelEngine::ParallelEngine(MinerKind kind, const MiningParams& params,
                                ParallelEngineOptions options)
@@ -107,7 +97,6 @@ void ParallelEngine::RegisterMetrics() {
       registry_->GetGauge("fcp_segment_pool_recycled_bytes_total");
   pool_free_slabs_ = registry_->GetGauge("fcp_segment_pool_free_slabs");
   uptime_seconds_ = RegisterBuildInfo(registry_);
-  start_time_ = std::chrono::steady_clock::now();
   shard_telemetry_.resize(options_.num_miner_shards);
   for (uint32_t s = 0; s < options_.num_miner_shards; ++s) {
     const std::string label =
@@ -183,9 +172,7 @@ void ParallelEngine::RefreshGauges() {
   pool_misses_->Set(static_cast<int64_t>(pool.slab_allocs));
   pool_recycled_bytes_->Set(static_cast<int64_t>(pool.recycled_bytes));
   pool_free_slabs_->Set(static_cast<int64_t>(pool.free));
-  uptime_seconds_->Set(std::chrono::duration_cast<std::chrono::seconds>(
-                           std::chrono::steady_clock::now() - start_time_)
-                           .count());
+  uptime_seconds_->Set(uptime_.ElapsedNanos() / 1000000000);
 }
 
 std::vector<telemetry::MetricSample> ParallelEngine::SnapshotMetrics() {
@@ -271,8 +258,7 @@ void ParallelEngine::Finish() {
 }
 
 void ParallelEngine::IngestLoop() {
-  trace::SetThreadName("ingest");
-  prof::ThreadScope prof_scope("ingest");
+  telemetry::ThreadScope thread_scope("ingest");
   obs::StageHeartbeat* heartbeat = ingest_heartbeat_;
   std::vector<SegmentRef> completed;
   uint64_t moves_published = 0;
@@ -418,7 +404,7 @@ void ParallelEngine::ProcessDelivery(uint32_t shard_index,
   // from the router's enqueue stamp.
   telemetry.discovery_latency_us->Record(
       static_cast<uint64_t>(
-          std::max<int64_t>(0, SteadyNowNs() - delivery.routed_at_ns)) /
+          std::max<int64_t>(0, MonotonicNowNs() - delivery.routed_at_ns)) /
       1000);
   // The caller holds this shard's runtime mutex (or is its only thread),
   // so delta-publishing the miner's plain-counter stats is race-free; the
@@ -461,8 +447,7 @@ bool ParallelEngine::TrySteal(uint32_t thief_index) {
 void ParallelEngine::ShardLoop(uint32_t shard_index) {
   char thread_name[32];
   std::snprintf(thread_name, sizeof(thread_name), "shard-%u", shard_index);
-  trace::SetThreadName(thread_name);
-  prof::ThreadScope prof_scope(thread_name);
+  telemetry::ThreadScope thread_scope(thread_name);
   BoundedQueue<ShardDelivery>& queue = router_->queue(shard_index);
   obs::StageHeartbeat* heartbeat =
       shard_heartbeats_.empty() ? nullptr : shard_heartbeats_[shard_index];

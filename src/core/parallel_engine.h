@@ -27,7 +27,6 @@
 #define FCP_CORE_PARALLEL_ENGINE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -50,6 +49,7 @@
 #include "stream/shard_router.h"
 #include "stream/stream_mux.h"
 #include "telemetry/registry.h"
+#include "util/stopwatch.h"
 
 namespace fcp {
 
@@ -279,8 +279,7 @@ class ParallelEngine {
   telemetry::Gauge* pool_recycled_bytes_ = nullptr;
   telemetry::Gauge* pool_free_slabs_ = nullptr;
   telemetry::Gauge* uptime_seconds_ = nullptr;
-  /// Engine construction time, behind fcp_uptime_seconds.
-  std::chrono::steady_clock::time_point start_time_;
+  Stopwatch uptime_;  ///< started at construction, fcp_uptime_seconds
   std::vector<ShardTelemetry> shard_telemetry_;
 
   // Watchdog heartbeats (null / empty when no watchdog was attached).

@@ -8,13 +8,13 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
 #include "obs/http.h"
-#include "prof/prof.h"
 #include "telemetry/registry.h"
+#include "telemetry/thread_registry.h"
 #include "telemetry/trace.h"
+#include "util/stopwatch.h"
 
 namespace fcp::obs {
 
@@ -138,8 +138,7 @@ void ObsServer::Stop() {
 }
 
 void ObsServer::Loop() {
-  trace::SetThreadName("obs-server");
-  prof::ThreadScope prof_scope("obs-server");
+  telemetry::ThreadScope scope("obs-server");
   constexpr int kMaxEvents = 32;
   epoll_event events[kMaxEvents];
   for (;;) {
@@ -275,13 +274,10 @@ void ObsServer::StageResponse(Connection* conn) {
     return;
   }
   FCP_TRACE_SPAN("obs/scrape");
-  const auto scrape_start = std::chrono::steady_clock::now();
+  const Stopwatch scrape;
   HttpResponse resp =
       qit != query_handlers_.end() ? qit->second(req.query) : it->second();
-  RecordScrapeDuration(
-      req.target, std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - scrape_start)
-                      .count());
+  RecordScrapeDuration(req.target, scrape.ElapsedNanos() / 1000);
   conn->out = RenderHttpResponse(resp.status, resp.content_type, resp.body,
                                  head_only);
   conn->responding = true;

@@ -4,18 +4,11 @@
 #include <cstdio>
 
 #include "telemetry/registry.h"
+#include "telemetry/thread_registry.h"
 #include "telemetry/trace.h"
+#include "util/stopwatch.h"
 
 namespace fcp::obs {
-namespace {
-
-int64_t SteadyNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 std::string_view HealthStateName(HealthState s) {
   switch (s) {
@@ -56,7 +49,7 @@ StageHeartbeat* Watchdog::RegisterStage(std::string name,
         "fcp_stage_stalls_total{" +
         telemetry::FormatLabel("stage", stage->name) + "}");
   }
-  int64_t now = SteadyNowNs();
+  int64_t now = MonotonicNowNs();
   stage->last_progress_ns = now;
   stage->last_below_capacity_ns = now;
   stage->status.name = stage->name;
@@ -201,7 +194,7 @@ void Watchdog::Start() {
 }
 
 void Watchdog::Loop() {
-  trace::SetThreadName("watchdog");
+  telemetry::ThreadScope scope("watchdog");
   FCP_TRACE_SPAN("watchdog/loop");
   std::unique_lock<std::mutex> lock(run_mu_);
   while (!stop_requested_) {
@@ -211,7 +204,7 @@ void Watchdog::Loop() {
     lock.unlock();
     {
       FCP_TRACE_SPAN("watchdog/evaluate");
-      EvaluateOnce(SteadyNowNs());
+      EvaluateOnce(MonotonicNowNs());
     }
     lock.lock();
   }

@@ -1,8 +1,8 @@
 // Pipeline watchdog: heartbeat collection, stall predicates, and the
 // health state machine behind /healthz and /readyz (DESIGN.md §2.8).
 //
-// Every pipeline stage (segmenter workers, merge thread, shard miners, the
-// serial ingest loop) registers a StageHeartbeat and then does exactly two
+// Every pipeline stage (the ingest thread, the shard miners, the serial
+// ingest loop) registers a StageHeartbeat and then does exactly two
 // things on its own thread: Beat() once per unit of real work, and
 // MarkIdle() around blocking waits. Both are single relaxed-atomic stores —
 // no clock reads, no locks — so instrumentation costs nothing on the mining

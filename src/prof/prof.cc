@@ -1,5 +1,6 @@
-// fcp::prof implementation: per-thread SIGPROF sampling, lock-free sample
-// rings, the stack-trie collector and lazy symbolization (DESIGN.md §2.9).
+// fcp::prof implementation: the SIGPROF handler, the stack-trie collector
+// and lazy symbolization (DESIGN.md §2.9). Sample rings, timers and wait
+// slots live on the thread records of telemetry/thread_registry.h.
 //
 // Layering of signal-safety, strictest first:
 //   1. SigprofHandler: atomics + a bounds-checked frame-pointer walk. No
@@ -9,8 +10,8 @@
 //   2. RecordWaitNs / the heap hook: run in normal thread context (not a
 //      signal), use relaxed atomics / a recursion-guarded mutex.
 //   3. Everything else (collection, symbolization, rendering): ordinary
-//      code under the registry mutex, allocates freely, never called from
-//      the hot path.
+//      code under the profiler mutex (then the thread registry's), allocates
+//      freely, never called from the hot path.
 
 #include "prof/prof.h"
 
@@ -20,26 +21,21 @@
 #include <dlfcn.h>
 #include <elf.h>
 #include <link.h>
-#include <pthread.h>
 #include <signal.h>
-#include <sys/syscall.h>
-#include <time.h>
 #include <ucontext.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "telemetry/registry.h"
-#include "telemetry/trace.h"
+#include "telemetry/thread_registry.h"
 #include "util/alloc_hook.h"
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -49,57 +45,14 @@
 #define FCP_PROF_NO_SANITIZE
 #endif
 
-#ifndef SIGEV_THREAD_ID
-#define SIGEV_THREAD_ID 4
-#endif
-
 namespace fcp::prof {
 namespace {
 
-// --- Per-thread state. -----------------------------------------------------
-
-/// One ring slot. Every field is a relaxed atomic so the signal-context
-/// writer and the collector reader never race in the C++ sense; `seq` is
-/// the slot's absolute sample index, stored with release after the payload
-/// so the collector can reject slots overwritten mid-read (counted as
-/// drops, like any other wrap casualty).
-struct Slot {
-  std::atomic<uint64_t> seq{~uint64_t{0}};
-  std::atomic<uint32_t> depth{0};
-  std::atomic<uintptr_t> pcs[kMaxFrames];
-};
-
-/// Off-CPU accounting: one tag slot, claimed once by CAS on the tag
-/// pointer, then bumped with relaxed adds. Tags are static-storage string
-/// literals, so pointer identity is name identity.
-struct WaitSlot {
-  std::atomic<const char*> tag{nullptr};
-  std::atomic<int64_t> ns{0};
-  std::atomic<uint64_t> count{0};
-};
-constexpr size_t kWaitSlots = 16;
-
-struct ThreadRec {
-  std::string name;
-  pid_t tid = 0;
-  pthread_t pthread{};
-  uintptr_t stack_lo = 0;  ///< lowest valid stack address
-  uintptr_t stack_hi = 0;  ///< one past the highest
-  /// Ring storage; allocated on first arming, released only at unregister.
-  std::atomic<Slot*> slots{nullptr};
-  std::atomic<uint64_t> head{0};  ///< next sample index (writer-owned)
-  std::atomic<uint64_t> tail{0};  ///< first undrained index (collector)
-  timer_t timer{};
-  bool timer_armed = false;
-  /// Set by ~ThreadScope: the thread is gone, so its pthread/tid must never
-  /// be touched again (pthread_getcpuclockid on a joined thread is UB), but
-  /// the record stays registered so its samples and wait totals still
-  /// render. Guarded by ProfState::mu.
-  bool retired = false;
-  WaitSlot waits[kWaitSlots];
-};
-
-thread_local ThreadRec* tls_rec = nullptr;
+using telemetry::kMaxFrames;
+using telemetry::kSampleRingSlots;
+using telemetry::SampleSlot;
+using telemetry::ThreadRecord;
+using telemetry::WaitSlot;
 
 // --- Stack trie. -----------------------------------------------------------
 
@@ -131,10 +84,11 @@ struct Trie {
     return it->second;
   }
 
-  /// Adds one sample: `pcs[0]` is the leaf; insertion is root-first.
-  void Add(const std::string& thread_name, const uintptr_t* pcs,
-           uint32_t depth, uint64_t weight) {
-    size_t node = Root(thread_name);
+  /// Adds one sample under `root`: `pcs[0]` is the leaf; insertion is
+  /// root-first.
+  void Add(size_t root, const uintptr_t* pcs, uint32_t depth,
+           uint64_t weight) {
+    size_t node = root;
     for (uint32_t i = depth; i-- > 0;) node = Child(node, pcs[i]);
     nodes[node].self += weight;
   }
@@ -276,17 +230,14 @@ struct HeapSite {
 
 struct ProfState {
   std::mutex mu;  ///< guards everything below plus trie/symbol state
-  std::vector<ThreadRec*> threads;
-  int hz = 0;           ///< armed frequency (0 when idle)
-  int last_hz = 100;    ///< scaling basis for wait units after Stop()
-  bool sampling = false;
+  int last_hz = 100;       ///< last armed rate: the wait-unit scaling basis
   uint64_t drops = 0;      ///< wrap + torn-slot casualties, collector-side
   uint64_t collected = 0;  ///< samples folded into the trie
+  uint64_t live_threads = 0;  ///< live profiled threads at the last collect
   Trie trie;
   MainSymtab symtab;
   std::unordered_map<uintptr_t, std::string> symbol_cache;
   bool sigaction_installed = false;
-  bool crash_aux_registered = false;
 
   // Profiler gauges (nullable; bound by the first Start with a registry).
   telemetry::Gauge* samples_gauge = nullptr;
@@ -304,12 +255,6 @@ struct ProfState {
 ProfState& State() {
   static ProfState* state = new ProfState();
   return *state;
-}
-
-int64_t NowNs() {
-  timespec ts;
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
 }
 
 // --- The signal handler. ---------------------------------------------------
@@ -343,9 +288,9 @@ uint32_t WalkStack(uintptr_t pc, uintptr_t fp, uintptr_t lo, uintptr_t hi,
 
 FCP_PROF_NO_SANITIZE
 void SigprofHandler(int, siginfo_t*, void* ucontext) {
-  ThreadRec* rec = tls_rec;
+  ThreadRecord* rec = telemetry::ThisThread();
   if (rec == nullptr) return;
-  Slot* slots = rec->slots.load(std::memory_order_acquire);
+  SampleSlot* slots = rec->samples.load(std::memory_order_acquire);
   if (slots == nullptr) return;
 
   auto* uc = static_cast<ucontext_t*>(ucontext);
@@ -366,53 +311,17 @@ void SigprofHandler(int, siginfo_t*, void* ucontext) {
   const uintptr_t lo = sp != 0 ? sp : rec->stack_lo;
   const uint32_t depth = WalkStack(pc, fp, lo, rec->stack_hi, pcs);
 
-  const uint64_t h = rec->head.load(std::memory_order_relaxed);
-  Slot& slot = slots[h % kRingSlots];
+  const uint64_t h = rec->sample_head.load(std::memory_order_relaxed);
+  SampleSlot& slot = slots[h % kSampleRingSlots];
   slot.depth.store(depth, std::memory_order_relaxed);
   for (uint32_t i = 0; i < depth; ++i) {
     slot.pcs[i].store(pcs[i], std::memory_order_relaxed);
   }
   slot.seq.store(h, std::memory_order_release);
-  rec->head.store(h + 1, std::memory_order_release);
+  rec->sample_head.store(h + 1, std::memory_order_release);
 }
 
-// --- Timer plumbing. -------------------------------------------------------
-
-bool ArmTimerLocked(ThreadRec* rec, int hz) {
-  if (rec->retired) return false;
-  if (rec->timer_armed) return true;
-  if (rec->slots.load(std::memory_order_relaxed) == nullptr) {
-    rec->slots.store(new Slot[kRingSlots], std::memory_order_release);
-  }
-  clockid_t clock;
-  if (pthread_getcpuclockid(rec->pthread, &clock) != 0) return false;
-  sigevent sev{};
-  sev.sigev_notify = SIGEV_THREAD_ID;
-  sev.sigev_signo = SIGPROF;
-#if defined(sigev_notify_thread_id)
-  sev.sigev_notify_thread_id = rec->tid;
-#else
-  sev._sigev_un._tid = rec->tid;
-#endif
-  if (timer_create(clock, &sev, &rec->timer) != 0) return false;
-  const long interval_ns = 1000000000L / hz;
-  itimerspec its{};
-  its.it_interval.tv_sec = interval_ns / 1000000000L;
-  its.it_interval.tv_nsec = interval_ns % 1000000000L;
-  its.it_value = its.it_interval;
-  if (timer_settime(rec->timer, 0, &its, nullptr) != 0) {
-    timer_delete(rec->timer);
-    return false;
-  }
-  rec->timer_armed = true;
-  return true;
-}
-
-void DisarmTimerLocked(ThreadRec* rec) {
-  if (!rec->timer_armed) return;
-  timer_delete(rec->timer);
-  rec->timer_armed = false;
-}
+// --- Signal plumbing. ------------------------------------------------------
 
 void InstallSigactionLocked(ProfState& state) {
   if (state.sigaction_installed) return;
@@ -424,20 +333,22 @@ void InstallSigactionLocked(ProfState& state) {
   state.sigaction_installed = true;
 }
 
-// --- Collection (registry lock held). --------------------------------------
+// --- Collection (profiler and registry locks held). -------------------------
 
-void DrainRecLocked(ProfState& state, ThreadRec* rec) {
-  Slot* slots = rec->slots.load(std::memory_order_acquire);
+void DrainRecLocked(ProfState& state, ThreadRecord* rec) {
+  SampleSlot* slots = rec->samples.load(std::memory_order_acquire);
   if (slots == nullptr) return;
-  const uint64_t h = rec->head.load(std::memory_order_acquire);
-  uint64_t t = rec->tail.load(std::memory_order_relaxed);
-  if (h - t > kRingSlots) {
-    state.drops += h - kRingSlots - t;
-    t = h - kRingSlots;
+  const uint64_t h = rec->sample_head.load(std::memory_order_acquire);
+  uint64_t t = rec->sample_tail.load(std::memory_order_relaxed);
+  if (h - t > kSampleRingSlots) {
+    state.drops += h - kSampleRingSlots - t;
+    t = h - kSampleRingSlots;
   }
+  if (t == h) return;
+  const size_t root = state.trie.Root(rec->name);
   uintptr_t pcs[kMaxFrames];
   for (uint64_t i = t; i < h; ++i) {
-    Slot& slot = slots[i % kRingSlots];
+    SampleSlot& slot = slots[i % kSampleRingSlots];
     const uint32_t depth =
         std::min(slot.depth.load(std::memory_order_relaxed),
                  static_cast<uint32_t>(kMaxFrames));
@@ -450,18 +361,23 @@ void DrainRecLocked(ProfState& state, ThreadRec* rec) {
       ++state.drops;
       continue;
     }
-    state.trie.Add(rec->name, pcs, depth, 1);
+    state.trie.Add(root, pcs, depth, 1);
     ++state.collected;
   }
-  rec->tail.store(h, std::memory_order_relaxed);
+  rec->sample_tail.store(h, std::memory_order_relaxed);
 }
 
 void CollectLocked(ProfState& state) {
-  for (ThreadRec* rec : state.threads) DrainRecLocked(state, rec);
+  state.live_threads = 0;
+  telemetry::RegistryLock lock;
+  for (ThreadRecord* rec : lock.threads()) {
+    DrainRecLocked(state, rec);
+    state.live_threads += rec->profiled && !rec->retired;
+  }
   if (state.samples_gauge != nullptr) {
     state.samples_gauge->Set(static_cast<int64_t>(state.collected));
     state.drops_gauge->Set(static_cast<int64_t>(state.drops));
-    state.threads_gauge->Set(static_cast<int64_t>(state.threads.size()));
+    state.threads_gauge->Set(static_cast<int64_t>(state.live_threads));
     state.symcache_gauge->Set(
         static_cast<int64_t>(state.symbol_cache.size()));
   }
@@ -535,8 +451,9 @@ std::map<std::string, uint64_t> FoldedCountsLocked(ProfState& state) {
     FoldNodeLocked(state, root, &path, &out);
     path.clear();
   }
-  const int hz = state.hz != 0 ? state.hz : state.last_hz;
-  for (ThreadRec* rec : state.threads) {
+  const int hz = state.last_hz;
+  telemetry::RegistryLock lock;
+  for (const ThreadRecord* rec : lock.threads()) {
     for (const WaitSlot& w : rec->waits) {
       const char* tag = w.tag.load(std::memory_order_acquire);
       if (tag == nullptr) continue;
@@ -565,41 +482,27 @@ std::string RenderFolded(const std::map<std::string, uint64_t>& counts) {
 thread_local int64_t tls_heap_credit = 0;
 thread_local bool tls_in_heap_hook = false;
 
-/// Stack bounds for heap sampling on threads that never registered with
-/// the profiler (cached per thread; pthread_getattr_np reads /proc once).
-struct StackBounds {
-  uintptr_t lo = 0, hi = 0;
-};
-StackBounds QueryStackBounds() {
-  StackBounds b;
-  pthread_attr_t attr;
-  if (pthread_getattr_np(pthread_self(), &attr) == 0) {
-    void* addr = nullptr;
-    size_t size = 0;
-    if (pthread_attr_getstack(&attr, &addr, &size) == 0) {
-      b.lo = reinterpret_cast<uintptr_t>(addr);
-      b.hi = b.lo + size;
-    }
-    pthread_attr_destroy(&attr);
-  }
-  return b;
-}
-
 void HeapHook(std::size_t size) {
   if (tls_in_heap_hook) return;
   tls_heap_credit -= static_cast<int64_t>(size);
   if (tls_heap_credit > 0) return;
-  tls_in_heap_hook = true;
-  ProfState& state = State();
   // Everything below may allocate; the recursion guard makes that safe.
-  static thread_local StackBounds bounds = QueryStackBounds();
+  tls_in_heap_hook = true;
+  // The record bounds the walk. None while this thread is inside the
+  // registry: skip the sample; the spent credit retries on the next call.
+  const ThreadRecord* rec = telemetry::RegisterThisThread();
+  if (rec == nullptr) {
+    tls_in_heap_hook = false;
+    return;
+  }
+  ProfState& state = State();
   uintptr_t pcs[kMaxFrames];
   const uintptr_t fp =
       reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
   const uint32_t depth = WalkStack(
       reinterpret_cast<uintptr_t>(
           __builtin_extract_return_addr(__builtin_return_address(0))),
-      fp, fp, bounds.hi, pcs);
+      fp, fp, rec->stack_hi, pcs);
   {
     std::lock_guard<std::mutex> lock(state.heap_mu);
     if (state.heap_enabled) {
@@ -621,61 +524,20 @@ void HeapHook(std::size_t size) {
 
 // --- Public API. -----------------------------------------------------------
 
-int64_t MonotonicNowNs() { return NowNs(); }
-
-ThreadScope::ThreadScope(const char* name) {
-  auto* rec = new ThreadRec();
-  rec->name = name != nullptr ? name : "thread";
-  rec->tid = static_cast<pid_t>(syscall(SYS_gettid));
-  rec->pthread = pthread_self();
-  const StackBounds bounds = QueryStackBounds();
-  rec->stack_lo = bounds.lo;
-  rec->stack_hi = bounds.hi;
-  ProfState& state = State();
-  std::lock_guard<std::mutex> lock(state.mu);
-  state.threads.push_back(rec);
-  tls_rec = rec;
-  if (state.sampling) ArmTimerLocked(rec, state.hz);
-}
-
-ThreadScope::~ThreadScope() {
-  ProfState& state = State();
-  ThreadRec* rec = tls_rec;
-  if (rec == nullptr) return;
-  std::lock_guard<std::mutex> lock(state.mu);
-  DisarmTimerLocked(rec);
-  rec->retired = true;  // a later StartCpuProfiler must not re-arm it
-  tls_rec = nullptr;  // a straggler SIGPROF after this is a no-op
-  DrainRecLocked(state, rec);  // keep the thread's samples
-  // Fold the thread's wait totals into a long-lived anonymous record? No:
-  // wait totals render from live records, so drain them into the trie-side
-  // map by re-tagging under a retired record is overkill — instead keep
-  // the record alive but remove the timer; it is owned by the registry
-  // until ResetProfile. Cheap (a few hundred bytes plus the ring).
-  // The record stays in state.threads so FoldedCounts still sees its waits.
-  (void)0;
-}
-
 bool StartCpuProfiler(int hz, telemetry::MetricRegistry* metrics) {
   if (hz < 1 || hz > 1000) return false;
   ProfState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
-  if (state.sampling) return false;
+  if (telemetry::ThreadSamplingHz() != 0) return false;
   InstallSigactionLocked(state);
-  if (!state.crash_aux_registered) {
-    trace::RegisterCrashAux("profiler", &CrashJson);
-    state.crash_aux_registered = true;
-  }
   if (metrics != nullptr && state.samples_gauge == nullptr) {
     state.samples_gauge = metrics->GetGauge("fcp_prof_samples_total");
     state.drops_gauge = metrics->GetGauge("fcp_prof_drops_total");
     state.threads_gauge = metrics->GetGauge("fcp_prof_threads");
     state.symcache_gauge = metrics->GetGauge("fcp_prof_symbol_cache_size");
   }
-  state.hz = hz;
   state.last_hz = hz;
-  state.sampling = true;
-  for (ThreadRec* rec : state.threads) ArmTimerLocked(rec, hz);
+  telemetry::SetThreadSamplingHz(hz);
   EnabledFlag().store(true, std::memory_order_relaxed);
   return true;
 }
@@ -683,24 +545,13 @@ bool StartCpuProfiler(int hz, telemetry::MetricRegistry* metrics) {
 void StopCpuProfiler() {
   ProfState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
-  if (!state.sampling) return;
   EnabledFlag().store(false, std::memory_order_relaxed);
-  for (ThreadRec* rec : state.threads) DisarmTimerLocked(rec);
-  state.sampling = false;
-  state.hz = 0;
+  telemetry::SetThreadSamplingHz(0);
 }
 
-bool IsSampling() {
-  ProfState& state = State();
-  std::lock_guard<std::mutex> lock(state.mu);
-  return state.sampling;
-}
+bool IsSampling() { return telemetry::ThreadSamplingHz() != 0; }
 
-int SamplingHz() {
-  ProfState& state = State();
-  std::lock_guard<std::mutex> lock(state.mu);
-  return state.hz;
-}
+int SamplingHz() { return telemetry::ThreadSamplingHz(); }
 
 void CollectNow() {
   ProfState& state = State();
@@ -746,8 +597,8 @@ std::string CaptureFoldedProfile(int seconds, int hz) {
 }
 
 void RecordWaitNs(const char* tag, int64_t ns) {
-  ThreadRec* rec = tls_rec;
-  if (rec == nullptr || tag == nullptr || ns <= 0) return;
+  ThreadRecord* rec = telemetry::ThisThread();
+  if (rec == nullptr || !rec->profiled || tag == nullptr || ns <= 0) return;
   for (WaitSlot& w : rec->waits) {
     const char* cur = w.tag.load(std::memory_order_acquire);
     if (cur == nullptr) {
@@ -772,7 +623,7 @@ ProfStats Stats() {
   ProfStats s;
   s.samples = state.collected;
   s.drops = state.drops;
-  s.threads = state.threads.size();
+  s.threads = state.live_threads;
   s.symbols_cached = state.symbol_cache.size();
   return s;
 }
@@ -780,12 +631,17 @@ ProfStats Stats() {
 void ResetProfile() {
   ProfState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
-  for (ThreadRec* rec : state.threads) {
-    rec->tail.store(rec->head.load(std::memory_order_acquire),
-                    std::memory_order_relaxed);
-    for (WaitSlot& w : rec->waits) {
-      w.ns.store(0, std::memory_order_relaxed);
-      w.count.store(0, std::memory_order_relaxed);
+  {
+    // Released before heap_mu: an allocation under heap_mu can reach the
+    // registry through the heap hook.
+    telemetry::RegistryLock registry_lock;
+    for (ThreadRecord* rec : registry_lock.threads()) {
+      rec->sample_tail.store(rec->sample_head.load(std::memory_order_acquire),
+                             std::memory_order_relaxed);
+      for (WaitSlot& w : rec->waits) {
+        w.ns.store(0, std::memory_order_relaxed);
+        w.count.store(0, std::memory_order_relaxed);
+      }
     }
   }
   state.trie = Trie();
@@ -845,34 +701,37 @@ std::string HeapProfile() {
 }
 
 std::string CrashJson() {
-  // Best-effort, mirrors the trace black box's stance: takes the registry
-  // mutex and allocates — acceptable in a crash path that already does.
+  // Best-effort, like the rest of the crash dump: takes the profiler and
+  // registry mutexes and allocates.
   ProfState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
+  const int hz = telemetry::ThreadSamplingHz();
   std::string out = "{\"sampling\":";
-  out += state.sampling ? "true" : "false";
-  out += ",\"hz\":" + std::to_string(state.hz);
+  out += hz != 0 ? "true" : "false";
+  out += ",\"hz\":" + std::to_string(hz);
   out += ",\"collected\":" + std::to_string(state.collected);
   out += ",\"drops\":" + std::to_string(state.drops);
   out += ",\"threads\":[";
   bool first_thread = true;
   constexpr uint64_t kTailCap = 16;
   char hex[32];
-  for (ThreadRec* rec : state.threads) {
+  telemetry::RegistryLock registry_lock;
+  for (const ThreadRecord* rec : registry_lock.threads()) {
+    if (!rec->profiled) continue;
     if (!first_thread) out += ',';
     first_thread = false;
     out += "{\"name\":\"";
     out += rec->name;  // thread names are our own identifiers, JSON-clean
     out += "\",\"tid\":" + std::to_string(rec->tid);
-    const uint64_t h = rec->head.load(std::memory_order_acquire);
+    const uint64_t h = rec->sample_head.load(std::memory_order_acquire);
     out += ",\"samples\":" + std::to_string(h);
     out += ",\"tail\":[";
-    Slot* slots = rec->slots.load(std::memory_order_acquire);
+    SampleSlot* slots = rec->samples.load(std::memory_order_acquire);
     if (slots != nullptr) {
       uint64_t from = h > kTailCap ? h - kTailCap : 0;
       bool first_sample = true;
       for (uint64_t i = from; i < h; ++i) {
-        Slot& slot = slots[i % kRingSlots];
+        SampleSlot& slot = slots[i % kSampleRingSlots];
         if (slot.seq.load(std::memory_order_acquire) != i) continue;
         if (!first_sample) out += ',';
         first_sample = false;

@@ -2,19 +2,19 @@
 // signal-based sampling CPU profiler plus an off-CPU wait profiler, feeding
 // the /pprof endpoints of the observability plane.
 //
-// CPU sampling: every registered thread gets a POSIX per-thread CPU-clock
-// timer (timer_create + SIGEV_THREAD_ID) that delivers SIGPROF at the
-// configured frequency *of that thread's CPU time* — a thread blocked on a
-// condition variable burns no CPU and receives no signals, so the sample
-// distribution is an on-CPU profile by construction. The signal handler
-// walks the interrupted frame-pointer chain (the build keeps frame pointers
-// when FCP_PROF is on) into a lock-free per-thread sample ring with a
-// drop-oldest policy; it allocates nothing, takes no locks and calls no
-// library function that could.
+// CPU sampling: every thread inside a telemetry::ThreadScope gets a POSIX
+// per-thread CPU-clock timer (timer_create + SIGEV_THREAD_ID) that delivers
+// SIGPROF at the configured frequency *of that thread's CPU time* — a
+// thread blocked on a condition variable burns no CPU and receives no
+// signals, so the sample distribution is an on-CPU profile by construction.
+// The signal handler walks the interrupted frame-pointer chain (the build
+// keeps frame pointers when FCP_PROF is on) into a lock-free per-thread
+// sample ring with a drop-oldest policy; it allocates nothing, takes no
+// locks and calls no library function that could.
 //
-// Off-CPU: the pipeline's block points (BoundedQueue waits, merge stalls,
-// steal idling) report their wall-clock wait time through RecordWaitNs into
-// per-thread tag tables; the collector renders them as `wait;<tag>` pseudo
+// Off-CPU: the pipeline's block points (BoundedQueue pop-empty and
+// push-full waits) report their wall-clock wait time through RecordWaitNs
+// into per-thread tag tables; the collector renders them as `wait;<tag>` pseudo
 // stacks scaled to CPU-sample units so one folded profile shows where
 // cycles AND wall-time go.
 //
@@ -38,6 +38,8 @@
 #include <cstdint>
 #include <string>
 
+#include "util/stopwatch.h"
+
 namespace fcp {
 namespace telemetry {
 class MetricRegistry;
@@ -53,12 +55,13 @@ inline constexpr bool kCompiledIn = false;
 inline constexpr bool kCompiledIn = true;
 #endif
 
-/// Max frames kept per sample (deeper stacks are truncated at the root end).
-inline constexpr int kMaxFrames = 32;
-
-/// Per-thread sample-ring capacity in samples. At 100 Hz a thread fills
-/// this in ~20 s, so any collection cadence above 1/10 Hz never drops.
-inline constexpr size_t kRingSlots = 2048;
+/// Aggregate counters (drained + in-flight samples are both counted once).
+struct ProfStats {
+  uint64_t samples = 0;        ///< samples collected into the trie
+  uint64_t drops = 0;          ///< ring-wrap overwrites
+  uint64_t threads = 0;        ///< live threads inside a ThreadScope
+  uint64_t symbols_cached = 0; ///< resolved PC -> name cache entries
+};
 
 #if !defined(FCP_PROF_DISABLED)
 
@@ -72,22 +75,10 @@ inline bool IsEnabled() {
   return EnabledFlag().load(std::memory_order_relaxed);
 }
 
-/// Registers the calling thread with the profiler for the scope's lifetime:
-/// while the profiler is armed the thread has a sample ring and a per-thread
-/// CPU-clock SIGPROF timer. Registration outside an armed window is a cheap
-/// bookkeeping entry (no ring allocation). The name is copied. Threads that
-/// never register are simply invisible to the profiler.
-class ThreadScope {
- public:
-  explicit ThreadScope(const char* name);
-  ~ThreadScope();
-  ThreadScope(const ThreadScope&) = delete;
-  ThreadScope& operator=(const ThreadScope&) = delete;
-};
-
-/// Arms CPU sampling at `hz` for every registered thread (and every thread
-/// that registers while armed). Publishes profiler gauges into `metrics`
-/// when non-null (fcp_prof_samples_total, fcp_prof_drops_total,
+/// Arms CPU sampling at `hz` for every thread inside a
+/// telemetry::ThreadScope (and every scope opened while armed); threads
+/// outside one are invisible to the profiler. Publishes profiler gauges
+/// into `metrics` when non-null (fcp_prof_samples_total, fcp_prof_drops_total,
 /// fcp_prof_threads, fcp_prof_symbol_cache_size). Returns false if already
 /// armed or `hz` is out of [1, 1000].
 bool StartCpuProfiler(int hz, telemetry::MetricRegistry* metrics = nullptr);
@@ -123,20 +114,13 @@ std::string CaptureFoldedProfile(int seconds, int hz = 100);
 
 /// Records `ns` of off-CPU wall time against `tag` for the calling thread.
 /// `tag` must have static storage duration (the pointer is the key). No-op
-/// when the thread is unregistered. Callers gate on IsEnabled().
+/// outside a telemetry::ThreadScope. Callers gate on IsEnabled().
 void RecordWaitNs(const char* tag, int64_t ns);
 
-/// Aggregate counters (drained + in-flight samples are both counted once).
-struct ProfStats {
-  uint64_t samples = 0;        ///< samples collected into the trie
-  uint64_t drops = 0;          ///< ring-wrap overwrites
-  uint64_t threads = 0;        ///< currently registered threads
-  uint64_t symbols_cached = 0; ///< resolved PC -> name cache entries
-};
 ProfStats Stats();
 
 /// Drops the cumulative trie, wait totals and drop counters (not the
-/// registrations). Tests.
+/// thread records). Tests.
 void ResetProfile();
 
 // --- Heap profiling (layered on util/alloc_counter.h's hook slot). ---------
@@ -156,26 +140,15 @@ bool HeapProfilerEnabled();
 /// value equal the true allocated bytes).
 std::string HeapProfile();
 
-// --- Crash-handler integration (satellite: trace black box). ---------------
-
 /// JSON value describing the profiler's state and the last few samples of
-/// every ring — spliced into the fatal-signal .crash.json by the trace
-/// crash handler (trace::RegisterCrashAux). Reads rings racily; a torn
-/// tail beats none. Exposed for tests.
+/// every profiled thread's ring: the "profiler" member of the fatal-signal
+/// .crash.json (obs/crash_dump.h). Reads rings racily; a torn tail beats
+/// none.
 std::string CrashJson();
-
-/// The monotonic clock wait points use (exposed so instrumentation sites
-/// and benches share one definition).
-int64_t MonotonicNowNs();
 
 #else  // FCP_PROF_DISABLED: every entry point is an inline no-op.
 
 inline bool IsEnabled() { return false; }
-
-class ThreadScope {
- public:
-  explicit ThreadScope(const char*) {}
-};
 
 inline bool StartCpuProfiler(int, telemetry::MetricRegistry* = nullptr) {
   return false;
@@ -188,12 +161,6 @@ inline std::string FoldedProfile() { return ""; }
 inline std::string CaptureFoldedProfile(int, int = 100) { return ""; }
 inline void RecordWaitNs(const char*, int64_t) {}
 
-struct ProfStats {
-  uint64_t samples = 0;
-  uint64_t drops = 0;
-  uint64_t threads = 0;
-  uint64_t symbols_cached = 0;
-};
 inline ProfStats Stats() { return {}; }
 inline void ResetProfile() {}
 
@@ -202,7 +169,6 @@ inline void DisableHeapProfiler() {}
 inline bool HeapProfilerEnabled() { return false; }
 inline std::string HeapProfile() { return ""; }
 inline std::string CrashJson() { return "{}"; }
-inline int64_t MonotonicNowNs() { return 0; }
 
 #endif  // FCP_PROF_DISABLED
 

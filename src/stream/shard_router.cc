@@ -1,19 +1,13 @@
 #include "stream/shard_router.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/check.h"
+#include "util/stopwatch.h"
 
 namespace fcp {
 namespace {
-
-int64_t SteadyNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Live-set compaction cadence: a full scan every this many Route() calls
 // keeps the amortized prune cost O(1) per segment while bounding how long an
@@ -61,7 +55,7 @@ uint32_t ShardRouter::Route(const SegmentRef& segment) {
   watermark_ = std::max(watermark_, segment->end_time());
   watermark_pub_.store(watermark_, std::memory_order_relaxed);
   ++stats_.segments_routed;
-  const int64_t now_ns = SteadyNowNs();
+  const int64_t now_ns = MonotonicNowNs();
 
   uint32_t delivered = 0;
   uint64_t delivered_mask = 0;
@@ -124,7 +118,7 @@ void ShardRouter::CompactLive() {
 uint64_t ShardRouter::ApplyPlacement(std::shared_ptr<const PlacementMap> next) {
   FCP_CHECK(options_.track_live);
   FCP_CHECK(next != nullptr && next->num_shards() == num_shards_);
-  const int64_t now_ns = SteadyNowNs();
+  const int64_t now_ns = MonotonicNowNs();
   CompactLive();
   uint64_t backfills = 0;
   for (size_t i = 0; i < live_.size(); ++i) {

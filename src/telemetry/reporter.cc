@@ -3,7 +3,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "telemetry/trace.h"
+#include "telemetry/thread_registry.h"
 
 namespace fcp::telemetry {
 
@@ -69,7 +69,7 @@ void MetricReporter::EmitOnce() {
 }
 
 void MetricReporter::Loop() {
-  trace::SetThreadName("metrics-reporter");
+  ThreadScope scope("metrics-reporter");
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_) {
     const bool stopping = cv_.wait_for(

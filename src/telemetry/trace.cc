@@ -1,83 +1,49 @@
 #include "telemetry/trace.h"
 
+#include <algorithm>
 #include <bit>
-#include <chrono>
-#include <cstring>
-#include <memory>
-#include <mutex>
+
+#include "telemetry/thread_registry.h"
+#include "util/stopwatch.h"
 
 namespace fcp::trace {
 namespace {
 
 constexpr size_t kMinSlots = 64;
-constexpr size_t kThreadNameCap = 32;
 
-/// One thread's ring. Only the owning thread writes slots and head; readers
-/// (Snapshot) are exact at quiescence, racy on the crash path by design.
-struct ThreadRing {
-  explicit ThreadRing(size_t slot_count)
-      : slots(new TraceEvent[slot_count]), mask(slot_count - 1) {}
+// Recording state, guarded by the thread registry's lock.
+size_t g_ring_slots = 8192;
+uint64_t g_tracks = 0;  ///< track ids handed out since Start
 
-  std::unique_ptr<TraceEvent[]> slots;
-  size_t mask;
-  /// Monotonic write index (next slot = head & mask). Release-stored after
-  /// the slot write so a quiescent reader acquiring it sees complete slots.
-  std::atomic<uint64_t> head{0};
-  uint64_t tid = 0;
-  char name[kThreadNameCap] = {};
-};
+std::atomic<uint64_t> g_next_flow{1};
 
-struct Registry {
-  std::mutex mu;
-  std::vector<std::unique_ptr<ThreadRing>> rings;
-  size_t ring_slots = 8192;
-  /// Bumped by Start/Reset so stale thread-local ring pointers re-register
-  /// instead of writing into a freed ring.
-  std::atomic<uint64_t> epoch{1};
-  std::atomic<uint64_t> next_flow{1};
-};
-
-Registry& GetRegistry() {
-  static Registry* registry = new Registry();
-  return *registry;
+/// Drops every record's ring; later rings get `ring_slots` slots.
+/// Quiescence required.
+void DropRings(size_t ring_slots) {
+  telemetry::RegistryLock lock;
+  for (telemetry::ThreadRecord* rec : lock.threads()) {
+    delete rec->trace.exchange(nullptr, std::memory_order_relaxed);
+  }
+  g_ring_slots = ring_slots;
+  g_tracks = 0;
 }
 
-thread_local ThreadRing* t_ring = nullptr;
-thread_local uint64_t t_epoch = 0;
-thread_local char t_name[kThreadNameCap] = {};
-
-/// Registers the calling thread's ring (first event after Start/Reset).
-/// The one place the recorder allocates.
-ThreadRing* RegisterThread() {
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  auto ring = std::make_unique<ThreadRing>(registry.ring_slots);
-  ring->tid = registry.rings.size() + 1;  // stable, compact track ids
-  std::memcpy(ring->name, t_name, kThreadNameCap);
-  registry.rings.push_back(std::move(ring));
-  t_ring = registry.rings.back().get();
-  t_epoch = registry.epoch.load(std::memory_order_relaxed);
-  return t_ring;
+/// Attaches a ring for the current recording to the calling thread's record
+/// (first event after Start). The one place the recorder allocates.
+telemetry::TraceRing* AttachRing() {
+  telemetry::ThreadRecord* rec = telemetry::RegisterThisThread();
+  if (rec == nullptr) return nullptr;
+  telemetry::RegistryLock lock;
+  auto* ring = new telemetry::TraceRing(g_ring_slots, ++g_tracks);
+  rec->trace.store(ring, std::memory_order_release);
+  return ring;
 }
 
 }  // namespace
 
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 void Start(size_t ring_kb) {
-  Registry& registry = GetRegistry();
-  {
-    std::lock_guard<std::mutex> lock(registry.mu);
-    size_t slots = ring_kb * 1024 / sizeof(TraceEvent);
-    slots = std::bit_ceil(slots < kMinSlots ? kMinSlots : slots);
-    registry.ring_slots = slots;
-    registry.rings.clear();  // discard any previous recording
-    registry.epoch.fetch_add(1, std::memory_order_relaxed);
-  }
+  const size_t slots = ring_kb * 1024 / sizeof(TraceEvent);
+  DropRings(std::bit_ceil(std::max(slots, kMinSlots)));
   EnabledFlag().store(true, std::memory_order_release);
 }
 
@@ -85,23 +51,21 @@ void Stop() { EnabledFlag().store(false, std::memory_order_release); }
 
 void Reset() {
   Stop();
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  registry.rings.clear();
-  registry.epoch.fetch_add(1, std::memory_order_relaxed);
+  DropRings(g_ring_slots);  // quiescent: no concurrent Start
 }
 
 void Emit(Phase phase, const char* name, uint64_t flow, uint32_t arg) {
   if (!IsEnabled()) return;
-  Registry& registry = GetRegistry();
-  ThreadRing* ring = t_ring;
-  if (ring == nullptr ||
-      t_epoch != registry.epoch.load(std::memory_order_relaxed)) {
-    ring = RegisterThread();
+  telemetry::ThreadRecord* rec = telemetry::ThisThread();
+  telemetry::TraceRing* ring =
+      rec != nullptr ? rec->trace.load(std::memory_order_relaxed) : nullptr;
+  if (ring == nullptr) {
+    ring = AttachRing();
+    if (ring == nullptr) return;
   }
   const uint64_t head = ring->head.load(std::memory_order_relaxed);
   TraceEvent& slot = ring->slots[head & ring->mask];
-  slot.ts_ns = NowNs();
+  slot.ts_ns = MonotonicNowNs();
   slot.name = name;
   slot.flow = flow;
   slot.arg = arg;
@@ -109,31 +73,20 @@ void Emit(Phase phase, const char* name, uint64_t flow, uint32_t arg) {
   ring->head.store(head + 1, std::memory_order_release);
 }
 
-void SetThreadName(const char* name) {
-  std::strncpy(t_name, name, kThreadNameCap - 1);
-  t_name[kThreadNameCap - 1] = '\0';
-  Registry& registry = GetRegistry();
-  ThreadRing* ring = t_ring;
-  if (ring != nullptr &&
-      t_epoch == registry.epoch.load(std::memory_order_relaxed)) {
-    std::lock_guard<std::mutex> lock(registry.mu);
-    std::memcpy(ring->name, t_name, kThreadNameCap);
-  }
-}
-
 uint64_t NextFlowId() {
-  return GetRegistry().next_flow.fetch_add(1, std::memory_order_relaxed);
+  return g_next_flow.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<ThreadTrace> Snapshot() {
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
   std::vector<ThreadTrace> out;
-  out.reserve(registry.rings.size());
-  for (const auto& ring : registry.rings) {
+  telemetry::RegistryLock lock;
+  for (const telemetry::ThreadRecord* rec : lock.threads()) {
+    const telemetry::TraceRing* ring =
+        rec->trace.load(std::memory_order_acquire);
+    if (ring == nullptr) continue;
     ThreadTrace thread;
-    thread.tid = ring->tid;
-    thread.name = ring->name;
+    thread.tid = ring->track;
+    thread.name = rec->name;
     const uint64_t head = ring->head.load(std::memory_order_acquire);
     const size_t capacity = ring->mask + 1;
     const uint64_t n = head < capacity ? head : capacity;
@@ -144,6 +97,10 @@ std::vector<ThreadTrace> Snapshot() {
     }
     out.push_back(std::move(thread));
   }
+  std::sort(out.begin(), out.end(),
+            [](const ThreadTrace& a, const ThreadTrace& b) {
+              return a.tid < b.tid;
+            });
   return out;
 }
 

@@ -13,21 +13,22 @@
 //   - Recording enabled, steady state: a handful of plain stores into the
 //     calling thread's ring slot plus one release store of the head index —
 //     no locks, no allocation, no cross-thread contention.
-//   - The only allocation is per-thread ring registration, which happens on
-//     a thread's FIRST recorded event (mutex + one array allocation) — never
-//     again on that thread.
+//   - The only allocation is the thread's ring (and record, if it has none
+//     yet), attached on its FIRST recorded event after Start — never again
+//     on that thread during the recording.
 //   - Compiled out (cmake -DFCP_TRACE=OFF): the FCP_TRACE_* macros expand to
 //     nothing, so instrumented hot paths carry zero bytes of trace code.
 //
 // Event names MUST be string literals (or other static-storage strings): the
 // recorder stores the pointer, not a copy. Flow ids stitch one logical
-// operation across threads (a segment's journey worker -> merge -> shards);
-// the serializer emits them as Chrome flow events so Perfetto draws arrows
-// across track boundaries.
+// operation across threads (a segment's journey ingest -> shards); the
+// serializer emits them as Chrome flow events so Perfetto draws arrows
+// across track boundaries. Tracks are named by telemetry::ThreadScope.
 //
 // Snapshot/serialize read ring slots written without atomics, so they are
-// exact only at quiescence (writers stopped or joined); the crash handler
-// knowingly reads racy tails — a torn final event beats an empty black box.
+// exact only at quiescence (writers stopped or joined); the crash writer
+// (obs/crash_dump.h) knowingly reads racy tails — a torn final event beats
+// an empty black box.
 
 #ifndef FCP_TELEMETRY_TRACE_H_
 #define FCP_TELEMETRY_TRACE_H_
@@ -67,9 +68,6 @@ struct TraceEvent {
   Phase phase = Phase::kInstant;
 };
 
-/// Monotonic nanosecond clock shared by all recorder events.
-int64_t NowNs();
-
 /// Starts recording with `ring_kb` KiB of ring per thread (rounded to a
 /// power-of-two slot count, minimum 64 slots). Must be called at quiescence
 /// (no concurrently emitting threads); discards any previous recording.
@@ -78,7 +76,7 @@ void Start(size_t ring_kb = 256);
 /// Stops recording (events already in the rings are kept for Snapshot).
 void Stop();
 
-/// Drops all rings and thread registrations. Quiescence required. Tests.
+/// Stops recording and drops every ring. Quiescence required. Tests.
 void Reset();
 
 inline std::atomic<bool>& EnabledFlag() {
@@ -95,24 +93,20 @@ inline bool IsEnabled() {
 /// `name` must have static storage duration.
 void Emit(Phase phase, const char* name, uint64_t flow = 0, uint32_t arg = 0);
 
-/// Names the calling thread's track in the serialized trace ("shard-0",
-/// "merge", ...). Cheap and callable whether or not recording is on (the
-/// name is kept thread-locally and attached to the ring at registration).
-void SetThreadName(const char* name);
-
 /// Allocates a process-unique flow id (never 0).
 uint64_t NextFlowId();
 
 /// One thread's recorded tail, oldest event first.
 struct ThreadTrace {
-  uint64_t tid = 0;        ///< serializer track id (registration order)
-  std::string name;        ///< SetThreadName value, may be empty
+  uint64_t tid = 0;        ///< serializer track id (first-event order)
+  std::string name;        ///< ThreadScope name, may be empty
   uint64_t dropped = 0;    ///< events overwritten by ring wrap
   std::vector<TraceEvent> events;
 };
 
-/// Copies every registered ring's tail. Exact at quiescence; while writers
-/// run, the most recent slots of their rings may be torn (crash path only).
+/// Copies the tail of every ring of the current recording, by track id.
+/// Exact at quiescence; while writers run, the most recent slots of their
+/// rings may be torn (crash path only).
 std::vector<ThreadTrace> Snapshot();
 
 // --- Chrome trace-event serialization (trace_sink.cc). ---------------------
@@ -208,30 +202,6 @@ struct SlowOpSummary {
 /// The last-N retained slow-op summaries, oldest first (N is a small fixed
 /// cap). Cleared by ConfigureSlowOp, so each capture session starts empty.
 std::vector<SlowOpSummary> RecentSlowOps();
-
-// --- Fatal-signal black box (trace_sink.cc). -------------------------------
-
-/// Installs handlers for SIGSEGV/SIGBUS/SIGILL/SIGFPE/SIGABRT that write the
-/// full flight-recorder contents as Chrome trace JSON to `path` and then
-/// re-raise with the default disposition (so exit codes/core dumps are
-/// unchanged). Best-effort: the handler formats JSON with ordinary library
-/// calls, which is not async-signal-safe — acceptable for a crash-path black
-/// box, where a partial trace beats none. Idempotent; last path wins.
-void InstallCrashHandler(const std::string& path);
-
-/// A provider of auxiliary crash forensics: returns one JSON value (object,
-/// array or scalar). Must be callable from the fatal-signal path — same
-/// best-effort stance as the black box itself (may allocate; must not hang).
-using CrashAuxProvider = std::string (*)();
-
-/// Registers `provider` under `key` as an extra top-level member of the
-/// crash black box: the fatal-signal handler splices `"key": <value>` into
-/// the .crash.json next to "traceEvents". Strict consumers that read only
-/// "traceEvents" (ParseChromeTraceJson) are unaffected. At most a handful
-/// of providers (fixed small cap); `key` must be a JSON-clean static string.
-/// Re-registering a key overwrites its provider. The profiler registers
-/// its sample-ring tail here (prof::CrashJson).
-void RegisterCrashAux(const char* key, CrashAuxProvider provider);
 
 // --- RAII span + instrumentation macros. -----------------------------------
 

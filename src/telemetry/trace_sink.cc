@@ -1,19 +1,14 @@
-// Chrome trace-event serialization, slow-op forensic dumps and the fatal-
-// signal black box for the fcp::trace flight recorder (see trace.h).
+// Chrome trace-event serialization and slow-op forensic dumps for the
+// fcp::trace flight recorder (see trace.h).
 
 #include "telemetry/trace.h"
-
-#include <pthread.h>
-#include <signal.h>
 
 #include <atomic>
 #include <cctype>
 #include <chrono>
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <mutex>
 
@@ -319,62 +314,6 @@ SlowOpState& GetSlowOpState() {
   return *state;
 }
 
-// --- Crash handler state. --------------------------------------------------
-
-constexpr size_t kCrashPathCap = 1024;
-char g_crash_path[kCrashPathCap] = {};
-bool g_crash_handler_installed = false;
-
-/// Registered crash-aux providers (RegisterCrashAux). Fixed storage, plain
-/// writes guarded by a mutex on the register side; the crash handler reads
-/// the release-published count without locking (it must not block on a
-/// mutex a crashed thread might hold).
-constexpr size_t kCrashAuxCap = 4;
-struct CrashAuxEntry {
-  const char* key = nullptr;
-  CrashAuxProvider provider = nullptr;
-};
-CrashAuxEntry g_crash_aux[kCrashAuxCap];
-std::atomic<size_t> g_crash_aux_count{0};
-std::mutex g_crash_aux_mu;
-
-void CrashHandler(int signum) {
-  // Restore default disposition first so a second fault (or the re-raise
-  // below) terminates instead of recursing.
-  std::signal(signum, SIG_DFL);
-  // Mask SIGPROF for the duration of the dump: the sampling profiler's
-  // per-thread timers keep firing while we serialize, and a sample taken
-  // inside the (already not async-signal-safe) dump path helps nobody.
-  sigset_t block;
-  sigemptyset(&block);
-  sigaddset(&block, SIGPROF);
-  pthread_sigmask(SIG_BLOCK, &block, nullptr);
-  if (g_crash_path[0] != '\0') {
-    // Not async-signal-safe (allocates while serializing); a best-effort
-    // black box — see InstallCrashHandler's contract in trace.h.
-    std::string doc = SerializeChromeTrace(Snapshot());
-    const size_t aux_count =
-        g_crash_aux_count.load(std::memory_order_acquire);
-    const size_t splice = doc.rfind('}');
-    if (splice != std::string::npos) {
-      std::string extra;
-      for (size_t i = 0; i < aux_count && i < kCrashAuxCap; ++i) {
-        const CrashAuxEntry& entry = g_crash_aux[i];
-        if (entry.key == nullptr || entry.provider == nullptr) continue;
-        extra += ", \"";
-        extra += entry.key;
-        extra += "\": ";
-        extra += entry.provider();
-      }
-      doc.insert(splice, extra);
-    }
-    WriteFile(g_crash_path, doc);
-    std::fprintf(stderr, "fcp::trace: fatal signal %d, flight recorder -> %s\n",
-                 signum, g_crash_path);
-  }
-  raise(signum);
-}
-
 }  // namespace
 
 std::string SerializeChromeTrace(const std::vector<ThreadTrace>& threads) {
@@ -611,33 +550,6 @@ std::string WriteSlowOpDump(const SlowOpReport& report) {
   out += "}\n";
   WriteFile(path, out);
   return path;
-}
-
-void InstallCrashHandler(const std::string& path) {
-  std::strncpy(g_crash_path, path.c_str(), kCrashPathCap - 1);
-  g_crash_path[kCrashPathCap - 1] = '\0';
-  if (g_crash_handler_installed) return;
-  g_crash_handler_installed = true;
-  for (const int signum :
-       {SIGSEGV, SIGBUS, SIGILL, SIGFPE, SIGABRT}) {
-    std::signal(signum, CrashHandler);
-  }
-}
-
-void RegisterCrashAux(const char* key, CrashAuxProvider provider) {
-  if (key == nullptr || provider == nullptr) return;
-  std::lock_guard<std::mutex> lock(g_crash_aux_mu);
-  const size_t count = g_crash_aux_count.load(std::memory_order_relaxed);
-  for (size_t i = 0; i < count; ++i) {
-    if (std::strcmp(g_crash_aux[i].key, key) == 0) {
-      g_crash_aux[i].provider = provider;
-      return;
-    }
-  }
-  if (count >= kCrashAuxCap) return;  // fixed cap, silently full
-  g_crash_aux[count].key = key;
-  g_crash_aux[count].provider = provider;
-  g_crash_aux_count.store(count + 1, std::memory_order_release);
 }
 
 }  // namespace fcp::trace

@@ -1,9 +1,9 @@
 // Unit tests for the fcp::prof sampling profiler (DESIGN.md §2.9): the
 // arm/disarm lifecycle, SIGPROF sample capture and symbolization of a known
-// function, wait-tag attribution, folded rendering, heap-site sampling and
-// the crash-handler aux splice. The profiler is process-global (thread
-// records persist for the process lifetime), so every test starts from
-// StopCpuProfiler() + ResetProfile() and leaves the profiler disarmed.
+// function, wait-tag attribution, folded rendering, heap-site sampling,
+// live-thread accounting and the crash dump's profiler state. The profiler
+// is process-global, so every test starts from StopCpuProfiler() +
+// ResetProfile() and leaves the profiler disarmed.
 
 #include "util/alloc_counter.h"  // must be first: defines the counting
                                  // operator new the heap profiler hooks
@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/crash_dump.h"
+#include "telemetry/thread_registry.h"
 #include "telemetry/trace.h"
 
 namespace fcp {
@@ -100,9 +102,11 @@ TEST_F(ProfTest, StartStopLifecycle) {
 
 TEST_F(ProfTest, SamplesSymbolizeKnownFunctionUnderThreadName) {
   ASSERT_TRUE(prof::StartCpuProfiler(1000));
-  std::thread burner([] {
-    prof::ThreadScope scope("burner");
+  uint64_t live_threads = 0;  // read while the burner's scope is open
+  std::thread burner([&live_threads] {
+    telemetry::ThreadScope scope("burner");
     prof_test_detail::BurnThreadCpuMs(300);
+    live_threads = prof::Stats().threads;
   });
   burner.join();
   prof::StopCpuProfiler();
@@ -110,7 +114,7 @@ TEST_F(ProfTest, SamplesSymbolizeKnownFunctionUnderThreadName) {
   const prof::ProfStats stats = prof::Stats();
   EXPECT_GT(stats.samples, 10u) << "300ms of CPU at 1000 Hz sampled almost "
                                    "nothing";
-  EXPECT_GE(stats.threads, 1u);
+  EXPECT_GE(live_threads, 1u);
 
   const std::string folded = prof::FoldedProfile();
   ASSERT_FALSE(folded.empty());
@@ -121,11 +125,45 @@ TEST_F(ProfTest, SamplesSymbolizeKnownFunctionUnderThreadName) {
   EXPECT_GT(prof::Stats().symbols_cached, 0u);
 }
 
+TEST_F(ProfTest, JoinedThreadsLeaveTheCountButKeepTheirProfile) {
+  static const char* const kTag = "test/retired-wait";
+  const uint64_t baseline = prof::Stats().threads;
+  ASSERT_TRUE(prof::StartCpuProfiler(1000));
+  std::vector<std::string> names;
+  for (int round = 0; round < 3; ++round) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      std::string name = "round";
+      name += std::to_string(round);
+      name += '-';
+      name += std::to_string(t);
+      names.push_back(name);
+      threads.emplace_back([name] {
+        telemetry::ThreadScope scope(name.c_str());
+        prof_test_detail::BurnThreadCpuMs(40);
+        prof::WaitTimer wait(kTag);
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(prof::Stats().threads, baseline)
+        << "joined threads still counted after round " << round;
+  }
+  prof::StopCpuProfiler();
+  // Retired threads' samples and wait totals still render.
+  const std::string folded = prof::FoldedProfile();
+  for (const std::string& name : names) {
+    EXPECT_NE(folded.find(name + ";"), std::string::npos) << name << folded;
+  }
+  EXPECT_NE(folded.find("wait;test/retired-wait "), std::string::npos)
+      << folded;
+}
+
 TEST_F(ProfTest, WaitTimerAttributesBlockedWallTime) {
   static const char* const kTag = "test/block-point";
   ASSERT_TRUE(prof::StartCpuProfiler(1000));
   {
-    prof::ThreadScope scope("waiter");
+    telemetry::ThreadScope scope("waiter");
     prof::WaitTimer wait(kTag);
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
@@ -139,7 +177,7 @@ TEST_F(ProfTest, WaitTimerAttributesBlockedWallTime) {
 TEST_F(ProfTest, WaitTimerIsInertWhileDisarmed) {
   static const char* const kTag = "test/inert";
   {
-    prof::ThreadScope scope("idle");
+    telemetry::ThreadScope scope("idle");
     prof::WaitTimer wait(kTag);
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
@@ -158,7 +196,7 @@ TEST_F(ProfTest, ResetProfileDropsStacksAndWaitTotals) {
   static const char* const kTag = "test/reset-me";
   ASSERT_TRUE(prof::StartCpuProfiler(1000));
   {
-    prof::ThreadScope scope("resetter");
+    telemetry::ThreadScope scope("resetter");
     prof_test_detail::BurnThreadCpuMs(60);
     prof::WaitTimer wait(kTag);
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -172,7 +210,7 @@ TEST_F(ProfTest, ResetProfileDropsStacksAndWaitTotals) {
 
 TEST_F(ProfTest, CaptureFoldedProfileReturnsTheWindowDelta) {
   std::thread burner([] {
-    prof::ThreadScope scope("window-burner");
+    telemetry::ThreadScope scope("window-burner");
     prof_test_detail::BurnThreadCpuMs(1500);
   });
   // Not armed before the call: CaptureFoldedProfile arms for the window and
@@ -213,7 +251,7 @@ TEST_F(ProfTest, HeapHookUnhooksCleanly) {
 TEST_F(ProfTest, CrashJsonIsSelfContainedState) {
   ASSERT_TRUE(prof::StartCpuProfiler(500));
   std::thread burner([] {
-    prof::ThreadScope scope("crashy");
+    telemetry::ThreadScope scope("crashy");
     prof_test_detail::BurnThreadCpuMs(50);
   });
   burner.join();
@@ -239,15 +277,14 @@ TEST(CpuSamplerCrashDeathTest, FatalDumpCarriesProfilerAuxState) {
   EXPECT_DEATH(
       {
         trace::Start(64);
-        trace::SetThreadName("doomed");
+        telemetry::ThreadScope scope("doomed");
         trace::Emit(trace::Phase::kInstant, "about-to-die");
-        // Arming registers the profiler's crash-aux provider and starts
-        // SIGPROF delivery; the fatal path must mask SIGPROF and still
-        // produce a parseable dump with the profiler state spliced in.
+        // Arming starts SIGPROF delivery; the fatal path must mask SIGPROF
+        // and still produce a parseable dump with the profiler state
+        // spliced in.
         prof::StartCpuProfiler(1000);
-        prof::ThreadScope scope("doomed");
         prof_test_detail::BurnThreadCpuMs(80);
-        trace::InstallCrashHandler(path);
+        obs::InstallCrashHandler(path);
         std::raise(SIGABRT);
       },
       "fatal signal");

@@ -1,0 +1,127 @@
+// The one per-thread record behind both recorders (telemetry/
+// thread_registry.h): a pipeline thread named once by its ThreadScope shows
+// up under that name as a Chrome-trace track and as a folded-profile root,
+// and recording plus sampling leave the sharded output equal to serial.
+
+#include <chrono>
+#include <set>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/params.h"
+#include "core/mining_engine.h"
+#include "core/parallel_engine.h"
+#include "datagen/traffic_gen.h"
+#include "obs/watchdog.h"
+#include "prof/prof.h"
+#include "telemetry/trace.h"
+#include "test_util.h"
+
+namespace fcp {
+namespace {
+
+MiningParams Params() {
+  MiningParams params;
+  params.xi = Seconds(60);
+  params.tau = Minutes(30);
+  params.theta = 3;
+  params.min_pattern_size = 2;
+  params.max_pattern_size = 4;
+  return params;
+}
+
+std::vector<ObjectEvent> Trace() {
+  TrafficConfig config;
+  config.num_cameras = 20;
+  config.num_vehicles = 900;
+  config.total_events = 20000;
+  config.num_convoys = 3;
+  config.seed = 99;
+  return GenerateTraffic(config).events;
+}
+
+/// The first frame of every folded line: the sampled thread's name.
+std::set<std::string> FoldedRoots(const std::string& folded) {
+  std::set<std::string> roots;
+  std::istringstream lines(folded);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const size_t semi = line.find(';');
+    if (semi != std::string::npos) roots.insert(line.substr(0, semi));
+  }
+  return roots;
+}
+
+TEST(ThreadRegistryTest, PipelineThreadsShareOneNameAcrossBothRecorders) {
+  if (!trace::kCompiledIn || !prof::kCompiledIn) {
+    GTEST_SKIP() << "needs the flight recorder and the profiler compiled in";
+  }
+  const std::vector<ObjectEvent> events = Trace();
+  MiningEngine serial(MinerKind::kCooMine, Params());
+  std::vector<Fcp> serial_all;
+  for (const ObjectEvent& event : events) {
+    for (Fcp& f : serial.PushEvent(event)) serial_all.push_back(std::move(f));
+  }
+  for (Fcp& f : serial.Flush()) serial_all.push_back(std::move(f));
+  ASSERT_FALSE(serial_all.empty()) << "workload mined nothing";
+
+  trace::Reset();
+  prof::ResetProfile();
+  trace::Start(1024);
+  ASSERT_TRUE(prof::StartCpuProfiler(1000));
+  obs::WatchdogOptions watchdog_options;
+  watchdog_options.poll_interval_ms = 1;
+  obs::Watchdog watchdog(watchdog_options);
+  watchdog.Start();
+
+  std::vector<testing::FcpSignature> sharded;
+  std::string folded;
+  {
+    ParallelEngineOptions options;
+    options.num_miner_shards = 2;
+    options.watchdog = &watchdog;
+    ParallelEngine engine(MinerKind::kCooMine, Params(), options);
+    for (const ObjectEvent& event : events) engine.Push(event);
+    engine.Finish();
+    sharded = testing::FullSignatures(engine.results());
+    // The watchdog burns little CPU per evaluation; keep it evaluating
+    // until its CPU-time timer has fired (the engine must outlive it).
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    do {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      folded = prof::FoldedProfile();
+    } while (FoldedRoots(folded).count("watchdog") == 0 &&
+             std::chrono::steady_clock::now() < deadline);
+    watchdog.Stop();
+  }
+  prof::StopCpuProfiler();
+  trace::Stop();
+
+  std::string error;
+  const auto parsed = trace::ParseChromeTraceJson(
+      trace::SerializeChromeTrace(trace::Snapshot()), &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  std::set<std::string> track_names;
+  for (const trace::ParsedTraceEvent& e : *parsed) {
+    if (e.ph == 'M' && e.name == "thread_name") track_names.insert(e.arg_name);
+  }
+  const std::set<std::string> roots = FoldedRoots(folded);
+  for (const char* name : {"ingest", "shard-0", "shard-1", "watchdog"}) {
+    EXPECT_TRUE(track_names.count(name)) << name << " has no trace track";
+    EXPECT_TRUE(roots.count(name)) << name << " has no profile root:\n"
+                                   << folded;
+  }
+  EXPECT_EQ(sharded, testing::FullSignatures(serial_all))
+      << "recording and sampling changed the sharded output";
+
+  trace::Reset();
+  prof::ResetProfile();
+}
+
+}  // namespace
+}  // namespace fcp

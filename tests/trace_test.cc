@@ -18,6 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/crash_dump.h"
+#include "telemetry/thread_registry.h"
+
 namespace fcp {
 namespace {
 
@@ -43,7 +46,7 @@ TEST_F(TraceRecorderTest, DisabledByDefaultRecordsNothing) {
 TEST_F(TraceRecorderTest, RecordsEventsInOrderWithThreadName) {
   trace::Start(64);
   EXPECT_TRUE(trace::IsEnabled());
-  trace::SetThreadName("recorder-test");
+  telemetry::ThreadScope scope("recorder-test");
   trace::Emit(trace::Phase::kBegin, "op", /*flow=*/7, /*arg=*/3);
   trace::Emit(trace::Phase::kInstant, "tick");
   trace::Emit(trace::Phase::kEnd, "op");
@@ -116,10 +119,10 @@ TEST_F(TraceRecorderTest, SpanConstructedWhileDisabledStaysSilent) {
 
 TEST_F(TraceRecorderTest, EachThreadGetsItsOwnRing) {
   trace::Start(64);
-  trace::SetThreadName("main");
+  telemetry::ThreadScope scope("main");
   trace::Emit(trace::Phase::kInstant, "from-main");
   std::thread helper([] {
-    trace::SetThreadName("helper");
+    telemetry::ThreadScope helper_scope("helper");
     trace::Emit(trace::Phase::kInstant, "from-helper");
     trace::Emit(trace::Phase::kInstant, "from-helper");
   });
@@ -166,7 +169,7 @@ class TraceSerializerTest : public TraceRecorderTest {};
 
 TEST_F(TraceSerializerTest, SerializeParseRoundTrip) {
   trace::Start(64);
-  trace::SetThreadName("serializer");
+  telemetry::ThreadScope scope("serializer");
   {
     trace::Span span("mine", /*flow=*/0, /*arg=*/5);
     trace::Emit(trace::Phase::kFlowEnd, "segment", 255);
@@ -294,7 +297,7 @@ TEST_F(SlowOpTest, NegativeThresholdIsTreatedAsDisabled) {
 
 TEST_F(SlowOpTest, DumpContainsReportStateAndRecorderTail) {
   trace::Start(64);
-  trace::SetThreadName("slowop");
+  telemetry::ThreadScope scope("slowop");
   trace::Emit(trace::Phase::kInstant, "before-the-slow-op");
 
   trace::SlowOpOptions options;
@@ -351,9 +354,9 @@ TEST(CrashDumpDeathTest, FatalSignalWritesFlightRecorderBlackBox) {
   EXPECT_DEATH(
       {
         trace::Start(64);
-        trace::SetThreadName("doomed");
+        telemetry::ThreadScope scope("doomed");
         trace::Emit(trace::Phase::kInstant, "crash-imminent");
-        trace::InstallCrashHandler(path);
+        obs::InstallCrashHandler(path);
         std::raise(SIGABRT);
       },
       "fatal signal");
@@ -364,6 +367,9 @@ TEST(CrashDumpDeathTest, FatalSignalWritesFlightRecorderBlackBox) {
   std::string error;
   EXPECT_TRUE(trace::ValidateChromeTraceJson(dump, &error)) << error;
   EXPECT_NE(dump.find("crash-imminent"), std::string::npos);
+  // The one crash writer always adds the profiler's state ("{}" when the
+  // profiler is compiled out).
+  EXPECT_NE(dump.find("\"profiler\""), std::string::npos);
   std::remove(path.c_str());
 }
 

@@ -110,12 +110,14 @@
 #include "datagen/traffic_gen.h"
 #include "datagen/twitter_gen.h"
 #include "io/trace_io.h"
+#include "obs/crash_dump.h"
 #include "obs/endpoints.h"
 #include "obs/obs_server.h"
 #include "obs/watchdog.h"
 #include "prof/prof.h"
 #include "telemetry/registry.h"
 #include "telemetry/reporter.h"
+#include "telemetry/thread_registry.h"
 #include "telemetry/trace.h"
 #include "util/flags.h"
 #include "util/kernels/kernels.h"
@@ -149,6 +151,9 @@ int main(int argc, char** argv) {
                 "ingest thread");
   }
 
+  // Names main for the flight recorder and the profiler alike.
+  fcp::telemetry::ThreadScope main_scope("main");
+
   // --- Flight recorder + slow-op forensics: arm before any mining runs so
   // the whole run (including engine construction) is on the record. ---------
   const std::string trace_flag = flags.GetString("trace", "");
@@ -168,12 +173,10 @@ int main(int argc, char** argv) {
     }
     if (trace_path.empty()) return Fail("--trace needs a path");
     fcp::trace::Start(ring_kb);
-    fcp::trace::SetThreadName("main");
-    fcp::trace::InstallCrashHandler(trace_path + ".crash.json");
+    fcp::obs::InstallCrashHandler(trace_path + ".crash.json");
   }
-  // --- Profiler: register main before mining so its samples are attributed,
-  // and arm whole-run sampling when --profile is set. ------------------------
-  fcp::prof::ThreadScope prof_main_scope("main");
+  // --- Profiler: arm whole-run sampling when --profile is set (main's
+  // scope above registers it, so its samples are attributed). ---------------
   const std::string profile_flag = flags.GetString("profile", "");
   std::string profile_path;
   if (!profile_flag.empty()) {
@@ -210,7 +213,7 @@ int main(int argc, char** argv) {
   std::thread prof_collector;
   if (!profile_path.empty()) {
     prof_collector = std::thread([&prof_collector_stop] {
-      fcp::prof::ThreadScope scope("prof-collector");
+      fcp::telemetry::ThreadScope scope("prof-collector");
       int ticks = 0;
       while (!prof_collector_stop.load(std::memory_order_relaxed)) {
         std::this_thread::sleep_for(std::chrono::milliseconds(200));
