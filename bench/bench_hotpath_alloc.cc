@@ -192,13 +192,13 @@ OpCost MeasureShardedAddSegment(MinerKind kind, const MiningParams& params,
 }
 
 // Router-path cost of the zero-copy segment fabric: a real ShardRouter
-// (live tracking on, as under --rebalance) multicasting refcounted slabs,
-// with every delivery drained and dropped right after its Route so the
-// measurement covers the delivery's full life — multicast refcount bumps,
-// queue churn, live-ring upkeep, final release. The refs are adopted once
-// before the timed region; steady state must stay at (essentially) zero
-// allocations per delivery for every fan-out, because a delivery is a
-// refcount increment, never an entry-vector copy.
+// (keeping its live set, as every sharded router does) multicasting
+// refcounted slabs, with every delivery drained and dropped right after its
+// Route so the measurement covers the delivery's full life — multicast
+// refcount bumps, queue churn, live-ring upkeep, final release. The refs
+// are adopted once before the timed region; steady state must stay at
+// (essentially) zero allocations per delivery for every fan-out, because a
+// delivery is a refcount increment, never an entry-vector copy.
 struct RouterCost {
   OpCost op;
   double bytes_per_op = 0;
@@ -206,10 +206,7 @@ struct RouterCost {
 
 RouterCost MeasureRouterPath(const std::vector<Segment>& segments,
                              DurationMs tau, uint32_t num_shards) {
-  ShardRouterOptions options;
-  options.track_live = true;
-  options.tau = tau;
-  ShardRouter router(num_shards, /*queue_capacity=*/4096, std::move(options));
+  ShardRouter router(num_shards, /*queue_capacity=*/4096, tau);
   std::vector<SegmentRef> refs;
   refs.reserve(segments.size());
   for (const Segment& segment : segments) {

@@ -175,22 +175,13 @@ ShardedCost RunSharded(MinerKind kind, const MiningParams& params,
 }
 
 // ---------------------------------------------------------------------------
-// Skew sweep: static hash placement vs greedy frequency placement vs live
-// rebalancing (Issue 6). The placement-aware plans are recorded by running
-// the REAL ShardRouter (and, for the rebalance mode, the real Rebalancer)
-// single-threaded over the trace, capturing every delivery — mining and
-// index-only backfill alike, each stamped with its placement snapshot — and
-// then replaying each shard's FIFO against a fresh miner, timed. Migration
-// cost is therefore charged honestly: the destination shard pays for its
-// backfills inside its timed chain.
-//
-// Work stealing is deliberately absent from this offline model: a (pop,
-// mine) pair serializes under the victim shard's mutex, so a steal changes
-// which THREAD mines a segment, never the length of a shard's serial chain
-// — the critical-path model is identical with and without it. Its real
-// benefit (smoothing transient queue imbalance when a shard's dedicated
-// thread falls behind) only exists with live threads; the engine-level
-// StealTest suite and fcpmine --steal cover that regime.
+// Skew sweep: static hash placement vs live rebalancing from the hash. Both
+// plans are recorded by running the REAL ShardRouter (and, for the rebalance
+// mode, the real Rebalancer) single-threaded over the trace, capturing every
+// delivery — mining and index-only backfill alike, each stamped with its
+// placement snapshot — and then replaying each shard's FIFO against a fresh
+// miner, timed. Migration cost is therefore charged honestly: the
+// destination shard pays for its backfills inside its timed chain.
 
 /// Everything one shard replays, in FIFO order, placement fences included.
 struct RecordedPlan {
@@ -202,19 +193,14 @@ struct RecordedPlan {
 };
 
 RecordedPlan RecordPlan(const std::vector<Segment>& segments,
-                        uint32_t num_shards,
-                        std::shared_ptr<const PlacementMap> placement,
-                        const MiningParams& params,
+                        uint32_t num_shards, const MiningParams& params,
                         const RebalancerOptions* rebalance) {
-  ShardRouterOptions options;
-  options.placement = std::move(placement);
-  options.track_live = rebalance != nullptr;
-  options.tau = params.tau;
   // Queues must hold a full ApplyPlacement backfill burst (bounded by the
   // live set, ~one tau window of segments): the recorder drains between
   // Route calls, but ApplyPlacement enqueues its backfills in one blocking
   // call and would deadlock a single thread on a small queue.
-  ShardRouter router(num_shards, /*queue_capacity=*/size_t{1} << 17, options);
+  ShardRouter router(num_shards, /*queue_capacity=*/size_t{1} << 17,
+                     params.tau);
   std::unique_ptr<Rebalancer> rebalancer;
   if (rebalance != nullptr) {
     rebalancer = std::make_unique<Rebalancer>(num_shards, *rebalance);
@@ -300,24 +286,6 @@ ShardedCost ReplayPlan(MinerKind kind, const MiningParams& params,
     cost.sum_shard_ms += ms;
   }
   return cost;
-}
-
-/// Per-object event frequencies of a segmented trace — the observation pass
-/// fcpmine --placement=freq runs.
-std::vector<std::pair<ObjectId, uint64_t>> ObjectWeights(
-    const std::vector<Segment>& segments) {
-  std::vector<uint64_t> counts;
-  for (const Segment& segment : segments) {
-    for (const SegmentEntry& entry : segment.entries()) {
-      if (entry.object >= counts.size()) counts.resize(entry.object + 1, 0);
-      ++counts[entry.object];
-    }
-  }
-  std::vector<std::pair<ObjectId, uint64_t>> weights;
-  for (ObjectId object = 0; object < counts.size(); ++object) {
-    if (counts[object] > 0) weights.push_back({object, counts[object]});
-  }
-  return weights;
 }
 
 int Run(int argc, char** argv) {
@@ -413,12 +381,13 @@ int Run(int argc, char** argv) {
       }
     }
   }
-  // ---- Skew sweep: how each placement strategy copes as the head of the
-  // object distribution grows (see the RecordedPlan comment above). CooMine
-  // only — it is the paper's primary miner and the acceptance datapoint;
-  // miner-equivalence under migration is covered by the Migration/Steal test
-  // suites, not re-measured here. Off under --quick (the CI TSan smoke):
-  // the replay is single-threaded, so sanitizers learn nothing new from it.
+  // ---- Skew sweep: how static placement and live rebalancing cope as the
+  // head of the object distribution grows (see the RecordedPlan comment
+  // above). CooMine only — it is the paper's primary miner and the
+  // acceptance datapoint; miner-equivalence under migration is covered by
+  // the Migration test suite, not re-measured here. Off under --quick (the
+  // CI TSan smoke): the replay is single-threaded, so sanitizers learn
+  // nothing new from it.
   const bool skew_sweep =
       flags.GetInt("skew_sweep", flags.Has("quick") ? 0 : 1) != 0;
   const uint32_t sweep_shards =
@@ -445,8 +414,6 @@ int Run(int argc, char** argv) {
     const double baseline_ns = serial.max_shard_ms * 1e6 / triggers;
     const std::vector<Signature> baseline = Signatures(serial.output);
 
-    auto freq_placement = BuildGreedyPlacement(ObjectWeights(sweep_segments),
-                                               sweep_shards);
     RebalancerOptions rebalance;
     rebalance.interval_segments = static_cast<uint32_t>(
         flags.GetInt("rebalance_interval", 256));
@@ -459,12 +426,8 @@ int Run(int argc, char** argv) {
       RecordedPlan plan;
     };
     Mode modes[] = {
-        {"static", RecordPlan(sweep_segments, sweep_shards, nullptr, params,
-                              nullptr)},
-        {"freq", RecordPlan(sweep_segments, sweep_shards, freq_placement,
-                            params, nullptr)},
-        {"rebal", RecordPlan(sweep_segments, sweep_shards, freq_placement,
-                             params, &rebalance)},
+        {"static", RecordPlan(sweep_segments, sweep_shards, params, nullptr)},
+        {"rebal", RecordPlan(sweep_segments, sweep_shards, params, &rebalance)},
     };
     for (const Mode& mode : modes) {
       const ShardedCost cost = ReplayPlan(MinerKind::kCooMine, params,

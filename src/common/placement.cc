@@ -1,6 +1,6 @@
 #include "common/placement.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
@@ -35,51 +35,6 @@ std::shared_ptr<const PlacementMap> PlacementMap::WithMoves(
   auto next = std::make_shared<PlacementMap>(num_shards_, std::move(dense));
   next->version_ = version_ + 1;
   return next;
-}
-
-std::shared_ptr<const PlacementMap> BuildGreedyPlacement(
-    std::span<const std::pair<ObjectId, uint64_t>> weights,
-    uint32_t num_shards, size_t max_dense_objects) {
-  FCP_CHECK(num_shards >= 1);
-  ObjectId max_object = 0;
-  for (const auto& [object, weight] : weights) {
-    (void)weight;
-    if (object < max_dense_objects && object > max_object) {
-      max_object = object;
-    }
-  }
-  std::vector<uint32_t> dense(
-      weights.empty() ? 0 : static_cast<size_t>(max_object) + 1);
-  // Unlisted ids keep the hash assignment (matches the fallback, so the
-  // dense table is transparent for them).
-  for (size_t o = 0; o < dense.size(); ++o) {
-    dense[o] = static_cast<uint32_t>(Mix64(o) % num_shards);
-  }
-
-  // LPT: heaviest object first onto the lightest shard. Sort indices, not
-  // the caller's span; ties broken by object id for determinism.
-  std::vector<uint32_t> order(weights.size());
-  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    if (weights[a].second != weights[b].second) {
-      return weights[a].second > weights[b].second;
-    }
-    return weights[a].first < weights[b].first;
-  });
-  std::vector<uint64_t> load(num_shards, 0);
-  for (const uint32_t i : order) {
-    const auto& [object, weight] = weights[i];
-    if (object >= dense.size()) continue;  // beyond the dense cap
-    uint32_t lightest = 0;
-    for (uint32_t s = 1; s < num_shards; ++s) {
-      if (load[s] < load[lightest]) lightest = s;
-    }
-    dense[static_cast<size_t>(object)] = lightest;
-    // An unweighted object still occupies its owner a little; +1 keeps the
-    // zero-weight tail spread round-robin instead of piling onto shard 0.
-    load[lightest] += weight + 1;
-  }
-  return std::make_shared<const PlacementMap>(num_shards, std::move(dense));
 }
 
 }  // namespace fcp

@@ -1,14 +1,14 @@
-// Load-aware object placement: the pluggable replacement for hash(o) % S.
+// Load-aware object placement: the data-driven replacement for hash(o) % S.
 //
 // Static `ShardOf(o, S) = Mix64(o) % S` ownership balances shards only as
 // well as the object popularity distribution allows: the shard owning a hot
 // word pays the O(f_w^2) pairwise probe work of that word, so at Zipf
 // s = 1.0 one shard is ~half of all mining cost and the pipeline tops out
 // far short of linear (BENCH_scaling.json). A PlacementMap makes the
-// object -> shard function data: a dense table for the observed id range
+// object -> shard function data: a dense table for the moved id range
 // (generators hand out ids densely) with the Mix64 hash as fallback for
-// unseen objects, seeded by a greedy balance over observed object
-// frequencies and amended at runtime by the Rebalancer.
+// every other object. Every pipeline starts on the hash; the Rebalancer
+// amends it at runtime.
 //
 // Snapshots are IMMUTABLE. Routing threads publish a new snapshot (via
 // shared_ptr) instead of mutating the current one, and every ShardDelivery
@@ -75,19 +75,6 @@ class PlacementMap {
   uint64_t version_ = 0;
   std::vector<uint32_t> dense_;
 };
-
-/// Greedy frequency-weighted initial placement: objects sorted by weight
-/// descending, each assigned to the currently lightest shard (LPT). Weights
-/// are the caller's cost model — per-object squared frequency approximates
-/// the pairwise probe work the paper's hot-word term concentrates, so the
-/// head of the distribution is spread instead of hashed onto one victim.
-/// `weights` are (object, weight) pairs from an observation pass; objects
-/// not listed fall back to the hash. The dense table covers
-/// [0, max listed object], capped at `max_dense_objects` entries (listed
-/// objects beyond the cap are dropped to the hash fallback).
-std::shared_ptr<const PlacementMap> BuildGreedyPlacement(
-    std::span<const std::pair<ObjectId, uint64_t>> weights,
-    uint32_t num_shards, size_t max_dense_objects = size_t{1} << 22);
 
 }  // namespace fcp
 

@@ -26,32 +26,17 @@ ParallelEngine::ParallelEngine(MinerKind kind, const MiningParams& params,
   FCP_CHECK(params.Validate().ok());
   FCP_CHECK(options.num_workers == 1);
   FCP_CHECK(options.num_miner_shards >= 1);
+  FCP_CHECK(options.num_miner_shards <= kMaxShards);
   const uint32_t num_shards = options_.num_miner_shards;
-  ShardRouterOptions router_options;
-  router_options.placement = options_.placement;
-  // Live migration needs the router's live set (backfill source); static
-  // placements do not pay for it.
-  router_options.track_live = options_.rebalance && num_shards > 1;
-  router_options.tau = params.tau;
   router_ = std::make_unique<ShardRouter>(
-      num_shards, options_.shard_queue_capacity, std::move(router_options));
+      num_shards, options_.shard_queue_capacity, params.tau);
   if (num_shards > 1) {
-    // Always measure (the imbalance gauge feeds dashboards); only move
-    // objects when rebalancing was requested.
-    RebalancerOptions rebalancer_options = options_.rebalancer;
-    rebalancer_options.apply_moves = options_.rebalance;
-    rebalancer_ = std::make_unique<Rebalancer>(num_shards, rebalancer_options);
+    rebalancer_ = std::make_unique<Rebalancer>(num_shards, options_.rebalancer);
   }
   shard_mined_.resize(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
     shard_miners_.push_back(MakeMiner(kind, params, router_->spec(s)));
     shard_runtime_.push_back(std::make_unique<ShardRuntime>());
-    // Seed the initial snapshot: deliveries carry it too, but setting it
-    // here keeps the miner's view correct even before its first delivery.
-    if (options_.placement != nullptr) {
-      shard_miners_.back()->SetPlacement(options_.placement.get());
-      shard_runtime_.back()->active_placement = options_.placement;
-    }
   }
   RegisterMetrics();
   RegisterWatchdogStages();
@@ -83,7 +68,6 @@ void ParallelEngine::RegisterMetrics() {
   migrations_ = registry_->GetCounter("fcp_migrations_total");
   backfill_deliveries_ =
       registry_->GetCounter("fcp_backfill_deliveries_total");
-  segments_stolen_ = registry_->GetCounter("fcp_segments_stolen_total");
   // max/mean per-shard deliveries over the last load interval, in permille
   // (1000 = perfectly balanced). One definition, shared by dashboards and
   // the rebalancer's trigger — both read the Rebalancer's computation.
@@ -338,7 +322,7 @@ void ParallelEngine::IngestLoop() {
 }
 
 void ParallelEngine::ProcessDelivery(uint32_t shard_index,
-                                     ShardDelivery&& delivery, bool stolen) {
+                                     ShardDelivery&& delivery) {
   FcpMiner& miner = *shard_miners_[shard_index];
   ShardRuntime& runtime = *shard_runtime_[shard_index];
   ShardTelemetry& telemetry = shard_telemetry_[shard_index];
@@ -354,9 +338,7 @@ void ParallelEngine::ProcessDelivery(uint32_t shard_index,
   // can lag the router's and would expire supporters later than a serial
   // run (breaking shard-count invariance of the output).
   miner.AdvanceWatermark(delivery.watermark);
-  // Per-shard lag mirror + heartbeat: stolen deliveries credit the VICTIM's
-  // stage (its queue is the one draining), which is exactly what keeps a
-  // skewed-but-stolen-from shard from reading as stalled.
+  // Per-shard lag mirror + heartbeat.
   runtime.last_watermark.store(delivery.watermark, std::memory_order_relaxed);
   if (!shard_heartbeats_.empty() &&
       shard_heartbeats_[shard_index] != nullptr) {
@@ -378,11 +360,8 @@ void ParallelEngine::ProcessDelivery(uint32_t shard_index,
   {
     // The flow-end closes the arrow the ingest thread began under the same
     // id (the router-stamped trace_flow), tying this mine slice to the
-    // segment's route slice across the thread boundary — for stolen
-    // segments the arrow lands on the thief's thread track, which is how
-    // migrations of *work* (not ownership) show up in the trace.
-    FCP_TRACE_SPAN_FLOW(stolen ? "shard/steal" : "shard/mine",
-                        delivery.trace_flow, shard_index);
+    // segment's route slice across the thread boundary.
+    FCP_TRACE_SPAN_FLOW("shard/mine", delivery.trace_flow, shard_index);
     FCP_TRACE_FLOW_END("segment", delivery.trace_flow);
     const int64_t slow_ns = trace::SlowOpThresholdNs();
     if (slow_ns > 0) {
@@ -399,49 +378,18 @@ void ParallelEngine::ProcessDelivery(uint32_t shard_index,
   }
   std::vector<Fcp>& buffer = shard_mined_[shard_index];
   for (Fcp& fcp : mined) buffer.push_back(std::move(fcp));
-  if (stolen) segments_stolen_->Increment();
   // Segment->discovery latency: shard-queue wait + mining, measured
   // from the router's enqueue stamp.
   telemetry.discovery_latency_us->Record(
       static_cast<uint64_t>(
           std::max<int64_t>(0, MonotonicNowNs() - delivery.routed_at_ns)) /
       1000);
-  // The caller holds this shard's runtime mutex (or is its only thread),
-  // so delta-publishing the miner's plain-counter stats is race-free; the
-  // reporter only reads the atomics.
+  // Only this shard's thread touches its miner, so delta-publishing the
+  // miner's plain-counter stats is race-free; the reporter only reads the
+  // atomics.
   telemetry.miner.PublishDelta(miner.stats(), &telemetry.published);
   telemetry.miner.PublishIntrospection(miner.Introspect());
   runtime.segments_mined.fetch_add(1, std::memory_order_release);
-}
-
-bool ParallelEngine::TrySteal(uint32_t thief_index) {
-  const uint32_t num_shards = options_.num_miner_shards;
-  // Victim: the deepest queue above the threshold. Depth reads are racy
-  // snapshots — fine, a stale pick just steals slightly less optimally.
-  uint32_t victim = num_shards;
-  size_t best_depth = options_.steal_min_depth - 1;
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    if (s == thief_index) continue;
-    const size_t depth = router_->queue(s).depth();
-    if (depth > best_depth) {
-      victim = s;
-      best_depth = depth;
-    }
-  }
-  if (victim == num_shards) return false;
-  ShardRuntime& runtime = *shard_runtime_[victim];
-  // try_lock, not lock: if the victim (or another thief) is mid-segment the
-  // queue is already being drained — blocking here would serialize thieves
-  // behind work that is not theirs.
-  std::unique_lock<std::mutex> lock(runtime.mutex, std::try_to_lock);
-  if (!lock.owns_lock()) return false;
-  auto delivery = router_->queue(victim).TryPop();
-  if (!delivery.has_value()) return false;
-  // Mine with the VICTIM's miner under its mutex: ownership filtering,
-  // index state and output buffer all stay the victim shard's — stealing
-  // moves work between threads, never patterns between shards.
-  ProcessDelivery(victim, std::move(*delivery), /*stolen=*/true);
-  return true;
 }
 
 void ParallelEngine::ShardLoop(uint32_t shard_index) {
@@ -452,48 +400,12 @@ void ParallelEngine::ShardLoop(uint32_t shard_index) {
   obs::StageHeartbeat* heartbeat =
       shard_heartbeats_.empty() ? nullptr : shard_heartbeats_[shard_index];
 
-  if (!options_.steal) {
-    // No thieves: this thread is the only one touching the shard's miner,
-    // queue consumer side and runtime, so pop blocking and skip the mutex.
-    while (true) {
-      if (heartbeat != nullptr) heartbeat->MarkIdle(true);
-      auto delivery = queue.Pop();
-      if (!delivery) break;
-      if (heartbeat != nullptr) heartbeat->MarkIdle(false);
-      ProcessDelivery(shard_index, std::move(*delivery), /*stolen=*/false);
-    }
-    return;
-  }
-
-  // Stealing: every (pop, mine) pair happens under the owning shard's
-  // runtime mutex so owner and thieves serialize and per-shard FIFO order
-  // is preserved. WaitNonEmptyFor paces the loop off the queue's condition
-  // variable (its timeout is also the idle/drain polling cadence — no
-  // spinning).
-  constexpr int64_t kIdleWaitUs = 200;
   while (true) {
     if (heartbeat != nullptr) heartbeat->MarkIdle(true);
-    if (queue.WaitNonEmptyFor(kIdleWaitUs)) {
-      if (heartbeat != nullptr) heartbeat->MarkIdle(false);
-      std::lock_guard<std::mutex> lock(shard_runtime_[shard_index]->mutex);
-      if (auto delivery = queue.TryPop()) {
-        ProcessDelivery(shard_index, std::move(*delivery), /*stolen=*/false);
-      }
-      continue;
-    }
-    // Own queue empty right now: help the most-loaded shard instead of
-    // sleeping through the skew.
-    if (TrySteal(shard_index)) continue;
-    if (queue.closed() && queue.depth() == 0) {
-      // Own work is finished for good; exit once nothing is left to steal
-      // anywhere (the WaitNonEmptyFor timeout above paces this check).
-      bool all_done = true;
-      for (uint32_t s = 0; s < options_.num_miner_shards && all_done; ++s) {
-        BoundedQueue<ShardDelivery>& other = router_->queue(s);
-        all_done = other.closed() && other.depth() == 0;
-      }
-      if (all_done) break;
-    }
+    auto delivery = queue.Pop();
+    if (!delivery) break;
+    if (heartbeat != nullptr) heartbeat->MarkIdle(false);
+    ProcessDelivery(shard_index, std::move(*delivery));
   }
 }
 
@@ -518,10 +430,6 @@ std::string ParallelEngine::StatusJson() const {
   const Timestamp watermark = router_->watermark();
   std::string out = "{\"engine\":\"parallel\"";
   out += ",\"shards\":" + std::to_string(options_.num_miner_shards);
-  out += ",\"rebalance\":";
-  out += options_.rebalance ? "true" : "false";
-  out += ",\"steal\":";
-  out += options_.steal ? "true" : "false";
   out += ",\"watermark\":" +
          std::to_string(watermark == kMinTimestamp ? 0 : watermark);
   out += ",\"watermark_lag_ms\":" + std::to_string(WatermarkLagMs());

@@ -17,7 +17,7 @@
 // watermark shipped with each delivery and the end-of-feed flush order are
 // all the serial engine's. results() therefore equals a serial MiningEngine
 // run byte for byte (triggers, patterns, streams, windows) for every shard
-// count, placement, rebalance and steal setting — by construction, not by
+// count and every sequence of live migrations — by construction, not by
 // timing. Tests check this on repeated runs of each configuration.
 //
 // All backpressure blocks on condition variables (BoundedQueue::Push /
@@ -29,7 +29,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -61,7 +60,9 @@ struct ParallelEngineOptions {
   /// that line when the benchmark is next revised.
   uint32_t num_workers = 1;
   /// Miner shards: independent miner replicas partitioning the pattern
-  /// space by min-object ownership. 1 = classic single miner thread.
+  /// space by min-object ownership. 1 = classic single miner thread. At
+  /// most kMaxShards (checked): the router tracks deliveries in a 64-bit
+  /// per-segment shard mask.
   uint32_t num_miner_shards = 1;
   size_t event_queue_capacity = 8192;  ///< feeds the ingest thread
   size_t shard_queue_capacity = 1024;  ///< per shard, feeds the miners
@@ -69,22 +70,12 @@ struct ParallelEngineOptions {
   /// Registry receiving the pipeline's metrics (per-shard counters labeled
   /// `{shard="s"}`); null means the engine owns a private one.
   telemetry::MetricRegistry* metrics = nullptr;
-  /// Initial object->shard placement snapshot (null = Mix64 hash). Built by
-  /// callers (fcpmine --placement=freq) via BuildGreedyPlacement over an
-  /// observation pass.
-  std::shared_ptr<const PlacementMap> placement;
-  /// Live rebalancing: the ingest thread closes load intervals and migrates
-  /// hot objects between shards through the router's backfill fence. The
-  /// imbalance gauge is published for S > 1 regardless; this flag only
-  /// controls whether placements actually change.
-  bool rebalance = false;
-  RebalancerOptions rebalancer;  ///< cadence/thresholds when rebalancing
-  /// Work stealing: a shard thread whose queue is empty mines queued
-  /// segments of the most-loaded other shard, using that shard's miner
-  /// under its mutex (output is unchanged — only which thread runs it).
-  bool steal = false;
-  /// Minimum victim queue depth before a steal is attempted.
-  size_t steal_min_depth = 2;
+  /// Live rebalancing cadence and thresholds (DESIGN.md §2.6). For S > 1
+  /// the ingest thread closes a load interval every `interval_segments`
+  /// routed segments and, when the interval's delivery imbalance clears the
+  /// threshold, migrates hot objects between shards through the router's
+  /// backfill fence. Every shard starts on the Mix64 hash.
+  RebalancerOptions rebalancer;
   /// Health supervision (DESIGN.md §2.8): when set, every pipeline stage
   /// registers a heartbeat with this watchdog (ingest, shard-s) plus the
   /// watermark-lag probe. The watchdog must outlive the engine's
@@ -181,14 +172,8 @@ class ParallelEngine {
   void IngestLoop();
   void ShardLoop(uint32_t shard_index);
   /// Applies the delivery's placement snapshot, advances the watermark and
-  /// mines (or index-backfills) it with shard `shard_index`'s miner. When
-  /// stealing is enabled the caller must hold that shard's runtime mutex.
-  void ProcessDelivery(uint32_t shard_index, ShardDelivery&& delivery,
-                       bool stolen);
-  /// Pops and processes one queued delivery of the most-loaded other shard
-  /// (depth >= steal_min_depth) with that shard's miner, if its mutex is
-  /// free. Returns false when there was nothing to steal.
-  bool TrySteal(uint32_t thief_index);
+  /// mines (or index-backfills) it with shard `shard_index`'s miner.
+  void ProcessDelivery(uint32_t shard_index, ShardDelivery&& delivery);
   void RegisterMetrics();
   void RegisterWatchdogStages();
   void RefreshGauges();
@@ -209,18 +194,14 @@ class ParallelEngine {
 
   std::unique_ptr<ShardRouter> router_;
   /// Per-interval load measurement + migration decisions; owned by the
-  /// ingest thread, created for S > 1 (measure-only unless options_.rebalance).
+  /// ingest thread, created for S > 1.
   std::unique_ptr<Rebalancer> rebalancer_;
   std::vector<std::unique_ptr<FcpMiner>> shard_miners_;
   std::vector<std::thread> shard_threads_;
-  /// Per-shard state shared between the owning shard thread and thieves.
-  /// The mutex serializes (pop, mine) pairs against the shard's queue and
-  /// miner, which keeps per-shard FIFO processing order — segment ids must
-  /// reach an index in increasing order — and makes the miners' single-
-  /// threaded assumption hold under stealing. unique_ptr for address
-  /// stability (mutexes are immovable).
+  /// Per-shard state of the owning shard thread, plus the atomics the
+  /// observability plane and WaitUntilIdle() sample. unique_ptr for address
+  /// stability (atomics are immovable).
   struct ShardRuntime {
-    std::mutex mutex;
     /// The snapshot the shard's miner currently filters by (keeps the
     /// shared_ptr alive between deliveries that carry the same snapshot).
     std::shared_ptr<const PlacementMap> active_placement;
@@ -268,7 +249,6 @@ class ParallelEngine {
   telemetry::Counter* rebalance_rounds_ = nullptr;
   telemetry::Counter* migrations_ = nullptr;
   telemetry::Counter* backfill_deliveries_ = nullptr;
-  telemetry::Counter* segments_stolen_ = nullptr;
   telemetry::Gauge* imbalance_permille_ = nullptr;
   telemetry::LatencyHistogram* migration_latency_us_ = nullptr;
   // Segment-pool observability (fcp_segment_pool_*), refreshed with the

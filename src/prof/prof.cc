@@ -482,19 +482,30 @@ std::string RenderFolded(const std::map<std::string, uint64_t>& counts) {
 thread_local int64_t tls_heap_credit = 0;
 thread_local bool tls_in_heap_hook = false;
 
+// Keeps this thread's allocations out of HeapHook for its lifetime. Any
+// code that allocates while holding heap_mu needs one: a sample coming due
+// there would lock heap_mu again on the same thread.
+class HeapHookMask {
+ public:
+  HeapHookMask() : saved_(tls_in_heap_hook) { tls_in_heap_hook = true; }
+  ~HeapHookMask() { tls_in_heap_hook = saved_; }
+  HeapHookMask(const HeapHookMask&) = delete;
+  HeapHookMask& operator=(const HeapHookMask&) = delete;
+
+ private:
+  const bool saved_;
+};
+
 void HeapHook(std::size_t size) {
   if (tls_in_heap_hook) return;
   tls_heap_credit -= static_cast<int64_t>(size);
   if (tls_heap_credit > 0) return;
-  // Everything below may allocate; the recursion guard makes that safe.
-  tls_in_heap_hook = true;
+  // Everything below may allocate; the mask makes that safe.
+  const HeapHookMask mask;
   // The record bounds the walk. None while this thread is inside the
   // registry: skip the sample; the spent credit retries on the next call.
   const ThreadRecord* rec = telemetry::RegisterThisThread();
-  if (rec == nullptr) {
-    tls_in_heap_hook = false;
-    return;
-  }
+  if (rec == nullptr) return;
   ProfState& state = State();
   uintptr_t pcs[kMaxFrames];
   const uintptr_t fp =
@@ -517,7 +528,6 @@ void HeapHook(std::size_t size) {
       tls_heap_credit = static_cast<int64_t>(state.heap_sample_bytes);
     }
   }
-  tls_in_heap_hook = false;
 }
 
 }  // namespace
@@ -681,6 +691,7 @@ std::string HeapProfile() {
   // the other order anywhere).
   std::map<std::vector<uintptr_t>, HeapSite> sites;
   {
+    const HeapHookMask mask;  // the copy allocates under heap_mu
     std::lock_guard<std::mutex> lock(state.heap_mu);
     sites = state.heap_sites;
   }

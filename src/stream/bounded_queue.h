@@ -5,7 +5,6 @@
 #ifndef FCP_STREAM_BOUNDED_QUEUE_H_
 #define FCP_STREAM_BOUNDED_QUEUE_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -36,7 +35,7 @@ namespace fcp {
 ///
 /// Off-CPU profiling: the optional wait tags name this queue's block points
 /// to fcp::prof (`wait;<tag>` pseudo stacks). `pop_wait_tag` covers
-/// consumer-side empty waits (Pop/WaitNonEmptyFor), `push_wait_tag`
+/// consumer-side empty waits (Pop), `push_wait_tag`
 /// covers producer-side full waits, i.e. backpressure (Push/PushAll). Tags
 /// must have static storage duration. When the profiler is not armed the
 /// instrumentation costs one relaxed load on paths that were about to
@@ -129,23 +128,6 @@ class BoundedQueue {
   std::optional<T> TryPop() {
     std::unique_lock<std::mutex> lock(mu_);
     return PopLockedOrNull(lock);
-  }
-
-  /// Waits until the queue is non-empty or `timeout_us` elapses, WITHOUT
-  /// popping; returns true iff non-empty on return. Work stealing needs the
-  /// wait and the pop split: the owning shard thread learns work exists
-  /// here, then pops under its miner mutex, so owner and thieves serialize
-  /// on the same lock and per-shard FIFO processing order is preserved.
-  /// Deliberately does NOT wake on close: a closed empty queue times out,
-  /// which paces the caller's drain/steal loop instead of spinning it.
-  bool WaitNonEmptyFor(int64_t timeout_us) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (count_ == 0) {
-      prof::WaitTimer wait(pop_wait_tag_);
-      cv_.wait_for(lock, std::chrono::microseconds(timeout_us),
-                   [&] { return count_ > 0; });
-    }
-    return count_ > 0;
   }
 
   /// Marks the queue closed; producers fail, consumers drain then see eof.

@@ -20,7 +20,6 @@ Rebalancer::Rebalancer(uint32_t num_shards, RebalancerOptions options)
 
 void Rebalancer::ObserveSegment(const Segment& segment) {
   ++observed_since_round_;
-  if (!options_.apply_moves) return;  // gauge-only mode: no weights needed
   // Entry counts (with multiplicity) approximate the delivery/probe load an
   // object's owner pays; distinct-ness is not worth a dedup pass here.
   for (const SegmentEntry& entry : segment.entries()) {
@@ -51,8 +50,6 @@ std::shared_ptr<const PlacementMap> Rebalancer::MaybeRebalance(
   imbalance_permille_ =
       static_cast<int64_t>((max_load * 1000 * num_shards_) / total);
   live_imbalance_.store(imbalance_permille_, std::memory_order_relaxed);
-
-  if (!options_.apply_moves) return nullptr;
 
   // Attribute this interval's modeled mining cost to the owner that held
   // each hot object: pairwise probe work scales with the SQUARE of an

@@ -53,16 +53,11 @@ struct RebalancerOptions {
   /// At most this many objects move per round.
   uint32_t max_moves_per_round = 4;
   /// Objects with a smaller decayed count than this are never moved (the
-  /// tail is already spread fine by the hash / initial placement).
+  /// tail is already spread fine by the hash).
   uint64_t min_move_weight = 8;
   /// Per-round right-shift applied to all object counts, so the weights
   /// track the recent window instead of the whole run.
   uint32_t decay_shift = 1;
-  /// When false the rebalancer only measures (the imbalance gauge stays
-  /// live) and MaybeRebalance never proposes a placement. This is how the
-  /// engine shares one imbalance definition between dashboards and the
-  /// rebalancer even when --rebalance is off.
-  bool apply_moves = true;
 };
 
 /// Counters describing rebalancing activity (single-threaded, read after the
@@ -80,13 +75,13 @@ class Rebalancer {
   Rebalancer(const Rebalancer&) = delete;
   Rebalancer& operator=(const Rebalancer&) = delete;
 
-  /// Accounts one routed segment toward the current interval (and, when
-  /// moves are enabled, its objects toward the hot-object weights).
+  /// Accounts one routed segment toward the current interval and its
+  /// objects toward the hot-object weights.
   void ObserveSegment(const Segment& segment);
 
   /// Closes the interval if due. Returns the successor placement to apply
-  /// (router->ApplyPlacement), or null when the interval is still open, the
-  /// load is balanced, or apply_moves is off. Reads `router`'s per-shard
+  /// (router->ApplyPlacement), or null when the interval is still open or
+  /// the load is balanced. Reads `router`'s per-shard
   /// delivery counters and current placement; does not mutate the router.
   std::shared_ptr<const PlacementMap> MaybeRebalance(const ShardRouter& router);
 

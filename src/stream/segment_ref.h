@@ -7,8 +7,8 @@
 // ShardDelivery meant every one of those hops heap-copied the entry vector —
 // at S=8 the router was the dominant allocator. A SegmentRef is an intrusive
 // refcounted handle to a pool-owned slab: the Segmenter allocates (or
-// recycles) the slab once, and every delivery, live-set entry, backfill and
-// steal just bumps a counter. When the last reference drops, the slab goes
+// recycles) the slab once, and every delivery, live-set entry and backfill
+// just bumps a counter. When the last reference drops, the slab goes
 // back to the pool's per-size-class freelist with its vector capacity intact,
 // so a steady-state pipeline performs zero allocations per segment.
 //

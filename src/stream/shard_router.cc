@@ -18,19 +18,12 @@ constexpr uint64_t kCompactEvery = 256;
 }  // namespace
 
 ShardRouter::ShardRouter(uint32_t num_shards, size_t queue_capacity,
-                         ShardRouterOptions options)
+                         DurationMs tau)
     : num_shards_(num_shards),
-      options_(std::move(options)),
-      routed_to_(new std::atomic<uint64_t>[num_shards]),
-      placement_(options_.placement) {
+      tau_(tau),
+      routed_to_(new std::atomic<uint64_t>[num_shards]) {
   FCP_CHECK(num_shards >= 1);
-  if (options_.track_live) {
-    // LiveEntry::delivered is a 64-bit shard bitmask.
-    FCP_CHECK(num_shards <= 64);
-  }
-  if (placement_ != nullptr) {
-    FCP_CHECK(placement_->num_shards() == num_shards);
-  }
+  FCP_CHECK(num_shards <= kMaxShards);
   queues_.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
     // One shared tag pair across shards: off-CPU profiles aggregate shard
@@ -83,7 +76,7 @@ uint32_t ShardRouter::Route(const SegmentRef& segment) {
     }
   }
   stats_.deliveries += delivered;
-  if (options_.track_live && delivered > 0) {
+  if (num_shards_ > 1 && delivered > 0) {
     live_.push_back(LiveEntry{segment, delivered_mask});
     if (++routes_since_compact_ >= kCompactEvery) CompactLive();
   }
@@ -93,7 +86,7 @@ uint32_t ShardRouter::Route(const SegmentRef& segment) {
 void ShardRouter::CompactLive() {
   routes_since_compact_ = 0;
   while (!live_.empty() &&
-         watermark_ - live_.front().segment->start_time() > options_.tau) {
+         watermark_ - live_.front().segment->start_time() > tau_) {
     live_.pop_front();
   }
   // Segments complete out of start order, so expired entries can hide behind
@@ -103,20 +96,20 @@ void ShardRouter::CompactLive() {
   const size_t n = live_.size();
   bool stale = false;
   for (size_t i = 0; i < n && !stale; ++i) {
-    stale = watermark_ - live_.at(i).segment->start_time() > options_.tau;
+    stale = watermark_ - live_.at(i).segment->start_time() > tau_;
   }
   if (!stale) return;
   for (size_t i = 0; i < n; ++i) {
     LiveEntry entry = std::move(live_.front());
     live_.pop_front();
-    if (watermark_ - entry.segment->start_time() <= options_.tau) {
+    if (watermark_ - entry.segment->start_time() <= tau_) {
       live_.push_back(std::move(entry));
     }
   }
 }
 
 uint64_t ShardRouter::ApplyPlacement(std::shared_ptr<const PlacementMap> next) {
-  FCP_CHECK(options_.track_live);
+  FCP_CHECK(num_shards_ > 1);
   FCP_CHECK(next != nullptr && next->num_shards() == num_shards_);
   const int64_t now_ns = MonotonicNowNs();
   CompactLive();

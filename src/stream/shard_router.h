@@ -84,23 +84,18 @@ struct ShardRouterStats {
   uint64_t placements_applied = 0;   ///< ApplyPlacement() calls
 };
 
-/// Optional router behaviour; the defaults reproduce static hash routing.
-struct ShardRouterOptions {
-  /// Initial placement snapshot (null = Mix64 hash).
-  std::shared_ptr<const PlacementMap> placement;
-  /// Keep the live-segment set (with per-shard delivered masks) required by
-  /// ApplyPlacement. Costs one SegmentRef per Route (a refcount, not a
-  /// copy); requires num_shards <= 64 and a valid `tau`.
-  bool track_live = false;
-  /// Validity window for the live set (same tau the miners use).
-  DurationMs tau = 0;
-};
+/// Most shards a router serves: the live set records each segment's
+/// delivered shards in a 64-bit mask.
+inline constexpr uint32_t kMaxShards = 64;
 
 class ShardRouter {
  public:
-  /// `num_shards >= 1`; `queue_capacity` bounds each per-shard queue.
-  ShardRouter(uint32_t num_shards, size_t queue_capacity,
-              ShardRouterOptions options = {});
+  /// `1 <= num_shards <= kMaxShards`; `queue_capacity` bounds each per-shard
+  /// queue. Routing starts on the Mix64 hash. With more than one shard the
+  /// router keeps the live-segment set ApplyPlacement backfills from: one
+  /// SegmentRef per Route (a refcount, not a copy), expired by `tau`, the
+  /// same validity window the miners use.
+  ShardRouter(uint32_t num_shards, size_t queue_capacity, DurationMs tau);
 
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
@@ -114,9 +109,9 @@ class ShardRouter {
   /// Switches routing to `next` (a successor snapshot, normally produced by
   /// Rebalancer / PlacementMap::WithMoves) after enqueuing index-only
   /// backfill deliveries for every still-valid segment a new owner lacks.
-  /// Requires ShardRouterOptions::track_live. Must be called from the
-  /// routing thread (the router is single-producer). Returns the number of
-  /// backfill deliveries enqueued.
+  /// Requires num_shards > 1. Must be called from the routing thread (the
+  /// router is single-producer). Returns the number of backfill deliveries
+  /// enqueued.
   uint64_t ApplyPlacement(std::shared_ptr<const PlacementMap> next);
 
   /// The placement snapshot currently in force (null = hash).
@@ -184,7 +179,7 @@ class ShardRouter {
   void CompactLive();
 
   const uint32_t num_shards_;
-  ShardRouterOptions options_;
+  const DurationMs tau_;
   std::vector<std::unique_ptr<BoundedQueue<ShardDelivery>>> queues_;
   std::unique_ptr<std::atomic<uint64_t>[]> routed_to_;  ///< per-shard count
   /// Routing-thread working copy; watermark_pub_ mirrors it for cross-thread
@@ -195,7 +190,7 @@ class ShardRouter {
   std::atomic<uint64_t> placement_version_{0};
   std::shared_ptr<const PlacementMap> placement_;  ///< null = hash
   std::vector<uint8_t> target_scratch_;  ///< per-shard "owns an object" flags
-  /// Valid routed segments (track_live). A ring, not a deque: the live set
+  /// Valid routed segments (num_shards > 1). A ring, not a deque: the live set
   /// is a watermark-bounded FIFO, so once its capacity covers the tau window
   /// the expiry churn performs zero allocations (a deque would allocate and
   /// free a block every ~32 entries, the single largest steady-state heap

@@ -221,14 +221,11 @@ TEST(MetricsConsistencyRebalanceTest, ImbalanceGaugeMatchesRebalancerValue) {
   const std::vector<ObjectEvent> events = Trace();
   ParallelEngineOptions options;
   options.num_miner_shards = 4;
-  options.rebalancer.interval_segments = 64;  // cadence only; no moves
   ParallelEngine engine(MinerKind::kCooMine, Params(), options);
   for (const ObjectEvent& event : events) engine.Push(event);
   engine.Finish();
 
-  // Rebalancing was NOT requested, but S > 1 keeps the gauge live
-  // (measure-only mode) so dashboards see skew before anyone opts into
-  // moving objects.
+  // S > 1 always runs the rebalancer, so the gauge is live.
   ASSERT_NE(engine.rebalancer(), nullptr);
   EXPECT_GT(engine.rebalancer()->stats().rounds, 0u)
       << "no load interval closed — shrink interval_segments or grow the "
@@ -238,7 +235,8 @@ TEST(MetricsConsistencyRebalanceTest, ImbalanceGaugeMatchesRebalancerValue) {
             engine.rebalancer()->imbalance_permille());
   // A balanced-or-worse ratio is >= 1 by construction.
   EXPECT_GE(engine.rebalancer()->imbalance_permille(), 1000);
-  // Measure-only mode must not have moved anything.
+  // The camera trace is balanced enough that the default threshold never
+  // fires, so nothing moved and nothing was backfilled.
   EXPECT_EQ(engine.rebalancer()->stats().objects_moved, 0u);
   EXPECT_EQ(Find(samples, "fcp_migrations_total").counter_value, 0u);
   EXPECT_EQ(Find(samples, "fcp_backfill_deliveries_total").counter_value, 0u);
@@ -248,7 +246,6 @@ TEST(MetricsConsistencyRebalanceTest, MigrationCountersMirrorEngineState) {
   const std::vector<ObjectEvent> events = Trace();
   ParallelEngineOptions options;
   options.num_miner_shards = 4;
-  options.rebalance = true;
   options.rebalancer.interval_segments = 32;
   options.rebalancer.imbalance_threshold = 1.0;
   options.rebalancer.min_move_weight = 2;

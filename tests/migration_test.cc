@@ -8,8 +8,8 @@
 //
 // The router-level test drives the ShardRouter directly (deterministic
 // forced moves, every miner kind); the engine-level tests run the whole
-// ParallelEngine with live rebalancing and with work stealing and check
-// exact serial equivalence.
+// ParallelEngine with forced and with default rebalancing and check exact
+// serial equivalence.
 
 #include <cstdint>
 #include <memory>
@@ -24,6 +24,7 @@
 #include "common/shard.h"
 #include "core/mining_engine.h"
 #include "core/parallel_engine.h"
+#include "datagen/traffic_gen.h"
 #include "stream/rebalancer.h"
 #include "stream/segment.h"
 #include "stream/shard_router.h"
@@ -86,22 +87,18 @@ std::vector<Fcp> MineSerial(MinerKind kind, const MiningParams& params,
   return out;
 }
 
-// Replays the workload through a live-tracking ShardRouter, forcing a
-// hot-object migration every `migrate_every` segments, then drains each
-// shard queue in FIFO order exactly the way a shard thread would: adopt the
-// delivery's placement snapshot, advance the watermark, mine — or
-// index-backfill when the delivery is a migration replay.
+// Replays the workload through a ShardRouter, forcing a hot-object
+// migration every `migrate_every` segments, then drains each shard queue in
+// FIFO order exactly the way a shard thread would: adopt the delivery's
+// placement snapshot, advance the watermark, mine — or index-backfill when
+// the delivery is a migration replay.
 std::vector<Fcp> MineWithForcedMigrations(MinerKind kind,
                                           const MiningParams& params,
                                           uint32_t num_shards,
                                           const std::vector<Segment>& segments,
                                           size_t migrate_every,
                                           uint64_t* backfills_out) {
-  ShardRouterOptions router_options;
-  router_options.track_live = true;
-  router_options.tau = params.tau;
-  ShardRouter router(num_shards, /*queue_capacity=*/1 << 17,
-                     std::move(router_options));
+  ShardRouter router(num_shards, /*queue_capacity=*/1 << 17, params.tau);
   std::vector<std::unique_ptr<FcpMiner>> miners;
   for (uint32_t s = 0; s < num_shards; ++s) {
     miners.push_back(MakeMiner(kind, params, router.spec(s)));
@@ -204,53 +201,8 @@ TEST(MigrationTest, BruteForceOracleSurvivesMigrations) {
   EXPECT_GT(backfills, 0u);
 }
 
-TEST(MigrationTest, FreqPlacementAloneIsEquivalent) {
-  // Placement-agnostic ownership: ANY object->shard function partitions the
-  // pattern space, so a greedy frequency-weighted initial placement (no
-  // migration at all) must also reproduce the serial output exactly.
-  const MiningParams params = Params();
-  const std::vector<Segment> segments =
-      ZipfSegments(51, 800, /*vocab=*/40, /*skew=*/1.0);
-  std::vector<std::pair<ObjectId, uint64_t>> weights;
-  for (ObjectId o = 0; o < 40; ++o) weights.push_back({o, 0});
-  for (const Segment& segment : segments) {
-    for (const SegmentEntry& entry : segment.entries()) {
-      ++weights[entry.object].second;
-    }
-  }
-  auto placement = BuildGreedyPlacement(weights, 4);
-
-  const std::vector<FcpSignature> serial =
-      FullSignatures(MineSerial(MinerKind::kCooMine, params, segments));
-  ASSERT_FALSE(serial.empty());
-
-  ShardRouterOptions router_options;
-  router_options.placement = placement;
-  ShardRouter router(4, /*queue_capacity=*/1 << 17, std::move(router_options));
-  std::vector<std::unique_ptr<FcpMiner>> miners;
-  for (uint32_t s = 0; s < 4; ++s) {
-    miners.push_back(MakeMiner(MinerKind::kCooMine, params, router.spec(s)));
-    miners[s]->SetPlacement(placement.get());
-  }
-  for (const Segment& segment : segments) {
-    router.Route(SegmentRef::Adopt(segment));
-  }
-  router.Close();
-  std::vector<Fcp> out;
-  std::vector<Fcp> batch;
-  for (uint32_t s = 0; s < 4; ++s) {
-    while (auto delivery = router.queue(s).TryPop()) {
-      miners[s]->AdvanceWatermark(delivery->watermark);
-      batch.clear();
-      miners[s]->AddSegment(delivery->segment, &batch);
-      for (Fcp& fcp : batch) out.push_back(std::move(fcp));
-    }
-  }
-  EXPECT_EQ(FullSignatures(out), serial);
-}
-
 // ---------------------------------------------------------------------------
-// Engine-level: the full pipeline with live rebalancing / stealing enabled.
+// Engine-level: the full pipeline, rebalancing live.
 
 std::vector<ObjectEvent> ZipfEvents(uint64_t seed, size_t num_events,
                                     uint64_t vocab, double skew,
@@ -294,7 +246,6 @@ TEST(MigrationTest, RebalancingEngineMatchesSerialByteForByte) {
 
   ParallelEngineOptions options;
   options.num_miner_shards = 4;
-  options.rebalance = true;
   options.rebalancer.interval_segments = 64;
   options.rebalancer.imbalance_threshold = 1.0;  // trigger on any skew
   options.rebalancer.min_move_weight = 2;
@@ -319,7 +270,6 @@ TEST(MigrationTest, RebalancingEngineAllMinersStaySound) {
         SerialEngineSignatures(kind, params, events);
     ParallelEngineOptions options;
     options.num_miner_shards = 4;
-    options.rebalance = true;
     options.rebalancer.interval_segments = 64;
     options.rebalancer.imbalance_threshold = 1.0;
     options.rebalancer.min_move_weight = 2;
@@ -331,55 +281,11 @@ TEST(MigrationTest, RebalancingEngineAllMinersStaySound) {
   }
 }
 
-TEST(StealTest, StealingEngineMatchesSerialByteForByte) {
-  // Stealing changes which THREAD mines a delivery, never which MINER — so
-  // even with thieves active the output is byte-identical to serial.
-  const MiningParams params = Params();
-  const std::vector<ObjectEvent> events =
-      ZipfEvents(63, 12000, /*vocab=*/50, /*skew=*/1.2, /*streams=*/8);
-  const std::vector<FcpSignature> serial =
-      SerialEngineSignatures(MinerKind::kCooMine, params, events);
-  ASSERT_FALSE(serial.empty());
-
-  ParallelEngineOptions options;
-  options.num_miner_shards = 4;
-  options.steal = true;
-  options.steal_min_depth = 1;  // steal eagerly so the path really runs
-  ParallelEngine engine(MinerKind::kCooMine, params, options);
-  for (const ObjectEvent& event : events) engine.Push(event);
-  engine.Finish();
-  EXPECT_EQ(FullSignatures(engine.results()), serial);
-}
-
-TEST(StealTest, StealingPlusRebalancingMatchesSerialByteForByte) {
-  // Both mechanisms at once: thieves mine under the victim's mutex while
-  // migrations flip placements through the same queues.
-  const MiningParams params = Params();
-  const std::vector<ObjectEvent> events =
-      ZipfEvents(64, 10000, /*vocab=*/50, /*skew=*/1.2, /*streams=*/8);
-  const std::vector<FcpSignature> serial =
-      SerialEngineSignatures(MinerKind::kCooMine, params, events);
-  ASSERT_FALSE(serial.empty());
-
-  ParallelEngineOptions options;
-  options.num_miner_shards = 4;
-  options.steal = true;
-  options.steal_min_depth = 1;
-  options.rebalance = true;
-  options.rebalancer.interval_segments = 64;
-  options.rebalancer.imbalance_threshold = 1.0;
-  options.rebalancer.min_move_weight = 2;
-  ParallelEngine engine(MinerKind::kCooMine, params, options);
-  for (const ObjectEvent& event : events) engine.Push(event);
-  engine.Finish();
-  EXPECT_EQ(FullSignatures(engine.results()), serial);
-}
-
-TEST(StealTest, StressManyWorkersSmallQueuesUnderSkew) {
+TEST(MigrationTest, StressManyWorkersSmallQueuesUnderSkew) {
   // The TSan workhorse: tiny event and shard queues (constant
-  // backpressure), eager stealing and live rebalancing all at once. The
-  // assertions are liveness + accounting; the value is every data race this
-  // run would surface under -fsanitize=thread.
+  // backpressure) and forced live migrations at once. The assertions are
+  // liveness + accounting; the value is every data race this run would
+  // surface under -fsanitize=thread.
   const MiningParams params = Params();
   const std::vector<ObjectEvent> events =
       ZipfEvents(65, 16000, /*vocab=*/60, /*skew=*/1.2, /*streams=*/12);
@@ -388,9 +294,6 @@ TEST(StealTest, StressManyWorkersSmallQueuesUnderSkew) {
   options.num_miner_shards = 4;
   options.shard_queue_capacity = 8;
   options.event_queue_capacity = 64;
-  options.steal = true;
-  options.steal_min_depth = 1;
-  options.rebalance = true;
   options.rebalancer.interval_segments = 32;
   options.rebalancer.imbalance_threshold = 1.0;
   options.rebalancer.min_move_weight = 2;
@@ -401,8 +304,10 @@ TEST(StealTest, StressManyWorkersSmallQueuesUnderSkew) {
   EXPECT_EQ(engine.events_pushed(), events.size());
   EXPECT_GT(engine.segments_completed(), 0u);
   EXPECT_FALSE(engine.results().empty());
-  // Every routed segment was mined by exactly one thread; backfills are
-  // accounted separately from mining.
+  EXPECT_GT(engine.router_stats().placements_applied, 0u)
+      << "no migration happened — the stress run did not exercise the fence";
+  // Every routed segment was mined exactly once; backfills are accounted
+  // separately from mining.
   uint64_t mined = 0;
   uint64_t backfilled = 0;
   for (uint32_t s = 0; s < options.num_miner_shards; ++s) {
@@ -411,6 +316,45 @@ TEST(StealTest, StressManyWorkersSmallQueuesUnderSkew) {
   }
   EXPECT_EQ(mined, engine.router_stats().deliveries);
   EXPECT_EQ(backfilled, engine.router_stats().backfill_deliveries);
+}
+
+TEST(AdaptiveShardingTest, DefaultOptionsMigrateOnSkewAndStayPutOnTraffic) {
+  // Rebalancing has no switch: a default S=4 engine must migrate on its own
+  // when one hot object skews the shard loads, and still equal serial byte
+  // for byte. On the near-uniform camera trace the same defaults must close
+  // load intervals yet never move anything.
+  const MiningParams params = Params();
+  const std::vector<ObjectEvent> skewed =
+      ZipfEvents(66, 12000, /*vocab=*/50, /*skew=*/1.2, /*streams=*/8);
+  const std::vector<FcpSignature> serial =
+      SerialEngineSignatures(MinerKind::kCooMine, params, skewed);
+  ASSERT_FALSE(serial.empty());
+  ParallelEngineOptions options;
+  options.num_miner_shards = 4;
+  {
+    ParallelEngine engine(MinerKind::kCooMine, params, options);
+    for (const ObjectEvent& event : skewed) engine.Push(event);
+    engine.Finish();
+    EXPECT_GT(engine.router_stats().placements_applied, 0u)
+        << "default rebalancing never fired on a Zipf 1.2 trace";
+    EXPECT_EQ(FullSignatures(engine.results()), serial);
+  }
+
+  TrafficConfig traffic;
+  traffic.num_cameras = 20;
+  traffic.num_vehicles = 1000;
+  traffic.total_events = 12000;
+  traffic.num_convoys = 4;
+  traffic.seed = 67;
+  const std::vector<ObjectEvent> uniform = GenerateTraffic(traffic).events;
+  ParallelEngine engine(MinerKind::kCooMine, params, options);
+  for (const ObjectEvent& event : uniform) engine.Push(event);
+  engine.Finish();
+  ASSERT_NE(engine.rebalancer(), nullptr);
+  EXPECT_GT(engine.rebalancer()->stats().rounds, 0u)
+      << "no load interval closed — grow the trace";
+  EXPECT_EQ(engine.router_stats().placements_applied, 0u);
+  EXPECT_EQ(engine.router_stats().backfill_deliveries, 0u);
 }
 
 }  // namespace

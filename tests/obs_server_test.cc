@@ -269,8 +269,6 @@ TEST(ObsServerTest, ConcurrentScrapesDuringActiveMiningAreBenign) {
     Watchdog watchdog(wd_options);
     ParallelEngineOptions options;
     options.num_miner_shards = 4;
-    options.rebalance = true;
-    options.steal = true;
     options.metrics = &registry;
     options.watchdog = &watchdog;
     ParallelEngine engine(MinerKind::kCooMine, params, options);

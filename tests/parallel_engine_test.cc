@@ -1,8 +1,6 @@
 #include "core/parallel_engine.h"
 
 #include <algorithm>
-#include <map>
-#include <memory>
 #include <set>
 #include <span>
 #include <utility>
@@ -10,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/placement.h"
 #include "core/mining_engine.h"
 #include "datagen/traffic_gen.h"
 #include "test_util.h"
@@ -119,20 +116,11 @@ TEST(ParallelEngineTest, EmptyRun) {
 
 using testing::FullSignatures;
 
-std::shared_ptr<const PlacementMap> FreqPlacement(
-    const std::vector<ObjectEvent>& events, uint32_t shards) {
-  std::map<ObjectId, uint64_t> counts;
-  for (const ObjectEvent& event : events) ++counts[event.object];
-  std::vector<std::pair<ObjectId, uint64_t>> weights(counts.begin(),
-                                                     counts.end());
-  return BuildGreedyPlacement(weights, shards);
-}
-
 TEST(ParallelEngineTest, ShardedEngineMatchesSerialByteForByte) {
   // One ingest thread segments in serial completion order, so every shard
-  // count, ingestion call, placement, rebalance and steal setting must
-  // reproduce the serial engine's discoveries exactly (triggers, streams,
-  // windows) — on every run, not just on a lucky schedule.
+  // count, ingestion call and migration schedule must reproduce the serial
+  // engine's discoveries exactly (triggers, streams, windows) — on every
+  // run, not just on a lucky schedule.
   const MiningParams params = Params();
   const TrafficTrace trace = Trace(36);
 
@@ -153,13 +141,10 @@ TEST(ParallelEngineTest, ShardedEngineMatchesSerialByteForByte) {
         ParallelEngineOptions options;
         options.num_miner_shards = shards;
         if (adaptive) {
-          options.placement = FreqPlacement(trace.events, shards);
-          options.rebalance = true;
+          // Force migrations: a short interval that triggers on any skew.
           options.rebalancer.interval_segments = 32;
-          options.rebalancer.imbalance_threshold = 1.0;  // any skew
+          options.rebalancer.imbalance_threshold = 1.0;
           options.rebalancer.min_move_weight = 2;
-          options.steal = true;
-          options.steal_min_depth = 1;
         }
         for (int run = 0; run < kRuns; ++run) {
           ParallelEngine engine(MinerKind::kCooMine, params, options);
@@ -191,6 +176,14 @@ TEST(ParallelEngineTest, ShardedEngineMatchesSerialByteForByte) {
 TEST(ParallelEngineDeathTest, MoreThanOneWorkerAborts) {
   ParallelEngineOptions options;
   options.num_workers = 2;
+  EXPECT_DEATH(
+      { ParallelEngine engine(MinerKind::kCooMine, Params(), options); },
+      "FCP_CHECK");
+}
+
+TEST(ParallelEngineDeathTest, MoreShardsThanTheDeliveryMaskAborts) {
+  ParallelEngineOptions options;
+  options.num_miner_shards = kMaxShards + 1;
   EXPECT_DEATH(
       { ParallelEngine engine(MinerKind::kCooMine, Params(), options); },
       "FCP_CHECK");

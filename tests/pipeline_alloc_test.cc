@@ -1,11 +1,12 @@
 // Full-pipeline allocation regression for the zero-copy segment fabric:
 // events flow through the ParallelEngine's ingest thread (StreamMux ->
-// pool-backed Segmenters) -> ShardRouter multicast -> shard miner threads,
-// with frequency placement, live rebalancing and work stealing all enabled. After a warm-up half of a
-// closed-universe cyclic trace, every layer has converged: queue slots are
-// preallocated, segment slabs recycle through the SegmentPool, deliveries
-// share one slab per segment, and the miners' arenas are warm — so the
-// steady-state half must perform (essentially) zero heap allocations.
+// pool-backed Segmenters) -> ShardRouter multicast (live set included) ->
+// shard miner threads, on the default configuration, which rebalances live.
+// After a warm-up half of a closed-universe cyclic trace, every layer has
+// converged: queue slots are preallocated, segment slabs recycle through the
+// SegmentPool, deliveries share one slab per segment, and the miners' arenas
+// are warm — so the steady-state half must perform (essentially) zero heap
+// allocations.
 //
 // "Essentially": slab-pool misses are scheduling-dependent — a miss happens
 // only when the number of in-flight slabs exceeds the pool's all-time peak,
@@ -29,7 +30,6 @@
 #include <gtest/gtest.h>
 
 #include "common/params.h"
-#include "common/placement.h"
 #include "common/types.h"
 #include "core/parallel_engine.h"
 
@@ -97,16 +97,9 @@ SteadyState SteadyStatePipeline(uint32_t num_shards) {
   const MiningParams params = PipelineParams();
   const std::vector<ObjectEvent> events = BuildUniformTrace(40000);
 
-  // The fcpmine --placement=freq --rebalance --steal configuration.
-  std::vector<std::pair<ObjectId, uint64_t>> weights;
-  for (ObjectId object = 0; object < kVocab; ++object) {
-    weights.push_back({object, events.size() / kVocab});
-  }
+  // The fcpmine --shards=S configuration.
   ParallelEngineOptions options;
   options.num_miner_shards = num_shards;
-  options.placement = BuildGreedyPlacement(weights, num_shards);
-  options.rebalance = true;
-  options.steal = true;
 
   ParallelEngine engine(MinerKind::kCooMine, params, options);
   const size_t warm = events.size() / 2;
@@ -137,8 +130,8 @@ TEST_P(PipelineAllocTest, SteadyStatePipelineIsAllocationFree) {
       << "the segment pool kept missing in steady state";
   EXPECT_LE(steady.allocations,
             steady.ops / 100 + kAllocsPerSlabMiss * steady.pool_misses)
-      << "steady-state pipeline (S=" << num_shards << ", freq placement, "
-      << "rebalance+steal) performed " << steady.allocations
+      << "steady-state pipeline (S=" << num_shards << ") performed "
+      << steady.allocations
       << " heap allocations over " << steady.ops << " events ("
       << steady.pool_misses << " pool misses)";
 }

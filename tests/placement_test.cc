@@ -1,10 +1,8 @@
-// PlacementMap: the pluggable object -> shard function behind skew-aware
-// routing. These tests pin the contract the migration fence relies on —
-// hash-compatible fallback, immutable successor snapshots with monotone
-// versions, and a greedy initial placement that actually balances a skewed
-// frequency profile better than the hash.
+// PlacementMap: the data-driven object -> shard function behind live
+// rebalancing. These tests pin the contract the migration fence relies on —
+// hash-compatible fallback and immutable successor snapshots with monotone
+// versions.
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -14,7 +12,6 @@
 
 #include "common/placement.h"
 #include "common/shard.h"
-#include "util/zipf.h"
 
 namespace fcp {
 namespace {
@@ -83,77 +80,6 @@ TEST(PlacementTest, ChainedMovesKeepMonotoneVersions) {
     placement = placement->WithMoves(moves);
     EXPECT_EQ(placement->version(), round);
     EXPECT_EQ(placement->shard_of(static_cast<ObjectId>(round)), round % 2);
-  }
-}
-
-// Max/mean load ratio of a placement against per-object weights.
-double Imbalance(const PlacementMap& placement,
-                 const std::vector<std::pair<ObjectId, uint64_t>>& weights) {
-  std::vector<uint64_t> load(placement.num_shards(), 0);
-  for (const auto& [object, weight] : weights) {
-    load[placement.shard_of(object)] += weight;
-  }
-  uint64_t total = 0;
-  uint64_t max_load = 0;
-  for (uint64_t l : load) {
-    total += l;
-    max_load = std::max(max_load, l);
-  }
-  return static_cast<double>(max_load) * placement.num_shards() /
-         static_cast<double>(total);
-}
-
-TEST(PlacementTest, GreedyPlacementBeatsHashOnZipfWeights) {
-  // Zipf s = 1.0 frequency profile: the hash parks the head of the
-  // distribution wherever Mix64 says, so one shard ends up paying a large
-  // multiple of its fair share; LPT must spread the head across shards.
-  constexpr uint64_t kVocab = 2000;
-  constexpr uint32_t kShards = 8;
-  const ZipfDistribution zipf(kVocab, 1.0);
-  std::vector<std::pair<ObjectId, uint64_t>> weights;
-  uint64_t total = 0;
-  uint64_t max_weight = 0;
-  for (uint64_t r = 0; r < kVocab; ++r) {
-    const uint64_t w = static_cast<uint64_t>(zipf.Pmf(r) * 1e9) + 1;
-    weights.push_back({static_cast<ObjectId>(r), w});
-    total += w;
-    max_weight = std::max(max_weight, w);
-  }
-  auto greedy = BuildGreedyPlacement(weights, kShards);
-  const PlacementMap hash(kShards);
-  const double greedy_imbalance = Imbalance(*greedy, weights);
-  const double hash_imbalance = Imbalance(hash, weights);
-  EXPECT_LT(greedy_imbalance, hash_imbalance);
-  // No placement can beat max(heaviest object, mean) per shard; LPT must
-  // land within a few percent of that lower bound. (A single object heavier
-  // than total/S is the residual skew only live rotation can break — see
-  // stream/rebalancer.h.)
-  const double lower_bound = std::max(
-      1.0, static_cast<double>(max_weight) * kShards / static_cast<double>(total));
-  EXPECT_LT(greedy_imbalance, lower_bound * 1.05);
-}
-
-TEST(PlacementTest, GreedyPlacementIsDeterministic) {
-  std::vector<std::pair<ObjectId, uint64_t>> weights;
-  for (ObjectId o = 0; o < 500; ++o) weights.push_back({o, 1000 / (o + 1)});
-  auto a = BuildGreedyPlacement(weights, 4);
-  // Same weights in a different order must yield the same placement (the
-  // builder sorts with a deterministic tie-break).
-  std::reverse(weights.begin(), weights.end());
-  auto b = BuildGreedyPlacement(weights, 4);
-  for (ObjectId o = 0; o < 500; ++o) {
-    EXPECT_EQ(a->shard_of(o), b->shard_of(o)) << o;
-  }
-}
-
-TEST(PlacementTest, GreedyPlacementRespectsDenseCap) {
-  std::vector<std::pair<ObjectId, uint64_t>> weights;
-  for (ObjectId o = 0; o < 100; ++o) weights.push_back({o, 100 - o});
-  auto placement = BuildGreedyPlacement(weights, 4, /*max_dense_objects=*/16);
-  EXPECT_LE(placement->dense_size(), 16u);
-  // Objects beyond the cap fall back to the hash.
-  for (ObjectId o = 16; o < 100; ++o) {
-    EXPECT_EQ(placement->shard_of(o), ShardOf(o, 4)) << o;
   }
 }
 

@@ -1,11 +1,10 @@
 // Profiler x pipeline interplay (DESIGN.md §2.9): arming the sampling
-// profiler over a full sharded run — frequency-hashed placement, live
-// rebalancing and work stealing, per-thread SIGPROF timers firing into the
-// mining hot loops — must not change a single emitted result, and the
-// steady-state zero-allocation guarantee of the segment fabric must survive
-// with sampling armed (the signal handler and the wait-point timers touch
-// no allocator). The wait pseudo-stacks the run produces must map onto the
-// pipeline's known block points and nothing else.
+// profiler over a full sharded run — live rebalancing, per-thread SIGPROF
+// timers firing into the mining hot loops — must not change a single
+// emitted result, and the steady-state zero-allocation guarantee of the
+// segment fabric must survive with sampling armed (the signal handler and
+// the wait-point timers touch no allocator). The wait pseudo-stacks the run
+// produces must map onto the pipeline's known block points and nothing else.
 
 #include "util/alloc_counter.h"  // must be first: defines operator new/delete
 
@@ -61,8 +60,6 @@ std::vector<testing::FcpSignature> RunSharded(
   }
   ParallelEngineOptions options;
   options.num_miner_shards = 4;
-  options.rebalance = true;
-  options.steal = true;
   std::vector<testing::FcpSignature> signatures;
   {
     ParallelEngine engine(MinerKind::kCooMine, Params(), options);
@@ -156,8 +153,6 @@ TEST_F(ProfPipelineTest, ArmedSamplingAddsZeroSteadyStateAllocations) {
 
   ParallelEngineOptions options;
   options.num_miner_shards = 4;
-  options.rebalance = true;
-  options.steal = true;
 
   // Arm before construction: threads registering while armed allocate
   // their sample rings up front, inside the warm-up accounting. The heap

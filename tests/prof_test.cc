@@ -10,8 +10,11 @@
 
 #include "prof/prof.h"
 
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <ctime>
 #include <fstream>
 #include <sstream>
@@ -246,6 +249,36 @@ TEST_F(ProfTest, HeapHookUnhooksCleanly) {
   // Allocations after disable must not accumulate sites.
   const auto keep = prof_test_detail::AllocateChunks(8, 4096);
   EXPECT_TRUE(prof::HeapProfile().empty());
+}
+
+TEST_F(ProfTest, HeapProfileReturnsWhenASampleComesDueDuringItsCopy) {
+  // A 1-byte interval makes every allocation a sample, including the ones
+  // HeapProfile() makes while it copies the site table under its lock. The
+  // read runs on a worker so a self-deadlock fails the test instead of
+  // hanging it.
+  prof::EnableHeapProfiler(1);
+  const auto keep = prof_test_detail::AllocateChunks(8, 4096);
+  std::atomic<bool> done{false};
+  std::string heap;
+  std::thread reader([&] {
+    heap = prof::HeapProfile();
+    done.store(true, std::memory_order_release);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (!done.load(std::memory_order_acquire)) {
+    // The reader holds the heap lock for good, so neither joining it nor
+    // TearDown's DisableHeapProfiler() could return.
+    std::fprintf(stderr, "HeapProfile() did not return within 10 s\n");
+    std::_Exit(1);
+  }
+  reader.join();
+  prof::DisableHeapProfiler();
+  EXPECT_NE(heap.find("AllocateChunks"), std::string::npos) << heap;
 }
 
 TEST_F(ProfTest, CrashJsonIsSelfContainedState) {

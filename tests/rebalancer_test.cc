@@ -1,7 +1,7 @@
 // Rebalancer decision logic, driven through a real ShardRouter: interval
 // imbalance measurement (the one definition the gauge publishes), hot-object
-// move proposals, gauge-only mode, and the argmin-cumulative rotation that
-// time-slices a single dominant object across shards.
+// move proposals, and the argmin-cumulative rotation that time-slices a
+// single dominant object across shards.
 
 #include <memory>
 #include <optional>
@@ -24,11 +24,8 @@ using testing::MakeSegment;
 constexpr uint32_t kShards = 4;
 
 std::unique_ptr<ShardRouter> MakeRouter() {
-  ShardRouterOptions options;
-  options.track_live = true;
-  options.tau = Minutes(10);
   return std::make_unique<ShardRouter>(kShards, /*queue_capacity=*/65536,
-                                       std::move(options));
+                                       Minutes(10));
 }
 
 // Routes a run of single-object segments for `object`, observing each.
@@ -101,22 +98,6 @@ TEST(RebalancerTest, SkewTriggersMoveOffTheHotShard) {
   // The hot object left its home shard.
   EXPECT_NE(next->shard_of(kHot), hot_home);
   EXPECT_EQ(next->version(), 1u);
-}
-
-TEST(RebalancerTest, GaugeOnlyModeMeasuresButNeverMoves) {
-  auto router_ptr = MakeRouter();
-  ShardRouter& router = *router_ptr;
-  RebalancerOptions options;
-  options.interval_segments = 50;
-  options.apply_moves = false;
-  Rebalancer rebalancer(kShards, options);
-  SegmentId id = 1;
-  Timestamp time = 0;
-  RouteHot(router, rebalancer, /*object=*/3, 50, id, time);
-  EXPECT_EQ(rebalancer.MaybeRebalance(router), nullptr);
-  // The gauge is still live: maximal skew reads ~S * 1000.
-  EXPECT_EQ(rebalancer.imbalance_permille(), 4000);
-  EXPECT_EQ(rebalancer.stats().rounds_triggered, 0u);
 }
 
 TEST(RebalancerTest, HotObjectRotatesAcrossShardsOverRounds) {

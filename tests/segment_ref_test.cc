@@ -138,10 +138,9 @@ TEST(SegmentPoolTest, ReleaseExactlyOncePerSlabUnderMigrationFire) {
   constexpr ObjectId kVocab = 64;
   SegmentPool pool;
   {
-    ShardRouterOptions options;
-    options.track_live = true;  // live set holds refs for backfill
-    options.tau = Minutes(10);  // everything stays live -> real backfills
-    ShardRouter router(kShards, /*queue_capacity=*/1024, std::move(options));
+    // The live set holds refs for backfill; a 10-minute tau keeps everything
+    // live, so every migration replays real backfills.
+    ShardRouter router(kShards, /*queue_capacity=*/1024, Minutes(10));
 
     std::atomic<uint64_t> consumed{0};
     std::atomic<bool> corrupt{false};

@@ -13,6 +13,9 @@ namespace {
 
 using testing::MakeSegment;
 
+// Live-set validity window for every router below.
+constexpr DurationMs kTau = Minutes(10);
+
 // Shorthand: wraps a test segment in a (pool-less) refcounted slab.
 SegmentRef Ref(Segment segment) { return SegmentRef::Adopt(std::move(segment)); }
 
@@ -46,7 +49,7 @@ TEST(ShardSpecTest, ShardsPartitionTheObjectUniverse) {
 }
 
 TEST(ShardRouterTest, SingleShardReceivesEverySegment) {
-  ShardRouter router(1, 16);
+  ShardRouter router(1, 16, kTau);
   EXPECT_EQ(router.Route(Ref(MakeSegment(1, 0, {5, 7}, 100))), 1u);
   EXPECT_EQ(router.Route(Ref(MakeSegment(2, 1, {9}, 200))), 1u);
   router.Close();
@@ -57,7 +60,7 @@ TEST(ShardRouterTest, SingleShardReceivesEverySegment) {
 
 TEST(ShardRouterTest, MulticastsToExactlyTheOwningShards) {
   constexpr uint32_t kShards = 4;
-  ShardRouter router(kShards, 64);
+  ShardRouter router(kShards, 64, kTau);
   const SegmentRef segment = Ref(MakeSegment(1, 0, {1, 2, 3, 4, 5, 6}, 100));
 
   std::set<uint32_t> expected;
@@ -80,7 +83,7 @@ TEST(ShardRouterTest, MulticastsToExactlyTheOwningShards) {
 }
 
 TEST(ShardRouterTest, DuplicateObjectsDeliverOnce) {
-  ShardRouter router(2, 16);
+  ShardRouter router(2, 16, kTau);
   // All entries map to the same object: exactly one delivery to its owner.
   EXPECT_EQ(router.Route(Ref(MakeSegment(1, 0, {42, 42, 42}, 50))), 1u);
   router.Close();
@@ -88,7 +91,7 @@ TEST(ShardRouterTest, DuplicateObjectsDeliverOnce) {
 }
 
 TEST(ShardRouterTest, WatermarkIsMonotoneAcrossOutOfOrderSegments) {
-  ShardRouter router(2, 16);
+  ShardRouter router(2, 16, kTau);
   router.Route(Ref(MakeSegment(1, 0, {1}, 1000)));
   EXPECT_EQ(router.watermark(), 1000);
   // An earlier-ending segment must not regress the shipped watermark.
@@ -105,7 +108,7 @@ TEST(ShardRouterTest, WatermarkIsMonotoneAcrossOutOfOrderSegments) {
 }
 
 TEST(ShardRouterTest, CloseEndsConsumers) {
-  ShardRouter router(3, 4);
+  ShardRouter router(3, 4, kTau);
   router.Route(Ref(MakeSegment(1, 0, {7}, 10)));
   router.Close();
   for (uint32_t s = 0; s < 3; ++s) {

@@ -102,8 +102,8 @@ TEST(WatchdogTest, QueueDrainWithoutProgressAlsoRecovers) {
   watchdog.EvaluateOnce(0);
   watchdog.EvaluateOnce(200 * kMs);
   EXPECT_EQ(watchdog.state(), HealthState::kStalled);
-  // Someone else (a work-stealing thief) drained the queue: idle + empty is
-  // healthy even though this stage's own counter never moved.
+  // The queue emptied without this stage's own counter moving: idle +
+  // empty is healthy all the same.
   depth = 0;
   watchdog.EvaluateOnce(300 * kMs);
   EXPECT_EQ(watchdog.state(), HealthState::kHealthy);

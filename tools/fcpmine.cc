@@ -35,23 +35,13 @@
 //                         (default 1 = per-event PushEvent); results are
 //                         identical for every N, only the ingestion cost
 //                         changes
-//   --shards=S            mine with the parallel pipeline (S miner shards);
-//                         0 (default) = serial MiningEngine. Results are
-//                         invariant in S; alerts print after the run drains.
-//   --placement=hash|freq initial object->shard placement (default hash).
-//                         freq runs an offline frequency pre-pass over the
-//                         trace and seeds a greedy (LPT) placement, so hot
-//                         objects spread across shards instead of landing
-//                         wherever the hash says. Results are invariant.
-//   --rebalance           watch per-shard load while mining and migrate hot
-//                         objects between shards through the router's
-//                         backfill fence (needs --shards >= 2). Results are
-//                         invariant; the imbalance gauge and migration
-//                         counters land in --metrics output.
-//   --steal               idle shard threads mine queued segments of the
-//                         most-loaded shard (that shard's miner, under its
-//                         mutex). Results are invariant; only thread
-//                         assignment changes.
+//   --shards=S            mine with the parallel pipeline (S miner shards,
+//                         at most 64); 0 (default) = serial MiningEngine.
+//                         Results are invariant in S; alerts print after the
+//                         run drains. With S >= 2 the pipeline migrates hot
+//                         objects between shards when per-shard load skews;
+//                         the imbalance gauge and migration counters land in
+//                         --metrics output.
 //   --trace=<path>[,ring_kb]   record a flight-recorder trace of the run and
 //                         write Chrome trace-event JSON to <path> (open in
 //                         Perfetto / chrome://tracing). ring_kb sizes each
@@ -103,7 +93,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/placement.h"
 #include "core/mining_engine.h"
 #include "core/parallel_engine.h"
 #include "core/pattern_report.h"
@@ -387,34 +376,8 @@ int main(int argc, char** argv) {
 
   const int64_t shards = flags.GetInt("shards", 0);
   if (shards < 0) return Fail("--shards must be >= 0 (0 = serial engine)");
-
-  const std::string placement_mode = flags.GetString("placement", "hash");
-  const bool rebalance = flags.GetBool("rebalance", false);
-  const bool steal = flags.GetBool("steal", false);
-  if (placement_mode != "hash" && placement_mode != "freq") {
-    return Fail("unknown --placement '" + placement_mode +
-                "' (want hash or freq)");
-  }
-  if ((placement_mode == "freq" || rebalance || steal) && shards < 1) {
-    return Fail("--placement=freq/--rebalance/--steal need --shards >= 1");
-  }
-  std::shared_ptr<const fcp::PlacementMap> placement;
-  if (placement_mode == "freq" && shards > 1) {
-    // Offline pre-pass: observed per-object frequencies seed a greedy (LPT)
-    // placement. Ownership is placement-agnostic, so this only moves load —
-    // the mined output is identical.
-    std::vector<uint64_t> counts;
-    for (const fcp::ObjectEvent& event : events) {
-      if (event.object >= counts.size()) counts.resize(event.object + 1, 0);
-      ++counts[event.object];
-    }
-    std::vector<std::pair<fcp::ObjectId, uint64_t>> weights;
-    weights.reserve(counts.size());
-    for (fcp::ObjectId object = 0; object < counts.size(); ++object) {
-      if (counts[object] > 0) weights.push_back({object, counts[object]});
-    }
-    placement =
-        fcp::BuildGreedyPlacement(weights, static_cast<uint32_t>(shards));
+  if (shards > fcp::kMaxShards) {
+    return Fail("--shards must be <= " + std::to_string(fcp::kMaxShards));
   }
 
   const fcp::DurationMs suppression =
@@ -461,9 +424,6 @@ int main(int argc, char** argv) {
     poptions.num_miner_shards = static_cast<uint32_t>(shards);
     poptions.suppression_window = suppression;
     poptions.metrics = &fcp::telemetry::MetricRegistry::Global();
-    poptions.placement = placement;
-    poptions.rebalance = rebalance;
-    poptions.steal = steal;
     poptions.watchdog = watchdog.get();
     fcp::ParallelEngine engine(kind, params, poptions);
     if (obs_server == nullptr && listen_port >= 0) {
