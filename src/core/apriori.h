@@ -23,18 +23,27 @@
 //   // bound already proves the candidate infrequent.
 //   bool Extend(std::span<const Elem> parent, const uint32_t* prefix,
 //               size_t k, uint32_t last, std::vector<Elem>* cand);
+//   // The exact frequency test (Def. 3): the number of distinct streams
+//   // among `support`'s occurrences, the trigger's own stream included.
+//   // With `out` null the count may stop once it reaches `need`; otherwise
+//   // it is exact and the distinct streams are written to `*out`, sorted.
+//   size_t Streams(std::span<const Elem> support, size_t need,
+//                  std::vector<StreamId>* out);
 //   // Appends the supporting occurrences of `support` to `*out`.
 //   void Occurrences(std::span<const Elem> support,
 //                    std::vector<Occurrence>* out);
 //
 // The driver owns everything else: the probe setup, the flat level store,
 // the F_k x F_k join, the all-subsets prune, the shard-ownership gates, the
-// candidate accounting and FCP emission.
+// candidate accounting and FCP emission. It asks for the stream list and the
+// occurrences only for a pattern it is about to emit; every other test is
+// the early-exit count.
 
 #ifndef FCP_CORE_APRIORI_H_
 #define FCP_CORE_APRIORI_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -131,7 +140,7 @@ struct AprioriScratch {
   AprioriLevel<Elem> next;        ///< frequent patterns of size k+1
   std::vector<Elem> cand;         ///< one candidate's support
   std::vector<uint32_t> subset;   ///< AllSubsetsFrequent scratch
-  std::vector<Occurrence> occurrences;  ///< last verified support
+  std::vector<Occurrence> occurrences;  ///< the emitted pattern's support
   std::vector<StreamId> streams;        ///< its sorted distinct streams
 };
 
@@ -142,7 +151,8 @@ struct AprioriScratch {
 /// non-owned singletons stay join partners so owned supersets are found.
 ///
 /// Accounting: every singleton and every candidate that survives the subset
-/// prune bumps candidates_checked; every rejected one bumps
+/// prune bumps candidates_checked; those that also pass the policy's cheap
+/// bound bump candidates_bound_passed; every rejected one bumps
 /// candidates_pruned; slcp_probes counts the probe objects of triggers with
 /// an owned object.
 template <typename Policy>
@@ -176,23 +186,24 @@ void MineApriori(const Segment& trigger, const MiningParams& params,
   stats->slcp_probes += num_objects;
   policy.Load(s.objects, s.owned);
 
-  // The exact frequency test: materialize the supporting occurrences and
-  // count distinct streams. On success s.occurrences and s.streams hold
-  // what emit() reports.
-  auto verify_streams = [&](std::span<const Elem> support) -> bool {
-    s.occurrences.clear();
-    policy.Occurrences(support, &s.occurrences);
-    s.streams.clear();
-    for (const Occurrence& occ : s.occurrences) s.streams.push_back(occ.stream);
-    std::sort(s.streams.begin(), s.streams.end());
-    s.streams.erase(std::unique(s.streams.begin(), s.streams.end()),
-                    s.streams.end());
-    return s.streams.size() >= params.theta;
+  // The exact frequency test (Def. 3): >= theta distinct streams. A
+  // pattern that will not be emitted only needs the early-exit count.
+  auto frequent = [&](std::span<const Elem> support) {
+    return policy.Streams(support, params.theta, nullptr) >= params.theta;
   };
 
-  // Emits the pattern (prefix[0..k-1], last) from the verify_streams()
-  // scratch. Allocation here is output, not overhead.
-  auto emit = [&](const uint32_t* prefix, size_t k, uint32_t last) {
+  // The same test for a pattern about to be emitted: the policy lists its
+  // streams, and only then are its occurrences materialized for the window.
+  // Allocation in the Fcp is output, not overhead.
+  auto emit_if_frequent = [&](std::span<const Elem> support,
+                              const uint32_t* prefix, size_t k,
+                              uint32_t last) {
+    s.streams.clear();
+    if (policy.Streams(support, params.theta, &s.streams) < params.theta) {
+      return false;
+    }
+    s.occurrences.clear();
+    policy.Occurrences(support, &s.occurrences);
     Fcp fcp;
     fcp.objects.reserve(k + 1);
     for (size_t i = 0; i < k; ++i) fcp.objects.push_back(s.objects[prefix[i]]);
@@ -207,6 +218,7 @@ void MineApriori(const Segment& trigger, const MiningParams& params,
     }
     out->push_back(std::move(fcp));
     ++stats->fcps_emitted;
+    return true;
   };
 
   // An owned pattern has an owned minimum object, and that object must
@@ -221,8 +233,7 @@ void MineApriori(const Segment& trigger, const MiningParams& params,
     std::span<const Elem> support;
     for (uint32_t oi = 0; oi < num_objects && !any_owned_frequent; ++oi) {
       if (!s.owned[oi]) continue;
-      any_owned_frequent =
-          policy.Singleton(oi, &support) && verify_streams(support);
+      any_owned_frequent = policy.Singleton(oi, &support) && frequent(support);
     }
     if (!any_owned_frequent) return;
   }
@@ -233,12 +244,18 @@ void MineApriori(const Segment& trigger, const MiningParams& params,
   for (uint32_t oi = 0; oi < num_objects; ++oi) {
     ++stats->candidates_checked;
     std::span<const Elem> support;
-    if (!policy.Singleton(oi, &support) || !verify_streams(support)) {
+    if (!policy.Singleton(oi, &support)) {
+      ++stats->candidates_pruned;
+      continue;
+    }
+    ++stats->candidates_bound_passed;
+    const bool emitted = params.min_pattern_size <= 1 && s.owned[oi];
+    if (emitted ? !emit_if_frequent(support, nullptr, 0, oi)
+                : !frequent(support)) {
       ++stats->candidates_pruned;
       continue;
     }
     s.level.Push(nullptr, 0, oi, support);
-    if (params.min_pattern_size <= 1 && s.owned[oi]) emit(nullptr, 0, oi);
   }
 
   // Levels k -> k+1: F_k x F_k join on a shared (k-1)-prefix, subset prune,
@@ -267,13 +284,18 @@ void MineApriori(const Segment& trigger, const MiningParams& params,
           continue;
         }
         ++stats->candidates_checked;
-        if (!policy.Extend(parent, pi, k, last, &s.cand) ||
-            !verify_streams(s.cand)) {
+        if (!policy.Extend(parent, pi, k, last, &s.cand)) {
+          ++stats->candidates_pruned;
+          continue;
+        }
+        ++stats->candidates_bound_passed;
+        if (k + 1 >= params.min_pattern_size
+                ? !emit_if_frequent(s.cand, pi, k, last)
+                : !frequent(s.cand)) {
           ++stats->candidates_pruned;
           continue;
         }
         s.next.Push(pi, k, last, s.cand);
-        if (k + 1 >= params.min_pattern_size) emit(pi, k, last);
       }
     }
     std::swap(s.level, s.next);

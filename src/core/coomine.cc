@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "telemetry/trace.h"
 #include "util/kernels/kernels.h"
+#include "util/radix_sort.h"
 #include "util/stopwatch.h"
 
 namespace fcp {
@@ -21,13 +22,18 @@ CooMine::CooMine(const MiningParams& params, CooMineOptions options,
 // Tidset support (Algorithm 4, counted Eclat-style): a pattern's support is
 // the bitset of the live LCP rows whose common set holds all its objects,
 // and extending a pattern ANDs its bitset with the joined-in object's.
+// Def. 3 counts distinct streams, not rows: each live row carries the dense
+// rank of its stream within the trigger, and Streams() counts distinct ranks
+// over the set bits with a per-rank epoch stamp, so no occurrence list is
+// built or sorted to decide frequency.
 class CooMine::TidsetSupport {
  public:
   using Elem = uint64_t;
 
   TidsetSupport(const Segment& trigger, const MiningParams& params,
-                MiningScratch* scratch)
+                MiningScratch* scratch, MinerStats* stats)
       : s_(*scratch),
+        stats_(*stats),
         probe_{trigger.stream(), trigger.start_time(), trigger.end_time()},
         ops_(kernels::Ops()),
         row_threshold_(params.theta == 0
@@ -42,45 +48,47 @@ class CooMine::TidsetSupport {
   // rows loses no support; it shrinks the bitset width each shard pays for.
   // (Non-owned singletons' tidsets thus undercount, which can never drop a
   // singleton whose owned superset is frequent: that superset's supporting
-  // rows are all live.) Both sides of the per-row merge are sorted, so one
-  // linear merge per row replaces a binary search per (row, object) pair.
-  // Objects in a row's common set beyond the max_segment_objects cap find no
-  // merge partner and are skipped.
+  // rows are all live.) SLCP records each row's common set as ascending
+  // positions into the probe's distinct objects — the same indexes as
+  // `objects` — so the bits are set directly. `objects` is a prefix of those
+  // distinct objects (the max_segment_objects cap), so a position at or past
+  // its size is an object the pass does not mine, and so are all after it.
+  // Each live row also gets its stream's rank (the probe's stream is 0).
   void Load(std::span<const ObjectId> objects, std::span<const uint8_t> owned) {
     const LcpTable& lcp = s_.lcp;
-    const size_t num_objects = objects.size();
+    const uint32_t num_objects = static_cast<uint32_t>(objects.size());
     const size_t max_rows = lcp.rows.size();
     const size_t max_words = (max_rows + 63) / 64;
     s_.object_bits.assign(num_objects * max_words, 0);
     s_.live_rows.clear();
+    s_.row_rank.clear();
+    s_.stream_rank.Clear();
+    s_.rank_streams.clear();
+    RankOf(probe_.stream);
     for (size_t r = 0; r < max_rows; ++r) {
       const LcpTable::Row& row = lcp.rows[r];
-      const ObjectId* c = lcp.CommonBegin(row);
-      const ObjectId* ce = lcp.CommonEnd(row);
-      s_.row_match.clear();
+      const uint32_t* const c = lcp.CommonBegin(row);
+      const uint32_t* ce = lcp.CommonEnd(row);
+      while (ce != c && ce[-1] >= num_objects) --ce;
       bool row_owned = false;
-      size_t oi = 0;
-      while (c != ce && oi < num_objects) {
-        if (*c < objects[oi]) {
-          ++c;
-        } else if (objects[oi] < *c) {
-          ++oi;
-        } else {
-          s_.row_match.push_back(static_cast<uint32_t>(oi));
-          row_owned |= owned[oi] != 0;
-          ++c;
-          ++oi;
-        }
+      for (const uint32_t* p = c; p != ce && !row_owned; ++p) {
+        row_owned = owned[*p] != 0;
       }
       if (!row_owned) continue;  // cannot support any owned pattern
       const size_t b = s_.live_rows.size();
       s_.live_rows.push_back(static_cast<uint32_t>(r));
+      s_.row_rank.push_back(RankOf(row.stream));
       const uint64_t bit_word = uint64_t{1} << (b % 64);
       const size_t word = b / 64;
-      for (uint32_t match : s_.row_match) {
-        s_.object_bits[match * max_words + word] |= bit_word;
+      for (const uint32_t* p = c; p != ce; ++p) {
+        s_.object_bits[*p * max_words + word] |= bit_word;
       }
     }
+    // Stamps of ranks new to this trigger start at 0, below every epoch.
+    if (s_.rank_epoch.size() < s_.rank_streams.size()) {
+      s_.rank_epoch.resize(s_.rank_streams.size(), 0);
+    }
+    stats_.live_rows += s_.live_rows.size();
     words_ = (s_.live_rows.size() + 63) / 64;
     // Repack the per-object bitsets to the live width (max_words >= words_;
     // rows beyond the live count never got a bit, so this is a pure
@@ -116,6 +124,41 @@ class CooMine::TidsetSupport {
                                      cand->data(), words_, row_threshold_);
   }
 
+  // Distinct stream ranks over the probe and the set bits: a rank counts
+  // the first time its stamp differs from this call's epoch. Epochs are 64
+  // bit and only grow, so stamps never need clearing. The listing form
+  // sorts only the distinct streams it found.
+  size_t Streams(std::span<const uint64_t> support, size_t need,
+                 std::vector<StreamId>* out) {
+    const uint64_t epoch = ++s_.stream_epoch;
+    uint64_t* const stamp = s_.rank_epoch.data();
+    stamp[0] = epoch;
+    size_t seen = 1;
+    if (out != nullptr) {
+      out->push_back(s_.rank_streams[0]);
+    } else if (seen >= need) {
+      return seen;
+    }
+    for (size_t w = 0; w < support.size(); ++w) {
+      uint64_t word = support[w];
+      while (word != 0) {
+        const size_t b = w * 64 + static_cast<size_t>(std::countr_zero(word));
+        word &= word - 1;
+        const uint32_t rank = s_.row_rank[b];
+        if (stamp[rank] == epoch) continue;
+        stamp[rank] = epoch;
+        ++seen;
+        if (out != nullptr) {
+          out->push_back(s_.rank_streams[rank]);
+        } else if (seen >= need) {
+          return seen;
+        }
+      }
+    }
+    if (out != nullptr) RadixSortU32(out, &s_.sort_scratch);
+    return seen;
+  }
+
   // The probe's own occurrence first, then one per set bit.
   void Occurrences(std::span<const uint64_t> support,
                    std::vector<Occurrence>* out) const {
@@ -132,7 +175,20 @@ class CooMine::TidsetSupport {
   }
 
  private:
+  // The dense rank of `stream` within this trigger, assigned in first-seen
+  // order. The map holds rank + 1, so one probe both finds a seen stream
+  // and claims the slot of a new one (0 = just inserted).
+  uint32_t RankOf(StreamId stream) {
+    uint32_t& slot = s_.stream_rank[stream];
+    if (slot == 0) {
+      s_.rank_streams.push_back(stream);
+      slot = static_cast<uint32_t>(s_.rank_streams.size());
+    }
+    return slot - 1;
+  }
+
   MiningScratch& s_;
+  MinerStats& stats_;
   const Occurrence probe_;
   const kernels::KernelOps& ops_;
   const size_t row_threshold_;
@@ -160,7 +216,7 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
       tree_.stats().distance_bound_visits - visits_before;
   {
     FCP_TRACE_SPAN("coomine/apriori");
-    TidsetSupport support(segment, params_, &scratch_);
+    TidsetSupport support(segment, params_, &scratch_, &stats_);
     MineApriori(segment, params_, shard_, support, &scratch_.apriori, &stats_,
                 out);
   }

@@ -10,9 +10,13 @@
 // its support policy, counted Eclat-style: each probe object gets a bitset
 // over the LCP rows (its tidset), a pattern's supporting rows are the AND of
 // its parent's bitset with the last object's bitset (carried level to
-// level), and a popcount prefilter rejects infrequent candidates before any
-// occurrence list is materialized. All per-trigger state lives in a reusable
-// MiningScratch, so steady-state AddSegment performs no heap allocations.
+// level), and a popcount prefilter rejects infrequent candidates before the
+// rows are read. A candidate past the prefilter is tested by counting the
+// distinct stream ranks of its set bits (each live row carries its stream's
+// rank within the trigger), stopping at theta unless the pattern is emitted;
+// occurrences are materialized only for emitted patterns. All per-trigger
+// state lives in a reusable MiningScratch, so steady-state AddSegment
+// performs no heap allocations.
 //
 // When constructed as one shard of a sharded group (ShardSpec), the Apriori
 // pass is restricted to the patterns the shard owns: only LCP rows sharing
@@ -33,6 +37,7 @@
 #include "core/miner.h"
 #include "index/seg_tree.h"
 #include "stream/segment.h"
+#include "util/flat_map.h"
 
 namespace fcp {
 
@@ -81,7 +86,12 @@ class CooMine : public FcpMiner {
     LcpTable lcp;                       ///< SLCP output table
     std::vector<SegmentId> expired;     ///< lazily deleted segments
     std::vector<uint32_t> live_rows;    ///< LCP rows given a bit position
-    std::vector<uint32_t> row_match;    ///< one row's matched object indexes
+    std::vector<uint32_t> row_rank;     ///< per live row: its stream's rank
+    FlatMap<StreamId, uint32_t> stream_rank;  ///< stream -> rank + 1
+    std::vector<StreamId> rank_streams;  ///< rank -> stream
+    std::vector<uint64_t> rank_epoch;  ///< per rank: last Streams() epoch
+    uint64_t stream_epoch = 0;         ///< bumped by every Streams() call
+    std::vector<StreamId> sort_scratch;  ///< RadixSortU32 buffer
     std::vector<uint64_t> object_bits;  ///< per-object row bitsets
     AprioriScratch<uint64_t> apriori;   ///< level store, tidsets as words
   };

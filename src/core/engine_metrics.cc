@@ -23,8 +23,11 @@ MinerMetrics MinerMetrics::Register(telemetry::MetricRegistry* registry,
       registry->GetCounter(Name("fcp_candidates_checked_total", labels));
   m.candidates_pruned =
       registry->GetCounter(Name("fcp_candidates_pruned_total", labels));
+  m.candidates_bound_passed =
+      registry->GetCounter(Name("fcp_candidates_bound_passed_total", labels));
   m.slcp_probes = registry->GetCounter(Name("fcp_slcp_probes_total", labels));
   m.lcp_rows = registry->GetCounter(Name("fcp_lcp_rows_total", labels));
+  m.live_rows = registry->GetCounter(Name("fcp_lcp_live_rows_total", labels));
   m.slcp_nodes_visited =
       registry->GetCounter(Name("fcp_slcp_nodes_visited_total", labels));
   m.maintenance_runs =
@@ -62,8 +65,11 @@ void MinerMetrics::PublishDelta(const MinerStats& current,
   Bump(candidates_checked,
        current.candidates_checked - last->candidates_checked);
   Bump(candidates_pruned, current.candidates_pruned - last->candidates_pruned);
+  Bump(candidates_bound_passed,
+       current.candidates_bound_passed - last->candidates_bound_passed);
   Bump(slcp_probes, current.slcp_probes - last->slcp_probes);
   Bump(lcp_rows, current.lcp_rows - last->lcp_rows);
+  Bump(live_rows, current.live_rows - last->live_rows);
   Bump(slcp_nodes_visited,
        current.slcp_nodes_visited - last->slcp_nodes_visited);
   Bump(maintenance_runs, current.maintenance_runs - last->maintenance_runs);

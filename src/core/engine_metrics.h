@@ -26,8 +26,10 @@ struct MinerMetrics {
   telemetry::Counter* fcps_emitted = nullptr;
   telemetry::Counter* candidates_checked = nullptr;
   telemetry::Counter* candidates_pruned = nullptr;
+  telemetry::Counter* candidates_bound_passed = nullptr;
   telemetry::Counter* slcp_probes = nullptr;
   telemetry::Counter* lcp_rows = nullptr;
+  telemetry::Counter* live_rows = nullptr;
   telemetry::Counter* slcp_nodes_visited = nullptr;
   telemetry::Counter* maintenance_runs = nullptr;
   telemetry::Counter* segments_expired = nullptr;

@@ -31,10 +31,17 @@ struct MinerStats {
   uint64_t fcps_emitted = 0;
   uint64_t candidates_checked = 0;
   uint64_t candidates_pruned = 0;  ///< candidates rejected before emission
+  uint64_t candidates_bound_passed = 0;  ///< candidates past the policy's
+                                         ///< cheap bound (popcount / list
+                                         ///< length) that reached the exact
+                                         ///< distinct-stream test
   uint64_t slcp_probes = 0;        ///< per-object pattern probes (SLCP rows
                                    ///< for CooMine, posting/matrix probes
                                    ///< for DIMine/MatrixMine)
   uint64_t lcp_rows = 0;           ///< CooMine: LCP-table rows built
+  uint64_t live_rows = 0;          ///< CooMine: LCP rows given a tidset bit
+                                   ///< (rows sharing >= 1 owned, mined
+                                   ///< probe object; 0 for DIMine/MatrixMine)
   uint64_t slcp_nodes_visited = 0; ///< CooMine: Seg-tree nodes visited by
                                    ///< SLCP's DistanceBound searches (0 for
                                    ///< DIMine/MatrixMine)

@@ -25,6 +25,7 @@ MiningEngine::MiningEngine(MinerKind kind, const MiningParams& params,
   segments_completed_metric_ =
       registry_->GetCounter("fcp_segments_completed_total");
   fcps_accepted_ = registry_->GetCounter("fcp_fcps_accepted_total");
+  events_reordered_ = registry_->GetCounter("fcp_events_reordered_total");
   mine_latency_us_ = registry_->GetHistogram("fcp_segment_mine_latency_us");
   pool_live_refs_ = registry_->GetGauge("fcp_segment_pool_live_refs");
   pool_hits_ = registry_->GetGauge("fcp_segment_pool_hits_total");
@@ -54,6 +55,7 @@ std::string MiningEngine::StatusJson() const {
   out += ",\"streams_seen\":" + std::to_string(mux_.streams_seen());
   out += ",\"open_windows\":" + std::to_string(mux_.open_windows());
   out += ",\"events_ingested\":" + std::to_string(events_ingested_->Value());
+  out += ",\"events_reordered\":" + std::to_string(mux_.reordered_count());
   out += ",\"segments_completed\":" +
          std::to_string(segments_completed_metric_->Value());
   out += ",\"fcps_accepted\":" + std::to_string(fcps_accepted_->Value());
@@ -103,6 +105,12 @@ std::vector<Fcp> MiningEngine::Flush() {
 
 std::vector<Fcp> MiningEngine::ProcessSegments(
     const std::vector<SegmentRef>& segments) {
+  // Every mux call ends here, so this one delta covers all ingest paths.
+  const uint64_t reordered = mux_.reordered_count();
+  if (reordered != reordered_published_) {
+    events_reordered_->Increment(reordered - reordered_published_);
+    reordered_published_ = reordered;
+  }
   std::vector<Fcp> accepted;
   std::vector<Fcp> mined;
   for (size_t k = 0; k < segments.size(); ++k) {

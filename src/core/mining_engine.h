@@ -122,6 +122,8 @@ class MiningEngine {
   telemetry::Counter* events_ingested_ = nullptr;
   telemetry::Counter* segments_completed_metric_ = nullptr;
   telemetry::Counter* fcps_accepted_ = nullptr;
+  telemetry::Counter* events_reordered_ = nullptr;
+  uint64_t reordered_published_ = 0;  ///< mux reordered count last published
   telemetry::LatencyHistogram* mine_latency_us_ = nullptr;
   // Segment-pool observability (fcp_segment_pool_*), refreshed per batch.
   telemetry::Gauge* pool_live_refs_ = nullptr;

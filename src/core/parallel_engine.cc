@@ -60,6 +60,7 @@ void ParallelEngine::RegisterMetrics() {
   events_ingested_ = registry_->GetCounter("fcp_events_ingested_total");
   segments_completed_metric_ =
       registry_->GetCounter("fcp_segments_completed_total");
+  events_reordered_ = registry_->GetCounter("fcp_events_reordered_total");
   watermark_lag_ms_ = registry_->GetGauge("fcp_watermark_lag_ms");
   event_queue_depth_ = registry_->GetGauge("fcp_event_queue_depth");
   event_queue_high_watermark_ =
@@ -248,6 +249,7 @@ void ParallelEngine::IngestLoop() {
   uint64_t moves_published = 0;
   uint64_t rounds_published = 0;
   uint64_t backfills_published = 0;
+  uint64_t reordered_published = 0;
 
   // Routes the segments the last mux call completed, in completion order —
   // the order MiningEngine mines them in.
@@ -312,6 +314,11 @@ void ParallelEngine::IngestLoop() {
     if (!event) break;
     if (heartbeat != nullptr) heartbeat->MarkIdle(false);
     mux_.Push(*event, &completed);
+    const uint64_t reordered = mux_.reordered_count();
+    if (reordered != reordered_published) {
+      events_reordered_->Increment(reordered - reordered_published);
+      reordered_published = reordered;
+    }
     route_completed();
     events_routed_.store(++routed_events, std::memory_order_release);
     if (heartbeat != nullptr) heartbeat->Beat();
@@ -436,6 +443,7 @@ std::string ParallelEngine::StatusJson() const {
   out += ",\"placement_version\":" +
          std::to_string(router_->placement_version());
   out += ",\"events_ingested\":" + std::to_string(events_ingested_->Value());
+  out += ",\"events_reordered\":" + std::to_string(mux_.reordered_count());
   out += ",\"segments_completed\":" +
          std::to_string(segments_completed_metric_->Value());
   const SegmentPoolStats pool = segment_pool_.stats();

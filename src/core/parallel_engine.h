@@ -144,6 +144,9 @@ class ParallelEngine {
 
   uint64_t segments_completed() const { return segments_completed_; }
   uint64_t events_pushed() const { return events_pushed_; }
+  /// Events the segmenters clamped to restore per-stream time order.
+  /// Thread-safe.
+  uint64_t events_reordered() const { return mux_.reordered_count(); }
 
   /// The registry this pipeline publishes into (engine-owned unless
   /// ParallelEngineOptions::metrics was set).
@@ -243,6 +246,7 @@ class ParallelEngine {
   telemetry::MetricRegistry* registry_ = nullptr;
   telemetry::Counter* events_ingested_ = nullptr;
   telemetry::Counter* segments_completed_metric_ = nullptr;
+  telemetry::Counter* events_reordered_ = nullptr;
   telemetry::Gauge* watermark_lag_ms_ = nullptr;
   telemetry::Gauge* event_queue_depth_ = nullptr;
   telemetry::Gauge* event_queue_high_watermark_ = nullptr;

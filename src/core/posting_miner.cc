@@ -1,5 +1,6 @@
 #include "core/posting_miner.h"
 
+#include <algorithm>
 #include <span>
 
 #include "common/check.h"
@@ -62,6 +63,23 @@ class PostingMiner<Index>::PostingSupport {
                       s_.valid[last].size(), cand);
     }
     return cand->size() >= theta_;
+  }
+
+  // Distinct streams of the supporters (the trigger among them): collected
+  // and sorted. The list-length bound already passed, so there is no cheap
+  // early exit; `need` is unused.
+  size_t Streams(std::span<const SegmentId> support, size_t /*need*/,
+                 std::vector<StreamId>* out) {
+    std::vector<StreamId>& streams = out != nullptr ? *out : s_.streams;
+    streams.clear();
+    for (SegmentId id : support) {
+      const SegmentInfo* info = index_.registry().Find(id);
+      FCP_DCHECK(info != nullptr);
+      streams.push_back(info->stream);
+    }
+    std::sort(streams.begin(), streams.end());
+    streams.erase(std::unique(streams.begin(), streams.end()), streams.end());
+    return streams.size();
   }
 
   void Occurrences(std::span<const SegmentId> support,

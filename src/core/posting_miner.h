@@ -81,6 +81,7 @@ class PostingMiner final : public FcpMiner {
   struct MiningScratch {
     std::vector<std::vector<SegmentId>> valid;  ///< per-object valid lists
     std::vector<SegmentId> pair_cell;  ///< MatrixMine: one (first, last) cell
+    std::vector<StreamId> streams;     ///< a support's distinct streams
     AprioriScratch<SegmentId> apriori;  ///< level store, supporters as ids
   };
 

@@ -26,8 +26,11 @@ std::string DumpSlowOp(const char* op, const Segment& segment,
       {"fcps_emitted", static_cast<int64_t>(stats.fcps_emitted)},
       {"candidates_checked", static_cast<int64_t>(stats.candidates_checked)},
       {"candidates_pruned", static_cast<int64_t>(stats.candidates_pruned)},
+      {"candidates_bound_passed",
+       static_cast<int64_t>(stats.candidates_bound_passed)},
       {"slcp_probes", static_cast<int64_t>(stats.slcp_probes)},
       {"lcp_rows", static_cast<int64_t>(stats.lcp_rows)},
+      {"live_rows", static_cast<int64_t>(stats.live_rows)},
       {"slcp_nodes_visited", static_cast<int64_t>(stats.slcp_nodes_visited)},
       {"maintenance_runs", static_cast<int64_t>(stats.maintenance_runs)},
       {"segments_expired", static_cast<int64_t>(stats.segments_expired)},

@@ -541,7 +541,8 @@ void SegTree::SlcpInto(const Segment& probe, Timestamp now, DurationMs tau,
     // Phase 2: reconstruct each live row's full common set (owned objects
     // alone are not enough — patterns extend past the minimum object) as
     // probe ∩ segment, one linear merge of two small sorted arrays per row
-    // (TailEntry::objects is the segment's sorted distinct object list).
+    // (TailEntry::objects is the segment's sorted distinct object list),
+    // recording each match by its probe position.
     for (const TailEntry* t : live) {
       LcpTable::Row row;
       row.segment = t->segment;
@@ -559,7 +560,8 @@ void SegTree::SlcpInto(const Segment& probe, Timestamp now, DurationMs tau,
         } else if (*b < *a) {
           ++b;
         } else {
-          out->common_pool.push_back(*a);
+          out->common_pool.push_back(
+              static_cast<uint32_t>(a - probe_objects.data()));
           ++a;
           ++b;
         }
@@ -575,21 +577,23 @@ void SegTree::SlcpInto(const Segment& probe, Timestamp now, DurationMs tau,
     return;
   }
 
-  for (ObjectId object : probe_objects) {
-    Node* const* head = hlist_.Find(object);
+  for (size_t pos = 0; pos < probe_objects.size(); ++pos) {
+    Node* const* head = hlist_.Find(probe_objects[pos]);
     if (head == nullptr) continue;
     hits.clear();
     for (const Node* n = *head; n != nullptr; n = n->hnext) {
       CollectRelevantTails(n, now, tau, &hits, expired);
     }
     for (const TailEntry* t : hits) {
-      hit_records.push_back(Hit{t->segment, object, t});
+      hit_records.push_back(Hit{t->segment, static_cast<uint32_t>(pos), t});
     }
   }
+  // Positions ascend with object ids (the probe is sorted), so this is the
+  // (segment, object) order.
   std::sort(hit_records.begin(), hit_records.end(),
             [](const Hit& a, const Hit& b) {
               if (a.segment != b.segment) return a.segment < b.segment;
-              return a.object < b.object;
+              return a.position < b.position;
             });
 
   for (size_t i = 0; i < hit_records.size();) {
@@ -603,8 +607,8 @@ void SegTree::SlcpInto(const Segment& probe, Timestamp now, DurationMs tau,
     while (i < hit_records.size() &&
            hit_records[i].segment == first.segment) {
       if (out->common_pool.size() == row.common_begin ||
-          out->common_pool.back() != hit_records[i].object) {
-        out->common_pool.push_back(hit_records[i].object);
+          out->common_pool.back() != hit_records[i].position) {
+        out->common_pool.push_back(hit_records[i].position);
       }
       ++i;
     }
@@ -623,6 +627,7 @@ std::vector<LcpRow> SegTree::Slcp(const Segment& probe, Timestamp now,
                                   std::vector<SegmentId>* expired) const {
   LcpTable table;
   SlcpInto(probe, now, tau, expired, &table);
+  const std::vector<ObjectId>& probe_objects = probe.distinct_objects();
   std::vector<LcpRow> rows;
   rows.reserve(table.rows.size());
   for (const LcpTable::Row& row : table.rows) {
@@ -631,7 +636,10 @@ std::vector<LcpRow> SegTree::Slcp(const Segment& probe, Timestamp now,
     out.stream = row.stream;
     out.start = row.start;
     out.end = row.end;
-    out.common.assign(table.CommonBegin(row), table.CommonEnd(row));
+    for (const uint32_t* c = table.CommonBegin(row); c != table.CommonEnd(row);
+         ++c) {
+      out.common.push_back(probe_objects[*c]);
+    }
     rows.push_back(std::move(out));
   }
   return rows;

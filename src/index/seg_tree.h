@@ -100,10 +100,15 @@ struct LcpRow {
 };
 
 /// Flat, reusable SLCP result: one Row per relevant segment, with each row's
-/// common-object set stored as a [begin, end) slice of one shared pool.
-/// Clearing keeps the capacity, so a table reused across triggers stops
-/// allocating once warm — the zero-allocation counterpart of
-/// std::vector<LcpRow>.
+/// common set stored as a [begin, end) slice of one shared pool. The pool
+/// holds *positions* into the probe's sorted `distinct_objects()`, not object
+/// ids: the miner indexes its per-object tidsets by the same positions, so it
+/// sets a row's bits without merging the row against the probe again (and a
+/// position at or past the miner's `max_segment_objects` cap names an object
+/// it does not mine). Positions ascend within a row, in the same order as the
+/// ids they stand for, because the probe's objects are sorted. Clearing keeps
+/// the capacity, so a table reused across triggers stops allocating once
+/// warm — the zero-allocation counterpart of std::vector<LcpRow>.
 struct LcpTable {
   struct Row {
     SegmentId segment = kInvalidSegmentId;
@@ -111,11 +116,11 @@ struct LcpTable {
     Timestamp start = 0;
     Timestamp end = 0;
     uint32_t common_begin = 0;  ///< index into common_pool
-    uint32_t common_end = 0;    ///< one past the row's last common object
+    uint32_t common_end = 0;    ///< one past the row's last common position
   };
 
   std::vector<Row> rows;
-  std::vector<ObjectId> common_pool;  ///< sorted distinct objects per row
+  std::vector<uint32_t> common_pool;  ///< ascending probe positions per row
 
   void Clear() {
     rows.clear();
@@ -124,10 +129,10 @@ struct LcpTable {
   size_t CommonSize(const Row& row) const {
     return row.common_end - row.common_begin;
   }
-  const ObjectId* CommonBegin(const Row& row) const {
+  const uint32_t* CommonBegin(const Row& row) const {
     return common_pool.data() + row.common_begin;
   }
-  const ObjectId* CommonEnd(const Row& row) const {
+  const uint32_t* CommonEnd(const Row& row) const {
     return common_pool.data() + row.common_end;
   }
 };
@@ -165,7 +170,9 @@ class SegTree {
   /// DistanceBound (Algorithm 3), and emits one row per relevant segment
   /// with the common object set. Expired segments encountered during the
   /// search are recorded in `expired` (if non-null) for lazy deletion by the
-  /// caller; they do not appear in the result.
+  /// caller; they do not appear in the result. Rows come in segment-id order
+  /// and name their common objects by position in `probe.distinct_objects()`
+  /// (see LcpTable).
   ///
   /// `now` anchors validity (callers pass the probe's end time). The probe
   /// itself must not be in the tree yet (mine first, insert after). `out` is
@@ -188,7 +195,8 @@ class SegTree {
                 const ShardSpec& shard = {}) const;
 
   /// Convenience SLCP shape for tests/benches: same result as SlcpInto, one
-  /// owning LcpRow per relevant segment.
+  /// owning LcpRow per relevant segment, with the common positions mapped
+  /// back to object ids.
   std::vector<LcpRow> Slcp(const Segment& probe, Timestamp now,
                            DurationMs tau,
                            std::vector<SegmentId>* expired) const;
@@ -281,9 +289,10 @@ class SegTree {
   };
 
   // One (segment, probe-object) hit of the serial SLCP, grouped into rows.
+  // `position` indexes the probe's distinct objects.
   struct Hit {
     SegmentId segment;
-    ObjectId object;
+    uint32_t position;
     const TailEntry* tail;
   };
 

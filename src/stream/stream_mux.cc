@@ -39,23 +39,20 @@ StreamMux::StreamMux(DurationMs xi, SegmentPool* pool) : xi_(xi) {
   }
 }
 
-void StreamMux::Push(const ObjectEvent& event, std::vector<SegmentRef>* out) {
-  auto it = segmenters_.find(event.stream);
+Segmenter* StreamMux::SegmenterFor(StreamId stream) {
+  auto it = segmenters_.find(stream);
   if (it == segmenters_.end()) {
     it = segmenters_
-             .emplace(event.stream,
-                      std::make_unique<Segmenter>(event.stream, xi_, &id_gen_,
-                                                  pool_))
+             .emplace(stream, std::make_unique<Segmenter>(stream, xi_,
+                                                          &id_gen_, pool_))
              .first;
     streams_seen_.fetch_add(1, std::memory_order_relaxed);
   }
-  const size_t before = out->size();
-  const bool was_open = it->second->has_open_window();
-  it->second->Push(event.object, event.time, out);
-  if (it->second->has_open_window() != was_open) {
-    open_windows_.fetch_add(was_open ? -1 : 1, std::memory_order_relaxed);
-  }
-  TraceCompletedSegments(*out, before);
+  return it->second.get();
+}
+
+void StreamMux::Push(const ObjectEvent& event, std::vector<SegmentRef>* out) {
+  PushTo(SegmenterFor(event.stream), event, out);
 }
 
 void StreamMux::PushBatch(const ObjectEvent* events, size_t count,
@@ -65,26 +62,27 @@ void StreamMux::PushBatch(const ObjectEvent* events, size_t count,
   for (size_t k = 0; k < count; ++k) {
     const ObjectEvent& event = events[k];
     if (cached == nullptr || event.stream != cached_stream) {
-      auto it = segmenters_.find(event.stream);
-      if (it == segmenters_.end()) {
-        it = segmenters_
-                 .emplace(event.stream,
-                          std::make_unique<Segmenter>(event.stream, xi_,
-                                                      &id_gen_, pool_))
-                 .first;
-        streams_seen_.fetch_add(1, std::memory_order_relaxed);
-      }
-      cached = it->second.get();
+      cached = SegmenterFor(event.stream);
       cached_stream = event.stream;
     }
-    const size_t before = out->size();
-    const bool was_open = cached->has_open_window();
-    cached->Push(event.object, event.time, out);
-    if (cached->has_open_window() != was_open) {
-      open_windows_.fetch_add(was_open ? -1 : 1, std::memory_order_relaxed);
-    }
-    TraceCompletedSegments(*out, before);
+    PushTo(cached, event, out);
   }
+}
+
+void StreamMux::PushTo(Segmenter* segmenter, const ObjectEvent& event,
+                       std::vector<SegmentRef>* out) {
+  const size_t before = out->size();
+  const bool was_open = segmenter->has_open_window();
+  const uint64_t reordered = segmenter->reordered_count();
+  segmenter->Push(event.object, event.time, out);
+  if (segmenter->has_open_window() != was_open) {
+    open_windows_.fetch_add(was_open ? -1 : 1, std::memory_order_relaxed);
+  }
+  if (segmenter->reordered_count() != reordered) {
+    reordered_.fetch_add(segmenter->reordered_count() - reordered,
+                         std::memory_order_relaxed);
+  }
+  TraceCompletedSegments(*out, before);
 }
 
 void StreamMux::FlushAll(std::vector<SegmentRef>* out) {
@@ -95,14 +93,6 @@ void StreamMux::FlushAll(std::vector<SegmentRef>* out) {
     if (was_open) open_windows_.fetch_add(-1, std::memory_order_relaxed);
     TraceCompletedSegments(*out, before);
   }
-}
-
-uint64_t StreamMux::reordered_count() const {
-  uint64_t total = 0;
-  for (const auto& [stream, segmenter] : segmenters_) {
-    total += segmenter->reordered_count();
-  }
-  return total;
 }
 
 }  // namespace fcp

@@ -59,8 +59,12 @@ class StreamMux {
     return streams_seen_.load(std::memory_order_relaxed);
   }
 
-  /// Total events whose timestamps had to be clamped (see Segmenter).
-  uint64_t reordered_count() const;
+  /// Total events whose timestamps had to be clamped (see Segmenter). A
+  /// running total kept beside the other mirrors, so it is safe to read from
+  /// any thread and costs no walk over the streams.
+  uint64_t reordered_count() const {
+    return reordered_.load(std::memory_order_relaxed);
+  }
 
   /// The id generator (exposed so callers can pre-register segments built by
   /// hand, e.g. tests and the Twitter generator which emits whole segments).
@@ -71,6 +75,12 @@ class StreamMux {
   const SegmentPool& pool() const { return *pool_; }
 
  private:
+  /// The stream's segmenter, created on first sight.
+  Segmenter* SegmenterFor(StreamId stream);
+  /// Feeds `event` to its stream's segmenter and updates the mirrors.
+  void PushTo(Segmenter* segmenter, const ObjectEvent& event,
+              std::vector<SegmentRef>* out);
+
   DurationMs xi_;
   std::unique_ptr<SegmentPool> owned_pool_;
   SegmentPool* pool_ = nullptr;
@@ -80,6 +90,7 @@ class StreamMux {
   /// push opens a stream's window, -1 when emission/flush drains it.
   std::atomic<int64_t> open_windows_{0};
   std::atomic<int64_t> streams_seen_{0};
+  std::atomic<uint64_t> reordered_{0};
 };
 
 }  // namespace fcp

@@ -40,8 +40,13 @@ class SetSupport {
     candidates_.push_back(pattern);
     return frequent_.count(pattern) > 0;
   }
-  // One occurrence per support: with theta = 1 every candidate the bounds
-  // let through is frequent.
+  // One stream and one occurrence per support: with theta = 1 every
+  // candidate the bounds let through is frequent.
+  size_t Streams(std::span<const uint32_t>, size_t,
+                 std::vector<StreamId>* out) const {
+    if (out != nullptr) out->push_back(0);
+    return 1;
+  }
   void Occurrences(std::span<const uint32_t>,
                    std::vector<Occurrence>* out) const {
     out->push_back(Occurrence{});

@@ -1,5 +1,9 @@
 #include "core/coomine.h"
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/miner.h"
@@ -9,6 +13,7 @@
 namespace fcp {
 namespace {
 
+using ::fcp::testing::FullSignatures;
 using ::fcp::testing::MakeSegment;
 using ::fcp::testing::PatternsOf;
 
@@ -214,6 +219,93 @@ TEST(CooMineTest, MaxSegmentObjectsCapBoundsWork) {
   EXPECT_LE(out.size(), 7u);
 }
 
+
+// Mines `segments` with CooMine serially (num_shards == 0) or as S shard
+// miners that each see every segment (ownership decides who emits).
+std::vector<Fcp> MineCooMine(const MiningParams& params, uint32_t num_shards,
+                             const std::vector<Segment>& segments) {
+  std::vector<std::unique_ptr<FcpMiner>> miners;
+  if (num_shards == 0) {
+    miners.push_back(MakeMiner(MinerKind::kCooMine, params));
+  }
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    miners.push_back(
+        MakeMiner(MinerKind::kCooMine, params, ShardSpec{s, num_shards}));
+  }
+  std::vector<Fcp> out;
+  for (const Segment& segment : segments) {
+    for (auto& miner : miners) {
+      miner->AdvanceWatermark(segment.end_time());
+      miner->AddSegment(segment, &out);
+    }
+  }
+  return out;
+}
+
+std::vector<Fcp> MineBruteForce(const MiningParams& params,
+                                const std::vector<Segment>& segments) {
+  auto miner = MakeMiner(MinerKind::kBruteForce, params);
+  std::vector<Fcp> out;
+  for (const Segment& segment : segments) miner->AddSegment(segment, &out);
+  return out;
+}
+
+// Def. 3 counts streams, not rows: six supporting rows from two streams —
+// one of them the trigger's own — are not theta = 3 streams, however many
+// rows pass the popcount bound. One segment of a third stream makes exactly
+// one FCP, whose streams are sorted (the trigger's stream is counted first)
+// and whose window spans every supporting row, the repeated streams' rows
+// included. Run with the pattern emitted at size 1 (singletons take the
+// listing count) and at size 2 (singletons take the early-exit count),
+// serially and at S = 4, each against the brute-force oracle.
+TEST(CooMineTest, ManyRowsFromFewStreamsAreNotFrequent) {
+  constexpr ObjectId kA = 7, kB = 8;
+  for (const uint32_t size : {1u, 2u}) {
+    MiningParams params = Example4Params();
+    params.theta = 3;
+    params.min_pattern_size = size;
+    params.max_pattern_size = size;
+    const Pattern pattern = size == 1 ? Pattern{kA} : Pattern{kA, kB};
+    auto pattern_segment = [&](SegmentId id, StreamId stream, Timestamp t) {
+      std::vector<SegmentEntry> entries;
+      for (ObjectId object : pattern) {
+        entries.push_back(SegmentEntry{object, t});
+      }
+      return Segment(id, stream, std::move(entries));
+    };
+    // Stream 1 (the first trigger's stream) holds the earliest supporter.
+    std::vector<Segment> segments;
+    ObjectId noise = 20;
+    for (Timestamp t : {100, 200, 300}) {
+      segments.push_back(
+          MakeSegment(segments.size() + 1, 1, {kA, kB, noise++}, t));
+      segments.push_back(
+          MakeSegment(segments.size() + 1, 2, {kA, kB, noise++}, t + 50));
+    }
+    segments.push_back(pattern_segment(segments.size() + 1, 1, 1000));
+    const SegmentId id = segments.size() + 1;
+    for (const uint32_t shards : {0u, 4u}) {
+      SCOPED_TRACE("size " + std::to_string(size) + ", shards " +
+                   std::to_string(shards));
+      const std::vector<Fcp> none = MineCooMine(params, shards, segments);
+      EXPECT_TRUE(none.empty());
+      EXPECT_EQ(FullSignatures(none),
+                FullSignatures(MineBruteForce(params, segments)));
+
+      std::vector<Segment> more = segments;
+      more.push_back(pattern_segment(id, 3, 1100));
+      const std::vector<Fcp> one = MineCooMine(params, shards, more);
+      ASSERT_EQ(one.size(), 1u);
+      EXPECT_EQ(one[0].objects, pattern);
+      EXPECT_EQ(one[0].streams, (std::vector<StreamId>{1, 2, 3}));
+      EXPECT_EQ(one[0].trigger, id);
+      EXPECT_EQ(one[0].window_start, 100);
+      EXPECT_EQ(one[0].window_end, 1100);
+      EXPECT_EQ(FullSignatures(one),
+                FullSignatures(MineBruteForce(params, more)));
+    }
+  }
+}
 
 TEST(CooMineTest, PureLazyDeletionMatchesPeriodicSweeps) {
   // Expiry policy must not change results: validity is re-checked at every

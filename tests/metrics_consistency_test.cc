@@ -5,8 +5,11 @@
 // The telemetry registry must agree with the miners' own stats structs, so
 // a dashboard reading the registry sees the same truth as the library API.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -79,6 +82,11 @@ TEST_P(MetricsConsistencyTest, SerialAndShardedAgreeOnSemanticCounters) {
   EXPECT_EQ(
       Find(serial_metrics, "fcp_slcp_nodes_visited_total").counter_value,
       serial.miner().stats().slcp_nodes_visited);
+  EXPECT_EQ(Find(serial_metrics, "fcp_lcp_live_rows_total").counter_value,
+            serial.miner().stats().live_rows);
+  EXPECT_EQ(
+      Find(serial_metrics, "fcp_candidates_bound_passed_total").counter_value,
+      serial.miner().stats().candidates_bound_passed);
   EXPECT_EQ(
       static_cast<uint64_t>(Find(serial_metrics, "fcp_index_bytes").gauge_value),
       serial.MemoryUsage());
@@ -125,6 +133,15 @@ TEST_P(MetricsConsistencyTest, SerialAndShardedAgreeOnSemanticCounters) {
     EXPECT_EQ(Find(sharded_metrics, "fcp_slcp_nodes_visited_total" + label)
                   .counter_value,
               stats.slcp_nodes_visited)
+        << "shard " << s;
+    EXPECT_EQ(
+        Find(sharded_metrics, "fcp_lcp_live_rows_total" + label).counter_value,
+        stats.live_rows)
+        << "shard " << s;
+    EXPECT_EQ(Find(sharded_metrics,
+                   "fcp_candidates_bound_passed_total" + label)
+                  .counter_value,
+              stats.candidates_bound_passed)
         << "shard " << s;
 
     // Every delivery landed somewhere: discovery latency histogram counted
@@ -277,6 +294,58 @@ TEST(MetricsConsistencyRebalanceTest, MigrationCountersMirrorEngineState) {
   }
   EXPECT_EQ(mined, engine.router_stats().deliveries);
   EXPECT_EQ(backfilled, engine.router_stats().backfill_deliveries);
+}
+
+// The segmenters clamp an event older than its stream's previous one; both
+// engines count those in fcp_events_reordered_total and /statusz. The ingest
+// thread segments in serial order, so a disordered feed reports the same
+// count serially and at S = 4 (and an ordered one reports none).
+TEST(MetricsConsistencyReorderTest,
+     ShuffledFeedReportsTheSameCountSerialAndSharded) {
+  std::vector<ObjectEvent> events = Trace();
+  {
+    MiningEngine ordered(MinerKind::kCooMine, Params());
+    ordered.IngestBatch(events);
+    ordered.Flush();
+    EXPECT_EQ(Find(ordered.SnapshotMetrics(), "fcp_events_reordered_total")
+                  .counter_value,
+              0u);
+  }
+  // Bounded disorder: each event may trade places with one up to 8 later.
+  std::mt19937 rng(2015);
+  for (size_t i = 0; i + 1 < events.size(); ++i) {
+    const size_t reach = std::min<size_t>(8, events.size() - 1 - i);
+    std::swap(events[i], events[i + 1 + rng() % reach]);
+  }
+
+  MiningEngine serial(MinerKind::kCooMine, Params());
+  for (size_t i = 0; i < events.size(); i += 100) {
+    serial.IngestBatch(std::span(events.data() + i,
+                                 std::min<size_t>(100, events.size() - i)));
+  }
+  serial.Flush();
+  const uint64_t reordered = serial.mux().reordered_count();
+  EXPECT_GT(reordered, 0u);
+  EXPECT_EQ(Find(serial.SnapshotMetrics(), "fcp_events_reordered_total")
+                .counter_value,
+            reordered);
+  const std::string field =
+      "\"events_reordered\":" + std::to_string(reordered);
+  EXPECT_NE(serial.StatusJson().find(field), std::string::npos)
+      << serial.StatusJson();
+
+  ParallelEngineOptions options;
+  options.num_miner_shards = 4;
+  ParallelEngine sharded(MinerKind::kCooMine, Params(), options);
+  for (const ObjectEvent& event : events) sharded.Push(event);
+  sharded.Finish();
+  EXPECT_EQ(sharded.events_reordered(), reordered);
+  EXPECT_EQ(Find(sharded.SnapshotMetrics(), "fcp_events_reordered_total")
+                .counter_value,
+            reordered);
+  EXPECT_NE(sharded.StatusJson().find(field), std::string::npos)
+      << sharded.StatusJson();
+  EXPECT_EQ(sharded.results().size(), serial.collector().results().size());
 }
 
 INSTANTIATE_TEST_SUITE_P(

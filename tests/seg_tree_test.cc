@@ -169,6 +169,58 @@ TEST(SegTreeTest, SlcpReportsStreamAndTimes) {
   EXPECT_EQ(rows[0].end, 1000);
 }
 
+// SlcpInto records each row's common set as positions into the probe's
+// sorted distinct objects; Slcp() maps them back to ids. With ids that are
+// neither contiguous nor zero-based, and more distinct probe objects than a
+// max_segment_objects cap of 24 lets the miners use, a position never equals
+// its id — past the cap included.
+TEST(SegTreeTest, SlcpReturnsObjectIdsNotProbePositions) {
+  constexpr size_t kProbeObjects = 30;
+  std::vector<ObjectId> ids;
+  std::vector<SegmentEntry> probe_entries;
+  for (size_t i = 0; i < kProbeObjects; ++i) {
+    ids.push_back(static_cast<ObjectId>(1000 + 7 * i));
+    probe_entries.push_back(SegmentEntry{ids.back(), 600});
+  }
+  const Segment probe(30, 3, std::move(probe_entries));
+  SegTree tree;
+  tree.Insert(MakeSegment(1, 1, {ids[1], ids[5]}, 100));
+  tree.Insert(MakeSegment(2, 2, {5, ids[3], ids[26], ids[29]}, 200));
+
+  const std::map<SegmentId, std::vector<ObjectId>> want = {
+      {1, {ids[1], ids[5]}},
+      {2, {ids[3], ids[26], ids[29]}},
+  };
+  std::map<SegmentId, std::vector<ObjectId>> got;
+  for (const LcpRow& row : tree.Slcp(probe, 600, kTau, nullptr)) {
+    got[row.segment] = row.common;
+  }
+  EXPECT_EQ(got, want);
+
+  // The table itself holds positions, on the serial path and on each
+  // shard's ownership-filtered path; together the shards find every row.
+  std::set<SegmentId> rows_found;
+  for (const ShardSpec shard :
+       {ShardSpec{}, ShardSpec{0, 2}, ShardSpec{1, 2}}) {
+    LcpTable table;
+    tree.SlcpInto(probe, 600, kTau, nullptr, &table, shard);
+    for (const LcpTable::Row& row : table.rows) {
+      std::vector<ObjectId> common;
+      for (const uint32_t* pos = table.CommonBegin(row);
+           pos != table.CommonEnd(row); ++pos) {
+        ASSERT_LT(*pos, kProbeObjects);
+        common.push_back(ids[*pos]);
+      }
+      EXPECT_EQ(common, want.at(row.segment));
+      if (!shard.IsSingleton()) rows_found.insert(row.segment);
+    }
+    if (shard.IsSingleton()) {
+      EXPECT_EQ(table.rows.size(), want.size());
+    }
+  }
+  EXPECT_EQ(rows_found, (std::set<SegmentId>{1, 2}));
+}
+
 TEST(SegTreeTest, SlcpSkipsExpiredAndReportsThem) {
   SegTree tree;
   tree.Insert(MakeSegment(1, 1, {c, d}, 0));

@@ -417,6 +417,7 @@ int main(int argc, char** argv) {
   size_t index_bytes = 0;
   fcp::MinerStats stats;  // summed across shards in the parallel path
   fcp::SegmentPoolStats pool_stats;
+  uint64_t events_reordered = 0;
   if (shards > 0) {
     // Parallel pipeline: alerts surface only after Finish() drains the
     // shards, so stream mode prints them post-hoc in merged order.
@@ -455,11 +456,14 @@ int main(int argc, char** argv) {
       stats.mining_ns += shard_stats.mining_ns;
       stats.maintenance_ns += shard_stats.maintenance_ns;
       stats.candidates_checked += shard_stats.candidates_checked;
+      stats.candidates_bound_passed += shard_stats.candidates_bound_passed;
       stats.lcp_rows += shard_stats.lcp_rows;
+      stats.live_rows += shard_stats.live_rows;
       stats.slcp_nodes_visited += shard_stats.slcp_nodes_visited;
       stats.segments_expired += shard_stats.segments_expired;
     }
     pool_stats = engine.segment_pool().stats();
+    events_reordered = engine.events_reordered();
     // The queue/pool gauges refresh on snapshot, not continuously; one
     // refresh here makes the reporter's final report carry end-of-run values.
     if (reporter) engine.SnapshotMetrics();
@@ -494,6 +498,7 @@ int main(int argc, char** argv) {
     index_bytes = engine.MemoryUsage();
     stats = engine.miner().stats();
     pool_stats = engine.mux().pool().stats();
+    events_reordered = engine.mux().reordered_count();
     if (reporter) engine.SnapshotMetrics();
     stop_obs();
   }
@@ -568,15 +573,20 @@ int main(int argc, char** argv) {
                static_cast<double>(index_bytes) / (1024.0 * 1024.0));
 
   if (flags.GetBool("stats", false)) {
-    std::fprintf(stderr,
-                 "  mining %.1f ms, maintenance %.1f ms, candidates %llu, "
-                 "lcp rows %llu, slcp nodes visited %llu, expired %llu\n",
-                 static_cast<double>(stats.mining_ns) / 1e6,
-                 static_cast<double>(stats.maintenance_ns) / 1e6,
-                 static_cast<unsigned long long>(stats.candidates_checked),
-                 static_cast<unsigned long long>(stats.lcp_rows),
-                 static_cast<unsigned long long>(stats.slcp_nodes_visited),
-                 static_cast<unsigned long long>(stats.segments_expired));
+    std::fprintf(
+        stderr,
+        "  mining %.1f ms, maintenance %.1f ms, candidates %llu (%llu past "
+        "the bound), lcp rows %llu (%llu live), slcp nodes visited %llu, "
+        "expired %llu, reordered events %llu\n",
+        static_cast<double>(stats.mining_ns) / 1e6,
+        static_cast<double>(stats.maintenance_ns) / 1e6,
+        static_cast<unsigned long long>(stats.candidates_checked),
+        static_cast<unsigned long long>(stats.candidates_bound_passed),
+        static_cast<unsigned long long>(stats.lcp_rows),
+        static_cast<unsigned long long>(stats.live_rows),
+        static_cast<unsigned long long>(stats.slcp_nodes_visited),
+        static_cast<unsigned long long>(stats.segments_expired),
+        static_cast<unsigned long long>(events_reordered));
     std::fprintf(
         stderr,
         "  segment pool: %llu hits, %llu misses, %llu live, %llu parked, "
