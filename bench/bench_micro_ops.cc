@@ -9,7 +9,7 @@
 // intersection (u32 and u64), and the merge-vs-gallop crossover sweep that
 // justifies kGallopCrossoverRatio. `--json=<path>` appends those datapoints
 // (with speedup-vs-scalar extras) to a BENCH_*.json trajectory;
-// `--kernel=auto|scalar|sse|avx2` pins the dispatch level the
+// `--kernel=auto|scalar|avx2` pins the dispatch level the
 // google-benchmark miner benches run at. `--benchmark_filter='^$'` skips the
 // google-benchmark suite when only the kernel table is wanted.
 
@@ -267,8 +267,7 @@ size_t GallopIntersect(const uint64_t* a, size_t a_size, const uint64_t* b,
 std::vector<kernels::KernelLevel> SupportedLevels() {
   std::vector<kernels::KernelLevel> levels;
   for (kernels::KernelLevel level :
-       {kernels::KernelLevel::kScalar, kernels::KernelLevel::kSse42,
-        kernels::KernelLevel::kAvx2}) {
+       {kernels::KernelLevel::kScalar, kernels::KernelLevel::kAvx2}) {
     if (kernels::LevelSupported(level)) levels.push_back(level);
   }
   return levels;

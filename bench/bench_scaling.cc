@@ -369,7 +369,7 @@ int Run(int argc, char** argv) {
                     static_cast<double>(cost.deliveries) / triggers,
                     ns_per_trigger, baseline_ns / ns_per_trigger,
                     cost.output.size());
-        if (flags.GetInt("stats", 0) != 0) {
+        if (flags.GetBool("stats", false)) {
           std::printf("  mine=%.1fms maint=%.1fms lcp_rows=%" PRIu64
                       " cand=%" PRIu64 " sweeps=%" PRIu64 "\n",
                       static_cast<double>(cost.stats.mining_ns) / 1e6,

@@ -183,7 +183,7 @@ std::string_view ApplyKernelFlag(const Flags& flags) {
   const std::string kernel = flags.GetString("kernel", "");
   if (!kernel.empty() && !kernels::SetKernelLevelFromString(kernel)) {
     std::fprintf(stderr,
-                 "unknown --kernel '%s' (want auto, scalar, sse or avx2)\n",
+                 "unknown --kernel '%s' (want auto, scalar or avx2)\n",
                  kernel.c_str());
     std::exit(1);
   }

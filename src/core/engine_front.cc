@@ -1,0 +1,134 @@
+#include "core/engine_front.h"
+
+#include "core/engine_metrics.h"
+#include "telemetry/trace.h"
+
+namespace fcp {
+namespace {
+
+/// Writes the slow-op dump for `segment` mined by `miner` in `duration_ns`.
+void DumpSlowOp(const char* op, const Segment& segment, const FcpMiner& miner,
+                uint32_t shard, int64_t duration_ns) {
+  trace::SlowOpReport report;
+  report.op = op;
+  report.duration_ns = duration_ns;
+  report.miner = std::string(miner.name());
+  report.shard = shard;
+  report.segment_debug = segment.DebugString();
+  report.segment_id = segment.id();
+  report.stream = segment.stream();
+  report.segment_length = segment.length();
+  report.segment_start_ms = segment.start_time();
+  report.segment_end_ms = segment.end_time();
+
+  const MinerStats& stats = miner.stats();
+  const MinerIntrospection view = miner.Introspect();
+  report.state = {
+      {"segments_processed", static_cast<int64_t>(stats.segments_processed)},
+      {"fcps_emitted", static_cast<int64_t>(stats.fcps_emitted)},
+      {"candidates_checked", static_cast<int64_t>(stats.candidates_checked)},
+      {"candidates_pruned", static_cast<int64_t>(stats.candidates_pruned)},
+      {"candidates_bound_passed",
+       static_cast<int64_t>(stats.candidates_bound_passed)},
+      {"slcp_probes", static_cast<int64_t>(stats.slcp_probes)},
+      {"lcp_rows", static_cast<int64_t>(stats.lcp_rows)},
+      {"live_rows", static_cast<int64_t>(stats.live_rows)},
+      {"slcp_nodes_visited", static_cast<int64_t>(stats.slcp_nodes_visited)},
+      {"maintenance_runs", static_cast<int64_t>(stats.maintenance_runs)},
+      {"segments_expired", static_cast<int64_t>(stats.segments_expired)},
+      {"mining_ns", stats.mining_ns},
+      {"maintenance_ns", stats.maintenance_ns},
+      {"live_segments", static_cast<int64_t>(view.live_segments)},
+      {"index_nodes", static_cast<int64_t>(view.index_nodes)},
+      {"index_entries", static_cast<int64_t>(view.index_entries)},
+      {"index_bytes", static_cast<int64_t>(view.index_bytes)},
+      {"arena_bytes", static_cast<int64_t>(view.arena_bytes)},
+      {"compression_ratio_x1000",
+       static_cast<int64_t>(view.compression_ratio * 1000.0)},
+  };
+  trace::WriteSlowOpDump(report);
+}
+
+}  // namespace
+
+EngineFront::EngineFront(DurationMs xi, DurationMs suppression_window,
+                         telemetry::MetricRegistry* metrics)
+    : mux_(xi), collector_(suppression_window) {
+  if (metrics != nullptr) {
+    registry_ = metrics;
+  } else {
+    owned_registry_ = std::make_unique<telemetry::MetricRegistry>();
+    registry_ = owned_registry_.get();
+  }
+  events_ingested_ = registry_->GetCounter("fcp_events_ingested_total");
+  segments_completed_ = registry_->GetCounter("fcp_segments_completed_total");
+  events_reordered_ = registry_->GetCounter("fcp_events_reordered_total");
+  fcps_accepted_ = registry_->GetCounter("fcp_fcps_accepted_total");
+  open_windows_ = registry_->GetGauge("fcp_open_windows");
+  streams_seen_ = registry_->GetGauge("fcp_streams_seen");
+  pool_live_refs_ = registry_->GetGauge("fcp_segment_pool_live_refs");
+  pool_hits_ = registry_->GetGauge("fcp_segment_pool_hits_total");
+  pool_misses_ = registry_->GetGauge("fcp_segment_pool_misses_total");
+  pool_recycled_bytes_ =
+      registry_->GetGauge("fcp_segment_pool_recycled_bytes_total");
+  pool_free_slabs_ = registry_->GetGauge("fcp_segment_pool_free_slabs");
+  uptime_seconds_ = RegisterBuildInfo(registry_);
+}
+
+obs::StageHeartbeat* EngineFront::RegisterIngestStage(
+    obs::Watchdog* watchdog, std::function<size_t()> depth, size_t capacity) {
+  if (watchdog == nullptr) return nullptr;
+  return watchdog->RegisterStage("ingest", std::move(depth), capacity);
+}
+
+telemetry::LatencyHistogram* EngineFront::MineLatency(
+    const std::string& labels) {
+  std::string name = "fcp_segment_mine_latency_us";
+  if (!labels.empty()) name += "{" + labels + "}";
+  return registry_->GetHistogram(name);
+}
+
+void EngineFront::RefreshGauges() const {
+  const SegmentPoolStats pool = mux_.pool().stats();
+  pool_live_refs_->Set(static_cast<int64_t>(pool.live));
+  pool_hits_->Set(static_cast<int64_t>(pool.pool_hits));
+  pool_misses_->Set(static_cast<int64_t>(pool.slab_allocs));
+  pool_recycled_bytes_->Set(static_cast<int64_t>(pool.recycled_bytes));
+  pool_free_slabs_->Set(static_cast<int64_t>(pool.free));
+  open_windows_->Set(mux_.open_windows());
+  streams_seen_->Set(mux_.streams_seen());
+  uptime_seconds_->Set(uptime_.ElapsedNanos() / 1000000000);
+}
+
+void EngineFront::AppendStatus(std::string* out) const {
+  const SegmentPoolStats pool = mux_.pool().stats();
+  *out += ",\"streams_seen\":" + std::to_string(mux_.streams_seen());
+  *out += ",\"open_windows\":" + std::to_string(mux_.open_windows());
+  *out += ",\"events_ingested\":" + std::to_string(events_ingested_->Value());
+  *out += ",\"events_reordered\":" + std::to_string(mux_.reordered_count());
+  *out += ",\"segments_completed\":" +
+          std::to_string(segments_completed_->Value());
+  *out += ",\"fcps_accepted\":" + std::to_string(fcps_accepted_->Value());
+  *out += ",\"pool\":{\"live_refs\":" + std::to_string(pool.live) +
+          ",\"free_slabs\":" + std::to_string(pool.free) +
+          ",\"hits\":" + std::to_string(pool.pool_hits) +
+          ",\"misses\":" + std::to_string(pool.slab_allocs) +
+          ",\"recycled_bytes\":" + std::to_string(pool.recycled_bytes) + "}";
+}
+
+void MineTimed(const MineSite& site, uint64_t flow, FcpMiner& miner,
+               const Segment& segment, std::vector<Fcp>* out) {
+  FCP_TRACE_SPAN_FLOW(site.span, flow,
+                      static_cast<uint32_t>(segment.length()));
+  FCP_TRACE_FLOW_END("segment", flow);
+  Stopwatch timer;
+  miner.AddSegment(segment, out);
+  const int64_t elapsed = timer.ElapsedNanos();
+  site.latency_us->Record(static_cast<uint64_t>(elapsed) / 1000);
+  const int64_t slow_ns = trace::SlowOpThresholdNs();
+  if (slow_ns > 0 && elapsed >= slow_ns) {
+    DumpSlowOp(site.span, segment, miner, site.shard, elapsed);
+  }
+}
+
+}  // namespace fcp

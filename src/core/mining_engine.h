@@ -6,8 +6,9 @@
 //     for (const Fcp& fcp : engine.PushEvent(e)) Alert(fcp);
 //   }
 //
-// The engine owns the segmentation layer (StreamMux), the chosen miner and a
-// ResultCollector. Single-threaded.
+// The engine owns the front end it shares with ParallelEngine (EngineFront:
+// StreamMux, ResultCollector, front-end telemetry) and the chosen miner.
+// Single-threaded.
 
 #ifndef FCP_CORE_MINING_ENGINE_H_
 #define FCP_CORE_MINING_ENGINE_H_
@@ -19,6 +20,7 @@
 
 #include "common/params.h"
 #include "common/types.h"
+#include "core/engine_front.h"
 #include "core/engine_metrics.h"
 #include "core/miner.h"
 #include "obs/watchdog.h"
@@ -27,7 +29,6 @@
 #include "stream/segment_ref.h"
 #include "stream/stream_mux.h"
 #include "telemetry/registry.h"
-#include "util/stopwatch.h"
 
 namespace fcp {
 
@@ -74,13 +75,19 @@ class MiningEngine {
   /// resulting segments.
   std::vector<Fcp> Flush();
 
-  SegmentId AllocateSegmentId() { return mux_.id_gen()->Next(); }
+  SegmentId AllocateSegmentId() { return front_.mux().id_gen()->Next(); }
 
   const FcpMiner& miner() const { return *miner_; }
   FcpMiner* mutable_miner() { return miner_.get(); }
-  const ResultCollector& collector() const { return collector_; }
+  const ResultCollector& collector() const { return front_.collector(); }
   const MiningParams& params() const { return params_; }
-  const StreamMux& mux() const { return mux_; }
+  const StreamMux& mux() const { return front_.mux(); }
+
+  /// The slab pool every segment lives in. Thread-safe.
+  const SegmentPool& segment_pool() const { return front_.mux().pool(); }
+  /// Events the segmenters clamped to restore per-stream time order.
+  /// Thread-safe.
+  uint64_t events_reordered() const { return front_.mux().reordered_count(); }
 
   /// Memory of the miner's index structures.
   size_t MemoryUsage() const { return miner_->MemoryUsage(); }
@@ -89,14 +96,16 @@ class MiningEngine {
 
   /// The registry this engine publishes into (engine-owned unless
   /// EngineOptions::metrics was set).
-  const telemetry::MetricRegistry& metrics() const { return *registry_; }
+  const telemetry::MetricRegistry& metrics() const {
+    return *front_.registry();
+  }
 
   /// Point-in-time copy of every metric (thread-safe). Refreshes the
-  /// serial gauges (uptime, open windows, streams seen, pool occupancy
-  /// via the mux mirrors) first.
+  /// mirror gauges (pool occupancy, open windows, streams seen, uptime)
+  /// first.
   std::vector<telemetry::MetricSample> SnapshotMetrics() const {
-    RefreshGauges();
-    return registry_->Snapshot();
+    front_.RefreshGauges();
+    return front_.registry()->Snapshot();
   }
 
   /// Pipeline topology for /statusz. Thread-safe: built from the mux's
@@ -106,35 +115,18 @@ class MiningEngine {
 
  private:
   std::vector<Fcp> ProcessSegments(const std::vector<SegmentRef>& segments);
-  void RefreshGauges() const;
 
   MiningParams params_;
-  StreamMux mux_;
+  /// Declared before the miner and the scratch list so every SegmentRef is
+  /// released before the mux's pool is destroyed.
+  EngineFront front_;
   std::unique_ptr<FcpMiner> miner_;
-  ResultCollector collector_;
   uint64_t segments_completed_ = 0;
   std::vector<SegmentRef> scratch_segments_;
 
-  std::unique_ptr<telemetry::MetricRegistry> owned_registry_;
-  telemetry::MetricRegistry* registry_ = nullptr;
   MinerMetrics miner_metrics_;
   MinerStats published_stats_;  ///< last stats pushed via PublishDelta
-  telemetry::Counter* events_ingested_ = nullptr;
-  telemetry::Counter* segments_completed_metric_ = nullptr;
-  telemetry::Counter* fcps_accepted_ = nullptr;
-  telemetry::Counter* events_reordered_ = nullptr;
-  uint64_t reordered_published_ = 0;  ///< mux reordered count last published
-  telemetry::LatencyHistogram* mine_latency_us_ = nullptr;
-  // Segment-pool observability (fcp_segment_pool_*), refreshed per batch.
-  telemetry::Gauge* pool_live_refs_ = nullptr;
-  telemetry::Gauge* pool_hits_ = nullptr;
-  telemetry::Gauge* pool_misses_ = nullptr;
-  telemetry::Gauge* pool_recycled_bytes_ = nullptr;
-  telemetry::Gauge* pool_free_slabs_ = nullptr;
-  telemetry::Gauge* open_windows_gauge_ = nullptr;
-  telemetry::Gauge* streams_seen_gauge_ = nullptr;
-  telemetry::Gauge* uptime_seconds_ = nullptr;
-  Stopwatch uptime_;  ///< started at construction
+  MineSite mine_site_;
   obs::StageHeartbeat* heartbeat_ = nullptr;  ///< null without a watchdog
 };
 

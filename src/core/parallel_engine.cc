@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "common/check.h"
-#include "core/slow_op.h"
 #include "telemetry/thread_registry.h"
 #include "util/stopwatch.h"
 
@@ -17,12 +16,11 @@ ParallelEngine::ParallelEngine(MinerKind kind, const MiningParams& params,
                                ParallelEngineOptions options)
     : params_(params),
       options_(options),
+      front_(params.xi, options.suppression_window, options.metrics),
       // Off-CPU wait tags: the consumer-side wait names the starved stage,
       // the producer-side wait the backpressure source.
       events_(options.event_queue_capacity, "ingest/events-empty",
-              "ingest/events-full"),
-      mux_(params.xi, &segment_pool_),
-      collector_(options.suppression_window) {
+              "ingest/events-full") {
   FCP_CHECK(params.Validate().ok());
   FCP_CHECK(options.num_workers == 1);
   FCP_CHECK(options.num_miner_shards >= 1);
@@ -51,53 +49,35 @@ ParallelEngine::ParallelEngine(MinerKind kind, const MiningParams& params,
 ParallelEngine::~ParallelEngine() { Finish(); }
 
 void ParallelEngine::RegisterMetrics() {
-  if (options_.metrics != nullptr) {
-    registry_ = options_.metrics;
-  } else {
-    owned_registry_ = std::make_unique<telemetry::MetricRegistry>();
-    registry_ = owned_registry_.get();
-  }
-  events_ingested_ = registry_->GetCounter("fcp_events_ingested_total");
-  segments_completed_metric_ =
-      registry_->GetCounter("fcp_segments_completed_total");
-  events_reordered_ = registry_->GetCounter("fcp_events_reordered_total");
-  watermark_lag_ms_ = registry_->GetGauge("fcp_watermark_lag_ms");
-  event_queue_depth_ = registry_->GetGauge("fcp_event_queue_depth");
+  telemetry::MetricRegistry* registry = front_.registry();
+  watermark_lag_ms_ = registry->GetGauge("fcp_watermark_lag_ms");
+  event_queue_depth_ = registry->GetGauge("fcp_event_queue_depth");
   event_queue_high_watermark_ =
-      registry_->GetGauge("fcp_event_queue_high_watermark");
-  rebalance_rounds_ = registry_->GetCounter("fcp_rebalance_rounds_total");
-  migrations_ = registry_->GetCounter("fcp_migrations_total");
-  backfill_deliveries_ =
-      registry_->GetCounter("fcp_backfill_deliveries_total");
+      registry->GetGauge("fcp_event_queue_high_watermark");
+  rebalance_rounds_ = registry->GetCounter("fcp_rebalance_rounds_total");
+  migrations_ = registry->GetCounter("fcp_migrations_total");
+  backfill_deliveries_ = registry->GetCounter("fcp_backfill_deliveries_total");
   // max/mean per-shard deliveries over the last load interval, in permille
   // (1000 = perfectly balanced). One definition, shared by dashboards and
   // the rebalancer's trigger — both read the Rebalancer's computation.
-  imbalance_permille_ =
-      registry_->GetGauge("fcp_shard_load_imbalance_permille");
-  migration_latency_us_ = registry_->GetHistogram("fcp_migration_latency_us");
-  pool_live_refs_ = registry_->GetGauge("fcp_segment_pool_live_refs");
-  pool_hits_ = registry_->GetGauge("fcp_segment_pool_hits_total");
-  pool_misses_ = registry_->GetGauge("fcp_segment_pool_misses_total");
-  pool_recycled_bytes_ =
-      registry_->GetGauge("fcp_segment_pool_recycled_bytes_total");
-  pool_free_slabs_ = registry_->GetGauge("fcp_segment_pool_free_slabs");
-  uptime_seconds_ = RegisterBuildInfo(registry_);
+  imbalance_permille_ = registry->GetGauge("fcp_shard_load_imbalance_permille");
+  migration_latency_us_ = registry->GetHistogram("fcp_migration_latency_us");
   shard_telemetry_.resize(options_.num_miner_shards);
   for (uint32_t s = 0; s < options_.num_miner_shards; ++s) {
     const std::string label =
         telemetry::FormatLabel("shard", std::to_string(s));
     ShardTelemetry& t = shard_telemetry_[s];
-    t.miner = MinerMetrics::Register(registry_, label);
-    t.discovery_latency_us = registry_->GetHistogram(
+    t.miner = MinerMetrics::Register(registry, label);
+    t.mine = {"shard/mine", s, front_.MineLatency(label)};
+    t.discovery_latency_us = registry->GetHistogram(
         "fcp_discovery_latency_us{" + label + "}");
     t.segments_routed =
-        registry_->GetGauge("fcp_segments_routed{" + label + "}");
-    t.queue_depth =
-        registry_->GetGauge("fcp_shard_queue_depth{" + label + "}");
+        registry->GetGauge("fcp_segments_routed{" + label + "}");
+    t.queue_depth = registry->GetGauge("fcp_shard_queue_depth{" + label + "}");
     t.queue_high_watermark =
-        registry_->GetGauge("fcp_shard_queue_high_watermark{" + label + "}");
+        registry->GetGauge("fcp_shard_queue_high_watermark{" + label + "}");
     t.watermark_lag_ms =
-        registry_->GetGauge("fcp_shard_watermark_lag_ms{" + label + "}");
+        registry->GetGauge("fcp_shard_watermark_lag_ms{" + label + "}");
   }
 }
 
@@ -107,10 +87,10 @@ void ParallelEngine::RegisterWatchdogStages() {
   // Stage names match the trace thread names, so a stalled row in /statusz
   // points straight at the matching Perfetto track. Probes capture `this`;
   // the watchdog contract (Stop() before the engine dies) makes that safe.
-  // "ingest" is also the serial engine's stage name; here it has a queue, so
-  // it gets a depth probe.
-  ingest_heartbeat_ = watchdog->RegisterStage(
-      "ingest", [this] { return events_.depth(); },
+  // Unlike the serial engine's, this "ingest" stage has a queue, so it gets
+  // a depth probe.
+  ingest_heartbeat_ = front_.RegisterIngestStage(
+      watchdog, [this] { return events_.depth(); },
       options_.event_queue_capacity);
   shard_heartbeats_.resize(options_.num_miner_shards, nullptr);
   for (uint32_t s = 0; s < options_.num_miner_shards; ++s) {
@@ -122,47 +102,41 @@ void ParallelEngine::RegisterWatchdogStages() {
   watchdog->SetWatermarkLagProbe([this] { return WatermarkLagMs(); });
 }
 
+int64_t ParallelEngine::ShardLagMs(uint32_t shard, Timestamp routed) const {
+  const Timestamp seen =
+      shard_runtime_[shard]->last_watermark.load(std::memory_order_relaxed);
+  // No delivery yet on either side: 0 (queue depth covers a starved shard).
+  return (routed == kMinTimestamp || seen == kMinTimestamp) ? 0 : routed - seen;
+}
+
 int64_t ParallelEngine::WatermarkLagMs() const {
   const Timestamp routed = router_->watermark();
-  if (routed == kMinTimestamp) return 0;
   int64_t max_lag = 0;
-  for (const auto& runtime : shard_runtime_) {
-    const Timestamp seen =
-        runtime->last_watermark.load(std::memory_order_relaxed);
-    if (seen == kMinTimestamp) continue;  // no delivery yet: depth covers it
-    max_lag = std::max<int64_t>(max_lag, routed - seen);
+  for (uint32_t s = 0; s < options_.num_miner_shards; ++s) {
+    max_lag = std::max(max_lag, ShardLagMs(s, routed));
   }
   return max_lag;
 }
 
 void ParallelEngine::RefreshGauges() {
+  const Timestamp routed = router_->watermark();
   for (uint32_t s = 0; s < options_.num_miner_shards; ++s) {
     ShardTelemetry& t = shard_telemetry_[s];
     t.segments_routed->Set(static_cast<int64_t>(router_->routed_to(s)));
     t.queue_depth->Set(static_cast<int64_t>(router_->queue(s).depth()));
     t.queue_high_watermark->Set(
         static_cast<int64_t>(router_->queue(s).high_watermark()));
-    const Timestamp routed = router_->watermark();
-    const Timestamp seen =
-        shard_runtime_[s]->last_watermark.load(std::memory_order_relaxed);
-    t.watermark_lag_ms->Set(
-        (routed == kMinTimestamp || seen == kMinTimestamp) ? 0 : routed - seen);
+    t.watermark_lag_ms->Set(ShardLagMs(s, routed));
   }
   event_queue_depth_->Set(static_cast<int64_t>(events_.depth()));
   event_queue_high_watermark_->Set(
       static_cast<int64_t>(events_.high_watermark()));
-  const SegmentPoolStats pool = segment_pool_.stats();
-  pool_live_refs_->Set(static_cast<int64_t>(pool.live));
-  pool_hits_->Set(static_cast<int64_t>(pool.pool_hits));
-  pool_misses_->Set(static_cast<int64_t>(pool.slab_allocs));
-  pool_recycled_bytes_->Set(static_cast<int64_t>(pool.recycled_bytes));
-  pool_free_slabs_->Set(static_cast<int64_t>(pool.free));
-  uptime_seconds_->Set(uptime_.ElapsedNanos() / 1000000000);
+  front_.RefreshGauges();
 }
 
 std::vector<telemetry::MetricSample> ParallelEngine::SnapshotMetrics() {
   RefreshGauges();
-  return registry_->Snapshot();
+  return front_.registry()->Snapshot();
 }
 
 void ParallelEngine::Push(const ObjectEvent& event) {
@@ -170,7 +144,7 @@ void ParallelEngine::Push(const ObjectEvent& event) {
   // Lossless ingestion: block until the ingest thread makes room.
   events_.Push(event);
   ++events_pushed_;
-  events_ingested_->Increment();
+  front_.CountIngested(1);
 }
 
 void ParallelEngine::PushBatch(std::span<const ObjectEvent> events) {
@@ -180,7 +154,7 @@ void ParallelEngine::PushBatch(std::span<const ObjectEvent> events) {
   push_batch_scratch_.assign(events.begin(), events.end());
   events_.PushAll(&push_batch_scratch_);
   events_pushed_ += events.size();
-  if (!events.empty()) events_ingested_->Increment(events.size());
+  if (!events.empty()) front_.CountIngested(events.size());
 }
 
 void ParallelEngine::WaitUntilIdle() const {
@@ -219,27 +193,27 @@ void ParallelEngine::Finish() {
   // pattern) reproduces the serial offer order — suppression-window
   // decisions match a serial run. With one shard the buffer already is the
   // serial order (whatever the miner emitted), so it is offered verbatim.
-  if (options_.num_miner_shards == 1) {
-    collector_.OfferAll(shard_mined_[0]);
-    shard_mined_[0].clear();
-    return;
-  }
-  std::vector<Fcp> merged;
-  size_t total = 0;
-  for (const std::vector<Fcp>& buffer : shard_mined_) total += buffer.size();
-  merged.reserve(total);
-  for (std::vector<Fcp>& buffer : shard_mined_) {
-    for (Fcp& fcp : buffer) merged.push_back(std::move(fcp));
-    buffer.clear();
-  }
-  std::sort(merged.begin(), merged.end(), [](const Fcp& a, const Fcp& b) {
-    if (a.trigger != b.trigger) return a.trigger < b.trigger;
-    if (a.objects.size() != b.objects.size()) {
-      return a.objects.size() < b.objects.size();
+  std::vector<Fcp> merged = std::move(shard_mined_[0]);
+  shard_mined_[0].clear();
+  if (options_.num_miner_shards > 1) {
+    size_t total = 0;
+    for (const std::vector<Fcp>& buffer : shard_mined_) total += buffer.size();
+    merged.reserve(total);
+    for (size_t s = 1; s < shard_mined_.size(); ++s) {
+      for (Fcp& fcp : shard_mined_[s]) merged.push_back(std::move(fcp));
+      shard_mined_[s].clear();
     }
-    return a.objects < b.objects;
-  });
-  collector_.OfferAll(merged);
+    std::sort(merged.begin(), merged.end(), [](const Fcp& a, const Fcp& b) {
+      if (a.trigger != b.trigger) return a.trigger < b.trigger;
+      if (a.objects.size() != b.objects.size()) {
+        return a.objects.size() < b.objects.size();
+      }
+      return a.objects < b.objects;
+    });
+  }
+  ResultCollector& collector = front_.collector();
+  collector.OfferAll(merged);
+  front_.CountAccepted(collector.results().size());
 }
 
 void ParallelEngine::IngestLoop() {
@@ -249,7 +223,6 @@ void ParallelEngine::IngestLoop() {
   uint64_t moves_published = 0;
   uint64_t rounds_published = 0;
   uint64_t backfills_published = 0;
-  uint64_t reordered_published = 0;
 
   // Routes the segments the last mux call completed, in completion order —
   // the order MiningEngine mines them in.
@@ -298,12 +271,12 @@ void ParallelEngine::IngestLoop() {
         }
       }
       ++segments_completed_;
-      segments_completed_metric_->Increment();
       // How far the just-routed segment trails the stream-time watermark:
       // nonzero when it ends before a segment of another stream that
       // completed earlier (the same skew a serial run sees).
       watermark_lag_ms_->Set(router_->watermark() - segment->end_time());
     }
+    if (!completed.empty()) front_.CountSegments(completed.size());
     completed.clear();
   };
 
@@ -313,18 +286,14 @@ void ParallelEngine::IngestLoop() {
     std::optional<ObjectEvent> event = events_.Pop();
     if (!event) break;
     if (heartbeat != nullptr) heartbeat->MarkIdle(false);
-    mux_.Push(*event, &completed);
-    const uint64_t reordered = mux_.reordered_count();
-    if (reordered != reordered_published) {
-      events_reordered_->Increment(reordered - reordered_published);
-      reordered_published = reordered;
-    }
+    front_.mux().Push(*event, &completed);
+    front_.PublishReordered();
     route_completed();
     events_routed_.store(++routed_events, std::memory_order_release);
     if (heartbeat != nullptr) heartbeat->Beat();
   }
   // Queue closed and drained: flush every stream's trailing window.
-  mux_.FlushAll(&completed);
+  front_.mux().FlushAll(&completed);
   route_completed();
 }
 
@@ -364,25 +333,11 @@ void ParallelEngine::ProcessDelivery(uint32_t shard_index,
   }
   std::vector<Fcp>& mined = runtime.mined_scratch;
   mined.clear();
-  {
-    // The flow-end closes the arrow the ingest thread began under the same
-    // id (the router-stamped trace_flow), tying this mine slice to the
-    // segment's route slice across the thread boundary.
-    FCP_TRACE_SPAN_FLOW("shard/mine", delivery.trace_flow, shard_index);
-    FCP_TRACE_FLOW_END("segment", delivery.trace_flow);
-    const int64_t slow_ns = trace::SlowOpThresholdNs();
-    if (slow_ns > 0) {
-      Stopwatch timer;
-      miner.AddSegment(*delivery.segment, &mined);
-      const int64_t elapsed = timer.ElapsedNanos();
-      if (elapsed >= slow_ns) {
-        DumpSlowOp("shard/mine", *delivery.segment, miner, shard_index,
-                   elapsed);
-      }
-    } else {
-      miner.AddSegment(*delivery.segment, &mined);
-    }
-  }
+  // The flow-end closes the arrow the ingest thread began under the same id
+  // (the router-stamped trace_flow), tying this mine slice to the segment's
+  // route slice across the thread boundary.
+  MineTimed(telemetry.mine, delivery.trace_flow, miner, *delivery.segment,
+            &mined);
   std::vector<Fcp>& buffer = shard_mined_[shard_index];
   for (Fcp& fcp : mined) buffer.push_back(std::move(fcp));
   // Segment->discovery latency: shard-queue wait + mining, measured
@@ -442,16 +397,7 @@ std::string ParallelEngine::StatusJson() const {
   out += ",\"watermark_lag_ms\":" + std::to_string(WatermarkLagMs());
   out += ",\"placement_version\":" +
          std::to_string(router_->placement_version());
-  out += ",\"events_ingested\":" + std::to_string(events_ingested_->Value());
-  out += ",\"events_reordered\":" + std::to_string(mux_.reordered_count());
-  out += ",\"segments_completed\":" +
-         std::to_string(segments_completed_metric_->Value());
-  const SegmentPoolStats pool = segment_pool_.stats();
-  out += ",\"pool\":{\"live_refs\":" + std::to_string(pool.live) +
-         ",\"free_slabs\":" + std::to_string(pool.free) +
-         ",\"hits\":" + std::to_string(pool.pool_hits) +
-         ",\"misses\":" + std::to_string(pool.slab_allocs) +
-         ",\"recycled_bytes\":" + std::to_string(pool.recycled_bytes) + "}";
+  front_.AppendStatus(&out);
   if (rebalancer_ != nullptr) {
     const Rebalancer::LiveStats rstats = rebalancer_->SnapshotStats();
     out += ",\"rebalancer\":{\"rounds\":" + std::to_string(rstats.rounds) +
@@ -467,17 +413,12 @@ std::string ParallelEngine::StatusJson() const {
   out += ",\"shard_queues\":[";
   for (uint32_t s = 0; s < options_.num_miner_shards; ++s) {
     if (s > 0) out += ",";
-    const Timestamp seen =
-        shard_runtime_[s]->last_watermark.load(std::memory_order_relaxed);
     out += "{\"shard\":" + std::to_string(s) +
            ",\"routed\":" + std::to_string(router_->routed_to(s)) + ",";
     AppendQueueJson(&out, "deliveries", router_->queue(s).depth(),
                     router_->queue(s).high_watermark(),
                     options_.shard_queue_capacity);
-    out += ",\"watermark_lag_ms\":" +
-           std::to_string((watermark == kMinTimestamp || seen == kMinTimestamp)
-                              ? 0
-                              : watermark - seen);
+    out += ",\"watermark_lag_ms\":" + std::to_string(ShardLagMs(s, watermark));
     out += "}";
   }
   out += "]}";

@@ -37,6 +37,7 @@
 #include "common/params.h"
 #include "common/placement.h"
 #include "common/types.h"
+#include "core/engine_front.h"
 #include "core/engine_metrics.h"
 #include "obs/watchdog.h"
 #include "core/miner.h"
@@ -48,7 +49,6 @@
 #include "stream/shard_router.h"
 #include "stream/stream_mux.h"
 #include "telemetry/registry.h"
-#include "util/stopwatch.h"
 
 namespace fcp {
 
@@ -122,10 +122,12 @@ class ParallelEngine {
   void Finish();
 
   /// All accepted discoveries so far. Only safe to read after Finish().
-  const std::vector<Fcp>& results() const { return collector_.results(); }
+  const std::vector<Fcp>& results() const {
+    return front_.collector().results();
+  }
 
   /// Collector access after Finish() (distinct pattern counts, etc.).
-  const ResultCollector& collector() const { return collector_; }
+  const ResultCollector& collector() const { return front_.collector(); }
 
   /// Shard miner access after Finish() (stats, memory accounting).
   uint32_t num_miner_shards() const { return options_.num_miner_shards; }
@@ -136,7 +138,7 @@ class ParallelEngine {
 
   /// The slab pool every in-flight segment lives in (stats: pool hit rate,
   /// live refs). Thread-safe.
-  const SegmentPool& segment_pool() const { return segment_pool_; }
+  const SegmentPool& segment_pool() const { return front_.mux().pool(); }
 
   /// Rebalancer counters + last imbalance (null when S == 1). Only safe to
   /// read after Finish().
@@ -146,14 +148,17 @@ class ParallelEngine {
   uint64_t events_pushed() const { return events_pushed_; }
   /// Events the segmenters clamped to restore per-stream time order.
   /// Thread-safe.
-  uint64_t events_reordered() const { return mux_.reordered_count(); }
+  uint64_t events_reordered() const { return front_.mux().reordered_count(); }
 
   /// The registry this pipeline publishes into (engine-owned unless
   /// ParallelEngineOptions::metrics was set).
-  const telemetry::MetricRegistry& metrics() const { return *registry_; }
+  const telemetry::MetricRegistry& metrics() const {
+    return *front_.registry();
+  }
 
-  /// Refreshes the queue-occupancy and routing gauges, then snapshots every
-  /// metric. Thread-safe; callable while the pipeline runs.
+  /// Refreshes the mirror gauges (pool, open windows, streams seen, uptime,
+  /// queue occupancy, routing), then snapshots every metric. Thread-safe;
+  /// callable while the pipeline runs.
   std::vector<telemetry::MetricSample> SnapshotMetrics();
 
   /// Pipeline topology for /statusz: shards, placement version, ingest and
@@ -169,9 +174,12 @@ class ParallelEngine {
   int64_t WatermarkLagMs() const;
 
  private:
-  /// Pops events, segments them through mux_ and routes every completed
-  /// segment (plus the rebalancer's observe/migrate step); flushes every
-  /// stream's open window once the event queue is closed and drained.
+  /// Shard `shard`'s lag behind the router watermark `routed`.
+  int64_t ShardLagMs(uint32_t shard, Timestamp routed) const;
+  /// Pops events, segments them through the front end's mux and routes
+  /// every completed segment (plus the rebalancer's observe/migrate step);
+  /// flushes every stream's open window once the event queue is closed and
+  /// drained.
   void IngestLoop();
   void ShardLoop(uint32_t shard_index);
   /// Applies the delivery's placement snapshot, advances the watermark and
@@ -184,16 +192,14 @@ class ParallelEngine {
   MiningParams params_;
   ParallelEngineOptions options_;
 
-  /// Slab pool behind every segment in flight. Declared before the mux,
-  /// router and miners so it is destroyed LAST — every SegmentRef (shard
-  /// deliveries, the router's live set) must release back into it first
-  /// (checked in ~SegmentPool).
-  SegmentPool segment_pool_;
-
-  // Front end: Push/PushBatch fill the event queue; the ingest thread alone
-  // touches mux_ (per-stream segmenters, global segment ids) and routes.
+  /// Mux (and its slab pool), collector and front-end telemetry. Declared
+  /// before the router, miners and shard runtime so every SegmentRef (shard
+  /// deliveries, the router's live set, the miners' indexes) is released
+  /// before the pool is destroyed (checked in ~SegmentPool). The ingest
+  /// thread alone touches the mux; Finish() alone touches the collector.
+  EngineFront front_;
+  /// Push/PushBatch fill it; the ingest thread drains it.
   BoundedQueue<ObjectEvent> events_;
-  StreamMux mux_;
 
   std::unique_ptr<ShardRouter> router_;
   /// Per-interval load measurement + migration decisions; owned by the
@@ -218,10 +224,9 @@ class ParallelEngine {
   };
   std::vector<std::unique_ptr<ShardRuntime>> shard_runtime_;
   // Per-shard output buffers, written only by the owning shard thread while
-  // it runs; merged into collector_ by Finish() after the joins.
+  // it runs; merged into the collector by Finish() after the joins.
   std::vector<std::vector<Fcp>> shard_mined_;
 
-  ResultCollector collector_;
   uint64_t segments_completed_ = 0;
   uint64_t events_pushed_ = 0;
   /// Events the ingest thread has segmented and routed (release-stored after
@@ -236,17 +241,13 @@ class ParallelEngine {
   struct ShardTelemetry {
     MinerMetrics miner;
     MinerStats published;
+    MineSite mine;
     telemetry::LatencyHistogram* discovery_latency_us = nullptr;
     telemetry::Gauge* segments_routed = nullptr;
     telemetry::Gauge* queue_depth = nullptr;
     telemetry::Gauge* queue_high_watermark = nullptr;
     telemetry::Gauge* watermark_lag_ms = nullptr;
   };
-  std::unique_ptr<telemetry::MetricRegistry> owned_registry_;
-  telemetry::MetricRegistry* registry_ = nullptr;
-  telemetry::Counter* events_ingested_ = nullptr;
-  telemetry::Counter* segments_completed_metric_ = nullptr;
-  telemetry::Counter* events_reordered_ = nullptr;
   telemetry::Gauge* watermark_lag_ms_ = nullptr;
   telemetry::Gauge* event_queue_depth_ = nullptr;
   telemetry::Gauge* event_queue_high_watermark_ = nullptr;
@@ -255,15 +256,6 @@ class ParallelEngine {
   telemetry::Counter* backfill_deliveries_ = nullptr;
   telemetry::Gauge* imbalance_permille_ = nullptr;
   telemetry::LatencyHistogram* migration_latency_us_ = nullptr;
-  // Segment-pool observability (fcp_segment_pool_*), refreshed with the
-  // queue gauges.
-  telemetry::Gauge* pool_live_refs_ = nullptr;
-  telemetry::Gauge* pool_hits_ = nullptr;
-  telemetry::Gauge* pool_misses_ = nullptr;
-  telemetry::Gauge* pool_recycled_bytes_ = nullptr;
-  telemetry::Gauge* pool_free_slabs_ = nullptr;
-  telemetry::Gauge* uptime_seconds_ = nullptr;
-  Stopwatch uptime_;  ///< started at construction, fcp_uptime_seconds
   std::vector<ShardTelemetry> shard_telemetry_;
 
   // Watchdog heartbeats (null / empty when no watchdog was attached).

@@ -29,22 +29,14 @@ inline void TraceCompletedSegments(const std::vector<SegmentRef>& out,
 
 }  // namespace
 
-StreamMux::StreamMux(DurationMs xi, SegmentPool* pool) : xi_(xi) {
-  FCP_CHECK(xi > 0);
-  if (pool != nullptr) {
-    pool_ = pool;
-  } else {
-    owned_pool_ = std::make_unique<SegmentPool>();
-    pool_ = owned_pool_.get();
-  }
-}
+StreamMux::StreamMux(DurationMs xi) : xi_(xi) { FCP_CHECK(xi > 0); }
 
 Segmenter* StreamMux::SegmenterFor(StreamId stream) {
   auto it = segmenters_.find(stream);
   if (it == segmenters_.end()) {
     it = segmenters_
              .emplace(stream, std::make_unique<Segmenter>(stream, xi_,
-                                                          &id_gen_, pool_))
+                                                          &id_gen_, &pool_))
              .first;
     streams_seen_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -24,10 +24,8 @@ namespace fcp {
 /// only via the BoundedQueue in front of it (Fig. 8 experiment).
 class StreamMux {
  public:
-  /// `xi` is the segment span threshold, shared by all streams. `pool` is
-  /// the slab pool completed segments are built in; null means the mux owns
-  /// a private one.
-  explicit StreamMux(DurationMs xi, SegmentPool* pool = nullptr);
+  /// `xi` is the segment span threshold, shared by all streams.
+  explicit StreamMux(DurationMs xi);
 
   StreamMux(const StreamMux&) = delete;
   StreamMux& operator=(const StreamMux&) = delete;
@@ -70,9 +68,10 @@ class StreamMux {
   /// hand, e.g. tests and the Twitter generator which emits whole segments).
   SegmentIdGen* id_gen() { return &id_gen_; }
 
-  /// The slab pool completed segments are built in.
-  SegmentPool* pool() { return pool_; }
-  const SegmentPool& pool() const { return *pool_; }
+  /// The slab pool completed segments are built in. Every SegmentRef must
+  /// be released before the mux is destroyed (checked in ~SegmentPool).
+  SegmentPool* pool() { return &pool_; }
+  const SegmentPool& pool() const { return pool_; }
 
  private:
   /// The stream's segmenter, created on first sight.
@@ -82,8 +81,7 @@ class StreamMux {
               std::vector<SegmentRef>* out);
 
   DurationMs xi_;
-  std::unique_ptr<SegmentPool> owned_pool_;
-  SegmentPool* pool_ = nullptr;
+  SegmentPool pool_;  ///< declared first: the segmenters release into it
   SegmentIdGen id_gen_;
   std::unordered_map<StreamId, std::unique_ptr<Segmenter>> segmenters_;
   /// Incrementally maintained around each segmenter push/flush: +1 when a

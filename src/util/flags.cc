@@ -1,9 +1,24 @@
 #include "util/flags.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
 namespace fcp {
+namespace {
+
+/// Rejects `value` unless strto*() consumed all of it without overflow.
+void CheckParsed(const std::string& name, const std::string& value,
+                 const char* end) {
+  if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr, "bad value for --%s: '%s'\n", name.c_str(),
+                 value.c_str());
+    std::exit(2);
+  }
+}
+
+}  // namespace
 
 Flags::Flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -31,13 +46,21 @@ std::string Flags::GetString(const std::string& name, std::string def) const {
 int64_t Flags::GetInt(const std::string& name, int64_t def) const {
   auto it = values_.find(name);
   if (it == values_.end()) return def;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(it->second.c_str(), &end, 10);
+  CheckParsed(name, it->second, end);
+  return value;
 }
 
 double Flags::GetDouble(const std::string& name, double def) const {
   auto it = values_.find(name);
   if (it == values_.end()) return def;
-  return std::strtod(it->second.c_str(), nullptr);
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(it->second.c_str(), &end);
+  CheckParsed(name, it->second, end);
+  return value;
 }
 
 bool Flags::GetBool(const std::string& name, bool def) const {

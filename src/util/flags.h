@@ -20,7 +20,9 @@ class Flags {
   /// True iff `--name` or `--name=...` was passed.
   bool Has(const std::string& name) const;
 
-  /// Value lookups with defaults.
+  /// Value lookups with defaults. GetInt wants a whole number and GetDouble
+  /// a number, with nothing after it; any other value prints
+  /// `bad value for --<name>` and exits with status 2.
   std::string GetString(const std::string& name, std::string def) const;
   int64_t GetInt(const std::string& name, int64_t def) const;
   double GetDouble(const std::string& name, double def) const;

@@ -31,13 +31,6 @@ bool CpuSupports(KernelLevel level) {
   switch (level) {
     case KernelLevel::kScalar:
       return true;
-    case KernelLevel::kSse42:
-#if defined(__x86_64__) || defined(__i386__)
-      return internal::Sse42Ops() != nullptr &&
-             __builtin_cpu_supports("sse4.2") && __builtin_cpu_supports("popcnt");
-#else
-      return false;
-#endif
     case KernelLevel::kAvx2:
 #if defined(__x86_64__) || defined(__i386__)
       return internal::Avx2Ops() != nullptr && __builtin_cpu_supports("avx2") &&
@@ -53,8 +46,6 @@ const KernelOps* TableFor(KernelLevel level) {
   switch (level) {
     case KernelLevel::kScalar:
       return &kScalarOps;
-    case KernelLevel::kSse42:
-      return internal::Sse42Ops();
     case KernelLevel::kAvx2:
       return internal::Avx2Ops();
   }
@@ -72,14 +63,12 @@ void InitActive() {
     const std::string_view name(env);
     if (name == "scalar") {
       level = KernelLevel::kScalar;
-    } else if (name == "sse") {
-      level = KernelLevel::kSse42;
     } else if (name == "avx2") {
       level = KernelLevel::kAvx2;
     } else if (name != "auto") {
       std::fprintf(stderr,
                    "fcp: ignoring unknown FCP_KERNEL='%s' "
-                   "(want auto|scalar|sse|avx2)\n",
+                   "(want auto|scalar|avx2)\n",
                    env);
     }
   }
@@ -107,8 +96,6 @@ std::string_view KernelLevelName(KernelLevel level) {
   switch (level) {
     case KernelLevel::kScalar:
       return "scalar";
-    case KernelLevel::kSse42:
-      return "sse";
     case KernelLevel::kAvx2:
       return "avx2";
   }
@@ -119,7 +106,6 @@ bool LevelSupported(KernelLevel level) { return CpuSupports(level); }
 
 KernelLevel BestSupportedLevel() {
   if (CpuSupports(KernelLevel::kAvx2)) return KernelLevel::kAvx2;
-  if (CpuSupports(KernelLevel::kSse42)) return KernelLevel::kSse42;
   return KernelLevel::kScalar;
 }
 
@@ -147,10 +133,6 @@ bool SetKernelLevelFromString(std::string_view name) {
   }
   if (name == "scalar") {
     SetKernelLevel(KernelLevel::kScalar);
-    return true;
-  }
-  if (name == "sse") {
-    SetKernelLevel(KernelLevel::kSse42);
     return true;
   }
   if (name == "avx2") {

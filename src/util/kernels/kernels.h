@@ -9,7 +9,7 @@
 //  3. the scalar reference versions of both, which remain the portable
 //     fallback and the differential-testing oracle.
 //
-// Each family has scalar, SSE4.2 and AVX2 implementations compiled into
+// Each family has a scalar and an AVX2 implementation, compiled into
 // separate translation units with the matching -m flags; at startup (or on
 // SetKernelLevel / FCP_KERNEL / --kernel) one KernelOps table of function
 // pointers is selected, clamped to what cpuid reports the machine supports.
@@ -41,8 +41,7 @@ namespace fcp::kernels {
 /// Dispatch levels, ordered: a level is eligible iff the CPU supports it.
 enum class KernelLevel : int {
   kScalar = 0,
-  kSse42 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
 /// One resolved set of kernel entry points. All pointers are non-null.
@@ -76,7 +75,7 @@ struct KernelOps {
   const char* name = "scalar";
 };
 
-/// "scalar", "sse", "avx2".
+/// "scalar", "avx2".
 std::string_view KernelLevelName(KernelLevel level);
 
 /// True iff this build + this CPU can execute `level`.
@@ -91,7 +90,7 @@ KernelLevel BestSupportedLevel();
 /// mining — switch levels only between runs (tools do it at startup).
 KernelLevel SetKernelLevel(KernelLevel level);
 
-/// Parses "auto" | "scalar" | "sse" | "avx2" and activates it ("auto" =
+/// Parses "auto" | "scalar" | "avx2" and activates it ("auto" =
 /// BestSupportedLevel). Returns false (state unchanged) on an unknown name.
 bool SetKernelLevelFromString(std::string_view name);
 
@@ -108,10 +107,9 @@ const KernelOps& Ops();
 const KernelOps& OpsFor(KernelLevel level);
 
 namespace internal {
-/// Per-TU tables. Sse42Ops()/Avx2Ops() return nullptr when the build (non-
-/// x86, or a compiler without the -m flags) does not include them.
+/// Per-TU tables. Avx2Ops() returns nullptr when the build (non-x86, or a
+/// compiler without the -m flags) does not include it.
 const KernelOps* ScalarOps();
-const KernelOps* Sse42Ops();
 const KernelOps* Avx2Ops();
 }  // namespace internal
 

@@ -1,8 +1,7 @@
-// Portable reference implementations of the kernel families, shared by the
-// scalar TU (baseline codegen) and the SSE4.2 TU (same loops recompiled with
-// -msse4.2 -mpopcnt, which turns std::popcount into one POPCNT instruction
-// and lets the autovectorizer at the word level). These are also the
-// semantic oracle the SIMD paths are differential-tested against.
+// Portable reference implementations of the kernel families: the scalar
+// table, the AVX2 TU's short-input and tail paths (recompiled there with
+// -mpopcnt, so std::popcount is one POPCNT instruction), and the semantic
+// oracle the SIMD paths are differential-tested against.
 //
 // Internal to src/util/kernels/ — include kernels.h instead.
 

@@ -187,8 +187,7 @@ TEST(AllocRegressionTest, ShardedDiMineSteadyStateIsAllocationFree) {
 TEST(AllocRegressionTest, SteadyStateIsAllocationFreeAtEveryKernelLevel) {
   const kernels::KernelLevel saved = kernels::ActiveLevel();
   for (kernels::KernelLevel level :
-       {kernels::KernelLevel::kScalar, kernels::KernelLevel::kSse42,
-        kernels::KernelLevel::kAvx2}) {
+       {kernels::KernelLevel::kScalar, kernels::KernelLevel::kAvx2}) {
     if (!kernels::LevelSupported(level)) continue;
     kernels::SetKernelLevel(level);
     for (MinerKind kind : {MinerKind::kCooMine, MinerKind::kDiMine,

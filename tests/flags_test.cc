@@ -1,5 +1,8 @@
 #include "util/flags.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace fcp {
@@ -59,6 +62,32 @@ TEST(FlagsTest, EmptyValue) {
   Flags f = Make({"--name="});
   EXPECT_TRUE(f.Has("name"));
   EXPECT_EQ(f.GetString("name", "zzz"), "");
+}
+
+TEST(FlagsTest, NumbersParseWholeValues) {
+  Flags f = Make({"--n=-12", "--big=9000000000", "--x=-2.5e3", "--whole=7"});
+  EXPECT_EQ(f.GetInt("n", 0), -12);
+  EXPECT_EQ(f.GetInt("big", 0), 9000000000);
+  EXPECT_DOUBLE_EQ(f.GetDouble("x", 0.0), -2500.0);
+  EXPECT_DOUBLE_EQ(f.GetDouble("whole", 0.0), 7.0);
+}
+
+// A numeric flag whose value is not a number (or, for GetInt, not a whole
+// number) used to parse as its numeric prefix or 0; now it is fatal.
+TEST(FlagsDeathTest, MalformedNumbersExitWithStatus2) {
+  Flags f = Make({"--shards=four", "--events=10k", "--batch=", "--n=1.5",
+                  "--huge=99999999999999999999", "--bare", "--ratio=0.5x",
+                  "--theta=three"});
+  for (const char* name :
+       {"shards", "events", "batch", "n", "huge", "bare"}) {
+    EXPECT_EXIT(f.GetInt(name, 0), ::testing::ExitedWithCode(2),
+                std::string("bad value for --") + name)
+        << name;
+  }
+  EXPECT_EXIT(f.GetDouble("ratio", 0.0), ::testing::ExitedWithCode(2),
+              "bad value for --ratio");
+  EXPECT_EXIT(f.GetDouble("theta", 0.0), ::testing::ExitedWithCode(2),
+              "bad value for --theta");
 }
 
 }  // namespace

@@ -99,8 +99,7 @@ TEST(IntersectTest, RandomizedAcrossKernelLevels) {
   // depend on which level is active.
   const kernels::KernelLevel saved = kernels::ActiveLevel();
   for (kernels::KernelLevel level :
-       {kernels::KernelLevel::kScalar, kernels::KernelLevel::kSse42,
-        kernels::KernelLevel::kAvx2}) {
+       {kernels::KernelLevel::kScalar, kernels::KernelLevel::kAvx2}) {
     if (!kernels::LevelSupported(level)) continue;
     kernels::SetKernelLevel(level);
     Rng rng(17);

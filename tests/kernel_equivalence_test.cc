@@ -33,9 +33,6 @@ using testing::FullSignatures;
 
 std::vector<KernelLevel> SupportedLevels() {
   std::vector<KernelLevel> levels = {KernelLevel::kScalar};
-  if (kernels::LevelSupported(KernelLevel::kSse42)) {
-    levels.push_back(KernelLevel::kSse42);
-  }
   if (kernels::LevelSupported(KernelLevel::kAvx2)) {
     levels.push_back(KernelLevel::kAvx2);
   }

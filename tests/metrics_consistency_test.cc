@@ -348,6 +348,136 @@ TEST(MetricsConsistencyReorderTest,
   EXPECT_EQ(sharded.results().size(), serial.collector().results().size());
 }
 
+/// The integer value of top-level `"key":` in a /statusz body, or -1.
+int64_t StatusField(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const size_t at = json.find(needle);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "/statusz field " << key << " missing in " << json;
+    return -1;
+  }
+  return std::stoll(json.substr(at + needle.size()));
+}
+
+// Both engines share one front end, so they export the same front-end
+// metrics and /statusz fields, and after the feed is drained those agree:
+// the ingest side segments in serial order at every shard count.
+TEST(MetricsConsistencyFrontEndTest, SerialAndShardedExportTheSameFrontEnd) {
+  constexpr uint32_t kShards = 4;
+  std::vector<ObjectEvent> events = Trace();
+  // Bounded disorder, so the reordered count is not trivially zero.
+  std::mt19937 rng(23);
+  for (size_t i = 0; i + 1 < events.size(); i += 3) {
+    const size_t reach = std::min<size_t>(6, events.size() - 1 - i);
+    std::swap(events[i], events[i + 1 + rng() % reach]);
+  }
+
+  MiningEngine serial(MinerKind::kCooMine, Params());
+  for (size_t i = 0; i < events.size(); i += 256) {
+    serial.IngestBatch(std::span(events.data() + i,
+                                 std::min<size_t>(256, events.size() - i)));
+  }
+  serial.Flush();
+  ParallelEngineOptions options;
+  options.num_miner_shards = kShards;
+  ParallelEngine sharded(MinerKind::kCooMine, Params(), options);
+  sharded.PushBatch(events);
+  sharded.Finish();
+
+  const auto serial_metrics = serial.SnapshotMetrics();
+  const auto sharded_metrics = sharded.SnapshotMetrics();
+  for (const char* name :
+       {"fcp_events_ingested_total", "fcp_segments_completed_total",
+        "fcp_events_reordered_total", "fcp_fcps_accepted_total",
+        "fcp_open_windows", "fcp_streams_seen", "fcp_uptime_seconds",
+        "fcp_segment_pool_live_refs", "fcp_segment_pool_hits_total",
+        "fcp_segment_pool_misses_total",
+        "fcp_segment_pool_recycled_bytes_total",
+        "fcp_segment_pool_free_slabs"}) {
+    const telemetry::MetricSample& a = Find(serial_metrics, name);
+    const telemetry::MetricSample& b = Find(sharded_metrics, name);
+    EXPECT_EQ(a.type, b.type) << name;
+  }
+  // Per-call mine latency: one sample per mined segment, per shard on the
+  // sharded engine.
+  EXPECT_EQ(Find(serial_metrics, "fcp_segment_mine_latency_us").histogram.total,
+            serial.segments_completed());
+  for (uint32_t s = 0; s < kShards; ++s) {
+    const std::string name =
+        "fcp_segment_mine_latency_us{shard=\"" + std::to_string(s) + "\"}";
+    EXPECT_EQ(Find(sharded_metrics, name).histogram.total,
+              sharded.shard_miner(s).stats().segments_processed)
+        << name;
+  }
+
+  for (const char* name :
+       {"fcp_events_ingested_total", "fcp_events_reordered_total",
+        "fcp_segments_completed_total", "fcp_fcps_accepted_total"}) {
+    EXPECT_EQ(Find(sharded_metrics, name).counter_value,
+              Find(serial_metrics, name).counter_value)
+        << name;
+  }
+  EXPECT_GT(Find(serial_metrics, "fcp_events_reordered_total").counter_value,
+            0u);
+  EXPECT_EQ(Find(serial_metrics, "fcp_fcps_accepted_total").counter_value,
+            serial.collector().results().size());
+  for (const char* name : {"fcp_streams_seen", "fcp_open_windows"}) {
+    EXPECT_EQ(Find(sharded_metrics, name).gauge_value,
+              Find(serial_metrics, name).gauge_value)
+        << name;
+  }
+  EXPECT_GT(Find(serial_metrics, "fcp_streams_seen").gauge_value, 0);
+  EXPECT_EQ(Find(serial_metrics, "fcp_open_windows").gauge_value, 0);
+
+  const std::string serial_status = serial.StatusJson();
+  const std::string sharded_status = sharded.StatusJson();
+  for (const char* key :
+       {"events_ingested", "events_reordered", "segments_completed",
+        "fcps_accepted", "streams_seen", "open_windows"}) {
+    EXPECT_EQ(StatusField(sharded_status, key), StatusField(serial_status, key))
+        << key << "\nserial: " << serial_status
+        << "\nsharded: " << sharded_status;
+  }
+  EXPECT_EQ(StatusField(serial_status, "events_ingested"),
+            static_cast<int64_t>(events.size()));
+  EXPECT_EQ(StatusField(serial_status, "open_windows"), 0);
+}
+
+// The serial engine's mirror gauges refresh on snapshot, i.e. from the
+// scrape thread while the caller's thread ingests (this suite runs under
+// TSan). Sampled values stay in range, and a final snapshot is exact.
+TEST(MetricsConsistencyFrontEndTest, SerialGaugesRefreshFromAScrapeThread) {
+  const std::vector<ObjectEvent> events = Trace();
+  MiningEngine engine(MinerKind::kCooMine, Params());
+  std::atomic<bool> sampling{true};
+  std::thread scraper([&] {
+    while (sampling.load(std::memory_order_relaxed)) {
+      const auto samples = engine.SnapshotMetrics();
+      EXPECT_GE(Find(samples, "fcp_open_windows").gauge_value, 0);
+      EXPECT_GE(Find(samples, "fcp_segment_pool_live_refs").gauge_value, 0);
+      EXPECT_NE(engine.StatusJson().find("\"pool\":{"), std::string::npos);
+      std::this_thread::yield();
+    }
+  });
+  for (size_t i = 0; i < events.size(); i += 64) {
+    engine.IngestBatch(
+        std::span(events.data() + i, std::min<size_t>(64, events.size() - i)));
+  }
+  engine.Flush();
+  sampling.store(false, std::memory_order_relaxed);
+  scraper.join();
+
+  const auto samples = engine.SnapshotMetrics();
+  const SegmentPoolStats pool = engine.segment_pool().stats();
+  EXPECT_EQ(Find(samples, "fcp_open_windows").gauge_value, 0);
+  EXPECT_EQ(Find(samples, "fcp_streams_seen").gauge_value,
+            engine.mux().streams_seen());
+  EXPECT_EQ(Find(samples, "fcp_segment_pool_live_refs").gauge_value,
+            static_cast<int64_t>(pool.live));
+  EXPECT_EQ(Find(samples, "fcp_segment_pool_hits_total").gauge_value,
+            static_cast<int64_t>(pool.pool_hits));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllMinersAllShardCounts, MetricsConsistencyTest,
     ::testing::Combine(::testing::Values(MinerKind::kCooMine,

@@ -27,7 +27,7 @@
 //                         is rewritten each tick, otherwise stderr
 //   --metrics_interval=N  reporting period in seconds (default 10); a final
 //                         report is always emitted at exit
-//   --kernel=auto|scalar|sse|avx2   SIMD dispatch level for the mining
+//   --kernel=auto|scalar|avx2   SIMD dispatch level for the mining
 //                         kernels (default auto = best the CPU supports;
 //                         unsupported levels are clamped with a warning).
 //                         The FCP_KERNEL env var sets the same knob.
@@ -139,6 +139,13 @@ int main(int argc, char** argv) {
     return Fail("--workers was removed: the sharded pipeline segments on one "
                 "ingest thread");
   }
+  // These are cast to unsigned below, where a negative value would wrap.
+  for (const char* name :
+       {"events", "batch", "k", "theta", "min_size", "max_size", "suppress"}) {
+    if (flags.GetInt(name, 0) < 0) {
+      return Fail(std::string("--") + name + " must be >= 0");
+    }
+  }
 
   // Names main for the flight recorder and the profiler alike.
   fcp::telemetry::ThreadScope main_scope("main");
@@ -224,7 +231,7 @@ int main(int argc, char** argv) {
   const std::string kernel = flags.GetString("kernel", "");
   if (!kernel.empty() && !fcp::kernels::SetKernelLevelFromString(kernel)) {
     return Fail("unknown --kernel '" + kernel +
-                "' (want auto, scalar, sse or avx2)");
+                "' (want auto, scalar or avx2)");
   }
 
   // --- Load or synthesize the trace. ---------------------------------------
@@ -341,11 +348,10 @@ int main(int argc, char** argv) {
     wd_options.metrics = &fcp::telemetry::MetricRegistry::Global();
     watchdog = std::make_unique<fcp::obs::Watchdog>(wd_options);
   }
-  // Starts the server over the running engine's status sources; shared by
-  // the serial and parallel paths below.
-  auto start_obs =
-      [&](std::function<std::string()> status,
-          std::function<void()> refresh) -> fcp::Status {
+  // Starts the server over the running engine (either kind) when --listen
+  // is set.
+  auto start_obs = [&](auto& engine) -> fcp::Status {
+    if (listen_port < 0) return fcp::Status::OK();
     fcp::obs::ObsServerOptions server_options;
     server_options.host = listen_host;
     server_options.port = static_cast<uint16_t>(listen_port);
@@ -354,8 +360,8 @@ int main(int argc, char** argv) {
     fcp::obs::EndpointSources sources;
     sources.registry = &fcp::telemetry::MetricRegistry::Global();
     sources.watchdog = watchdog.get();
-    sources.pipeline_status = std::move(status);
-    sources.refresh = std::move(refresh);
+    sources.pipeline_status = [&engine] { return engine.StatusJson(); };
+    sources.refresh = [&engine] { engine.SnapshotMetrics(); };
     fcp::obs::InstallStandardEndpoints(*obs_server, sources);
     const fcp::Status started = obs_server->Start();
     if (!started.ok()) return started;
@@ -367,9 +373,19 @@ int main(int argc, char** argv) {
     watchdog->SetReady();
     return fcp::Status::OK();
   };
-  // Stop order matters: the watchdog's probes and the server's handlers
-  // reference the engine, so both stop before the engine goes out of scope.
-  auto stop_obs = [&] {
+  uint64_t segments_completed = 0;
+  fcp::SegmentPoolStats pool_stats;
+  uint64_t events_reordered = 0;
+  // Reads what both engines answer alike once the feed is drained. The
+  // mirror gauges refresh on snapshot, not continuously; one refresh here
+  // makes the reporter's final report carry end-of-run values. Stop order
+  // matters: the watchdog's probes and the server's handlers reference the
+  // engine, so both stop before the engine goes out of scope.
+  auto finish_run = [&](auto& engine) {
+    segments_completed = engine.segments_completed();
+    pool_stats = engine.segment_pool().stats();
+    events_reordered = engine.events_reordered();
+    if (reporter) engine.SnapshotMetrics();
     if (watchdog) watchdog->Stop();
     if (obs_server) obs_server->Stop();
   };
@@ -388,15 +404,26 @@ int main(int argc, char** argv) {
 
   // --- Run. ------------------------------------------------------------------
   fcp::Stopwatch clock;
-  // Sleep-throttled pacing against the run clock: cheap when off, and when
+  const size_t batch = static_cast<size_t>(flags.GetInt("batch", 1));
+  // Feeds the trace per event (--batch <= 1) or in --batch chunks, with
+  // sleep-throttled pacing against the run clock: cheap when off, and when
   // on it never drifts (sleeps only while ahead of the target rate).
-  auto pace_sleep = [&](size_t events_pushed) {
-    if (pace <= 0) return;
-    const double ahead_s =
-        static_cast<double>(events_pushed) / static_cast<double>(pace) -
-        clock.ElapsedSeconds();
-    if (ahead_s > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(ahead_s));
+  auto feed = [&](auto push_event, auto push_batch) {
+    const size_t step = std::max<size_t>(batch, 1);
+    for (size_t i = 0; i < events.size(); i += step) {
+      const size_t n = std::min(step, events.size() - i);
+      if (batch <= 1) {
+        push_event(events[i]);
+      } else {
+        push_batch(std::span<const fcp::ObjectEvent>(events.data() + i, n));
+      }
+      if (pace <= 0) continue;
+      const double ahead_s =
+          static_cast<double>(i + n) / static_cast<double>(pace) -
+          clock.ElapsedSeconds();
+      if (ahead_s > 0) {
+        std::this_thread::sleep_for(std::chrono::duration<double>(ahead_s));
+      }
     }
   };
   uint64_t alerts = 0;
@@ -412,12 +439,8 @@ int main(int argc, char** argv) {
       }
     }
   };
-  const size_t batch = static_cast<size_t>(flags.GetInt("batch", 1));
-  uint64_t segments_completed = 0;
   size_t index_bytes = 0;
   fcp::MinerStats stats;  // summed across shards in the parallel path
-  fcp::SegmentPoolStats pool_stats;
-  uint64_t events_reordered = 0;
   if (shards > 0) {
     // Parallel pipeline: alerts surface only after Finish() drains the
     // shards, so stream mode prints them post-hoc in merged order.
@@ -427,28 +450,12 @@ int main(int argc, char** argv) {
     poptions.metrics = &fcp::telemetry::MetricRegistry::Global();
     poptions.watchdog = watchdog.get();
     fcp::ParallelEngine engine(kind, params, poptions);
-    if (obs_server == nullptr && listen_port >= 0) {
-      const fcp::Status started =
-          start_obs([&engine] { return engine.StatusJson(); },
-                    [&engine] { engine.SnapshotMetrics(); });
-      if (!started.ok()) return Fail(started.ToString());
-    }
-    if (batch <= 1) {
-      size_t pushed = 0;
-      for (const fcp::ObjectEvent& event : events) {
-        engine.Push(event);
-        pace_sleep(++pushed);
-      }
-    } else {
-      for (size_t i = 0; i < events.size(); i += batch) {
-        const size_t n = std::min(batch, events.size() - i);
-        engine.PushBatch(std::span(events.data() + i, n));
-        pace_sleep(i + n);
-      }
-    }
+    const fcp::Status started = start_obs(engine);
+    if (!started.ok()) return Fail(started.ToString());
+    feed([&](const fcp::ObjectEvent& event) { engine.Push(event); },
+         [&](auto chunk) { engine.PushBatch(chunk); });
     engine.Finish();
     handle(engine.results());
-    segments_completed = engine.segments_completed();
     for (uint32_t s = 0; s < engine.num_miner_shards(); ++s) {
       const fcp::FcpMiner& miner = engine.shard_miner(s);
       index_bytes += miner.MemoryUsage();
@@ -462,45 +469,21 @@ int main(int argc, char** argv) {
       stats.slcp_nodes_visited += shard_stats.slcp_nodes_visited;
       stats.segments_expired += shard_stats.segments_expired;
     }
-    pool_stats = engine.segment_pool().stats();
-    events_reordered = engine.events_reordered();
-    // The queue/pool gauges refresh on snapshot, not continuously; one
-    // refresh here makes the reporter's final report carry end-of-run values.
-    if (reporter) engine.SnapshotMetrics();
-    stop_obs();
+    finish_run(engine);
   } else {
     fcp::EngineOptions options;
     options.suppression_window = suppression;
     options.metrics = &fcp::telemetry::MetricRegistry::Global();
     options.watchdog = watchdog.get();
     fcp::MiningEngine engine(kind, params, options);
-    if (obs_server == nullptr && listen_port >= 0) {
-      const fcp::Status started =
-          start_obs([&engine] { return engine.StatusJson(); },
-                    [&engine] { engine.SnapshotMetrics(); });
-      if (!started.ok()) return Fail(started.ToString());
-    }
-    if (batch <= 1) {
-      size_t pushed = 0;
-      for (const fcp::ObjectEvent& event : events) {
-        handle(engine.PushEvent(event));
-        pace_sleep(++pushed);
-      }
-    } else {
-      for (size_t i = 0; i < events.size(); i += batch) {
-        const size_t n = std::min(batch, events.size() - i);
-        handle(engine.IngestBatch(std::span(events.data() + i, n)));
-        pace_sleep(i + n);
-      }
-    }
+    const fcp::Status started = start_obs(engine);
+    if (!started.ok()) return Fail(started.ToString());
+    feed([&](const fcp::ObjectEvent& e) { handle(engine.PushEvent(e)); },
+         [&](auto chunk) { handle(engine.IngestBatch(chunk)); });
     handle(engine.Flush());
-    segments_completed = engine.segments_completed();
     index_bytes = engine.MemoryUsage();
     stats = engine.miner().stats();
-    pool_stats = engine.mux().pool().stats();
-    events_reordered = engine.mux().reordered_count();
-    if (reporter) engine.SnapshotMetrics();
-    stop_obs();
+    finish_run(engine);
   }
   const double elapsed = clock.ElapsedSeconds();
   // Stop the reporter before printing the human summary: Stop() joins the
