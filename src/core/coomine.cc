@@ -211,6 +211,7 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
     tree_.SlcpInto(segment, now, params_.tau, &scratch_.expired, &scratch_.lcp,
                    shard_);
   }
+  stats_.slcp_ns += mine_timer.ElapsedNanos();
   stats_.lcp_rows += scratch_.lcp.rows.size();
   stats_.slcp_nodes_visited +=
       tree_.stats().distance_bound_visits - visits_before;

@@ -37,6 +37,7 @@ void DumpSlowOp(const char* op, const Segment& segment, const FcpMiner& miner,
       {"maintenance_runs", static_cast<int64_t>(stats.maintenance_runs)},
       {"segments_expired", static_cast<int64_t>(stats.segments_expired)},
       {"mining_ns", stats.mining_ns},
+      {"slcp_ns", stats.slcp_ns},
       {"maintenance_ns", stats.maintenance_ns},
       {"live_segments", static_cast<int64_t>(view.live_segments)},
       {"index_nodes", static_cast<int64_t>(view.index_nodes)},

@@ -35,6 +35,7 @@ MinerMetrics MinerMetrics::Register(telemetry::MetricRegistry* registry,
   m.segments_expired =
       registry->GetCounter(Name("fcp_segments_expired_total", labels));
   m.mining_ns = registry->GetCounter(Name("fcp_mining_ns_total", labels));
+  m.slcp_ns = registry->GetCounter(Name("fcp_slcp_ns_total", labels));
   m.maintenance_ns =
       registry->GetCounter(Name("fcp_maintenance_ns_total", labels));
 
@@ -75,6 +76,7 @@ void MinerMetrics::PublishDelta(const MinerStats& current,
   Bump(maintenance_runs, current.maintenance_runs - last->maintenance_runs);
   Bump(segments_expired, current.segments_expired - last->segments_expired);
   Bump(mining_ns, static_cast<uint64_t>(current.mining_ns - last->mining_ns));
+  Bump(slcp_ns, static_cast<uint64_t>(current.slcp_ns - last->slcp_ns));
   Bump(maintenance_ns,
        static_cast<uint64_t>(current.maintenance_ns - last->maintenance_ns));
   *last = current;

@@ -34,6 +34,7 @@ struct MinerMetrics {
   telemetry::Counter* maintenance_runs = nullptr;
   telemetry::Counter* segments_expired = nullptr;
   telemetry::Counter* mining_ns = nullptr;
+  telemetry::Counter* slcp_ns = nullptr;
   telemetry::Counter* maintenance_ns = nullptr;
 
   telemetry::Gauge* live_segments = nullptr;

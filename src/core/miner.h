@@ -24,6 +24,8 @@ namespace fcp {
 /// evaluation splits them: `maintenance_ns` covers index insertion and
 /// expiry; `mining_ns` covers candidate search and FCP verification
 /// (Figs. 5(c)-(e) vs 6(a)-(b); their sum is the "total cost" of 6(c)-(d)).
+/// `slcp_ns` is the part of `mining_ns` CooMine spends building the LCP
+/// table (Algorithm 2); the rest is the Apriori pass.
 struct MinerStats {
   uint64_t segments_processed = 0;
   uint64_t segments_indexed_only = 0;  ///< backfill deliveries (indexed, not
@@ -48,6 +50,8 @@ struct MinerStats {
   uint64_t maintenance_runs = 0;   ///< full expiry sweeps executed
   uint64_t segments_expired = 0;
   int64_t mining_ns = 0;
+  int64_t slcp_ns = 0;  ///< CooMine: SLCP share of mining_ns (0 for
+                        ///< DIMine/MatrixMine)
   int64_t maintenance_ns = 0;
 };
 
@@ -60,7 +64,9 @@ struct MinerIntrospection {
   uint64_t index_entries = 0;   ///< total indexed (object, segment) entries
   uint64_t index_bytes = 0;     ///< analytic footprint (== MemoryUsage())
   uint64_t arena_bytes = 0;     ///< CooMine: bytes held by the node arena
-  double compression_ratio = 0; ///< CooMine: entries per Seg-tree node
+  double compression_ratio = 0; ///< CooMine: (d1-d2)/d1, the share of
+                                ///< indexed entries saved by prefix sharing
+                                ///< (d1 entries, d2 Seg-tree nodes)
 };
 
 /// One supporting appearance of a pattern: stream + the (segment-granularity)

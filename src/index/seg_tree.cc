@@ -501,14 +501,11 @@ void SegTree::SlcpInto(const Segment& probe, Timestamp now, DurationMs tau,
                        std::vector<SegmentId>* expired, LcpTable* out,
                        const ShardSpec& shard) const {
   out->Clear();
-  // Gather (segment, probe-object) hit records, then sort and group them
-  // into one row per relevant segment. Sorting a flat hit vector is markedly
-  // faster than hash-accumulating per hit (popular objects produce
-  // thousands of hits per probe); the TailEntry pointer carries the row
-  // metadata so no registry lookups happen at all.
-  std::vector<Hit>& hit_records = hit_records_;
+  // Rows are grouped without sorting: a tail entry stamped with this call's
+  // epoch already has its row. The epoch is 64 bit and only grows, so stamps
+  // left by earlier calls (or copied by graft) never need clearing.
+  const uint64_t epoch = ++probe_epoch_;
   std::vector<const TailEntry*>& hits = tail_hits_;
-  hit_records.clear();
   // The probe's sorted distinct objects, cached at segment construction.
   const std::vector<ObjectId>& probe_objects = probe.distinct_objects();
 
@@ -518,37 +515,29 @@ void SegTree::SlcpInto(const Segment& probe, Timestamp now, DurationMs tau,
     // Phase 1: the chains of the owned probe objects find every segment
     // whose common set contains >= 1 owned object — exactly the rows a
     // shard-owned pattern can draw support from.
-    std::vector<const TailEntry*>& live = tail_hits_;
-    live.clear();
+    hits.clear();
     for (ObjectId object : probe_objects) {
       if (!shard.Owns(object)) continue;
       Node* const* head = hlist_.Find(object);
       if (head == nullptr) continue;
       for (const Node* n = *head; n != nullptr; n = n->hnext) {
-        CollectRelevantTails(n, now, tau, &live, expired);
+        CollectRelevantTails(n, now, tau, &hits, expired);
       }
     }
-    std::sort(live.begin(), live.end(),
-              [](const TailEntry* a, const TailEntry* b) {
-                return a->segment < b->segment;
-              });
-    live.erase(std::unique(live.begin(), live.end(),
-                           [](const TailEntry* a, const TailEntry* b) {
-                             return a->segment == b->segment;
-                           }),
-               live.end());
 
     // Phase 2: reconstruct each live row's full common set (owned objects
     // alone are not enough — patterns extend past the minimum object) as
     // probe ∩ segment, one linear merge of two small sorted arrays per row
     // (TailEntry::objects is the segment's sorted distinct object list),
-    // recording each match by its probe position.
-    for (const TailEntry* t : live) {
-      LcpTable::Row row;
-      row.segment = t->segment;
-      row.stream = t->stream;
-      row.start = t->start;
-      row.end = t->end;
+    // recording each match by its probe position. A tail reached through
+    // several owned objects gets its row the first time only.
+    for (const TailEntry* t : hits) {
+      if (t->probe_epoch == epoch) continue;
+      t->probe_epoch = epoch;
+      LcpTable::Row row{.segment = t->segment,
+                        .stream = t->stream,
+                        .start = t->start,
+                        .end = t->end};
       row.common_begin = static_cast<uint32_t>(out->common_pool.size());
       const ObjectId* a = probe_objects.data();
       const ObjectId* const ae = a + probe_objects.size();
@@ -569,52 +558,54 @@ void SegTree::SlcpInto(const Segment& probe, Timestamp now, DurationMs tau,
       row.common_end = static_cast<uint32_t>(out->common_pool.size());
       out->rows.push_back(row);
     }
-    if (expired != nullptr) {
-      std::sort(expired->begin(), expired->end());
-      expired->erase(std::unique(expired->begin(), expired->end()),
-                     expired->end());
-    }
-    return;
-  }
-
-  for (size_t pos = 0; pos < probe_objects.size(); ++pos) {
-    Node* const* head = hlist_.Find(probe_objects[pos]);
-    if (head == nullptr) continue;
-    hits.clear();
-    for (const Node* n = *head; n != nullptr; n = n->hnext) {
-      CollectRelevantTails(n, now, tau, &hits, expired);
-    }
-    for (const TailEntry* t : hits) {
-      hit_records.push_back(Hit{t->segment, static_cast<uint32_t>(pos), t});
-    }
-  }
-  // Positions ascend with object ids (the probe is sorted), so this is the
-  // (segment, object) order.
-  std::sort(hit_records.begin(), hit_records.end(),
-            [](const Hit& a, const Hit& b) {
-              if (a.segment != b.segment) return a.segment < b.segment;
-              return a.position < b.position;
-            });
-
-  for (size_t i = 0; i < hit_records.size();) {
-    const Hit& first = hit_records[i];
-    LcpTable::Row row;
-    row.segment = first.segment;
-    row.stream = first.tail->stream;
-    row.start = first.tail->start;
-    row.end = first.tail->end;
-    row.common_begin = static_cast<uint32_t>(out->common_pool.size());
-    while (i < hit_records.size() &&
-           hit_records[i].segment == first.segment) {
-      if (out->common_pool.size() == row.common_begin ||
-          out->common_pool.back() != hit_records[i].position) {
-        out->common_pool.push_back(hit_records[i].position);
+  } else {
+    // Gather one (row, position) hit per segment and probe object. The
+    // first hit of a tail opens its row; until the rows are laid out,
+    // common_begin counts the row's positions and common_end holds its
+    // last position + 1. A segment carrying an object twice is reached
+    // from two chain nodes for the same position; the second hit is
+    // dropped here, so the counts are exact.
+    std::vector<Hit>& hit_records = hit_records_;
+    hit_records.clear();
+    for (size_t pos = 0; pos < probe_objects.size(); ++pos) {
+      Node* const* head = hlist_.Find(probe_objects[pos]);
+      if (head == nullptr) continue;
+      hits.clear();
+      for (const Node* n = *head; n != nullptr; n = n->hnext) {
+        CollectRelevantTails(n, now, tau, &hits, expired);
       }
-      ++i;
+      const uint32_t position = static_cast<uint32_t>(pos);
+      for (const TailEntry* t : hits) {
+        if (t->probe_epoch != epoch) {
+          t->probe_epoch = epoch;
+          t->probe_row = static_cast<uint32_t>(out->rows.size());
+          out->rows.push_back(LcpTable::Row{.segment = t->segment,
+                                            .stream = t->stream,
+                                            .start = t->start,
+                                            .end = t->end});
+        }
+        LcpTable::Row& row = out->rows[t->probe_row];
+        if (row.common_end == position + 1) continue;  // repeated object
+        row.common_end = position + 1;
+        ++row.common_begin;
+        hit_records.push_back(Hit{t->probe_row, position});
+      }
     }
-    row.common_end = static_cast<uint32_t>(out->common_pool.size());
-    out->rows.push_back(row);
+    // Lay the rows out back to back (prefix sum of the counts), then place
+    // every hit in one pass. The outer loop above walked positions in
+    // ascending order, so each row's positions land ascending.
+    uint32_t offset = 0;
+    for (LcpTable::Row& row : out->rows) {
+      const uint32_t count = row.common_begin;
+      row.common_begin = row.common_end = offset;
+      offset += count;
+    }
+    out->common_pool.resize(offset);
+    for (const Hit& hit : hit_records) {
+      out->common_pool[out->rows[hit.row].common_end++] = hit.position;
+    }
   }
+  // Lazy deletion removes these in id order; the list is short.
   if (expired != nullptr) {
     std::sort(expired->begin(), expired->end());
     expired->erase(std::unique(expired->begin(), expired->end()),

@@ -106,7 +106,10 @@ struct LcpRow {
 /// sets a row's bits without merging the row against the probe again (and a
 /// position at or past the miner's `max_segment_objects` cap names an object
 /// it does not mine). Positions ascend within a row, in the same order as the
-/// ids they stand for, because the probe's objects are sorted. Clearing keeps
+/// ids they stand for, because the probe's objects are sorted. Rows come in
+/// the order SLCP first reached each segment, not in segment-id order: the
+/// table is read as a set (supporting streams are counted distinct and
+/// sorted, windows are a min/max), so grouping needs no sort. Clearing keeps
 /// the capacity, so a table reused across triggers stops allocating once
 /// warm — the zero-allocation counterpart of std::vector<LcpRow>.
 struct LcpTable {
@@ -170,9 +173,12 @@ class SegTree {
   /// DistanceBound (Algorithm 3), and emits one row per relevant segment
   /// with the common object set. Expired segments encountered during the
   /// search are recorded in `expired` (if non-null) for lazy deletion by the
-  /// caller; they do not appear in the result. Rows come in segment-id order
-  /// and name their common objects by position in `probe.distinct_objects()`
-  /// (see LcpTable).
+  /// caller; they do not appear in the result, and `expired` comes back
+  /// sorted and distinct. Rows come in discovery order, each segment once,
+  /// and name their common objects by ascending position in
+  /// `probe.distinct_objects()` (see LcpTable). Neither rows nor hits are
+  /// sorted: each call bumps a 64-bit probe epoch, and a tail entry stamped
+  /// with it has already been given its row.
   ///
   /// `now` anchors validity (callers pass the probe's end time). The probe
   /// itself must not be in the tree yet (mine first, insert after). `out` is
@@ -272,6 +278,12 @@ class SegTree {
     // in RemoveSegmentPath (graft moves entries by value, transferring the
     // chunk).
     PooledVec<ObjectId> objects;
+    // SlcpInto's grouping stamp: the tail already has a row in the current
+    // probe iff probe_epoch equals the tree's probe_epoch_, and then (on the
+    // serial path) probe_row is that row's index. A stale stamp is simply
+    // older than every later epoch, so copies made by graft need no reset.
+    mutable uint64_t probe_epoch = 0;
+    mutable uint32_t probe_row = 0;
   };
 
   // Tlist element: completion-ordered reference to a segment (via tail_of_).
@@ -288,12 +300,11 @@ class SegTree {
     uint32_t depth;   // edges from the search start
   };
 
-  // One (segment, probe-object) hit of the serial SLCP, grouped into rows.
-  // `position` indexes the probe's distinct objects.
+  // One (row, probe-object) hit of the serial SLCP. `row` indexes the
+  // output table's rows; `position` indexes the probe's distinct objects.
   struct Hit {
-    SegmentId segment;
+    uint32_t row;
     uint32_t position;
-    const TailEntry* tail;
   };
 
   // --- construction helpers ---
@@ -354,6 +365,7 @@ class SegTree {
   mutable std::vector<SearchItem> search_queue_;     // CollectRelevantTails
   mutable std::vector<Hit> hit_records_;             // serial SLCP hits
   mutable std::vector<const TailEntry*> tail_hits_;  // SLCP tail hits
+  mutable uint64_t probe_epoch_ = 0;  // bumped once per SlcpInto call
   mutable SegTreeStats stats_;
 };
 

@@ -50,21 +50,17 @@ bool ParseI64(const std::string& field, int64_t* out) {
     i = 1;
     if (field.size() == 1) return false;
   }
+  // The magnitude is capped at INT64_MAX for both signs, so INT64_MIN
+  // (kMinTimestamp, the "no time yet" sentinel) is rejected too.
+  constexpr uint64_t kMax = std::numeric_limits<int64_t>::max();
   uint64_t value = 0;
   for (; i < field.size(); ++i) {
     const char ch = field[i];
     if (ch < '0' || ch > '9') return false;
-    const uint64_t next = value * 10 + static_cast<uint64_t>(ch - '0');
-    if (next < value) return false;  // overflow
-    value = next;
-  }
-  if (!negative && value > static_cast<uint64_t>(
-                               std::numeric_limits<int64_t>::max())) {
-    return false;
-  }
-  if (negative &&
-      value > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
-    return false;
+    const uint64_t digit = static_cast<uint64_t>(ch - '0');
+    // Tested before multiplying: value * 10 + digit > kMax.
+    if (value > (kMax - digit) / 10) return false;
+    value = value * 10 + digit;
   }
   *out = negative ? -static_cast<int64_t>(value) : static_cast<int64_t>(value);
   return true;
@@ -225,6 +221,13 @@ Status LoadBinaryTrace(const std::string& path,
   const int64_t count = GetI64(buffer.data() + 8);
   if (count < 0) {
     return Status::InvalidArgument("negative record count");
+  }
+  // Bound the count by the bytes present before multiplying: a crafted
+  // header could otherwise wrap 16 + count * kRecordBytes to the real size.
+  if (static_cast<uint64_t>(count) > (buffer.size() - 16) / kRecordBytes) {
+    return Status::OutOfRange("'" + path + "': header claims " +
+                              std::to_string(count) + " records, " +
+                              std::to_string(buffer.size()) + " bytes present");
   }
   const size_t expected = 16 + static_cast<size_t>(count) * kRecordBytes;
   if (buffer.size() != expected) {

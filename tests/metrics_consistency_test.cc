@@ -56,6 +56,17 @@ const telemetry::MetricSample& Find(
   return kMissing;
 }
 
+// SLCP time is a part of mining time: positive for a CooMine that mined
+// anything, zero for the miners without an LCP table.
+void ExpectSlcpWithinMining(MinerKind kind, const MinerStats& stats) {
+  if (kind == MinerKind::kCooMine && stats.segments_processed > 0) {
+    EXPECT_GT(stats.slcp_ns, 0);
+    EXPECT_LE(stats.slcp_ns, stats.mining_ns);
+  } else if (kind != MinerKind::kCooMine) {
+    EXPECT_EQ(stats.slcp_ns, 0);
+  }
+}
+
 class MetricsConsistencyTest
     : public ::testing::TestWithParam<std::tuple<MinerKind, uint32_t>> {};
 
@@ -90,6 +101,9 @@ TEST_P(MetricsConsistencyTest, SerialAndShardedAgreeOnSemanticCounters) {
   EXPECT_EQ(
       static_cast<uint64_t>(Find(serial_metrics, "fcp_index_bytes").gauge_value),
       serial.MemoryUsage());
+  EXPECT_EQ(Find(serial_metrics, "fcp_slcp_ns_total").counter_value,
+            static_cast<uint64_t>(serial.miner().stats().slcp_ns));
+  ExpectSlcpWithinMining(kind, serial.miner().stats());
 
   // Sharded run: the ingest thread segments in serial order (any shard
   // count), so the semantic counters must match exactly.
@@ -143,6 +157,14 @@ TEST_P(MetricsConsistencyTest, SerialAndShardedAgreeOnSemanticCounters) {
                   .counter_value,
               stats.candidates_bound_passed)
         << "shard " << s;
+    EXPECT_EQ(
+        Find(sharded_metrics, "fcp_slcp_ns_total" + label).counter_value,
+        static_cast<uint64_t>(stats.slcp_ns))
+        << "shard " << s;
+    {
+      SCOPED_TRACE("shard " + std::to_string(s));
+      ExpectSlcpWithinMining(kind, stats);
+    }
 
     // Every delivery landed somewhere: discovery latency histogram counted
     // exactly the deliveries this shard mined.

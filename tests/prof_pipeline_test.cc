@@ -8,13 +8,12 @@
 
 #include "util/alloc_counter.h"  // must be first: defines operator new/delete
 
-#include <chrono>
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <span>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -129,6 +128,20 @@ constexpr ObjectId kVocab = 64;
 constexpr StreamId kStreams = 4;
 constexpr uint64_t kAllocsPerSlabMiss = 3;
 
+// Pushes `events` in chunks, waiting after each until every event is routed
+// and every routed segment mined (pipeline_alloc_test's barrier): a timed
+// sleep lets starved shard threads fall behind on a loaded host, and every
+// segment backed up past the warm half's peak misses the pool.
+constexpr size_t kFeedChunk = 500;
+
+void FeedAndDrain(ParallelEngine& engine, std::span<const ObjectEvent> events) {
+  for (size_t i = 0; i < events.size(); i += kFeedChunk) {
+    const size_t n = std::min(kFeedChunk, events.size() - i);
+    engine.PushBatch(events.subspan(i, n));
+    engine.WaitUntilIdle();
+  }
+}
+
 std::vector<ObjectEvent> BuildUniformTrace(size_t count) {
   std::vector<ObjectEvent> events;
   events.reserve(count);
@@ -160,13 +173,11 @@ TEST_F(ProfPipelineTest, ArmedSamplingAddsZeroSteadyStateAllocations) {
   ASSERT_TRUE(prof::StartCpuProfiler(100));
   ParallelEngine engine(MinerKind::kCooMine, params, options);
   const size_t warm = events.size() / 2;
-  engine.PushBatch(std::span(events.data(), warm));
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  FeedAndDrain(engine, std::span(events.data(), warm));
 
   const SegmentPoolStats warm_pool = engine.segment_pool().stats();
   const uint64_t before = alloc_counter::allocations();
-  engine.PushBatch(std::span(events.data() + warm, events.size() - warm));
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  FeedAndDrain(engine, std::span(events.data() + warm, events.size() - warm));
   const uint64_t steady = alloc_counter::allocations() - before;
   const SegmentPoolStats pool = engine.segment_pool().stats();
 

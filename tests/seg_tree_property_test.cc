@@ -12,6 +12,7 @@
 
 #include "index/seg_tree.h"
 #include "stream/segment.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace fcp {
@@ -156,7 +157,24 @@ TEST_P(SegTreePropertyTest, MatchesNaiveStoreUnderRandomWorkload) {
       const auto rows = tree.Slcp(probe, now, kTau, &expired);
       std::map<SegmentId, std::vector<ObjectId>> got;
       for (const LcpRow& row : rows) got[row.segment] = row.common;
-      EXPECT_EQ(got, naive.Slcp(probe, now)) << "step=" << step;
+      const auto want = naive.Slcp(probe, now);
+      EXPECT_EQ(got, want) << "step=" << step;
+      EXPECT_EQ(rows.size(), got.size()) << "a segment has two rows";
+      // Each shard's ownership-filtered search returns exactly the naive
+      // rows that share >= 1 owned object, with their full common sets.
+      for (uint32_t count : {2u, 3u}) {
+        for (uint32_t index = 0; index < count; ++index) {
+          const ShardSpec shard{index, count};
+          LcpTable table;
+          tree.SlcpInto(probe, now, kTau, nullptr, &table, shard);
+          bool well_formed = true;
+          const auto shard_got =
+              fcp::testing::SlcpRowsOf(table, probe, &well_formed);
+          EXPECT_TRUE(well_formed) << "step=" << step;
+          EXPECT_EQ(shard_got, fcp::testing::RowsOwnedBy(want, shard))
+              << "step=" << step << " shard " << index << "/" << count;
+        }
+      }
       // Lazily delete what the search flagged, mirroring CooMine.
       for (SegmentId id : expired) {
         tree.Remove(id);

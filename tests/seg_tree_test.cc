@@ -330,6 +330,96 @@ TEST(SegTreeTest, DuplicateObjectsWithinSegment) {
   tree.CheckInvariants();
 }
 
+// A stored segment carrying an object twice is reached from two chain nodes
+// of that object; its row still holds each probe position once, on the
+// serial path and on every shard's ownership-filtered path.
+TEST(SegTreeTest, RepeatedObjectYieldsOnePositionPerRow) {
+  SegTree tree;
+  tree.Insert(MakeSequence(1, 1, {c, d, c}, 0));
+  tree.Insert(MakeSequence(2, 2, {e, c, e, d}, 10));
+  tree.Insert(MakeSequence(3, 3, {h}, 20));
+  const Segment probe = MakeSequence(4, 4, {d, c, e, c}, 30);
+  const std::map<SegmentId, std::vector<ObjectId>> want = {
+      {1, {c, d}},
+      {2, {c, d, e}},
+  };
+  for (const ShardSpec shard :
+       {ShardSpec{}, ShardSpec{0, 2}, ShardSpec{1, 2}, ShardSpec{0, 3},
+        ShardSpec{1, 3}, ShardSpec{2, 3}}) {
+    LcpTable table;
+    tree.SlcpInto(probe, 30, kTau, nullptr, &table, shard);
+    bool well_formed = true;
+    const auto got = testing::SlcpRowsOf(table, probe, &well_formed);
+    EXPECT_TRUE(well_formed) << shard.index << "/" << shard.count;
+    EXPECT_EQ(got, testing::RowsOwnedBy(want, shard))
+        << shard.index << "/" << shard.count;
+    size_t positions = 0;
+    for (const LcpTable::Row& row : table.rows) {
+      positions += table.CommonSize(row);
+    }
+    EXPECT_EQ(table.common_pool.size(), positions);
+  }
+}
+
+// SLCP groups rows by stamping tail entries with a per-call epoch. Graft
+// copies tail entries (stamps included) onto other nodes, and removal
+// recycles their slots; under heavy churn every probe, repeated back to
+// back, must still return exactly the live segments' rows.
+TEST(SegTreeTest, SlcpRowsStaySetExactUnderGraftAndRemoveChurn) {
+  SegTree tree;  // graft_on_delete is on by default
+  std::map<SegmentId, Segment> live;
+  Rng rng(2024);
+  SegmentId next_id = 1;
+  auto random_sequence = [&](SegmentId id) {
+    std::vector<SegmentEntry> entries;
+    const uint64_t length = 1 + rng.Below(6);
+    for (uint64_t i = 0; i < length; ++i) {
+      entries.push_back(SegmentEntry{static_cast<ObjectId>(1 + rng.Below(8)),
+                                     static_cast<Timestamp>(i)});
+    }
+    return Segment(id, static_cast<StreamId>(rng.Below(4)),
+                   std::move(entries));
+  };
+  for (int step = 0; step < 1500; ++step) {
+    if (live.size() < 6 || rng.Below(100) < 50) {
+      Segment segment = random_sequence(next_id++);
+      tree.Insert(segment);
+      live.emplace(segment.id(), std::move(segment));
+    } else {
+      auto it = live.begin();
+      std::advance(it, static_cast<ptrdiff_t>(rng.Below(live.size())));
+      tree.Remove(it->first);
+      live.erase(it);
+    }
+    const Segment probe = random_sequence(0);
+    std::map<SegmentId, std::vector<ObjectId>> want;
+    for (const auto& [id, segment] : live) {
+      std::vector<ObjectId> common;
+      const std::vector<ObjectId>& objects = segment.distinct_objects();
+      std::set_intersection(objects.begin(), objects.end(),
+                            probe.distinct_objects().begin(),
+                            probe.distinct_objects().end(),
+                            std::back_inserter(common));
+      if (!common.empty()) want[id] = common;
+    }
+    for (const ShardSpec shard : {ShardSpec{}, ShardSpec{1, 2}}) {
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        LcpTable table;
+        tree.SlcpInto(probe, 0, kTau, nullptr, &table, shard);
+        bool well_formed = true;
+        const auto got = testing::SlcpRowsOf(table, probe, &well_formed);
+        ASSERT_TRUE(well_formed) << "step=" << step;
+        ASSERT_EQ(got, testing::RowsOwnedBy(want, shard))
+            << "step=" << step << " shard " << shard.index << " repeat "
+            << repeat;
+      }
+    }
+  }
+  // The churn must actually have moved tail entries by grafting.
+  EXPECT_GT(tree.stats().subtrees_grafted, 0u);
+  tree.CheckInvariants();
+}
+
 TEST(SegTreeTest, SingleObjectSegments) {
   SegTree tree;
   tree.Insert(MakeSegment(1, 1, {c}, 0));

@@ -15,6 +15,7 @@
 #include "common/params.h"
 #include "common/types.h"
 #include "core/fcp.h"
+#include "index/seg_tree.h"
 #include "stream/segment.h"
 
 namespace fcp::testing {
@@ -114,6 +115,45 @@ inline bool IsGenuineFcp(const std::vector<ObjectEvent>& events,
     if (streams.size() >= params.theta) return true;
   }
   return false;
+}
+
+/// The (segment -> common object ids) view of an SLCP table, for
+/// order-insensitive comparison (rows come in discovery order). Clears
+/// `*well_formed` if a segment has two rows or a row's probe positions are
+/// not strictly ascending.
+inline std::map<SegmentId, std::vector<ObjectId>> SlcpRowsOf(
+    const LcpTable& table, const Segment& probe, bool* well_formed) {
+  const std::vector<ObjectId>& objects = probe.distinct_objects();
+  std::map<SegmentId, std::vector<ObjectId>> rows;
+  for (const LcpTable::Row& row : table.rows) {
+    std::vector<ObjectId> common;
+    for (const uint32_t* pos = table.CommonBegin(row);
+         pos != table.CommonEnd(row); ++pos) {
+      if (pos != table.CommonBegin(row) && pos[-1] >= *pos) {
+        *well_formed = false;
+      }
+      common.push_back(objects[*pos]);
+    }
+    if (!rows.emplace(row.segment, std::move(common)).second) {
+      *well_formed = false;
+    }
+  }
+  return rows;
+}
+
+/// The rows of `rows` a shard's ownership-filtered SLCP returns: those whose
+/// common set holds >= 1 object the shard owns.
+inline std::map<SegmentId, std::vector<ObjectId>> RowsOwnedBy(
+    const std::map<SegmentId, std::vector<ObjectId>>& rows,
+    const ShardSpec& shard) {
+  std::map<SegmentId, std::vector<ObjectId>> owned;
+  for (const auto& [id, common] : rows) {
+    if (std::any_of(common.begin(), common.end(),
+                    [&](ObjectId object) { return shard.Owns(object); })) {
+      owned.emplace(id, common);
+    }
+  }
+  return owned;
 }
 
 /// Pretty-printer for gtest failure messages.

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -57,6 +58,22 @@ TEST_F(TraceIoTest, ParseCsvEventRejectsGarbage) {
   EXPECT_FALSE(ParseCsvEvent("1,2,3.5", ',', &event).ok());      // time
   EXPECT_FALSE(ParseCsvEvent("1,2,", ',', &event).ok());         // empty
   EXPECT_FALSE(ParseCsvEvent("99999999999,2,3", ',', &event).ok());  // ovfl
+}
+
+// A timestamp past INT64_MAX is an error, never a wrapped value: 2.5e19
+// times ten-and-add wraps to a number that still looks in range.
+TEST_F(TraceIoTest, ParseCsvEventRejectsTimestampOverflow) {
+  ObjectEvent event;
+  EXPECT_FALSE(ParseCsvEvent("1,2,25000000000000000000", ',', &event).ok());
+  EXPECT_FALSE(ParseCsvEvent("1,2,18446744073709551616", ',', &event).ok());
+  EXPECT_FALSE(ParseCsvEvent("1,2,9223372036854775808", ',', &event).ok());
+  EXPECT_FALSE(ParseCsvEvent("1,2,-25000000000000000000", ',', &event).ok());
+  // INT64_MIN is kMinTimestamp, the "no time yet" sentinel.
+  EXPECT_FALSE(ParseCsvEvent("1,2,-9223372036854775808", ',', &event).ok());
+  ASSERT_TRUE(ParseCsvEvent("1,2,9223372036854775807", ',', &event).ok());
+  EXPECT_EQ(event.time, std::numeric_limits<int64_t>::max());
+  ASSERT_TRUE(ParseCsvEvent("1,2,-9223372036854775807", ',', &event).ok());
+  EXPECT_EQ(event.time, -std::numeric_limits<int64_t>::max());
 }
 
 TEST_F(TraceIoTest, CsvRoundTrip) {
@@ -154,6 +171,28 @@ TEST_F(TraceIoTest, BinaryRejectsTruncation) {
   std::vector<ObjectEvent> loaded;
   EXPECT_EQ(LoadBinaryTrace(Path("trunc.fcpt"), &loaded).code(),
             StatusCode::kOutOfRange);
+}
+
+// A header whose count makes 16 + count * 20 wrap to the file size must be
+// rejected as an error, not handed to reserve(): count = 2^62 + 1 wraps to
+// exactly 36 bytes, the size of this file.
+TEST_F(TraceIoTest, BinaryRejectsWrappingRecordCount) {
+  const auto events = SampleEvents();
+  ASSERT_TRUE(SaveBinaryTrace(Path("t.fcpt"), {events[0]}).ok());
+  std::ifstream in(Path("t.fcpt"), std::ios::binary);
+  std::string buffer((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+  in.close();
+  ASSERT_EQ(buffer.size(), 36u);
+  const uint64_t count = (uint64_t{1} << 62) + 1;
+  for (int i = 0; i < 8; ++i) {
+    buffer[8 + i] = static_cast<char>(count >> (8 * i));
+  }
+  WriteFile("wrap.fcpt", buffer);
+  std::vector<ObjectEvent> loaded;
+  EXPECT_EQ(LoadBinaryTrace(Path("wrap.fcpt"), &loaded).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_TRUE(loaded.empty());
 }
 
 TEST_F(TraceIoTest, BinaryRejectsWrongVersion) {

@@ -461,6 +461,7 @@ int main(int argc, char** argv) {
       index_bytes += miner.MemoryUsage();
       const fcp::MinerStats& shard_stats = miner.stats();
       stats.mining_ns += shard_stats.mining_ns;
+      stats.slcp_ns += shard_stats.slcp_ns;
       stats.maintenance_ns += shard_stats.maintenance_ns;
       stats.candidates_checked += shard_stats.candidates_checked;
       stats.candidates_bound_passed += shard_stats.candidates_bound_passed;
@@ -558,10 +559,11 @@ int main(int argc, char** argv) {
   if (flags.GetBool("stats", false)) {
     std::fprintf(
         stderr,
-        "  mining %.1f ms, maintenance %.1f ms, candidates %llu (%llu past "
-        "the bound), lcp rows %llu (%llu live), slcp nodes visited %llu, "
-        "expired %llu, reordered events %llu\n",
+        "  mining %.1f ms (slcp %.1f ms), maintenance %.1f ms, candidates "
+        "%llu (%llu past the bound), lcp rows %llu (%llu live), slcp nodes "
+        "visited %llu, expired %llu, reordered events %llu\n",
         static_cast<double>(stats.mining_ns) / 1e6,
+        static_cast<double>(stats.slcp_ns) / 1e6,
         static_cast<double>(stats.maintenance_ns) / 1e6,
         static_cast<unsigned long long>(stats.candidates_checked),
         static_cast<unsigned long long>(stats.candidates_bound_passed),
