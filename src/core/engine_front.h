@@ -12,7 +12,7 @@
 // CountIngested by the thread that accepts events, PublishReordered and
 // CountSegments by the thread that owns mux(). RefreshGauges() and
 // AppendStatus() read only relaxed atomics, counters and the pool's locked
-// stats, so any thread (a scrape, a reporter) may call them while the
+// stats, so any thread (a scrape, say) may call them while the
 // pipeline runs.
 
 #ifndef FCP_CORE_ENGINE_FRONT_H_

@@ -2,11 +2,11 @@
 // atomic telemetry registry.
 //
 // Miners are single-threaded by contract, so their stats structs are plain
-// uint64 fields — racy to read from a reporter thread. The bridge keeps the
+// uint64 fields — racy to read from a scraping thread. The bridge keeps the
 // miner unchanged: the thread that *owns* the miner calls PublishDelta /
 // PublishIntrospection after each segment (or batch), pushing the increment
-// since the last publish into relaxed-atomic registry counters. The reporter
-// thread then only ever reads atomics. Publishing is itself allocation-free
+// since the last publish into relaxed-atomic registry counters. Readers (a
+// scrape, the exit report) then only ever read atomics. Publishing is itself allocation-free
 // and wait-free: one fetch_add per counter, one store per gauge.
 
 #ifndef FCP_CORE_ENGINE_METRICS_H_

@@ -99,7 +99,6 @@ void ParallelEngine::RegisterWatchdogStages() {
         [this, s] { return router_->queue(s).depth(); },
         options_.shard_queue_capacity);
   }
-  watchdog->SetWatermarkLagProbe([this] { return WatermarkLagMs(); });
 }
 
 int64_t ParallelEngine::ShardLagMs(uint32_t shard, Timestamp routed) const {
@@ -347,7 +346,7 @@ void ParallelEngine::ProcessDelivery(uint32_t shard_index,
           std::max<int64_t>(0, MonotonicNowNs() - delivery.routed_at_ns)) /
       1000);
   // Only this shard's thread touches its miner, so delta-publishing the
-  // miner's plain-counter stats is race-free; the reporter only reads the
+  // miner's plain-counter stats is race-free; readers only read the
   // atomics.
   telemetry.miner.PublishDelta(miner.stats(), &telemetry.published);
   telemetry.miner.PublishIntrospection(miner.Introspect());

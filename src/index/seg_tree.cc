@@ -7,6 +7,12 @@
 #include "common/check.h"
 
 namespace fcp {
+namespace {
+
+constexpr size_t kPoolSlabNodes = 512;         // nodes per node-pool slab
+constexpr size_t kChunkSlabBytes = 64 * 1024;  // bytes per chunk-arena slab
+
+}  // namespace
 
 struct SegTree::Node {
   Node() = default;
@@ -33,10 +39,10 @@ struct SegTree::Node {
 
 SegTree::SegTree(SegTreeOptions options)
     : options_(options),
-      pool_(options.pool_slab_nodes),
-      child_arena_(options.chunk_slab_bytes),
-      tail_arena_(options.chunk_slab_bytes),
-      object_arena_(options.chunk_slab_bytes) {
+      pool_(kPoolSlabNodes),
+      child_arena_(kChunkSlabBytes),
+      tail_arena_(kChunkSlabBytes),
+      object_arena_(kChunkSlabBytes) {
   root_ = pool_.Acquire();  // freshly constructed: fields are default-init
 }
 
@@ -133,10 +139,7 @@ void SegTree::FindLongestMatchingPrefix(
     // (hot words) can have thousands of chain nodes, and prefix sharing is
     // an optimization, not a correctness requirement. Chains are
     // newest-first, so the first probes are the most likely matches.
-    if (options_.max_prefix_probes != 0 &&
-        ++probes > options_.max_prefix_probes) {
-      break;
-    }
+    if (++probes > kMaxPrefixProbes) break;
     path.clear();
     path.push_back(start);
     Node* cur = start;

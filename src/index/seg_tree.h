@@ -59,19 +59,6 @@ struct SegTreeOptions {
   /// prune its downward search (the paper's optimization). Disabling it
   /// explores every descendant — used by the ablation bench and by tests.
   bool use_distance_bound = true;
-
-  /// Insertion examines at most this many Hlist chain nodes when searching
-  /// the longest matching prefix (0 = unbounded, the paper's algorithm).
-  /// Popular objects can have very long chains; prefix sharing is purely a
-  /// compression optimization, so bounding the scan trades a little
-  /// compression for O(1) insertion on skewed data.
-  uint32_t max_prefix_probes = 64;
-
-  /// Nodes per arena slab of the node pool.
-  size_t pool_slab_nodes = 512;
-
-  /// Bytes per slab of the child/tail chunk arenas.
-  size_t chunk_slab_bytes = 64 * 1024;
 };
 
 /// Counters describing Seg-tree activity (inspected by tests and benches).
@@ -144,6 +131,13 @@ struct LcpTable {
 /// directly by tests/benches).
 class SegTree {
  public:
+  /// Insertion examines at most this many Hlist chain nodes when searching
+  /// the longest matching prefix; the paper's algorithm scans the whole
+  /// chain (DESIGN.md §1 item 8). Popular objects can have very long chains;
+  /// prefix sharing is purely a compression optimization, so bounding the
+  /// scan trades a little compression for O(1) insertion on skewed data.
+  static constexpr uint32_t kMaxPrefixProbes = 64;
+
   explicit SegTree(SegTreeOptions options = {});
   ~SegTree();
 

@@ -16,19 +16,6 @@ constexpr char kAppJson[] = "application/json";
 /// The content type Prometheus scrapers negotiate for the 0.0.4 text format.
 constexpr char kPromText[] = "text/plain; version=0.0.4; charset=utf-8";
 
-void AppendJsonEscaped(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      default: out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
-
 /// Pulls an integer "key=value" out of a raw query string; `fallback` when
 /// absent or unparseable. Good enough for the /pprof parameters — no
 /// percent-decoding (the keys and values are plain tokens).
@@ -71,15 +58,15 @@ std::string TracezJson() {
     first = false;
     out += "{\"captured_unix_ms\":" + std::to_string(s.captured_unix_ms);
     out += ",\"op\":";
-    AppendJsonEscaped(&out, s.op);
+    telemetry::AppendJsonString(&out, s.op);
     out += ",\"duration_ns\":" + std::to_string(s.duration_ns);
     out += ",\"miner\":";
-    AppendJsonEscaped(&out, s.miner);
+    telemetry::AppendJsonString(&out, s.miner);
     out += ",\"shard\":" + std::to_string(s.shard);
     out += ",\"segment_id\":" + std::to_string(s.segment_id);
     out += ",\"segment_length\":" + std::to_string(s.segment_length);
     out += ",\"dump_path\":";
-    AppendJsonEscaped(&out, s.dump_path);
+    telemetry::AppendJsonString(&out, s.dump_path);
     out += '}';
   }
   out += "]}";

@@ -180,7 +180,7 @@ void ObsServer::AcceptAll() {
     if (fd < 0) return;  // EAGAIN or transient error: wait for next wakeup
     auto* conn = new Connection();
     conn->fd = fd;
-    if (static_cast<int>(connections_.size()) >= options_.max_connections) {
+    if (connections_.size() >= kMaxConnections) {
       // Over the cap: answer 503 immediately (best-effort, the socket
       // buffer always has room for a short response) and close.
       connections_rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -206,7 +206,7 @@ void ObsServer::HandleReadable(Connection* conn) {
     ssize_t n = ::read(conn->fd, buf, sizeof(buf));
     if (n > 0) {
       conn->in.append(buf, static_cast<size_t>(n));
-      if (conn->in.size() > options_.max_request_bytes) {
+      if (conn->in.size() > kMaxRequestBytes) {
         if (bad_requests_counter_ != nullptr) bad_requests_counter_->Increment();
         conn->out = RenderHttpResponse(431, "text/plain; charset=utf-8",
                                        "request too large\n");

@@ -48,17 +48,18 @@ struct HttpResponse {
   std::string body;
 };
 
+/// Concurrent connection cap; one past the cap is accepted, told 503, and
+/// closed, so a scraper stampede degrades loudly instead of queueing.
+inline constexpr size_t kMaxConnections = 64;
+/// Request-head size cap; longer requests get 431 and a close.
+inline constexpr size_t kMaxRequestBytes = 8192;
+
 struct ObsServerOptions {
   /// Bind address. The default is loopback-only: the observability plane is
   /// unauthenticated, so exposing it beyond the host is an explicit choice.
   std::string host = "127.0.0.1";
   /// 0 = ephemeral (the bound port is published by port()).
   uint16_t port = 0;
-  /// Concurrent connection cap; one past the cap is accepted, told 503, and
-  /// closed, so a scraper stampede degrades loudly instead of queueing.
-  int max_connections = 64;
-  /// Request-head size cap; longer requests get 431 and a close.
-  size_t max_request_bytes = 8192;
   /// Where to count scrape traffic (nullable).
   telemetry::MetricRegistry* metrics = nullptr;
 };
@@ -99,7 +100,7 @@ class ObsServer {
   uint64_t requests_served() const {
     return requests_served_.load(std::memory_order_relaxed);
   }
-  /// Connections refused with 503 because max_connections was reached.
+  /// Connections refused with 503 because kMaxConnections was reached.
   uint64_t connections_rejected() const {
     return connections_rejected_.load(std::memory_order_relaxed);
   }

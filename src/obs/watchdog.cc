@@ -24,8 +24,6 @@ Watchdog::Watchdog(WatchdogOptions options) : options_(options) {
   if (options_.metrics != nullptr) {
     state_gauge_ = options_.metrics->GetGauge("fcp_health_state");
     state_gauge_->Set(static_cast<int64_t>(HealthState::kStarting));
-    watermark_lag_gauge_ =
-        options_.metrics->GetGauge("fcp_watchdog_watermark_lag_ms");
     transitions_healthy_ = options_.metrics->GetCounter(
         "fcp_health_transitions_total{to=\"healthy\"}");
     transitions_degraded_ = options_.metrics->GetCounter(
@@ -58,11 +56,6 @@ StageHeartbeat* Watchdog::RegisterStage(std::string name,
   return &stages_.back()->heartbeat;
 }
 
-void Watchdog::SetWatermarkLagProbe(std::function<int64_t()> probe) {
-  std::lock_guard<std::mutex> lock(mu_);
-  lag_probe_ = std::move(probe);
-}
-
 void Watchdog::SetReady() {
   ready_requested_.store(true, std::memory_order_release);
 }
@@ -70,7 +63,7 @@ void Watchdog::SetReady() {
 void Watchdog::EvaluateOnce(int64_t now_ns) {
   std::lock_guard<std::mutex> lock(mu_);
   const int64_t stall_ns = options_.stall_timeout_ms * 1'000'000;
-  const int64_t backlog_ns = options_.backlog_timeout_ms * 1'000'000;
+  const int64_t backlog_ns = kBacklogTimeoutMs * 1'000'000;
 
   bool any_stalled = false;
   bool any_backlogged = false;
@@ -119,22 +112,13 @@ void Watchdog::EvaluateOnce(int64_t now_ns) {
     any_backlogged |= backlogged;
   }
 
-  int64_t lag_ms = 0;
-  if (lag_probe_) {
-    lag_ms = lag_probe_();
-    if (watermark_lag_gauge_ != nullptr) watermark_lag_gauge_->Set(lag_ms);
-  }
-  last_lag_ms_ = lag_ms;
-  const bool lag_breach =
-      options_.watermark_lag_slo_ms > 0 && lag_ms > options_.watermark_lag_slo_ms;
-
   first_eval_done_ = true;
   evaluations_.fetch_add(1, std::memory_order_relaxed);
 
   HealthState next;
   if (any_stalled) {
     next = HealthState::kStalled;
-  } else if (any_backlogged || lag_breach) {
+  } else if (any_backlogged) {
     next = HealthState::kDegraded;
   } else {
     next = HealthState::kHealthy;
@@ -156,8 +140,7 @@ void Watchdog::EvaluateOnce(int64_t now_ns) {
     if (next == HealthState::kStalled) {
       why = "stage '" + culprit + "' stalled";
     } else if (next == HealthState::kDegraded) {
-      why = lag_breach ? "watermark lag " + std::to_string(lag_ms) + "ms over SLO"
-                       : "queue backlog";
+      why = "queue backlog";
     } else {
       why = "all stages progressing";
     }
@@ -236,8 +219,6 @@ std::string Watchdog::StatusJson() const {
   out += ready() ? "true" : "false";
   out += ",\"evaluations\":";
   out += std::to_string(evaluations_.load(std::memory_order_relaxed));
-  out += ",\"watermark_lag_ms\":";
-  out += std::to_string(last_lag_ms_);
   out += ",\"stages\":[";
   bool first = true;
   for (const auto& sp : stages_) {

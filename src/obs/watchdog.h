@@ -18,9 +18,8 @@
 //             window (wedged consumer — catches a consumer that parks
 //             itself "idle" while work rots in its queue).
 //   degraded: a stage's input queue has been at capacity continuously for
-//             `backlog_timeout_ms` while the stage still makes progress
-//             (persistent backpressure), or the pipeline watermark lag
-//             probe exceeds `watermark_lag_slo_ms`.
+//             kBacklogTimeoutMs while the stage still makes progress
+//             (persistent backpressure).
 //
 // The resulting state machine is
 //
@@ -88,16 +87,15 @@ enum class HealthState : int { kStarting = 0, kHealthy = 1, kDegraded = 2,
 
 std::string_view HealthStateName(HealthState s);
 
+/// An input queue continuously full for this long => degraded.
+inline constexpr int64_t kBacklogTimeoutMs = 500;
+
 struct WatchdogOptions {
   /// Evaluation cadence of the watchdog thread.
   int64_t poll_interval_ms = 100;
   /// No progress for this long (while busy, or with queued input) => the
   /// stage is stalled.
   int64_t stall_timeout_ms = 2000;
-  /// Input queue continuously full for this long => degraded.
-  int64_t backlog_timeout_ms = 500;
-  /// Watermark lag above this => degraded. 0 disables the predicate.
-  int64_t watermark_lag_slo_ms = 0;
   /// Where to export fcp_health_state / transition counters (nullable).
   telemetry::MetricRegistry* metrics = nullptr;
 };
@@ -130,16 +128,12 @@ class Watchdog {
                                 std::function<size_t()> depth = nullptr,
                                 size_t capacity = 0);
 
-  /// Installs the pipeline-wide watermark lag probe (max over shards of
-  /// router watermark minus shard progress, in stream-time ms).
-  void SetWatermarkLagProbe(std::function<int64_t()> probe);
-
   /// Starts the evaluation thread. No-op if poll_interval_ms <= 0 (tests
   /// drive EvaluateOnce directly).
   void Start();
 
   /// Stops and joins the evaluation thread. Must be called before the
-  /// structures behind the depth/lag probes are destroyed. Idempotent.
+  /// structures behind the depth probes are destroyed. Idempotent.
   void Stop();
 
   /// Declares startup complete: the next evaluation may leave kStarting.
@@ -191,7 +185,6 @@ class Watchdog {
 
   WatchdogOptions options_;
   std::vector<std::unique_ptr<Stage>> stages_;  ///< stable addresses
-  std::function<int64_t()> lag_probe_;
 
   std::atomic<int> state_{static_cast<int>(HealthState::kStarting)};
   std::atomic<bool> ready_{false};
@@ -199,13 +192,11 @@ class Watchdog {
   std::atomic<uint64_t> evaluations_{0};
 
   telemetry::Gauge* state_gauge_ = nullptr;
-  telemetry::Gauge* watermark_lag_gauge_ = nullptr;
   telemetry::Counter* transitions_healthy_ = nullptr;
   telemetry::Counter* transitions_degraded_ = nullptr;
   telemetry::Counter* transitions_stalled_ = nullptr;
 
   mutable std::mutex mu_;  ///< guards per-stage eval state + status rows
-  int64_t last_lag_ms_ = 0;
   bool first_eval_done_ = false;
 
   std::mutex run_mu_;

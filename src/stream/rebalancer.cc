@@ -125,13 +125,11 @@ std::shared_ptr<const PlacementMap> Rebalancer::MaybeRebalance(
     }
   }
 
-  // Decay so the weights track the recent window; stale heat must not keep
-  // bouncing an object that went cold.
-  if (options_.decay_shift > 0) {
-    for (auto& [object, count] : counts_) {
-      (void)object;
-      count >>= options_.decay_shift;
-    }
+  // Halve every weight so they track the recent window; stale heat must not
+  // keep bouncing an object that went cold.
+  for (auto& [object, count] : counts_) {
+    (void)object;
+    count >>= 1;
   }
   return next;
 }

@@ -55,9 +55,6 @@ struct RebalancerOptions {
   /// Objects with a smaller decayed count than this are never moved (the
   /// tail is already spread fine by the hash).
   uint64_t min_move_weight = 8;
-  /// Per-round right-shift applied to all object counts, so the weights
-  /// track the recent window instead of the whole run.
-  uint32_t decay_shift = 1;
 };
 
 /// Counters describing rebalancing activity (single-threaded, read after the

@@ -19,33 +19,6 @@ std::pair<std::string, std::string> SplitLabels(const std::string& name) {
           name.substr(brace + 1, name.size() - brace - 2)};
 }
 
-/// JSON string escaping for the metric names used as object keys (labels
-/// contain quote characters, and escaped label values can contain literal
-/// backslashes; control characters must never reach the output raw or the
-/// report stops being parseable JSON).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -95,6 +68,28 @@ std::string EscapeLabelValue(const std::string& value) {
   return out;
 }
 
+void AppendJsonString(std::string* out, std::string_view s) {
+  out->push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\r': *out += "\\r"; break;
+      case '\t': *out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
 std::string FormatLabel(const std::string& key, const std::string& value) {
   return key + "=\"" + EscapeLabelValue(value) + "\"";
 }
@@ -103,7 +98,9 @@ std::string SerializeJson(const std::vector<MetricSample>& samples) {
   std::string out = "{\n";
   for (size_t i = 0; i < samples.size(); ++i) {
     const MetricSample& s = samples[i];
-    out += "  \"" + JsonEscape(s.name) + "\": ";
+    out += "  ";
+    AppendJsonString(&out, s.name);
+    out += ": ";
     switch (s.type) {
       case MetricType::kCounter:
         out += std::to_string(s.counter_value);
@@ -251,6 +248,35 @@ size_t MetricRegistry::size() const {
 MetricRegistry& MetricRegistry::Global() {
   static MetricRegistry* registry = new MetricRegistry();
   return *registry;
+}
+
+bool WriteMetricsReport(const MetricRegistry& registry, ReportFormat format,
+                        const std::string& path) {
+  const std::string report = format == ReportFormat::kJson
+                                 ? registry.ToJson()
+                                 : registry.ToPrometheus();
+  if (path.empty()) {
+    std::fwrite(report.data(), 1, report.size(), stderr);
+    std::fflush(stderr);
+    return true;
+  }
+  // rename(2) on the same filesystem is atomic: the visible path holds
+  // either the previous file or the new complete report, never a torn one.
+  const std::string tmp_path = path + ".tmp";
+  std::FILE* f = std::fopen(tmp_path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "metrics: cannot open %s\n", tmp_path.c_str());
+    return false;
+  }
+  const bool written =
+      std::fwrite(report.data(), 1, report.size(), f) == report.size();
+  if (std::fclose(f) != 0 || !written ||
+      std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+    std::fprintf(stderr, "metrics: cannot write %s\n", path.c_str());
+    std::remove(tmp_path.c_str());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace fcp::telemetry

@@ -25,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -53,6 +54,12 @@ std::string EscapeLabelValue(const std::string& value);
 /// containing quotes, backslashes or newlines serialize as valid Prometheus
 /// and JSON output.
 std::string FormatLabel(const std::string& key, const std::string& value);
+
+/// Appends `s` to `out` as a quoted JSON string: quote and backslash are
+/// escaped, and every control character is written as an escape (\n, \r,
+/// \t or \u00XX), never raw. Shared by the metric reports, the trace and
+/// slow-op dump writers, and /tracez.
+void AppendJsonString(std::string* out, std::string_view s);
 
 /// Serializes samples as one flat JSON object: scalar metrics map name ->
 /// value, histograms map name -> {count, sum, mean, p50, p90, p99}.
@@ -104,6 +111,15 @@ class MetricRegistry {
   std::vector<std::unique_ptr<Entry>> entries_;  ///< registration order
   std::unordered_map<std::string, size_t> index_;
 };
+
+enum class ReportFormat { kJson, kPrometheus };
+
+/// Writes one complete report of `registry` in `format`: to stderr when
+/// `path` is empty, otherwise to `<path>.tmp` renamed over `path`, so a
+/// reader of `path` only ever sees a whole document. False (with a message
+/// on stderr) when the file cannot be written.
+bool WriteMetricsReport(const MetricRegistry& registry, ReportFormat format,
+                        const std::string& path);
 
 }  // namespace fcp::telemetry
 

@@ -142,14 +142,17 @@ bool ValidateChromeTraceJson(const std::string& json, std::string* error);
 
 // --- Slow-op forensic capture (trace_sink.cc). -----------------------------
 
+/// Forensic dumps written per ConfigureSlowOp call (first triggers win: the
+/// earliest slow ops are the interesting ones, and a pathological run must
+/// not flood the disk). Each ConfigureSlowOp resets the count.
+inline constexpr uint64_t kMaxSlowOpDumps = 8;
+
 /// Global slow-op capture configuration. `threshold_ns` <= 0 disables
 /// capture; dumps land at `<dump_prefix>.slowop-<n>.json`, at most
-/// `max_dumps` per process (first triggers win: the earliest slow ops are
-/// the interesting ones, and a pathological run must not flood the disk).
+/// kMaxSlowOpDumps of them.
 struct SlowOpOptions {
   int64_t threshold_ns = 0;
   std::string dump_prefix = "fcp";
-  int max_dumps = 8;
 };
 
 /// Installs the configuration (thread-safe; typically once at startup).
@@ -181,12 +184,12 @@ struct SlowOpReport {
 
 /// Writes one structured slow-op dump: the report, the active threshold and
 /// the calling thread's flight-recorder tail. Returns the path written, or
-/// "" when capture is disabled or max_dumps was reached.
+/// "" when capture is disabled or kMaxSlowOpDumps was reached.
 std::string WriteSlowOpDump(const SlowOpReport& report);
 
 /// One retained slow-op summary — the in-memory digest behind /tracez
-/// (DESIGN.md §2.8). Summaries keep accumulating after the max_dumps disk
-/// cap is exhausted (dump_path is then empty), so a long-running process
+/// (DESIGN.md §2.8). Summaries keep accumulating after the kMaxSlowOpDumps
+/// disk cap is exhausted (dump_path is then empty), so a long-running process
 /// still reports its most recent slow ops live.
 struct SlowOpSummary {
   int64_t captured_unix_ms = 0;  ///< wall-clock capture time

@@ -12,32 +12,14 @@
 #include <deque>
 #include <mutex>
 
+#include "telemetry/registry.h"
+
 namespace fcp::trace {
 namespace {
 
 // --- JSON building helpers. ------------------------------------------------
 
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
+using telemetry::AppendJsonString;
 
 /// Microsecond timestamp with nanosecond resolution kept as decimals.
 void AppendTsUs(std::string* out, int64_t ts_ns) {
@@ -485,8 +467,7 @@ std::string WriteSlowOpDump(const SlowOpReport& report) {
     std::lock_guard<std::mutex> lock(state.mu);
     if (state.options.threshold_ns <= 0) return "";
     const uint64_t n = state.dumps.load(std::memory_order_relaxed);
-    const bool dump_to_disk =
-        n < static_cast<uint64_t>(state.options.max_dumps);
+    const bool dump_to_disk = n < kMaxSlowOpDumps;
     if (dump_to_disk) {
       state.dumps.store(n + 1, std::memory_order_relaxed);
       path = state.options.dump_prefix + ".slowop-" + std::to_string(n) +

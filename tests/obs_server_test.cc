@@ -143,25 +143,23 @@ TEST(ObsServerTest, ServesHandlersAndRejectsTheRest) {
 }
 
 TEST(ObsServerTest, OversizedRequestGets431) {
-  ObsServerOptions options;
-  options.max_request_bytes = 128;
-  ObsServer server(options);
+  ObsServer server;
   server.SetHandler("/x", [] { return HttpResponse{}; });
   ASSERT_TRUE(server.Start().ok());
-  const std::string long_path(4096, 'a');
+  // A request head a little over the cap.
+  const std::string long_path(kMaxRequestBytes + 100, 'a');
   EXPECT_EQ(StatusOf(Get(server.port(), "/" + long_path)), 431);
   server.Stop();
 }
 
 TEST(ObsServerTest, ConnectionCapRejectsWith503) {
-  ObsServerOptions options;
-  options.max_connections = 2;
-  ObsServer server(options);
+  ObsServer server;
   server.SetHandler("/x", [] { return HttpResponse{}; });
   ASSERT_TRUE(server.Start().ok());
   const uint16_t port = server.port();
 
-  // Two idle connections hold the cap; the third is told 503 and closed.
+  // kMaxConnections idle connections hold the cap; one more is told 503 and
+  // closed.
   auto open_idle = [port] {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     sockaddr_in addr{};
@@ -172,9 +170,9 @@ TEST(ObsServerTest, ConnectionCapRejectsWith503) {
               0);
     return fd;
   };
-  const int a = open_idle();
-  const int b = open_idle();
-  // The accept of a/b is asynchronous; poll until the server rejects.
+  std::vector<int> idle;
+  for (size_t i = 0; i < kMaxConnections; ++i) idle.push_back(open_idle());
+  // The accepts are asynchronous; poll until the server rejects.
   std::string over;
   for (int attempt = 0; attempt < 100; ++attempt) {
     over = Get(port, "/x");
@@ -183,8 +181,7 @@ TEST(ObsServerTest, ConnectionCapRejectsWith503) {
   }
   EXPECT_EQ(StatusOf(over), 503);
   EXPECT_GE(server.connections_rejected(), 1u);
-  ::close(a);
-  ::close(b);
+  for (const int fd : idle) ::close(fd);
   server.Stop();
 }
 

@@ -516,29 +516,41 @@ TEST(SegTreeTest, MemoryUsageGrowsAndIsRetainedForReuse) {
 
 
 TEST(SegTreeTest, PrefixProbeCapLimitsSharingButNotCorrectness) {
-  SegTreeOptions capped;
-  capped.max_prefix_probes = 1;  // only the newest chain node is probed
-  SegTree tree(capped);
+  SegTree tree;
   // Two identical segments starting with c: the first probe target is the
-  // newest chain node, so sharing still happens for the common case...
-  tree.Insert(MakeSegment(1, 1, {c, d, f}, 0));
-  tree.Insert(MakeSegment(2, 2, {c, d, f}, 10));
+  // newest chain node, so sharing happens for the common case...
+  tree.Insert(MakeSequence(1, 1, {c, d, f}, 0));
+  tree.Insert(MakeSequence(2, 2, {c, d, f}, 10));
   EXPECT_EQ(tree.num_nodes(), 3u);
-  // ...but with many distinct c-branches the cap forgoes deeper matches.
-  tree.Insert(MakeSegment(3, 3, {c, k}, 20));      // probes newest c only
-  tree.Insert(MakeSegment(4, 1, {c, d, f}, 30));   // newest c is now 3's
+  // ...but kMaxPrefixProbes newer c nodes, each at the bottom of its own
+  // branch, push the c-d-f branch past the cap.
+  std::vector<SegmentId> with_c = {1, 2};
+  for (uint32_t i = 0; i < SegTree::kMaxPrefixProbes; ++i) {
+    const SegmentId id = 100 + i;
+    tree.Insert(MakeSequence(id, 3, {static_cast<ObjectId>(200 + i), c},
+                             static_cast<Timestamp>(20 + 2 * i)));
+    with_c.push_back(id);
+  }
+  const uint64_t shared = tree.stats().prefix_nodes_shared;
+  const size_t nodes = tree.num_nodes();
+  tree.Insert(MakeSequence(4, 1, {c, d, f}, 1000));
+  with_c.push_back(4);
+  // Only the newest c is reused; d and f are new nodes.
+  EXPECT_EQ(tree.stats().prefix_nodes_shared, shared + 1);
+  EXPECT_EQ(tree.num_nodes(), nodes + 2);
   tree.CheckInvariants();
   // Queries stay exact regardless of sharing.
-  EXPECT_EQ(tree.RelevantSegments(c, 30, kTau),
-            (std::vector<SegmentId>{1, 2, 3, 4}));
-  EXPECT_EQ(tree.RelevantSegments(f, 30, kTau),
+  std::sort(with_c.begin(), with_c.end());
+  EXPECT_EQ(tree.RelevantSegments(c, 1000, kTau), with_c);
+  EXPECT_EQ(tree.RelevantSegments(f, 1000, kTau),
             (std::vector<SegmentId>{1, 2, 4}));
 }
 
 TEST(SegTreeTest, UnboundedPrefixProbesMatchPaperAlgorithm) {
-  SegTreeOptions unbounded;
-  unbounded.max_prefix_probes = 0;
-  SegTree tree(unbounded);
+  // 32 chain nodes sit under the kMaxPrefixProbes cap, so this insertion
+  // scans the whole chain, as the paper's algorithm does.
+  static_assert(SegTree::kMaxPrefixProbes >= 32);
+  SegTree tree;
   for (int i = 0; i < 32; ++i) {
     tree.Insert(MakeSequence(static_cast<SegmentId>(i), 1,
                              {static_cast<ObjectId>(100 + i), c},

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "telemetry/registry.h"
-#include "telemetry/reporter.h"
 
 namespace fcp::telemetry {
 namespace {
@@ -277,14 +276,7 @@ TEST(TelemetryReporterTest, StopEmitsFinalReportToFile) {
   MetricRegistry registry;
   registry.GetCounter("fcp_done_total")->Increment(3);
   const std::string path = ::testing::TempDir() + "/reporter_test.json";
-  {
-    ReporterOptions options;
-    options.format = ReporterOptions::Format::kJson;
-    options.path = path;
-    options.interval_ms = 60000;  // never fires during the test
-    MetricReporter reporter(&registry, options);
-    reporter.Stop();
-  }
+  ASSERT_TRUE(WriteMetricsReport(registry, ReportFormat::kJson, path));
   std::FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
   char buf[4096];
@@ -293,69 +285,15 @@ TEST(TelemetryReporterTest, StopEmitsFinalReportToFile) {
   buf[n] = '\0';
   EXPECT_NE(std::string(buf).find("\"fcp_done_total\": 3"),
             std::string::npos);
-}
 
-TEST(TelemetryReporterTest, ZeroIntervalDisablesPeriodicReporting) {
-  // interval_ms = 0 means "final report only": no background thread, no
-  // ticks (a zero-length wait_for used to busy-spin EmitOnce in a loop,
-  // rewriting the file continuously and burning a core).
-  MetricRegistry registry;
-  registry.GetCounter("fcp_final_total")->Increment(9);
-  const std::string path = ::testing::TempDir() + "/reporter_zero.json";
-  std::remove(path.c_str());
-  ReporterOptions options;
-  options.format = ReporterOptions::Format::kJson;
-  options.path = path;
-  options.interval_ms = 0;
-  MetricReporter reporter(&registry, options);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  // Nothing was emitted while the reporter idled.
-  EXPECT_EQ(std::fopen(path.c_str(), "r"), nullptr);
-  reporter.Stop();
-  // Stop() still renders the one final report.
-  std::FILE* f = std::fopen(path.c_str(), "r");
+  // The Prometheus rendering of the same registry replaces the file whole.
+  ASSERT_TRUE(WriteMetricsReport(registry, ReportFormat::kPrometheus, path));
+  f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
-  char buf[4096];
-  const size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
+  const size_t m = std::fread(buf, 1, sizeof(buf) - 1, f);
   std::fclose(f);
-  buf[n] = '\0';
-  EXPECT_NE(std::string(buf).find("\"fcp_final_total\": 9"),
-            std::string::npos);
-}
-
-TEST(TelemetryReporterTest, NegativeIntervalAlsoDisablesThread) {
-  MetricRegistry registry;
-  registry.GetCounter("fcp_neg_total")->Increment(1);
-  ReporterOptions options;
-  options.format = ReporterOptions::Format::kJson;
-  options.path = ::testing::TempDir() + "/reporter_neg.json";
-  options.interval_ms = -5;
-  std::remove(options.path.c_str());
-  MetricReporter reporter(&registry, options);
-  reporter.Stop();
-  std::FILE* f = std::fopen(options.path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::fclose(f);
-}
-
-TEST(TelemetryReporterTest, PeriodicEmission) {
-  MetricRegistry registry;
-  registry.GetCounter("fcp_tick_total")->Increment();
-  const std::string path = ::testing::TempDir() + "/reporter_periodic.txt";
-  ReporterOptions options;
-  options.format = ReporterOptions::Format::kPrometheus;
-  options.path = path;
-  options.interval_ms = 20;
-  MetricReporter reporter(&registry, options);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  reporter.Stop();
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[4096];
-  const size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  buf[n] = '\0';
-  EXPECT_NE(std::string(buf).find("fcp_tick_total 1"), std::string::npos);
+  buf[m] = '\0';
+  EXPECT_EQ(std::string(buf), registry.ToPrometheus());
 }
 
 TEST(TelemetrySerializerTest, EmptyHistogramSerializesInBothFormats) {
@@ -405,19 +343,13 @@ TEST(TelemetrySerializerTest, CounterNearUint64MaxSerializesExactly) {
 }
 
 TEST(TelemetryReporterTest, FileReportIsRenamedAtomically) {
-  // EmitOnce writes <path>.tmp then rename(2)s it over <path>: a reader
-  // polling the path never sees a torn document, and no temp file survives.
+  // WriteMetricsReport writes <path>.tmp then rename(2)s it over <path>: a
+  // reader polling the path never sees a torn document, and no temp file
+  // survives.
   MetricRegistry registry;
   registry.GetCounter("fcp_atomic_total")->Increment(7);
   const std::string path = ::testing::TempDir() + "/reporter_rename.json";
-  {
-    ReporterOptions options;
-    options.format = ReporterOptions::Format::kJson;
-    options.path = path;
-    options.interval_ms = 0;  // final report only
-    MetricReporter reporter(&registry, options);
-    reporter.Stop();
-  }
+  ASSERT_TRUE(WriteMetricsReport(registry, ReportFormat::kJson, path));
   std::FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
   char buf[4096];
@@ -427,6 +359,9 @@ TEST(TelemetryReporterTest, FileReportIsRenamedAtomically) {
   EXPECT_NE(std::string(buf).find("\"fcp_atomic_total\": 7"),
             std::string::npos);
   EXPECT_EQ(std::fopen((path + ".tmp").c_str(), "r"), nullptr);
+  // An unwritable path is reported, not ignored.
+  EXPECT_FALSE(WriteMetricsReport(registry, ReportFormat::kJson,
+                                  ::testing::TempDir() + "/no/such/dir.json"));
 }
 
 }  // namespace

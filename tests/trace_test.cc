@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/crash_dump.h"
+#include "obs/endpoints.h"
 #include "telemetry/thread_registry.h"
 
 namespace fcp {
@@ -303,7 +304,6 @@ TEST_F(SlowOpTest, DumpContainsReportStateAndRecorderTail) {
   trace::SlowOpOptions options;
   options.threshold_ns = 1;
   options.dump_prefix = ::testing::TempDir() + "/slowop_unit";
-  options.max_dumps = 4;
   trace::ConfigureSlowOp(options);
 
   const std::string path = trace::WriteSlowOpDump(MakeReport());
@@ -326,23 +326,49 @@ TEST_F(SlowOpTest, MaxDumpsCapsTheFloodAndConfigureResets) {
   trace::SlowOpOptions options;
   options.threshold_ns = 1;
   options.dump_prefix = ::testing::TempDir() + "/slowop_cap";
-  options.max_dumps = 2;
   trace::ConfigureSlowOp(options);
 
-  const std::string first = trace::WriteSlowOpDump(MakeReport());
-  const std::string second = trace::WriteSlowOpDump(MakeReport());
-  EXPECT_NE(first, "");
-  EXPECT_NE(second, "");
-  EXPECT_NE(first, second);
+  std::set<std::string> paths;
+  for (uint64_t i = 0; i < trace::kMaxSlowOpDumps; ++i) {
+    const std::string path = trace::WriteSlowOpDump(MakeReport());
+    EXPECT_NE(path, "");
+    paths.insert(path);
+  }
+  EXPECT_EQ(paths.size(), trace::kMaxSlowOpDumps);  // all distinct
   EXPECT_EQ(trace::WriteSlowOpDump(MakeReport()), "");  // cap reached
-  EXPECT_EQ(trace::SlowOpDumpCount(), 2u);
+  EXPECT_EQ(trace::SlowOpDumpCount(), trace::kMaxSlowOpDumps);
+  // The op past the cap is still summarized for /tracez, without a dump.
+  const std::vector<trace::SlowOpSummary> recent = trace::RecentSlowOps();
+  ASSERT_FALSE(recent.empty());
+  EXPECT_EQ(recent.back().dump_path, "");
 
   trace::ConfigureSlowOp(options);  // reconfiguring resets the budget
   EXPECT_EQ(trace::SlowOpDumpCount(), 0u);
   const std::string again = trace::WriteSlowOpDump(MakeReport());
-  EXPECT_EQ(again, first);
-  std::remove(first.c_str());
-  std::remove(second.c_str());
+  EXPECT_EQ(again, options.dump_prefix + ".slowop-0.json");
+  for (const std::string& path : paths) std::remove(path.c_str());
+}
+
+TEST_F(SlowOpTest, TracezJsonEscapesControlCharacters) {
+  // A dump prefix with a tab (fcpmine's --trace path is user input) must
+  // reach /tracez escaped: a raw control byte is invalid JSON.
+  trace::SlowOpOptions options;
+  options.threshold_ns = 1;
+  options.dump_prefix = ::testing::TempDir() + "/slowop\ttab";
+  trace::ConfigureSlowOp(options);
+  trace::SlowOpReport report = MakeReport();
+  report.miner = "Coo\x01Mine\n";
+  const std::string path = trace::WriteSlowOpDump(report);
+  ASSERT_NE(path, "");
+
+  const std::string json = obs::TracezJson();
+  for (const char c : json) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20)
+        << "raw control byte " << static_cast<int>(c) << " in " << json;
+  }
+  EXPECT_NE(json.find("slowop\\ttab.slowop-0.json"), std::string::npos);
+  EXPECT_NE(json.find("\"miner\":\"Coo\\u0001Mine\\n\""), std::string::npos);
+  std::remove(path.c_str());
 }
 
 // Named without "Trace" so the TSan job's suite filter (which cannot run

@@ -22,11 +22,10 @@
 //   --k=N                 top-K size            (default 20)
 //   --suppress=<seconds>  re-report suppression (default tau)
 //   --stats               print miner statistics at the end
-//   --metrics=json|prom[,<path>]   periodic telemetry reports (JSON or
-//                         Prometheus text exposition); with a path the file
-//                         is rewritten each tick, otherwise stderr
-//   --metrics_interval=N  reporting period in seconds (default 10); a final
-//                         report is always emitted at exit
+//   --metrics=json|prom[,<path>]   one telemetry report at exit, with
+//                         end-of-run values (JSON or Prometheus text
+//                         exposition), to <path> or else stderr; for live
+//                         reads use --listen's /metrics and /varz
 //   --kernel=auto|scalar|avx2   SIMD dispatch level for the mining
 //                         kernels (default auto = best the CPU supports;
 //                         unsupported levels are clamped with a warning).
@@ -105,7 +104,6 @@
 #include "obs/watchdog.h"
 #include "prof/prof.h"
 #include "telemetry/registry.h"
-#include "telemetry/reporter.h"
 #include "telemetry/thread_registry.h"
 #include "telemetry/trace.h"
 #include "util/flags.h"
@@ -133,11 +131,22 @@ std::string PatternToString(const fcp::Pattern& pattern) {
 
 int main(int argc, char** argv) {
   fcp::Flags flags(argc, argv);
-  // Flags ignores unknown keys; reject this removed one so old scripts fail
-  // loudly instead of silently running a different pipeline shape.
-  if (flags.Has("workers")) {
-    return Fail("--workers was removed: the sharded pipeline segments on one "
-                "ingest thread");
+  // Flags ignores unknown keys; reject these removed ones so old scripts
+  // fail loudly instead of silently running something else.
+  static constexpr struct {
+    const char* name;
+    const char* why;
+  } kRemovedFlags[] = {
+      {"workers", "the sharded pipeline segments on one ingest thread"},
+      {"metrics_interval",
+       "--metrics writes one report at exit; read live values from "
+       "--listen's /metrics"},
+  };
+  for (const auto& removed : kRemovedFlags) {
+    if (flags.Has(removed.name)) {
+      return Fail(std::string("--") + removed.name + " was removed: " +
+                  removed.why);
+    }
   }
   // These are cast to unsigned below, where a negative value would wrap.
   for (const char* name :
@@ -280,34 +289,25 @@ int main(int argc, char** argv) {
     return Fail("unknown --algo '" + algo + "'");
   }
 
-  // --- Telemetry: share the process-wide registry with the engine and wire
-  // the periodic reporter when --metrics is set. ------------------------------
+  // --- Telemetry: the engine shares the process-wide registry; --metrics
+  // writes one report of it at exit. ------------------------------------------
   const std::string metrics = flags.GetString("metrics", "");
-  const int64_t metrics_interval = flags.GetInt("metrics_interval", 10);
-  if (metrics_interval < 0) {
-    return Fail("--metrics_interval must be >= 0 (0 = final report only)");
-  }
-  std::unique_ptr<fcp::telemetry::MetricReporter> reporter;
+  std::string metrics_path;
+  fcp::telemetry::ReportFormat metrics_format =
+      fcp::telemetry::ReportFormat::kJson;
   if (!metrics.empty()) {
-    fcp::telemetry::ReporterOptions reporter_options;
     std::string format = metrics;
     const size_t comma = metrics.find(',');
     if (comma != std::string::npos) {
       format = metrics.substr(0, comma);
-      reporter_options.path = metrics.substr(comma + 1);
+      metrics_path = metrics.substr(comma + 1);
     }
-    if (format == "json") {
-      reporter_options.format = fcp::telemetry::ReporterOptions::Format::kJson;
-    } else if (format == "prom") {
-      reporter_options.format =
-          fcp::telemetry::ReporterOptions::Format::kPrometheus;
-    } else {
+    if (format == "prom") {
+      metrics_format = fcp::telemetry::ReportFormat::kPrometheus;
+    } else if (format != "json") {
       return Fail("unknown --metrics format '" + format +
                   "' (want json or prom)");
     }
-    reporter_options.interval_ms = metrics_interval * 1000;
-    reporter = std::make_unique<fcp::telemetry::MetricReporter>(
-        &fcp::telemetry::MetricRegistry::Global(), reporter_options);
   }
 
   // --- Observability plane: --listen serves /metrics, /varz, /statusz,
@@ -378,14 +378,14 @@ int main(int argc, char** argv) {
   uint64_t events_reordered = 0;
   // Reads what both engines answer alike once the feed is drained. The
   // mirror gauges refresh on snapshot, not continuously; one refresh here
-  // makes the reporter's final report carry end-of-run values. Stop order
-  // matters: the watchdog's probes and the server's handlers reference the
-  // engine, so both stop before the engine goes out of scope.
+  // makes the --metrics report carry end-of-run values. Stop order matters:
+  // the watchdog's probes and the server's handlers reference the engine,
+  // so both stop before the engine goes out of scope.
   auto finish_run = [&](auto& engine) {
     segments_completed = engine.segments_completed();
     pool_stats = engine.segment_pool().stats();
     events_reordered = engine.events_reordered();
-    if (reporter) engine.SnapshotMetrics();
+    if (!metrics.empty()) engine.SnapshotMetrics();
     if (watchdog) watchdog->Stop();
     if (obs_server) obs_server->Stop();
   };
@@ -487,9 +487,12 @@ int main(int argc, char** argv) {
     finish_run(engine);
   }
   const double elapsed = clock.ElapsedSeconds();
-  // Stop the reporter before printing the human summary: Stop() joins the
-  // background thread and emits one final, complete report.
-  if (reporter) reporter->Stop();
+  if (!metrics.empty() &&
+      !fcp::telemetry::WriteMetricsReport(
+          fcp::telemetry::MetricRegistry::Global(), metrics_format,
+          metrics_path)) {
+    return Fail("cannot write metrics to " + metrics_path);
+  }
   // Stop recording before serializing: the pipeline threads are joined, so
   // the snapshot is exact (no torn tail slots).
   if (!trace_path.empty()) {
