@@ -120,17 +120,6 @@ struct ShardedCost {
   std::vector<Fcp> output;  ///< union of all shard discoveries
 };
 
-void AccumulateStats(const MinerStats& shard, MinerStats* total) {
-  total->segments_processed += shard.segments_processed;
-  total->fcps_emitted += shard.fcps_emitted;
-  total->candidates_checked += shard.candidates_checked;
-  total->lcp_rows += shard.lcp_rows;
-  total->maintenance_runs += shard.maintenance_runs;
-  total->segments_expired += shard.segments_expired;
-  total->mining_ns += shard.mining_ns;
-  total->maintenance_ns += shard.maintenance_ns;
-}
-
 ShardedCost RunSharded(MinerKind kind, const MiningParams& params,
                        uint32_t num_shards,
                        const std::vector<Segment>& segments, int reps) {
@@ -163,7 +152,7 @@ ShardedCost RunSharded(MinerKind kind, const MiningParams& params,
       if (rep == 0) {
         cost.allocs += alloc_counter::allocations() - allocs_before;
         cost.bytes += alloc_counter::bytes_allocated() - bytes_before;
-        AccumulateStats(miner->stats(), &cost.stats);
+        cost.stats += miner->stats();
       }
     }
   }
@@ -277,7 +266,7 @@ ShardedCost ReplayPlan(MinerKind kind, const MiningParams& params,
       if (rep == 0) {
         cost.allocs += alloc_counter::allocations() - allocs_before;
         cost.bytes += alloc_counter::bytes_allocated() - bytes_before;
-        AccumulateStats(miner->stats(), &cost.stats);
+        cost.stats += miner->stats();
       }
     }
   }

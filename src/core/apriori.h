@@ -11,8 +11,12 @@
 // A support policy `P` provides:
 //
 //   using Elem = ...;  // element type of one support (a span of Elems)
-//   // Binds the trigger's probe objects (sorted, capped) and their shard
-//   // ownership flags; builds the per-object supports.
+//   // Binds the trigger's probe objects (sorted, capped; at least
+//   // min_pattern_size of them) and their shard ownership flags; builds the
+//   // per-object supports. A supporter holding fewer than min_pattern_size
+//   // of the objects supports no reported pattern, so every policy leaves
+//   // it out (the trigger itself holds them all); that keeps the miners'
+//   // candidate counts identical.
 //   void Load(std::span<const ObjectId> objects,
 //             std::span<const uint8_t> owned);
 //   // Object index `oi`'s support. False when a cheap bound already proves
@@ -134,7 +138,6 @@ inline bool AllSubsetsFrequent(const uint32_t* level, size_t count, size_t k,
 /// capacity kept.
 template <typename Elem>
 struct AprioriScratch {
-  std::vector<ObjectId> objects;  ///< distinct probe objects (capped)
   std::vector<uint8_t> owned;     ///< per-object shard ownership flag
   AprioriLevel<Elem> level;       ///< frequent patterns of size k
   AprioriLevel<Elem> next;        ///< frequent patterns of size k+1
@@ -150,11 +153,14 @@ struct AprioriScratch {
 /// (non-singleton `shard`) emits only patterns whose minimum object it owns;
 /// non-owned singletons stay join partners so owned supersets are found.
 ///
+/// A trigger with fewer mined objects than min_pattern_size returns before
+/// the policy's Load, so every miner skips it alike.
+///
 /// Accounting: every singleton and every candidate that survives the subset
 /// prune bumps candidates_checked; those that also pass the policy's cheap
 /// bound bump candidates_bound_passed; every rejected one bumps
 /// candidates_pruned; slcp_probes counts the probe objects of triggers with
-/// an owned object.
+/// an owned object and at least min_pattern_size mined objects.
 template <typename Policy>
 void MineApriori(const Segment& trigger, const MiningParams& params,
                  const ShardSpec& shard, Policy& policy,
@@ -164,14 +170,12 @@ void MineApriori(const Segment& trigger, const MiningParams& params,
   AprioriScratch<Elem>& s = *scratch;
 
   // Probe objects: the segment's distinct objects (cached at construction),
-  // capped at max_segment_objects.
-  const std::vector<ObjectId>& distinct = trigger.distinct_objects();
-  const size_t cap = params.max_segment_objects;
-  s.objects.assign(distinct.begin(), cap > 0 && distinct.size() > cap
-                                         ? distinct.begin() + cap
-                                         : distinct.end());
-  if (s.objects.empty()) return;
-  const size_t num_objects = s.objects.size();
+  // capped at max_segment_objects. Fewer than min_pattern_size of them form
+  // no reportable pattern, so the pass stops before any support is loaded.
+  const std::span<const ObjectId> objects =
+      MinedObjects(trigger, params.max_segment_objects);
+  if (objects.size() < params.min_pattern_size) return;
+  const size_t num_objects = objects.size();
 
   // Shard ownership of each probe object (all true for the serial shard).
   // No owned probe object means no owned pattern can trigger here: every
@@ -179,12 +183,12 @@ void MineApriori(const Segment& trigger, const MiningParams& params,
   s.owned.resize(num_objects);
   bool any_owned = false;
   for (size_t oi = 0; oi < num_objects; ++oi) {
-    s.owned[oi] = shard.Owns(s.objects[oi]) ? 1 : 0;
+    s.owned[oi] = shard.Owns(objects[oi]) ? 1 : 0;
     any_owned |= s.owned[oi] != 0;
   }
   if (!any_owned) return;
   stats->slcp_probes += num_objects;
-  policy.Load(s.objects, s.owned);
+  policy.Load(objects, s.owned);
 
   // The exact frequency test (Def. 3): >= theta distinct streams. A
   // pattern that will not be emitted only needs the early-exit count.
@@ -206,8 +210,8 @@ void MineApriori(const Segment& trigger, const MiningParams& params,
     policy.Occurrences(support, &s.occurrences);
     Fcp fcp;
     fcp.objects.reserve(k + 1);
-    for (size_t i = 0; i < k; ++i) fcp.objects.push_back(s.objects[prefix[i]]);
-    fcp.objects.push_back(s.objects[last]);
+    for (size_t i = 0; i < k; ++i) fcp.objects.push_back(objects[prefix[i]]);
+    fcp.objects.push_back(objects[last]);
     fcp.streams.assign(s.streams.begin(), s.streams.end());
     fcp.trigger = trigger.id();
     fcp.window_start = kMaxTimestamp;

@@ -20,9 +20,9 @@ CooMine::CooMine(const MiningParams& params, CooMineOptions options,
 }
 
 // Tidset support (Algorithm 4, counted Eclat-style): a pattern's support is
-// the bitset of the live LCP rows whose common set holds all its objects,
-// and extending a pattern ANDs its bitset with the joined-in object's.
-// Def. 3 counts distinct streams, not rows: each live row carries the dense
+// the bitset of the LCP rows whose common set holds all its objects, and
+// extending a pattern ANDs its bitset with the joined-in object's.
+// Def. 3 counts distinct streams, not rows: each row carries the dense
 // rank of its stream within the trigger, and Streams() counts distinct ranks
 // over the set bits with a per-rank epoch stamp, so no occurrence list is
 // built or sorted to decide frequency.
@@ -31,75 +31,46 @@ class CooMine::TidsetSupport {
   using Elem = uint64_t;
 
   TidsetSupport(const Segment& trigger, const MiningParams& params,
-                MiningScratch* scratch, MinerStats* stats)
+                MiningScratch* scratch)
       : s_(*scratch),
-        stats_(*stats),
         probe_{trigger.stream(), trigger.start_time(), trigger.end_time()},
         ops_(kernels::Ops()),
         row_threshold_(params.theta == 0
                            ? 0
                            : static_cast<size_t>(params.theta) - 1) {}
 
-  // Compacts the LCP table to its *live* rows — rows sharing >= 1 owned
-  // probe object — and builds the per-object tidsets over live-row bit
-  // positions: bit b of object oi's tidset is set iff live row b's common
-  // set contains objects[oi]. Every supporting row of an owned pattern
-  // contains the pattern's (owned) minimum object, so dropping the other
-  // rows loses no support; it shrinks the bitset width each shard pays for.
-  // (Non-owned singletons' tidsets thus undercount, which can never drop a
-  // singleton whose owned superset is frequent: that superset's supporting
-  // rows are all live.) SLCP records each row's common set as ascending
-  // positions into the probe's distinct objects — the same indexes as
-  // `objects` — so the bits are set directly. `objects` is a prefix of those
-  // distinct objects (the max_segment_objects cap), so a position at or past
-  // its size is an object the pass does not mine, and so are all after it.
-  // Each live row also gets its stream's rank (the probe's stream is 0).
-  void Load(std::span<const ObjectId> objects, std::span<const uint8_t> owned) {
+  // Builds the per-object tidsets: bit b of object oi's tidset is set iff
+  // LCP row b's common set contains objects[oi]. SLCP was given these very
+  // objects (the capped mined prefix) and the pattern-size floor, so its
+  // rows already are the ones that can support a reported pattern: each
+  // shares >= min_pattern_size of the objects and, on a shard, >= 1 owned
+  // one (every supporting row of an owned pattern contains the pattern's
+  // owned minimum object). Rows record their common sets as ascending
+  // positions into `objects`, so the bits are set directly. Each row also
+  // gets its stream's rank (the probe's stream is 0).
+  void Load(std::span<const ObjectId> objects,
+            std::span<const uint8_t> /*owned*/) {
     const LcpTable& lcp = s_.lcp;
-    const uint32_t num_objects = static_cast<uint32_t>(objects.size());
-    const size_t max_rows = lcp.rows.size();
-    const size_t max_words = (max_rows + 63) / 64;
-    s_.object_bits.assign(num_objects * max_words, 0);
-    s_.live_rows.clear();
+    const size_t num_rows = lcp.rows.size();
+    words_ = (num_rows + 63) / 64;
+    s_.object_bits.assign(objects.size() * words_, 0);
     s_.row_rank.clear();
     s_.stream_rank.Clear();
     s_.rank_streams.clear();
     RankOf(probe_.stream);
-    for (size_t r = 0; r < max_rows; ++r) {
-      const LcpTable::Row& row = lcp.rows[r];
-      const uint32_t* const c = lcp.CommonBegin(row);
-      const uint32_t* ce = lcp.CommonEnd(row);
-      while (ce != c && ce[-1] >= num_objects) --ce;
-      bool row_owned = false;
-      for (const uint32_t* p = c; p != ce && !row_owned; ++p) {
-        row_owned = owned[*p] != 0;
-      }
-      if (!row_owned) continue;  // cannot support any owned pattern
-      const size_t b = s_.live_rows.size();
-      s_.live_rows.push_back(static_cast<uint32_t>(r));
+    for (size_t b = 0; b < num_rows; ++b) {
+      const LcpTable::Row& row = lcp.rows[b];
       s_.row_rank.push_back(RankOf(row.stream));
       const uint64_t bit_word = uint64_t{1} << (b % 64);
       const size_t word = b / 64;
-      for (const uint32_t* p = c; p != ce; ++p) {
-        s_.object_bits[*p * max_words + word] |= bit_word;
+      for (const uint32_t* p = lcp.CommonBegin(row); p != lcp.CommonEnd(row);
+           ++p) {
+        s_.object_bits[*p * words_ + word] |= bit_word;
       }
     }
     // Stamps of ranks new to this trigger start at 0, below every epoch.
     if (s_.rank_epoch.size() < s_.rank_streams.size()) {
       s_.rank_epoch.resize(s_.rank_streams.size(), 0);
-    }
-    stats_.live_rows += s_.live_rows.size();
-    words_ = (s_.live_rows.size() + 63) / 64;
-    // Repack the per-object bitsets to the live width (max_words >= words_;
-    // rows beyond the live count never got a bit, so this is a pure
-    // shift-down).
-    if (words_ != max_words) {
-      for (size_t oi = 1; oi < num_objects; ++oi) {
-        for (size_t w = 0; w < words_; ++w) {
-          s_.object_bits[oi * words_ + w] = s_.object_bits[oi * max_words + w];
-        }
-      }
-      s_.object_bits.resize(num_objects * words_);
     }
   }
 
@@ -168,7 +139,7 @@ class CooMine::TidsetSupport {
       while (word != 0) {
         const size_t b = w * 64 + static_cast<size_t>(std::countr_zero(word));
         word &= word - 1;
-        const LcpTable::Row& row = s_.lcp.rows[s_.live_rows[b]];
+        const LcpTable::Row& row = s_.lcp.rows[b];
         out->push_back(Occurrence{row.stream, row.start, row.end});
       }
     }
@@ -188,7 +159,6 @@ class CooMine::TidsetSupport {
   }
 
   MiningScratch& s_;
-  MinerStats& stats_;
   const Occurrence probe_;
   const kernels::KernelOps& ops_;
   const size_t row_threshold_;
@@ -203,21 +173,27 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
   const Timestamp now = watermark_;
 
   // --- Mining phase: SLCP + Apriori over the LCP table. -------------------
+  // A trigger with fewer mined objects than min_pattern_size completes no
+  // reportable pattern; it skips the search and the pass (MineApriori would
+  // return before loading the table anyway).
   Stopwatch mine_timer;
   scratch_.expired.clear();
-  const uint64_t visits_before = tree_.stats().distance_bound_visits;
-  {
-    FCP_TRACE_SPAN("coomine/slcp");
-    tree_.SlcpInto(segment, now, params_.tau, &scratch_.expired, &scratch_.lcp,
-                   shard_);
-  }
-  stats_.slcp_ns += mine_timer.ElapsedNanos();
-  stats_.lcp_rows += scratch_.lcp.rows.size();
-  stats_.slcp_nodes_visited +=
-      tree_.stats().distance_bound_visits - visits_before;
-  {
+  const std::span<const ObjectId> mined =
+      MinedObjects(segment, params_.max_segment_objects);
+  if (mined.size() >= params_.min_pattern_size) {
+    const uint64_t visits_before = tree_.stats().distance_bound_visits;
+    {
+      FCP_TRACE_SPAN("coomine/slcp");
+      tree_.SlcpInto(mined, now, params_.tau, &scratch_.expired,
+                     &scratch_.lcp, shard_, params_.min_pattern_size);
+    }
+    stats_.slcp_ns += mine_timer.ElapsedNanos();
+    stats_.lcp_rows += scratch_.lcp.rows.size();
+    stats_.lcp_rows_dropped += scratch_.lcp.rows_dropped;
+    stats_.slcp_nodes_visited +=
+        tree_.stats().distance_bound_visits - visits_before;
     FCP_TRACE_SPAN("coomine/apriori");
-    TidsetSupport support(segment, params_, &scratch_, &stats_);
+    TidsetSupport support(segment, params_, &scratch_);
     MineApriori(segment, params_, shard_, support, &scratch_.apriori, &stats_,
                 out);
   }

@@ -6,25 +6,30 @@
 // completes. Expired segments discovered by the search are deleted lazily
 // (the paper's LD strategy); a periodic sweep bounds memory.
 //
+// Only patterns of min_pattern_size (m) or more objects are reported, so
+// SLCP is given the mined objects and m, and builds a row only for a
+// segment sharing >= m of them; any other segment supports no reported
+// pattern. A trigger with fewer than m mined objects skips both steps.
+//
 // The Apriori pass is the shared driver (core/apriori.h); CooMine supplies
 // its support policy, counted Eclat-style: each probe object gets a bitset
 // over the LCP rows (its tidset), a pattern's supporting rows are the AND of
 // its parent's bitset with the last object's bitset (carried level to
 // level), and a popcount prefilter rejects infrequent candidates before the
 // rows are read. A candidate past the prefilter is tested by counting the
-// distinct stream ranks of its set bits (each live row carries its stream's
+// distinct stream ranks of its set bits (each row carries its stream's
 // rank within the trigger), stopping at theta unless the pattern is emitted;
 // occurrences are materialized only for emitted patterns. All per-trigger
 // state lives in a reusable MiningScratch, so steady-state AddSegment
 // performs no heap allocations.
 //
 // When constructed as one shard of a sharded group (ShardSpec), the Apriori
-// pass is restricted to the patterns the shard owns: only LCP rows sharing
-// >= 1 owned probe object get a tidset bit (every supporting row of an owned
-// pattern contains its owned minimum object, so this drops nothing), the
-// size-2 join only extends owned first objects, and subset pruning skips
-// subsets whose minimum the shard cannot verify locally. With the default
-// ShardSpec the filter is the identity.
+// pass is restricted to the patterns the shard owns: SLCP only returns rows
+// sharing >= 1 owned probe object (every supporting row of an owned pattern
+// contains its owned minimum object, so this drops nothing), the size-2 join
+// only extends owned first objects, and subset pruning skips subsets whose
+// minimum the shard cannot verify locally. With the default ShardSpec the
+// filter is the identity.
 
 #ifndef FCP_CORE_COOMINE_H_
 #define FCP_CORE_COOMINE_H_
@@ -76,7 +81,7 @@ class CooMine : public FcpMiner {
   const SegTree& seg_tree() const { return tree_; }
 
  private:
-  /// The Apriori support policy: tidsets over the live LCP rows.
+  /// The Apriori support policy: tidsets over the LCP rows.
   class TidsetSupport;
 
   /// Reusable per-trigger buffers: every vector is cleared (capacity kept)
@@ -85,8 +90,7 @@ class CooMine : public FcpMiner {
   struct MiningScratch {
     LcpTable lcp;                       ///< SLCP output table
     std::vector<SegmentId> expired;     ///< lazily deleted segments
-    std::vector<uint32_t> live_rows;    ///< LCP rows given a bit position
-    std::vector<uint32_t> row_rank;     ///< per live row: its stream's rank
+    std::vector<uint32_t> row_rank;     ///< per LCP row: its stream's rank
     FlatMap<StreamId, uint32_t> stream_rank;  ///< stream -> rank + 1
     std::vector<StreamId> rank_streams;  ///< rank -> stream
     std::vector<uint64_t> rank_epoch;  ///< per rank: last Streams() epoch

@@ -32,7 +32,7 @@ void DumpSlowOp(const char* op, const Segment& segment, const FcpMiner& miner,
        static_cast<int64_t>(stats.candidates_bound_passed)},
       {"slcp_probes", static_cast<int64_t>(stats.slcp_probes)},
       {"lcp_rows", static_cast<int64_t>(stats.lcp_rows)},
-      {"live_rows", static_cast<int64_t>(stats.live_rows)},
+      {"lcp_rows_dropped", static_cast<int64_t>(stats.lcp_rows_dropped)},
       {"slcp_nodes_visited", static_cast<int64_t>(stats.slcp_nodes_visited)},
       {"maintenance_runs", static_cast<int64_t>(stats.maintenance_runs)},
       {"segments_expired", static_cast<int64_t>(stats.segments_expired)},

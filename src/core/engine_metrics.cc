@@ -27,7 +27,8 @@ MinerMetrics MinerMetrics::Register(telemetry::MetricRegistry* registry,
       registry->GetCounter(Name("fcp_candidates_bound_passed_total", labels));
   m.slcp_probes = registry->GetCounter(Name("fcp_slcp_probes_total", labels));
   m.lcp_rows = registry->GetCounter(Name("fcp_lcp_rows_total", labels));
-  m.live_rows = registry->GetCounter(Name("fcp_lcp_live_rows_total", labels));
+  m.lcp_rows_dropped =
+      registry->GetCounter(Name("fcp_lcp_rows_dropped_total", labels));
   m.slcp_nodes_visited =
       registry->GetCounter(Name("fcp_slcp_nodes_visited_total", labels));
   m.maintenance_runs =
@@ -70,7 +71,7 @@ void MinerMetrics::PublishDelta(const MinerStats& current,
        current.candidates_bound_passed - last->candidates_bound_passed);
   Bump(slcp_probes, current.slcp_probes - last->slcp_probes);
   Bump(lcp_rows, current.lcp_rows - last->lcp_rows);
-  Bump(live_rows, current.live_rows - last->live_rows);
+  Bump(lcp_rows_dropped, current.lcp_rows_dropped - last->lcp_rows_dropped);
   Bump(slcp_nodes_visited,
        current.slcp_nodes_visited - last->slcp_nodes_visited);
   Bump(maintenance_runs, current.maintenance_runs - last->maintenance_runs);

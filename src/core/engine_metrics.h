@@ -29,7 +29,7 @@ struct MinerMetrics {
   telemetry::Counter* candidates_bound_passed = nullptr;
   telemetry::Counter* slcp_probes = nullptr;
   telemetry::Counter* lcp_rows = nullptr;
-  telemetry::Counter* live_rows = nullptr;
+  telemetry::Counter* lcp_rows_dropped = nullptr;
   telemetry::Counter* slcp_nodes_visited = nullptr;
   telemetry::Counter* maintenance_runs = nullptr;
   telemetry::Counter* segments_expired = nullptr;

@@ -4,9 +4,11 @@
 #ifndef FCP_CORE_MINER_H_
 #define FCP_CORE_MINER_H_
 
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,9 +43,11 @@ struct MinerStats {
                                    ///< for CooMine, posting/matrix probes
                                    ///< for DIMine/MatrixMine)
   uint64_t lcp_rows = 0;           ///< CooMine: LCP-table rows built
-  uint64_t live_rows = 0;          ///< CooMine: LCP rows given a tidset bit
-                                   ///< (rows sharing >= 1 owned, mined
-                                   ///< probe object; 0 for DIMine/MatrixMine)
+  uint64_t lcp_rows_dropped = 0;   ///< CooMine: segments SLCP reached that
+                                   ///< share fewer than min_pattern_size
+                                   ///< mined probe objects, so get no row
+                                   ///< (0 at min_pattern_size 1 and for
+                                   ///< DIMine/MatrixMine)
   uint64_t slcp_nodes_visited = 0; ///< CooMine: Seg-tree nodes visited by
                                    ///< SLCP's DistanceBound searches (0 for
                                    ///< DIMine/MatrixMine)
@@ -53,6 +57,29 @@ struct MinerStats {
   int64_t slcp_ns = 0;  ///< CooMine: SLCP share of mining_ns (0 for
                         ///< DIMine/MatrixMine)
   int64_t maintenance_ns = 0;
+
+  /// Adds every counter of `other` (summing per-shard stats). A template
+  /// only so that a non-template operator+= a caller declares for
+  /// MinerStats wins overload resolution instead of being ambiguous.
+  template <std::same_as<MinerStats> Stats>
+  MinerStats& operator+=(const Stats& other) {
+    segments_processed += other.segments_processed;
+    segments_indexed_only += other.segments_indexed_only;
+    fcps_emitted += other.fcps_emitted;
+    candidates_checked += other.candidates_checked;
+    candidates_pruned += other.candidates_pruned;
+    candidates_bound_passed += other.candidates_bound_passed;
+    slcp_probes += other.slcp_probes;
+    lcp_rows += other.lcp_rows;
+    lcp_rows_dropped += other.lcp_rows_dropped;
+    slcp_nodes_visited += other.slcp_nodes_visited;
+    maintenance_runs += other.maintenance_runs;
+    segments_expired += other.segments_expired;
+    mining_ns += other.mining_ns;
+    slcp_ns += other.slcp_ns;
+    maintenance_ns += other.maintenance_ns;
+    return *this;
+  }
 };
 
 /// Point-in-time view of a miner's index structures, for telemetry — the
@@ -79,10 +106,21 @@ struct Occurrence {
 
 /// The distinct objects of `segment` (sorted), truncated to the first `cap`
 /// objects when cap > 0 (MiningParams::max_segment_objects). The brute-force
-/// oracle uses this helper; the Apriori miners apply the same cap in
-/// MineApriori (core/apriori.h).
+/// oracle uses this helper; the Apriori miners mine the same prefix through
+/// MinedObjects.
 std::vector<ObjectId> DistinctObjectsCapped(const Segment& segment,
                                             uint32_t cap);
+
+/// The objects the Apriori miners mine for a trigger: a view of the first
+/// `cap` (all when cap is 0) of the segment's cached sorted distinct
+/// objects. Every pattern they report is a subset of it, so a trigger whose
+/// view is shorter than min_pattern_size reports nothing.
+inline std::span<const ObjectId> MinedObjects(const Segment& segment,
+                                              uint32_t cap) {
+  const std::vector<ObjectId>& distinct = segment.distinct_objects();
+  return {distinct.data(),
+          cap > 0 && distinct.size() > cap ? cap : distinct.size()};
+}
 
 /// If `occurrences` (all within the tau window of the trigger — callers
 /// filter by segment validity first) span >= theta distinct streams, builds

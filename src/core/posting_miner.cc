@@ -21,11 +21,14 @@ class PostingMiner<Index>::PostingSupport {
         s_(*scratch),
         now_(now),
         tau_(params.tau),
-        theta_(params.theta) {}
+        theta_(params.theta),
+        min_size_(params.min_pattern_size) {}
 
   // Valid supporters per probe object, ascending id (DIMine: the posting
   // list; MatrixMine: the diagonal cell). They include the trigger, which
-  // was indexed just before mining.
+  // was indexed just before mining. With min_pattern_size m >= 2 a
+  // supporter holding fewer than m of `objects` is dropped from every list:
+  // it supports no reported pattern (CooMine's SLCP builds no row for it).
   void Load(std::span<const ObjectId> objects,
             std::span<const uint8_t> /*owned*/) {
     objects_ = objects;
@@ -37,6 +40,14 @@ class PostingMiner<Index>::PostingSupport {
       } else {
         index_.ValidSegmentsInto(objects[oi], now_, tau_, &s_.valid[oi]);
       }
+    }
+    if (min_size_ < 2) return;
+    s_.held.Clear();
+    for (size_t oi = 0; oi < objects.size(); ++oi) {
+      for (SegmentId id : s_.valid[oi]) ++s_.held[id];
+    }
+    for (size_t oi = 0; oi < objects.size(); ++oi) {
+      std::erase_if(s_.valid[oi], [this](SegmentId id) { return !Holds(id); });
     }
   }
 
@@ -51,7 +62,12 @@ class PostingMiner<Index>::PostingSupport {
     if constexpr (kPairCells) {
       const ObjectId first = objects_[prefix[0]];
       if (k == 1) {
+        // The cell's supporters hold both objects: at m >= 3 some still
+        // hold too few.
         index_.ValidSegmentsInto(first, objects_[last], now_, tau_, cand);
+        if (min_size_ >= 3) {
+          std::erase_if(*cand, [this](SegmentId id) { return !Holds(id); });
+        }
       } else {
         index_.ValidSegmentsInto(first, objects_[last], now_, tau_,
                                  &s_.pair_cell);
@@ -92,11 +108,19 @@ class PostingMiner<Index>::PostingSupport {
   }
 
  private:
+  // True iff supporter `id` holds >= min_pattern_size of the mined objects
+  // (Load counted them).
+  bool Holds(SegmentId id) const {
+    const uint32_t* held = s_.held.Find(id);
+    return held != nullptr && *held >= min_size_;
+  }
+
   Index& index_;
   MiningScratch& s_;
   const Timestamp now_;
   const DurationMs tau_;
   const uint32_t theta_;
+  const uint32_t min_size_;
   std::span<const ObjectId> objects_;
 };
 

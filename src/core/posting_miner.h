@@ -11,7 +11,10 @@
 //    supporters with it (a segment holding the parent and that pair holds
 //    every object).
 //
-// Supporters are carried level to level, so no support is recomputed.
+// Supporters are carried level to level, so no support is recomputed. At
+// min_pattern_size m >= 2 the per-object lists keep only supporters holding
+// >= m of the trigger's mined objects, the same rule CooMine's SLCP applies
+// to its rows, so all three miners test the same candidates.
 // Zipf-skewed postings and hot pair cells make the size ratio of the two
 // intersected lists large; galloping keeps the intersection near the small
 // side. All per-trigger state lives in a reusable MiningScratch, so
@@ -38,6 +41,7 @@
 #include "index/di_index.h"
 #include "index/matrix_index.h"
 #include "stream/segment.h"
+#include "util/flat_map.h"
 
 namespace fcp {
 
@@ -80,6 +84,7 @@ class PostingMiner final : public FcpMiner {
   /// kept) at the start of a trigger.
   struct MiningScratch {
     std::vector<std::vector<SegmentId>> valid;  ///< per-object valid lists
+    FlatMap<SegmentId, uint32_t> held;  ///< supporter -> mined objects held
     std::vector<SegmentId> pair_cell;  ///< MatrixMine: one (first, last) cell
     std::vector<StreamId> streams;     ///< a support's distinct streams
     AprioriScratch<SegmentId> apriori;  ///< level store, supporters as ids

@@ -500,17 +500,16 @@ std::vector<SegmentId> SegTree::RelevantSegments(ObjectId object,
   return result;
 }
 
-void SegTree::SlcpInto(const Segment& probe, Timestamp now, DurationMs tau,
-                       std::vector<SegmentId>* expired, LcpTable* out,
-                       const ShardSpec& shard) const {
+void SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
+                       DurationMs tau, std::vector<SegmentId>* expired,
+                       LcpTable* out, const ShardSpec& shard,
+                       uint32_t min_common) const {
   out->Clear();
   // Rows are grouped without sorting: a tail entry stamped with this call's
-  // epoch already has its row. The epoch is 64 bit and only grows, so stamps
-  // left by earlier calls (or copied by graft) never need clearing.
+  // epoch has already been reached. The epoch is 64 bit and only grows, so
+  // stamps left by earlier calls (or copied by graft) never need clearing.
   const uint64_t epoch = ++probe_epoch_;
   std::vector<const TailEntry*>& hits = tail_hits_;
-  // The probe's sorted distinct objects, cached at segment construction.
-  const std::vector<ObjectId>& probe_objects = probe.distinct_objects();
 
   if (!shard.IsSingleton()) {
     // Two-phase ownership-filtered search (see the header comment).
@@ -533,10 +532,16 @@ void SegTree::SlcpInto(const Segment& probe, Timestamp now, DurationMs tau,
     // probe ∩ segment, one linear merge of two small sorted arrays per row
     // (TailEntry::objects is the segment's sorted distinct object list),
     // recording each match by its probe position. A tail reached through
-    // several owned objects gets its row the first time only.
+    // several owned objects is handled the first time only. A segment with
+    // fewer than min_common objects cannot reach it, so it skips the merge;
+    // a merge that ends short is rolled back.
     for (const TailEntry* t : hits) {
       if (t->probe_epoch == epoch) continue;
       t->probe_epoch = epoch;
+      if (t->objects.size() < min_common) {
+        ++out->rows_dropped;
+        continue;
+      }
       LcpTable::Row row{.segment = t->segment,
                         .stream = t->stream,
                         .start = t->start,
@@ -559,15 +564,26 @@ void SegTree::SlcpInto(const Segment& probe, Timestamp now, DurationMs tau,
         }
       }
       row.common_end = static_cast<uint32_t>(out->common_pool.size());
+      if (row.common_end - row.common_begin < min_common) {
+        out->common_pool.resize(row.common_begin);
+        ++out->rows_dropped;
+        continue;
+      }
       out->rows.push_back(row);
     }
   } else {
-    // Gather one (row, position) hit per segment and probe object. The
-    // first hit of a tail opens its row; until the rows are laid out,
-    // common_begin counts the row's positions and common_end holds its
-    // last position + 1. A segment carrying an object twice is reached
-    // from two chain nodes for the same position; the second hit is
-    // dropped here, so the counts are exact.
+    // Gather one (row, position) hit per segment and probe object. Until the
+    // rows are laid out, a row's common_begin counts its positions and
+    // common_end holds its last position + 1. A segment carrying an object
+    // twice is reached from two chain nodes for the same position; the
+    // second hit is dropped here, so the counts are exact.
+    //
+    // With min_common = 1 a tail's first hit opens its row. Otherwise the
+    // first hit only parks its position in probe_row under kPendingRow, and
+    // the first hit at another position opens the row with both: a segment
+    // sharing one probe object never gets a Row or a Hit.
+    const bool park_first_hit = min_common >= 2;
+    uint64_t parked = 0;  // tails whose only hit so far is parked
     std::vector<Hit>& hit_records = hit_records_;
     hit_records.clear();
     for (size_t pos = 0; pos < probe_objects.size(); ++pos) {
@@ -581,11 +597,28 @@ void SegTree::SlcpInto(const Segment& probe, Timestamp now, DurationMs tau,
       for (const TailEntry* t : hits) {
         if (t->probe_epoch != epoch) {
           t->probe_epoch = epoch;
+          if (park_first_hit) {
+            t->probe_row = kPendingRow | position;
+            ++parked;
+            continue;
+          }
           t->probe_row = static_cast<uint32_t>(out->rows.size());
           out->rows.push_back(LcpTable::Row{.segment = t->segment,
                                             .stream = t->stream,
                                             .start = t->start,
                                             .end = t->end});
+        } else if ((t->probe_row & kPendingRow) != 0) {
+          const uint32_t first = t->probe_row & ~kPendingRow;
+          if (first == position) continue;  // repeated object
+          --parked;
+          t->probe_row = static_cast<uint32_t>(out->rows.size());
+          out->rows.push_back(LcpTable::Row{.segment = t->segment,
+                                            .stream = t->stream,
+                                            .start = t->start,
+                                            .end = t->end,
+                                            .common_begin = 1,
+                                            .common_end = first + 1});
+          hit_records.push_back(Hit{t->probe_row, first});
         }
         LcpTable::Row& row = out->rows[t->probe_row];
         if (row.common_end == position + 1) continue;  // repeated object
@@ -594,18 +627,37 @@ void SegTree::SlcpInto(const Segment& probe, Timestamp now, DurationMs tau,
         hit_records.push_back(Hit{t->probe_row, position});
       }
     }
+    out->rows_dropped = parked;
     // Lay the rows out back to back (prefix sum of the counts), then place
     // every hit in one pass. The outer loop above walked positions in
-    // ascending order, so each row's positions land ascending.
+    // ascending order, so each row's positions land ascending. A row with
+    // fewer than min_common positions (possible for min_common >= 3) gets
+    // no slice and is dropped after the placement.
+    constexpr uint32_t kDropped = ~uint32_t{0};
     uint32_t offset = 0;
+    uint64_t short_rows = 0;
     for (LcpTable::Row& row : out->rows) {
       const uint32_t count = row.common_begin;
+      if (count < min_common) {
+        row.common_begin = kDropped;
+        ++short_rows;
+        continue;
+      }
       row.common_begin = row.common_end = offset;
       offset += count;
     }
     out->common_pool.resize(offset);
     for (const Hit& hit : hit_records) {
-      out->common_pool[out->rows[hit.row].common_end++] = hit.position;
+      LcpTable::Row& row = out->rows[hit.row];
+      if (row.common_begin != kDropped) {
+        out->common_pool[row.common_end++] = hit.position;
+      }
+    }
+    if (short_rows > 0) {
+      std::erase_if(out->rows, [](const LcpTable::Row& row) {
+        return row.common_begin == kDropped;
+      });
+      out->rows_dropped += short_rows;
     }
   }
   // Lazy deletion removes these in id order; the list is short.
@@ -620,7 +672,7 @@ std::vector<LcpRow> SegTree::Slcp(const Segment& probe, Timestamp now,
                                   DurationMs tau,
                                   std::vector<SegmentId>* expired) const {
   LcpTable table;
-  SlcpInto(probe, now, tau, expired, &table);
+  SlcpInto(probe.distinct_objects(), now, tau, expired, &table);
   const std::vector<ObjectId>& probe_objects = probe.distinct_objects();
   std::vector<LcpRow> rows;
   rows.reserve(table.rows.size());

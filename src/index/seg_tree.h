@@ -34,6 +34,7 @@
 #define FCP_INDEX_SEG_TREE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,17 +89,19 @@ struct LcpRow {
 
 /// Flat, reusable SLCP result: one Row per relevant segment, with each row's
 /// common set stored as a [begin, end) slice of one shared pool. The pool
-/// holds *positions* into the probe's sorted `distinct_objects()`, not object
-/// ids: the miner indexes its per-object tidsets by the same positions, so it
-/// sets a row's bits without merging the row against the probe again (and a
-/// position at or past the miner's `max_segment_objects` cap names an object
-/// it does not mine). Positions ascend within a row, in the same order as the
-/// ids they stand for, because the probe's objects are sorted. Rows come in
-/// the order SLCP first reached each segment, not in segment-id order: the
-/// table is read as a set (supporting streams are counted distinct and
-/// sorted, windows are a min/max), so grouping needs no sort. Clearing keeps
-/// the capacity, so a table reused across triggers stops allocating once
-/// warm — the zero-allocation counterpart of std::vector<LcpRow>.
+/// holds *positions* into the probe objects SlcpInto was given (the miner's
+/// sorted, capped mined objects), not object ids: the miner indexes its
+/// per-object tidsets by the same positions, so it sets a row's bits without
+/// merging the row against the probe again. Positions ascend within a row,
+/// in the same order as the ids they stand for, because the probe's objects
+/// are sorted. Every row's common set holds at least the `min_common` objects
+/// SlcpInto was asked for; `rows_dropped` counts the segments SLCP reached
+/// that shared fewer. Rows come in the order SLCP first reached each segment,
+/// not in segment-id order: the table is read as a set (supporting streams
+/// are counted distinct and sorted, windows are a min/max), so grouping needs
+/// no sort. Clearing keeps the capacity, so a table reused across triggers
+/// stops allocating once warm — the zero-allocation counterpart of
+/// std::vector<LcpRow>.
 struct LcpTable {
   struct Row {
     SegmentId segment = kInvalidSegmentId;
@@ -111,10 +114,12 @@ struct LcpTable {
 
   std::vector<Row> rows;
   std::vector<uint32_t> common_pool;  ///< ascending probe positions per row
+  uint64_t rows_dropped = 0;  ///< segments reached with < min_common objects
 
   void Clear() {
     rows.clear();
     common_pool.clear();
+    rows_dropped = 0;
   }
   size_t CommonSize(const Row& row) const {
     return row.common_end - row.common_begin;
@@ -163,20 +168,30 @@ class SegTree {
   size_t RemoveExpired(Timestamp now, DurationMs tau);
 
   /// SLCP (paper Algorithm 2) into a caller-owned reusable table: for every
-  /// object of `probe`, finds all valid segments containing it via
-  /// DistanceBound (Algorithm 3), and emits one row per relevant segment
-  /// with the common object set. Expired segments encountered during the
-  /// search are recorded in `expired` (if non-null) for lazy deletion by the
-  /// caller; they do not appear in the result, and `expired` comes back
-  /// sorted and distinct. Rows come in discovery order, each segment once,
-  /// and name their common objects by ascending position in
-  /// `probe.distinct_objects()` (see LcpTable). Neither rows nor hits are
-  /// sorted: each call bumps a 64-bit probe epoch, and a tail entry stamped
-  /// with it has already been given its row.
+  /// object of `probe_objects` (sorted, distinct: the prefix of the probe's
+  /// `distinct_objects()` the miner mines), finds all valid segments
+  /// containing it via DistanceBound (Algorithm 3), and emits one row per
+  /// relevant segment with the common object set. Expired segments
+  /// encountered during the search are recorded in `expired` (if non-null)
+  /// for lazy deletion by the caller; they do not appear in the result, and
+  /// `expired` comes back sorted and distinct. Rows come in discovery order,
+  /// each segment once, and name their common objects by ascending position
+  /// in `probe_objects` (see LcpTable). Neither rows nor hits are sorted:
+  /// each call bumps a 64-bit probe epoch, and a tail entry stamped with it
+  /// has already been reached.
   ///
   /// `now` anchors validity (callers pass the probe's end time). The probe
   /// itself must not be in the tree yet (mine first, insert after). `out` is
   /// cleared first; with a warm table the call performs no allocations.
+  ///
+  /// `min_common` (the miner's min_pattern_size, m) drops every segment
+  /// whose common set holds fewer than m probe objects: such a segment
+  /// contains no pattern of size >= m, so it supports nothing the miner
+  /// reports. Dropped segments are counted in `out->rows_dropped`. With
+  /// m >= 2 the serial search builds no row for a segment's first hit, only
+  /// parks its position on the tail entry; the second distinct position
+  /// opens the row. Most segments share a single object with the probe, so
+  /// most tails never get a row.
   ///
   /// `shard` restricts the result to rows that can support a pattern OWNED
   /// by the shard (min-object ownership, see common/shard.h): a row is
@@ -184,19 +199,19 @@ class SegTree {
   /// shard switches to a two-phase search that only walks the Hlist chains
   /// of the *owned* probe objects — an owned pattern's minimum object is an
   /// owned probe object, so each of its supporters is found there — and then
-  /// reconstructs each hit row's full common set by walking that segment's
-  /// tree path. Skipping the non-owned chains (which include the hottest
-  /// objects for most shards) is what makes the sharded probe cheaper than
-  /// 1/S of the serial one. Expired segments are only discovered on the
-  /// chains actually walked; the periodic RemoveExpired sweep covers the
-  /// rest.
-  void SlcpInto(const Segment& probe, Timestamp now, DurationMs tau,
-                std::vector<SegmentId>* expired, LcpTable* out,
-                const ShardSpec& shard = {}) const;
+  /// reconstructs each hit row's full common set as probe ∩ segment. Skipping
+  /// the non-owned chains (which include the hottest objects for most
+  /// shards) is what makes the sharded probe cheaper than 1/S of the serial
+  /// one. Expired segments are only discovered on the chains actually
+  /// walked; the periodic RemoveExpired sweep covers the rest.
+  void SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
+                DurationMs tau, std::vector<SegmentId>* expired,
+                LcpTable* out, const ShardSpec& shard = {},
+                uint32_t min_common = 1) const;
 
-  /// Convenience SLCP shape for tests/benches: same result as SlcpInto, one
-  /// owning LcpRow per relevant segment, with the common positions mapped
-  /// back to object ids.
+  /// Convenience SLCP shape for tests/benches: SlcpInto over all of the
+  /// probe's distinct objects with min_common 1, one owning LcpRow per
+  /// relevant segment, with the common positions mapped back to object ids.
   std::vector<LcpRow> Slcp(const Segment& probe, Timestamp now,
                            DurationMs tau,
                            std::vector<SegmentId>* expired) const;
@@ -272,10 +287,12 @@ class SegTree {
     // in RemoveSegmentPath (graft moves entries by value, transferring the
     // chunk).
     PooledVec<ObjectId> objects;
-    // SlcpInto's grouping stamp: the tail already has a row in the current
-    // probe iff probe_epoch equals the tree's probe_epoch_, and then (on the
-    // serial path) probe_row is that row's index. A stale stamp is simply
-    // older than every later epoch, so copies made by graft need no reset.
+    // SlcpInto's grouping stamp: the current probe already reached the tail
+    // iff probe_epoch equals the tree's probe_epoch_. Then, on the serial
+    // path, probe_row is the tail's row index, or — under kPendingRow, while
+    // a min_common >= 2 search has seen one hit and built no row — the
+    // position of that hit. A stale stamp is simply older than every later
+    // epoch, so copies made by graft need no reset.
     mutable uint64_t probe_epoch = 0;
     mutable uint32_t probe_row = 0;
   };
@@ -294,8 +311,11 @@ class SegTree {
     uint32_t depth;   // edges from the search start
   };
 
+  // TailEntry::probe_row's flag for a parked first hit (see there).
+  static constexpr uint32_t kPendingRow = uint32_t{1} << 31;
+
   // One (row, probe-object) hit of the serial SLCP. `row` indexes the
-  // output table's rows; `position` indexes the probe's distinct objects.
+  // output table's rows; `position` indexes the probe objects.
   struct Hit {
     uint32_t row;
     uint32_t position;

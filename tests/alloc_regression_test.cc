@@ -93,8 +93,10 @@ MiningParams SteadyParams() {
 
 // Replays the cyclic trace through `kind` and returns the number of heap
 // allocations performed by the steady-state (post-warmup) half.
-uint64_t SteadyStateAllocations(MinerKind kind) {
-  const MiningParams params = SteadyParams();
+uint64_t SteadyStateAllocations(MinerKind kind,
+                                uint32_t min_pattern_size = 1) {
+  MiningParams params = SteadyParams();
+  params.min_pattern_size = min_pattern_size;
   Rng rng(42);
   const std::vector<Segment> trace =
       BuildCyclicTrace(BuildSegmentPool(400, rng), /*cycles=*/6, params);
@@ -128,6 +130,17 @@ TEST(AllocRegressionTest, DiMineSteadyStateAddSegmentIsAllocationFree) {
 
 TEST(AllocRegressionTest, MatrixMineSteadyStateAddSegmentIsAllocationFree) {
   EXPECT_EQ(SteadyStateAllocations(MinerKind::kMatrixMine), 0u);
+}
+
+// A size floor of 2 takes other paths: SLCP parks first hits instead of
+// opening rows, and the posting miners count each supporter's mined objects
+// in a scratch map. They must converge as well.
+TEST(AllocRegressionTest, MinSizeTwoSteadyStateIsAllocationFree) {
+  for (MinerKind kind :
+       {MinerKind::kCooMine, MinerKind::kDiMine, MinerKind::kMatrixMine}) {
+    EXPECT_EQ(SteadyStateAllocations(kind, /*min_pattern_size=*/2), 0u)
+        << MinerKindToString(kind);
+  }
 }
 
 // The sharded deployment must not scale allocations with the shard count:

@@ -93,8 +93,15 @@ TEST_P(MetricsConsistencyTest, SerialAndShardedAgreeOnSemanticCounters) {
   EXPECT_EQ(
       Find(serial_metrics, "fcp_slcp_nodes_visited_total").counter_value,
       serial.miner().stats().slcp_nodes_visited);
-  EXPECT_EQ(Find(serial_metrics, "fcp_lcp_live_rows_total").counter_value,
-            serial.miner().stats().live_rows);
+  EXPECT_EQ(Find(serial_metrics, "fcp_lcp_rows_dropped_total").counter_value,
+            serial.miner().stats().lcp_rows_dropped);
+  // At min_pattern_size 2 SLCP reaches segments sharing one object with the
+  // trigger and builds them no row; the posting miners have no LCP table.
+  if (kind == MinerKind::kCooMine) {
+    EXPECT_GT(serial.miner().stats().lcp_rows_dropped, 0u);
+  } else {
+    EXPECT_EQ(serial.miner().stats().lcp_rows_dropped, 0u);
+  }
   EXPECT_EQ(
       Find(serial_metrics, "fcp_candidates_bound_passed_total").counter_value,
       serial.miner().stats().candidates_bound_passed);
@@ -148,9 +155,9 @@ TEST_P(MetricsConsistencyTest, SerialAndShardedAgreeOnSemanticCounters) {
                   .counter_value,
               stats.slcp_nodes_visited)
         << "shard " << s;
-    EXPECT_EQ(
-        Find(sharded_metrics, "fcp_lcp_live_rows_total" + label).counter_value,
-        stats.live_rows)
+    EXPECT_EQ(Find(sharded_metrics, "fcp_lcp_rows_dropped_total" + label)
+                  .counter_value,
+              stats.lcp_rows_dropped)
         << "shard " << s;
     EXPECT_EQ(Find(sharded_metrics,
                    "fcp_candidates_bound_passed_total" + label)
@@ -186,6 +193,41 @@ TEST_P(MetricsConsistencyTest, SerialAndShardedAgreeOnSemanticCounters) {
 
   // Same discoveries end-to-end, not just same counts.
   EXPECT_EQ(sharded.results().size(), serial.collector().results().size());
+}
+
+// Every segment SLCP reaches shares >= 1 mined object with the trigger, so
+// at min_pattern_size 1 none is dropped, serially or on any shard.
+TEST(MetricsConsistencyRowsDroppedTest, ReadsZeroAtMinSizeOne) {
+  MiningParams params = Params();
+  params.min_pattern_size = 1;
+  const std::vector<ObjectEvent> events = Trace();
+
+  MiningEngine serial(MinerKind::kCooMine, params);
+  for (const ObjectEvent& event : events) serial.PushEvent(event);
+  serial.Flush();
+  EXPECT_GT(serial.miner().stats().lcp_rows, 0u);
+  EXPECT_EQ(serial.miner().stats().lcp_rows_dropped, 0u);
+  EXPECT_EQ(Find(serial.SnapshotMetrics(), "fcp_lcp_rows_dropped_total")
+                .counter_value,
+            0u);
+
+  constexpr uint32_t kShards = 3;
+  ParallelEngineOptions options;
+  options.num_miner_shards = kShards;
+  ParallelEngine sharded(MinerKind::kCooMine, params, options);
+  for (const ObjectEvent& event : events) sharded.Push(event);
+  sharded.Finish();
+  const auto sharded_metrics = sharded.SnapshotMetrics();
+  for (uint32_t s = 0; s < kShards; ++s) {
+    const std::string label = "{shard=\"" + std::to_string(s) + "\"}";
+    EXPECT_GT(sharded.shard_miner(s).stats().lcp_rows, 0u) << "shard " << s;
+    EXPECT_EQ(sharded.shard_miner(s).stats().lcp_rows_dropped, 0u)
+        << "shard " << s;
+    EXPECT_EQ(Find(sharded_metrics, "fcp_lcp_rows_dropped_total" + label)
+                  .counter_value,
+              0u)
+        << "shard " << s;
+  }
 }
 
 TEST(MetricsConsistencyQueueTest, QueueGaugesBoundedUnderConcurrentSampling) {

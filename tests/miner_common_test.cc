@@ -1,5 +1,12 @@
 #include "core/miner.h"
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <type_traits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -42,6 +49,41 @@ TEST(DistinctObjectsCappedTest, NoCapKeepsAll) {
 TEST(DistinctObjectsCappedTest, CapTruncates) {
   const Segment g = MakeSegment(1, 0, {5, 3, 9, 1}, 0);
   EXPECT_EQ(DistinctObjectsCapped(g, 2), (std::vector<ObjectId>{1, 3}));
+}
+
+TEST(MinedObjectsTest, ViewsTheCappedDistinctPrefix) {
+  const Segment g = MakeSegment(1, 0, {5, 3, 1, 3});
+  const std::span<const ObjectId> all = MinedObjects(g, 0);
+  EXPECT_EQ(std::vector<ObjectId>(all.begin(), all.end()),
+            (std::vector<ObjectId>{1, 3, 5}));
+  const std::span<const ObjectId> capped = MinedObjects(g, 2);
+  EXPECT_EQ(std::vector<ObjectId>(capped.begin(), capped.end()),
+            DistinctObjectsCapped(g, 2));
+  EXPECT_EQ(MinedObjects(g, 8).size(), 3u);
+}
+
+// Every MinerStats field is a 64-bit counter, so the struct can be viewed as
+// an array of words: giving each word of both operands a distinct value
+// shows whether operator+= adds every field. A field added to the struct
+// but not to the sum fails here.
+TEST(MinerStatsTest, PlusEqualsAddsEveryField) {
+  static_assert(std::is_trivially_copyable_v<MinerStats>);
+  static_assert(sizeof(MinerStats) % sizeof(uint64_t) == 0);
+  constexpr size_t kWords = sizeof(MinerStats) / sizeof(uint64_t);
+  using Words = std::array<uint64_t, kWords>;
+  Words lhs_words;
+  Words rhs_words;
+  for (size_t i = 0; i < kWords; ++i) {
+    lhs_words[i] = 1000 + i;
+    rhs_words[i] = (i + 1) << 20;
+  }
+  MinerStats lhs = std::bit_cast<MinerStats>(lhs_words);
+  lhs += std::bit_cast<MinerStats>(rhs_words);
+  const Words sum_words = std::bit_cast<Words>(lhs);
+  for (size_t i = 0; i < kWords; ++i) {
+    EXPECT_EQ(sum_words[i], lhs_words[i] + rhs_words[i])
+        << "MinerStats word " << i << " is not summed by operator+=";
+  }
 }
 
 TEST(MinerKindTest, Names) {

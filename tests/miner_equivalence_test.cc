@@ -1,6 +1,7 @@
 // The central cross-validation property: CooMine, DIMine, MatrixMine and the
 // brute-force oracle produce identical FCPs (patterns AND supporting stream
-// sets) on every trigger, across random workloads and a parameter grid.
+// sets) on every trigger, across random workloads and a parameter grid that
+// includes min_pattern_size 1, 2 and 3.
 
 #include <memory>
 #include <vector>
@@ -23,6 +24,7 @@ struct GridParams {
   uint32_t theta;
   DurationMs tau;
   uint32_t max_k;
+  uint32_t min_size = 1;  ///< min_pattern_size
 };
 
 // Random multi-stream segment workload: segments arrive in end-time order,
@@ -55,7 +57,7 @@ TEST_P(MinerEquivalenceTest, AllMinersAgreeOnEveryTrigger) {
   params.xi = Minutes(2);
   params.tau = grid.tau;
   params.theta = grid.theta;
-  params.min_pattern_size = 1;
+  params.min_pattern_size = grid.min_size;
   params.max_pattern_size = grid.max_k;
   ASSERT_TRUE(params.Validate().ok());
 
@@ -67,9 +69,11 @@ TEST_P(MinerEquivalenceTest, AllMinersAgreeOnEveryTrigger) {
 
   const std::vector<Segment> workload = RandomWorkload(grid.seed, 150);
   std::vector<Fcp> reference, candidate;
+  size_t reference_fcps = 0;
   for (const Segment& segment : workload) {
     reference.clear();
     miners[0]->AddSegment(segment, &reference);
+    reference_fcps += reference.size();
     const auto want = SignaturesOf(reference);
     for (size_t i = 1; i < miners.size(); ++i) {
       candidate.clear();
@@ -80,8 +84,14 @@ TEST_P(MinerEquivalenceTest, AllMinersAgreeOnEveryTrigger) {
     }
   }
 
+  // The size-floor legs must report something, or they test nothing.
+  if (grid.min_size > 1) {
+    EXPECT_GT(reference_fcps, 0u) << "the workload mined nothing";
+  }
+
   // The Apriori miners run one driver and differ only in how support is
-  // computed, so they do identical work, not just produce identical output.
+  // computed (and drop the same supporters under the size floor), so they
+  // do identical work, not just produce identical output.
   const MinerStats& coo = miners[1]->stats();
   for (size_t i = 2; i < miners.size(); ++i) {
     const MinerStats& other = miners[i]->stats();
@@ -103,6 +113,12 @@ std::vector<GridParams> MakeGrid() {
     // Tight tau exercises expiry; large max_k exercises deep Apriori.
     grid.push_back({seed, 2, Minutes(3), 6});
     grid.push_back({seed, 4, Minutes(30), 3});
+    // A size floor: supporters sharing fewer than min_size objects with the
+    // trigger are left out by every Apriori miner.
+    for (uint32_t min_size : {2u, 3u}) {
+      grid.push_back({seed, 2, Minutes(10), 5, min_size});
+      grid.push_back({seed, 3, Minutes(30), 5, min_size});
+    }
   }
   return grid;
 }
@@ -113,7 +129,10 @@ INSTANTIATE_TEST_SUITE_P(
       return "seed" + std::to_string(info.param.seed) + "_theta" +
              std::to_string(info.param.theta) + "_tau" +
              std::to_string(info.param.tau / Minutes(1)) + "_k" +
-             std::to_string(info.param.max_k);
+             std::to_string(info.param.max_k) +
+             (info.param.min_size == 1
+                  ? ""
+                  : "_m" + std::to_string(info.param.min_size));
     });
 
 // Equivalence must also hold when segments come from the real segmenter over

@@ -1,5 +1,6 @@
 // Property tests: the Seg-tree under random workloads behaves exactly like a
-// naive segment store, and its structural invariants survive arbitrary
+// naive segment store — SLCP included, with and without a pattern-size floor
+// and per shard — and its structural invariants survive arbitrary
 // insert/expire interleavings (with and without graft-on-delete and
 // DistanceBound pruning).
 
@@ -166,13 +167,40 @@ TEST_P(SegTreePropertyTest, MatchesNaiveStoreUnderRandomWorkload) {
         for (uint32_t index = 0; index < count; ++index) {
           const ShardSpec shard{index, count};
           LcpTable table;
-          tree.SlcpInto(probe, now, kTau, nullptr, &table, shard);
+          tree.SlcpInto(probe.distinct_objects(), now, kTau, nullptr, &table,
+                        shard);
           bool well_formed = true;
           const auto shard_got =
               fcp::testing::SlcpRowsOf(table, probe, &well_formed);
           EXPECT_TRUE(well_formed) << "step=" << step;
           EXPECT_EQ(shard_got, fcp::testing::RowsOwnedBy(want, shard))
               << "step=" << step << " shard " << index << "/" << count;
+        }
+      }
+      // With a pattern-size floor m, the search (serial, and each shard of
+      // S in {2, 3}) returns exactly those rows that share >= m objects and
+      // counts every other segment it reached as dropped.
+      for (uint32_t min_common : {2u, 3u}) {
+        const auto floor_want =
+            fcp::testing::RowsWithAtLeast(want, min_common);
+        for (const ShardSpec shard :
+             {ShardSpec{}, ShardSpec{0, 2}, ShardSpec{1, 2}, ShardSpec{0, 3},
+              ShardSpec{1, 3}, ShardSpec{2, 3}}) {
+          LcpTable table;
+          tree.SlcpInto(probe.distinct_objects(), now, kTau, nullptr, &table,
+                        shard, min_common);
+          bool well_formed = true;
+          const auto floor_got =
+              fcp::testing::SlcpRowsOf(table, probe, &well_formed);
+          EXPECT_TRUE(well_formed) << "step=" << step;
+          EXPECT_EQ(floor_got, fcp::testing::RowsOwnedBy(floor_want, shard))
+              << "step=" << step << " m=" << min_common << " shard "
+              << shard.index << "/" << shard.count;
+          EXPECT_EQ(table.rows_dropped,
+                    fcp::testing::RowsOwnedBy(want, shard).size() -
+                        floor_got.size())
+              << "step=" << step << " m=" << min_common << " shard "
+              << shard.index << "/" << shard.count;
         }
       }
       // Lazily delete what the search flagged, mirroring CooMine.

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -203,7 +204,8 @@ TEST(SegTreeTest, SlcpReturnsObjectIdsNotProbePositions) {
   for (const ShardSpec shard :
        {ShardSpec{}, ShardSpec{0, 2}, ShardSpec{1, 2}}) {
     LcpTable table;
-    tree.SlcpInto(probe, 600, kTau, nullptr, &table, shard);
+    tree.SlcpInto(probe.distinct_objects(), 600, kTau, nullptr, &table,
+                  shard);
     for (const LcpTable::Row& row : table.rows) {
       std::vector<ObjectId> common;
       for (const uint32_t* pos = table.CommonBegin(row);
@@ -347,7 +349,8 @@ TEST(SegTreeTest, RepeatedObjectYieldsOnePositionPerRow) {
        {ShardSpec{}, ShardSpec{0, 2}, ShardSpec{1, 2}, ShardSpec{0, 3},
         ShardSpec{1, 3}, ShardSpec{2, 3}}) {
     LcpTable table;
-    tree.SlcpInto(probe, 30, kTau, nullptr, &table, shard);
+    tree.SlcpInto(probe.distinct_objects(), 30, kTau, nullptr, &table,
+                  shard);
     bool well_formed = true;
     const auto got = testing::SlcpRowsOf(table, probe, &well_formed);
     EXPECT_TRUE(well_formed) << shard.index << "/" << shard.count;
@@ -358,6 +361,91 @@ TEST(SegTreeTest, RepeatedObjectYieldsOnePositionPerRow) {
       positions += table.CommonSize(row);
     }
     EXPECT_EQ(table.common_pool.size(), positions);
+  }
+}
+
+// The shards a min_common SLCP test checks besides the serial search.
+constexpr ShardSpec kSlcpShards[] = {ShardSpec{},     ShardSpec{0, 2},
+                                     ShardSpec{1, 2}, ShardSpec{0, 3},
+                                     ShardSpec{1, 3}, ShardSpec{2, 3}};
+
+// At min_common 2 a segment sharing one probe object gets no row, even when
+// it carries that object twice (two chain nodes reach its tail for the same
+// position); it is counted as dropped.
+TEST(SegTreeTest, MinCommonTwoDropsARepeatedSingleSharedObject) {
+  SegTree tree;
+  tree.Insert(MakeSequence(1, 1, {c, d, c}, 0));
+  tree.Insert(MakeSequence(2, 2, {e, c, h}, 10));
+  const Segment probe = MakeSequence(3, 3, {c, e}, 20);
+  const std::map<SegmentId, std::vector<ObjectId>> want = {{2, {c, e}}};
+  for (const ShardSpec shard : kSlcpShards) {
+    LcpTable table;
+    tree.SlcpInto(probe.distinct_objects(), 20, kTau, nullptr, &table, shard,
+                  /*min_common=*/2);
+    bool well_formed = true;
+    EXPECT_EQ(testing::SlcpRowsOf(table, probe, &well_formed),
+              testing::RowsOwnedBy(want, shard))
+        << shard.index << "/" << shard.count;
+    EXPECT_TRUE(well_formed);
+    // Segment 1 is reached iff the shard owns c.
+    EXPECT_EQ(table.rows_dropped, shard.Owns(c) ? 1u : 0u)
+        << shard.index << "/" << shard.count;
+  }
+}
+
+// The serial search parks a tail's first hit and opens the row at the
+// second: the row still lists the parked position, first and ascending.
+TEST(SegTreeTest, MinCommonRowOpenedOnSecondHitListsTheFirst) {
+  SegTree tree;
+  tree.Insert(MakeSequence(1, 1, {e, c}, 0));
+  tree.Insert(MakeSequence(2, 2, {d}, 10));
+  const Segment probe = MakeSequence(3, 3, {c, d, e}, 20);  // c=0 d=1 e=2
+  LcpTable table;
+  tree.SlcpInto(probe.distinct_objects(), 20, kTau, nullptr, &table, {},
+                /*min_common=*/2);
+  ASSERT_EQ(table.rows.size(), 1u);
+  EXPECT_EQ(table.rows[0].segment, 1u);
+  EXPECT_EQ(std::vector<uint32_t>(table.CommonBegin(table.rows[0]),
+                                  table.CommonEnd(table.rows[0])),
+            (std::vector<uint32_t>{0, 2}));
+  EXPECT_EQ(table.common_pool.size(), 2u);
+  EXPECT_EQ(table.rows_dropped, 1u);  // segment 2 shares d only
+}
+
+// A miner passes only the probe objects it mines (the max_segment_objects
+// prefix): no position past that prefix is reported, and a segment sharing
+// fewer than min_common objects inside it is dropped even if it shares more
+// past it.
+TEST(SegTreeTest, MinCommonNeverReportsAPositionPastTheMinedPrefix) {
+  constexpr size_t kProbeObjects = 30;
+  constexpr size_t kCap = 24;
+  std::vector<ObjectId> ids;
+  std::vector<SegmentEntry> probe_entries;
+  for (size_t i = 0; i < kProbeObjects; ++i) {
+    ids.push_back(static_cast<ObjectId>(1000 + 7 * i));
+    probe_entries.push_back(SegmentEntry{ids.back(), 600});
+  }
+  const Segment probe(30, 3, std::move(probe_entries));
+  SegTree tree;
+  tree.Insert(MakeSegment(1, 1, {ids[1], ids[5], ids[25]}, 100));
+  tree.Insert(MakeSegment(2, 2, {ids[3], ids[26], ids[29]}, 200));
+  tree.Insert(MakeSegment(3, 3, {ids[24], ids[27]}, 300));
+  const std::span<const ObjectId> mined(probe.distinct_objects().data(),
+                                        kCap);
+  const std::map<SegmentId, std::vector<ObjectId>> want = {
+      {1, {ids[1], ids[5]}}};
+  for (const ShardSpec shard : kSlcpShards) {
+    LcpTable table;
+    tree.SlcpInto(mined, 600, kTau, nullptr, &table, shard,
+                  /*min_common=*/2);
+    for (const uint32_t position : table.common_pool) {
+      EXPECT_LT(position, kCap) << shard.index << "/" << shard.count;
+    }
+    bool well_formed = true;
+    EXPECT_EQ(testing::SlcpRowsOf(table, probe, &well_formed),
+              testing::RowsOwnedBy(want, shard))
+        << shard.index << "/" << shard.count;
+    EXPECT_TRUE(well_formed);
   }
 }
 
@@ -405,7 +493,8 @@ TEST(SegTreeTest, SlcpRowsStaySetExactUnderGraftAndRemoveChurn) {
     for (const ShardSpec shard : {ShardSpec{}, ShardSpec{1, 2}}) {
       for (int repeat = 0; repeat < 2; ++repeat) {
         LcpTable table;
-        tree.SlcpInto(probe, 0, kTau, nullptr, &table, shard);
+        tree.SlcpInto(probe.distinct_objects(), 0, kTau, nullptr, &table,
+                      shard);
         bool well_formed = true;
         const auto got = testing::SlcpRowsOf(table, probe, &well_formed);
         ASSERT_TRUE(well_formed) << "step=" << step;

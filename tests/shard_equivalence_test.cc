@@ -183,6 +183,37 @@ INSTANTIATE_TEST_SUITE_P(
                                          MinerKind::kMatrixMine),
                        ::testing::Values(2u, 3u, 8u)));
 
+// The same contract under a pattern-size floor, where CooMine's SLCP drops
+// the segments sharing too few objects (the sharded search after its merge)
+// and the posting miners drop the same supporters.
+class ShardEquivalenceMinSizeTest
+    : public ::testing::TestWithParam<std::tuple<MinerKind, uint32_t>> {};
+
+TEST_P(ShardEquivalenceMinSizeTest, UnionOfShardsEqualsSerialMultiset) {
+  const auto [kind, min_size] = GetParam();
+  MiningParams params = Params();
+  params.min_pattern_size = min_size;
+  for (uint64_t seed : {11u, 12u}) {
+    const std::vector<Segment> segments = RandomSegments(seed, {});
+    const std::vector<FcpSignature> serial =
+        FullSignatures(MineSerial(kind, params, segments));
+    ASSERT_FALSE(serial.empty()) << "workload mined nothing (seed " << seed
+                                 << ") — the test is vacuous";
+    for (uint32_t num_shards : {2u, 3u, 8u}) {
+      EXPECT_EQ(FullSignatures(MineSharded(kind, params, num_shards, segments)),
+                serial)
+          << "seed " << seed << ", " << num_shards << " shards";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMiners, ShardEquivalenceMinSizeTest,
+    ::testing::Combine(::testing::Values(MinerKind::kCooMine,
+                                         MinerKind::kDiMine,
+                                         MinerKind::kMatrixMine),
+                       ::testing::Values(2u, 3u)));
+
 // The Seg-tree lays each run of simultaneous objects rare-first; the order a
 // run arrives in must not reach the output, serial or sharded.
 TEST(ShardEquivalenceTest, TiedEntryOrderDoesNotChangeCooMineOutput) {

@@ -156,6 +156,17 @@ inline std::map<SegmentId, std::vector<ObjectId>> RowsOwnedBy(
   return owned;
 }
 
+/// The rows of `rows` an SLCP with min_common `m` returns: those whose
+/// common set holds >= m objects.
+inline std::map<SegmentId, std::vector<ObjectId>> RowsWithAtLeast(
+    const std::map<SegmentId, std::vector<ObjectId>>& rows, size_t m) {
+  std::map<SegmentId, std::vector<ObjectId>> kept;
+  for (const auto& [id, common] : rows) {
+    if (common.size() >= m) kept.emplace(id, common);
+  }
+  return kept;
+}
+
 /// Pretty-printer for gtest failure messages.
 inline std::string ToString(const Pattern& pattern) {
   std::string out = "{";

@@ -459,16 +459,7 @@ int main(int argc, char** argv) {
     for (uint32_t s = 0; s < engine.num_miner_shards(); ++s) {
       const fcp::FcpMiner& miner = engine.shard_miner(s);
       index_bytes += miner.MemoryUsage();
-      const fcp::MinerStats& shard_stats = miner.stats();
-      stats.mining_ns += shard_stats.mining_ns;
-      stats.slcp_ns += shard_stats.slcp_ns;
-      stats.maintenance_ns += shard_stats.maintenance_ns;
-      stats.candidates_checked += shard_stats.candidates_checked;
-      stats.candidates_bound_passed += shard_stats.candidates_bound_passed;
-      stats.lcp_rows += shard_stats.lcp_rows;
-      stats.live_rows += shard_stats.live_rows;
-      stats.slcp_nodes_visited += shard_stats.slcp_nodes_visited;
-      stats.segments_expired += shard_stats.segments_expired;
+      stats += miner.stats();
     }
     finish_run(engine);
   } else {
@@ -563,7 +554,7 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "  mining %.1f ms (slcp %.1f ms), maintenance %.1f ms, candidates "
-        "%llu (%llu past the bound), lcp rows %llu (%llu live), slcp nodes "
+        "%llu (%llu past the bound), lcp rows %llu (%llu dropped), slcp nodes "
         "visited %llu, expired %llu, reordered events %llu\n",
         static_cast<double>(stats.mining_ns) / 1e6,
         static_cast<double>(stats.slcp_ns) / 1e6,
@@ -571,7 +562,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.candidates_checked),
         static_cast<unsigned long long>(stats.candidates_bound_passed),
         static_cast<unsigned long long>(stats.lcp_rows),
-        static_cast<unsigned long long>(stats.live_rows),
+        static_cast<unsigned long long>(stats.lcp_rows_dropped),
         static_cast<unsigned long long>(stats.slcp_nodes_visited),
         static_cast<unsigned long long>(stats.segments_expired),
         static_cast<unsigned long long>(events_reordered));
