@@ -24,11 +24,15 @@
 // performs no heap allocations.
 //
 // When constructed as one shard of a sharded group (ShardSpec), the Apriori
-// pass is restricted to the patterns the shard owns: SLCP only returns rows
-// sharing >= 1 owned probe object (every supporting row of an owned pattern
-// contains its owned minimum object, so this drops nothing), the size-2 join
+// pass is restricted to the patterns the shard owns: SLCP returns a row only
+// for a segment sharing >= 1 owned probe object, holding its common objects
+// from the first owned one onward (an owned pattern's minimum is owned and
+// its other objects are larger, so every supporter's row still holds the
+// whole pattern and the owned patterns' supports are exact), the size-2 join
 // only extends owned first objects, and subset pruning skips subsets whose
-// minimum the shard cannot verify locally. With the default ShardSpec the
+// minimum the shard cannot verify locally. A non-owned singleton's support
+// may shrink, but never below that of an owned pattern containing it, so
+// the downward-closure prune stays sound. With the default ShardSpec the
 // filter is the identity.
 
 #ifndef FCP_CORE_COOMINE_H_

@@ -43,10 +43,12 @@ struct MinerStats {
                                    ///< for CooMine, posting/matrix probes
                                    ///< for DIMine/MatrixMine)
   uint64_t lcp_rows = 0;           ///< CooMine: LCP-table rows built
-  uint64_t lcp_rows_dropped = 0;   ///< CooMine: segments SLCP reached that
-                                   ///< share fewer than min_pattern_size
-                                   ///< mined probe objects, so get no row
-                                   ///< (0 at min_pattern_size 1 and for
+  uint64_t lcp_rows_dropped = 0;   ///< CooMine: segments SLCP reached
+                                   ///< whose row would hold fewer than
+                                   ///< min_pattern_size mined probe objects
+                                   ///< (on a shard: from the first owned
+                                   ///< one), so get no row (0 at
+                                   ///< min_pattern_size 1 and for
                                    ///< DIMine/MatrixMine)
   uint64_t slcp_nodes_visited = 0; ///< CooMine: Seg-tree nodes visited by
                                    ///< SLCP's DistanceBound searches (0 for

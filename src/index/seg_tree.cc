@@ -500,6 +500,53 @@ std::vector<SegmentId> SegTree::RelevantSegments(ObjectId object,
   return result;
 }
 
+namespace {
+
+// The position of the first probe object `shard` owns, or the probe's size.
+size_t FirstOwned(std::span<const ObjectId> probe_objects,
+                  const ShardSpec& shard) {
+  size_t pos = 0;
+  while (pos < probe_objects.size() && !shard.Owns(probe_objects[pos])) ++pos;
+  return pos;
+}
+
+}  // namespace
+
+bool SegTree::SuffixWalkIsCheaper(std::span<const ObjectId> probe_objects,
+                                  size_t begin, const ShardSpec& shard) const {
+  // Two cursors step through the Hlist chains of the owned and of the other
+  // suffix positions, one node at a time. The other cursor leads by at most
+  // one node, so whichever set of chains runs out first is the shorter, and
+  // the count costs about twice the shorter length, however long the other.
+  struct Cursor {
+    bool owned;
+    size_t pos;  // the next probe position to open
+    const Node* node = nullptr;
+  };
+  auto step = [&](Cursor& c) {
+    if (c.node != nullptr) c.node = c.node->hnext;
+    while (c.node == nullptr) {
+      if (c.pos == probe_objects.size()) return false;
+      const ObjectId object = probe_objects[c.pos++];
+      if (shard.Owns(object) != c.owned) continue;
+      Node* const* head = hlist_.Find(object);
+      if (head != nullptr) c.node = *head;
+    }
+    return true;
+  };
+  Cursor owned{.owned = true, .pos = begin};
+  Cursor other{.owned = false, .pos = begin};
+  uint64_t owned_nodes = 0;
+  uint64_t other_nodes = 0;
+  for (;;) {
+    if (!step(other)) return true;  // other_nodes <= owned_nodes
+    if (++other_nodes > owned_nodes) {
+      if (!step(owned)) return false;  // the owned chains are shorter
+      ++owned_nodes;
+    }
+  }
+}
+
 void SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
                        DurationMs tau, std::vector<SegmentId>* expired,
                        LcpTable* out, const ShardSpec& shard,
@@ -509,36 +556,167 @@ void SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
   // epoch has already been reached. The epoch is 64 bit and only grows, so
   // stamps left by earlier calls (or copied by graft) never need clearing.
   const uint64_t epoch = ++probe_epoch_;
-  std::vector<const TailEntry*>& hits = tail_hits_;
 
-  if (!shard.IsSingleton()) {
-    // Two-phase ownership-filtered search (see the header comment).
-    //
-    // Phase 1: the chains of the owned probe objects find every segment
-    // whose common set contains >= 1 owned object — exactly the rows a
-    // shard-owned pattern can draw support from.
-    hits.clear();
-    for (ObjectId object : probe_objects) {
-      if (!shard.Owns(object)) continue;
-      Node* const* head = hlist_.Find(object);
-      if (head == nullptr) continue;
-      for (const Node* n = *head; n != nullptr; n = n->hnext) {
-        CollectRelevantTails(n, now, tau, &hits, expired);
-      }
+  const size_t np = probe_objects.size();
+  if (shard.IsSingleton()) {
+    WalkSuffix(probe_objects, 0, shard, now, tau, expired, out, min_common,
+               epoch);
+  } else if (size_t begin = FirstOwned(probe_objects, shard); begin < np) {
+    // Owned-suffix search (see the header comment): every owned pattern
+    // lies in probe[begin..], so no position before the first owned one is
+    // searched. Of the two ways to build the rows, the walk searches the
+    // non-owned suffix chains as well and the verify merges every tail the
+    // owned chains reach; the chain lengths pick the cheaper one.
+    if (SuffixWalkIsCheaper(probe_objects, begin, shard)) {
+      ++stats_.slcp_suffix_walks;
+      WalkSuffix(probe_objects, begin, shard, now, tau, expired, out,
+                 min_common, epoch);
+    } else {
+      ++stats_.slcp_owned_verifies;
+      VerifyOwned(probe_objects, begin, shard, now, tau, expired, out,
+                  min_common, epoch);
     }
+  }
+  // Lazy deletion removes these in id order; the list is short.
+  if (expired != nullptr) {
+    std::sort(expired->begin(), expired->end());
+    expired->erase(std::unique(expired->begin(), expired->end()),
+                   expired->end());
+  }
+}
 
-    // Phase 2: reconstruct each live row's full common set (owned objects
-    // alone are not enough — patterns extend past the minimum object) as
-    // probe ∩ segment, one linear merge of two small sorted arrays per row
-    // (TailEntry::objects is the segment's sorted distinct object list),
-    // recording each match by its probe position. A tail reached through
-    // several owned objects is handled the first time only. A segment with
-    // fewer than min_common objects cannot reach it, so it skips the merge;
-    // a merge that ends short is rolled back.
+void SegTree::WalkSuffix(std::span<const ObjectId> probe_objects,
+                         size_t begin, const ShardSpec& shard, Timestamp now,
+                         DurationMs tau, std::vector<SegmentId>* expired,
+                         LcpTable* out, uint32_t min_common,
+                         uint64_t epoch) const {
+  // Gather one (row, position) hit per segment and probe position. Until the
+  // rows are laid out, a row's common_begin counts its positions and
+  // common_end holds its last position + 1. A segment carrying an object
+  // twice is reached from two chain nodes for the same position; the second
+  // hit is dropped here, so the counts are exact.
+  //
+  // Only a hit at an owned position reaches an unstamped tail; hits at other
+  // positions count only once the tail has one. Positions ascend, so each
+  // row opens at its first owned object (the serial shard owns all). With
+  // min_common = 1 that hit opens the row. Otherwise it only parks its
+  // position in probe_row under kPendingRow, and the first hit at another
+  // position opens the row with both: a segment sharing one probe object
+  // never gets a Row or a Hit.
+  const bool park_first_hit = min_common >= 2;
+  uint64_t parked = 0;  // tails whose only hit so far is parked
+  std::vector<const TailEntry*>& hits = tail_hits_;
+  std::vector<Hit>& hit_records = hit_records_;
+  hit_records.clear();
+  for (size_t pos = begin; pos < probe_objects.size(); ++pos) {
+    Node* const* head = hlist_.Find(probe_objects[pos]);
+    if (head == nullptr) continue;
+    hits.clear();
+    for (const Node* n = *head; n != nullptr; n = n->hnext) {
+      CollectRelevantTails(n, now, tau, &hits, expired);
+    }
+    const bool owned = shard.Owns(probe_objects[pos]);
+    const uint32_t position = static_cast<uint32_t>(pos);
+    for (const TailEntry* t : hits) {
+      if (t->probe_epoch != epoch) {
+        if (!owned) continue;
+        t->probe_epoch = epoch;
+        if (park_first_hit) {
+          t->probe_row = kPendingRow | position;
+          ++parked;
+          continue;
+        }
+        t->probe_row = static_cast<uint32_t>(out->rows.size());
+        out->rows.push_back(LcpTable::Row{.segment = t->segment,
+                                          .stream = t->stream,
+                                          .start = t->start,
+                                          .end = t->end});
+      } else if ((t->probe_row & kPendingRow) != 0) {
+        const uint32_t first = t->probe_row & ~kPendingRow;
+        if (first == position) continue;  // repeated object
+        --parked;
+        t->probe_row = static_cast<uint32_t>(out->rows.size());
+        out->rows.push_back(LcpTable::Row{.segment = t->segment,
+                                          .stream = t->stream,
+                                          .start = t->start,
+                                          .end = t->end,
+                                          .common_begin = 1,
+                                          .common_end = first + 1});
+        hit_records.push_back(Hit{t->probe_row, first});
+      }
+      LcpTable::Row& row = out->rows[t->probe_row];
+      if (row.common_end == position + 1) continue;  // repeated object
+      row.common_end = position + 1;
+      ++row.common_begin;
+      hit_records.push_back(Hit{t->probe_row, position});
+    }
+  }
+  out->rows_dropped = parked;
+  // Lay the rows out back to back (prefix sum of the counts), then place
+  // every hit in one pass. The outer loop above walked positions in
+  // ascending order, so each row's positions land ascending. A row with
+  // fewer than min_common positions (possible for min_common >= 3) gets no
+  // slice and is dropped after the placement.
+  constexpr uint32_t kDropped = ~uint32_t{0};
+  uint32_t offset = 0;
+  uint64_t short_rows = 0;
+  for (LcpTable::Row& row : out->rows) {
+    const uint32_t count = row.common_begin;
+    if (count < min_common) {
+      row.common_begin = kDropped;
+      ++short_rows;
+      continue;
+    }
+    row.common_begin = row.common_end = offset;
+    offset += count;
+  }
+  out->common_pool.resize(offset);
+  for (const Hit& hit : hit_records) {
+    LcpTable::Row& row = out->rows[hit.row];
+    if (row.common_begin != kDropped) {
+      out->common_pool[row.common_end++] = hit.position;
+    }
+  }
+  if (short_rows > 0) {
+    std::erase_if(out->rows, [](const LcpTable::Row& row) {
+      return row.common_begin == kDropped;
+    });
+    out->rows_dropped += short_rows;
+  }
+}
+
+void SegTree::VerifyOwned(std::span<const ObjectId> probe_objects,
+                          size_t begin, const ShardSpec& shard, Timestamp now,
+                          DurationMs tau, std::vector<SegmentId>* expired,
+                          LcpTable* out, uint32_t min_common,
+                          uint64_t epoch) const {
+  // Only the owned chains are searched, in ascending position order, so a
+  // tail is first reached at its smallest owned position p. Its row is p
+  // followed by probe[p+1..] ∩ segment: one merge of two sorted arrays
+  // (TailEntry::objects is the segment's sorted distinct object list),
+  // started past probe[p] on both sides. A tail that cannot reach
+  // min_common objects skips the merge; a merge that ends short is rolled
+  // back.
+  const size_t np = probe_objects.size();
+  const ObjectId* const probe = probe_objects.data();
+  std::vector<const TailEntry*>& hits = tail_hits_;
+  for (size_t pos = begin; pos < np; ++pos) {
+    if (!shard.Owns(probe[pos])) continue;
+    Node* const* head = hlist_.Find(probe[pos]);
+    if (head == nullptr) continue;
+    hits.clear();
+    for (const Node* n = *head; n != nullptr; n = n->hnext) {
+      CollectRelevantTails(n, now, tau, &hits, expired);
+    }
     for (const TailEntry* t : hits) {
       if (t->probe_epoch == epoch) continue;
       t->probe_epoch = epoch;
-      if (t->objects.size() < min_common) {
+      const ObjectId* b =
+          std::upper_bound(t->objects.begin(), t->objects.end(), probe[pos]);
+      const ObjectId* const be = t->objects.end();
+      const size_t reachable =
+          1 + std::min(np - pos - 1, static_cast<size_t>(be - b));
+      if (reachable < min_common) {
         ++out->rows_dropped;
         continue;
       }
@@ -547,18 +725,16 @@ void SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
                         .start = t->start,
                         .end = t->end};
       row.common_begin = static_cast<uint32_t>(out->common_pool.size());
-      const ObjectId* a = probe_objects.data();
-      const ObjectId* const ae = a + probe_objects.size();
-      const ObjectId* b = t->objects.begin();
-      const ObjectId* const be = t->objects.end();
+      out->common_pool.push_back(static_cast<uint32_t>(pos));
+      const ObjectId* a = probe + pos + 1;
+      const ObjectId* const ae = probe + np;
       while (a != ae && b != be) {
         if (*a < *b) {
           ++a;
         } else if (*b < *a) {
           ++b;
         } else {
-          out->common_pool.push_back(
-              static_cast<uint32_t>(a - probe_objects.data()));
+          out->common_pool.push_back(static_cast<uint32_t>(a - probe));
           ++a;
           ++b;
         }
@@ -571,100 +747,6 @@ void SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
       }
       out->rows.push_back(row);
     }
-  } else {
-    // Gather one (row, position) hit per segment and probe object. Until the
-    // rows are laid out, a row's common_begin counts its positions and
-    // common_end holds its last position + 1. A segment carrying an object
-    // twice is reached from two chain nodes for the same position; the
-    // second hit is dropped here, so the counts are exact.
-    //
-    // With min_common = 1 a tail's first hit opens its row. Otherwise the
-    // first hit only parks its position in probe_row under kPendingRow, and
-    // the first hit at another position opens the row with both: a segment
-    // sharing one probe object never gets a Row or a Hit.
-    const bool park_first_hit = min_common >= 2;
-    uint64_t parked = 0;  // tails whose only hit so far is parked
-    std::vector<Hit>& hit_records = hit_records_;
-    hit_records.clear();
-    for (size_t pos = 0; pos < probe_objects.size(); ++pos) {
-      Node* const* head = hlist_.Find(probe_objects[pos]);
-      if (head == nullptr) continue;
-      hits.clear();
-      for (const Node* n = *head; n != nullptr; n = n->hnext) {
-        CollectRelevantTails(n, now, tau, &hits, expired);
-      }
-      const uint32_t position = static_cast<uint32_t>(pos);
-      for (const TailEntry* t : hits) {
-        if (t->probe_epoch != epoch) {
-          t->probe_epoch = epoch;
-          if (park_first_hit) {
-            t->probe_row = kPendingRow | position;
-            ++parked;
-            continue;
-          }
-          t->probe_row = static_cast<uint32_t>(out->rows.size());
-          out->rows.push_back(LcpTable::Row{.segment = t->segment,
-                                            .stream = t->stream,
-                                            .start = t->start,
-                                            .end = t->end});
-        } else if ((t->probe_row & kPendingRow) != 0) {
-          const uint32_t first = t->probe_row & ~kPendingRow;
-          if (first == position) continue;  // repeated object
-          --parked;
-          t->probe_row = static_cast<uint32_t>(out->rows.size());
-          out->rows.push_back(LcpTable::Row{.segment = t->segment,
-                                            .stream = t->stream,
-                                            .start = t->start,
-                                            .end = t->end,
-                                            .common_begin = 1,
-                                            .common_end = first + 1});
-          hit_records.push_back(Hit{t->probe_row, first});
-        }
-        LcpTable::Row& row = out->rows[t->probe_row];
-        if (row.common_end == position + 1) continue;  // repeated object
-        row.common_end = position + 1;
-        ++row.common_begin;
-        hit_records.push_back(Hit{t->probe_row, position});
-      }
-    }
-    out->rows_dropped = parked;
-    // Lay the rows out back to back (prefix sum of the counts), then place
-    // every hit in one pass. The outer loop above walked positions in
-    // ascending order, so each row's positions land ascending. A row with
-    // fewer than min_common positions (possible for min_common >= 3) gets
-    // no slice and is dropped after the placement.
-    constexpr uint32_t kDropped = ~uint32_t{0};
-    uint32_t offset = 0;
-    uint64_t short_rows = 0;
-    for (LcpTable::Row& row : out->rows) {
-      const uint32_t count = row.common_begin;
-      if (count < min_common) {
-        row.common_begin = kDropped;
-        ++short_rows;
-        continue;
-      }
-      row.common_begin = row.common_end = offset;
-      offset += count;
-    }
-    out->common_pool.resize(offset);
-    for (const Hit& hit : hit_records) {
-      LcpTable::Row& row = out->rows[hit.row];
-      if (row.common_begin != kDropped) {
-        out->common_pool[row.common_end++] = hit.position;
-      }
-    }
-    if (short_rows > 0) {
-      std::erase_if(out->rows, [](const LcpTable::Row& row) {
-        return row.common_begin == kDropped;
-      });
-      out->rows_dropped += short_rows;
-    }
-  }
-  // Lazy deletion removes these in id order; the list is short.
-  if (expired != nullptr) {
-    std::sort(expired->begin(), expired->end());
-    expired->erase(std::unique(expired->begin(), expired->end()),
-                   expired->end());
   }
 }
 

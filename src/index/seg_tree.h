@@ -73,6 +73,11 @@ struct SegTreeStats {
   uint64_t subtrees_reattached = 0;
   uint64_t subtrees_grafted = 0;
   uint64_t distance_bound_visits = 0;  ///< nodes popped in DistanceBound
+  /// Sharded SLCP probes (with an owned probe object) whose rows the
+  /// owned-suffix walk built, and those the owned-chain verify built (see
+  /// SlcpInto). The serial search counts in neither.
+  uint64_t slcp_suffix_walks = 0;
+  uint64_t slcp_owned_verifies = 0;
 };
 
 /// One row of an SLCP result: an existing segment and the set of objects it
@@ -94,9 +99,11 @@ struct LcpRow {
 /// per-object tidsets by the same positions, so it sets a row's bits without
 /// merging the row against the probe again. Positions ascend within a row,
 /// in the same order as the ids they stand for, because the probe's objects
-/// are sorted. Every row's common set holds at least the `min_common` objects
-/// SlcpInto was asked for; `rows_dropped` counts the segments SLCP reached
-/// that shared fewer. Rows come in the order SLCP first reached each segment,
+/// are sorted. A serial row holds the whole common set; a shard's row holds
+/// the common set from its first owned object onward (SlcpInto's `shard`).
+/// Every row holds at least the `min_common` objects SlcpInto was asked
+/// for; `rows_dropped` counts the segments SLCP reached whose row would
+/// hold fewer. Rows come in the order SLCP first reached each segment,
 /// not in segment-id order: the table is read as a set (supporting streams
 /// are counted distinct and sorted, windows are a min/max), so grouping needs
 /// no sort. Clearing keeps the capacity, so a table reused across triggers
@@ -114,7 +121,7 @@ struct LcpTable {
 
   std::vector<Row> rows;
   std::vector<uint32_t> common_pool;  ///< ascending probe positions per row
-  uint64_t rows_dropped = 0;  ///< segments reached with < min_common objects
+  uint64_t rows_dropped = 0;  ///< segments reached, rows < min_common long
 
   void Clear() {
     rows.clear();
@@ -188,22 +195,30 @@ class SegTree {
   /// whose common set holds fewer than m probe objects: such a segment
   /// contains no pattern of size >= m, so it supports nothing the miner
   /// reports. Dropped segments are counted in `out->rows_dropped`. With
-  /// m >= 2 the serial search builds no row for a segment's first hit, only
+  /// m >= 2 the walking search builds no row for a segment's first hit, only
   /// parks its position on the tail entry; the second distinct position
   /// opens the row. Most segments share a single object with the probe, so
   /// most tails never get a row.
   ///
-  /// `shard` restricts the result to rows that can support a pattern OWNED
-  /// by the shard (min-object ownership, see common/shard.h): a row is
-  /// returned iff its common set contains >= 1 owned object. A non-singleton
-  /// shard switches to a two-phase search that only walks the Hlist chains
-  /// of the *owned* probe objects — an owned pattern's minimum object is an
-  /// owned probe object, so each of its supporters is found there — and then
-  /// reconstructs each hit row's full common set as probe ∩ segment. Skipping
-  /// the non-owned chains (which include the hottest objects for most
-  /// shards) is what makes the sharded probe cheaper than 1/S of the serial
-  /// one. Expired segments are only discovered on the chains actually
-  /// walked; the periodic RemoveExpired sweep covers the rest.
+  /// `shard` restricts the result to what a pattern OWNED by the shard
+  /// (min-object ownership, see common/shard.h) can draw support from. An
+  /// owned pattern's minimum object is owned and its other objects are
+  /// larger, so within a supporter's common set it lies at or after the
+  /// first owned object. A shard's row for segment G is therefore
+  /// {x in probe ∩ G : x >= o}, o the smallest owned object of probe ∩ G;
+  /// a segment sharing no owned object gets no row, and `rows_dropped`
+  /// counts the segments that share one but whose row is shorter than
+  /// min_common. Only the probe suffix from the first owned position is
+  /// searched, in one of two ways, chosen per call by which Hlist chains
+  /// are longer (slcp_suffix_walks / slcp_owned_verifies in stats()):
+  ///  - suffix walk, when the non-owned suffix chains hold no more nodes
+  ///    than the owned ones: the serial gather over the suffix, except that
+  ///    only a hit at an owned position reaches a tail first;
+  ///  - owned verify, otherwise: only the owned chains are searched, and
+  ///    each tail's row is its first owned position p plus the merge of
+  ///    probe[p+1..] with the segment's sorted distinct objects.
+  /// Expired segments are only discovered on the chains actually searched;
+  /// the periodic RemoveExpired sweep covers the rest.
   void SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
                 DurationMs tau, std::vector<SegmentId>* expired,
                 LcpTable* out, const ShardSpec& shard = {},
@@ -280,16 +295,16 @@ class SegTree {
     StreamId stream;
     Timestamp start;
     Timestamp end;
-    // Sorted distinct objects of the segment (object_arena_-backed). The
-    // ownership-filtered SLCP reconstructs a hit row's common set as
-    // probe ∩ objects with one contiguous merge instead of backtracking the
-    // node path (pointer chases). Owned by exactly one TailEntry; released
-    // in RemoveSegmentPath (graft moves entries by value, transferring the
-    // chunk).
+    // Sorted distinct objects of the segment (object_arena_-backed). Read
+    // by the sharded SLCP's owned verify, which builds a row as probe ∩
+    // objects with one contiguous merge instead of backtracking the node
+    // path (pointer chases), and by RemoveSegmentPath to take back tie
+    // counts. Owned by exactly one TailEntry; released in RemoveSegmentPath
+    // (graft moves entries by value, transferring the chunk).
     PooledVec<ObjectId> objects;
     // SlcpInto's grouping stamp: the current probe already reached the tail
-    // iff probe_epoch equals the tree's probe_epoch_. Then, on the serial
-    // path, probe_row is the tail's row index, or — under kPendingRow, while
+    // iff probe_epoch equals the tree's probe_epoch_. Then, on the walking
+    // paths, probe_row is the tail's row index, or — under kPendingRow, while
     // a min_common >= 2 search has seen one hit and built no row — the
     // position of that hit. A stale stamp is simply older than every later
     // epoch, so copies made by graft need no reset.
@@ -314,7 +329,7 @@ class SegTree {
   // TailEntry::probe_row's flag for a parked first hit (see there).
   static constexpr uint32_t kPendingRow = uint32_t{1} << 31;
 
-  // One (row, probe-object) hit of the serial SLCP. `row` indexes the
+  // One (row, probe-object) hit of the SLCP walk. `row` indexes the
   // output table's rows; `position` indexes the probe objects.
   struct Hit {
     uint32_t row;
@@ -344,6 +359,21 @@ class SegTree {
   void CollectRelevantTails(const Node* start, Timestamp now, DurationMs tau,
                             std::vector<const TailEntry*>* out,
                             std::vector<SegmentId>* expired) const;
+  // True iff the Hlist chains of the probe positions [begin, size) that
+  // `shard` does not own hold no more nodes than those of the owned ones.
+  bool SuffixWalkIsCheaper(std::span<const ObjectId> probe_objects,
+                           size_t begin, const ShardSpec& shard) const;
+  // SlcpInto's two ways of building the table over probe positions
+  // [begin, size): the walk gathers hits over every suffix chain, the
+  // verify searches the owned chains and merges (see SlcpInto).
+  void WalkSuffix(std::span<const ObjectId> probe_objects, size_t begin,
+                  const ShardSpec& shard, Timestamp now, DurationMs tau,
+                  std::vector<SegmentId>* expired, LcpTable* out,
+                  uint32_t min_common, uint64_t epoch) const;
+  void VerifyOwned(std::span<const ObjectId> probe_objects, size_t begin,
+                   const ShardSpec& shard, Timestamp now, DurationMs tau,
+                   std::vector<SegmentId>* expired, LcpTable* out,
+                   uint32_t min_common, uint64_t epoch) const;
 
   SegTreeOptions options_;
   ObjectPool<Node> pool_;
@@ -377,7 +407,7 @@ class SegTree {
   // holds it whichever thread runs the search. Searches are const; the
   // buffers are not observable state.
   mutable std::vector<SearchItem> search_queue_;     // CollectRelevantTails
-  mutable std::vector<Hit> hit_records_;             // serial SLCP hits
+  mutable std::vector<Hit> hit_records_;             // SLCP walk hits
   mutable std::vector<const TailEntry*> tail_hits_;  // SLCP tail hits
   mutable uint64_t probe_epoch_ = 0;  // bumped once per SlcpInto call
   mutable SegTreeStats stats_;

@@ -1,6 +1,6 @@
 // Property tests: the Seg-tree under random workloads behaves exactly like a
 // naive segment store — SLCP included, with and without a pattern-size floor
-// and per shard — and its structural invariants survive arbitrary
+// and per shard (each shard's rows against the owned-suffix oracle) — and its structural invariants survive arbitrary
 // insert/expire interleavings (with and without graft-on-delete and
 // DistanceBound pruning).
 
@@ -161,28 +161,11 @@ TEST_P(SegTreePropertyTest, MatchesNaiveStoreUnderRandomWorkload) {
       const auto want = naive.Slcp(probe, now);
       EXPECT_EQ(got, want) << "step=" << step;
       EXPECT_EQ(rows.size(), got.size()) << "a segment has two rows";
-      // Each shard's ownership-filtered search returns exactly the naive
-      // rows that share >= 1 owned object, with their full common sets.
-      for (uint32_t count : {2u, 3u}) {
-        for (uint32_t index = 0; index < count; ++index) {
-          const ShardSpec shard{index, count};
-          LcpTable table;
-          tree.SlcpInto(probe.distinct_objects(), now, kTau, nullptr, &table,
-                        shard);
-          bool well_formed = true;
-          const auto shard_got =
-              fcp::testing::SlcpRowsOf(table, probe, &well_formed);
-          EXPECT_TRUE(well_formed) << "step=" << step;
-          EXPECT_EQ(shard_got, fcp::testing::RowsOwnedBy(want, shard))
-              << "step=" << step << " shard " << index << "/" << count;
-        }
-      }
-      // With a pattern-size floor m, the search (serial, and each shard of
-      // S in {2, 3}) returns exactly those rows that share >= m objects and
-      // counts every other segment it reached as dropped.
-      for (uint32_t min_common : {2u, 3u}) {
-        const auto floor_want =
-            fcp::testing::RowsWithAtLeast(want, min_common);
+      // With a pattern-size floor m, the search — serial, and each shard
+      // of S in {2, 3} — returns exactly the oracle's rows: the common set
+      // from the first owned object onward, kept iff it holds >= m objects.
+      // Every other segment sharing an owned object is counted as dropped.
+      for (uint32_t min_common : {1u, 2u, 3u}) {
         for (const ShardSpec shard :
              {ShardSpec{}, ShardSpec{0, 2}, ShardSpec{1, 2}, ShardSpec{0, 3},
               ShardSpec{1, 3}, ShardSpec{2, 3}}) {
@@ -190,15 +173,16 @@ TEST_P(SegTreePropertyTest, MatchesNaiveStoreUnderRandomWorkload) {
           tree.SlcpInto(probe.distinct_objects(), now, kTau, nullptr, &table,
                         shard, min_common);
           bool well_formed = true;
-          const auto floor_got =
+          const auto shard_got =
               fcp::testing::SlcpRowsOf(table, probe, &well_formed);
           EXPECT_TRUE(well_formed) << "step=" << step;
-          EXPECT_EQ(floor_got, fcp::testing::RowsOwnedBy(floor_want, shard))
+          uint64_t dropped = 0;
+          EXPECT_EQ(shard_got,
+                    fcp::testing::ShardRowsOf(want, shard, min_common,
+                                              &dropped))
               << "step=" << step << " m=" << min_common << " shard "
               << shard.index << "/" << shard.count;
-          EXPECT_EQ(table.rows_dropped,
-                    fcp::testing::RowsOwnedBy(want, shard).size() -
-                        floor_got.size())
+          EXPECT_EQ(table.rows_dropped, dropped)
               << "step=" << step << " m=" << min_common << " shard "
               << shard.index << "/" << shard.count;
         }
@@ -214,6 +198,9 @@ TEST_P(SegTreePropertyTest, MatchesNaiveStoreUnderRandomWorkload) {
     EXPECT_EQ(tree.total_objects(), naive.total_objects());
   }
   tree.CheckInvariants();
+  // The shard probes above took both ways of building their rows.
+  EXPECT_GT(tree.stats().slcp_suffix_walks, 0u);
+  EXPECT_GT(tree.stats().slcp_owned_verifies, 0u);
   // Compression never goes negative: node count <= stored objects.
   EXPECT_LE(tree.num_nodes(), tree.total_objects());
 }

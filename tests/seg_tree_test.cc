@@ -199,13 +199,14 @@ TEST(SegTreeTest, SlcpReturnsObjectIdsNotProbePositions) {
   EXPECT_EQ(got, want);
 
   // The table itself holds positions, on the serial path and on each
-  // shard's ownership-filtered path; together the shards find every row.
+  // shard's owned-suffix path; together the shards find every row.
   std::set<SegmentId> rows_found;
   for (const ShardSpec shard :
        {ShardSpec{}, ShardSpec{0, 2}, ShardSpec{1, 2}}) {
     LcpTable table;
     tree.SlcpInto(probe.distinct_objects(), 600, kTau, nullptr, &table,
                   shard);
+    const auto shard_want = testing::ShardRowsOf(want, shard, 1);
     for (const LcpTable::Row& row : table.rows) {
       std::vector<ObjectId> common;
       for (const uint32_t* pos = table.CommonBegin(row);
@@ -213,7 +214,7 @@ TEST(SegTreeTest, SlcpReturnsObjectIdsNotProbePositions) {
         ASSERT_LT(*pos, kProbeObjects);
         common.push_back(ids[*pos]);
       }
-      EXPECT_EQ(common, want.at(row.segment));
+      EXPECT_EQ(common, shard_want.at(row.segment));
       if (!shard.IsSingleton()) rows_found.insert(row.segment);
     }
     if (shard.IsSingleton()) {
@@ -334,7 +335,7 @@ TEST(SegTreeTest, DuplicateObjectsWithinSegment) {
 
 // A stored segment carrying an object twice is reached from two chain nodes
 // of that object; its row still holds each probe position once, on the
-// serial path and on every shard's ownership-filtered path.
+// serial path and on every shard's owned-suffix path.
 TEST(SegTreeTest, RepeatedObjectYieldsOnePositionPerRow) {
   SegTree tree;
   tree.Insert(MakeSequence(1, 1, {c, d, c}, 0));
@@ -354,7 +355,7 @@ TEST(SegTreeTest, RepeatedObjectYieldsOnePositionPerRow) {
     bool well_formed = true;
     const auto got = testing::SlcpRowsOf(table, probe, &well_formed);
     EXPECT_TRUE(well_formed) << shard.index << "/" << shard.count;
-    EXPECT_EQ(got, testing::RowsOwnedBy(want, shard))
+    EXPECT_EQ(got, testing::ShardRowsOf(want, shard, 1))
         << shard.index << "/" << shard.count;
     size_t positions = 0;
     for (const LcpTable::Row& row : table.rows) {
@@ -384,7 +385,7 @@ TEST(SegTreeTest, MinCommonTwoDropsARepeatedSingleSharedObject) {
                   /*min_common=*/2);
     bool well_formed = true;
     EXPECT_EQ(testing::SlcpRowsOf(table, probe, &well_formed),
-              testing::RowsOwnedBy(want, shard))
+              testing::ShardRowsOf(want, shard, 2))
         << shard.index << "/" << shard.count;
     EXPECT_TRUE(well_formed);
     // Segment 1 is reached iff the shard owns c.
@@ -443,7 +444,7 @@ TEST(SegTreeTest, MinCommonNeverReportsAPositionPastTheMinedPrefix) {
     }
     bool well_formed = true;
     EXPECT_EQ(testing::SlcpRowsOf(table, probe, &well_formed),
-              testing::RowsOwnedBy(want, shard))
+              testing::ShardRowsOf(want, shard, 2))
         << shard.index << "/" << shard.count;
     EXPECT_TRUE(well_formed);
   }
@@ -498,7 +499,7 @@ TEST(SegTreeTest, SlcpRowsStaySetExactUnderGraftAndRemoveChurn) {
         bool well_formed = true;
         const auto got = testing::SlcpRowsOf(table, probe, &well_formed);
         ASSERT_TRUE(well_formed) << "step=" << step;
-        ASSERT_EQ(got, testing::RowsOwnedBy(want, shard))
+        ASSERT_EQ(got, testing::ShardRowsOf(want, shard, 1))
             << "step=" << step << " shard " << shard.index << " repeat "
             << repeat;
       }
@@ -507,6 +508,70 @@ TEST(SegTreeTest, SlcpRowsStaySetExactUnderGraftAndRemoveChurn) {
   // The churn must actually have moved tail entries by grafting.
   EXPECT_GT(tree.stats().subtrees_grafted, 0u);
   tree.CheckInvariants();
+}
+
+// A shard builds its rows by the suffix walk when the owned suffix chains
+// hold at least as many nodes as the non-owned ones, and by the owned verify
+// otherwise. Either way the table is the owned-suffix oracle's, at every
+// min_common.
+TEST(SegTreeTest, ShardSlcpWalksAHotOwnedChainAndVerifiesAHotOtherChain) {
+  const ShardSpec shard{0, 2};
+  // Probe order: `lead` (not owned), `owned`, `other` (not owned). Rows
+  // start at `owned`, so `lead` never appears in a shard row.
+  ObjectId lead = 1;
+  while (shard.Owns(lead)) ++lead;
+  ObjectId owned = lead + 1;
+  while (!shard.Owns(owned)) ++owned;
+  ObjectId other = owned + 1;
+  while (shard.Owns(other)) ++other;
+  const Segment probe = MakeSegment(99, 9, {lead, owned, other}, 600);
+
+  for (const bool hot_owned : {true, false}) {
+    // The hot object lies on 12 chain nodes (each below its own first
+    // object, so no prefix is shared), the cold one on 2; four segments
+    // mix the probe's objects.
+    const ObjectId hot = hot_owned ? owned : other;
+    const ObjectId cold = hot_owned ? other : owned;
+    std::vector<Segment> segments;
+    SegmentId id = 1;
+    for (ObjectId head = 10000; head < 10012; ++head, ++id) {
+      segments.push_back(MakeSequence(id, id % 4, {head, hot}, 100));
+    }
+    for (ObjectId head = 20000; head < 20002; ++head, ++id) {
+      segments.push_back(MakeSequence(id, id % 4, {head, cold}, 100));
+    }
+    segments.push_back(MakeSequence(id++, 1, {lead, owned, other}, 200));
+    segments.push_back(MakeSequence(id++, 2, {lead, other}, 200));
+    segments.push_back(MakeSequence(id++, 3, {lead, owned}, 200));
+    segments.push_back(MakeSequence(id++, 0, {owned, other}, 200));
+    SegTree tree;
+    std::map<SegmentId, std::vector<ObjectId>> want;
+    for (const Segment& segment : segments) {
+      tree.Insert(segment);
+      std::vector<ObjectId> common;
+      std::set_intersection(segment.distinct_objects().begin(),
+                            segment.distinct_objects().end(),
+                            probe.distinct_objects().begin(),
+                            probe.distinct_objects().end(),
+                            std::back_inserter(common));
+      want.emplace(segment.id(), std::move(common));
+    }
+    for (uint32_t min_common : {1u, 2u, 3u}) {
+      LcpTable table;
+      tree.SlcpInto(probe.distinct_objects(), 600, kTau, nullptr, &table,
+                    shard, min_common);
+      bool well_formed = true;
+      uint64_t dropped = 0;
+      EXPECT_EQ(testing::SlcpRowsOf(table, probe, &well_formed),
+                testing::ShardRowsOf(want, shard, min_common, &dropped))
+          << "hot_owned=" << hot_owned << " m=" << min_common;
+      EXPECT_TRUE(well_formed);
+      EXPECT_EQ(table.rows_dropped, dropped)
+          << "hot_owned=" << hot_owned << " m=" << min_common;
+    }
+    EXPECT_EQ(tree.stats().slcp_suffix_walks, hot_owned ? 3u : 0u);
+    EXPECT_EQ(tree.stats().slcp_owned_verifies, hot_owned ? 0u : 3u);
+  }
 }
 
 TEST(SegTreeTest, SingleObjectSegments) {

@@ -141,29 +141,30 @@ inline std::map<SegmentId, std::vector<ObjectId>> SlcpRowsOf(
   return rows;
 }
 
-/// The rows of `rows` a shard's ownership-filtered SLCP returns: those whose
-/// common set holds >= 1 object the shard owns.
-inline std::map<SegmentId, std::vector<ObjectId>> RowsOwnedBy(
+/// The rows an SLCP for `shard` with min_common `m` returns, built from the
+/// full rows `rows` (segment -> every common object): each row keeps its
+/// common objects from its first owned one onward, and is returned iff that
+/// leaves >= m objects. The serial shard owns every object, so it keeps
+/// the rows that hold >= m objects whole. `*dropped`, if given, is set to
+/// the number of rows holding an owned object that are not returned: the
+/// search's `rows_dropped`.
+inline std::map<SegmentId, std::vector<ObjectId>> ShardRowsOf(
     const std::map<SegmentId, std::vector<ObjectId>>& rows,
-    const ShardSpec& shard) {
-  std::map<SegmentId, std::vector<ObjectId>> owned;
-  for (const auto& [id, common] : rows) {
-    if (std::any_of(common.begin(), common.end(),
-                    [&](ObjectId object) { return shard.Owns(object); })) {
-      owned.emplace(id, common);
-    }
-  }
-  return owned;
-}
-
-/// The rows of `rows` an SLCP with min_common `m` returns: those whose
-/// common set holds >= m objects.
-inline std::map<SegmentId, std::vector<ObjectId>> RowsWithAtLeast(
-    const std::map<SegmentId, std::vector<ObjectId>>& rows, size_t m) {
+    const ShardSpec& shard, size_t m, uint64_t* dropped = nullptr) {
   std::map<SegmentId, std::vector<ObjectId>> kept;
+  uint64_t short_rows = 0;
   for (const auto& [id, common] : rows) {
-    if (common.size() >= m) kept.emplace(id, common);
+    const auto first = std::find_if(
+        common.begin(), common.end(),
+        [&](ObjectId object) { return shard.Owns(object); });
+    if (first == common.end()) continue;
+    if (static_cast<size_t>(common.end() - first) < m) {
+      ++short_rows;
+      continue;
+    }
+    kept.emplace(id, std::vector<ObjectId>(first, common.end()));
   }
+  if (dropped != nullptr) *dropped = short_rows;
   return kept;
 }
 

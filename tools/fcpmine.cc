@@ -21,7 +21,8 @@
 //   --report=stream|topk|maximal   output mode  (default stream)
 //   --k=N                 top-K size            (default 20)
 //   --suppress=<seconds>  re-report suppression (default tau)
-//   --stats               print miner statistics at the end
+//   --stats               print miner statistics at the end (with
+//                         --shards, one line per shard too)
 //   --metrics=json|prom[,<path>]   one telemetry report at exit, with
 //                         end-of-run values (JSON or Prometheus text
 //                         exposition), to <path> or else stderr; for live
@@ -441,6 +442,7 @@ int main(int argc, char** argv) {
   };
   size_t index_bytes = 0;
   fcp::MinerStats stats;  // summed across shards in the parallel path
+  std::vector<fcp::MinerStats> shard_stats;  // the parallel path's, per shard
   if (shards > 0) {
     // Parallel pipeline: alerts surface only after Finish() drains the
     // shards, so stream mode prints them post-hoc in merged order.
@@ -460,6 +462,7 @@ int main(int argc, char** argv) {
       const fcp::FcpMiner& miner = engine.shard_miner(s);
       index_bytes += miner.MemoryUsage();
       stats += miner.stats();
+      shard_stats.push_back(miner.stats());
     }
     finish_run(engine);
   } else {
@@ -566,6 +569,18 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.slcp_nodes_visited),
         static_cast<unsigned long long>(stats.segments_expired),
         static_cast<unsigned long long>(events_reordered));
+    // The sum above hides how unevenly the shards share the work.
+    for (size_t s = 0; s < shard_stats.size(); ++s) {
+      const fcp::MinerStats& shard = shard_stats[s];
+      std::fprintf(stderr,
+                   "  shard %zu: mining %.1f ms (slcp %.1f ms), lcp rows %llu "
+                   "(%llu dropped), slcp nodes visited %llu\n",
+                   s, static_cast<double>(shard.mining_ns) / 1e6,
+                   static_cast<double>(shard.slcp_ns) / 1e6,
+                   static_cast<unsigned long long>(shard.lcp_rows),
+                   static_cast<unsigned long long>(shard.lcp_rows_dropped),
+                   static_cast<unsigned long long>(shard.slcp_nodes_visited));
+    }
     std::fprintf(
         stderr,
         "  segment pool: %llu hits, %llu misses, %llu live, %llu parked, "
