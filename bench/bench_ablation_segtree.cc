@@ -1,8 +1,7 @@
 // Ablation study of the Seg-tree design choices called out in DESIGN.md:
 //
 //  1. DistanceBound pruning on/off — nodes visited and SLCP wall time.
-//  2. Graft-on-delete vs root-attach — node count / compression after churn.
-//  3. Lazy deletion vs eager per-segment sweeps — maintenance wall time.
+//  2. Lazy deletion vs eager per-segment sweeps — maintenance wall time.
 //
 // Flags: --quick, --scale=<f>
 
@@ -48,40 +47,7 @@ void AblateDistanceBound(const std::vector<Segment>& segments,
   }
 }
 
-// --- Ablation 2: graft vs root-attach on deletion ---------------------------
-void AblateGraft(const std::vector<Segment>& segments,
-                 const MiningParams& base_params, TablePrinter* table) {
-  // Tighten the windows so that expiry churn actually happens within the
-  // trace (the figure benches use tau=30min, longer than a --quick trace).
-  MiningParams params = base_params;
-  params.tau = Minutes(5);
-  params.maintenance_interval = Minutes(1);
-  for (bool graft : {true, false}) {
-    SegTreeOptions options;
-    options.graft_on_delete = graft;
-    SegTree tree(options);
-    Timestamp watermark = kMinTimestamp;
-    Timestamp last_sweep = kMinTimestamp;
-    for (const Segment& segment : segments) {
-      tree.Insert(segment);
-      watermark = std::max(watermark, segment.end_time());
-      if (last_sweep == kMinTimestamp) last_sweep = watermark;
-      if (watermark - last_sweep >= params.maintenance_interval) {
-        tree.RemoveExpired(watermark, params.tau);
-        last_sweep = watermark;
-      }
-    }
-    table->AddRow(
-        {"delete_reattach", graft ? "graft" : "root-attach",
-         TablePrinter::Num(tree.CompressionRatio(), 3) + " compression",
-         std::to_string(tree.num_nodes()) + " nodes",
-         std::to_string(tree.stats().subtrees_grafted) + " grafts / " +
-             std::to_string(tree.stats().subtrees_reattached) +
-             " root-attach"});
-  }
-}
-
-// --- Ablation 3: lazy vs eager expiry ---------------------------------------
+// --- Ablation 2: lazy vs eager expiry ---------------------------------------
 void AblateLazyDeletion(const std::vector<ObjectEvent>& events,
                         const MiningParams& base_params,
                         TablePrinter* table) {
@@ -122,7 +88,7 @@ int main(int argc, char** argv) {
 
   fcp::bench::PrintHeader(
       "Ablation: Seg-tree design choices (TR workload)",
-      "DistanceBound pruning, deletion re-attachment policy, lazy deletion.");
+      "DistanceBound pruning, lazy deletion.");
 
   const fcp::MiningParams params =
       fcp::bench::DefaultParams(fcp::bench::Dataset::kTraffic);
@@ -135,7 +101,6 @@ int main(int argc, char** argv) {
   fcp::TablePrinter table({"ablation", "variant", "metric1", "metric2",
                            "metric3"});
   fcp::bench::AblateDistanceBound(segments, params, &table);
-  fcp::bench::AblateGraft(segments, params, &table);
   fcp::bench::AblateLazyDeletion(events, params, &table);
   table.Print(std::cout);
   return 0;

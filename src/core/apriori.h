@@ -28,7 +28,8 @@
 //   bool Extend(std::span<const Elem> parent, const uint32_t* prefix,
 //               size_t k, uint32_t last, std::vector<Elem>* cand);
 //   // The exact frequency test (Def. 3): the number of distinct streams
-//   // among `support`'s occurrences, the trigger's own stream included.
+//   // among `support`'s occurrences. The trigger is one of them only while
+//   // it is valid at the watermark, like any stored segment.
 //   // With `out` null the count may stop once it reaches `need`; otherwise
 //   // it is exact and the distinct streams are written to `*out`, sorted.
 //   size_t Streams(std::span<const Elem> support, size_t need,

@@ -14,7 +14,7 @@ namespace fcp {
 
 CooMine::CooMine(const MiningParams& params, CooMineOptions options,
                  const ShardSpec& shard)
-    : params_(params), options_(options), shard_(shard), tree_(options.seg_tree) {
+    : params_(params), options_(options), shard_(shard) {
   FCP_CHECK(params.Validate().ok());
   FCP_CHECK(shard.count >= 1 && shard.index < shard.count);
 }
@@ -26,18 +26,23 @@ CooMine::CooMine(const MiningParams& params, CooMineOptions options,
 // rank of its stream within the trigger, and Streams() counts distinct ranks
 // over the set bits with a per-rank epoch stamp, so no occurrence list is
 // built or sorted to decide frequency.
+//
+// The trigger supports its own patterns only while it is valid at the
+// watermark, as every stored segment does. A segment completes when its
+// stream's next event arrives (or at Flush), so an idle stream's trigger
+// can reach the miner more than tau after its start; it then counts for
+// nothing, and theta rows are needed instead of theta - 1.
 class CooMine::TidsetSupport {
  public:
   using Elem = uint64_t;
 
-  TidsetSupport(const Segment& trigger, const MiningParams& params,
-                MiningScratch* scratch)
+  TidsetSupport(const Segment& trigger, bool trigger_valid,
+                const MiningParams& params, MiningScratch* scratch)
       : s_(*scratch),
         probe_{trigger.stream(), trigger.start_time(), trigger.end_time()},
+        probe_valid_(trigger_valid),
         ops_(kernels::Ops()),
-        row_threshold_(params.theta == 0
-                           ? 0
-                           : static_cast<size_t>(params.theta) - 1) {}
+        row_threshold_(params.theta - (trigger_valid ? 1 : 0)) {}
 
   // Builds the per-object tidsets: bit b of object oi's tidset is set iff
   // LCP row b's common set contains objects[oi]. SLCP was given these very
@@ -75,7 +80,7 @@ class CooMine::TidsetSupport {
   }
 
   // The popcount bound is exact pruning, not an approximation: popcount
-  // rows plus the probe bounds the distinct supporting streams, so failing
+  // rows plus a valid probe bounds the distinct supporting streams, so failing
   // it proves the candidate infrequent without touching the rows. The
   // kernels exit early at the threshold; only the boolean is consumed.
   bool Singleton(uint32_t oi, std::span<const uint64_t>* support) const {
@@ -95,20 +100,23 @@ class CooMine::TidsetSupport {
                                      cand->data(), words_, row_threshold_);
   }
 
-  // Distinct stream ranks over the probe and the set bits: a rank counts
-  // the first time its stamp differs from this call's epoch. Epochs are 64
-  // bit and only grow, so stamps never need clearing. The listing form
-  // sorts only the distinct streams it found.
+  // Distinct stream ranks over a valid probe and the set bits: a rank
+  // counts the first time its stamp differs from this call's epoch. Epochs
+  // are 64 bit and only grow, so stamps never need clearing. The listing
+  // form sorts only the distinct streams it found.
   size_t Streams(std::span<const uint64_t> support, size_t need,
                  std::vector<StreamId>* out) {
     const uint64_t epoch = ++s_.stream_epoch;
     uint64_t* const stamp = s_.rank_epoch.data();
-    stamp[0] = epoch;
-    size_t seen = 1;
-    if (out != nullptr) {
-      out->push_back(s_.rank_streams[0]);
-    } else if (seen >= need) {
-      return seen;
+    size_t seen = 0;
+    if (probe_valid_) {
+      stamp[0] = epoch;
+      seen = 1;
+      if (out != nullptr) {
+        out->push_back(s_.rank_streams[0]);
+      } else if (seen >= need) {
+        return seen;
+      }
     }
     for (size_t w = 0; w < support.size(); ++w) {
       uint64_t word = support[w];
@@ -130,10 +138,10 @@ class CooMine::TidsetSupport {
     return seen;
   }
 
-  // The probe's own occurrence first, then one per set bit.
+  // A valid probe's own occurrence first, then one per set bit.
   void Occurrences(std::span<const uint64_t> support,
                    std::vector<Occurrence>* out) const {
-    out->push_back(probe_);
+    if (probe_valid_) out->push_back(probe_);
     for (size_t w = 0; w < support.size(); ++w) {
       uint64_t word = support[w];
       while (word != 0) {
@@ -160,6 +168,7 @@ class CooMine::TidsetSupport {
 
   MiningScratch& s_;
   const Occurrence probe_;
+  const bool probe_valid_;
   const kernels::KernelOps& ops_;
   const size_t row_threshold_;
   size_t words_ = 0;  ///< bitset words per tidset
@@ -193,7 +202,8 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
     stats_.slcp_nodes_visited +=
         tree_.stats().distance_bound_visits - visits_before;
     FCP_TRACE_SPAN("coomine/apriori");
-    TidsetSupport support(segment, params_, &scratch_);
+    TidsetSupport support(segment, now - segment.start_time() <= params_.tau,
+                          params_, &scratch_);
     MineApriori(segment, params_, shard_, support, &scratch_.apriori, &stats_,
                 out);
   }

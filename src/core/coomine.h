@@ -52,7 +52,6 @@ namespace fcp {
 
 /// CooMine-specific knobs (the MiningParams thresholds are shared).
 struct CooMineOptions {
-  SegTreeOptions seg_tree;
   /// Run a full Seg-tree expiry sweep every MiningParams::maintenance_
   /// interval of event time (the paper triggers this sweep on memory
   /// pressure; an event-time cadence is deterministic and testable).

@@ -26,7 +26,7 @@ class PostingMiner<Index>::PostingSupport {
 
   // Valid supporters per probe object, ascending id (DIMine: the posting
   // list; MatrixMine: the diagonal cell). They include the trigger, which
-  // was indexed just before mining. With min_pattern_size m >= 2 a
+  // was indexed just before mining, unless it has already expired. With min_pattern_size m >= 2 a
   // supporter holding fewer than m of `objects` is dropped from every list:
   // it supports no reported pattern (CooMine's SLCP builds no row for it).
   void Load(std::span<const ObjectId> objects,

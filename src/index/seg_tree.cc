@@ -305,12 +305,16 @@ void SegTree::RemoveSegmentPath(SegmentId id) {
     Node* p = path[i];
     if (p->count > 0) continue;
     FCP_DCHECK(p->tails.empty());
-    // Children that survive (count > 0) become disconnected subtrees.
+    // Children that survive (count > 0) become disconnected subtrees. Every
+    // live segment with a tail in one lies wholly inside it (else p's count
+    // would be > 0), so the subtree moves under the root as it is (DESIGN.md
+    // §2 item 6).
     while (!p->children.empty()) {
       Node* c = p->children.back();
       FCP_DCHECK(c->count > 0);
       DetachChild(c);
-      ReattachSubtree(c);
+      AttachChild(root_, c);
+      ++stats_.subtrees_reattached;
     }
     DetachChild(p);
     UnlinkFromHlist(p);
@@ -323,97 +327,6 @@ void SegTree::RemoveSegmentPath(SegmentId id) {
   registry_.Remove(id);
   ++stats_.segments_removed;
   // The Tlist entry is left behind and skipped/cleaned by RemoveExpired.
-}
-
-void SegTree::ReattachSubtree(Node* subtree_root) {
-  if (options_.graft_on_delete && TryGraft(subtree_root)) {
-    ++stats_.subtrees_grafted;
-    return;
-  }
-  AttachChild(root_, subtree_root);
-  ++stats_.subtrees_reattached;
-}
-
-namespace {
-
-// True iff `node` lies inside the subtree rooted at `root` (inclusive).
-bool IsInSubtree(const void* root, const void* node,
-                 const void* (*parent_of)(const void*)) {
-  for (const void* n = node; n != nullptr; n = parent_of(n)) {
-    if (n == root) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-bool SegTree::TryGraft(Node* subtree_root) {
-  // Find an existing node elsewhere in the tree carrying the same object;
-  // merge the subtree into it (recursively pairing equal-object children).
-  // Any live segment with a tail inside the detached subtree is fully
-  // contained in it (otherwise the deleted ancestors would have had
-  // count > 0), so rewriting what is above the subtree root is safe.
-  Node* const* head = hlist_.Find(subtree_root->object);
-  if (head == nullptr) return false;
-
-  auto parent_of = [](const void* n) -> const void* {
-    return static_cast<const Node*>(n)->parent;
-  };
-  Node* target = nullptr;
-  for (Node* q = *head; q != nullptr; q = q->hnext) {
-    if (q == subtree_root) continue;
-    // A count==0 node is mid-deletion (live nodes always have count >= 1):
-    // grafting into it would revive it only for RemoveSegmentPath to delete
-    // it moments later, destroying the grafted segments' paths.
-    if (q->count == 0) continue;
-    if (IsInSubtree(subtree_root, q, parent_of)) continue;
-    target = q;
-    break;
-  }
-  if (target == nullptr) return false;
-
-  // Recursive merge: absorb `src` into `dst` (same object), then merge or
-  // attach src's children. Uses an explicit worklist (member scratch, so
-  // steady-state deletion stays allocation-free) to bound stack depth.
-  std::vector<std::pair<Node*, Node*>>& work = graft_work_;
-  work.clear();
-  work.emplace_back(target, subtree_root);
-  while (!work.empty()) {
-    auto [dst, src] = work.back();
-    work.pop_back();
-    FCP_DCHECK(dst->object == src->object);
-    dst->count += src->count;
-    dst->distance = std::max(dst->distance, src->distance);
-    for (const TailEntry& t : src->tails) {
-      dst->tails.push_back(t, tail_arena_);
-      Node** slot = tail_of_.Find(t.segment);
-      FCP_DCHECK(slot != nullptr);
-      *slot = dst;
-    }
-    while (!src->children.empty()) {
-      Node* sc = src->children.back();
-      DetachChild(sc);
-      Node* dc = nullptr;
-      for (Node* c : dst->children) {
-        // Skip mid-deletion (count==0) children for the same reason as in
-        // the target scan above; attaching alongside creates a transient
-        // duplicate-object sibling that RemoveSegmentPath clears before the
-        // deletion finishes.
-        if (c->object == sc->object && c->count > 0) {
-          dc = c;
-          break;
-        }
-      }
-      if (dc != nullptr) {
-        work.emplace_back(dc, sc);
-      } else {
-        AttachChild(dst, sc);
-      }
-    }
-    UnlinkFromHlist(src);
-    FreeNode(src);
-  }
-  return true;
 }
 
 size_t SegTree::RemoveExpired(Timestamp now, DurationMs tau) {
@@ -554,7 +467,7 @@ void SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
   out->Clear();
   // Rows are grouped without sorting: a tail entry stamped with this call's
   // epoch has already been reached. The epoch is 64 bit and only grows, so
-  // stamps left by earlier calls (or copied by graft) never need clearing.
+  // stamps left by earlier calls never need clearing.
   const uint64_t epoch = ++probe_epoch_;
 
   const size_t np = probe_objects.size();

@@ -13,8 +13,7 @@
 //    never recomputes it either); DistanceBound only uses it for pruning.
 //  - Hlist chains are doubly linked for O(1) unlink on deletion.
 //  - Disconnected subtrees produced by deletion are re-attached under the
-//    root by default; the paper's prefix-graft is available as an option
-//    (`SegTreeOptions::graft_on_delete`) and benchmarked as an ablation.
+//    root instead of being re-inserted into a node carrying their object.
 //  - Objects that share a timestamp are laid along the path rare-first (the
 //    paper leaves the order of simultaneous objects open): each run of
 //    equal-time entries is ordered by ascending tie count, the number of
@@ -50,12 +49,6 @@ namespace fcp {
 
 /// Tuning knobs of the Seg-tree.
 struct SegTreeOptions {
-  /// If true, deletion re-inserts disconnected subtrees by grafting their
-  /// single prefix onto an existing matching branch when that is
-  /// collision-free (the paper's Section 4.5 behaviour); otherwise subtrees
-  /// are re-attached under the root.
-  bool graft_on_delete = true;
-
   /// If true, DistanceBound uses the per-node `distance` upper bound to
   /// prune its downward search (the paper's optimization). Disabling it
   /// explores every descendant — used by the ablation bench and by tests.
@@ -71,7 +64,6 @@ struct SegTreeStats {
   uint64_t nodes_recycled = 0;  ///< node acquisitions served by the free list
   uint64_t prefix_nodes_shared = 0;  ///< nodes reused via prefix match
   uint64_t subtrees_reattached = 0;
-  uint64_t subtrees_grafted = 0;
   uint64_t distance_bound_visits = 0;  ///< nodes popped in DistanceBound
   /// Sharded SLCP probes (with an owned probe object) whose rows the
   /// owned-suffix walk built, and those the owned-chain verify built (see
@@ -165,7 +157,8 @@ class SegTree {
 
   /// Removes one segment (paper Section 4.5): backtracks length-1 steps from
   /// the tail, decrements counts, deletes count==0 nodes and re-attaches any
-  /// disconnected subtrees. No-op if the segment is not present.
+  /// disconnected subtrees under the root. No-op if the segment is not
+  /// present.
   void Remove(SegmentId id);
 
   /// Removes every segment whose validity window has passed
@@ -299,15 +292,14 @@ class SegTree {
     // by the sharded SLCP's owned verify, which builds a row as probe ∩
     // objects with one contiguous merge instead of backtracking the node
     // path (pointer chases), and by RemoveSegmentPath to take back tie
-    // counts. Owned by exactly one TailEntry; released in RemoveSegmentPath
-    // (graft moves entries by value, transferring the chunk).
+    // counts. Owned by exactly one TailEntry; released in RemoveSegmentPath.
     PooledVec<ObjectId> objects;
     // SlcpInto's grouping stamp: the current probe already reached the tail
     // iff probe_epoch equals the tree's probe_epoch_. Then, on the walking
     // paths, probe_row is the tail's row index, or — under kPendingRow, while
     // a min_common >= 2 search has seen one hit and built no row — the
     // position of that hit. A stale stamp is simply older than every later
-    // epoch, so copies made by graft need no reset.
+    // epoch, so it needs no reset.
     mutable uint64_t probe_epoch = 0;
     mutable uint32_t probe_row = 0;
   };
@@ -352,8 +344,6 @@ class SegTree {
 
   // --- deletion helpers ---
   void RemoveSegmentPath(SegmentId id);
-  void ReattachSubtree(Node* subtree_root);
-  bool TryGraft(Node* subtree_root);
 
   // --- search helpers ---
   void CollectRelevantTails(const Node* start, Timestamp now, DurationMs tau,
@@ -400,7 +390,6 @@ class SegTree {
   std::vector<Node*> path_scratch_;         // RemoveSegmentPath backtrack
   std::vector<Node*> prefix_path_scratch_;  // prefix-match trial path
   std::vector<Node*> prefix_best_scratch_;  // prefix-match best path
-  std::vector<std::pair<Node*, Node*>> graft_work_;  // TryGraft worklist
   std::vector<SegmentEntry> tie_path_scratch_;  // tied segment's path order
   std::vector<uint64_t> tie_keys_scratch_;      // (count << 32 | object)
   // Search scratch, owned by the tree (not per thread) so a shard's miner

@@ -307,6 +307,56 @@ TEST(CooMineTest, ManyRowsFromFewStreamsAreNotFrequent) {
   }
 }
 
+// A segment completes only when its stream's next event arrives (or at
+// Flush), so an idle stream's segment can reach the miner more than
+// tau + xi after it started. At the watermark that trigger has expired, and
+// like every expired segment it supports nothing, its own patterns
+// included: two valid supporters on other streams stay below theta = 3. A
+// valid segment of the trigger's own stream makes the pattern frequent, and
+// the FCP's window then spans the valid supporters only. Serially and at
+// S = 4, each against the brute-force oracle.
+TEST(CooMineTest, ExpiredTriggerDoesNotSupportItsOwnPatterns) {
+  constexpr ObjectId kA = 7, kB = 8;
+  MiningParams params = Example4Params();
+  params.min_pattern_size = 2;
+  params.max_pattern_size = 2;
+  const Timestamp late = params.tau + params.xi + Minutes(5);
+  const Segment idle = MakeSegment(9, 1, {kA, kB}, 0);
+  const std::vector<Segment> segments = {
+      MakeSegment(1, 2, {kA, kB, 20}, late - 100),
+      MakeSegment(2, 3, {kA, kB, 21}, late),
+      idle,
+  };
+  const std::vector<Segment> with_own_stream = {
+      segments[0],
+      segments[1],
+      MakeSegment(3, 1, {kA, kB, 22}, late - 50),
+      idle,
+  };
+  for (const uint32_t shards : {0u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    const std::vector<Fcp> none = MineCooMine(params, shards, segments);
+    EXPECT_TRUE(none.empty());
+    EXPECT_EQ(FullSignatures(none),
+              FullSignatures(MineBruteForce(params, segments)));
+
+    const std::vector<Fcp> found =
+        MineCooMine(params, shards, with_own_stream);
+    EXPECT_EQ(FullSignatures(found),
+              FullSignatures(MineBruteForce(params, with_own_stream)));
+    size_t from_idle = 0;
+    for (const Fcp& fcp : found) {
+      if (fcp.trigger != idle.id()) continue;
+      ++from_idle;
+      EXPECT_EQ(fcp.objects, (Pattern{kA, kB}));
+      EXPECT_EQ(fcp.streams, (std::vector<StreamId>{1, 2, 3}));
+      EXPECT_EQ(fcp.window_start, late - 100);
+      EXPECT_EQ(fcp.window_end, late);
+    }
+    EXPECT_EQ(from_idle, 1u);
+  }
+}
+
 TEST(CooMineTest, PureLazyDeletionMatchesPeriodicSweeps) {
   // Expiry policy must not change results: validity is re-checked at every
   // query, so a miner that never sweeps (pure LD) emits the same FCPs.

@@ -17,6 +17,7 @@
 namespace fcp {
 namespace {
 
+using ::fcp::testing::FullSignatures;
 using ::fcp::testing::SignaturesOf;
 
 struct GridParams {
@@ -136,7 +137,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Equivalence must also hold when segments come from the real segmenter over
-// a realistic interleaved event feed.
+// a realistic interleaved event feed. Four streams are busy; a fifth is idle,
+// with bursts more than tau apart. A segment completes only when its
+// stream's next event arrives, so each idle burst reaches the miners after
+// it has expired: as a trigger it must not support its own patterns. The
+// feed ends with FlushAll, which completes every open window.
 TEST(MinerEquivalenceStreamTest, SegmenterFedMinersAgree) {
   MiningParams params;
   params.xi = Seconds(30);
@@ -152,26 +157,54 @@ TEST(MinerEquivalenceStreamTest, SegmenterFedMinersAgree) {
   miners.push_back(MakeMiner(MinerKind::kDiMine, params));
   miners.push_back(MakeMiner(MinerKind::kMatrixMine, params));
 
-  Timestamp now = 0;
+  constexpr StreamId kIdleStream = 4;
   std::vector<SegmentRef> completed;
   std::vector<Fcp> reference, candidate;
-  for (int i = 0; i < 1500; ++i) {
-    now += static_cast<Timestamp>(rng.Below(Seconds(4)));
-    const ObjectEvent event{static_cast<StreamId>(rng.Below(4)),
-                            static_cast<ObjectId>(rng.Below(6)), now};
-    completed.clear();
-    mux.Push(event, &completed);
+  auto mine_completed = [&] {
     for (const SegmentRef& segment : completed) {
       reference.clear();
       miners[0]->AddSegment(segment, &reference);
-      const auto want = SignaturesOf(reference);
+      const auto want = FullSignatures(reference);
       for (size_t m = 1; m < miners.size(); ++m) {
         candidate.clear();
         miners[m]->AddSegment(segment, &candidate);
-        ASSERT_EQ(SignaturesOf(candidate), want)
+        ASSERT_EQ(FullSignatures(candidate), want)
             << miners[m]->name() << " @ " << segment->DebugString();
       }
     }
+    completed.clear();
+  };
+  Timestamp now = 0;
+  Timestamp last_idle = 0;
+  for (int i = 0; i < 1500; ++i) {
+    now += static_cast<Timestamp>(rng.Below(Seconds(4)));
+    if (now - last_idle > params.tau + params.xi) {
+      for (int burst = 0; burst < 3; ++burst) {
+        mux.Push(ObjectEvent{kIdleStream,
+                             static_cast<ObjectId>(rng.Below(6)), now},
+                 &completed);
+      }
+      last_idle = now;
+    }
+    const ObjectEvent event{static_cast<StreamId>(rng.Below(4)),
+                            static_cast<ObjectId>(rng.Below(6)), now};
+    mux.Push(event, &completed);
+    mine_completed();
+    if (HasFatalFailure()) return;
+  }
+  mux.FlushAll(&completed);
+  mine_completed();
+
+  // The Apriori miners do identical work here too: an expired trigger
+  // drops out of every miner's support alike.
+  const MinerStats& coo = miners[1]->stats();
+  for (size_t m = 2; m < miners.size(); ++m) {
+    const MinerStats& other = miners[m]->stats();
+    EXPECT_EQ(other.candidates_checked, coo.candidates_checked)
+        << miners[m]->name();
+    EXPECT_EQ(other.candidates_pruned, coo.candidates_pruned)
+        << miners[m]->name();
+    EXPECT_EQ(other.fcps_emitted, coo.fcps_emitted) << miners[m]->name();
   }
 }
 

@@ -243,12 +243,12 @@ TEST(SegTreeTest, RemoveSharedPrefixKeepsOtherSegments) {
   for (const Segment& g : segments) tree.Insert(g);
 
   // Removing G0 (b,c,d) must keep G1 (c,d,f,k) intact: b disappears and the
-  // orphaned (c,d,f,k) chain grafts onto G3's existing c node, merging the
-  // duplicate c (16 - b - merged c = 14 nodes).
+  // orphaned (c,d,f,k) chain moves under the root as it is, so its c stays
+  // apart from G3's c (16 - b = 15 nodes).
   tree.Remove(10);
   tree.CheckInvariants();
   EXPECT_EQ(tree.num_segments(), 4u);
-  EXPECT_EQ(tree.num_nodes(), 14u);
+  EXPECT_EQ(tree.num_nodes(), 15u);
   EXPECT_EQ(tree.RelevantSegments(c, 600, kTau),
             (std::vector<SegmentId>{11, 13}));
   EXPECT_EQ(tree.RelevantSegments(b, 600, kTau),
@@ -450,12 +450,12 @@ TEST(SegTreeTest, MinCommonNeverReportsAPositionPastTheMinedPrefix) {
   }
 }
 
-// SLCP groups rows by stamping tail entries with a per-call epoch. Graft
-// copies tail entries (stamps included) onto other nodes, and removal
-// recycles their slots; under heavy churn every probe, repeated back to
-// back, must still return exactly the live segments' rows.
-TEST(SegTreeTest, SlcpRowsStaySetExactUnderGraftAndRemoveChurn) {
-  SegTree tree;  // graft_on_delete is on by default
+// SLCP groups rows by stamping tail entries with a per-call epoch. Removal
+// re-roots the subtrees it disconnects and recycles tail slots; under heavy
+// churn every probe, repeated back to back, must still return exactly the
+// live segments' rows.
+TEST(SegTreeTest, SlcpRowsStaySetExactUnderReattachAndRemoveChurn) {
+  SegTree tree;
   std::map<SegmentId, Segment> live;
   Rng rng(2024);
   SegmentId next_id = 1;
@@ -505,8 +505,8 @@ TEST(SegTreeTest, SlcpRowsStaySetExactUnderGraftAndRemoveChurn) {
       }
     }
   }
-  // The churn must actually have moved tail entries by grafting.
-  EXPECT_GT(tree.stats().subtrees_grafted, 0u);
+  // The churn must actually have re-rooted disconnected subtrees.
+  EXPECT_GT(tree.stats().subtrees_reattached, 0u);
   tree.CheckInvariants();
 }
 
@@ -611,32 +611,8 @@ TEST(SegTreeTest, DistanceBoundPruningMatchesExhaustive) {
             exhaustive.stats().distance_bound_visits);
 }
 
-TEST(SegTreeTest, GraftReusesExistingBranch) {
-  // Build G0=(b,c,d) and G1=(c,d,f,k) sharing (c,d) inside the b-branch,
-  // plus an independent (c,d) path elsewhere via (x=99,c,d)? Simpler: after
-  // removing G0, the orphaned (c,d,f,k) subtree should graft onto the
-  // existing standalone (c,d) path of another segment.
-  SegTree tree;  // graft_on_delete is on by default
-  tree.Insert(MakeSequence(1, 1, {b, c, d}, 0));
-  tree.Insert(MakeSequence(2, 1, {c, d, f, k}, 10));
-  tree.Insert(MakeSequence(3, 2, {m, c, d}, 20));
-  const size_t nodes_before = tree.num_nodes();  // b,c,d,f,k + m,c,d = 8
-  EXPECT_EQ(nodes_before, 8u);
-  tree.Remove(1);
-  tree.CheckInvariants();
-  // b is gone; the orphaned (c,d,f,k) chain merges with m's (c,d) branch:
-  // nodes: m,c,d,f,k = 5.
-  EXPECT_EQ(tree.num_nodes(), 5u);
-  EXPECT_GE(tree.stats().subtrees_grafted, 1u);
-  EXPECT_EQ(tree.RelevantSegments(c, 20, kTau),
-            (std::vector<SegmentId>{2, 3}));
-  EXPECT_EQ(tree.RelevantSegments(k, 20, kTau), (std::vector<SegmentId>{2}));
-}
-
 TEST(SegTreeTest, RootAttachModeKeepsCorrectness) {
-  SegTreeOptions options;
-  options.graft_on_delete = false;
-  SegTree tree(options);
+  SegTree tree;
   tree.Insert(MakeSequence(1, 1, {b, c, d}, 0));
   tree.Insert(MakeSequence(2, 1, {c, d, f, k}, 10));
   tree.Insert(MakeSequence(3, 2, {m, c, d}, 20));
@@ -793,11 +769,9 @@ TEST(SegTreeTest, UntiedSegmentsKeepTimeOrderAndAreNotCounted) {
 }
 
 TEST(SegTreeTest, InvariantsHoldUnderChurnWithTies) {
-  for (const bool graft : {true, false}) {
-    SegTreeOptions options;
-    options.graft_on_delete = graft;
-    SegTree tree(options);
-    Rng rng(graft ? 7 : 8);
+  for (const uint64_t seed : {7, 8}) {
+    SegTree tree;
+    Rng rng(seed);
     std::vector<SegmentId> live;
     SegmentId next_id = 1;
     Timestamp now = 0;
