@@ -530,12 +530,10 @@ int Run(int argc, char** argv) {
     records.push_back(record);
   }
   // Flight-recorder overhead datapoint (DESIGN.md §2.5): the converged
-  // cyclic workload with recording off (the macros' fast path — one relaxed
+  // cyclic workload with recording off (the span fast path — one relaxed
   // load + branch per span) vs. recording into the per-thread ring. The
   // acceptance bar is <= 10% with recording on — printed, not asserted
-  // (shared-host noise). The <= 1% compiled-out leg comes from the CI
-  // -DFCP_TRACE=OFF build of this binary, whose records carry
-  // trace_compiled_in = 0 so the trajectory file keeps the legs apart.
+  // (shared-host noise).
   std::printf("\n%-24s %14s %14s %12s\n", "trace", "ns/op", "allocs/op",
               "overhead%");
   for (MinerKind kind : kinds) {
@@ -555,7 +553,6 @@ int Run(int argc, char** argv) {
     record.rss_bytes = CurrentRssBytes();
     record.AddExtra("baseline_ns_per_op", off.ns_per_op);
     record.AddExtra("overhead_pct", overhead_pct);
-    record.AddExtra("trace_compiled_in", trace::kCompiledIn ? 1 : 0);
     std::printf("%-24s %14.1f %14.3f %+11.2f%%\n", record.name.c_str(),
                 record.ns_per_op, record.allocs_per_op, overhead_pct);
     records.push_back(record);
@@ -709,23 +706,20 @@ int Run(int argc, char** argv) {
     record.AddExtra("baseline_cpu_ns_per_op", off.cpu_ns_per_op);
     record.AddExtra("overhead_pct", overhead_pct);
     record.AddExtra("hz", kProfHz);
-    record.AddExtra("prof_compiled_in", prof::kCompiledIn ? 1 : 0);
     records.push_back(record);
-    if (prof::kCompiledIn) {
-      if (overhead_pct > 2.0) {
-        std::fprintf(stderr,
-                     "FAIL: armed profiler costs %+.2f%% mining-thread CPU "
-                     "(budget: 2%%)\n",
-                     overhead_pct);
-        exit_code = 1;
-      }
-      if (armed.allocs_per_op > off.allocs_per_op + 1e-3) {
-        std::fprintf(stderr,
-                     "FAIL: armed profiler allocates on the sample path "
-                     "(%.3f vs %.3f allocs/op)\n",
-                     armed.allocs_per_op, off.allocs_per_op);
-        exit_code = 1;
-      }
+    if (overhead_pct > 2.0) {
+      std::fprintf(stderr,
+                   "FAIL: armed profiler costs %+.2f%% mining-thread CPU "
+                   "(budget: 2%%)\n",
+                   overhead_pct);
+      exit_code = 1;
+    }
+    if (armed.allocs_per_op > off.allocs_per_op + 1e-3) {
+      std::fprintf(stderr,
+                   "FAIL: armed profiler allocates on the sample path "
+                   "(%.3f vs %.3f allocs/op)\n",
+                   armed.allocs_per_op, off.allocs_per_op);
+      exit_code = 1;
     }
   }
   MaybeAppendBenchJson(flags, "bench_hotpath_alloc", label, records);

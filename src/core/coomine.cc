@@ -192,7 +192,7 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
   if (mined.size() >= params_.min_pattern_size) {
     const uint64_t visits_before = tree_.stats().distance_bound_visits;
     {
-      FCP_TRACE_SPAN("coomine/slcp");
+      trace::Span slcp_span("coomine/slcp");
       tree_.SlcpInto(mined, now, params_.tau, &scratch_.expired,
                      &scratch_.lcp, shard_, params_.min_pattern_size);
     }
@@ -201,7 +201,7 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
     stats_.lcp_rows_dropped += scratch_.lcp.rows_dropped;
     stats_.slcp_nodes_visited +=
         tree_.stats().distance_bound_visits - visits_before;
-    FCP_TRACE_SPAN("coomine/apriori");
+    trace::Span apriori_span("coomine/apriori");
     TidsetSupport support(segment, now - segment.start_time() <= params_.tau,
                           params_, &scratch_);
     MineApriori(segment, params_, shard_, support, &scratch_.apriori, &stats_,
@@ -210,7 +210,7 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
   stats_.mining_ns += mine_timer.ElapsedNanos();
 
   // --- Maintenance phase: lazy deletion + periodic sweep + insert. --------
-  FCP_TRACE_SPAN("coomine/maintenance");
+  trace::Span maintenance_span("coomine/maintenance");
   Stopwatch maint_timer;
   for (SegmentId id : scratch_.expired) tree_.Remove(id);
   stats_.segments_expired += scratch_.expired.size();
@@ -227,7 +227,7 @@ void CooMine::AddSegmentIndexOnly(const Segment& segment) {
   // insensitive to Hlist chain order (streams are sorted and the window is
   // a min/max), so inserting an old segment after newer ones is safe.
   watermark_ = std::max(watermark_, segment.end_time());
-  FCP_TRACE_SPAN("coomine/index_backfill");
+  trace::Span backfill_span("coomine/index_backfill");
   Stopwatch maint_timer;
   IndexSegment(segment, watermark_);
   stats_.maintenance_ns += maint_timer.ElapsedNanos();

@@ -119,9 +119,8 @@ void EngineFront::AppendStatus(std::string* out) const {
 
 void MineTimed(const MineSite& site, uint64_t flow, FcpMiner& miner,
                const Segment& segment, std::vector<Fcp>* out) {
-  FCP_TRACE_SPAN_FLOW(site.span, flow,
-                      static_cast<uint32_t>(segment.length()));
-  FCP_TRACE_FLOW_END("segment", flow);
+  trace::Span span(site.span, flow, static_cast<uint32_t>(segment.length()));
+  trace::Emit(trace::Phase::kFlowEnd, "segment", flow);
   Stopwatch timer;
   miner.AddSegment(segment, out);
   const int64_t elapsed = timer.ElapsedNanos();

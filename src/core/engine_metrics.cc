@@ -1,6 +1,5 @@
 #include "core/engine_metrics.h"
 
-#include "telemetry/trace.h"
 #include "util/kernels/kernels.h"
 
 namespace fcp {
@@ -91,8 +90,7 @@ telemetry::Gauge* RegisterBuildInfo(telemetry::MetricRegistry* registry) {
 #endif
   const std::string name =
       "fcp_build_info{" + telemetry::FormatLabel("version", version) + "," +
-      telemetry::FormatLabel("kernel", kernels::Ops().name) + "," +
-      telemetry::FormatLabel("trace", trace::kCompiledIn ? "1" : "0") + "}";
+      telemetry::FormatLabel("kernel", kernels::Ops().name) + "}";
   registry->GetGauge(name)->Set(1);
   return registry->GetGauge("fcp_uptime_seconds");
 }

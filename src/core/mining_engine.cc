@@ -32,8 +32,8 @@ std::vector<Fcp> MiningEngine::PushEvent(const ObjectEvent& event) {
 }
 
 std::vector<Fcp> MiningEngine::IngestBatch(std::span<const ObjectEvent> events) {
-  FCP_TRACE_SPAN_FLOW("engine/ingest_batch", 0,
-                      static_cast<uint32_t>(events.size()));
+  trace::Span span("engine/ingest_batch", 0,
+                   static_cast<uint32_t>(events.size()));
   if (heartbeat_ != nullptr) heartbeat_->MarkIdle(false);
   // One counter delta per batch — same final totals as per-event increments.
   if (!events.empty()) front_.CountIngested(events.size());

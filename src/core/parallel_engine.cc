@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "telemetry/thread_registry.h"
+#include "telemetry/trace.h"
 #include "util/stopwatch.h"
 
 namespace fcp {
@@ -232,9 +233,9 @@ void ParallelEngine::IngestLoop() {
         // into the arrow that ends on every shard mining the segment.
         // Routing blocks on full shard queues, so shard backpressure shows
         // up as a stretched ingest/route slice.
-        FCP_TRACE_SPAN_FLOW("ingest/route", segment->id(),
-                            static_cast<uint32_t>(segment->length()));
-        FCP_TRACE_FLOW_STEP("segment", segment->id());
+        trace::Span route_span("ingest/route", segment->id(),
+                               static_cast<uint32_t>(segment->length()));
+        trace::Emit(trace::Phase::kFlowStep, "segment", segment->id());
         router_->Route(segment);
       }
       if (rebalancer_ != nullptr) {
@@ -244,8 +245,9 @@ void ParallelEngine::IngestLoop() {
           // path, then switch routing to the successor snapshot. The span's
           // duration is the routing-thread cost of the migration (backfill
           // enqueues, possibly blocking on full shard queues).
-          FCP_TRACE_SPAN_FLOW("router/rebalance", next->version(),
-                              rebalancer_->stats().objects_moved);
+          trace::Span rebalance_span(
+              "router/rebalance", next->version(),
+              static_cast<uint32_t>(rebalancer_->stats().objects_moved));
           Stopwatch migrate_timer;
           router_->ApplyPlacement(std::move(next));
           migration_latency_us_->Record(
@@ -323,8 +325,8 @@ void ParallelEngine::ProcessDelivery(uint32_t shard_index,
     // Migration backfill: this shard just became an owner of one of the
     // segment's objects; index it so upcoming triggers see every valid
     // supporter, but do not mine (its route-time owners already did).
-    FCP_TRACE_SPAN_FLOW("shard/index_backfill", delivery.trace_flow,
-                        shard_index);
+    trace::Span backfill_span("shard/index_backfill", delivery.trace_flow,
+                              shard_index);
     miner.AddSegmentIndexOnly(*delivery.segment);
     telemetry.miner.PublishDelta(miner.stats(), &telemetry.published);
     telemetry.miner.PublishIntrospection(miner.Introspect());

@@ -141,15 +141,15 @@ void PostingMiner<Index>::AddSegment(const Segment& segment,
 
   Stopwatch maint_timer;
   {
-    FCP_TRACE_SPAN(kPairCells ? "matrixmine/maintenance"
-                              : "dimine/maintenance");
+    trace::Span span(kPairCells ? "matrixmine/maintenance"
+                                : "dimine/maintenance");
     IndexSegment(segment, now);
   }
   stats_.maintenance_ns += maint_timer.ElapsedNanos();
 
   Stopwatch mine_timer;
   {
-    FCP_TRACE_SPAN(kPairCells ? "matrixmine/mine" : "dimine/mine");
+    trace::Span span(kPairCells ? "matrixmine/mine" : "dimine/mine");
     PostingSupport support(index_, now, params_, &scratch_);
     MineApriori(segment, params_, shard_, support, &scratch_.apriori, &stats_,
                 out);
@@ -167,8 +167,8 @@ void PostingMiner<Index>::AddSegmentIndexOnly(const Segment& segment) {
   watermark_ = std::max(watermark_, segment.end_time());
   Stopwatch maint_timer;
   {
-    FCP_TRACE_SPAN(kPairCells ? "matrixmine/index_backfill"
-                              : "dimine/index_backfill");
+    trace::Span span(kPairCells ? "matrixmine/index_backfill"
+                                : "dimine/index_backfill");
     IndexSegment(segment, watermark_);
   }
   stats_.maintenance_ns += maint_timer.ElapsedNanos();

@@ -43,9 +43,7 @@ int QueryInt(std::string_view query, std::string_view key, int fallback) {
 }  // namespace
 
 std::string TracezJson() {
-  std::string out = "{\"compiled_in\":";
-  out += trace::kCompiledIn ? "true" : "false";
-  out += ",\"enabled\":";
+  std::string out = "{\"enabled\":";
   out += trace::IsEnabled() ? "true" : "false";
   out += ",\"slow_op_threshold_ns\":";
   out += std::to_string(trace::SlowOpThresholdNs());
@@ -133,10 +131,6 @@ void InstallStandardEndpoints(ObsServer& server, EndpointSources sources) {
   // obs poll thread for the window — scrapes queue behind it, by design:
   // one poll thread, and a profile capture is an interactive operation.
   server.SetQueryHandler("/pprof/profile", [registry](std::string_view q) {
-    if (!prof::kCompiledIn) {
-      return HttpResponse{501, kTextPlain,
-                          "profiler compiled out (-DFCP_PROF=OFF)\n"};
-    }
     int seconds = QueryInt(q, "seconds", 2);
     if (seconds < 1) seconds = 1;
     if (seconds > 60) seconds = 60;
@@ -154,10 +148,6 @@ void InstallStandardEndpoints(ObsServer& server, EndpointSources sources) {
   // Allocation-site profile (folded stacks, sampled bytes). Empty until
   // the binary arms prof::EnableHeapProfiler (fcpmine --profile does).
   server.SetHandler("/pprof/heap", []() {
-    if (!prof::kCompiledIn) {
-      return HttpResponse{501, kTextPlain,
-                          "profiler compiled out (-DFCP_PROF=OFF)\n"};
-    }
     if (!prof::HeapProfilerEnabled()) {
       return HttpResponse{200, kTextPlain,
                           "# heap profiler not enabled (run with --profile "

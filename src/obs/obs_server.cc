@@ -273,7 +273,7 @@ void ObsServer::StageResponse(Connection* conn) {
     conn->responding = true;
     return;
   }
-  FCP_TRACE_SPAN("obs/scrape");
+  trace::Span span("obs/scrape");
   const Stopwatch scrape;
   HttpResponse resp =
       qit != query_handlers_.end() ? qit->second(req.query) : it->second();

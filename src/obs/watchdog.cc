@@ -160,8 +160,8 @@ void Watchdog::TransitionTo(HealthState next, const std::string& why) {
     case HealthState::kStarting: break;
   }
   if (c != nullptr) c->Increment();
-  FCP_TRACE_INSTANT("watchdog/transition", 0,
-                    static_cast<uint64_t>(static_cast<int>(next)));
+  trace::Emit(trace::Phase::kInstant, "watchdog/transition", 0,
+              static_cast<uint32_t>(next));
   std::fprintf(stderr, "[watchdog] health %.*s -> %.*s (%s)\n",
                static_cast<int>(HealthStateName(prev).size()),
                HealthStateName(prev).data(),
@@ -178,7 +178,7 @@ void Watchdog::Start() {
 
 void Watchdog::Loop() {
   telemetry::ThreadScope scope("watchdog");
-  FCP_TRACE_SPAN("watchdog/loop");
+  trace::Span loop_span("watchdog/loop");
   std::unique_lock<std::mutex> lock(run_mu_);
   while (!stop_requested_) {
     run_cv_.wait_for(lock,
@@ -186,7 +186,7 @@ void Watchdog::Loop() {
     if (stop_requested_) break;
     lock.unlock();
     {
-      FCP_TRACE_SPAN("watchdog/evaluate");
+      trace::Span evaluate_span("watchdog/evaluate");
       EvaluateOnce(MonotonicNowNs());
     }
     lock.lock();

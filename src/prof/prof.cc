@@ -15,8 +15,6 @@
 
 #include "prof/prof.h"
 
-#if !defined(FCP_PROF_DISABLED)
-
 #include <cxxabi.h>
 #include <dlfcn.h>
 #include <elf.h>
@@ -39,10 +37,10 @@
 #include "util/alloc_hook.h"
 
 #if defined(__GNUC__) || defined(__clang__)
-#define FCP_PROF_NO_SANITIZE \
+#define FCP_NO_SANITIZE \
   __attribute__((no_sanitize("address", "thread", "undefined")))
 #else
-#define FCP_PROF_NO_SANITIZE
+#define FCP_NO_SANITIZE
 #endif
 
 namespace fcp::prof {
@@ -265,7 +263,7 @@ ProfState& State() {
 /// the walk only ever moves toward the stack base. Sanitizers are disabled
 /// here: the loads are raw stack reads that ASan shadow checks would
 /// misjudge and TSan would misreport (same-thread signal context).
-FCP_PROF_NO_SANITIZE
+FCP_NO_SANITIZE
 uint32_t WalkStack(uintptr_t pc, uintptr_t fp, uintptr_t lo, uintptr_t hi,
                    uintptr_t* out) {
   uint32_t depth = 0;
@@ -286,7 +284,7 @@ uint32_t WalkStack(uintptr_t pc, uintptr_t fp, uintptr_t lo, uintptr_t hi,
   return depth;
 }
 
-FCP_PROF_NO_SANITIZE
+FCP_NO_SANITIZE
 void SigprofHandler(int, siginfo_t*, void* ucontext) {
   ThreadRecord* rec = telemetry::ThisThread();
   if (rec == nullptr) return;
@@ -768,5 +766,3 @@ std::string CrashJson() {
 }
 
 }  // namespace fcp::prof
-
-#endif  // !FCP_PROF_DISABLED

@@ -8,9 +8,9 @@
 // thread blocked on a condition variable burns no CPU and receives no
 // signals, so the sample distribution is an on-CPU profile by construction.
 // The signal handler walks the interrupted frame-pointer chain (the build
-// keeps frame pointers when FCP_PROF is on) into a lock-free per-thread
-// sample ring with a drop-oldest policy; it allocates nothing, takes no
-// locks and calls no library function that could.
+// always keeps frame pointers) into a lock-free per-thread sample ring with
+// a drop-oldest policy; it allocates nothing, takes no locks and calls no
+// library function that could.
 //
 // Off-CPU: the pipeline's block points (BoundedQueue pop-empty and
 // push-full waits) report their wall-clock wait time through RecordWaitNs
@@ -23,15 +23,13 @@
 //   - Armed: the SIGPROF handler is a bounded frame walk + plain stores and
 //     one release store; wait points add two clock_gettime calls around a
 //     wait that was going to block anyway.
-//   - Compiled out (cmake -DFCP_PROF=OFF): the FCP_PROF_* macros expand to
-//     nothing and every entry point is an inline no-op stub.
 //
 // Aggregation/symbolization (the collector side) is ordinary code: it runs
 // on whatever thread calls CollectNow()/CaptureFoldedProfile (the obs poll
 // thread, the --profile shutdown path, tests) and may allocate freely.
 
-#ifndef FCP_PROF_PROF_H_
-#define FCP_PROF_PROF_H_
+#ifndef FCP_SRC_PROF_PROF_H_
+#define FCP_SRC_PROF_PROF_H_
 
 #include <atomic>
 #include <cstddef>
@@ -48,13 +46,6 @@ class MetricRegistry;
 
 namespace fcp::prof {
 
-/// Whether the profiler is compiled into this build.
-#if defined(FCP_PROF_DISABLED)
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
 /// Aggregate counters (drained + in-flight samples are both counted once).
 struct ProfStats {
   uint64_t samples = 0;        ///< samples collected into the trie
@@ -62,8 +53,6 @@ struct ProfStats {
   uint64_t threads = 0;        ///< live threads inside a ThreadScope
   uint64_t symbols_cached = 0; ///< resolved PC -> name cache entries
 };
-
-#if !defined(FCP_PROF_DISABLED)
 
 /// One relaxed load: true while the CPU profiler is armed. Wait-point
 /// instrumentation gates its clock reads on this.
@@ -146,62 +135,28 @@ std::string HeapProfile();
 /// none.
 std::string CrashJson();
 
-#else  // FCP_PROF_DISABLED: every entry point is an inline no-op.
-
-inline bool IsEnabled() { return false; }
-
-inline bool StartCpuProfiler(int, telemetry::MetricRegistry* = nullptr) {
-  return false;
-}
-inline void StopCpuProfiler() {}
-inline bool IsSampling() { return false; }
-inline int SamplingHz() { return 0; }
-inline void CollectNow() {}
-inline std::string FoldedProfile() { return ""; }
-inline std::string CaptureFoldedProfile(int, int = 100) { return ""; }
-inline void RecordWaitNs(const char*, int64_t) {}
-
-inline ProfStats Stats() { return {}; }
-inline void ResetProfile() {}
-
-inline void EnableHeapProfiler(size_t = 64 * 1024) {}
-inline void DisableHeapProfiler() {}
-inline bool HeapProfilerEnabled() { return false; }
-inline std::string HeapProfile() { return ""; }
-inline std::string CrashJson() { return "{}"; }
-
-#endif  // FCP_PROF_DISABLED
-
 /// Times one blocking wait and attributes it to `tag` (static storage).
 /// Construct ONLY on a path that is about to block — the constructor reads
 /// the clock when the profiler is armed. One relaxed load when it is not.
 class WaitTimer {
  public:
   explicit WaitTimer(const char* tag) {
-#if !defined(FCP_PROF_DISABLED)
     if (IsEnabled() && tag != nullptr) {
       tag_ = tag;
       start_ns_ = MonotonicNowNs();
     }
-#else
-    (void)tag;
-#endif
   }
   ~WaitTimer() {
-#if !defined(FCP_PROF_DISABLED)
     if (tag_ != nullptr) RecordWaitNs(tag_, MonotonicNowNs() - start_ns_);
-#endif
   }
   WaitTimer(const WaitTimer&) = delete;
   WaitTimer& operator=(const WaitTimer&) = delete;
 
  private:
-#if !defined(FCP_PROF_DISABLED)
   const char* tag_ = nullptr;
   int64_t start_ns_ = 0;
-#endif
 };
 
 }  // namespace fcp::prof
 
-#endif  // FCP_PROF_PROF_H_
+#endif  // FCP_SRC_PROF_PROF_H_

@@ -13,7 +13,6 @@ namespace {
 /// from ingest to mine. `before` is out->size() before the push.
 inline void TraceCompletedSegments(const std::vector<SegmentRef>& out,
                                    size_t before) {
-#ifndef FCP_TRACE_DISABLED
   if (!trace::IsEnabled()) return;
   for (size_t k = before; k < out.size(); ++k) {
     trace::Emit(trace::Phase::kBegin, "mux/segment_complete", out[k]->id(),
@@ -21,10 +20,6 @@ inline void TraceCompletedSegments(const std::vector<SegmentRef>& out,
     trace::Emit(trace::Phase::kFlowBegin, "segment", out[k]->id());
     trace::Emit(trace::Phase::kEnd, "mux/segment_complete");
   }
-#else
-  (void)out;
-  (void)before;
-#endif
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "common/check.h"
 #include "telemetry/thread_registry.h"
 #include "util/stopwatch.h"
 
@@ -11,7 +12,8 @@ namespace {
 
 constexpr size_t kMinSlots = 64;
 
-// Recording state, guarded by the thread registry's lock.
+// Recording state. The ring size changes only at quiescence (Start, Reset);
+// the track counter is guarded by the thread registry's lock.
 size_t g_ring_slots = 8192;
 uint64_t g_tracks = 0;  ///< track ids handed out since Start
 
@@ -29,12 +31,15 @@ void DropRings(size_t ring_slots) {
 }
 
 /// Attaches a ring for the current recording to the calling thread's record
-/// (first event after Start). The one place the recorder allocates.
+/// (first event after Start). The one place the recorder allocates, and it
+/// does so before taking the registry lock: a failed allocation aborts the
+/// process, and the crash handler's Snapshot() takes that same lock.
 telemetry::TraceRing* AttachRing() {
   telemetry::ThreadRecord* rec = telemetry::RegisterThisThread();
   if (rec == nullptr) return nullptr;
+  auto* ring = new telemetry::TraceRing(g_ring_slots, 0);
   telemetry::RegistryLock lock;
-  auto* ring = new telemetry::TraceRing(g_ring_slots, ++g_tracks);
+  ring->track = ++g_tracks;
   rec->trace.store(ring, std::memory_order_release);
   return ring;
 }
@@ -42,6 +47,7 @@ telemetry::TraceRing* AttachRing() {
 }  // namespace
 
 void Start(size_t ring_kb) {
+  FCP_CHECK(ring_kb <= kMaxRingKb);
   const size_t slots = ring_kb * 1024 / sizeof(TraceEvent);
   DropRings(std::bit_ceil(std::max(slots, kMinSlots)));
   EnabledFlag().store(true, std::memory_order_release);

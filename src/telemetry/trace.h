@@ -16,8 +16,6 @@
 //   - The only allocation is the thread's ring (and record, if it has none
 //     yet), attached on its FIRST recorded event after Start — never again
 //     on that thread during the recording.
-//   - Compiled out (cmake -DFCP_TRACE=OFF): the FCP_TRACE_* macros expand to
-//     nothing, so instrumented hot paths carry zero bytes of trace code.
 //
 // Event names MUST be string literals (or other static-storage strings): the
 // recorder stores the pointer, not a copy. Flow ids stitch one logical
@@ -41,13 +39,6 @@
 
 namespace fcp::trace {
 
-/// Whether the FCP_TRACE_* macros compile to anything in this build.
-#if defined(FCP_TRACE_DISABLED)
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
 /// Chrome trace-event phases (the serializer emits the enum value as the
 /// event's "ph" letter verbatim).
 enum class Phase : uint8_t {
@@ -68,9 +59,13 @@ struct TraceEvent {
   Phase phase = Phase::kInstant;
 };
 
+/// Largest per-thread ring Start accepts, in KiB (1 GiB).
+inline constexpr size_t kMaxRingKb = size_t{1} << 20;
+
 /// Starts recording with `ring_kb` KiB of ring per thread (rounded to a
-/// power-of-two slot count, minimum 64 slots). Must be called at quiescence
-/// (no concurrently emitting threads); discards any previous recording.
+/// power-of-two slot count, minimum 64 slots; at most kMaxRingKb, checked).
+/// Must be called at quiescence (no concurrently emitting threads);
+/// discards any previous recording.
 void Start(size_t ring_kb = 256);
 
 /// Stops recording (events already in the rings are kept for Snapshot).
@@ -84,7 +79,7 @@ inline std::atomic<bool>& EnabledFlag() {
   return enabled;
 }
 
-/// True while recording. The macro fast path: one relaxed load.
+/// True while recording. The Span/Emit fast path: one relaxed load.
 inline bool IsEnabled() {
   return EnabledFlag().load(std::memory_order_relaxed);
 }
@@ -206,7 +201,7 @@ struct SlowOpSummary {
 /// cap). Cleared by ConfigureSlowOp, so each capture session starts empty.
 std::vector<SlowOpSummary> RecentSlowOps();
 
-// --- RAII span + instrumentation macros. -----------------------------------
+// --- RAII span. ------------------------------------------------------------
 
 /// Opens a Begin/End span over its scope. When recording is off at
 /// construction the destructor does nothing (name_ stays null), so a span
@@ -231,74 +226,5 @@ class Span {
 };
 
 }  // namespace fcp::trace
-
-#if defined(FCP_TRACE_DISABLED)
-
-// The no-op forms still "use" their arguments via unevaluated sizeof so a
-// local computed only for tracing doesn't trip -Werror=unused-variable.
-#define FCP_TRACE_SPAN(name)  \
-  do {                        \
-    (void)sizeof(name);       \
-  } while (false)
-#define FCP_TRACE_SPAN_FLOW(name, flow_id, arg_v) \
-  do {                                            \
-    (void)sizeof(name);                           \
-    (void)sizeof(flow_id);                        \
-    (void)sizeof(arg_v);                          \
-  } while (false)
-#define FCP_TRACE_INSTANT(name, flow_id, arg_v) \
-  do {                                          \
-    (void)sizeof(name);                         \
-    (void)sizeof(flow_id);                      \
-    (void)sizeof(arg_v);                        \
-  } while (false)
-#define FCP_TRACE_FLOW_BEGIN(name, flow_id) \
-  do {                                      \
-    (void)sizeof(name);                     \
-    (void)sizeof(flow_id);                  \
-  } while (false)
-#define FCP_TRACE_FLOW_STEP(name, flow_id) \
-  do {                                     \
-    (void)sizeof(name);                    \
-    (void)sizeof(flow_id);                 \
-  } while (false)
-#define FCP_TRACE_FLOW_END(name, flow_id) \
-  do {                                    \
-    (void)sizeof(name);                   \
-    (void)sizeof(flow_id);                \
-  } while (false)
-
-#else
-
-#define FCP_TRACE_CONCAT_(a, b) a##b
-#define FCP_TRACE_CONCAT(a, b) FCP_TRACE_CONCAT_(a, b)
-
-/// Scoped duration span; `name` must be a string literal.
-#define FCP_TRACE_SPAN(name) \
-  ::fcp::trace::Span FCP_TRACE_CONCAT(fcp_trace_span_, __LINE__)(name)
-
-/// Scoped span carrying a flow id and a numeric arg.
-#define FCP_TRACE_SPAN_FLOW(name, flow_id, arg_v)                       \
-  ::fcp::trace::Span FCP_TRACE_CONCAT(fcp_trace_span_, __LINE__)(       \
-      name, static_cast<uint64_t>(flow_id), static_cast<uint32_t>(arg_v))
-
-#define FCP_TRACE_INSTANT(name, flow_id, arg_v)                         \
-  ::fcp::trace::Emit(::fcp::trace::Phase::kInstant, name,               \
-                     static_cast<uint64_t>(flow_id),                    \
-                     static_cast<uint32_t>(arg_v))
-
-#define FCP_TRACE_FLOW_BEGIN(name, flow_id)                  \
-  ::fcp::trace::Emit(::fcp::trace::Phase::kFlowBegin, name,  \
-                     static_cast<uint64_t>(flow_id))
-
-#define FCP_TRACE_FLOW_STEP(name, flow_id)                  \
-  ::fcp::trace::Emit(::fcp::trace::Phase::kFlowStep, name,  \
-                     static_cast<uint64_t>(flow_id))
-
-#define FCP_TRACE_FLOW_END(name, flow_id)                  \
-  ::fcp::trace::Emit(::fcp::trace::Phase::kFlowEnd, name,  \
-                     static_cast<uint64_t>(flow_id))
-
-#endif  // FCP_TRACE_DISABLED
 
 #endif  // FCP_TELEMETRY_TRACE_H_

@@ -220,7 +220,6 @@ TEST(AllocRegressionTest, SteadyStateIsAllocationFreeAtEveryKernelLevel) {
 // ring — the steady-state half must still count zero allocations even while
 // the ring wraps continuously.
 TEST(AllocRegressionTest, TracingEnabledSteadyStateIsAllocationFree) {
-  if (!trace::kCompiledIn) GTEST_SKIP() << "built with FCP_TRACE=OFF";
   trace::Reset();
   trace::Start(/*ring_kb=*/64);  // small ring: wrap path exercised constantly
   for (MinerKind kind : {MinerKind::kCooMine, MinerKind::kDiMine,

@@ -20,6 +20,7 @@
 #include "core/parallel_engine.h"
 #include "datagen/traffic_gen.h"
 #include "telemetry/registry.h"
+#include "util/kernels/kernels.h"
 
 namespace fcp {
 namespace {
@@ -540,6 +541,35 @@ TEST(MetricsConsistencyFrontEndTest, SerialGaugesRefreshFromAScrapeThread) {
             static_cast<int64_t>(pool.live));
   EXPECT_EQ(Find(samples, "fcp_segment_pool_hits_total").gauge_value,
             static_cast<int64_t>(pool.pool_hits));
+}
+
+// fcp_build_info is one gauge, set to 1, labelled with exactly the version
+// and the active kernel tier, on the serial and the sharded engine alike.
+TEST(MetricsConsistencyBuildInfoTest, BothEnginesRegisterVersionAndKernel) {
+  const std::string expected = std::string("fcp_build_info{version=\"") +
+                               FCP_VERSION + "\",kernel=\"" +
+                               kernels::Ops().name + "\"}";
+  auto build_info_names = [](const std::vector<telemetry::MetricSample>& all) {
+    std::vector<std::string> names;
+    for (const telemetry::MetricSample& s : all) {
+      if (s.name.starts_with("fcp_build_info")) names.push_back(s.name);
+    }
+    return names;
+  };
+
+  MiningEngine serial(MinerKind::kCooMine, Params());
+  const auto serial_metrics = serial.SnapshotMetrics();
+  EXPECT_EQ(build_info_names(serial_metrics),
+            std::vector<std::string>{expected});
+  EXPECT_EQ(Find(serial_metrics, expected).gauge_value, 1);
+
+  ParallelEngineOptions options;
+  options.num_miner_shards = 2;
+  ParallelEngine sharded(MinerKind::kCooMine, Params(), options);
+  const auto sharded_metrics = sharded.SnapshotMetrics();
+  EXPECT_EQ(build_info_names(sharded_metrics),
+            std::vector<std::string>{expected});
+  EXPECT_EQ(Find(sharded_metrics, expected).gauge_value, 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(

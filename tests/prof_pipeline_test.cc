@@ -76,13 +76,11 @@ std::vector<testing::FcpSignature> RunSharded(
 class ProfPipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!prof::kCompiledIn) GTEST_SKIP() << "built with FCP_PROF=OFF";
     prof::StopCpuProfiler();
     prof::DisableHeapProfiler();
     prof::ResetProfile();
   }
   void TearDown() override {
-    if (!prof::kCompiledIn) return;
     prof::StopCpuProfiler();
     prof::DisableHeapProfiler();
     prof::ResetProfile();

@@ -67,13 +67,11 @@ namespace {
 class ProfTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!prof::kCompiledIn) GTEST_SKIP() << "built with FCP_PROF=OFF";
     prof::StopCpuProfiler();
     prof::DisableHeapProfiler();
     prof::ResetProfile();
   }
   void TearDown() override {
-    if (!prof::kCompiledIn) return;
     prof::StopCpuProfiler();
     prof::DisableHeapProfiler();
     prof::ResetProfile();
@@ -300,10 +298,9 @@ TEST_F(ProfTest, CrashJsonIsSelfContainedState) {
   EXPECT_NE(json.find("\"crashy\""), std::string::npos) << json;
 }
 
-// Named without "Prof" or "Trace" so neither the TSan suite filter (which
-// cannot run death tests) nor the trace-only filters pick it up.
+// Named without "Prof" or "Trace" so the TSan suite filter (which cannot
+// run death tests) does not pick it up.
 TEST(CpuSamplerCrashDeathTest, FatalDumpCarriesProfilerAuxState) {
-  if (!prof::kCompiledIn) GTEST_SKIP() << "built with FCP_PROF=OFF";
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const std::string path = ::testing::TempDir() + "/prof_crash_aux.json";
   std::remove(path.c_str());

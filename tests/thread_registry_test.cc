@@ -57,9 +57,6 @@ std::set<std::string> FoldedRoots(const std::string& folded) {
 }
 
 TEST(ThreadRegistryTest, PipelineThreadsShareOneNameAcrossBothRecorders) {
-  if (!trace::kCompiledIn || !prof::kCompiledIn) {
-    GTEST_SKIP() << "needs the flight recorder and the profiler compiled in";
-  }
   const std::vector<ObjectEvent> events = Trace();
   MiningEngine serial(MinerKind::kCooMine, Params());
   std::vector<Fcp> serial_all;

@@ -56,7 +56,6 @@ std::vector<trace::ParsedTraceEvent> StopAndParse() {
 class TracePipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!trace::kCompiledIn) GTEST_SKIP() << "built with FCP_TRACE=OFF";
     trace::Reset();
     trace::ConfigureSlowOp(trace::SlowOpOptions{});
   }

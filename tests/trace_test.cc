@@ -6,6 +6,9 @@
 
 #include "telemetry/trace.h"
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -393,9 +396,46 @@ TEST(CrashDumpDeathTest, FatalSignalWritesFlightRecorderBlackBox) {
   std::string error;
   EXPECT_TRUE(trace::ValidateChromeTraceJson(dump, &error)) << error;
   EXPECT_NE(dump.find("crash-imminent"), std::string::npos);
-  // The one crash writer always adds the profiler's state ("{}" when the
-  // profiler is compiled out).
+  // The one crash writer always adds the profiler's state.
   EXPECT_NE(dump.find("\"profiler\""), std::string::npos);
+  std::remove(path.c_str());
+}
+
+// A thread whose ring allocation fails dies with std::bad_alloc outside any
+// handler, so std::terminate aborts without unwinding. The black box must
+// still be written: the ring is allocated before the registry lock is taken,
+// so the crash handler's Snapshot() does not wait on a lock the dead thread
+// holds. The limit on the address space makes the 256 MiB ring fail.
+TEST(CrashDumpDeathTest, FailedRingAllocationStillWritesBlackBox) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "an address-space limit starves the sanitizer's allocator";
+#endif
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string path = ::testing::TempDir() + "/ring_alloc_black_box.json";
+  std::remove(path.c_str());
+  EXPECT_DEATH(
+      {
+        trace::Start(/*ring_kb=*/256 * 1024);
+        obs::InstallCrashHandler(path);
+        std::thread doomed([] {
+          // Registers the thread (and its malloc arena) under no limit.
+          telemetry::ThreadScope scope("doomed");
+          size_t vm_pages = 0;
+          std::ifstream("/proc/self/statm") >> vm_pages;
+          const rlim_t vm_bytes =
+              static_cast<rlim_t>(vm_pages) * sysconf(_SC_PAGESIZE);
+          const rlimit limit{vm_bytes + (64 << 20), RLIM_INFINITY};
+          setrlimit(RLIMIT_AS, &limit);
+          trace::Emit(trace::Phase::kInstant, "ring-attach");
+        });
+        doomed.join();
+      },
+      "bad_alloc.*fatal signal");
+
+  const std::string dump = ReadFile(path);
+  ASSERT_FALSE(dump.empty());
+  std::string error;
+  EXPECT_TRUE(trace::ValidateChromeTraceJson(dump, &error)) << error;
   std::remove(path.c_str());
 }
 

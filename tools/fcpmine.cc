@@ -45,9 +45,9 @@
 //   --trace=<path>[,ring_kb]   record a flight-recorder trace of the run and
 //                         write Chrome trace-event JSON to <path> (open in
 //                         Perfetto / chrome://tracing). ring_kb sizes each
-//                         thread's ring (default 256 KiB). Also arms a
-//                         fatal-signal handler that dumps the recorder to
-//                         <path>.crash.json.
+//                         thread's ring (default 256 KiB, at most 1 GiB).
+//                         Also arms a fatal-signal handler that dumps the
+//                         recorder to <path>.crash.json.
 //   --slow_op_ns=N        dump forensics (triggering segment, miner state,
 //                         recorder tail) for any mine call slower than N ns;
 //                         dumps land at <trace path or "fcpmine">.slowop-<n>
@@ -86,6 +86,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -156,6 +157,14 @@ int main(int argc, char** argv) {
       return Fail(std::string("--") + name + " must be >= 0");
     }
   }
+  // Seconds() multiplies by 1000, which must not overflow.
+  constexpr int64_t kMaxSeconds = std::numeric_limits<int64_t>::max() / 1000;
+  for (const char* name : {"xi", "tau", "suppress"}) {
+    if (flags.GetInt(name, 0) > kMaxSeconds) {
+      return Fail(std::string("--") + name + " must be <= " +
+                  std::to_string(kMaxSeconds) + " seconds");
+    }
+  }
 
   // Names main for the flight recorder and the profiler alike.
   fcp::telemetry::ThreadScope main_scope("main");
@@ -175,6 +184,10 @@ int main(int argc, char** argv) {
       ring_kb = std::strtoul(kb.c_str(), &end, 10);
       if (end == kb.c_str() || *end != '\0' || ring_kb == 0) {
         return Fail("bad --trace ring size '" + kb + "'");
+      }
+      if (ring_kb > fcp::trace::kMaxRingKb) {
+        return Fail("--trace ring size must be <= " +
+                    std::to_string(fcp::trace::kMaxRingKb) + " KiB");
       }
     }
     if (trace_path.empty()) return Fail("--trace needs a path");
@@ -200,9 +213,6 @@ int main(int argc, char** argv) {
       }
     }
     if (profile_path.empty()) return Fail("--profile needs a path");
-    if (!fcp::prof::kCompiledIn) {
-      return Fail("--profile: profiler compiled out (-DFCP_PROF=OFF)");
-    }
     if (!fcp::prof::StartCpuProfiler(
             static_cast<int>(profile_hz),
             &fcp::telemetry::MetricRegistry::Global())) {
