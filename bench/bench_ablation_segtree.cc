@@ -1,6 +1,7 @@
 // Ablation study of the Seg-tree design choices called out in DESIGN.md:
 //
-//  1. DistanceBound pruning on/off — nodes visited and SLCP wall time.
+//  1. DistanceBound pruning on/off — nodes (slots) stepped, runs entered
+//     and SLCP wall time.
 //  2. Lazy deletion vs eager per-segment sweeps — maintenance wall time.
 //
 // Flags: --quick, --scale=<f>
@@ -42,7 +43,8 @@ void AblateDistanceBound(const std::vector<Segment>& segments,
     table->AddRow({"distance_bound", use_bound ? "on" : "off",
                    TablePrinter::Num(clock.ElapsedMillis(), 1) + " ms",
                    std::to_string(tree.stats().distance_bound_visits) +
-                       " nodes visited",
+                       " nodes visited (" +
+                       std::to_string(tree.stats().runs_visited) + " runs)",
                    std::to_string(rows_total) + " LCP rows"});
   }
 }

@@ -191,6 +191,7 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
       MinedObjects(segment, params_.max_segment_objects);
   if (mined.size() >= params_.min_pattern_size) {
     const uint64_t visits_before = tree_.stats().distance_bound_visits;
+    const uint64_t runs_before = tree_.stats().runs_visited;
     {
       trace::Span slcp_span("coomine/slcp");
       tree_.SlcpInto(mined, now, params_.tau, &scratch_.expired,
@@ -201,6 +202,7 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
     stats_.lcp_rows_dropped += scratch_.lcp.rows_dropped;
     stats_.slcp_nodes_visited +=
         tree_.stats().distance_bound_visits - visits_before;
+    stats_.slcp_runs_visited += tree_.stats().runs_visited - runs_before;
     trace::Span apriori_span("coomine/apriori");
     TidsetSupport support(segment, now - segment.start_time() <= params_.tau,
                           params_, &scratch_);

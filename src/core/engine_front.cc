@@ -34,6 +34,7 @@ void DumpSlowOp(const char* op, const Segment& segment, const FcpMiner& miner,
       {"lcp_rows", static_cast<int64_t>(stats.lcp_rows)},
       {"lcp_rows_dropped", static_cast<int64_t>(stats.lcp_rows_dropped)},
       {"slcp_nodes_visited", static_cast<int64_t>(stats.slcp_nodes_visited)},
+      {"slcp_runs_visited", static_cast<int64_t>(stats.slcp_runs_visited)},
       {"maintenance_runs", static_cast<int64_t>(stats.maintenance_runs)},
       {"segments_expired", static_cast<int64_t>(stats.segments_expired)},
       {"mining_ns", stats.mining_ns},

@@ -30,6 +30,8 @@ MinerMetrics MinerMetrics::Register(telemetry::MetricRegistry* registry,
       registry->GetCounter(Name("fcp_lcp_rows_dropped_total", labels));
   m.slcp_nodes_visited =
       registry->GetCounter(Name("fcp_slcp_nodes_visited_total", labels));
+  m.slcp_runs_visited =
+      registry->GetCounter(Name("fcp_slcp_runs_visited_total", labels));
   m.maintenance_runs =
       registry->GetCounter(Name("fcp_maintenance_runs_total", labels));
   m.segments_expired =
@@ -73,6 +75,7 @@ void MinerMetrics::PublishDelta(const MinerStats& current,
   Bump(lcp_rows_dropped, current.lcp_rows_dropped - last->lcp_rows_dropped);
   Bump(slcp_nodes_visited,
        current.slcp_nodes_visited - last->slcp_nodes_visited);
+  Bump(slcp_runs_visited, current.slcp_runs_visited - last->slcp_runs_visited);
   Bump(maintenance_runs, current.maintenance_runs - last->maintenance_runs);
   Bump(segments_expired, current.segments_expired - last->segments_expired);
   Bump(mining_ns, static_cast<uint64_t>(current.mining_ns - last->mining_ns));

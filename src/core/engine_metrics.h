@@ -31,6 +31,7 @@ struct MinerMetrics {
   telemetry::Counter* lcp_rows = nullptr;
   telemetry::Counter* lcp_rows_dropped = nullptr;
   telemetry::Counter* slcp_nodes_visited = nullptr;
+  telemetry::Counter* slcp_runs_visited = nullptr;
   telemetry::Counter* maintenance_runs = nullptr;
   telemetry::Counter* segments_expired = nullptr;
   telemetry::Counter* mining_ns = nullptr;

@@ -50,8 +50,11 @@ struct MinerStats {
                                    ///< one), so get no row (0 at
                                    ///< min_pattern_size 1 and for
                                    ///< DIMine/MatrixMine)
-  uint64_t slcp_nodes_visited = 0; ///< CooMine: Seg-tree nodes visited by
-                                   ///< SLCP's DistanceBound searches (0 for
+  uint64_t slcp_nodes_visited = 0; ///< CooMine: Seg-tree nodes (slots)
+                                   ///< stepped by SLCP's DistanceBound
+                                   ///< searches (0 for DIMine/MatrixMine)
+  uint64_t slcp_runs_visited = 0;  ///< CooMine: Seg-tree runs those
+                                   ///< searches entered (0 for
                                    ///< DIMine/MatrixMine)
   uint64_t maintenance_runs = 0;   ///< full expiry sweeps executed
   uint64_t segments_expired = 0;
@@ -75,6 +78,7 @@ struct MinerStats {
     lcp_rows += other.lcp_rows;
     lcp_rows_dropped += other.lcp_rows_dropped;
     slcp_nodes_visited += other.slcp_nodes_visited;
+    slcp_runs_visited += other.slcp_runs_visited;
     maintenance_runs += other.maintenance_runs;
     segments_expired += other.segments_expired;
     mining_ns += other.mining_ns;

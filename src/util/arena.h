@@ -1,13 +1,13 @@
 // Slab arena + free-list object pool for hot-path node recycling.
 //
-// The Seg-tree allocates and frees one node per inserted/removed object on
-// the steady-state path; going through the global allocator for each costs a
-// malloc/free pair and scatters nodes across the heap. ObjectPool<T> carves
+// The Seg-tree creates and frees runs (unary paths of the tree) on the
+// steady-state path; going through the global allocator for each costs a
+// malloc/free pair and scatters runs across the heap. ObjectPool<T> carves
 // objects out of large slabs (cache-friendly, one allocation per slab) and
 // recycles released objects through a free list WITHOUT destroying them:
-// a recycled node keeps the heap capacity of its member vectors, so reusing
+// a recycled object keeps the heap capacity of its member vectors, so reusing
 // it performs no allocation at all once the pool is warm. Callers reset the
-// object's logical fields on acquire (see SegTree::NewNode).
+// object's logical fields on acquire (see SegTree::NewRun).
 //
 // Slabs are never returned to the OS while the pool lives; MemoryUsage()
 // reports the full slab footprint so the Fig. 5 memory accounting cannot
@@ -219,6 +219,14 @@ struct PooledVec {
 
   void pop_back() { --count; }
 
+  /// Inserts `value` before element `i`, preserving order.
+  void insert_at(size_t i, const T& value, ChunkArena<T>& arena) {
+    if (count == capacity) Grow(arena);
+    std::copy_backward(data + i, data + count, data + count + 1);
+    data[i] = value;
+    ++count;
+  }
+
   /// Removes element `i`, preserving order (the arrays are tiny).
   void erase_at(size_t i) {
     std::copy(data + i + 1, data + count, data + i);
@@ -226,6 +234,16 @@ struct PooledVec {
   }
 
   void clear() { count = 0; }
+
+  /// Grows the capacity to at least `n` in one step.
+  void reserve(size_t n, ChunkArena<T>& arena) {
+    if (n > capacity) {
+      MoveToClass(static_cast<uint32_t>(std::bit_width(n - 1)), arena);
+    }
+  }
+
+  /// Drops every element from index `n` on (n <= size()).
+  void truncate(size_t n) { count = static_cast<uint32_t>(n); }
 
   /// Returns the chunk to the arena; the vec is empty afterwards.
   void Reset(ChunkArena<T>& arena) {
@@ -243,7 +261,10 @@ struct PooledVec {
   }
 
   void Grow(ChunkArena<T>& arena) {
-    const uint32_t new_class = capacity == 0 ? 0 : ClassOf(capacity) + 1;
+    MoveToClass(capacity == 0 ? 0 : ClassOf(capacity) + 1, arena);
+  }
+
+  void MoveToClass(uint32_t new_class, ChunkArena<T>& arena) {
     T* fresh = arena.Acquire(new_class);
     std::copy(data, data + count, fresh);
     if (data != nullptr) arena.Release(data, ClassOf(capacity));

@@ -55,6 +55,34 @@ std::vector<Segment> BuildSegmentPool(size_t count, Rng& rng) {
   return pool;
 }
 
+// Appends `groups` groups of five untied sequences that drive every
+// mechanic of the Seg-tree's run layout. Per group, over fresh objects
+// a..f, in insertion (and so expiry) order:
+//   (a b) (b c d) (d e) (a b) (b c f)
+// (b c d) and (d e) extend the (a b) run in place; the second (a b) ends
+// mid-run; (b c f) leaves the run at c and splits it. On expiry, (a b)
+// kills a, a front trim that re-roots the rest, and (b c d) then kills c
+// between live b and d, a split that re-roots (d e).
+void AppendRunChurn(std::vector<Segment>* pool, size_t groups) {
+  constexpr ObjectId kFirstObject = 1000;  // above BuildSegmentPool's ids
+  const std::vector<std::vector<int>> shapes = {
+      {0, 1}, {1, 2, 3}, {3, 4}, {0, 1}, {1, 2, 5}};
+  Timestamp time = pool->empty() ? 0 : pool->back().end_time() + 50;
+  for (size_t g = 0; g < groups; ++g) {
+    const ObjectId base = kFirstObject + static_cast<ObjectId>(6 * g);
+    for (const std::vector<int>& shape : shapes) {
+      std::vector<SegmentEntry> entries;
+      for (int offset : shape) {
+        entries.push_back(
+            SegmentEntry{base + static_cast<ObjectId>(offset), time++});
+      }
+      pool->emplace_back(static_cast<SegmentId>(pool->size()),
+                         static_cast<StreamId>(g % 12), std::move(entries));
+      time += 50;
+    }
+  }
+}
+
 // `cycles` repetitions of the pool, each shifted by one full validity window
 // so the previous cycle is expired, with globally fresh segment ids.
 std::vector<Segment> BuildCyclicTrace(const std::vector<Segment>& pool,
@@ -302,8 +330,10 @@ TEST(AllocRegressionTest, TelemetryPublishSteadyStateIsAllocationFree) {
 TEST(AllocRegressionTest, SegTreeSteadyStateChurnIsAllocationFree) {
   const MiningParams params = SteadyParams();
   Rng rng(7);
+  std::vector<Segment> pool = BuildSegmentPool(300, rng);
+  AppendRunChurn(&pool, /*groups=*/20);
   const std::vector<Segment> trace =
-      BuildCyclicTrace(BuildSegmentPool(300, rng), /*cycles=*/6, params);
+      BuildCyclicTrace(pool, /*cycles=*/6, params);
   const size_t per_cycle = trace.size() / 6;
 
   // Insert one full cycle, then expire it while inserting the next: the
@@ -315,6 +345,7 @@ TEST(AllocRegressionTest, SegTreeSteadyStateChurnIsAllocationFree) {
     tree.RemoveExpired(trace[i].end_time(), params.tau);
   }
 
+  const SegTreeStats warm_stats = tree.stats();
   const uint64_t before = alloc_counter::allocations();
   for (size_t i = warm; i < trace.size(); ++i) {
     tree.Insert(trace[i]);
@@ -325,7 +356,13 @@ TEST(AllocRegressionTest, SegTreeSteadyStateChurnIsAllocationFree) {
       << "steady-state Seg-tree churn performed " << allocations
       << " heap allocations over " << (trace.size() - warm) << " cycles";
   EXPECT_EQ(tree.num_segments(), per_cycle);
-  EXPECT_GT(tree.stats().nodes_recycled, 0u);
+  EXPECT_GT(tree.stats().runs_recycled, 0u);
+  // The measured half split runs, trimmed run fronts and re-rooted pieces.
+  const SegTreeStats& stats = tree.stats();
+  EXPECT_GT(stats.appends_in_place, warm_stats.appends_in_place);
+  EXPECT_GT(stats.runs_split, warm_stats.runs_split);
+  EXPECT_GT(stats.front_trims, warm_stats.front_trims);
+  EXPECT_GT(stats.subtrees_reattached, warm_stats.subtrees_reattached);
 }
 
 // Guards the counter itself: a build that silently drops the replaced

@@ -177,8 +177,9 @@ TEST(CooMineTest, StatsAccumulate) {
   EXPECT_GE(stats.maintenance_ns, 0);
 }
 
-// slcp_nodes_visited is exactly the Seg-tree's DistanceBound visits made by
-// each AddSegment's SLCP, on the serial and the ownership-filtered paths.
+// slcp_nodes_visited and slcp_runs_visited are exactly the Seg-tree's
+// DistanceBound slot and run visits made by each AddSegment's SLCP, on the
+// serial and the ownership-filtered paths.
 TEST(CooMineTest, SlcpNodesVisitedMatchesSegTreeVisits) {
   for (const ShardSpec shard : {ShardSpec{}, ShardSpec{1, 3}}) {
     CooMine miner(Example4Params(), {}, shard);
@@ -188,13 +189,22 @@ TEST(CooMineTest, SlcpNodesVisitedMatchesSegTreeVisits) {
     for (const Segment& g : segments) {
       const uint64_t tree_before =
           miner.seg_tree().stats().distance_bound_visits;
+      const uint64_t tree_runs_before = miner.seg_tree().stats().runs_visited;
       const uint64_t stat_before = miner.stats().slcp_nodes_visited;
+      const uint64_t runs_before = miner.stats().slcp_runs_visited;
       miner.AddSegment(g, &out);
       EXPECT_EQ(miner.stats().slcp_nodes_visited - stat_before,
                 miner.seg_tree().stats().distance_bound_visits - tree_before)
           << g.DebugString();
+      EXPECT_EQ(miner.stats().slcp_runs_visited - runs_before,
+                miner.seg_tree().stats().runs_visited - tree_runs_before)
+          << g.DebugString();
     }
     EXPECT_GT(miner.stats().slcp_nodes_visited, 0u);
+    // A run visit steps one or more slots.
+    EXPECT_GT(miner.stats().slcp_runs_visited, 0u);
+    EXPECT_LE(miner.stats().slcp_runs_visited,
+              miner.stats().slcp_nodes_visited);
   }
   // The posting-list miners have no Seg-tree to walk.
   for (MinerKind kind : {MinerKind::kDiMine, MinerKind::kMatrixMine}) {
@@ -202,6 +212,7 @@ TEST(CooMineTest, SlcpNodesVisitedMatchesSegTreeVisits) {
     std::vector<Fcp> out;
     for (const Segment& g : PaperSegments()) miner->AddSegment(g, &out);
     EXPECT_EQ(miner->stats().slcp_nodes_visited, 0u) << miner->name();
+    EXPECT_EQ(miner->stats().slcp_runs_visited, 0u) << miner->name();
   }
 }
 

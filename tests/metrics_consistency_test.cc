@@ -94,6 +94,8 @@ TEST_P(MetricsConsistencyTest, SerialAndShardedAgreeOnSemanticCounters) {
   EXPECT_EQ(
       Find(serial_metrics, "fcp_slcp_nodes_visited_total").counter_value,
       serial.miner().stats().slcp_nodes_visited);
+  EXPECT_EQ(Find(serial_metrics, "fcp_slcp_runs_visited_total").counter_value,
+            serial.miner().stats().slcp_runs_visited);
   EXPECT_EQ(Find(serial_metrics, "fcp_lcp_rows_dropped_total").counter_value,
             serial.miner().stats().lcp_rows_dropped);
   // At min_pattern_size 2 SLCP reaches segments sharing one object with the
@@ -155,6 +157,10 @@ TEST_P(MetricsConsistencyTest, SerialAndShardedAgreeOnSemanticCounters) {
     EXPECT_EQ(Find(sharded_metrics, "fcp_slcp_nodes_visited_total" + label)
                   .counter_value,
               stats.slcp_nodes_visited)
+        << "shard " << s;
+    EXPECT_EQ(Find(sharded_metrics, "fcp_slcp_runs_visited_total" + label)
+                  .counter_value,
+              stats.slcp_runs_visited)
         << "shard " << s;
     EXPECT_EQ(Find(sharded_metrics, "fcp_lcp_rows_dropped_total" + label)
                   .counter_value,

@@ -641,7 +641,7 @@ TEST(SegTreeTest, MemoryUsageGrowsAndIsRetainedForReuse) {
   // Refilling reuses the recycled nodes: no new slabs, footprint stable.
   for (const Segment& g : PaperS1Segments()) tree.Insert(g);
   EXPECT_LE(tree.MemoryUsage(), drained + 1024);
-  EXPECT_GT(tree.stats().nodes_recycled, 0u);
+  EXPECT_GT(tree.stats().runs_recycled, 0u);
 }
 
 
@@ -796,7 +796,7 @@ TEST(SegTreeTest, InvariantsHoldUnderChurnWithTies) {
       } else if (rng.Below(4) == 0) {
         tree.RemoveExpired(now, 300);
         std::erase_if(live, [&](SegmentId id) {
-          return tree.registry().Find(id) == nullptr;
+          return !tree.Contains(id);
         });
       } else {
         const size_t pick = rng.Below(live.size());
@@ -826,6 +826,174 @@ TEST(SegTreeTest, RemovingEveryTiedSegmentEmptiesTheTieCounts) {
   }
   EXPECT_EQ(tree.num_tie_counted_objects(), 0u);
   EXPECT_EQ(tree.num_nodes(), 0u);
+}
+
+// --- Run mechanics: the path-compressed layout, one case per mechanic. ----
+//
+// Each case drives a pruned tree and an exhaustive (use_distance_bound =
+// false) twin through the same inserts and removals, then checks both
+// trees' invariants and that every object finds the same segments in both.
+
+class RunTwins {
+ public:
+  RunTwins() : exhaustive_(NoBound()) {}
+
+  void Insert(const Segment& segment) {
+    pruned_.Insert(segment);
+    exhaustive_.Insert(segment);
+    objects_.insert(segment.distinct_objects().begin(),
+                    segment.distinct_objects().end());
+  }
+  void Remove(SegmentId id) {
+    pruned_.Remove(id);
+    exhaustive_.Remove(id);
+  }
+  const SegTree& tree() const { return pruned_; }
+
+  // Invariants of both trees, and equal answers from both searches.
+  void Check() const {
+    pruned_.CheckInvariants();
+    exhaustive_.CheckInvariants();
+    for (ObjectId object : objects_) {
+      EXPECT_EQ(pruned_.RelevantSegments(object, 1000, kTau),
+                exhaustive_.RelevantSegments(object, 1000, kTau))
+          << "object " << object;
+    }
+  }
+
+ private:
+  static SegTreeOptions NoBound() {
+    SegTreeOptions options;
+    options.use_distance_bound = false;
+    return options;
+  }
+
+  SegTree pruned_;
+  SegTree exhaustive_;
+  std::set<ObjectId> objects_;
+};
+
+TEST(SegTreeRunTest, SlidingWindowAppendsInPlaceAtAChildlessRunEnd) {
+  RunTwins twins;
+  twins.Insert(MakeSequence(1, 1, {b, c, d}, 0));
+  twins.Insert(MakeSequence(2, 1, {c, d, e}, 10));  // shares (c, d)
+  twins.Insert(MakeSequence(3, 1, {d, e, f}, 20));  // shares (d, e)
+  twins.Check();
+  const SegTree& tree = twins.tree();
+  EXPECT_EQ(tree.stats().appends_in_place, 2u);
+  EXPECT_EQ(tree.num_runs(), 1u);  // b c d e f: one array
+  EXPECT_EQ(tree.num_nodes(), 5u);
+  EXPECT_EQ(tree.RelevantSegments(d, 1000, kTau),
+            (std::vector<SegmentId>{1, 2, 3}));
+}
+
+TEST(SegTreeRunTest, TailInTheMiddleOfARunCoversOnlyItsOwnLength) {
+  RunTwins twins;
+  twins.Insert(MakeSequence(1, 1, {b, c, d, e}, 0));
+  twins.Insert(MakeSequence(2, 2, {c, d}, 10));  // tail on d, mid-run
+  twins.Check();
+  const SegTree& tree = twins.tree();
+  EXPECT_EQ(tree.num_runs(), 1u);
+  // Segment 2 covers c and d only: b sits above it, e below its tail.
+  EXPECT_EQ(tree.RelevantSegments(b, 1000, kTau),
+            (std::vector<SegmentId>{1}));
+  EXPECT_EQ(tree.RelevantSegments(c, 1000, kTau),
+            (std::vector<SegmentId>{1, 2}));
+  EXPECT_EQ(tree.RelevantSegments(e, 1000, kTau),
+            (std::vector<SegmentId>{1}));
+}
+
+TEST(SegTreeRunTest, NewPathDivergingMidRunSplitsTheRun) {
+  RunTwins twins;
+  twins.Insert(MakeSequence(1, 1, {b, c, d, e}, 0));
+  twins.Insert(MakeSequence(2, 2, {c, d, h}, 10));  // leaves the run at d
+  twins.Check();
+  const SegTree& tree = twins.tree();
+  EXPECT_EQ(tree.stats().runs_split, 1u);
+  EXPECT_EQ(tree.num_runs(), 3u);  // b c d, then e and h below d
+  EXPECT_EQ(tree.num_nodes(), 5u);
+  EXPECT_EQ(tree.stats().prefix_nodes_shared, 2u);
+  EXPECT_EQ(tree.RelevantSegments(c, 1000, kTau),
+            (std::vector<SegmentId>{1, 2}));
+  EXPECT_EQ(tree.RelevantSegments(h, 1000, kTau),
+            (std::vector<SegmentId>{2}));
+}
+
+// Tails sit at slot offsets, so a segment ending mid-run needs no split;
+// the next path to leave the run at that slot splits it there.
+TEST(SegTreeRunTest, SegmentEndingMidRunSplitsOnlyWhenAPathLeavesThere) {
+  RunTwins twins;
+  twins.Insert(MakeSequence(1, 1, {b, c, d, e}, 0));
+  twins.Insert(MakeSequence(2, 2, {b, c}, 10));  // ends at c
+  EXPECT_EQ(twins.tree().stats().runs_split, 0u);
+  EXPECT_EQ(twins.tree().num_runs(), 1u);
+  twins.Insert(MakeSequence(3, 3, {b, c, k}, 20));  // leaves the run at c
+  twins.Check();
+  const SegTree& tree = twins.tree();
+  EXPECT_EQ(tree.stats().runs_split, 1u);
+  EXPECT_EQ(tree.num_runs(), 3u);
+  EXPECT_EQ(tree.RelevantSegments(c, 1000, kTau),
+            (std::vector<SegmentId>{1, 2, 3}));
+  twins.Remove(2);
+  twins.Check();
+  EXPECT_EQ(tree.num_nodes(), 5u);
+}
+
+TEST(SegTreeRunTest, ExpiryFrontTrimReRootsTheRestOfTheRun) {
+  RunTwins twins;
+  twins.Insert(MakeSequence(1, 1, {b, c}, 0));
+  twins.Insert(MakeSequence(2, 2, {b, h, j}, 10));  // splits after b
+  twins.Insert(MakeSequence(3, 3, {j, k}, 20));     // appends to (h, j)
+  twins.Check();
+  const SegTree& tree = twins.tree();
+  ASSERT_EQ(tree.num_runs(), 3u);  // b, then c and h j k below it
+  // Removing segment 2 kills h only: the front of the (h, j, k) run, which
+  // hangs under b. The rest of the run re-roots as it is.
+  twins.Remove(2);
+  twins.Check();
+  EXPECT_EQ(tree.stats().front_trims, 1u);
+  EXPECT_EQ(tree.stats().subtrees_reattached, 1u);
+  EXPECT_EQ(tree.num_runs(), 3u);
+  EXPECT_EQ(tree.num_nodes(), 4u);
+  EXPECT_EQ(tree.RelevantSegments(j, 1000, kTau),
+            (std::vector<SegmentId>{3}));
+  EXPECT_EQ(tree.RelevantSegments(b, 1000, kTau),
+            (std::vector<SegmentId>{1}));
+  // (j, k) now hangs under the root, not under b.
+  EXPECT_EQ(tree.DebugString(),
+            "root\n"
+            "  obj=1 (dist=2, cnt=1)\n"
+            "    obj=2 (dist=0, cnt=1) tail{G1, len=2}\n"
+            "  obj=7 (dist=1, cnt=1)\n"
+            "    obj=8 (dist=0, cnt=1) tail{G3, len=2}\n");
+}
+
+TEST(SegTreeRunTest, DeadSlotMidRunReRootsTheLowerPiece) {
+  RunTwins twins;
+  twins.Insert(MakeSequence(1, 1, {b, c}, 0));
+  twins.Insert(MakeSequence(2, 2, {c, d, e}, 10));  // appends d e
+  twins.Insert(MakeSequence(3, 3, {e, f}, 20));     // appends f
+  const SegTree& tree = twins.tree();
+  ASSERT_EQ(tree.num_runs(), 1u);  // b c d e f
+  // Removing segment 2 kills d only: c stays for segment 1 and e for
+  // segment 3, so the run splits and (e, f) re-roots.
+  twins.Remove(2);
+  twins.Check();
+  EXPECT_EQ(tree.stats().runs_split, 1u);
+  EXPECT_EQ(tree.stats().subtrees_reattached, 1u);
+  EXPECT_EQ(tree.num_runs(), 2u);
+  EXPECT_EQ(tree.num_nodes(), 4u);
+  EXPECT_EQ(tree.RelevantSegments(e, 1000, kTau),
+            (std::vector<SegmentId>{3}));
+  EXPECT_EQ(tree.RelevantSegments(c, 1000, kTau),
+            (std::vector<SegmentId>{1}));
+  // (e, f) now hangs under the root, not under c.
+  EXPECT_EQ(tree.DebugString(),
+            "root\n"
+            "  obj=1 (dist=1, cnt=1)\n"
+            "    obj=2 (dist=2, cnt=1) tail{G1, len=2}\n"
+            "  obj=4 (dist=1, cnt=1)\n"
+            "    obj=5 (dist=0, cnt=1) tail{G3, len=2}\n");
 }
 
 TEST(SegTreeDeathTest, DuplicateIdAborts) {
