@@ -58,9 +58,10 @@ void ParallelEngine::RegisterMetrics() {
   rebalance_rounds_ = registry->GetCounter("fcp_rebalance_rounds_total");
   migrations_ = registry->GetCounter("fcp_migrations_total");
   backfill_deliveries_ = registry->GetCounter("fcp_backfill_deliveries_total");
-  // max/mean per-shard deliveries over the last load interval, in permille
-  // (1000 = perfectly balanced). One definition, shared by dashboards and
-  // the rebalancer's trigger — both read the Rebalancer's computation.
+  // max/mean per-shard modeled cost (Σ f² over the objects each shard owns)
+  // over the last load interval, in permille (1000 = perfectly balanced).
+  // One definition, shared by dashboards and the rebalancer's trigger —
+  // both read the Rebalancer's computation.
   imbalance_permille_ = registry->GetGauge("fcp_shard_load_imbalance_permille");
   migration_latency_us_ = registry->GetHistogram("fcp_migration_latency_us");
   shard_telemetry_.resize(options_.num_miner_shards);

@@ -72,9 +72,10 @@ struct ParallelEngineOptions {
   telemetry::MetricRegistry* metrics = nullptr;
   /// Live rebalancing cadence and thresholds (DESIGN.md §2.6). For S > 1
   /// the ingest thread closes a load interval every `interval_segments`
-  /// routed segments and, when the interval's delivery imbalance clears the
-  /// threshold, migrates hot objects between shards through the router's
-  /// backfill fence. Every shard starts on the Mix64 hash.
+  /// routed segments and, when the interval's modeled-cost imbalance (max/
+  /// mean per-shard Σ f² over owned objects) clears the threshold, migrates
+  /// hot objects between shards through the router's backfill fence. Every
+  /// shard starts on the Mix64 hash.
   RebalancerOptions rebalancer;
   /// Health supervision (DESIGN.md §2.8): when set, every pipeline stage
   /// registers a heartbeat with this watchdog (ingest, shard-s) plus the

@@ -12,16 +12,15 @@ Rebalancer::Rebalancer(uint32_t num_shards, RebalancerOptions options)
     : num_shards_(num_shards), options_(options) {
   FCP_CHECK(num_shards >= 1);
   FCP_CHECK(options_.interval_segments >= 1);
-  last_routed_.assign(num_shards, 0);
-  cumulative_.assign(num_shards, 0);
+  interval_cost_.assign(num_shards, 0);
   cumulative_cost_.assign(num_shards, 0);
   model_load_.assign(num_shards, 0);
 }
 
 void Rebalancer::ObserveSegment(const Segment& segment) {
   ++observed_since_round_;
-  // Entry counts (with multiplicity) approximate the delivery/probe load an
-  // object's owner pays; distinct-ness is not worth a dedup pass here.
+  // Entry counts (with multiplicity) approximate the frequency f whose
+  // square the object's owner pays; distinct-ness is not worth a dedup pass.
   for (const SegmentEntry& entry : segment.entries()) {
     ++counts_[entry.object];
   }
@@ -32,42 +31,37 @@ std::shared_ptr<const PlacementMap> Rebalancer::MaybeRebalance(
   if (observed_since_round_ < options_.interval_segments) return nullptr;
   observed_since_round_ = 0;
 
-  // Close the interval: per-shard deliveries since the last round.
-  uint64_t total = 0;
-  uint64_t max_load = 0;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    const uint64_t routed = router.routed_to(s);
-    const uint64_t interval = routed - last_routed_[s];
-    last_routed_[s] = routed;
-    cumulative_[s] += interval;
-    total += interval;
-    max_load = std::max(max_load, interval);
-  }
+  // Close the interval: each shard's load is its modeled mining cost, Σ
+  // count² over ALL the objects it owns under the current placement (the
+  // header says why squared counts and not deliveries). The same pass
+  // charges the move candidates' (count >= min_move_weight) cost to their
+  // owners' cumulative totals, which choose the destinations below.
   ++stats_.rounds;
   live_rounds_.store(stats_.rounds, std::memory_order_relaxed);
-  if (total == 0) return nullptr;
-  // max/mean in permille: 1000 * max / (total / S).
-  imbalance_permille_ =
-      static_cast<int64_t>((max_load * 1000 * num_shards_) / total);
-  live_imbalance_.store(imbalance_permille_, std::memory_order_relaxed);
-
-  // Attribute this interval's modeled mining cost to the owner that held
-  // each hot object: pairwise probe work scales with the SQUARE of an
-  // object's frequency, so cost — not delivery count — is what the
-  // destination model must balance. (Delivery counts anti-correlate with
-  // cost at high skew: the hot object's owner owns little else, so the
-  // tail shards receive MORE deliveries than it does, and an argmin over
-  // deliveries would keep handing the hot object back to its own shard.)
-  // Tail objects below min_move_weight are skipped — the hash already
-  // spreads them evenly and they are never move candidates.
   const PlacementMap* current = router.placement().get();
+  std::fill(interval_cost_.begin(), interval_cost_.end(), 0);
   for (const auto& [object, count] : counts_) {
-    if (count < options_.min_move_weight) continue;
     const uint32_t owner = current != nullptr
                                ? current->shard_of(object)
                                : ShardOf(object, num_shards_);
-    cumulative_cost_[owner] += count * count;
+    interval_cost_[owner] += count * count;
+    if (count >= options_.min_move_weight) {
+      cumulative_cost_[owner] += count * count;
+    }
   }
+  uint64_t total = 0;
+  uint64_t max_load = 0;
+  for (const uint64_t cost : interval_cost_) {
+    total += cost;
+    max_load = std::max(max_load, cost);
+  }
+  if (total == 0) return nullptr;
+  // max/mean in permille: 1000 * max / (total / S). In floating point: a
+  // squared count overflows the integer product long before the ratio does.
+  imbalance_permille_ = static_cast<int64_t>(
+      1000.0 * static_cast<double>(max_load) * num_shards_ /
+      static_cast<double>(total));
+  live_imbalance_.store(imbalance_permille_, std::memory_order_relaxed);
 
   const bool triggered =
       static_cast<double>(imbalance_permille_) >=
@@ -126,11 +120,15 @@ std::shared_ptr<const PlacementMap> Rebalancer::MaybeRebalance(
   }
 
   // Halve every weight so they track the recent window; stale heat must not
-  // keep bouncing an object that went cold.
+  // keep bouncing an object that went cold. An object whose weight reaches
+  // 0 is forgotten, so the map holds the recent vocabulary, not every
+  // object ever routed. (Erase invalidates iteration: collect, then erase.)
+  dead_scratch_.clear();
   for (auto& [object, count] : counts_) {
-    (void)object;
     count >>= 1;
+    if (count == 0) dead_scratch_.push_back(object);
   }
+  for (const ObjectId object : dead_scratch_) counts_.Erase(object);
   return next;
 }
 

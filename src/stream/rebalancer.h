@@ -1,31 +1,36 @@
-// Rebalancer: turns observed per-shard load into placement changes.
+// Rebalancer: turns modeled per-shard mining cost into placement changes.
 //
 // The routing thread feeds it every routed segment (ObserveSegment) and
-// periodically asks for a decision (MaybeRebalance). Every
+// periodically asks for a decision (MaybeRebalance). ObserveSegment keeps a
+// decayed per-object count f_w (entries seen, halved every interval). Every
 // `interval_segments` routed segments the rebalancer closes an *interval*:
-// it reads the router's per-shard delivery counters, computes the interval
-// imbalance (max/mean deliveries — the same definition the
-// `fcp_shard_load_imbalance_permille` gauge publishes), and, when the
-// imbalance exceeds the threshold, proposes a successor PlacementMap that
-// moves the hottest objects onto the shards that have paid the least
-// *cumulative modeled cost* — per-object decayed frequency squared,
-// attributed each interval to the object's owner. Squared, because the
-// owner of object w pays O(f_w²) of the pairwise probe-vs-chain work;
-// delivery counts anti-correlate with that cost at high skew (the hot
-// object's owner owns little else and so receives fewer deliveries than
-// the tail shards), which is why the destination model must use cost.
+// each shard's load is Σ f_w² over every object w it owns under the current
+// placement, and the interval imbalance is max/mean of those loads — the
+// same number the `fcp_shard_load_imbalance_permille` gauge publishes.
+// Squared, because the owner of object w pays O(f_w²) of the pairwise
+// probe-vs-chain work. Delivery counts anti-correlate with that cost at high
+// skew (the hot object's owner owns little else and so receives fewer
+// deliveries than the tail shards), so neither the trigger nor the
+// destination choice reads them. The load is a pure function of the input:
+// no timing crosses threads, and a trace places the same way on every run.
 //
-// Choosing destinations by cumulative cost is what breaks the skew ceiling:
-// a single object hot enough to dominate mining cost cannot be split within
-// one interval (its pairwise work is inherently serial per trigger), but
-// because its current owner accumulates cost fastest, the argmin-cumulative
-// rule hands it to a different shard each round — over the run every shard
-// pays ~1/S of the hot object's total cost, which is exactly the LPT bound
-// a static placement can never reach. Cold objects stay put: only objects
-// whose decayed interval count clears `min_move_weight` are candidates.
+// When the imbalance reaches the threshold, the rebalancer proposes a
+// successor PlacementMap that moves the hottest objects onto the shards
+// that have paid the least *cumulative* modeled cost (the same Σ f_w²,
+// attributed each interval to the owner of every object that clears
+// `min_move_weight`). Choosing destinations by cumulative cost is what
+// breaks the skew ceiling: a single object hot enough to dominate mining
+// cost cannot be split within one interval (its pairwise work is inherently
+// serial per trigger), but because its current owner accumulates cost
+// fastest, the argmin-cumulative rule hands it to a different shard each
+// round — over the run every shard pays ~1/S of the hot object's total
+// cost, which is exactly the LPT bound a static placement can never reach.
+// Cold objects stay put: only objects whose decayed count clears
+// `min_move_weight` are candidates. An object whose count decays to 0 is
+// forgotten.
 //
-// Single-threaded: lives on the routing thread, next to the ShardRouter it
-// observes. Placement changes are applied by the caller via
+// Single-threaded: lives on the routing thread, next to the ShardRouter
+// whose placement it reads. Placement changes are applied by the caller via
 // ShardRouter::ApplyPlacement (see shard_router.h for the fence protocol).
 
 #ifndef FCP_STREAM_REBALANCER_H_
@@ -48,7 +53,7 @@ class ShardRouter;
 struct RebalancerOptions {
   /// Decision cadence: close an interval every this many routed segments.
   uint32_t interval_segments = 1024;
-  /// Interval imbalance (max/mean per-shard deliveries) that triggers moves.
+  /// Interval imbalance (max/mean per-shard Σ f²) that triggers moves.
   double imbalance_threshold = 1.15;
   /// At most this many objects move per round.
   uint32_t max_moves_per_round = 4;
@@ -78,15 +83,18 @@ class Rebalancer {
 
   /// Closes the interval if due. Returns the successor placement to apply
   /// (router->ApplyPlacement), or null when the interval is still open or
-  /// the load is balanced. Reads `router`'s per-shard
-  /// delivery counters and current placement; does not mutate the router.
+  /// the load is balanced. Reads `router`'s current placement; does not
+  /// mutate the router.
   std::shared_ptr<const PlacementMap> MaybeRebalance(const ShardRouter& router);
 
-  /// max/mean per-shard deliveries of the last closed interval, in permille
+  /// max/mean per-shard Σ f² of the last closed interval, in permille
   /// (1000 = perfectly balanced). Valid after the first round.
   int64_t imbalance_permille() const { return imbalance_permille_; }
 
   const RebalancerStats& stats() const { return stats_; }
+
+  /// Objects with a nonzero decayed count: the set every round scans.
+  size_t tracked_objects() const { return counts_.size(); }
 
   /// Thread-safe copy of stats() plus the live imbalance, mirrored through
   /// relaxed atomics by the owning (routing) thread after every closed
@@ -110,10 +118,9 @@ class Rebalancer {
  private:
   const uint32_t num_shards_;
   const RebalancerOptions options_;
-  FlatMap<ObjectId, uint64_t> counts_;  ///< decayed per-object delivery load
-  std::vector<uint64_t> last_routed_;   ///< router counters at interval open
-  std::vector<uint64_t> cumulative_;    ///< per-shard deliveries since start
-  std::vector<uint64_t> cumulative_cost_;  ///< per-shard modeled cost (Σf²)
+  FlatMap<ObjectId, uint64_t> counts_;  ///< decayed per-object count f
+  std::vector<uint64_t> interval_cost_;    ///< per-shard Σf², all objects
+  std::vector<uint64_t> cumulative_cost_;  ///< per-shard Σf², candidates
   std::vector<uint64_t> model_load_;    ///< scratch: cost model during moves
   uint64_t observed_since_round_ = 0;
   int64_t imbalance_permille_ = 1000;
@@ -124,6 +131,7 @@ class Rebalancer {
   std::atomic<int64_t> live_imbalance_{1000};
   std::vector<std::pair<uint64_t, ObjectId>> hot_scratch_;
   std::vector<std::pair<ObjectId, uint32_t>> moves_scratch_;
+  std::vector<ObjectId> dead_scratch_;  ///< counts decayed to 0
 };
 
 }  // namespace fcp

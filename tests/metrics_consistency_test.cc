@@ -323,11 +323,16 @@ TEST(MetricsConsistencyRebalanceTest, ImbalanceGaugeMatchesRebalancerValue) {
             engine.rebalancer()->imbalance_permille());
   // A balanced-or-worse ratio is >= 1 by construction.
   EXPECT_GE(engine.rebalancer()->imbalance_permille(), 1000);
-  // The camera trace is balanced enough that the default threshold never
-  // fires, so nothing moved and nothing was backfilled.
-  EXPECT_EQ(engine.rebalancer()->stats().objects_moved, 0u);
-  EXPECT_EQ(Find(samples, "fcp_migrations_total").counter_value, 0u);
-  EXPECT_EQ(Find(samples, "fcp_backfill_deliveries_total").counter_value, 0u);
+  // The camera trace is near balance: the hash spreads ~800 vehicles of
+  // uneven counts, so Σ f² per shard is within a few percent of the mean
+  // and the default threshold fires at most once (the first interval reads
+  // 1.16 on this trace), moving one round's worth of objects. The published
+  // counters mirror whatever moved.
+  EXPECT_LE(engine.rebalancer()->stats().rounds_triggered, 1u);
+  EXPECT_EQ(Find(samples, "fcp_migrations_total").counter_value,
+            engine.rebalancer()->stats().objects_moved);
+  EXPECT_EQ(Find(samples, "fcp_backfill_deliveries_total").counter_value,
+            engine.router_stats().backfill_deliveries);
 }
 
 TEST(MetricsConsistencyRebalanceTest, MigrationCountersMirrorEngineState) {

@@ -25,6 +25,7 @@
 #include "core/mining_engine.h"
 #include "core/parallel_engine.h"
 #include "datagen/traffic_gen.h"
+#include "datagen/twitter_gen.h"
 #include "stream/rebalancer.h"
 #include "stream/segment.h"
 #include "stream/shard_router.h"
@@ -355,6 +356,50 @@ TEST(AdaptiveShardingTest, DefaultOptionsMigrateOnSkewAndStayPutOnTraffic) {
       << "no load interval closed — grow the trace";
   EXPECT_EQ(engine.router_stats().placements_applied, 0u);
   EXPECT_EQ(engine.router_stats().backfill_deliveries, 0u);
+}
+
+TEST(AdaptiveShardingTest, SameTraceRebalancesTheSameWayEveryRun) {
+  // The trigger and the destinations read only the modeled cost of the
+  // routed input — no shard timing crosses threads — so two runs of one
+  // trace must close, trigger and move exactly alike, however the shard
+  // threads are scheduled. A Zipf 1.0 word trace, the shape whose hot word
+  // skews the cost while the deliveries stay balanced, must trigger on the
+  // default options.
+  TwitterConfig config;
+  config.num_users = 1000;
+  config.vocab_size = 5000;
+  config.total_tweets = 4000;
+  config.num_events = 2;
+  config.seed = 68;
+  const std::vector<ObjectEvent> events = GenerateTwitter(config).events;
+  ParallelEngineOptions options;
+  options.num_miner_shards = 4;
+  struct Run {
+    RebalancerStats stats;
+    int64_t imbalance_permille = 0;
+    uint64_t placements_applied = 0;
+    uint64_t backfills = 0;
+  };
+  auto run_once = [&] {
+    ParallelEngine engine(MinerKind::kCooMine, Params(), options);
+    engine.PushBatch(events);
+    engine.Finish();
+    return Run{engine.rebalancer()->stats(),
+               engine.rebalancer()->imbalance_permille(),
+               engine.router_stats().placements_applied,
+               engine.router_stats().backfill_deliveries};
+  };
+  const Run first = run_once();
+  const Run second = run_once();
+  ASSERT_GT(first.stats.rounds_triggered, 0u)
+      << "default rebalancing never fired on the word trace";
+  EXPECT_EQ(first.stats.rounds, second.stats.rounds);
+  EXPECT_EQ(first.stats.rounds_triggered, second.stats.rounds_triggered);
+  EXPECT_EQ(first.stats.objects_moved, second.stats.objects_moved);
+  EXPECT_EQ(first.imbalance_permille, second.imbalance_permille);
+  EXPECT_EQ(first.placements_applied, second.placements_applied);
+  EXPECT_EQ(first.placements_applied, first.stats.rounds_triggered);
+  EXPECT_EQ(first.backfills, second.backfills);
 }
 
 }  // namespace
