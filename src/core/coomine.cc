@@ -192,6 +192,7 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
   if (mined.size() >= params_.min_pattern_size) {
     const uint64_t visits_before = tree_.stats().distance_bound_visits;
     const uint64_t runs_before = tree_.stats().runs_visited;
+    const uint64_t skips_before = tree_.stats().slcp_chains_skipped;
     {
       trace::Span slcp_span("coomine/slcp");
       tree_.SlcpInto(mined, now, params_.tau, &scratch_.expired,
@@ -203,6 +204,8 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
     stats_.slcp_nodes_visited +=
         tree_.stats().distance_bound_visits - visits_before;
     stats_.slcp_runs_visited += tree_.stats().runs_visited - runs_before;
+    stats_.slcp_chains_skipped +=
+        tree_.stats().slcp_chains_skipped - skips_before;
     trace::Span apriori_span("coomine/apriori");
     TidsetSupport support(segment, now - segment.start_time() <= params_.tau,
                           params_, &scratch_);

@@ -47,15 +47,21 @@ struct MinerStats {
                                    ///< whose row would hold fewer than
                                    ///< min_pattern_size mined probe objects
                                    ///< (on a shard: from the first owned
-                                   ///< one), so get no row (0 at
+                                   ///< one), so get no row. A segment whose
+                                   ///< row holds only the object of a
+                                   ///< skipped chain is not reached (see
+                                   ///< SegTree::SlcpInto). 0 at
                                    ///< min_pattern_size 1 and for
-                                   ///< DIMine/MatrixMine)
+                                   ///< DIMine/MatrixMine
   uint64_t slcp_nodes_visited = 0; ///< CooMine: Seg-tree nodes (slots)
                                    ///< stepped by SLCP's DistanceBound
                                    ///< searches (0 for DIMine/MatrixMine)
   uint64_t slcp_runs_visited = 0;  ///< CooMine: Seg-tree runs those
                                    ///< searches entered (0 for
                                    ///< DIMine/MatrixMine)
+  uint64_t slcp_chains_skipped = 0;  ///< CooMine: SLCP searches that
+                                     ///< skipped the probe's dominant Hlist
+                                     ///< chain (0 for DIMine/MatrixMine)
   uint64_t maintenance_runs = 0;   ///< full expiry sweeps executed
   uint64_t segments_expired = 0;
   int64_t mining_ns = 0;
@@ -79,6 +85,7 @@ struct MinerStats {
     lcp_rows_dropped += other.lcp_rows_dropped;
     slcp_nodes_visited += other.slcp_nodes_visited;
     slcp_runs_visited += other.slcp_runs_visited;
+    slcp_chains_skipped += other.slcp_chains_skipped;
     maintenance_runs += other.maintenance_runs;
     segments_expired += other.segments_expired;
     mining_ns += other.mining_ns;

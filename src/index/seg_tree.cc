@@ -14,6 +14,12 @@ namespace {
 constexpr size_t kPoolSlabRuns = 512;          // runs per run-pool slab
 constexpr size_t kChunkSlabBytes = 64 * 1024;  // bytes per chunk-arena slab
 
+// The bit of `object` in a Tail::signature: the top six bits of a
+// multiplicative (Fibonacci) hash.
+uint64_t ObjectBit(ObjectId object) {
+  return uint64_t{1} << ((object * 0x9e3779b97f4a7c15ULL) >> 58);
+}
+
 // Adds `delta` (mod 2^32) to the first-key index of the slots at [lo, hi).
 template <typename Hot>
 void ShiftSlotKeys(PooledVec<Hot>& hot, uint32_t lo, uint32_t hi,
@@ -138,28 +144,31 @@ void SegTree::AppendSlot(Run* run, ObjectId object, uint32_t distance) {
 
 void SegTree::LinkIntoHlist(Run* run, uint32_t index) {
   const SlotRef ref = RefOf(run, index);
-  SlotRef& head = hlist_[run->cold[index].object];
+  Chain& chain = hlist_[run->cold[index].object];
   run->cold[index].prev = SlotRef{};
-  run->hot[index].next = head;
-  if (head.run != nullptr) ColdOf(head).prev = ref;
-  head = ref;
+  run->hot[index].next = chain.head;
+  if (chain.head.run != nullptr) ColdOf(chain.head).prev = ref;
+  chain.head = ref;
+  ++chain.length;
 }
 
 void SegTree::UnlinkFromHlist(Run* run, uint32_t index) {
   const SlotRef next = run->hot[index].next;
   const SlotRef prev = run->cold[index].prev;
+  const ObjectId object = run->cold[index].object;
+  Chain* chain = hlist_.Find(object);
+  FCP_DCHECK(chain != nullptr && chain->length > 0);
+  if (--chain->length == 0) {
+    FCP_DCHECK(prev.run == nullptr && next.run == nullptr);
+    hlist_.Erase(object);
+    return;
+  }
   if (prev.run != nullptr) {
     HotOf(prev).next = next;
   } else {
-    const ObjectId object = run->cold[index].object;
-    SlotRef* head = hlist_.Find(object);
-    FCP_DCHECK(head != nullptr && head->run == run &&
-               head->slot == run->base + index);
-    if (next.run == nullptr) {
-      hlist_.Erase(object);
-    } else {
-      *head = next;
-    }
+    FCP_DCHECK(chain->head.run == run &&
+               chain->head.slot == run->base + index);
+    chain->head = next;
   }
   if (next.run != nullptr) ColdOf(next).prev = prev;
 }
@@ -180,7 +189,7 @@ void SegTree::RepointSlots(const Run* from, uint32_t lo, uint32_t hi,
     } else if (prev.run != nullptr) {
       HotOf(prev).next = self;
     } else {
-      *hlist_.Find(to->cold[i].object) = self;
+      hlist_.Find(to->cold[i].object)->head = self;
     }
     if (moved(hot.next)) {
       hot.next.run = to;
@@ -281,12 +290,12 @@ uint32_t SegTree::FindLongestMatchingPrefix(
   std::vector<PathPiece>& best = prefix_best_scratch_;
   std::vector<PathPiece>& path = prefix_path_scratch_;
   best.clear();
-  const SlotRef* head = hlist_.Find(entries.front().object);
-  if (head == nullptr) return 0;
+  const Chain* chain = hlist_.Find(entries.front().object);
+  if (chain == nullptr) return 0;
 
   size_t best_length = 0;
   uint32_t probes = 0;
-  for (SlotRef start = *head; start.run != nullptr;) {
+  for (SlotRef start = chain->head; start.run != nullptr;) {
     // Bound the number of candidate start slots examined: popular objects
     // (hot words) can have thousands of chain slots, and prefix sharing is
     // an optimization, not a correctness requirement. Chains are
@@ -427,8 +436,10 @@ void SegTree::Insert(const Segment& segment) {
   FCP_DCHECK(entry.objects.empty());
   // Construction-time distinct cache: no per-insert sort+unique.
   entry.objects.reserve(segment.distinct_objects().size(), object_arena_);
+  entry.signature = 0;
   for (ObjectId object : segment.distinct_objects()) {
     entry.objects.push_back(object, object_arena_);
+    entry.signature |= ObjectBit(object);
     if (tied) ++tie_counts_[object];
   }
   InsertTail(run, TailKey{.index = slot,
@@ -683,9 +694,9 @@ std::vector<SegmentId> SegTree::RelevantSegments(ObjectId object,
                                                  Timestamp now,
                                                  DurationMs tau) const {
   std::vector<SegmentId> result;
-  const SlotRef* head = hlist_.Find(object);
-  if (head == nullptr) return result;
-  CollectRelevantTails(*head, now, tau, nullptr, [&](const TailKey* key) {
+  const Chain* chain = hlist_.Find(object);
+  if (chain == nullptr) return result;
+  CollectRelevantTails(chain->head, now, tau, nullptr, [&](const TailKey* key) {
     result.push_back(tails_[key->tail].segment);
   });
   std::sort(result.begin(), result.end());
@@ -693,51 +704,12 @@ std::vector<SegmentId> SegTree::RelevantSegments(ObjectId object,
   return result;
 }
 
-namespace {
-
-// The position of the first probe object `shard` owns, or the probe's size.
-size_t FirstOwned(std::span<const ObjectId> probe_objects,
-                  const ShardSpec& shard) {
-  size_t pos = 0;
-  while (pos < probe_objects.size() && !shard.Owns(probe_objects[pos])) ++pos;
-  return pos;
-}
-
-}  // namespace
-
-bool SegTree::SuffixWalkIsCheaper(std::span<const ObjectId> probe_objects,
-                                  size_t begin, const ShardSpec& shard) const {
-  // Two cursors step through the Hlist chains of the owned and of the other
-  // suffix positions, one slot at a time. The other cursor leads by at most
-  // one slot, so whichever set of chains runs out first is the shorter, and
-  // the count costs about twice the shorter length, however long the other.
-  struct Cursor {
-    bool owned;
-    size_t pos;  // the next probe position to open
-    SlotRef ref = {};
-  };
-  auto step = [&](Cursor& c) {
-    if (c.ref.run != nullptr) c.ref = HotOf(c.ref).next;
-    while (c.ref.run == nullptr) {
-      if (c.pos == probe_objects.size()) return false;
-      const ObjectId object = probe_objects[c.pos++];
-      if (shard.Owns(object) != c.owned) continue;
-      const SlotRef* head = hlist_.Find(object);
-      if (head != nullptr) c.ref = *head;
-    }
-    return true;
-  };
-  Cursor owned{.owned = true, .pos = begin};
-  Cursor other{.owned = false, .pos = begin};
-  uint64_t owned_slots = 0;
-  uint64_t other_slots = 0;
-  for (;;) {
-    if (!step(other)) return true;  // other_slots <= owned_slots
-    if (++other_slots > owned_slots) {
-      if (!step(owned)) return false;  // the owned chains are shorter
-      ++owned_slots;
-    }
-  }
+bool SegTree::HoldsObject(uint32_t tail, ObjectId object,
+                          uint64_t bit) const {
+  const Tail& entry = tails_[tail];
+  return (entry.signature & bit) != 0 &&
+         std::binary_search(entry.objects.begin(), entry.objects.end(),
+                            object);
 }
 
 void SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
@@ -750,76 +722,95 @@ void SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
   // stamps left by earlier calls never need clearing.
   const uint64_t epoch = ++probe_epoch_;
 
+  // Owned-suffix search (see the header comment): every owned pattern lies
+  // in probe[begin..], so no position before the first owned one is
+  // searched. One Hlist lookup per searched position gives both the chain
+  // to walk and the length the skip rule compares.
   const size_t np = probe_objects.size();
-  if (shard.IsSingleton()) {
-    WalkSuffix(probe_objects, 0, shard, now, tau, expired, out, min_common,
-               epoch);
-  } else if (size_t begin = FirstOwned(probe_objects, shard); begin < np) {
-    // Owned-suffix search (see the header comment): every owned pattern
-    // lies in probe[begin..], so no position before the first owned one is
-    // searched. Of the two ways to build the rows, the walk searches the
-    // non-owned suffix chains as well and the verify merges every tail the
-    // owned chains reach; the chain lengths pick the cheaper one.
-    if (SuffixWalkIsCheaper(probe_objects, begin, shard)) {
-      ++stats_.slcp_suffix_walks;
-      WalkSuffix(probe_objects, begin, shard, now, tau, expired, out,
-                 min_common, epoch);
-    } else {
-      ++stats_.slcp_owned_verifies;
-      VerifyOwned(probe_objects, begin, shard, now, tau, expired, out,
-                  min_common, epoch);
+  size_t begin = 0;
+  if (!shard.IsSingleton()) {
+    while (begin < np && !shard.Owns(probe_objects[begin])) ++begin;
+  }
+  std::vector<const Chain*>& chains = probe_chains_;
+  chains.clear();
+  size_t skip = np;  // the skipped position; np: none
+  uint64_t total_slots = 0;
+  uint32_t longest = 0;
+  for (size_t pos = begin; pos < np; ++pos) {
+    const Chain* chain = hlist_.Find(probe_objects[pos]);
+    chains.push_back(chain);
+    if (chain == nullptr) continue;
+    total_slots += chain->length;
+    if (chain->length > longest) {
+      longest = chain->length;
+      skip = pos;
     }
   }
-  // Lazy deletion removes these in id order; the list is short.
-  if (expired != nullptr) {
-    std::sort(expired->begin(), expired->end());
-    expired->erase(std::unique(expired->begin(), expired->end()),
-                   expired->end());
+  // Dominant-chain skip: a row of >= 2 objects holds one besides
+  // probe[skip], whose chain the walk below reaches its tail from.
+  if (min_common >= 2 && longest > total_slots - longest) {
+    ++stats_.slcp_chains_skipped;
+  } else {
+    skip = np;
   }
-}
+  const ObjectId skipped = skip < np ? probe_objects[skip] : 0;
+  const uint64_t skipped_bit = ObjectBit(skipped);
+  const bool skipped_owned = skip < np && shard.Owns(skipped);
 
-void SegTree::WalkSuffix(std::span<const ObjectId> probe_objects,
-                         size_t begin, const ShardSpec& shard, Timestamp now,
-                         DurationMs tau, std::vector<SegmentId>* expired,
-                         LcpTable* out, uint32_t min_common,
-                         uint64_t epoch) const {
   // Gather one (row, position) hit per segment and probe position. Until the
   // rows are laid out, a row's common_begin counts its positions and
-  // common_end holds its last position + 1. A segment carrying an object
-  // twice is reached from two chain slots for the same position; the second
-  // hit is dropped here, so the counts are exact.
+  // common_end holds its last walked position + 1. A segment carrying an
+  // object twice is reached from two chain slots for the same position; the
+  // second hit is dropped here, so the counts are exact.
   //
-  // Only a hit at an owned position reaches an unstamped tail; hits at other
-  // positions count only once the tail has one. Positions ascend, so each
-  // row opens at its first owned object (the serial shard owns all). With
-  // min_common = 1 that hit opens the row. Otherwise it only parks its
-  // position in probe_row under kPendingRow, and the first hit at another
-  // position opens the row with both: a segment sharing one probe object
-  // never gets a Row or a Hit.
+  // Positions ascend, so the first hit that reaches a tail fixes where its
+  // row opens: at its first owned object (the serial shard owns all). That
+  // is a hit at an owned position p, or — when probe[skip] is owned and the
+  // segment holds it — any hit past skip. probe[skip] joins the row iff the
+  // segment holds it and it is owned or past p. Other hits count only once
+  // the tail is reached. With min_common = 1 the first hit opens the row.
+  // Otherwise, unless probe[skip] joins, it only parks its position in
+  // probe_row under kPendingRow, and the first hit at another position opens
+  // the row with both: a segment sharing one probe object never gets a Row
+  // or a Hit.
   const bool park_first_hit = min_common >= 2;
   uint64_t parked = 0;  // tails whose only hit so far is parked
   std::vector<Hit>& hit_records = hit_records_;
+  std::vector<uint32_t>& skip_rows = skip_rows_;
   hit_records.clear();
-  for (size_t pos = begin; pos < probe_objects.size(); ++pos) {
-    const SlotRef* head = hlist_.Find(probe_objects[pos]);
-    if (head == nullptr) continue;
+  skip_rows.clear();
+  // hit_records' size when the walk passed skip. Without a skip it stays 0:
+  // there are no skip_rows, and the hits are all placed by the last loop.
+  size_t hits_before_skip = 0;
+  for (size_t pos = begin; pos < np; ++pos) {
+    if (pos == skip) hits_before_skip = hit_records.size();
+    const Chain* chain = chains[pos - begin];
+    if (pos == skip || chain == nullptr) continue;
     const bool owned = shard.Owns(probe_objects[pos]);
+    const bool test_skipped =
+        skip < np && (owned ? skipped_owned || skip > pos
+                            : skipped_owned && skip < pos);
     const uint32_t position = static_cast<uint32_t>(pos);
-    CollectRelevantTails(*head, now, tau, expired, [&](const TailKey* t) {
+    CollectRelevantTails(chain->head, now, tau, expired, [&](const TailKey* t) {
       if (t->probe_epoch != epoch) {
-        if (!owned) return;
+        const bool with_skipped =
+            test_skipped && HoldsObject(t->tail, skipped, skipped_bit);
+        if (!owned && !with_skipped) return;
         t->probe_epoch = epoch;
-        if (park_first_hit) {
+        if (park_first_hit && !with_skipped) {
           t->probe_row = kPendingRow | position;
           ++parked;
           return;
         }
         t->probe_row = static_cast<uint32_t>(out->rows.size());
         const Tail& entry = tails_[t->tail];
-        out->rows.push_back(LcpTable::Row{.segment = entry.segment,
-                                          .stream = entry.stream,
-                                          .start = t->start,
-                                          .end = entry.end});
+        out->rows.push_back(
+            LcpTable::Row{.segment = entry.segment,
+                          .stream = entry.stream,
+                          .start = t->start,
+                          .end = entry.end,
+                          .common_begin = with_skipped ? 1u : 0u});
+        if (with_skipped) skip_rows.push_back(t->probe_row);
       } else if ((t->probe_row & kPendingRow) != 0) {
         const uint32_t first = t->probe_row & ~kPendingRow;
         if (first == position) return;  // repeated object
@@ -843,10 +834,12 @@ void SegTree::WalkSuffix(std::span<const ObjectId> probe_objects,
   }
   out->rows_dropped = parked;
   // Lay the rows out back to back (prefix sum of the counts), then place
-  // every hit in one pass. The outer loop above walked positions in
-  // ascending order, so each row's positions land ascending. A row with
-  // fewer than min_common positions (possible for min_common >= 3) gets no
-  // slice and is dropped after the placement.
+  // every hit in one pass, with probe[skip] between the hits before and
+  // after it. The walk went through positions in ascending order, so each
+  // row's positions land ascending. (A parked tail never holds probe[skip],
+  // so the parked position of a row opened later needs no ordering against
+  // it.) A row with fewer than min_common positions (possible for
+  // min_common >= 3) gets no slice and is dropped after the placement.
   constexpr uint32_t kDropped = ~uint32_t{0};
   uint32_t offset = 0;
   uint64_t short_rows = 0;
@@ -861,11 +854,20 @@ void SegTree::WalkSuffix(std::span<const ObjectId> probe_objects,
     offset += count;
   }
   out->common_pool.resize(offset);
-  for (const Hit& hit : hit_records) {
-    LcpTable::Row& row = out->rows[hit.row];
+  auto place = [&](uint32_t row_index, uint32_t position) {
+    LcpTable::Row& row = out->rows[row_index];
     if (row.common_begin != kDropped) {
-      out->common_pool[row.common_end++] = hit.position;
+      out->common_pool[row.common_end++] = position;
     }
+  };
+  for (size_t i = 0; i < hits_before_skip; ++i) {
+    place(hit_records[i].row, hit_records[i].position);
+  }
+  for (const uint32_t row : skip_rows) {
+    place(row, static_cast<uint32_t>(skip));
+  }
+  for (size_t i = hits_before_skip; i < hit_records.size(); ++i) {
+    place(hit_records[i].row, hit_records[i].position);
   }
   if (short_rows > 0) {
     std::erase_if(out->rows, [](const LcpTable::Row& row) {
@@ -873,66 +875,11 @@ void SegTree::WalkSuffix(std::span<const ObjectId> probe_objects,
     });
     out->rows_dropped += short_rows;
   }
-}
-
-void SegTree::VerifyOwned(std::span<const ObjectId> probe_objects,
-                          size_t begin, const ShardSpec& shard, Timestamp now,
-                          DurationMs tau, std::vector<SegmentId>* expired,
-                          LcpTable* out, uint32_t min_common,
-                          uint64_t epoch) const {
-  // Only the owned chains are searched, in ascending position order, so a
-  // tail is first reached at its smallest owned position p. Its row is p
-  // followed by probe[p+1..] ∩ segment: one merge of two sorted arrays
-  // (Tail::objects is the segment's sorted distinct object list),
-  // started past probe[p] on both sides. A tail that cannot reach
-  // min_common objects skips the merge; a merge that ends short is rolled
-  // back.
-  const size_t np = probe_objects.size();
-  const ObjectId* const probe = probe_objects.data();
-  for (size_t pos = begin; pos < np; ++pos) {
-    if (!shard.Owns(probe[pos])) continue;
-    const SlotRef* head = hlist_.Find(probe[pos]);
-    if (head == nullptr) continue;
-    CollectRelevantTails(*head, now, tau, expired, [&](const TailKey* key) {
-      if (key->probe_epoch == epoch) return;
-      key->probe_epoch = epoch;
-      const Tail* t = &tails_[key->tail];
-      const ObjectId* b =
-          std::upper_bound(t->objects.begin(), t->objects.end(), probe[pos]);
-      const ObjectId* const be = t->objects.end();
-      const size_t reachable =
-          1 + std::min(np - pos - 1, static_cast<size_t>(be - b));
-      if (reachable < min_common) {
-        ++out->rows_dropped;
-        return;
-      }
-      LcpTable::Row row{.segment = t->segment,
-                        .stream = t->stream,
-                        .start = key->start,
-                        .end = t->end};
-      row.common_begin = static_cast<uint32_t>(out->common_pool.size());
-      out->common_pool.push_back(static_cast<uint32_t>(pos));
-      const ObjectId* a = probe + pos + 1;
-      const ObjectId* const ae = probe + np;
-      while (a != ae && b != be) {
-        if (*a < *b) {
-          ++a;
-        } else if (*b < *a) {
-          ++b;
-        } else {
-          out->common_pool.push_back(static_cast<uint32_t>(a - probe));
-          ++a;
-          ++b;
-        }
-      }
-      row.common_end = static_cast<uint32_t>(out->common_pool.size());
-      if (row.common_end - row.common_begin < min_common) {
-        out->common_pool.resize(row.common_begin);
-        ++out->rows_dropped;
-        return;
-      }
-      out->rows.push_back(row);
-    });
+  // Lazy deletion removes these in id order; the list is short.
+  if (expired != nullptr) {
+    std::sort(expired->begin(), expired->end());
+    expired->erase(std::unique(expired->begin(), expired->end()),
+                   expired->end());
   }
 }
 
@@ -1100,13 +1047,13 @@ void SegTree::CheckInvariants() const {
   }
 
   // Pass 3: Hlist chains exactly cover the tree's live slots per object,
-  // with exact (run, slot) links both ways.
+  // with exact (run, slot) links both ways and exact lengths.
   size_t chained = 0;
-  for (const auto& [object, head] : hlist_) {
-    FCP_CHECK(head.run != nullptr);
+  for (const auto& [object, chain] : hlist_) {
+    FCP_CHECK(chain.head.run != nullptr);
     SlotRef prev{};
     size_t len = 0;
-    for (SlotRef ref = head; ref.run != nullptr;) {
+    for (SlotRef ref = chain.head; ref.run != nullptr;) {
       const auto [run, k] = resolve(ref);
       FCP_CHECK(run->cold[k].object == object);
       FCP_CHECK(run->cold[k].prev.run == prev.run &&
@@ -1115,6 +1062,7 @@ void SegTree::CheckInvariants() const {
       ref = run->hot[k].next;
       ++len;
     }
+    FCP_CHECK(chain.length == len);
     auto it = object_nodes.find(object);
     FCP_CHECK(it != object_nodes.end() && it->second == len);
     chained += len;

@@ -2,9 +2,9 @@
 // valid segments of all streams, with two auxiliary structures:
 //
 //  - Hlist: for every object, a doubly linked chain through all tree slots
-//    carrying that object (paper Fig. 2 left edge). Prefix search and SLCP
-//    start from Hlist, which is why segments may share prefixes *anywhere*
-//    in the tree, not only at the root.
+//    carrying that object (paper Fig. 2 left edge), and its length. Prefix
+//    search and SLCP start from Hlist, which is why segments may share
+//    prefixes *anywhere* in the tree, not only at the root.
 //  - Tlist: tail references in segment completion order, used to find
 //    obsolete segments quickly (Section 4.5).
 //
@@ -39,6 +39,10 @@
 //    object id. Popular objects thus sit near the tail, where the
 //    DistanceBound subtrees below them are small. Untied entries keep time
 //    order, and a segment without ties is inserted as given.
+//  - SLCP with a pattern-size floor of 2 or more does not search a probe
+//    object's chain when it holds more slots than all the other probe
+//    objects' chains together; the walk of the others tests each segment
+//    it reaches for that object instead (SlcpInto, DESIGN.md §2.1).
 //
 // Hot-path memory layout (DESIGN.md §2 "Hot-path memory layout"): runs live
 // in a slab ObjectPool; their slot, tail key and child arrays live in
@@ -91,11 +95,8 @@ struct SegTreeStats {
   uint64_t subtrees_reattached = 0;  ///< pieces re-rooted by removal
   uint64_t distance_bound_visits = 0;  ///< slots stepped in DistanceBound
   uint64_t runs_visited = 0;           ///< runs entered in DistanceBound
-  /// Sharded SLCP probes (with an owned probe object) whose rows the
-  /// owned-suffix walk built, and those the owned-chain verify built (see
-  /// SlcpInto). The serial search counts in neither.
-  uint64_t slcp_suffix_walks = 0;
-  uint64_t slcp_owned_verifies = 0;
+  /// SLCP calls that skipped their dominant Hlist chain (see SlcpInto).
+  uint64_t slcp_chains_skipped = 0;
 };
 
 /// One row of an SLCP result: an existing segment and the set of objects it
@@ -213,11 +214,10 @@ class SegTree {
   /// `min_common` (the miner's min_pattern_size, m) drops every segment
   /// whose common set holds fewer than m probe objects: such a segment
   /// contains no pattern of size >= m, so it supports nothing the miner
-  /// reports. Dropped segments are counted in `out->rows_dropped`. With
-  /// m >= 2 the walking search builds no row for a segment's first hit, only
-  /// parks its position on the tail entry; the second distinct position
-  /// opens the row. Most segments share a single object with the probe, so
-  /// most tails never get a row.
+  /// reports. With m >= 2 the search builds no row for a segment's first
+  /// hit, only parks its position on the tail entry; the second distinct
+  /// position opens the row. Most segments share a single object with the
+  /// probe, so most tails never get a row.
   ///
   /// `shard` restricts the result to what a pattern OWNED by the shard
   /// (min-object ownership, see common/shard.h) can draw support from. An
@@ -225,17 +225,25 @@ class SegTree {
   /// larger, so within a supporter's common set it lies at or after the
   /// first owned object. A shard's row for segment G is therefore
   /// {x in probe ∩ G : x >= o}, o the smallest owned object of probe ∩ G;
-  /// a segment sharing no owned object gets no row, and `rows_dropped`
-  /// counts the segments that share one but whose row is shorter than
-  /// min_common. Only the probe suffix from the first owned position is
-  /// searched, in one of two ways, chosen per call by which Hlist chains
-  /// are longer (slcp_suffix_walks / slcp_owned_verifies in stats()):
-  ///  - suffix walk, when the non-owned suffix chains hold no more slots
-  ///    than the owned ones: the serial gather over the suffix, except that
-  ///    only a hit at an owned position reaches a tail first;
-  ///  - owned verify, otherwise: only the owned chains are searched, and
-  ///    each tail's row is its first owned position p plus the merge of
-  ///    probe[p+1..] with the segment's sorted distinct objects.
+  /// a segment sharing no owned object gets no row. Only the probe suffix
+  /// from the first owned position is searched (serially: all of it), and
+  /// only a hit at an owned position reaches a tail first.
+  ///
+  /// Dominant-chain skip (DESIGN.md §2.1): with m >= 2, if one searched
+  /// position h has an Hlist chain of more slots than all the other
+  /// searched chains together, h's chain is not searched. A row of >= 2
+  /// objects always holds one besides probe[h], so the walk of the other
+  /// chains still reaches its tail; probe[h] is then looked up in the
+  /// segment's objects (Tail::signature, then a binary search) and, if
+  /// there and in the row, placed at its position. On a shard an owned h
+  /// may be a row's first owned object, so a hit past h at a position the
+  /// shard does not own also reaches a tail first when the tail holds
+  /// probe[h]. stats().slcp_chains_skipped counts the skips;
+  /// chain_length() gives the lengths the rule reads.
+  ///
+  /// `out->rows_dropped` counts the segments whose row holds an object
+  /// other than the skipped probe[h] but fewer than m objects: the tails
+  /// the search reached and built no row for.
   /// Expired segments are only discovered on the chains actually searched;
   /// the periodic RemoveExpired sweep covers the rest.
   void SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
@@ -254,6 +262,13 @@ class SegTree {
   /// Hlist chain). Exposed for tests and the ablation bench.
   std::vector<SegmentId> RelevantSegments(ObjectId object, Timestamp now,
                                           DurationMs tau) const;
+
+  /// Number of slots on `object`'s Hlist chain (0 if none): the length
+  /// SlcpInto's dominant-chain skip compares.
+  uint32_t chain_length(ObjectId object) const {
+    const Chain* chain = hlist_.Find(object);
+    return chain == nullptr ? 0 : chain->length;
+  }
 
   /// Number of live segments.
   size_t num_segments() const { return tail_of_.size(); }
@@ -335,6 +350,12 @@ class SegTree {
     uint32_t count;  // exact number of live segments through the slot
   };
 
+  // An object's Hlist chain: its newest slot and its exact number of slots.
+  struct Chain {
+    SlotRef head;
+    uint32_t length;
+  };
+
   // The fields SLCP reads for every tail on a stepped slot: the tail's
   // place, the coverage and validity tests, and the grouping stamp. A run
   // keeps them in one array in slot order; the rest of the entry (Tail) is
@@ -344,15 +365,17 @@ class SegTree {
     uint32_t length;  // segment length in objects
     Timestamp start;
     // SlcpInto's grouping stamp: the current probe already reached the tail
-    // iff probe_epoch equals the tree's probe_epoch_. Then, on the walking
-    // paths, probe_row is the tail's row index, or — under kPendingRow, while
-    // a min_common >= 2 search has seen one hit and built no row — the
-    // position of that hit. A stale stamp is simply older than every later
-    // epoch, so it needs no reset.
+    // iff probe_epoch equals the tree's probe_epoch_. Then probe_row is the
+    // tail's row index, or — under kPendingRow, while a min_common >= 2
+    // search has seen one hit and built no row — the position of that hit.
+    // A stale stamp is simply older than every later epoch, so it needs no
+    // reset.
     mutable uint64_t probe_epoch;
     mutable uint32_t probe_row;
     uint32_t tail;  // the entry's index in tails_
   };
+  // Two keys per 64-byte line: SLCP streams through them.
+  static_assert(sizeof(TailKey) == 32);
 
   // One segment recorded on its tail slot — the only place the Seg-tree
   // stores per-segment membership and metadata (paper Section 4.3), with
@@ -363,11 +386,12 @@ class SegTree {
     StreamId stream;
     Timestamp end;
     // Sorted distinct objects of the segment (object_arena_-backed). Read
-    // by the sharded SLCP's owned verify, which builds a row as probe ∩
-    // objects with one contiguous merge instead of backtracking the path,
-    // and by RemoveSegmentPath to take back tie counts. Released in
-    // RemoveSegmentPath.
+    // by SLCP's skipped-object test (HoldsObject) and by RemoveSegmentPath
+    // to take back tie counts. Released in RemoveSegmentPath.
     PooledVec<ObjectId> objects;
+    // One bit per object of `objects` (ObjectBit): a clear bit proves an
+    // object absent without reading the list.
+    uint64_t signature;
     SlotRef slot;  // the tail slot, whose run holds the key
     // Set iff the segment had tied timestamps at insertion and so added its
     // distinct objects to tie_counts_ (RemoveSegmentPath takes them back).
@@ -462,21 +486,9 @@ class SegTree {
   void CollectRelevantTails(SlotRef head, Timestamp now, DurationMs tau,
                             std::vector<SegmentId>* expired,
                             OnHit&& on_hit) const;
-  // True iff the Hlist chains of the probe positions [begin, size) that
-  // `shard` does not own hold no more slots than those of the owned ones.
-  bool SuffixWalkIsCheaper(std::span<const ObjectId> probe_objects,
-                           size_t begin, const ShardSpec& shard) const;
-  // SlcpInto's two ways of building the table over probe positions
-  // [begin, size): the walk gathers hits over every suffix chain, the
-  // verify searches the owned chains and merges (see SlcpInto).
-  void WalkSuffix(std::span<const ObjectId> probe_objects, size_t begin,
-                  const ShardSpec& shard, Timestamp now, DurationMs tau,
-                  std::vector<SegmentId>* expired, LcpTable* out,
-                  uint32_t min_common, uint64_t epoch) const;
-  void VerifyOwned(std::span<const ObjectId> probe_objects, size_t begin,
-                   const ShardSpec& shard, Timestamp now, DurationMs tau,
-                   std::vector<SegmentId>* expired, LcpTable* out,
-                   uint32_t min_common, uint64_t epoch) const;
+  // True iff segment tails_[tail] contains `object`, whose ObjectBit is
+  // `bit`.
+  bool HoldsObject(uint32_t tail, ObjectId object, uint64_t bit) const;
 
   SegTreeOptions options_;
   ObjectPool<Run> pool_;
@@ -495,7 +507,7 @@ class SegTree {
   std::vector<Tail> tails_;
   std::vector<uint32_t> free_tails_;
   Run* root_;  // holds no slots; its children are the top-level runs
-  FlatMap<ObjectId, SlotRef> hlist_;
+  FlatMap<ObjectId, Chain> hlist_;
   RingBuffer<TlistEntry> tlist_;
   FlatMap<SegmentId, uint32_t> tail_of_;  // segment -> its tail
   // object -> number of live tied segments containing it: the popularity
@@ -517,6 +529,8 @@ class SegTree {
   // buffers are not observable state.
   mutable std::vector<SearchItem> search_queue_;     // CollectRelevantTails
   mutable std::vector<Hit> hit_records_;             // SLCP walk hits
+  mutable std::vector<const Chain*> probe_chains_;   // SLCP per position
+  mutable std::vector<uint32_t> skip_rows_;  // rows holding the skipped object
   mutable uint64_t probe_epoch_ = 0;  // bumped once per SlcpInto call
   mutable SegTreeStats stats_;
 };

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
 
 namespace fcp {
 
@@ -105,11 +104,14 @@ int64_t GetI64(const char* p) {
 
 Status ParseCsvEvent(const std::string& line, char delimiter,
                      ObjectEvent* event) {
+  // Every delimiter ends a field, so empty fields count too, a trailing one
+  // included.
   std::vector<std::string> fields;
-  std::string field;
-  std::istringstream stream(line);
-  while (std::getline(stream, field, delimiter)) {
-    fields.push_back(Trimmed(field));
+  for (size_t from = 0;;) {
+    const size_t at = line.find(delimiter, from);
+    fields.push_back(Trimmed(line.substr(from, at - from)));
+    if (at == std::string::npos) break;
+    from = at + 1;
   }
   if (fields.size() != 3) {
     return Status::InvalidArgument("expected 3 fields, got " +

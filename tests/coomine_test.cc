@@ -177,9 +177,9 @@ TEST(CooMineTest, StatsAccumulate) {
   EXPECT_GE(stats.maintenance_ns, 0);
 }
 
-// slcp_nodes_visited and slcp_runs_visited are exactly the Seg-tree's
-// DistanceBound slot and run visits made by each AddSegment's SLCP, on the
-// serial and the ownership-filtered paths.
+// slcp_nodes_visited, slcp_runs_visited and slcp_chains_skipped are exactly
+// the Seg-tree's DistanceBound slot and run visits and chain skips made by
+// each AddSegment's SLCP, on the serial and the ownership-filtered paths.
 TEST(CooMineTest, SlcpNodesVisitedMatchesSegTreeVisits) {
   for (const ShardSpec shard : {ShardSpec{}, ShardSpec{1, 3}}) {
     CooMine miner(Example4Params(), {}, shard);
@@ -192,12 +192,19 @@ TEST(CooMineTest, SlcpNodesVisitedMatchesSegTreeVisits) {
       const uint64_t tree_runs_before = miner.seg_tree().stats().runs_visited;
       const uint64_t stat_before = miner.stats().slcp_nodes_visited;
       const uint64_t runs_before = miner.stats().slcp_runs_visited;
+      const uint64_t tree_skips_before =
+          miner.seg_tree().stats().slcp_chains_skipped;
+      const uint64_t skips_before = miner.stats().slcp_chains_skipped;
       miner.AddSegment(g, &out);
       EXPECT_EQ(miner.stats().slcp_nodes_visited - stat_before,
                 miner.seg_tree().stats().distance_bound_visits - tree_before)
           << g.DebugString();
       EXPECT_EQ(miner.stats().slcp_runs_visited - runs_before,
                 miner.seg_tree().stats().runs_visited - tree_runs_before)
+          << g.DebugString();
+      EXPECT_EQ(miner.stats().slcp_chains_skipped - skips_before,
+                miner.seg_tree().stats().slcp_chains_skipped -
+                    tree_skips_before)
           << g.DebugString();
     }
     EXPECT_GT(miner.stats().slcp_nodes_visited, 0u);
@@ -213,6 +220,7 @@ TEST(CooMineTest, SlcpNodesVisitedMatchesSegTreeVisits) {
     for (const Segment& g : PaperSegments()) miner->AddSegment(g, &out);
     EXPECT_EQ(miner->stats().slcp_nodes_visited, 0u) << miner->name();
     EXPECT_EQ(miner->stats().slcp_runs_visited, 0u) << miner->name();
+    EXPECT_EQ(miner->stats().slcp_chains_skipped, 0u) << miner->name();
   }
 }
 

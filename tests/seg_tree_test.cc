@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <span>
 
@@ -372,25 +373,38 @@ constexpr ShardSpec kSlcpShards[] = {ShardSpec{},     ShardSpec{0, 2},
 
 // At min_common 2 a segment sharing one probe object gets no row, even when
 // it carries that object twice (two chain nodes reach its tail for the same
-// position); it is counted as dropped.
+// position); it is counted as dropped, once. Segments 3 and 4 give e as many
+// chain slots as c, so no chain dominates the serial search and c's chain,
+// with segment 1's two c slots, is walked.
 TEST(SegTreeTest, MinCommonTwoDropsARepeatedSingleSharedObject) {
   SegTree tree;
   tree.Insert(MakeSequence(1, 1, {c, d, c}, 0));
   tree.Insert(MakeSequence(2, 2, {e, c, h}, 10));
-  const Segment probe = MakeSequence(3, 3, {c, e}, 20);
-  const std::map<SegmentId, std::vector<ObjectId>> want = {{2, {c, e}}};
+  tree.Insert(MakeSequence(3, 3, {d, e}, 20));
+  tree.Insert(MakeSequence(4, 4, {h, e}, 30));
+  ASSERT_EQ(tree.chain_length(c), 3u);
+  ASSERT_EQ(tree.chain_length(e), 3u);
+  const Segment probe = MakeSequence(5, 5, {c, e}, 40);
+  const std::map<SegmentId, std::vector<ObjectId>> common = {
+      {1, {c}}, {2, {c, e}}, {3, {e}}, {4, {e}}};
   for (const ShardSpec shard : kSlcpShards) {
     LcpTable table;
-    tree.SlcpInto(probe.distinct_objects(), 20, kTau, nullptr, &table, shard,
+    tree.SlcpInto(probe.distinct_objects(), 40, kTau, nullptr, &table, shard,
                   /*min_common=*/2);
     bool well_formed = true;
+    uint64_t dropped = 0;
     EXPECT_EQ(testing::SlcpRowsOf(table, probe, &well_formed),
-              testing::ShardRowsOf(want, shard, 2))
+              testing::ShardRowsOf(
+                  common, shard, 2, &dropped,
+                  testing::SkippedObject(tree, probe.distinct_objects(), shard,
+                                         2)))
         << shard.index << "/" << shard.count;
     EXPECT_TRUE(well_formed);
-    // Segment 1 is reached iff the shard owns c.
-    EXPECT_EQ(table.rows_dropped, shard.Owns(c) ? 1u : 0u)
+    EXPECT_EQ(table.rows_dropped, dropped)
         << shard.index << "/" << shard.count;
+    if (shard.IsSingleton()) {
+      EXPECT_EQ(table.rows_dropped, 3u);  // segments 1, 3 and 4
+    }
   }
 }
 
@@ -510,11 +524,10 @@ TEST(SegTreeTest, SlcpRowsStaySetExactUnderReattachAndRemoveChurn) {
   tree.CheckInvariants();
 }
 
-// A shard builds its rows by the suffix walk when the owned suffix chains
-// hold at least as many nodes as the non-owned ones, and by the owned verify
-// otherwise. Either way the table is the owned-suffix oracle's, at every
-// min_common.
-TEST(SegTreeTest, ShardSlcpWalksAHotOwnedChainAndVerifiesAHotOtherChain) {
+// A shard's search over a hot owned chain and over a hot chain it does not
+// own: at min_common >= 2 the hot chain is skipped either way, and the table
+// is the owned-suffix oracle's at every min_common.
+TEST(SegTreeTest, ShardSlcpSkipsAHotOwnedChainAndAHotOtherChain) {
   const ShardSpec shard{0, 2};
   // Probe order: `lead` (not owned), `owned`, `other` (not owned). Rows
   // start at `owned`, so `lead` never appears in a shard row.
@@ -562,15 +575,117 @@ TEST(SegTreeTest, ShardSlcpWalksAHotOwnedChainAndVerifiesAHotOtherChain) {
                     shard, min_common);
       bool well_formed = true;
       uint64_t dropped = 0;
+      EXPECT_EQ(testing::SkippedObject(tree, probe.distinct_objects(), shard,
+                                       min_common),
+                min_common >= 2 ? std::optional<ObjectId>(hot) : std::nullopt);
       EXPECT_EQ(testing::SlcpRowsOf(table, probe, &well_formed),
-                testing::ShardRowsOf(want, shard, min_common, &dropped))
+                testing::ShardRowsOf(want, shard, min_common, &dropped,
+                                     testing::SkippedObject(
+                                         tree, probe.distinct_objects(),
+                                         shard, min_common)))
           << "hot_owned=" << hot_owned << " m=" << min_common;
       EXPECT_TRUE(well_formed);
       EXPECT_EQ(table.rows_dropped, dropped)
           << "hot_owned=" << hot_owned << " m=" << min_common;
     }
-    EXPECT_EQ(tree.stats().slcp_suffix_walks, hot_owned ? 3u : 0u);
-    EXPECT_EQ(tree.stats().slcp_owned_verifies, hot_owned ? 0u : 3u);
+    EXPECT_EQ(tree.stats().slcp_chains_skipped, 2u);
+  }
+}
+
+// The dominant-chain skip. The hot probe object lies on more chain slots
+// than all the other probe objects together, so at min_common >= 2 its chain
+// is skipped. Every segment mixing probe objects must still get the row the
+// search without the skip builds (the min_common 1 table, cut to rows of
+// >= m objects), and rows_dropped must be the oracle's. The probe order puts
+// the hot object where shard {0, 2} owns it at the first owned position,
+// owns it after an owned and a non-owned object, and does not own it; the
+// serial search skips it in every case.
+TEST(SegTreeTest, SlcpSkipsTheDominantChainWithoutChangingRows) {
+  const ShardSpec shard{0, 2};
+  struct Case {
+    const char* name;
+    std::vector<bool> owned;  // whether `shard` owns each probe position
+    size_t hot;               // the hot position
+  };
+  const Case cases[] = {
+      {"owned at begin", {false, true, false, true, false}, 1},
+      {"owned mid-suffix", {true, false, true, false, true}, 2},
+      {"not owned", {false, true, false, false, true}, 2},
+  };
+  for (const Case& tc : cases) {
+    std::vector<ObjectId> ids;
+    ObjectId id = 100;
+    for (const bool owned : tc.owned) {
+      while (shard.Owns(++id) != owned) {
+      }
+      ids.push_back(id);
+    }
+    const ObjectId hot = ids[tc.hot];
+    std::vector<SegmentEntry> probe_entries;
+    for (const ObjectId object : ids) {
+      probe_entries.push_back(SegmentEntry{object, 5000});
+    }
+    const Segment probe(1000, 9, std::move(probe_entries));
+
+    // Every non-empty subset of the probe objects as a segment (listed in
+    // ascending or descending id order), then fillers that share only the
+    // hot object.
+    SegTree tree;
+    std::map<SegmentId, std::vector<ObjectId>> common;
+    SegmentId next = 1;
+    for (uint32_t mask = 1; mask < (1u << ids.size()); ++mask) {
+      std::vector<ObjectId> subset;
+      for (size_t i = 0; i < ids.size(); ++i) {
+        if ((mask >> i) & 1) subset.push_back(ids[i]);
+      }
+      std::vector<SegmentEntry> entries;
+      Timestamp time = 100 + next;
+      for (size_t i = 0; i < subset.size(); ++i) {
+        const size_t at = mask % 2 == 0 ? i : subset.size() - 1 - i;
+        entries.push_back(SegmentEntry{subset[at], time++});
+      }
+      tree.Insert(Segment(next, next % 4, std::move(entries)));
+      common.emplace(next++, std::move(subset));
+    }
+    for (ObjectId filler = 20000; filler < 20200; ++filler, ++next) {
+      tree.Insert(MakeSequence(next, next % 4, {filler, hot}, 200));
+      common.emplace(next, std::vector<ObjectId>{hot});
+    }
+    tree.CheckInvariants();
+
+    for (const ShardSpec spec : {ShardSpec{}, shard}) {
+      for (const uint32_t min_common : {2u, 3u}) {
+        ASSERT_EQ(testing::SkippedObject(tree, probe.distinct_objects(), spec,
+                                         min_common),
+                  std::optional<ObjectId>(hot))
+            << tc.name;
+        LcpTable reference_table;
+        tree.SlcpInto(probe.distinct_objects(), 5000, kTau, nullptr,
+                      &reference_table, spec, /*min_common=*/1);
+        bool well_formed = true;
+        std::map<SegmentId, std::vector<ObjectId>> reference;
+        for (auto& [segment, row] :
+             testing::SlcpRowsOf(reference_table, probe, &well_formed)) {
+          if (row.size() >= min_common) reference.emplace(segment, row);
+        }
+        const uint64_t skips = tree.stats().slcp_chains_skipped;
+        LcpTable table;
+        tree.SlcpInto(probe.distinct_objects(), 5000, kTau, nullptr, &table,
+                      spec, min_common);
+        EXPECT_EQ(tree.stats().slcp_chains_skipped, skips + 1)
+            << tc.name << " shard " << spec.count << " m=" << min_common;
+        EXPECT_EQ(testing::SlcpRowsOf(table, probe, &well_formed), reference)
+            << tc.name << " shard " << spec.count << " m=" << min_common;
+        EXPECT_TRUE(well_formed) << tc.name;
+        uint64_t dropped = 0;
+        EXPECT_EQ(reference,
+                  testing::ShardRowsOf(common, spec, min_common, &dropped,
+                                       hot))
+            << tc.name << " shard " << spec.count << " m=" << min_common;
+        EXPECT_EQ(table.rows_dropped, dropped)
+            << tc.name << " shard " << spec.count << " m=" << min_common;
+      }
+    }
   }
 }
 

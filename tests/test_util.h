@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <initializer_list>
 #include <map>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -141,16 +143,43 @@ inline std::map<SegmentId, std::vector<ObjectId>> SlcpRowsOf(
   return rows;
 }
 
+/// The probe object SegTree::SlcpInto skips for `shard` at min_common `m`,
+/// computed by the same rule from the tree's chain lengths: with m >= 2, the
+/// searched probe object (from the shard's first owned one on) whose Hlist
+/// chain holds more slots than all the other searched chains together.
+inline std::optional<ObjectId> SkippedObject(
+    const SegTree& tree, std::span<const ObjectId> probe_objects,
+    const ShardSpec& shard, size_t m) {
+  if (m < 2) return std::nullopt;
+  auto it = std::find_if(probe_objects.begin(), probe_objects.end(),
+                         [&](ObjectId object) { return shard.Owns(object); });
+  uint64_t total = 0;
+  uint32_t longest = 0;
+  std::optional<ObjectId> skipped;
+  for (; it != probe_objects.end(); ++it) {
+    const uint32_t length = tree.chain_length(*it);
+    total += length;
+    if (length > longest) {
+      longest = length;
+      skipped = *it;
+    }
+  }
+  if (longest <= total - longest) return std::nullopt;
+  return skipped;
+}
+
 /// The rows an SLCP for `shard` with min_common `m` returns, built from the
 /// full rows `rows` (segment -> every common object): each row keeps its
 /// common objects from its first owned one onward, and is returned iff that
 /// leaves >= m objects. The serial shard owns every object, so it keeps
 /// the rows that hold >= m objects whole. `*dropped`, if given, is set to
-/// the number of rows holding an owned object that are not returned: the
-/// search's `rows_dropped`.
+/// the number of rows holding an owned object that are not returned, less
+/// those whose row holds only `skipped` (the search never reaches them):
+/// the search's `rows_dropped`.
 inline std::map<SegmentId, std::vector<ObjectId>> ShardRowsOf(
     const std::map<SegmentId, std::vector<ObjectId>>& rows,
-    const ShardSpec& shard, size_t m, uint64_t* dropped = nullptr) {
+    const ShardSpec& shard, size_t m, uint64_t* dropped = nullptr,
+    std::optional<ObjectId> skipped = std::nullopt) {
   std::map<SegmentId, std::vector<ObjectId>> kept;
   uint64_t short_rows = 0;
   for (const auto& [id, common] : rows) {
@@ -159,7 +188,7 @@ inline std::map<SegmentId, std::vector<ObjectId>> ShardRowsOf(
         [&](ObjectId object) { return shard.Owns(object); });
     if (first == common.end()) continue;
     if (static_cast<size_t>(common.end() - first) < m) {
-      ++short_rows;
+      if (common.end() - first > 1 || *first != skipped) ++short_rows;
       continue;
     }
     kept.emplace(id, std::vector<ObjectId>(first, common.end()));

@@ -60,6 +60,22 @@ TEST_F(TraceIoTest, ParseCsvEventRejectsGarbage) {
   EXPECT_FALSE(ParseCsvEvent("99999999999,2,3", ',', &event).ok());  // ovfl
 }
 
+// Empty fields count toward the arity, a trailing one included, and an
+// empty field in place is rejected by name.
+TEST_F(TraceIoTest, ParseCsvEventCountsEmptyFields) {
+  ObjectEvent event;
+  EXPECT_EQ(ParseCsvEvent("1,2,3,", ',', &event).message(),
+            "expected 3 fields, got 4 in '1,2,3,'");
+  EXPECT_EQ(ParseCsvEvent("1,2,3,,", ',', &event).message(),
+            "expected 3 fields, got 5 in '1,2,3,,'");
+  EXPECT_EQ(ParseCsvEvent(",1,2", ',', &event).message(),
+            "bad stream id ''");
+  EXPECT_EQ(ParseCsvEvent("1,2,", ',', &event).message(),
+            "bad timestamp ''");
+  EXPECT_EQ(ParseCsvEvent("1;2;3;", ';', &event).message(),
+            "expected 3 fields, got 4 in '1;2;3;'");
+}
+
 // A timestamp past INT64_MAX is an error, never a wrapped value: 2.5e19
 // times ten-and-add wraps to a number that still looks in range.
 TEST_F(TraceIoTest, ParseCsvEventRejectsTimestampOverflow) {

@@ -568,7 +568,8 @@ int main(int argc, char** argv) {
         stderr,
         "  mining %.1f ms (slcp %.1f ms), maintenance %.1f ms, candidates "
         "%llu (%llu past the bound), lcp rows %llu (%llu dropped), slcp nodes "
-        "visited %llu (%llu runs), expired %llu, reordered events %llu\n",
+        "visited %llu (%llu runs, %llu chains skipped), expired %llu, "
+        "reordered events %llu\n",
         static_cast<double>(stats.mining_ns) / 1e6,
         static_cast<double>(stats.slcp_ns) / 1e6,
         static_cast<double>(stats.maintenance_ns) / 1e6,
@@ -578,6 +579,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.lcp_rows_dropped),
         static_cast<unsigned long long>(stats.slcp_nodes_visited),
         static_cast<unsigned long long>(stats.slcp_runs_visited),
+        static_cast<unsigned long long>(stats.slcp_chains_skipped),
         static_cast<unsigned long long>(stats.segments_expired),
         static_cast<unsigned long long>(events_reordered));
     // The sum above hides how unevenly the shards share the work.
@@ -585,13 +587,15 @@ int main(int argc, char** argv) {
       const fcp::MinerStats& shard = shard_stats[s];
       std::fprintf(stderr,
                    "  shard %zu: mining %.1f ms (slcp %.1f ms), lcp rows %llu "
-                   "(%llu dropped), slcp nodes visited %llu (%llu runs)\n",
+                   "(%llu dropped), slcp nodes visited %llu (%llu runs, "
+                   "%llu chains skipped)\n",
                    s, static_cast<double>(shard.mining_ns) / 1e6,
                    static_cast<double>(shard.slcp_ns) / 1e6,
                    static_cast<unsigned long long>(shard.lcp_rows),
                    static_cast<unsigned long long>(shard.lcp_rows_dropped),
                    static_cast<unsigned long long>(shard.slcp_nodes_visited),
-                   static_cast<unsigned long long>(shard.slcp_runs_visited));
+                   static_cast<unsigned long long>(shard.slcp_runs_visited),
+                   static_cast<unsigned long long>(shard.slcp_chains_skipped));
     }
     std::fprintf(
         stderr,
