@@ -278,8 +278,8 @@ MinerIntrospection CooMine::Introspect() const {
   view.live_segments = tree_.num_segments();
   view.index_nodes = tree_.num_nodes();
   view.index_entries = tree_.total_objects();
-  view.index_bytes = tree_.MemoryUsage();
   view.arena_bytes = tree_.ArenaBytes();
+  view.index_bytes = view.arena_bytes + tree_.TableBytes();
   view.compression_ratio = tree_.CompressionRatio();
   return view;
 }

@@ -931,7 +931,11 @@ size_t SegTree::MemoryUsage() const {
   // space alike — already covers the runs without walking them. The tail
   // table is counted at capacity too. That memory is held either way, so
   // the figure never undercounts.
-  return ArenaBytes() + tails_.capacity() * sizeof(Tail) +
+  return ArenaBytes() + TableBytes();
+}
+
+size_t SegTree::TableBytes() const {
+  return tails_.capacity() * sizeof(Tail) +
          free_tails_.capacity() * sizeof(uint32_t) + hlist_.MemoryUsage() +
          tlist_.MemoryUsage() + tail_of_.MemoryUsage() +
          tie_counts_.MemoryUsage();

@@ -295,8 +295,12 @@ class SegTree {
   size_t MemoryUsage() const;
 
   /// Bytes held by the run pool and the chunk arenas (slabs + free-list
-  /// bookkeeping).
+  /// bookkeeping). O(1): every part is a running total.
   size_t ArenaBytes() const;
+
+  /// Bytes of the tail table and the Hlist/Tlist/tail/tie maps at capacity:
+  /// MemoryUsage() is ArenaBytes() + TableBytes().
+  size_t TableBytes() const;
 
   /// Number of objects with a nonzero tie count: the distinct objects of the
   /// live segments that had tied timestamps when inserted. 0 once every

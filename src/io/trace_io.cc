@@ -1,12 +1,12 @@
 #include "io/trace_io.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
+
+#include "io/chunk_reader.h"
 
 namespace fcp {
 
@@ -18,17 +18,37 @@ constexpr uint32_t kVersion = 1;
 // of explicit padding reserved (kept zero) for forward compatibility.
 constexpr size_t kRecordBytes = 20;
 
+// Sorts by (time, stream, object). A trace written segment by segment is
+// already in (time, stream) order and only needs each (time, stream) run
+// put in object order; one linear check finds out, and a fully sorted file
+// costs just that check and one pass over its runs.
 void SortEvents(std::vector<ObjectEvent>* events) {
-  std::sort(events->begin(), events->end(),
-            [](const ObjectEvent& a, const ObjectEvent& b) {
-              if (a.time != b.time) return a.time < b.time;
-              if (a.stream != b.stream) return a.stream < b.stream;
-              return a.object < b.object;
-            });
+  const auto same_run = [](const ObjectEvent& a, const ObjectEvent& b) {
+    return a.time == b.time && a.stream == b.stream;
+  };
+  const auto before = [](const ObjectEvent& a, const ObjectEvent& b) {
+    return a.time != b.time ? a.time < b.time : a.stream < b.stream;
+  };
+  const auto by_object = [](const ObjectEvent& a, const ObjectEvent& b) {
+    return a.object < b.object;
+  };
+  if (!std::is_sorted(events->begin(), events->end(), before)) {
+    std::sort(events->begin(), events->end(),
+              [&](const ObjectEvent& a, const ObjectEvent& b) {
+                return same_run(a, b) ? by_object(a, b) : before(a, b);
+              });
+    return;
+  }
+  for (auto run = events->begin(); run != events->end();) {
+    auto end = run + 1;
+    while (end != events->end() && same_run(*run, *end)) ++end;
+    if (!std::is_sorted(run, end, by_object)) std::sort(run, end, by_object);
+    run = end;
+  }
 }
 
 // Parses a non-negative integer field; rejects garbage and overflow.
-bool ParseU32(const std::string& field, uint32_t* out) {
+bool ParseU32(std::string_view field, uint32_t* out) {
   if (field.empty()) return false;
   uint64_t value = 0;
   for (char ch : field) {
@@ -40,21 +60,19 @@ bool ParseU32(const std::string& field, uint32_t* out) {
   return true;
 }
 
-bool ParseI64(const std::string& field, int64_t* out) {
+bool ParseI64(std::string_view field, int64_t* out) {
   if (field.empty()) return false;
-  size_t i = 0;
   bool negative = false;
   if (field[0] == '-') {
     negative = true;
-    i = 1;
-    if (field.size() == 1) return false;
+    field.remove_prefix(1);
+    if (field.empty()) return false;
   }
   // The magnitude is capped at INT64_MAX for both signs, so INT64_MIN
   // (kMinTimestamp, the "no time yet" sentinel) is rejected too.
   constexpr uint64_t kMax = std::numeric_limits<int64_t>::max();
   uint64_t value = 0;
-  for (; i < field.size(); ++i) {
-    const char ch = field[i];
+  for (char ch : field) {
     if (ch < '0' || ch > '9') return false;
     const uint64_t digit = static_cast<uint64_t>(ch - '0');
     // Tested before multiplying: value * 10 + digit > kMax.
@@ -65,14 +83,16 @@ bool ParseI64(const std::string& field, int64_t* out) {
   return true;
 }
 
-std::string Trimmed(std::string s) {
+// Strips trailing '\r', ' ' and '\t', then leading ' ' and '\t'.
+std::string_view Trimmed(std::string_view s) {
   while (!s.empty() && (s.back() == '\r' || s.back() == ' ' ||
                         s.back() == '\t')) {
-    s.pop_back();
+    s.remove_suffix(1);
   }
-  size_t start = 0;
-  while (start < s.size() && (s[start] == ' ' || s[start] == '\t')) ++start;
-  return s.substr(start);
+  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
+    s.remove_prefix(1);
+  }
+  return s;
 }
 
 void PutU32(std::string* out, uint32_t v) {
@@ -102,32 +122,37 @@ int64_t GetI64(const char* p) {
 
 }  // namespace
 
-Status ParseCsvEvent(const std::string& line, char delimiter,
+Status ParseCsvEvent(std::string_view line, char delimiter,
                      ObjectEvent* event) {
   // Every delimiter ends a field, so empty fields count too, a trailing one
   // included.
-  std::vector<std::string> fields;
+  std::string_view fields[3];
+  size_t count = 0;
   for (size_t from = 0;;) {
     const size_t at = line.find(delimiter, from);
-    fields.push_back(Trimmed(line.substr(from, at - from)));
-    if (at == std::string::npos) break;
+    if (count < 3) fields[count] = Trimmed(line.substr(from, at - from));
+    ++count;
+    if (at == std::string_view::npos) break;
     from = at + 1;
   }
-  if (fields.size() != 3) {
+  if (count != 3) {
     return Status::InvalidArgument("expected 3 fields, got " +
-                                   std::to_string(fields.size()) + " in '" +
-                                   line + "'");
+                                   std::to_string(count) + " in '" +
+                                   std::string(line) + "'");
   }
   uint32_t stream_id = 0, object_id = 0;
   int64_t time = 0;
   if (!ParseU32(fields[0], &stream_id)) {
-    return Status::InvalidArgument("bad stream id '" + fields[0] + "'");
+    return Status::InvalidArgument("bad stream id '" + std::string(fields[0]) +
+                                   "'");
   }
   if (!ParseU32(fields[1], &object_id)) {
-    return Status::InvalidArgument("bad object id '" + fields[1] + "'");
+    return Status::InvalidArgument("bad object id '" + std::string(fields[1]) +
+                                   "'");
   }
   if (!ParseI64(fields[2], &time)) {
-    return Status::InvalidArgument("bad timestamp '" + fields[2] + "'");
+    return Status::InvalidArgument("bad timestamp '" + std::string(fields[2]) +
+                                   "'");
   }
   *event = ObjectEvent{stream_id, object_id, time};
   return Status::OK();
@@ -135,19 +160,18 @@ Status ParseCsvEvent(const std::string& line, char delimiter,
 
 Status LoadCsvTrace(const std::string& path, const CsvOptions& options,
                     std::vector<ObjectEvent>* events) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::NotFound("cannot open '" + path + "'");
-  }
+  ChunkReader reader;
+  Status status = reader.Open(path);
+  if (!status.ok()) return status;
   events->clear();
-  std::string line;
+  std::string_view line;
   size_t line_number = 0;
-  while (std::getline(in, line)) {
+  while (reader.NextLine(&line)) {
     ++line_number;
-    const std::string trimmed = Trimmed(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
+    line = Trimmed(line);
+    if (line.empty() || line[0] == '#') continue;
     ObjectEvent event;
-    const Status status = ParseCsvEvent(trimmed, options.delimiter, &event);
+    status = ParseCsvEvent(line, options.delimiter, &event);
     if (!status.ok()) {
       if (line_number == 1 && options.allow_header) continue;  // header
       return Status::InvalidArgument("line " + std::to_string(line_number) +
@@ -155,6 +179,7 @@ Status LoadCsvTrace(const std::string& path, const CsvOptions& options,
     }
     events->push_back(event);
   }
+  if (!reader.status().ok()) return reader.status();
   if (options.sort_events) SortEvents(events);
   return Status::OK();
 }
@@ -203,45 +228,58 @@ Status SaveBinaryTrace(const std::string& path,
 
 Status LoadBinaryTrace(const std::string& path,
                        std::vector<ObjectEvent>* events) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot open '" + path + "'");
-  }
-  std::string buffer((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-  if (buffer.size() < 16) {
+  ChunkReader reader;
+  const Status status = reader.Open(path);
+  if (!status.ok()) return status;
+  const uint64_t size = reader.file_size();
+  const std::string_view header = reader.Peek(16);
+  if (!reader.status().ok()) return reader.status();
+  if (size < 16 || header.size() < 16) {
     return Status::InvalidArgument("'" + path + "' too short for FCPT header");
   }
-  if (std::memcmp(buffer.data(), kMagic, sizeof(kMagic)) != 0) {
+  if (std::memcmp(header.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument("'" + path + "' is not an FCPT trace");
   }
-  const uint32_t version = GetU32(buffer.data() + 4);
+  const uint32_t version = GetU32(header.data() + 4);
   if (version != kVersion) {
     return Status::InvalidArgument("unsupported FCPT version " +
                                    std::to_string(version));
   }
-  const int64_t count = GetI64(buffer.data() + 8);
+  const int64_t count = GetI64(header.data() + 8);
   if (count < 0) {
     return Status::InvalidArgument("negative record count");
   }
   // Bound the count by the bytes present before multiplying: a crafted
   // header could otherwise wrap 16 + count * kRecordBytes to the real size.
-  if (static_cast<uint64_t>(count) > (buffer.size() - 16) / kRecordBytes) {
+  if (static_cast<uint64_t>(count) > (size - 16) / kRecordBytes) {
     return Status::OutOfRange("'" + path + "': header claims " +
                               std::to_string(count) + " records, " +
-                              std::to_string(buffer.size()) + " bytes present");
+                              std::to_string(size) + " bytes present");
   }
-  const size_t expected = 16 + static_cast<size_t>(count) * kRecordBytes;
-  if (buffer.size() != expected) {
+  const uint64_t expected = 16 + static_cast<uint64_t>(count) * kRecordBytes;
+  if (size != expected) {
     return Status::OutOfRange("'" + path + "': expected " +
                               std::to_string(expected) + " bytes, got " +
-                              std::to_string(buffer.size()));
+                              std::to_string(size));
   }
+  reader.Consume(16);
   events->clear();
   events->reserve(static_cast<size_t>(count));
-  const char* p = buffer.data() + 16;
-  for (int64_t i = 0; i < count; ++i, p += kRecordBytes) {
-    events->push_back(ObjectEvent{GetU32(p), GetU32(p + 4), GetI64(p + 8)});
+  for (size_t left = static_cast<size_t>(count); left > 0;) {
+    const std::string_view window = reader.Peek(kRecordBytes);
+    if (window.size() < kRecordBytes) {
+      if (!reader.status().ok()) return reader.status();
+      return Status::OutOfRange("'" + path + "' ended after " +
+                                std::to_string(events->size()) + " of " +
+                                std::to_string(count) + " records");
+    }
+    const size_t records = std::min(left, window.size() / kRecordBytes);
+    const char* p = window.data();
+    for (size_t i = 0; i < records; ++i, p += kRecordBytes) {
+      events->push_back(ObjectEvent{GetU32(p), GetU32(p + 4), GetI64(p + 8)});
+    }
+    reader.Consume(records * kRecordBytes);
+    left -= records;
   }
   return Status::OK();
 }

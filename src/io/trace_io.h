@@ -7,8 +7,11 @@
 //  - CSV: one event per line, `stream,object,time_ms`, optional header line,
 //    '#' comments. Events may be unsorted; LoadCsvTrace sorts by time.
 //  - FCPT binary: little-endian, magic "FCPT", version, count, then packed
-//    (u32 stream, u32 object, i64 time) triples. ~4x smaller and ~20x faster
-//    than CSV for large traces.
+//    (u32 stream, u32 object, i64 time) triples, ~4x smaller than CSV.
+//
+// Both loaders read through one bounded ChunkReader buffer (io/chunk_reader.h)
+// and parse in place: no allocation per line or record, and peak memory does
+// not grow with the file beyond the events themselves (DESIGN.md §2.10).
 //
 // All functions report failures via Status; none throw.
 
@@ -16,6 +19,7 @@
 #define FCP_IO_TRACE_IO_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -30,13 +34,15 @@ struct CsvOptions {
   /// treated as a header and skipped; if false, it is an error.
   bool allow_header = true;
   /// Sort events by (time, stream, object) after loading (the miners expect
-  /// per-stream time order; a global sort guarantees it).
+  /// per-stream time order; a global sort guarantees it). A file already in
+  /// (time, stream) order is only sorted within each (time, stream) run.
   bool sort_events = true;
 };
 
 /// Parses one CSV line into an event. Returns InvalidArgument with the
-/// offending text on malformed input. Exposed for tests.
-Status ParseCsvEvent(const std::string& line, char delimiter,
+/// offending text on malformed input; builds no string otherwise. Exposed
+/// for tests.
+Status ParseCsvEvent(std::string_view line, char delimiter,
                      ObjectEvent* event);
 
 /// Loads a CSV trace from `path`. On success fills `events` (replacing its

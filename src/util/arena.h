@@ -162,14 +162,21 @@ class ChunkArena {
 
   /// Returns a chunk obtained from Acquire(capacity_class) to its free list.
   void Release(T* chunk, uint32_t capacity_class) {
-    free_[capacity_class].push_back(chunk);
+    auto& free_list = free_[capacity_class];
+    const size_t capacity = free_list.capacity();
+    free_list.push_back(chunk);
+    free_list_bytes_ += (free_list.capacity() - capacity) * sizeof(T*);
   }
 
   /// Bytes held by the slabs (live, free-listed and never-used space alike).
   size_t SlabBytes() const { return total_slab_bytes_; }
 
-  /// Bytes of the free-list bookkeeping.
-  size_t FreeListBytes() const {
+  /// Bytes of the free-list bookkeeping: a running total, so reading it is
+  /// O(1) (the engines publish it after every batch).
+  size_t FreeListBytes() const { return free_list_bytes_; }
+
+  /// FreeListBytes() recounted from the lists themselves.
+  size_t CountFreeListBytes() const {
     size_t bytes = 0;
     for (const auto& free_list : free_) {
       bytes += free_list.capacity() * sizeof(T*);
@@ -184,6 +191,7 @@ class ChunkArena {
   size_t current_slab_bytes_ = 0;
   size_t bump_ = 0;  // next free byte in the last slab
   size_t total_slab_bytes_ = 0;
+  size_t free_list_bytes_ = 0;  // sum of the free lists' capacities, in bytes
   std::vector<std::unique_ptr<std::byte[]>> slabs_;
   std::array<std::vector<T*>, kNumClasses> free_;
 };

@@ -1,9 +1,11 @@
 #include "util/flags.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
+#include <vector>
 
 namespace fcp {
 namespace {
@@ -32,6 +34,23 @@ Flags::Flags(int argc, char** argv) {
       values_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
     }
   }
+}
+
+void Flags::RejectUnknown(
+    std::initializer_list<std::string_view> known) const {
+  std::vector<std::string_view> unknown;
+  for (const auto& [key, value] : values_) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      unknown.push_back(key);
+    }
+  }
+  if (unknown.empty()) return;
+  std::sort(unknown.begin(), unknown.end());
+  for (std::string_view key : unknown) {
+    std::fprintf(stderr, "unknown flag --%.*s\n", static_cast<int>(key.size()),
+                 key.data());
+  }
+  std::exit(2);
 }
 
 bool Flags::Has(const std::string& name) const {

@@ -6,7 +6,9 @@
 #define FCP_UTIL_FLAGS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 namespace fcp {
@@ -16,6 +18,12 @@ namespace fcp {
 class Flags {
  public:
   Flags(int argc, char** argv);
+
+  /// Prints `unknown flag --<key>` for every key passed that is not in
+  /// `known` and exits with status 2 if there was one. A tool calls it once,
+  /// naming every key it reads, so a typo fails instead of running with the
+  /// default.
+  void RejectUnknown(std::initializer_list<std::string_view> known) const;
 
   /// True iff `--name` or `--name=...` was passed.
   bool Has(const std::string& name) const;

@@ -12,9 +12,13 @@
 
 #include "util/alloc_counter.h"  // must be first: defines operator new/delete
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +27,7 @@
 #include "core/engine_metrics.h"
 #include "core/miner.h"
 #include "index/seg_tree.h"
+#include "io/trace_io.h"
 #include "stream/segment.h"
 #include "telemetry/registry.h"
 #include "telemetry/trace.h"
@@ -363,6 +368,43 @@ TEST(AllocRegressionTest, SegTreeSteadyStateChurnIsAllocationFree) {
   EXPECT_GT(stats.runs_split, warm_stats.runs_split);
   EXPECT_GT(stats.front_trims, warm_stats.front_trims);
   EXPECT_GT(stats.subtrees_reattached, warm_stats.subtrees_reattached);
+}
+
+// Loading a trace allocates a fixed amount (the read buffer, the path, the
+// header line's error text), not a string per line: with the event vector
+// reserved up front, a file ten times longer costs the same allocations.
+uint64_t CsvLoadAllocations(size_t lines) {
+  std::vector<ObjectEvent> events;
+  for (size_t i = 0; i < lines; ++i) {
+    // Out of time order every 7th event, so the sort runs too.
+    const Timestamp time = static_cast<Timestamp>(i % 7 == 0 ? i / 2 : i);
+    events.push_back(ObjectEvent{static_cast<StreamId>(i % 12),
+                                 static_cast<ObjectId>(i * 31 % 5000), time});
+  }
+  const std::string path = std::filesystem::temp_directory_path() /
+                           ("fcp_alloc_trace_" + std::to_string(::getpid()) +
+                            "_" + std::to_string(lines) + ".csv");
+  EXPECT_TRUE(SaveCsvTrace(path, events).ok());
+  std::vector<ObjectEvent> loaded;
+  loaded.reserve(100000);
+  const uint64_t before = alloc_counter::allocations();
+  const Status status = LoadCsvTrace(path, CsvOptions{}, &loaded);
+  const uint64_t allocations = alloc_counter::allocations() - before;
+  std::filesystem::remove(path);
+  EXPECT_TRUE(status.ok()) << status;
+  EXPECT_EQ(loaded.size(), lines);
+  EXPECT_TRUE(std::is_sorted(loaded.begin(), loaded.end(),
+                             [](const ObjectEvent& a, const ObjectEvent& b) {
+                               return a.time < b.time;
+                             }));
+  return allocations;
+}
+
+TEST(AllocRegressionTest, CsvLoadAllocationsDoNotGrowWithTheTrace) {
+  const uint64_t small = CsvLoadAllocations(10000);
+  const uint64_t large = CsvLoadAllocations(100000);
+  EXPECT_EQ(small, large);
+  EXPECT_LT(large, 10u);
 }
 
 // Guards the counter itself: a build that silently drops the replaced

@@ -6,9 +6,12 @@
 
 #include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/rng.h"
 
 namespace fcp {
 namespace {
@@ -91,6 +94,33 @@ TEST(ChunkArenaTest, SlabBytesIsMonotonicAndCountsEverything) {
   // Everything was released, yet the footprint is still reported (slabs are
   // never returned while the arena lives).
   EXPECT_GT(arena.SlabBytes(), 0u);
+}
+
+// FreeListBytes() is a running total; random acquire/release churn across
+// size classes must keep it equal to a recount of the lists.
+TEST(ChunkArenaTest, FreeListBytesRunningTotalMatchesARecount) {
+  ChunkArena<uint32_t> arena(/*slab_bytes=*/512);
+  Rng rng(11);
+  std::vector<std::pair<uint32_t*, uint32_t>> held;
+  EXPECT_EQ(arena.FreeListBytes(), 0u);
+  for (int step = 0; step < 20000; ++step) {
+    if (held.empty() || rng.Chance(0.55)) {
+      const uint32_t capacity_class = static_cast<uint32_t>(rng.Below(9));
+      held.emplace_back(arena.Acquire(capacity_class), capacity_class);
+    } else {
+      const size_t i = rng.Below(held.size());
+      arena.Release(held[i].first, held[i].second);
+      held[i] = held.back();
+      held.pop_back();
+    }
+    ASSERT_EQ(arena.FreeListBytes(), arena.CountFreeListBytes())
+        << "step " << step;
+  }
+  for (const auto& [chunk, capacity_class] : held) {
+    arena.Release(chunk, capacity_class);
+  }
+  EXPECT_EQ(arena.FreeListBytes(), arena.CountFreeListBytes());
+  EXPECT_GT(arena.FreeListBytes(), 0u);
 }
 
 TEST(PooledVecTest, PushBackGrowsThroughPowerOfTwoCapacities) {

@@ -90,5 +90,19 @@ TEST(FlagsDeathTest, MalformedNumbersExitWithStatus2) {
               "bad value for --theta");
 }
 
+// Every key passed must be one the tool names; a typo exits 2 with the key
+// instead of running with the default.
+TEST(FlagsDeathTest, UnknownKeysExitWithStatus2) {
+  Flags known = Make({"--algo=dimine", "--theta=9", "--stats", "pos"});
+  known.RejectUnknown({"algo", "theta", "stats", "tau"});  // returns
+
+  Flags typo = Make({"--algo=dimine", "--thetaa=9"});
+  EXPECT_EXIT(typo.RejectUnknown({"algo", "theta"}),
+              ::testing::ExitedWithCode(2), "unknown flag --thetaa\n");
+  Flags two = Make({"--zeta=1", "--miner=dimine", "--algo=coomine"});
+  EXPECT_EXIT(two.RejectUnknown({"algo"}), ::testing::ExitedWithCode(2),
+              "unknown flag --miner\nunknown flag --zeta\n");
+}
+
 }  // namespace
 }  // namespace fcp

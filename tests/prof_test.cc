@@ -50,6 +50,23 @@ __attribute__((noinline)) uint64_t BurnThreadCpuMs(int ms) {
   return sink;
 }
 
+// CPU-clock timers expire on the scheduler tick that lands while their
+// thread runs (250 Hz on a common kernel), not once per 1/hz of CPU time:
+// under load a thread can burn tens of ms in slices that fall between ticks
+// and take no sample at all. Tests that need a thread's samples burn until
+// the thread has one (or 10 s of wall time pass, and the test then fails).
+__attribute__((noinline)) void BurnUntilSampled(int min_ms) {
+  BurnThreadCpuMs(min_ms);
+  const telemetry::ThreadRecord* rec = telemetry::ThisThread();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (rec != nullptr &&
+         rec->sample_head.load(std::memory_order_acquire) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    BurnThreadCpuMs(5);
+  }
+}
+
 __attribute__((noinline)) std::vector<std::vector<char>> AllocateChunks(
     size_t chunks, size_t bytes_each) {
   std::vector<std::vector<char>> keep;
@@ -141,7 +158,7 @@ TEST_F(ProfTest, JoinedThreadsLeaveTheCountButKeepTheirProfile) {
       names.push_back(name);
       threads.emplace_back([name] {
         telemetry::ThreadScope scope(name.c_str());
-        prof_test_detail::BurnThreadCpuMs(40);
+        prof_test_detail::BurnUntilSampled(40);
         prof::WaitTimer wait(kTag);
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
       });

@@ -74,6 +74,8 @@
 //                         /pprof/heap serves it live under --listen. With
 //                         --listen but without --profile, /pprof/profile
 //                         still samples on demand.
+//
+// Any other flag exits 2 with `unknown flag --<name>`.
 
 // Defines the counting operator new/delete for this binary (first include,
 // one TU per binary): the alloc benches' counters and the heap profiler's
@@ -133,8 +135,7 @@ std::string PatternToString(const fcp::Pattern& pattern) {
 
 int main(int argc, char** argv) {
   fcp::Flags flags(argc, argv);
-  // Flags ignores unknown keys; reject these removed ones so old scripts
-  // fail loudly instead of silently running something else.
+  // Removed flags name what replaced them; any other unknown key is a typo.
   static constexpr struct {
     const char* name;
     const char* why;
@@ -150,6 +151,12 @@ int main(int argc, char** argv) {
                   removed.why);
     }
   }
+  flags.RejectUnknown({"input", "synthetic", "events", "algo", "xi", "tau",
+                       "theta", "min_size", "max_size", "report", "k",
+                       "suppress", "stats", "metrics", "kernel", "batch",
+                       "shards", "trace", "slow_op_ns", "listen",
+                       "watchdog_interval_ms", "stall_timeout_ms", "pace",
+                       "profile"});
   // These are cast to unsigned below, where a negative value would wrap.
   for (const char* name :
        {"events", "batch", "k", "theta", "min_size", "max_size", "suppress"}) {

@@ -31,6 +31,8 @@
 //       a paced live scrape, where threads idle between arrivals by design
 //       and idle wait dwarfs on-CPU time on any machine.
 //
+// Any other flag exits 2 with `unknown flag --<name>`.
+//
 // The summary block each mode prints (total samples, CPU vs wait split)
 // keeps eyeballing a capture honest before any flamegraph tooling runs.
 
@@ -39,6 +41,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -361,9 +364,22 @@ int main(int argc, char** argv) {
   if (args.empty()) return Usage();
   const std::string mode = args[0];
   // Positional (non --flag) arguments after the mode are profile paths.
+  static constexpr const char* kFlags[] = {
+      "n",          "self",     "frame",           "max_pct",
+      "min_pct",    "cpu_only", "require_majority", "min_symbolized_pct",
+      "wait_substr"};
   std::vector<std::string> paths;
   for (size_t i = 1; i < args.size(); ++i) {
-    if (args[i].rfind("--", 0) != 0) paths.push_back(args[i]);
+    if (args[i].rfind("--", 0) != 0) {
+      paths.push_back(args[i]);
+      continue;
+    }
+    const std::string key = args[i].substr(2, args[i].find('=') - 2);
+    if (std::find(std::begin(kFlags), std::end(kFlags), key) ==
+        std::end(kFlags)) {
+      std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
+      return 2;
+    }
   }
 
   const size_t want_paths = mode == "diff" ? 2 : 1;

@@ -18,6 +18,7 @@
 //   --require_cross_thread_flows   exit nonzero unless at least one flow id
 //                         appears on >= 2 distinct threads (CI uses this to
 //                         prove cross-shard stitching survived a change)
+//   Any other flag exits 2 with `unknown flag --<name>`.
 
 #include <algorithm>
 #include <cstdio>
@@ -57,6 +58,8 @@ struct SlowSpan {
 
 int main(int argc, char** argv) {
   fcp::Flags flags(argc, argv);
+  flags.RejectUnknown(
+      {"input", "slowest", "validate", "require_cross_thread_flows"});
   const std::string input = flags.GetString("input", "");
   if (input.empty()) return Fail("need --input=<trace.json>");
 
