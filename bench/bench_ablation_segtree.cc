@@ -86,6 +86,7 @@ void AblateLazyDeletion(const std::vector<ObjectEvent>& events,
 
 int main(int argc, char** argv) {
   fcp::Flags flags(argc, argv);
+  flags.RejectUnknown({"scale", "quick"});
   const fcp::bench::BenchScale scale(flags);
 
   fcp::bench::PrintHeader(

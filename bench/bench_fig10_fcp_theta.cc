@@ -46,6 +46,7 @@ void RunDataset(const std::string& figure, Dataset dataset,
 
 int main(int argc, char** argv) {
   fcp::Flags flags(argc, argv);
+  flags.RejectUnknown({"scale", "quick", "csv"});
   const fcp::bench::BenchScale scale(flags);
 
   fcp::bench::PrintHeader(

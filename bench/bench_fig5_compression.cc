@@ -66,6 +66,7 @@ void RunDataset(Dataset dataset, const BenchScale& scale,
 
 int main(int argc, char** argv) {
   fcp::Flags flags(argc, argv);
+  flags.RejectUnknown({"scale", "quick", "csv"});
   const fcp::bench::BenchScale scale(flags);
 
   fcp::bench::PrintHeader(

@@ -143,6 +143,7 @@ void RunCase(const std::string& figure, Dataset dataset, uint64_t warm_events,
 
 int main(int argc, char** argv) {
   fcp::Flags flags(argc, argv);
+  flags.RejectUnknown({"scale", "quick", "csv"});
   const fcp::bench::BenchScale scale(flags);
   const bool csv = flags.GetBool("csv", false);
   using fcp::bench::Dataset;

@@ -114,6 +114,7 @@ void RunDataset(Dataset dataset, uint64_t warm_events, const BenchScale& scale,
 
 int main(int argc, char** argv) {
   fcp::Flags flags(argc, argv);
+  flags.RejectUnknown({"scale", "quick", "csv"});
   const fcp::bench::BenchScale scale(flags);
   const bool csv = flags.GetBool("csv", false);
 

@@ -49,6 +49,7 @@ void RunDataset(const std::string& figure, Dataset dataset,
 
 int main(int argc, char** argv) {
   fcp::Flags flags(argc, argv);
+  flags.RejectUnknown({"scale", "quick", "csv"});
   const fcp::bench::BenchScale scale(flags);
   const bool csv = flags.GetBool("csv", false);
 

@@ -39,6 +39,7 @@ void RunCase(const std::string& figure, DurationMs xi, DurationMs tau,
 
 int main(int argc, char** argv) {
   fcp::Flags flags(argc, argv);
+  flags.RejectUnknown({"scale", "quick", "csv"});
   const fcp::bench::BenchScale scale(flags);
 
   fcp::bench::PrintHeader(

@@ -112,6 +112,7 @@ void RunDataset(Dataset dataset, double duration_s,
 
 int main(int argc, char** argv) {
   fcp::Flags flags(argc, argv);
+  flags.RejectUnknown({"duration", "quick", "rates"});
   double duration = flags.GetDouble("duration", 10.0);
   if (flags.GetBool("quick", false)) duration = 4.0;
 

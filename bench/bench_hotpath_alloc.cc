@@ -390,6 +390,8 @@ ScrapeCost MeasureUnderScrape(const MiningParams& params,
 
 int Run(int argc, char** argv) {
   const Flags flags(argc, argv);
+  flags.RejectUnknown({"scale", "quick", "dataset", "events", "label", "kernel",
+                       "json"});
   const BenchScale scale(flags);
   const Dataset dataset =
       flags.GetString("dataset", "twitter") == "traffic" ? Dataset::kTraffic

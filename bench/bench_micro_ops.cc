@@ -436,15 +436,16 @@ BENCHMARK(fcp::bench::BM_MinerAddSegment)
     ->Arg(static_cast<int>(fcp::MinerKind::kMatrixMine))
     ->Iterations(20000);
 
-// Custom main: parse the harness flags (--kernel/--json/--label; google-
-// benchmark ignores what it does not recognize and we never call
-// ReportUnrecognizedArguments), pin the dispatch level, run the kernel
-// section, then the registered google-benchmark suite.
+// Custom main: google-benchmark takes its --benchmark_* flags out of argv
+// first, the harness flags (--kernel/--json/--label) are what must remain;
+// then pin the dispatch level, run the kernel section, then the registered
+// google-benchmark suite.
 int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
   const fcp::Flags flags(argc, argv);
+  flags.RejectUnknown({"kernel", "json", "label"});
   fcp::bench::ApplyKernelFlag(flags);
   fcp::bench::RunKernelDispatchSection(flags);
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

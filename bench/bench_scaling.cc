@@ -279,6 +279,9 @@ ShardedCost ReplayPlan(MinerKind kind, const MiningParams& params,
 
 int Run(int argc, char** argv) {
   const Flags flags(argc, argv);
+  flags.RejectUnknown({"scale", "quick", "events", "label", "zipf_s", "vocab",
+                       "gap_minutes", "theta", "reps", "stats", "skew_sweep",
+                       "sweep_shards", "rebalance_interval", "json"});
   const BenchScale scale(flags);
   const uint64_t events = scale.Events(
       static_cast<uint64_t>(flags.GetInt("events", 200000)));

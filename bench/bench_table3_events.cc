@@ -21,6 +21,7 @@
 
 int main(int argc, char** argv) {
   fcp::Flags flags(argc, argv);
+  flags.RejectUnknown({"tweets", "quick", "theta"});
   uint64_t tweets = static_cast<uint64_t>(flags.GetInt("tweets", 120000));
   if (flags.GetBool("quick", false)) tweets /= 4;
 

@@ -1,8 +1,10 @@
 #include "core/brute_force.h"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "common/check.h"
+#include "util/stopwatch.h"
 
 namespace fcp {
 
@@ -18,6 +20,7 @@ void BruteForceMiner::AddSegment(const Segment& segment,
   // Monotonic watermark anchor; see CooMine::AddSegment.
   watermark_ = std::max(watermark_, segment.end_time());
   const Timestamp now = watermark_;
+  Stopwatch timer;
   segments_.push_back(Stored{segment.stream(), segment.start_time(),
                              segment.end_time(), segment.distinct_objects()});
 
@@ -29,6 +32,7 @@ void BruteForceMiner::AddSegment(const Segment& segment,
   // Definition 3 directly against all valid stored segments — no Apriori,
   // no index, so the oracle shares no code path with the real miners.
   const uint32_t n = static_cast<uint32_t>(objects.size());
+  const size_t first_emitted = out->size();
   for (uint32_t mask = 1; mask < (1u << n); ++mask) {
     const uint32_t size = static_cast<uint32_t>(__builtin_popcount(mask));
     if (size < params_.min_pattern_size) continue;
@@ -61,6 +65,13 @@ void BruteForceMiner::AddSegment(const Segment& segment,
       ++stats_.fcps_emitted;
     }
   }
+  // Masks enumerate subsets out of size order; report in the emit order
+  // every miner shares.
+  std::sort(out->begin() + static_cast<std::ptrdiff_t>(first_emitted),
+            out->end(), [](const Fcp& a, const Fcp& b) {
+              return EmitOrderLess(a.objects, b.objects);
+            });
+  stats_.mining_ns += timer.ElapsedNanos();
   ++stats_.segments_processed;
 }
 

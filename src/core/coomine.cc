@@ -184,8 +184,10 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
   // --- Mining phase: SLCP + Apriori over the LCP table. -------------------
   // A trigger with fewer mined objects than min_pattern_size completes no
   // reportable pattern; it skips the search and the pass (MineApriori would
-  // return before loading the table anyway).
-  Stopwatch mine_timer;
+  // return before loading the table anyway). The phases share their
+  // boundary clock reads: start, SLCP end, mining end = maintenance start,
+  // end.
+  const int64_t start_ns = MonotonicNowNs();
   scratch_.expired.clear();
   const std::span<const ObjectId> mined =
       MinedObjects(segment, params_.max_segment_objects);
@@ -198,7 +200,7 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
       tree_.SlcpInto(mined, now, params_.tau, &scratch_.expired,
                      &scratch_.lcp, shard_, params_.min_pattern_size);
     }
-    stats_.slcp_ns += mine_timer.ElapsedNanos();
+    stats_.slcp_ns += MonotonicNowNs() - start_ns;
     stats_.lcp_rows += scratch_.lcp.rows.size();
     stats_.lcp_rows_dropped += scratch_.lcp.rows_dropped;
     stats_.slcp_nodes_visited +=
@@ -212,15 +214,15 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
     MineApriori(segment, params_, shard_, support, &scratch_.apriori, &stats_,
                 out);
   }
-  stats_.mining_ns += mine_timer.ElapsedNanos();
+  const int64_t mined_ns = MonotonicNowNs();
+  stats_.mining_ns += mined_ns - start_ns;
 
   // --- Maintenance phase: lazy deletion + periodic sweep + insert. --------
   trace::Span maintenance_span("coomine/maintenance");
-  Stopwatch maint_timer;
   for (SegmentId id : scratch_.expired) tree_.Remove(id);
   stats_.segments_expired += scratch_.expired.size();
   IndexSegment(segment, now);
-  stats_.maintenance_ns += maint_timer.ElapsedNanos();
+  stats_.maintenance_ns += MonotonicNowNs() - mined_ns;
 
   ++stats_.segments_processed;
 }

@@ -122,9 +122,12 @@ void MineTimed(const MineSite& site, uint64_t flow, FcpMiner& miner,
                const Segment& segment, std::vector<Fcp>* out) {
   trace::Span span(site.span, flow, static_cast<uint32_t>(segment.length()));
   trace::Emit(trace::Phase::kFlowEnd, "segment", flow);
-  Stopwatch timer;
+  // The miner times its own phases; their delta is the call's latency, so
+  // the step adds no clock reads of its own.
+  const MinerStats& stats = miner.stats();
+  const int64_t before = stats.mining_ns + stats.maintenance_ns;
   miner.AddSegment(segment, out);
-  const int64_t elapsed = timer.ElapsedNanos();
+  const int64_t elapsed = stats.mining_ns + stats.maintenance_ns - before;
   site.latency_us->Record(static_cast<uint64_t>(elapsed) / 1000);
   const int64_t slow_ns = trace::SlowOpThresholdNs();
   if (slow_ns > 0 && elapsed >= slow_ns) {

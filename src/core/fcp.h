@@ -42,6 +42,13 @@ struct Fcp {
 /// Canonical ordering for test comparisons: by pattern, then trigger.
 bool FcpLess(const Fcp& a, const Fcp& b);
 
+/// The order every miner emits one trigger's FCPs in: by size, then
+/// lexicographically. The sharded engine merges its shards' lists by it.
+inline bool EmitOrderLess(const Pattern& a, const Pattern& b) {
+  if (a.size() != b.size()) return a.size() < b.size();
+  return a < b;
+}
+
 }  // namespace fcp
 
 #endif  // FCP_CORE_FCP_H_

@@ -27,7 +27,9 @@ namespace fcp {
 /// expiry; `mining_ns` covers candidate search and FCP verification
 /// (Figs. 5(c)-(e) vs 6(a)-(b); their sum is the "total cost" of 6(c)-(d)).
 /// `slcp_ns` is the part of `mining_ns` CooMine spends building the LCP
-/// table (Algorithm 2); the rest is the Apriori pass.
+/// table (Algorithm 2); the rest is the Apriori pass. Every miner times its
+/// AddSegment into `mining_ns` + `maintenance_ns`: MineTimed() takes the
+/// call's latency from their delta instead of reading the clock again.
 struct MinerStats {
   uint64_t segments_processed = 0;
   uint64_t segments_indexed_only = 0;  ///< backfill deliveries (indexed, not
@@ -149,8 +151,9 @@ class FcpMiner {
   virtual ~FcpMiner() = default;
 
   /// Processes one completed segment: mines the FCPs this segment completes
-  /// (appended to `out`, each with min_pattern_size <= size <=
-  /// max_pattern_size and >= theta streams), then indexes the segment.
+  /// (appended to `out` in EmitOrderLess order, each with min_pattern_size
+  /// <= size <= max_pattern_size and >= theta streams), then indexes the
+  /// segment.
   ///
   /// Segments arrive in completion order, which across streams is not
   /// necessarily end-time order; validity (the tau window) is anchored at

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "common/check.h"
 #include "telemetry/thread_registry.h"
@@ -12,6 +14,15 @@
 #include "util/stopwatch.h"
 
 namespace fcp {
+
+namespace {
+
+/// Routed triggers or mined lists a thread keeps staged while release_mu_
+/// is busy before it waits for the lock; it also waits before it blocks
+/// for input. Bounds how long a busy thread holds back a release.
+constexpr size_t kMaxStaged = 32;
+
+}  // namespace
 
 ParallelEngine::ParallelEngine(MinerKind kind, const MiningParams& params,
                                ParallelEngineOptions options)
@@ -32,7 +43,8 @@ ParallelEngine::ParallelEngine(MinerKind kind, const MiningParams& params,
   if (num_shards > 1) {
     rebalancer_ = std::make_unique<Rebalancer>(num_shards, options_.rebalancer);
   }
-  shard_mined_.resize(num_shards);
+  shard_output_.resize(num_shards);
+  release_scratch_.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
     shard_miners_.push_back(MakeMiner(kind, params, router_->spec(s)));
     shard_runtime_.push_back(std::make_unique<ShardRuntime>());
@@ -41,6 +53,7 @@ ParallelEngine::ParallelEngine(MinerKind kind, const MiningParams& params,
   RegisterWatchdogStages();
   // Start the consumers before the producer so routing never blocks on a
   // full shard queue with nobody draining it.
+  threads_running_.store(num_shards + 1, std::memory_order_relaxed);
   for (uint32_t s = 0; s < num_shards; ++s) {
     shard_threads_.emplace_back([this, s] { ShardLoop(s); });
   }
@@ -146,6 +159,7 @@ void ParallelEngine::Push(const ObjectEvent& event) {
   events_.Push(event);
   ++events_pushed_;
   front_.CountIngested(1);
+  KeepAccepted();
 }
 
 void ParallelEngine::PushBatch(std::span<const ObjectEvent> events) {
@@ -156,6 +170,7 @@ void ParallelEngine::PushBatch(std::span<const ObjectEvent> events) {
   events_.PushAll(&push_batch_scratch_);
   events_pushed_ += events.size();
   if (!events.empty()) front_.CountIngested(events.size());
+  KeepAccepted();
 }
 
 void ParallelEngine::WaitUntilIdle() const {
@@ -165,7 +180,9 @@ void ParallelEngine::WaitUntilIdle() const {
     std::this_thread::sleep_for(poll);
   }
   // The acquire above orders every routed_to() increment for those events
-  // before these reads.
+  // before these reads. Each side bumps its counter only for what it has
+  // published (and released what that publish completed), so once both
+  // counters are caught up every routed trigger has been released.
   for (uint32_t s = 0; s < options_.num_miner_shards; ++s) {
     const uint64_t routed = router_->routed_to(s);
     while (shard_runtime_[s]->segments_mined.load(std::memory_order_acquire) <
@@ -175,46 +192,144 @@ void ParallelEngine::WaitUntilIdle() const {
   }
 }
 
+std::vector<Fcp> ParallelEngine::SnapshotResults() const {
+  std::lock_guard<std::mutex> lock(release_mu_);
+  std::vector<Fcp> out = front_.collector().results();
+  out.reserve(out.size() + accepted_.size());
+  for (size_t i = 0; i < accepted_.size(); ++i) out.push_back(accepted_.at(i));
+  return out;
+}
+
+void ParallelEngine::KeepAccepted() {
+  if (!has_accepted_.load(std::memory_order_relaxed)) return;
+  std::lock_guard<std::mutex> lock(release_mu_);
+  ResultCollector& collector = front_.collector();
+  while (!accepted_.empty()) {
+    collector.Keep(std::move(accepted_.front()));
+    accepted_.pop_front();
+  }
+  has_accepted_.store(false, std::memory_order_relaxed);
+}
+
+void ParallelEngine::KeepAcceptedUntil(uint32_t threads_running) {
+  while (threads_running_.load(std::memory_order_acquire) > threads_running) {
+    KeepAccepted();
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+}
+
 void ParallelEngine::Finish() {
   if (finished_) return;
   finished_ = true;
   events_.Close();
+  // The backlog still in the pipeline is released while it drains; keep it
+  // on this thread meanwhile, as Push() does, instead of piling it up.
+  KeepAcceptedUntil(options_.num_miner_shards);
   if (ingest_thread_.joinable()) ingest_thread_.join();
   // The ingest thread routed everything, trailing windows included; close
   // the shard queues and let the miners drain them.
   router_->Close();
+  KeepAcceptedUntil(0);
   for (std::thread& thread : shard_threads_) {
     if (thread.joinable()) thread.join();
   }
+  // Every routed trigger was mined by each of its receivers, and the last
+  // publish for each released it.
+  FCP_CHECK(routed_.empty());
+  KeepAccepted();
+}
 
-  // Merge the per-shard outputs into the collector. Each (trigger, pattern)
-  // pair is emitted by exactly one shard (the owner of the pattern's
-  // minimum object), and the Apriori miners emit a trigger's patterns in
-  // (size, lexicographic) order, so sorting the union by (trigger, size,
-  // pattern) reproduces the serial offer order — suppression-window
-  // decisions match a serial run. With one shard the buffer already is the
-  // serial order (whatever the miner emitted), so it is offered verbatim.
-  std::vector<Fcp> merged = std::move(shard_mined_[0]);
-  shard_mined_[0].clear();
-  if (options_.num_miner_shards > 1) {
-    size_t total = 0;
-    for (const std::vector<Fcp>& buffer : shard_mined_) total += buffer.size();
-    merged.reserve(total);
-    for (size_t s = 1; s < shard_mined_.size(); ++s) {
-      for (Fcp& fcp : shard_mined_[s]) merged.push_back(std::move(fcp));
-      shard_mined_[s].clear();
-    }
-    std::sort(merged.begin(), merged.end(), [](const Fcp& a, const Fcp& b) {
-      if (a.trigger != b.trigger) return a.trigger < b.trigger;
-      if (a.objects.size() != b.objects.size()) {
-        return a.objects.size() < b.objects.size();
-      }
-      return a.objects < b.objects;
-    });
+std::unique_lock<std::mutex> ParallelEngine::LockRelease(bool wait) {
+  std::unique_lock<std::mutex> lock(release_mu_, std::try_to_lock);
+  if (!lock.owns_lock() && wait) lock.lock();
+  return lock;
+}
+
+bool ParallelEngine::PublishRouted(RingBuffer<TriggerCount>* staged,
+                                   bool wait) {
+  if (staged->empty()) return true;
+  std::unique_lock<std::mutex> lock = LockRelease(wait);
+  if (!lock.owns_lock()) return false;
+  while (!staged->empty()) {
+    routed_.push_back(staged->front());
+    staged->pop_front();
   }
+  ReleaseCompleteLocked();
+  return true;
+}
+
+void ParallelEngine::PublishMined(uint32_t shard_index, bool wait) {
+  ShardRuntime& runtime = *shard_runtime_[shard_index];
+  OutputFifo& staged = runtime.staged;
+  const uint64_t count = staged.lists.size();
+  if (count == 0) return;
+  {
+    std::unique_lock<std::mutex> lock = LockRelease(wait);
+    if (!lock.owns_lock()) return;
+    OutputFifo& output = shard_output_[shard_index];
+    while (!staged.lists.empty()) {
+      output.lists.push_back(staged.lists.front());
+      staged.lists.pop_front();
+    }
+    while (!staged.fcps.empty()) {
+      output.fcps.push_back(std::move(staged.fcps.front()));
+      staged.fcps.pop_front();
+    }
+    ReleaseCompleteLocked();
+  }
+  runtime.segments_mined.fetch_add(count, std::memory_order_release);
+}
+
+void ParallelEngine::ReleaseCompleteLocked() {
   ResultCollector& collector = front_.collector();
-  collector.OfferAll(merged);
-  front_.CountAccepted(collector.results().size());
+  while (!routed_.empty()) {
+    // Every earlier trigger is released, so a shard that received the front
+    // trigger holds its list at the front of its FIFO once it has mined it.
+    const TriggerCount front = routed_.front();
+    release_scratch_.clear();
+    for (uint32_t s = 0; s < shard_output_.size(); ++s) {
+      const RingBuffer<TriggerCount>& lists = shard_output_[s].lists;
+      if (!lists.empty() && lists.front().trigger == front.trigger) {
+        release_scratch_.emplace_back(s, lists.front().count);
+      }
+    }
+    if (release_scratch_.size() < front.count) return;
+    // k-way merge of the shards' lists by (size, pattern). Each list is in
+    // that order (EmitOrderLess, the miners' contract), and a pattern is
+    // emitted by exactly one shard, the owner of its minimum object: this
+    // is the serial offer order.
+    uint64_t accepted = 0;
+    while (true) {
+      const Fcp* next = nullptr;
+      OutputFifo* source = nullptr;
+      uint32_t* remaining = nullptr;
+      for (auto& [shard, left] : release_scratch_) {
+        if (left == 0) continue;
+        const Fcp& head = shard_output_[shard].fcps.front();
+        if (next == nullptr || EmitOrderLess(head.objects, next->objects)) {
+          next = &head;
+          source = &shard_output_[shard];
+          remaining = &left;
+        }
+      }
+      if (next == nullptr) break;
+      Fcp& fcp = source->fcps.front();
+      if (collector.Admit(fcp)) {
+        accepted_.push_back(std::move(fcp));
+        ++accepted;
+      }
+      source->fcps.pop_front();
+      --*remaining;
+    }
+    for (const auto& [shard, left] : release_scratch_) {
+      shard_output_[shard].lists.pop_front();
+    }
+    routed_.pop_front();
+    if (accepted > 0) {
+      front_.CountAccepted(accepted);
+      has_accepted_.store(true, std::memory_order_relaxed);
+    }
+  }
 }
 
 void ParallelEngine::IngestLoop() {
@@ -224,11 +339,13 @@ void ParallelEngine::IngestLoop() {
   uint64_t moves_published = 0;
   uint64_t rounds_published = 0;
   uint64_t backfills_published = 0;
+  RingBuffer<TriggerCount> staged;  // routed, not yet on routed_
 
   // Routes the segments the last mux call completed, in completion order —
   // the order MiningEngine mines them in.
   auto route_completed = [&] {
     for (const SegmentRef& segment : completed) {
+      uint32_t receivers = 0;
       {
         // The mux began this segment's flow; the step ties the route slice
         // into the arrow that ends on every shard mining the segment.
@@ -237,8 +354,9 @@ void ParallelEngine::IngestLoop() {
         trace::Span route_span("ingest/route", segment->id(),
                                static_cast<uint32_t>(segment->length()));
         trace::Emit(trace::Phase::kFlowStep, "segment", segment->id());
-        router_->Route(segment);
+        receivers = router_->Route(segment);
       }
+      staged.push_back(TriggerCount{segment->id(), receivers});
       if (rebalancer_ != nullptr) {
         rebalancer_->ObserveSegment(*segment);
         if (auto next = rebalancer_->MaybeRebalance(*router_)) {
@@ -282,21 +400,35 @@ void ParallelEngine::IngestLoop() {
     completed.clear();
   };
 
+  // An event counts as routed once its triggers are on routed_: they are
+  // published with a try-lock, kept staged while the lock is busy, and
+  // published with a wait before this thread blocks for events or once
+  // kMaxStaged are staged.
   uint64_t routed_events = 0;
   while (true) {
     if (heartbeat != nullptr) heartbeat->MarkIdle(true);
-    std::optional<ObjectEvent> event = events_.Pop();
+    std::optional<ObjectEvent> event = events_.TryPop();
+    if (!event) {
+      PublishRouted(&staged, /*wait=*/true);
+      events_routed_.store(routed_events, std::memory_order_release);
+      event = events_.Pop();
+    }
     if (!event) break;
     if (heartbeat != nullptr) heartbeat->MarkIdle(false);
     front_.mux().Push(*event, &completed);
     front_.PublishReordered();
     route_completed();
-    events_routed_.store(++routed_events, std::memory_order_release);
+    ++routed_events;
+    if (PublishRouted(&staged, /*wait=*/staged.size() >= kMaxStaged)) {
+      events_routed_.store(routed_events, std::memory_order_release);
+    }
     if (heartbeat != nullptr) heartbeat->Beat();
   }
   // Queue closed and drained: flush every stream's trailing window.
   front_.mux().FlushAll(&completed);
   route_completed();
+  PublishRouted(&staged, /*wait=*/true);
+  threads_running_.fetch_sub(1, std::memory_order_release);
 }
 
 void ParallelEngine::ProcessDelivery(uint32_t shard_index,
@@ -340,8 +472,15 @@ void ParallelEngine::ProcessDelivery(uint32_t shard_index,
   // route slice across the thread boundary.
   MineTimed(telemetry.mine, delivery.trace_flow, miner, *delivery.segment,
             &mined);
-  std::vector<Fcp>& buffer = shard_mined_[shard_index];
-  for (Fcp& fcp : mined) buffer.push_back(std::move(fcp));
+  FCP_DCHECK(std::is_sorted(mined.begin(), mined.end(),
+                            [](const Fcp& a, const Fcp& b) {
+                              return EmitOrderLess(a.objects, b.objects);
+                            }));
+  OutputFifo& staged = runtime.staged;
+  staged.lists.push_back(TriggerCount{delivery.segment->id(),
+                                      static_cast<uint32_t>(mined.size())});
+  for (Fcp& fcp : mined) staged.fcps.push_back(std::move(fcp));
+  PublishMined(shard_index, /*wait=*/staged.lists.size() >= kMaxStaged);
   // Segment->discovery latency: shard-queue wait + mining, measured
   // from the router's enqueue stamp.
   telemetry.discovery_latency_us->Record(
@@ -353,7 +492,6 @@ void ParallelEngine::ProcessDelivery(uint32_t shard_index,
   // atomics.
   telemetry.miner.PublishDelta(miner.stats(), &telemetry.published);
   telemetry.miner.PublishIntrospection(miner.Introspect());
-  runtime.segments_mined.fetch_add(1, std::memory_order_release);
 }
 
 void ParallelEngine::ShardLoop(uint32_t shard_index) {
@@ -366,11 +504,18 @@ void ParallelEngine::ShardLoop(uint32_t shard_index) {
 
   while (true) {
     if (heartbeat != nullptr) heartbeat->MarkIdle(true);
-    auto delivery = queue.Pop();
+    std::optional<ShardDelivery> delivery = queue.TryPop();
+    if (!delivery) {
+      // Nothing to mine: publish what is staged before waiting, so no
+      // trigger waits on an idle shard.
+      PublishMined(shard_index, /*wait=*/true);
+      delivery = queue.Pop();
+    }
     if (!delivery) break;
     if (heartbeat != nullptr) heartbeat->MarkIdle(false);
     ProcessDelivery(shard_index, std::move(*delivery));
   }
+  threads_running_.fetch_sub(1, std::memory_order_release);
 }
 
 namespace {

@@ -10,7 +10,8 @@
 // contains the owned minimum object, hence reaches the owner).
 //
 //   Push(event) -> event queue -> ingest thread: StreamMux -> ShardRouter
-//     -> shard[0..S-1] miner threads -> merged results
+//     -> shard[0..S-1] miner threads -> per-shard output FIFOs
+//     -> release (k-way merge per trigger) -> ResultCollector
 //
 // Semantics: the ingest thread segments the one event feed with the same
 // StreamMux MiningEngine uses, so segment ids, completion order, the
@@ -19,6 +20,15 @@
 // run byte for byte (triggers, patterns, streams, windows) for every shard
 // count and every sequence of live migrations — by construction, not by
 // timing. Tests check this on repeated runs of each configuration.
+//
+// Output is online (DESIGN.md §2.2): a trigger's FCPs reach the collector as
+// soon as every shard it was routed to has mined it, in the serial offer
+// order — trigger by trigger, and within a trigger by (size, pattern), the
+// order every miner emits (EmitOrderLess) — so suppression decisions match
+// a serial run. The thread whose publish completes the oldest unreleased
+// trigger (a shard after mining, or the ingest thread after routing)
+// releases it; the pushing thread moves the accepted alerts into results()
+// on its next call. No output is buffered until Finish().
 //
 // All backpressure blocks on condition variables (BoundedQueue::Push /
 // Pop) — no spin loops anywhere in the pipeline.
@@ -29,9 +39,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/params.h"
@@ -49,6 +61,7 @@
 #include "stream/shard_router.h"
 #include "stream/stream_mux.h"
 #include "telemetry/registry.h"
+#include "util/ring_buffer.h"
 
 namespace fcp {
 
@@ -111,21 +124,30 @@ class ParallelEngine {
   void PushBatch(std::span<const ObjectEvent> events);
 
   /// Blocks until the pipeline has caught up with every event pushed so
-  /// far: the ingest thread has segmented and routed each one, and every
-  /// shard has mined every segment routed to it. Windows still open stay
-  /// open (later events or Finish() close them). Polls atomics every
-  /// millisecond. Call from the pushing thread, before Finish().
+  /// far: the ingest thread has segmented and routed each one, every shard
+  /// has mined every segment routed to it, and every routed trigger's FCPs
+  /// have been released to the collector (SnapshotResults() holds them).
+  /// Windows still open stay open (later events or Finish() close them).
+  /// Polls atomics every millisecond. Call from the pushing thread, before
+  /// Finish().
   void WaitUntilIdle() const;
 
-  /// Flushes every open window, drains the pipeline, joins all threads and
-  /// merges the per-shard outputs into the collector. Idempotent. After
-  /// Finish(), results() is complete and stable.
+  /// Flushes every open window, drains the pipeline and joins all threads;
+  /// the last triggers are released on the way. Idempotent. After Finish(),
+  /// results() is complete and stable.
   void Finish();
 
-  /// All accepted discoveries so far. Only safe to read after Finish().
+  /// All accepted discoveries, in acceptance order. Only safe to read after
+  /// Finish(); while the pipeline runs use SnapshotResults().
   const std::vector<Fcp>& results() const {
     return front_.collector().results();
   }
+
+  /// A copy of the discoveries accepted so far, in acceptance order: every
+  /// released trigger's, none of a later one's. Thread-safe; callable while
+  /// the pipeline runs. After WaitUntilIdle() it holds every alert of the
+  /// events pushed so far.
+  std::vector<Fcp> SnapshotResults() const;
 
   /// Collector access after Finish() (distinct pattern counts, etc.).
   const ResultCollector& collector() const { return front_.collector(); }
@@ -175,6 +197,22 @@ class ParallelEngine {
   int64_t WatermarkLagMs() const;
 
  private:
+  // Online release (DESIGN.md §2.2). The ingest thread and the shard
+  // threads stage what they route or mine, publish it under release_mu_ and
+  // release every trigger the publish completes.
+  /// One trigger and a count: on `routed_` the shards it was routed to, on
+  /// a shard's `lists` the FCPs that shard mined for it.
+  struct TriggerCount {
+    SegmentId trigger = kInvalidSegmentId;
+    uint32_t count = 0;
+  };
+  /// Mined, unreleased output. Both FIFOs are in trigger order: a shard
+  /// mines its deliveries in route order.
+  struct OutputFifo {
+    RingBuffer<TriggerCount> lists;  ///< one per routed delivery, even empty
+    RingBuffer<Fcp> fcps;            ///< the lists' FCPs, back to back
+  };
+
   /// Shard `shard`'s lag behind the router watermark `routed`.
   int64_t ShardLagMs(uint32_t shard, Timestamp routed) const;
   /// Pops events, segments them through the front end's mux and routes
@@ -186,6 +224,30 @@ class ParallelEngine {
   /// Applies the delivery's placement snapshot, advances the watermark and
   /// mines (or index-backfills) it with shard `shard_index`'s miner.
   void ProcessDelivery(uint32_t shard_index, ShardDelivery&& delivery);
+  /// release_mu_, taken with a try-lock; a busy lock is waited for only if
+  /// `wait`. The caller checks owns_lock().
+  std::unique_lock<std::mutex> LockRelease(bool wait);
+  /// Ingest side of the release: moves the staged (trigger, receivers)
+  /// entries onto routed_ and releases every complete trigger, unless the
+  /// lock is busy and not `wait`. True iff nothing is left staged.
+  bool PublishRouted(RingBuffer<TriggerCount>* staged, bool wait);
+  /// Shard side: the same for shard `shard_index`'s staged lists, onto its
+  /// output FIFO; bumps its segments_mined by the lists published.
+  void PublishMined(uint32_t shard_index, bool wait);
+  /// Offers the FCPs of each complete trigger at the front of `routed_` to
+  /// the collector's suppression decision, oldest first, moves the accepted
+  /// ones onto accepted_, and stops at the first incomplete trigger. Caller
+  /// holds release_mu_.
+  void ReleaseCompleteLocked();
+  /// Moves accepted_ into the collector's results(). Runs on the thread
+  /// that pushes (Push, PushBatch, Finish): results() is one array that
+  /// grows by doubling, and grown on a pipeline thread its freed buffers
+  /// stay resident in that thread's malloc arena (EXPERIMENTS.md, "Online
+  /// sharded output").
+  void KeepAccepted();
+  /// KeepAccepted() every 100 us until at most `threads_running` pipeline
+  /// threads are still running.
+  void KeepAcceptedUntil(uint32_t threads_running);
   void RegisterMetrics();
   void RegisterWatchdogStages();
   void RefreshGauges();
@@ -197,7 +259,8 @@ class ParallelEngine {
   /// before the router, miners and shard runtime so every SegmentRef (shard
   /// deliveries, the router's live set, the miners' indexes) is released
   /// before the pool is destroyed (checked in ~SegmentPool). The ingest
-  /// thread alone touches the mux; Finish() alone touches the collector.
+  /// thread alone touches the mux; the collector is touched only under
+  /// release_mu_ until Finish() has joined the threads.
   EngineFront front_;
   /// Push/PushBatch fill it; the ingest thread drains it.
   BoundedQueue<ObjectEvent> events_;
@@ -216,22 +279,38 @@ class ParallelEngine {
     /// shared_ptr alive between deliveries that carry the same snapshot).
     std::shared_ptr<const PlacementMap> active_placement;
     std::vector<Fcp> mined_scratch;
+    /// Mined, not yet published to shard_output_ (the try-lock was busy).
+    OutputFifo staged;
     /// Watermark of the last delivery this shard processed; sampled by the
     /// observability plane against the router's to compute per-shard lag.
     std::atomic<Timestamp> last_watermark{kMinTimestamp};
-    /// Routed (not backfill) deliveries this shard has mined; compared with
-    /// the router's routed_to() by WaitUntilIdle().
+    /// Routed (not backfill) deliveries this shard has mined and published
+    /// to its output FIFO; compared with the router's routed_to() by
+    /// WaitUntilIdle().
     std::atomic<uint64_t> segments_mined{0};
   };
   std::vector<std::unique_ptr<ShardRuntime>> shard_runtime_;
-  // Per-shard output buffers, written only by the owning shard thread while
-  // it runs; merged into the collector by Finish() after the joins.
-  std::vector<std::vector<Fcp>> shard_mined_;
+
+  /// Guards the collector while the pipeline runs, routed_, shard_output_,
+  /// accepted_ and release_scratch_.
+  mutable std::mutex release_mu_;
+  /// Routed, unreleased triggers in route order (= segment-id order).
+  RingBuffer<TriggerCount> routed_;
+  std::vector<OutputFifo> shard_output_;
+  /// Released and accepted, not yet in results() (see KeepAccepted()).
+  RingBuffer<Fcp> accepted_;
+  /// accepted_ may be non-empty: lets Push() skip the lock when it is not.
+  std::atomic<bool> has_accepted_{false};
+  /// The ingest and shard threads that have not returned yet.
+  std::atomic<uint32_t> threads_running_{0};
+  /// ReleaseCompleteLocked() scratch: per shard holding the front trigger,
+  /// (shard, FCPs of it still to offer).
+  std::vector<std::pair<uint32_t, uint32_t>> release_scratch_;
 
   uint64_t segments_completed_ = 0;
   uint64_t events_pushed_ = 0;
-  /// Events the ingest thread has segmented and routed (release-stored after
-  /// each one's segments are routed; read by WaitUntilIdle()).
+  /// Events the ingest thread has segmented and routed, their triggers
+  /// published to routed_ (release-stored; read by WaitUntilIdle()).
   std::atomic<uint64_t> events_routed_{0};
   bool finished_ = false;
   std::vector<ObjectEvent> push_batch_scratch_;  ///< PushBatch staging

@@ -139,22 +139,24 @@ void PostingMiner<Index>::AddSegment(const Segment& segment,
   watermark_ = std::max(watermark_, segment.end_time());
   const Timestamp now = watermark_;
 
-  Stopwatch maint_timer;
+  // One clock read marks both the end of maintenance and the start of
+  // mining.
+  const int64_t start_ns = MonotonicNowNs();
   {
     trace::Span span(kPairCells ? "matrixmine/maintenance"
                                 : "dimine/maintenance");
     IndexSegment(segment, now);
   }
-  stats_.maintenance_ns += maint_timer.ElapsedNanos();
+  const int64_t indexed_ns = MonotonicNowNs();
+  stats_.maintenance_ns += indexed_ns - start_ns;
 
-  Stopwatch mine_timer;
   {
     trace::Span span(kPairCells ? "matrixmine/mine" : "dimine/mine");
     PostingSupport support(index_, now, params_, &scratch_);
     MineApriori(segment, params_, shard_, support, &scratch_.apriori, &stats_,
                 out);
   }
-  stats_.mining_ns += mine_timer.ElapsedNanos();
+  stats_.mining_ns += MonotonicNowNs() - indexed_ns;
 
   ++stats_.segments_processed;
 }

@@ -2,9 +2,9 @@
 
 namespace fcp {
 
-bool ResultCollector::Offer(const Fcp& fcp) {
+bool ResultCollector::Admit(const Fcp& fcp) {
   ++offered_;
-  auto [it, is_new] = last_report_.emplace(fcp.objects, fcp.window_end);
+  auto [it, is_new] = last_report_.try_emplace(fcp.objects, fcp.window_end);
   if (is_new) {
     ++distinct_by_size_[static_cast<uint32_t>(fcp.objects.size())];
   } else {
@@ -15,6 +15,11 @@ bool ResultCollector::Offer(const Fcp& fcp) {
     }
     it->second = fcp.window_end;
   }
+  return true;
+}
+
+bool ResultCollector::Offer(const Fcp& fcp) {
+  if (!Admit(fcp)) return false;
   results_.push_back(fcp);
   return true;
 }

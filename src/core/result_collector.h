@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -28,6 +29,14 @@ class ResultCollector {
 
   /// Offers a discovery; returns true iff it was accepted (not suppressed).
   bool Offer(const Fcp& fcp);
+
+  /// Offer() split in two, for a caller that stores accepted discoveries
+  /// on another thread than it decides them: Admit() makes the suppression
+  /// decision and its bookkeeping, and returns true iff `fcp` is accepted;
+  /// Keep() appends an accepted one to results(). Keep() must see the
+  /// accepted discoveries in the order Admit() accepted them.
+  bool Admit(const Fcp& fcp);
+  void Keep(Fcp&& fcp) { results_.push_back(std::move(fcp)); }
 
   /// Offers a batch; accepted ones are appended to `accepted` if non-null.
   void OfferAll(const std::vector<Fcp>& fcps,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -169,6 +170,88 @@ TEST(ParallelEngineTest, ShardedEngineMatchesSerialByteForByte) {
           }
         }
       }
+    }
+  }
+}
+
+// One signature per discovery in acceptance order: equal sequences mean the
+// same alerts were accepted in the same order.
+std::vector<testing::FcpSignature> OrderedSignatures(
+    const std::vector<Fcp>& fcps) {
+  std::vector<testing::FcpSignature> out;
+  out.reserve(fcps.size());
+  for (const Fcp& fcp : fcps) {
+    out.emplace_back(fcp.trigger, fcp.objects, fcp.streams, fcp.window_start,
+                     fcp.window_end);
+  }
+  return out;
+}
+
+uint64_t AcceptedTotal(ParallelEngine& engine) {
+  for (const telemetry::MetricSample& sample : engine.SnapshotMetrics()) {
+    if (sample.name == "fcp_fcps_accepted_total") return sample.counter_value;
+  }
+  ADD_FAILURE() << "fcp_fcps_accepted_total not registered";
+  return 0;
+}
+
+TEST(ParallelEngineTest, AlertsAreReleasedLiveInSerialOrder) {
+  // Output is online: after WaitUntilIdle() — before Finish() — the alerts
+  // accepted so far are exactly the serial engine's for the same event
+  // prefix, in the same order. A suppression window makes the acceptance
+  // decisions depend on that order.
+  const MiningParams params = Params();
+  const TrafficTrace trace = Trace(36);
+  const DurationMs suppression = Minutes(10);
+  const size_t n = trace.events.size();
+  const std::vector<size_t> checkpoints = {n / 3, 2 * n / 3, n};
+
+  for (MinerKind kind :
+       {MinerKind::kCooMine, MinerKind::kDiMine, MinerKind::kMatrixMine}) {
+    EngineOptions serial_options;
+    serial_options.suppression_window = suppression;
+    MiningEngine serial(kind, params, serial_options);
+    std::vector<std::vector<testing::FcpSignature>> expected;
+    size_t pushed = 0;
+    for (size_t checkpoint : checkpoints) {
+      for (; pushed < checkpoint; ++pushed) {
+        serial.PushEvent(trace.events[pushed]);
+      }
+      expected.push_back(OrderedSignatures(serial.collector().results()));
+    }
+    serial.Flush();
+    const std::vector<testing::FcpSignature> expected_final =
+        OrderedSignatures(serial.collector().results());
+    ASSERT_FALSE(expected.front().empty());
+    ASSERT_GT(serial.collector().total_suppressed(), 0u);
+
+    for (uint32_t shards : {2u, 4u}) {
+      const std::string where = std::string(MinerKindToString(kind)) +
+                                " shards=" + std::to_string(shards);
+      ParallelEngineOptions options;
+      options.num_miner_shards = shards;
+      options.suppression_window = suppression;
+      // Force migrations, as in ShardedEngineMatchesSerialByteForByte.
+      options.rebalancer.interval_segments = 32;
+      options.rebalancer.imbalance_threshold = 1.0;
+      options.rebalancer.min_move_weight = 2;
+      ParallelEngine engine(kind, params, options);
+      pushed = 0;
+      for (size_t c = 0; c < checkpoints.size(); ++c) {
+        for (; pushed < checkpoints[c]; ++pushed) {
+          engine.Push(trace.events[pushed]);
+        }
+        engine.WaitUntilIdle();
+        const std::vector<Fcp> snapshot = engine.SnapshotResults();
+        EXPECT_EQ(OrderedSignatures(snapshot), expected[c])
+            << where << " checkpoint=" << c;
+        EXPECT_EQ(AcceptedTotal(engine), snapshot.size())
+            << where << " checkpoint=" << c;
+      }
+      engine.Finish();
+      EXPECT_EQ(OrderedSignatures(engine.results()), expected_final) << where;
+      EXPECT_EQ(AcceptedTotal(engine), engine.results().size()) << where;
+      EXPECT_GT(engine.router_stats().placements_applied, 0u) << where;
     }
   }
 }

@@ -72,30 +72,49 @@ TEST(ThreadRegistryTest, PipelineThreadsShareOneNameAcrossBothRecorders) {
   ASSERT_TRUE(prof::StartCpuProfiler(1000));
   obs::WatchdogOptions watchdog_options;
   watchdog_options.poll_interval_ms = 1;
-  obs::Watchdog watchdog(watchdog_options);
-  watchdog.Start();
 
-  std::vector<testing::FcpSignature> sharded;
+  // CPU-clock timers expire on the scheduler tick that lands while their
+  // thread runs, so a short-lived pipeline thread can finish without a
+  // sample. Rerun the pipeline (each run's threads take the same names)
+  // until every name has a profile root, or 30 s of wall time pass and the
+  // check below fails.
+  const std::vector<testing::FcpSignature> expected =
+      testing::FullSignatures(serial_all);
+  const char* const kNames[] = {"ingest", "shard-0", "shard-1", "watchdog"};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
   std::string folded;
-  {
+  std::set<std::string> roots;
+  auto all_sampled = [&] {
+    for (const char* name : kNames) {
+      if (roots.count(name) == 0) return false;
+    }
+    return true;
+  };
+  int run = 0;
+  do {
+    obs::Watchdog watchdog(watchdog_options);
+    watchdog.Start();
     ParallelEngineOptions options;
     options.num_miner_shards = 2;
     options.watchdog = &watchdog;
     ParallelEngine engine(MinerKind::kCooMine, Params(), options);
     for (const ObjectEvent& event : events) engine.Push(event);
     engine.Finish();
-    sharded = testing::FullSignatures(engine.results());
+    EXPECT_EQ(testing::FullSignatures(engine.results()), expected)
+        << "recording and sampling changed the sharded output (run " << run
+        << ")";
+    ++run;
     // The watchdog burns little CPU per evaluation; keep it evaluating
     // until its CPU-time timer has fired (the engine must outlive it).
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(20);
     do {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
       folded = prof::FoldedProfile();
-    } while (FoldedRoots(folded).count("watchdog") == 0 &&
+      roots = FoldedRoots(folded);
+    } while (roots.count("watchdog") == 0 &&
              std::chrono::steady_clock::now() < deadline);
     watchdog.Stop();
-  }
+  } while (!all_sampled() && std::chrono::steady_clock::now() < deadline);
   prof::StopCpuProfiler();
   trace::Stop();
 
@@ -107,14 +126,12 @@ TEST(ThreadRegistryTest, PipelineThreadsShareOneNameAcrossBothRecorders) {
   for (const trace::ParsedTraceEvent& e : *parsed) {
     if (e.ph == 'M' && e.name == "thread_name") track_names.insert(e.arg_name);
   }
-  const std::set<std::string> roots = FoldedRoots(folded);
-  for (const char* name : {"ingest", "shard-0", "shard-1", "watchdog"}) {
+  for (const char* name : kNames) {
     EXPECT_TRUE(track_names.count(name)) << name << " has no trace track";
-    EXPECT_TRUE(roots.count(name)) << name << " has no profile root:\n"
+    EXPECT_TRUE(roots.count(name)) << name << " has no profile root after "
+                                   << run << " runs:\n"
                                    << folded;
   }
-  EXPECT_EQ(sharded, testing::FullSignatures(serial_all))
-      << "recording and sampling changed the sharded output";
 
   trace::Reset();
   prof::ResetProfile();
