@@ -390,7 +390,7 @@ ScrapeCost MeasureUnderScrape(const MiningParams& params,
 
 int Run(int argc, char** argv) {
   const Flags flags(argc, argv);
-  flags.RejectUnknown({"scale", "quick", "dataset", "events", "label", "kernel",
+  flags.RejectUnknown({"scale", "quick", "dataset", "events", "label",
                        "json"});
   const BenchScale scale(flags);
   const Dataset dataset =
@@ -399,17 +399,6 @@ int Run(int argc, char** argv) {
   const uint64_t events = scale.Events(
       static_cast<uint64_t>(flags.GetInt("events", 400000)));
   const std::string label = flags.GetString("label", "run");
-  // Pin the SIMD dispatch level. An explicit --kernel tags every record name
-  // with the level (per-kernel trajectory points in BENCH_kernels.json);
-  // without the flag the names stay bare so the BENCH_hotpath.json
-  // trajectory keeps comparing like with like across PRs.
-  const std::string_view kernel_name = ApplyKernelFlag(flags);
-  std::string kernel_suffix;
-  if (flags.Has("kernel")) {
-    kernel_suffix = "@";
-    kernel_suffix += kernel_name;
-  }
-
   PrintHeader("hot-path alloc",
               "steady-state AddSegment ns/op and heap allocations/op "
               "(operator-new counter); 'steady' raises theta so no FCP is "
@@ -419,9 +408,9 @@ int Run(int argc, char** argv) {
       GenerateEvents(dataset, events, /*seed=*/42);
   const MiningParams zipf_params = DefaultParams(dataset);
   const std::vector<Segment> segments = SegmentTrace(trace, zipf_params.xi);
-  std::printf("dataset=%s events=%" PRIu64 " segments=%zu kernel=%s\n\n",
+  std::printf("dataset=%s events=%" PRIu64 " segments=%zu\n\n",
               std::string(DatasetName(dataset)).c_str(), events,
-              segments.size(), std::string(kernel_name).c_str());
+              segments.size());
 
   MiningParams steady_params = zipf_params;
   steady_params.theta = 1u << 20;  // unreachable: no emissions
@@ -437,7 +426,7 @@ int Run(int argc, char** argv) {
           kind, steady ? steady_params : zipf_params, segments);
       JsonRecord record;
       record.name = std::string(MinerKindToString(kind)) +
-                    (steady ? "/steady" : "/zipf") + kernel_suffix;
+                    (steady ? "/steady" : "/zipf");
       record.ns_per_op = cost.ns_per_op;
       record.allocs_per_op = cost.allocs_per_op;
       record.rss_bytes = CurrentRssBytes();
@@ -455,8 +444,7 @@ int Run(int argc, char** argv) {
   for (MinerKind kind : kinds) {
     const OpCost cost = MeasureAddSegment(kind, steady_params, cyclic);
     JsonRecord record;
-    record.name =
-        std::string(MinerKindToString(kind)) + "/cycle" + kernel_suffix;
+    record.name = std::string(MinerKindToString(kind)) + "/cycle";
     record.ns_per_op = cost.ns_per_op;
     record.allocs_per_op = cost.allocs_per_op;
     record.rss_bytes = CurrentRssBytes();
@@ -476,8 +464,7 @@ int Run(int argc, char** argv) {
                                                  zipf_params, segments,
                                                  num_shards);
     JsonRecord record;
-    record.name = "DiMine/zipf/S" + std::to_string(num_shards) +
-                  kernel_suffix;
+    record.name = "DiMine/zipf/S" + std::to_string(num_shards);
     record.ns_per_op = cost.ns_per_op;
     record.allocs_per_op = cost.allocs_per_op;
     record.rss_bytes = CurrentRssBytes();
@@ -497,7 +484,7 @@ int Run(int argc, char** argv) {
     const RouterCost cost =
         MeasureRouterPath(segments, zipf_params.tau, num_shards);
     JsonRecord record;
-    record.name = "router/zipf/S" + std::to_string(num_shards) + kernel_suffix;
+    record.name = "router/zipf/S" + std::to_string(num_shards);
     record.ns_per_op = cost.op.ns_per_op;
     record.allocs_per_op = cost.op.allocs_per_op;
     record.rss_bytes = CurrentRssBytes();
@@ -520,8 +507,7 @@ int Run(int argc, char** argv) {
     const double overhead_pct =
         off.ns_per_op > 0 ? (on.ns_per_op / off.ns_per_op - 1.0) * 100.0 : 0;
     JsonRecord record;
-    record.name =
-        std::string(MinerKindToString(kind)) + "/telemetry" + kernel_suffix;
+    record.name = std::string(MinerKindToString(kind)) + "/telemetry";
     record.ns_per_op = on.ns_per_op;
     record.allocs_per_op = on.allocs_per_op;
     record.rss_bytes = CurrentRssBytes();
@@ -548,8 +534,7 @@ int Run(int argc, char** argv) {
     const double overhead_pct =
         off.ns_per_op > 0 ? (on.ns_per_op / off.ns_per_op - 1.0) * 100.0 : 0;
     JsonRecord record;
-    record.name =
-        std::string(MinerKindToString(kind)) + "/trace" + kernel_suffix;
+    record.name = std::string(MinerKindToString(kind)) + "/trace";
     record.ns_per_op = on.ns_per_op;
     record.allocs_per_op = on.allocs_per_op;
     record.rss_bytes = CurrentRssBytes();
@@ -602,18 +587,15 @@ int Run(int argc, char** argv) {
                  ? (leg.cpu_ns_per_op / off.cpu_ns_per_op - 1.0) * 100.0
                  : 0;
     };
-    std::printf("%-24s %14.1f %14.3f %12s\n",
-                ("CooMine/obs-off" + kernel_suffix).c_str(),
+    std::printf("%-24s %14.1f %14.3f %12s\n", "CooMine/obs-off",
                 off.cpu_ns_per_op, off.mining.allocs_per_op, "--");
-    std::printf("%-24s %14.1f %14.3f %+11.2f%%\n",
-                ("CooMine/obs-wired" + kernel_suffix).c_str(),
+    std::printf("%-24s %14.1f %14.3f %+11.2f%%\n", "CooMine/obs-wired",
                 wired.cpu_ns_per_op, wired.mining.allocs_per_op, pct(wired));
     std::printf("%-24s %14.1f %14.3f %+11.2f%%  (%" PRIu64 " scrapes)\n",
-                ("CooMine/obs-scraped" + kernel_suffix).c_str(),
-                scraped.cpu_ns_per_op, wired.mining.allocs_per_op,
-                pct(scraped), scraped.scrapes);
+                "CooMine/obs-scraped", scraped.cpu_ns_per_op,
+                wired.mining.allocs_per_op, pct(scraped), scraped.scrapes);
     JsonRecord record;
-    record.name = "CooMine/scrape" + kernel_suffix;
+    record.name = "CooMine/scrape";
     record.ns_per_op = scraped.cpu_ns_per_op;
     // The mining path's allocations: the wired leg's process-wide delta
     // (no scraper thread muddying the counter) — must be 0.
@@ -694,14 +676,12 @@ int Run(int argc, char** argv) {
         off.cpu_ns_per_op > 0
             ? (armed.cpu_ns_per_op / off.cpu_ns_per_op - 1.0) * 100.0
             : 0;
-    std::printf("%-24s %14.1f %14.3f %12s\n",
-                ("CooMine/prof-off" + kernel_suffix).c_str(),
+    std::printf("%-24s %14.1f %14.3f %12s\n", "CooMine/prof-off",
                 off.cpu_ns_per_op, off.allocs_per_op, "--");
-    std::printf("%-24s %14.1f %14.3f %+11.2f%%\n",
-                ("CooMine/prof-armed" + kernel_suffix).c_str(),
+    std::printf("%-24s %14.1f %14.3f %+11.2f%%\n", "CooMine/prof-armed",
                 armed.cpu_ns_per_op, armed.allocs_per_op, overhead_pct);
     JsonRecord record;
-    record.name = "CooMine/prof" + kernel_suffix;
+    record.name = "CooMine/prof";
     record.ns_per_op = armed.cpu_ns_per_op;
     record.allocs_per_op = armed.allocs_per_op;
     record.rss_bytes = CurrentRssBytes();

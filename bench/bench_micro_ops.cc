@@ -3,15 +3,12 @@
 // DI-Index and Matrix ops, Apriori candidate generation, and end-to-end
 // AddSegment for each miner.
 //
-// Before the google-benchmark suite, a custom-timed kernel section measures
-// the SIMD dispatch layer (util/kernels/) at every level the machine
-// supports: fused AND+popcount over tidset bitsets, balanced sorted
-// intersection (u32 and u64), and the merge-vs-gallop crossover sweep that
-// justifies kGallopCrossoverRatio. `--json=<path>` appends those datapoints
-// (with speedup-vs-scalar extras) to a BENCH_*.json trajectory;
-// `--kernel=auto|scalar|avx2` pins the dispatch level the
-// google-benchmark miner benches run at. `--benchmark_filter='^$'` skips the
-// google-benchmark suite when only the kernel table is wanted.
+// Before the google-benchmark suite, a custom-timed section runs the
+// merge-vs-gallop crossover sweep behind kGallopCrossoverRatio
+// (util/intersect.h): the linear merge against galloping at each size
+// ratio. `--json=<path>` appends those datapoints to a BENCH_*.json
+// trajectory. `--benchmark_filter='^$'` skips the google-benchmark suite
+// when only the sweep is wanted.
 
 #include <benchmark/benchmark.h>
 
@@ -21,7 +18,6 @@
 #include <functional>
 #include <limits>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "bench_util.h"
@@ -31,7 +27,6 @@
 #include "index/seg_tree.h"
 #include "stream/segmenter.h"
 #include "util/intersect.h"
-#include "util/kernels/kernels.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -190,11 +185,11 @@ void BM_MinerAddSegment(benchmark::State& state) {
   state.SetLabel(std::string(MinerKindToString(kind)));
 }
 
-// --- Kernel dispatch section (custom-timed; see file comment). ------------
+// --- Crossover section (custom-timed; see file comment). -----------------
 
 // Times every closure once per round (several rounds, round-robin) and
 // returns per-closure minimum ns/op. Interleaving is what makes the
-// speedup ratios trustworthy on a shared host: the cases being compared see
+// ratios trustworthy on a shared host: the cases being compared see
 // the same frequency/sibling-load conditions within every round, and the
 // minimum discards the rounds a neighbor polluted. Iteration counts are
 // calibrated per closure to a ~2ms timed region.
@@ -227,13 +222,6 @@ std::vector<double> MeasureNsPerOpInterleaved(
   return ns_per_op;
 }
 
-std::vector<uint64_t> RandomBits(size_t words, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<uint64_t> bits(words);
-  for (uint64_t& w : bits) w = rng.Next();
-  return bits;
-}
-
 // `size` distinct sorted values from [0, universe): sampling two lists from
 // the same universe fixes their expected overlap at size_a*size_b/universe.
 std::vector<uint64_t> SortedSample(size_t size, uint64_t universe, Rng* rng) {
@@ -249,7 +237,7 @@ std::vector<uint64_t> SortedSample(size_t size, uint64_t universe, Rng* rng) {
 }
 
 // The skewed-side strategy of IntersectSorted, isolated so the crossover
-// sweep can race it against the balanced merge kernel at every ratio.
+// sweep can race it against internal::MergeIntersect at every ratio.
 size_t GallopIntersect(const uint64_t* a, size_t a_size, const uint64_t* b,
                        size_t b_size, uint64_t* out) {
   size_t n = 0, j = 0;
@@ -264,112 +252,16 @@ size_t GallopIntersect(const uint64_t* a, size_t a_size, const uint64_t* b,
   return n;
 }
 
-std::vector<kernels::KernelLevel> SupportedLevels() {
-  std::vector<kernels::KernelLevel> levels;
-  for (kernels::KernelLevel level :
-       {kernels::KernelLevel::kScalar, kernels::KernelLevel::kAvx2}) {
-    if (kernels::LevelSupported(level)) levels.push_back(level);
-  }
-  return levels;
-}
-
-void RunKernelSection(const Flags& flags) {
+// Merge-vs-gallop crossover sweep: long side fixed at 4096 u64, short side
+// long/ratio, both from the same universe; the two strategies at each ratio
+// are measured interleaved. This is the measurement behind
+// kGallopCrossoverRatio in util/intersect.h — re-run it before retuning.
+void RunCrossoverSection(const Flags& flags) {
   const std::string label = flags.GetString("label", "run");
-  const std::vector<kernels::KernelLevel> levels = SupportedLevels();
-  std::vector<JsonRecord> records;
-
-  // Fused AND+popcount over 4096-bit tidsets (64 words, CooMine's candidate
-  // width regime). Unreachable threshold disables the early exit so every
-  // level counts the full bitset — the apples-to-apples comparison. All
-  // levels measured interleaved (see MeasureNsPerOpInterleaved).
-  constexpr size_t kWords = 64;
-  const std::vector<uint64_t> bits_a = RandomBits(kWords, 101);
-  const std::vector<uint64_t> bits_b = RandomBits(kWords, 202);
-  std::vector<uint64_t> bits_out(kWords);
-  std::printf("kernel dispatch (words=%zu bitsets, 4096-element lists)\n",
-              kWords);
-  std::printf("%-32s %12s %14s\n", "case", "ns/op", "vs scalar");
-  {
-    std::vector<std::function<void()>> fns;
-    for (kernels::KernelLevel level : levels) {
-      const kernels::KernelOps& ops = kernels::OpsFor(level);
-      fns.push_back([&ops, &bits_a, &bits_b, &bits_out] {
-        benchmark::DoNotOptimize(ops.and_popcount_atleast(
-            bits_a.data(), bits_b.data(), bits_out.data(), kWords,
-            kWords * 64 + 1));
-      });
-    }
-    const std::vector<double> ns = MeasureNsPerOpInterleaved(fns);
-    for (size_t l = 0; l < levels.size(); ++l) {
-      const double speedup = ns[0] / ns[l];
-      JsonRecord record;
-      record.name =
-          "and_popcount/" + std::string(kernels::KernelLevelName(levels[l]));
-      record.ns_per_op = ns[l];
-      record.AddExtra("words", static_cast<double>(kWords));
-      record.AddExtra("speedup_vs_scalar", speedup);
-      records.push_back(record);
-      std::printf("%-32s %12.2f %13.2fx\n", record.name.c_str(), ns[l],
-                  speedup);
-    }
-  }
-
-  // Balanced sorted intersection, 4096 vs 4096 from a 16384 universe
-  // (~1024 common elements) — the shape the merge kernel owns. u32 is the
-  // vectorized family the tentpole targets; u64 (SegmentId posting lists)
-  // has half the lanes and correspondingly less headroom.
   constexpr size_t kListSize = 4096;
-  Rng list_rng(303);
-  const std::vector<uint64_t> list_a =
-      SortedSample(kListSize, 4 * kListSize, &list_rng);
-  const std::vector<uint64_t> list_b =
-      SortedSample(kListSize, 4 * kListSize, &list_rng);
-  const std::vector<uint32_t> list_a32(list_a.begin(), list_a.end());
-  const std::vector<uint32_t> list_b32(list_b.begin(), list_b.end());
-  std::vector<uint64_t> list_out(kListSize);
-  std::vector<uint32_t> list_out32(kListSize);
-  {
-    std::vector<std::function<void()>> fns;
-    for (kernels::KernelLevel level : levels) {
-      const kernels::KernelOps& ops = kernels::OpsFor(level);
-      fns.push_back([&ops, &list_a, &list_b, &list_out] {
-        benchmark::DoNotOptimize(ops.intersect_u64(list_a.data(), kListSize,
-                                                   list_b.data(), kListSize,
-                                                   list_out.data()));
-      });
-      fns.push_back([&ops, &list_a32, &list_b32, &list_out32] {
-        benchmark::DoNotOptimize(ops.intersect_u32(list_a32.data(), kListSize,
-                                                   list_b32.data(), kListSize,
-                                                   list_out32.data()));
-      });
-    }
-    const std::vector<double> ns = MeasureNsPerOpInterleaved(fns);
-    for (size_t l = 0; l < levels.size(); ++l) {
-      const std::string name(kernels::KernelLevelName(levels[l]));
-      for (const auto& [suffix, idx, scalar_idx] :
-           {std::tuple{"u64", 2 * l, size_t{0}},
-            std::tuple{"u32", 2 * l + 1, size_t{1}}}) {
-        const double speedup = ns[scalar_idx] / ns[idx];
-        JsonRecord record;
-        record.name = "intersect_balanced_" + std::string(suffix) + "/" + name;
-        record.ns_per_op = ns[idx];
-        record.AddExtra("list_size", static_cast<double>(kListSize));
-        record.AddExtra("speedup_vs_scalar", speedup);
-        records.push_back(record);
-        std::printf("%-32s %12.1f %13.2fx\n", record.name.c_str(), ns[idx],
-                    speedup);
-      }
-    }
-  }
-
-  // Merge-vs-gallop crossover sweep: long side fixed at 4096 u64, short side
-  // long/ratio, both from the same universe; the three strategies at each
-  // ratio are measured interleaved. This is the measurement behind
-  // kGallopCrossoverRatio in util/intersect.h — re-run it before retuning.
-  const kernels::KernelLevel best = levels.back();
-  std::printf("\nintersect crossover (u64, long side %zu)\n", kListSize);
-  std::printf("%6s %14s %14s %14s %10s\n", "ratio", "merge(best)",
-              "merge(scalar)", "gallop", "winner");
+  std::vector<JsonRecord> records;
+  std::printf("intersect crossover (u64, long side %zu)\n", kListSize);
+  std::printf("%6s %14s %14s %10s\n", "ratio", "merge", "gallop", "winner");
   for (size_t ratio : {1, 2, 4, 8, 16, 32, 64, 128, 256}) {
     const size_t short_size = kListSize / ratio;
     Rng sweep_rng(404 + ratio);
@@ -379,16 +271,10 @@ void RunKernelSection(const Flags& flags) {
         SortedSample(kListSize, 4 * kListSize, &sweep_rng);
     std::vector<uint64_t> out(short_size);
     const std::vector<double> ns = MeasureNsPerOpInterleaved({
-        [&, best] {
-          benchmark::DoNotOptimize(kernels::OpsFor(best).intersect_u64(
+        [&] {
+          benchmark::DoNotOptimize(internal::MergeIntersect(
               short_list.data(), short_size, long_list.data(), kListSize,
               out.data()));
-        },
-        [&] {
-          benchmark::DoNotOptimize(
-              kernels::OpsFor(kernels::KernelLevel::kScalar)
-                  .intersect_u64(short_list.data(), short_size,
-                                 long_list.data(), kListSize, out.data()));
         },
         [&] {
           benchmark::DoNotOptimize(
@@ -396,31 +282,24 @@ void RunKernelSection(const Flags& flags) {
                               kListSize, out.data()));
         },
     });
-    const double merge_best_ns = ns[0];
-    const double merge_scalar_ns = ns[1];
-    const double gallop_ns = ns[2];
+    const double merge_ns = ns[0];
+    const double gallop_ns = ns[1];
     JsonRecord record;
     record.name = "intersect_ratio/" + std::to_string(ratio);
-    record.ns_per_op = merge_best_ns;
+    record.ns_per_op = merge_ns;
     record.AddExtra("ratio", static_cast<double>(ratio));
-    record.AddExtra("merge_scalar_ns", merge_scalar_ns);
     record.AddExtra("gallop_ns", gallop_ns);
-    record.AddExtra("gallop_over_merge", gallop_ns / merge_best_ns);
+    record.AddExtra("gallop_over_merge", gallop_ns / merge_ns);
     records.push_back(record);
-    std::printf("%6zu %14.1f %14.1f %14.1f %10s\n", ratio, merge_best_ns,
-                merge_scalar_ns, gallop_ns,
-                gallop_ns < merge_best_ns ? "gallop" : "merge");
+    std::printf("%6zu %14.1f %14.1f %10s\n", ratio, merge_ns, gallop_ns,
+                gallop_ns < merge_ns ? "gallop" : "merge");
   }
   std::printf("\n");
 
-  MaybeAppendBenchJson(flags, "bench_micro_ops/kernels", label, records);
+  MaybeAppendBenchJson(flags, "bench_micro_ops/crossover", label, records);
 }
 
 }  // namespace
-
-// External-linkage shim so main (outside the anonymous namespace) can run
-// the kernel section after flag parsing.
-void RunKernelDispatchSection(const Flags& flags) { RunKernelSection(flags); }
 
 }  // namespace fcp::bench
 
@@ -437,15 +316,13 @@ BENCHMARK(fcp::bench::BM_MinerAddSegment)
     ->Iterations(20000);
 
 // Custom main: google-benchmark takes its --benchmark_* flags out of argv
-// first, the harness flags (--kernel/--json/--label) are what must remain;
-// then pin the dispatch level, run the kernel section, then the registered
-// google-benchmark suite.
+// first, the harness flags (--json/--label) are what must remain; then run
+// the crossover section, then the registered google-benchmark suite.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   const fcp::Flags flags(argc, argv);
-  flags.RejectUnknown({"kernel", "json", "label"});
-  fcp::bench::ApplyKernelFlag(flags);
-  fcp::bench::RunKernelDispatchSection(flags);
+  flags.RejectUnknown({"json", "label"});
+  fcp::bench::RunCrossoverSection(flags);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

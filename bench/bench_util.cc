@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "common/check.h"
 #include "stream/stream_mux.h"
-#include "util/kernels/kernels.h"
 
 namespace fcp::bench {
 
@@ -177,17 +175,6 @@ uint64_t BenchScale::Events(uint64_t paper_value) const {
 void PrintHeader(const std::string& figure, const std::string& note) {
   std::printf("=== %s ===\n%s\n\n", figure.c_str(), note.c_str());
   std::fflush(stdout);
-}
-
-std::string_view ApplyKernelFlag(const Flags& flags) {
-  const std::string kernel = flags.GetString("kernel", "");
-  if (!kernel.empty() && !kernels::SetKernelLevelFromString(kernel)) {
-    std::fprintf(stderr,
-                 "unknown --kernel '%s' (want auto, scalar or avx2)\n",
-                 kernel.c_str());
-    std::exit(1);
-  }
-  return kernels::KernelLevelName(kernels::ActiveLevel());
 }
 
 uint64_t CurrentRssBytes() {

@@ -145,12 +145,6 @@ void MaybeAppendBenchJson(const Flags& flags, const std::string& bench,
 /// Prints the standard bench header (figure id + interpretation note).
 void PrintHeader(const std::string& figure, const std::string& note);
 
-/// Applies the shared `--kernel=auto|scalar|avx2` flag (process-global
-/// SIMD dispatch; unset leaves the FCP_KERNEL / auto default in place) and
-/// returns the active level's name so benches can label their records.
-/// Exits with a diagnostic on an unknown value.
-std::string_view ApplyKernelFlag(const Flags& flags);
-
 }  // namespace fcp::bench
 
 #endif  // FCP_BENCH_BENCH_UTIL_H_

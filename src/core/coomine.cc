@@ -41,7 +41,6 @@ class CooMine::TidsetSupport {
       : s_(*scratch),
         probe_{trigger.stream(), trigger.start_time(), trigger.end_time()},
         probe_valid_(trigger_valid),
-        ops_(kernels::Ops()),
         row_threshold_(params.theta - (trigger_valid ? 1 : 0)) {}
 
   // Builds the per-object tidsets: bit b of object oi's tidset is set iff
@@ -82,11 +81,11 @@ class CooMine::TidsetSupport {
   // The popcount bound is exact pruning, not an approximation: popcount
   // rows plus a valid probe bounds the distinct supporting streams, so failing
   // it proves the candidate infrequent without touching the rows. The
-  // kernels exit early at the threshold; only the boolean is consumed.
+  // count exits early at the threshold; only the boolean is consumed.
   bool Singleton(uint32_t oi, std::span<const uint64_t>* support) const {
     const uint64_t* bits = s_.object_bits.data() + oi * words_;
     *support = {bits, words_};
-    return ops_.popcount_atleast(bits, words_, row_threshold_);
+    return kernels::PopcountAtLeast(bits, words_, row_threshold_);
   }
 
   // Fused AND + popcount bound: the candidate's tidset is written in full
@@ -95,9 +94,9 @@ class CooMine::TidsetSupport {
   bool Extend(std::span<const uint64_t> parent, const uint32_t* /*prefix*/,
               size_t /*k*/, uint32_t last, std::vector<uint64_t>* cand) const {
     cand->resize(words_);
-    return ops_.and_popcount_atleast(parent.data(),
-                                     s_.object_bits.data() + last * words_,
-                                     cand->data(), words_, row_threshold_);
+    return kernels::AndPopcountAtLeast(parent.data(),
+                                       s_.object_bits.data() + last * words_,
+                                       cand->data(), words_, row_threshold_);
   }
 
   // Distinct stream ranks over a valid probe and the set bits: a rank
@@ -169,7 +168,6 @@ class CooMine::TidsetSupport {
   MiningScratch& s_;
   const Occurrence probe_;
   const bool probe_valid_;
-  const kernels::KernelOps& ops_;
   const size_t row_threshold_;
   size_t words_ = 0;  ///< bitset words per tidset
 };

@@ -1,7 +1,5 @@
 #include "core/engine_metrics.h"
 
-#include "util/kernels/kernels.h"
-
 namespace fcp {
 namespace {
 
@@ -92,8 +90,7 @@ telemetry::Gauge* RegisterBuildInfo(telemetry::MetricRegistry* registry) {
   const std::string version = "dev";
 #endif
   const std::string name =
-      "fcp_build_info{" + telemetry::FormatLabel("version", version) + "," +
-      telemetry::FormatLabel("kernel", kernels::Ops().name) + "}";
+      "fcp_build_info{" + telemetry::FormatLabel("version", version) + "}";
   registry->GetGauge(name)->Set(1);
   return registry->GetGauge("fcp_uptime_seconds");
 }

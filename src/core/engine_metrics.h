@@ -61,11 +61,10 @@ struct MinerMetrics {
 };
 
 /// Registers the process identity metrics every engine exports
-/// (DESIGN.md §2.8): `fcp_build_info{version=...,kernel=...} = 1` — the
-/// standard Prometheus idiom of a constant-1 gauge whose labels carry the
-/// build facts (version string, active kernel dispatch level) — and
-/// `fcp_uptime_seconds`, whose gauge is returned so the caller can refresh
-/// it on snapshot/scrape.
+/// (DESIGN.md §2.8): `fcp_build_info{version=...} = 1` — the standard
+/// Prometheus idiom of a constant-1 gauge whose labels carry the build
+/// facts — and `fcp_uptime_seconds`, whose gauge is returned so the caller
+/// can refresh it on snapshot/scrape.
 /// Idempotent per registry (re-registration rebinds the same metrics).
 telemetry::Gauge* RegisterBuildInfo(telemetry::MetricRegistry* registry);
 

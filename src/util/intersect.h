@@ -1,12 +1,12 @@
 // Sorted-set intersection with galloping for skewed operand sizes and a
-// SIMD kernel for balanced ones.
+// linear merge for balanced ones.
 //
 // The Apriori support-counting paths intersect a (small) per-pattern
 // supporter list with a (potentially huge) posting/pair list: under Zipf
-// object popularity the size ratio is routinely 100x+. std::set_intersection
-// walks both inputs linearly; galloping advances through the long side in
-// O(small * log(large)) instead. For balanced inputs a block-compare SIMD
-// merge (util/kernels/) is faster, so the helper picks per call.
+// object popularity the size ratio is routinely 100x+. A linear merge walks
+// both inputs; galloping advances through the long side in
+// O(small * log(large)) instead. For balanced inputs the merge is faster,
+// so the helper picks per call.
 
 #ifndef FCP_UTIL_INTERSECT_H_
 #define FCP_UTIL_INTERSECT_H_
@@ -14,23 +14,18 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
-
-#include "util/kernels/kernels.h"
 
 namespace fcp {
 
-/// Size ratio (long/short) above which galloping replaces the block/linear
-/// merge. Tuned with bench_micro_ops' intersect-crossover sweep (u64
-/// posting lists, long side 4096, same-universe overlap): the merge wins
-/// ratio 8 by ~1.4x (AVX2 block) / ~1.3x (scalar), the two strategies are
-/// within ~15% of each other at ratio 16 under every dispatch level, and
-/// galloping wins ratio 32 by ~1.7x vs the AVX2 merge (~2x vs scalar),
-/// growing without bound beyond (~5x at 128). 16 is the measured
-/// break-even for both the vectorized and the scalar merge, so it costs
-/// nothing where they tie and keeps the asymptotic win on the 100x-skewed
-/// Zipf tail.
+/// Size ratio (long/short) above which galloping replaces the linear merge.
+/// From bench_micro_ops' intersect-crossover sweep (u64 posting lists, long
+/// side 4096, same-universe overlap; 3 runs on a 4-vCPU Xeon): the merge
+/// wins ratio 8 by ~1.25x (2.1 vs 2.6 us), galloping wins ratio 16 by
+/// ~1.27x (1.6 vs 2.0 us) and ratio 32 by ~2.1x, growing without bound
+/// beyond (~5.7x at 128). So the break-even sits between 8 and 16; at 16 the
+/// merge still runs on the ratio-16 shape, a ~1.3x loss on it, while the
+/// 100x-skewed Zipf tail gallops.
 inline constexpr size_t kGallopCrossoverRatio = 16;
 
 namespace internal {
@@ -52,13 +47,32 @@ size_t GallopLowerBound(const T* data, size_t begin, size_t size,
       std::lower_bound(data + begin, data + hi, key) - data);
 }
 
+/// Linear merge of two ascending, duplicate-free ranges into `out`, which
+/// must hold min(a_size, b_size) elements. Returns the output count.
+template <typename T>
+size_t MergeIntersect(const T* a, size_t a_size, const T* b, size_t b_size,
+                      T* out) {
+  size_t i = 0, j = 0, n = 0;
+  while (i < a_size && j < b_size) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++j;
+    } else {
+      out[n++] = a[i];
+      ++i;
+      ++j;
+    }
+  }
+  return n;
+}
+
 }  // namespace internal
 
 /// Intersects two ascending, duplicate-free ranges into `out` (cleared
 /// first; capacity is reused across calls). Galloping kicks in when one side
-/// is kGallopCrossoverRatio+ longer than the other; the balanced branch of
-/// u32/u64 element types runs the active dispatch kernel (scalar merge on
-/// other types).
+/// is kGallopCrossoverRatio+ longer than the other; otherwise both are
+/// merged linearly.
 template <typename T>
 void IntersectSorted(const T* a, size_t a_size, const T* b, size_t b_size,
                      std::vector<T>* out) {
@@ -69,32 +83,10 @@ void IntersectSorted(const T* a, size_t a_size, const T* b, size_t b_size,
     std::swap(a_size, b_size);
   }
   if (b_size / kGallopCrossoverRatio <= a_size) {
-    // Balanced: block-compare SIMD merge for the kernel-backed widths.
-    if constexpr (std::is_same_v<T, uint64_t>) {
-      out->resize(a_size);
-      out->resize(kernels::Ops().intersect_u64(a, a_size, b, b_size,
-                                               out->data()));
-      return;
-    } else if constexpr (std::is_same_v<T, uint32_t>) {
-      out->resize(a_size);
-      out->resize(kernels::Ops().intersect_u32(a, a_size, b, b_size,
-                                               out->data()));
-      return;
-    } else {
-      size_t i = 0, j = 0;
-      while (i < a_size && j < b_size) {
-        if (a[i] < b[j]) {
-          ++i;
-        } else if (b[j] < a[i]) {
-          ++j;
-        } else {
-          out->push_back(a[i]);
-          ++i;
-          ++j;
-        }
-      }
-      return;
-    }
+    // Balanced: merge into the pre-sized output, then trim it.
+    out->resize(a_size);
+    out->resize(internal::MergeIntersect(a, a_size, b, b_size, out->data()));
+    return;
   }
   // Skewed: iterate the short side, gallop through the long side.
   size_t j = 0;

@@ -32,7 +32,6 @@
 #include "telemetry/registry.h"
 #include "telemetry/trace.h"
 #include "util/intersect.h"
-#include "util/kernels/kernels.h"
 #include "util/rng.h"
 
 namespace fcp {
@@ -224,26 +223,6 @@ TEST(AllocRegressionTest, ShardedDiMineSteadyStateIsAllocationFree) {
   EXPECT_EQ(allocations, 0u)
       << "sharded (S=" << kShards << ") DiMine steady state performed "
       << allocations << " heap allocations";
-}
-
-// The SIMD kernel layer must not disturb the invariant at any dispatch
-// level: the kernels write into caller-provided buffers only, so forcing
-// each supported level through the same steady-state replay must still
-// count zero allocations.
-TEST(AllocRegressionTest, SteadyStateIsAllocationFreeAtEveryKernelLevel) {
-  const kernels::KernelLevel saved = kernels::ActiveLevel();
-  for (kernels::KernelLevel level :
-       {kernels::KernelLevel::kScalar, kernels::KernelLevel::kAvx2}) {
-    if (!kernels::LevelSupported(level)) continue;
-    kernels::SetKernelLevel(level);
-    for (MinerKind kind : {MinerKind::kCooMine, MinerKind::kDiMine,
-                           MinerKind::kMatrixMine}) {
-      EXPECT_EQ(SteadyStateAllocations(kind), 0u)
-          << "kernel level " << kernels::KernelLevelName(level) << ", miner "
-          << MinerKindToString(kind);
-    }
-  }
-  kernels::SetKernelLevel(saved);
 }
 
 // The flight recorder must preserve the invariant with recording ON

@@ -1,5 +1,7 @@
 #include "core/coomine.h"
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -8,6 +10,7 @@
 
 #include "core/miner.h"
 #include "test_util.h"
+#include "util/kernels/kernels.h"
 #include "util/rng.h"
 
 namespace fcp {
@@ -411,6 +414,89 @@ TEST(CooMineTest, PureLazyDeletionMatchesPeriodicSweeps) {
   without_sweeps.seg_tree().CheckInvariants();
   EXPECT_LE(with_sweeps.seg_tree().num_segments(),
             without_sweeps.seg_tree().num_segments());
+}
+
+// The tidset support loops (util/kernels/kernels.h) against the
+// std::popcount sum: every threshold around the count, and `out` holds the
+// complete AND whatever the verdict (CooMine reuses it as the next level's
+// tidset).
+size_t TotalPopcount(const std::vector<uint64_t>& bits) {
+  size_t count = 0;
+  for (uint64_t word : bits) count += static_cast<size_t>(std::popcount(word));
+  return count;
+}
+
+// The early-exit boundary on both sides of the count, plus the extremes.
+std::vector<size_t> InterestingThresholds(size_t count) {
+  std::vector<size_t> thresholds = {0, 1, count / 2, count, count + 1,
+                                    count + 1000};
+  if (count > 0) thresholds.push_back(count - 1);
+  return thresholds;
+}
+
+void CheckBitsetLoops(const std::vector<uint64_t>& a,
+                      const std::vector<uint64_t>& b,
+                      const std::string& label) {
+  const size_t words = a.size();
+  ASSERT_EQ(b.size(), words);
+  std::vector<uint64_t> expected_and(words);
+  for (size_t w = 0; w < words; ++w) expected_and[w] = a[w] & b[w];
+
+  for (size_t threshold : InterestingThresholds(TotalPopcount(a))) {
+    EXPECT_EQ(kernels::PopcountAtLeast(a.data(), words, threshold),
+              TotalPopcount(a) >= threshold)
+        << label << " PopcountAtLeast words=" << words
+        << " threshold=" << threshold;
+  }
+  for (size_t threshold : InterestingThresholds(TotalPopcount(expected_and))) {
+    std::vector<uint64_t> out(words, ~uint64_t{0});
+    const bool got = kernels::AndPopcountAtLeast(a.data(), b.data(),
+                                                 out.data(), words, threshold);
+    EXPECT_EQ(got, TotalPopcount(expected_and) >= threshold)
+        << label << " AndPopcountAtLeast words=" << words
+        << " threshold=" << threshold;
+    EXPECT_EQ(out, expected_and)
+        << label << " AND output words=" << words
+        << " threshold=" << threshold;
+  }
+}
+
+TEST(KernelBitsetTest, AdversarialBitsets) {
+  for (size_t words : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                       size_t{7}, size_t{8}, size_t{15}, size_t{16},
+                       size_t{17}, size_t{31}, size_t{32}, size_t{33},
+                       size_t{64}, size_t{65}, size_t{100}}) {
+    CheckBitsetLoops(std::vector<uint64_t>(words, 0),
+                     std::vector<uint64_t>(words, 0), "all-zero");
+    CheckBitsetLoops(std::vector<uint64_t>(words, ~uint64_t{0}),
+                     std::vector<uint64_t>(words, ~uint64_t{0}), "all-ones");
+    if (words == 0) continue;
+    // Single bit in the last word, and bits hugging the 64-bit word
+    // boundaries (top bit of word k, bottom bit of word k+1).
+    std::vector<uint64_t> single(words, 0);
+    single.back() = uint64_t{1} << 63;
+    CheckBitsetLoops(single, std::vector<uint64_t>(words, ~uint64_t{0}),
+                     "single-bit");
+    std::vector<uint64_t> straddle(words, (uint64_t{1} << 63) | uint64_t{1});
+    CheckBitsetLoops(straddle, single, "boundary-straddle");
+  }
+}
+
+TEST(KernelBitsetTest, RandomBitsetsMatchReference) {
+  Rng rng(20260806);
+  for (int iter = 0; iter < 200; ++iter) {
+    const size_t words = rng.Below(80);
+    std::vector<uint64_t> a(words);
+    std::vector<uint64_t> b(words);
+    // Mix densities: sparse bitsets exercise the early exit's "never fires"
+    // side, dense ones the "fires quickly" side.
+    const int shift = static_cast<int>(rng.Below(3)) * 16;
+    for (size_t w = 0; w < words; ++w) {
+      a[w] = rng.Next() & (rng.Next() >> shift);
+      b[w] = rng.Next() & (rng.Next() >> shift);
+    }
+    CheckBitsetLoops(a, b, "random iter " + std::to_string(iter));
+  }
 }
 
 }  // namespace

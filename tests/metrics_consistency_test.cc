@@ -20,7 +20,6 @@
 #include "core/parallel_engine.h"
 #include "datagen/traffic_gen.h"
 #include "telemetry/registry.h"
-#include "util/kernels/kernels.h"
 
 namespace fcp {
 namespace {
@@ -554,12 +553,11 @@ TEST(MetricsConsistencyFrontEndTest, SerialGaugesRefreshFromAScrapeThread) {
             static_cast<int64_t>(pool.pool_hits));
 }
 
-// fcp_build_info is one gauge, set to 1, labelled with exactly the version
-// and the active kernel tier, on the serial and the sharded engine alike.
-TEST(MetricsConsistencyBuildInfoTest, BothEnginesRegisterVersionAndKernel) {
-  const std::string expected = std::string("fcp_build_info{version=\"") +
-                               FCP_VERSION + "\",kernel=\"" +
-                               kernels::Ops().name + "\"}";
+// fcp_build_info is one gauge, set to 1, labelled with exactly the version,
+// on the serial and the sharded engine alike.
+TEST(MetricsConsistencyBuildInfoTest, BothEnginesRegisterVersion) {
+  const std::string expected =
+      std::string("fcp_build_info{version=\"") + FCP_VERSION + "\"}";
   auto build_info_names = [](const std::vector<telemetry::MetricSample>& all) {
     std::vector<std::string> names;
     for (const telemetry::MetricSample& s : all) {

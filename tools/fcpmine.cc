@@ -27,10 +27,6 @@
 //                         end-of-run values (JSON or Prometheus text
 //                         exposition), to <path> or else stderr; for live
 //                         reads use --listen's /metrics and /varz
-//   --kernel=auto|scalar|avx2   SIMD dispatch level for the mining
-//                         kernels (default auto = best the CPU supports;
-//                         unsupported levels are clamped with a warning).
-//                         The FCP_KERNEL env var sets the same knob.
 //   --batch=N             ingest N events per MiningEngine::IngestBatch call
 //                         (default 1 = per-event PushEvent); results are
 //                         identical for every N, only the ingestion cost
@@ -111,7 +107,6 @@
 #include "telemetry/thread_registry.h"
 #include "telemetry/trace.h"
 #include "util/flags.h"
-#include "util/kernels/kernels.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
 
@@ -153,7 +148,7 @@ int main(int argc, char** argv) {
   }
   flags.RejectUnknown({"input", "synthetic", "events", "algo", "xi", "tau",
                        "theta", "min_size", "max_size", "report", "k",
-                       "suppress", "stats", "metrics", "kernel", "batch",
+                       "suppress", "stats", "metrics", "batch",
                        "shards", "trace", "slow_op_ns", "listen",
                        "watchdog_interval_ms", "stall_timeout_ms", "pace",
                        "profile"});
@@ -252,13 +247,6 @@ int main(int argc, char** argv) {
     slow.threshold_ns = slow_op_ns;
     slow.dump_prefix = trace_path.empty() ? "fcpmine" : trace_path;
     fcp::trace::ConfigureSlowOp(slow);
-  }
-
-  // Kernel dispatch is process-global; pick it before any mining runs.
-  const std::string kernel = flags.GetString("kernel", "");
-  if (!kernel.empty() && !fcp::kernels::SetKernelLevelFromString(kernel)) {
-    return Fail("unknown --kernel '" + kernel +
-                "' (want auto, scalar or avx2)");
   }
 
   // --- Load or synthesize the trace. ---------------------------------------
