@@ -22,7 +22,10 @@ Status ChunkReader::Open(const std::string& path) {
   fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd_ < 0) return Status::NotFound("cannot open '" + path + "'");
   struct stat info {};
-  if (::fstat(fd_, &info) == 0) file_size_ = static_cast<uint64_t>(info.st_size);
+  if (::fstat(fd_, &info) == 0) {
+    file_size_ = static_cast<uint64_t>(info.st_size);
+    seekable_ = S_ISREG(info.st_mode);
+  }
   buffer_ = std::make_unique<char[]>(capacity_);
   return Status::OK();
 }
@@ -81,6 +84,28 @@ bool ChunkReader::NextLine(std::string_view* line) {
     }
     Fill(held + 1);
   }
+}
+
+uint64_t ChunkReader::CountRemaining(char byte) {
+  uint64_t count = 0;
+  for (;;) {
+    const char* start = buffer_.get() + begin_;
+    count += static_cast<uint64_t>(
+        std::count(start, start + available(), byte));
+    begin_ = end_ = scanned_ = 0;
+    if (eof_) return count;
+    Fill(1);
+  }
+}
+
+Status ChunkReader::Rewind() {
+  if (::lseek(fd_, 0, SEEK_SET) != 0) {
+    return Status::Internal("cannot rewind '" + path_ +
+                            "': " + std::strerror(errno));
+  }
+  begin_ = end_ = scanned_ = 0;
+  eof_ = false;
+  return Status::OK();
 }
 
 std::string_view ChunkReader::Peek(size_t n) {

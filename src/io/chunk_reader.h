@@ -8,6 +8,11 @@
 // Consume call. A line longer than the buffer is the one case that grows it:
 // the buffer doubles until the line fits, so the bound is the larger of the
 // initial size and the longest line.
+//
+// A regular file can be read twice: CountRemaining takes a first pass over
+// it through the same buffer, and Rewind seeks back to its first byte. A
+// pipe or FIFO cannot (a first pass would consume it), so seekable() tells
+// the caller which it has.
 
 #ifndef FCP_IO_CHUNK_READER_H_
 #define FCP_IO_CHUNK_READER_H_
@@ -38,6 +43,20 @@ class ChunkReader {
   /// Size of the open file in bytes, as the file system reports it.
   uint64_t file_size() const { return file_size_; }
 
+  /// True when the open file is a regular file, which Rewind can read again
+  /// from the start; false for a pipe or FIFO.
+  bool seekable() const { return seekable_; }
+
+  /// Reads the rest of the file and returns how many of its bytes equal
+  /// `byte`, leaving nothing unconsumed. A read error ends the count early
+  /// (then status() says which).
+  uint64_t CountRemaining(char byte);
+
+  /// Seeks back to the first byte and empties the buffer, which keeps its
+  /// size, so the next call reads the file again from the start. Internal
+  /// when the seek fails; call it only on a seekable() file.
+  Status Rewind();
+
   /// The next line, without its '\n'; the last line may lack one. Returns
   /// false at end of file or on a read error (then status() says which).
   bool NextLine(std::string_view* line);
@@ -65,6 +84,7 @@ class ChunkReader {
   int fd_ = -1;
   std::string path_;
   uint64_t file_size_ = 0;
+  bool seekable_ = false;
   std::unique_ptr<char[]> buffer_;
   size_t capacity_;
   size_t begin_ = 0;    // first unconsumed byte

@@ -164,6 +164,16 @@ Status LoadCsvTrace(const std::string& path, const CsvOptions& options,
   Status status = reader.Open(path);
   if (!status.ok()) return status;
   events->clear();
+  // A regular file is counted first, so the vector is allocated once at its
+  // final size: every event sits on its own line, and the last line may
+  // lack a '\n'. A pipe cannot be read twice and grows the vector instead.
+  if (reader.seekable()) {
+    const uint64_t newlines = reader.CountRemaining('\n');
+    if (!reader.status().ok()) return reader.status();
+    status = reader.Rewind();
+    if (!status.ok()) return status;
+    events->reserve(static_cast<size_t>(newlines) + 1);
+  }
   std::string_view line;
   size_t line_number = 0;
   while (reader.NextLine(&line)) {

@@ -12,6 +12,8 @@
 // Both loaders read through one bounded ChunkReader buffer (io/chunk_reader.h)
 // and parse in place: no allocation per line or record, and peak memory does
 // not grow with the file beyond the events themselves (DESIGN.md §2.10).
+// Each allocates the event vector once: FCPT from its header's count, CSV
+// from a first pass that counts the file's lines.
 //
 // All functions report failures via Status; none throw.
 
@@ -46,7 +48,10 @@ Status ParseCsvEvent(std::string_view line, char delimiter,
                      ObjectEvent* event);
 
 /// Loads a CSV trace from `path`. On success fills `events` (replacing its
-/// contents).
+/// contents). A regular file is read twice: the first pass counts its '\n'
+/// bytes, and the vector is reserved once for that many lines plus one (a
+/// larger capacity the caller gave it is kept). A pipe or FIFO is read once
+/// and the vector grows as events arrive.
 Status LoadCsvTrace(const std::string& path, const CsvOptions& options,
                     std::vector<ObjectEvent>* events);
 

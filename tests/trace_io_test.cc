@@ -1,12 +1,16 @@
 #include "io/trace_io.h"
 
+#include <sys/stat.h>
+
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string_view>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -681,6 +685,11 @@ TEST_F(TraceIoTest, CsvMutantsMatchTheGetlineLoader) {
     const Status got_status = LoadCsvTrace(path, options, &got);
     ASSERT_EQ(got_status, want_status) << "mutant " << m << ": " << Shown(text);
     ASSERT_EQ(got, want) << "mutant " << m << ": " << Shown(text);
+    // Sized once by the counting pass, whatever the parse then made of it.
+    const size_t newlines =
+        static_cast<size_t>(std::count(text.begin(), text.end(), '\n'));
+    ASSERT_EQ(got.capacity(), newlines + 1)
+        << "mutant " << m << ": " << Shown(text);
     failures += !want_status.ok();
 
     const std::vector<std::string> lines = SplitLines(text);
@@ -825,6 +834,130 @@ TEST_F(TraceIoTest, FcptRecordsAcrossRefillsMatchTheOracle) {
   ASSERT_TRUE(LoadBinaryTrace(Path("big.fcpt"), &got).ok());
   EXPECT_EQ(got, want);
   EXPECT_EQ(got, events);
+  EXPECT_EQ(got.capacity(), events.size());  // reserved from the header
+}
+
+// CountRemaining reads the rest of the file through the same buffer, and
+// Rewind starts it over without reopening or regrowing.
+TEST_F(TraceIoTest, ChunkReaderCountsThenRewinds) {
+  const std::string text = "a\nbb\n\n" + std::string(37, 'x') + "\r\nccc\n\nd";
+  WriteFile("count.txt", text);
+  for (size_t buffer = 1; buffer <= 48; ++buffer) {
+    ChunkReader reader(buffer);
+    ASSERT_TRUE(reader.Open(Path("count.txt")).ok());
+    EXPECT_TRUE(reader.seekable());
+    std::string_view line;
+    ASSERT_TRUE(reader.NextLine(&line));  // counting starts mid-file too
+    const size_t held = reader.buffer_bytes();
+    EXPECT_EQ(reader.CountRemaining('\n'), 5u) << "buffer " << buffer;
+    EXPECT_FALSE(reader.NextLine(&line));
+    ASSERT_TRUE(reader.Rewind().ok());
+    EXPECT_EQ(reader.buffer_bytes(), held);  // counting never grows it
+    std::vector<std::string> lines;
+    while (reader.NextLine(&line)) lines.emplace_back(line);
+    EXPECT_TRUE(reader.status().ok());
+    EXPECT_EQ(lines, SplitLines(text)) << "buffer " << buffer;
+  }
+}
+
+// A regular CSV file is counted first and the vector allocated once: the
+// capacity is the file's '\n' count plus one, so the slack is at most the
+// skipped lines plus one. `skipped` counts header, comment and blank lines.
+void ExpectOneAllocation(const std::string& text,
+                         const std::vector<ObjectEvent>& loaded,
+                         size_t skipped) {
+  const size_t newlines =
+      static_cast<size_t>(std::count(text.begin(), text.end(), '\n'));
+  EXPECT_EQ(loaded.capacity(), newlines + 1) << Shown(text);
+  EXPECT_LE(loaded.capacity() - loaded.size(), skipped + 1) << Shown(text);
+}
+
+TEST_F(TraceIoTest, CsvLoadSizesTheVectorOnce) {
+  struct Case {
+    const char* name;
+    std::string text;
+    size_t events;
+    size_t skipped;
+  };
+  const Case cases[] = {
+      {"no_final_newline.csv", "0,1,10\n1,2,20\n2,3,30", 3, 0},
+      {"header_comments.csv",
+       "stream,object,time_ms\n# a comment\n\n0,1,10\n   \n1,2,20\n# end\n",
+       2, 5},
+      {"crlf.csv", "stream,object,time_ms\r\n0,1,10\r\n1,2,20\r\n", 2, 1},
+      {"empty.csv", "", 0, 0},
+  };
+  for (const Case& c : cases) {
+    WriteFile(c.name, c.text);
+    std::vector<ObjectEvent> loaded;
+    ASSERT_TRUE(LoadCsvTrace(Path(c.name), CsvOptions{}, &loaded).ok())
+        << c.name;
+    EXPECT_EQ(loaded.size(), c.events) << c.name;
+    ExpectOneAllocation(c.text, loaded, c.skipped);
+  }
+}
+
+// A caller's vector that already holds more keeps its buffer: the load
+// reserves, it never shrinks.
+TEST_F(TraceIoTest, CsvLoadKeepsALargerCallerCapacity) {
+  WriteFile("small.csv", "0,1,10\n1,2,20\n");
+  std::vector<ObjectEvent> loaded(5, ObjectEvent{9, 9, 9});
+  loaded.reserve(1000);
+  const ObjectEvent* data = loaded.data();
+  ASSERT_TRUE(LoadCsvTrace(Path("small.csv"), CsvOptions{}, &loaded).ok());
+  EXPECT_EQ(loaded, (std::vector<ObjectEvent>{{0, 1, 10}, {1, 2, 20}}));
+  EXPECT_EQ(loaded.capacity(), 1000u);
+  EXPECT_EQ(loaded.data(), data);
+}
+
+// A FIFO cannot be read twice: a counting pass would consume the events the
+// parse needs. The loader reads it once, growing the vector, and must give
+// what the plain file gives. The writer is a thread, so the trace (larger
+// than a pipe's buffer) streams through while the loader reads.
+TEST_F(TraceIoTest, CsvFromAFifoLoadsTheSameEventsAsTheFile) {
+  std::string text = "stream,object,time_ms\r\n# fed through a pipe\n";
+  for (uint32_t i = 0; i < 20000; ++i) {
+    text += std::to_string(i % 13) + "," + std::to_string(i * 7919 % 3001) +
+            "," + std::to_string(i / 3) + (i % 5 == 0 ? "\r\n" : "\n");
+  }
+  text += "13,1,99999";  // no final newline
+  WriteFile("plain.csv", text);
+  std::vector<ObjectEvent> want;
+  ASSERT_TRUE(LoadTrace(Path("plain.csv"), &want).ok());
+  ASSERT_EQ(want.size(), 20001u);
+
+  const std::string fifo = Path("pipe.csv");
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+  // A loader that stopped reading early must fail the comparison below,
+  // not kill the test with SIGPIPE.
+  const auto old_handler = std::signal(SIGPIPE, SIG_IGN);
+  const auto feed = [&] {
+    return std::thread([&] {
+      std::ofstream out(fifo, std::ios::binary);
+      out << text;
+    });
+  };
+
+  // No ASSERT while a writer runs: returning early would leave it unjoined.
+  std::thread writer = feed();
+  {
+    ChunkReader reader;
+    EXPECT_TRUE(reader.Open(fifo).ok());
+    EXPECT_FALSE(reader.seekable());
+    std::vector<std::string> lines;
+    std::string_view line;
+    while (reader.NextLine(&line)) lines.emplace_back(line);
+    EXPECT_EQ(lines, SplitLines(text));
+  }
+  writer.join();
+
+  writer = feed();
+  std::vector<ObjectEvent> got;
+  const Status status = LoadTrace(fifo, &got);
+  writer.join();
+  std::signal(SIGPIPE, old_handler);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

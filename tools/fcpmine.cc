@@ -22,7 +22,9 @@
 //   --k=N                 top-K size            (default 20)
 //   --suppress=<seconds>  re-report suppression (default tau)
 //   --stats               print miner statistics at the end (with
-//                         --shards, one line per shard too)
+//                         --shards, one line per shard too), the trace's
+//                         bytes (size and capacity) and the process's peak
+//                         RSS (VmHWM), so the loader's share of it shows
 //   --metrics=json|prom[,<path>]   one telemetry report at exit, with
 //                         end-of-run values (JSON or Prometheus text
 //                         exposition), to <path> or else stderr; for live
@@ -115,6 +117,19 @@ namespace {
 int Fail(const std::string& message) {
   std::fprintf(stderr, "fcpmine: %s\n", message.c_str());
   return 1;
+}
+
+// The process's peak resident set (VmHWM) in MB; 0 when /proc is absent.
+double PeakRssMb() {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) return 0;
+  char line[256];
+  unsigned long long kb = 0;
+  while (std::fgets(line, sizeof(line), status) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %llu kB", &kb) == 1) break;
+  }
+  std::fclose(status);
+  return static_cast<double>(kb) / 1024.0;
 }
 
 std::string PatternToString(const fcp::Pattern& pattern) {
@@ -559,6 +574,13 @@ int main(int argc, char** argv) {
                static_cast<double>(index_bytes) / (1024.0 * 1024.0));
 
   if (flags.GetBool("stats", false)) {
+    constexpr double kEventMb = sizeof(fcp::ObjectEvent) / (1024.0 * 1024.0);
+    std::fprintf(stderr,
+                 "  trace %.2f MB (capacity %.2f MB), peak RSS (VmHWM) "
+                 "%.2f MB\n",
+                 static_cast<double>(events.size()) * kEventMb,
+                 static_cast<double>(events.capacity()) * kEventMb,
+                 PeakRssMb());
     std::fprintf(
         stderr,
         "  mining %.1f ms (slcp %.1f ms), maintenance %.1f ms, candidates "
