@@ -4,54 +4,6 @@
 #include "telemetry/trace.h"
 
 namespace fcp {
-namespace {
-
-/// Writes the slow-op dump for `segment` mined by `miner` in `duration_ns`.
-void DumpSlowOp(const char* op, const Segment& segment, const FcpMiner& miner,
-                uint32_t shard, int64_t duration_ns) {
-  trace::SlowOpReport report;
-  report.op = op;
-  report.duration_ns = duration_ns;
-  report.miner = std::string(miner.name());
-  report.shard = shard;
-  report.segment_debug = segment.DebugString();
-  report.segment_id = segment.id();
-  report.stream = segment.stream();
-  report.segment_length = segment.length();
-  report.segment_start_ms = segment.start_time();
-  report.segment_end_ms = segment.end_time();
-
-  const MinerStats& stats = miner.stats();
-  const MinerIntrospection view = miner.Introspect();
-  report.state = {
-      {"segments_processed", static_cast<int64_t>(stats.segments_processed)},
-      {"fcps_emitted", static_cast<int64_t>(stats.fcps_emitted)},
-      {"candidates_checked", static_cast<int64_t>(stats.candidates_checked)},
-      {"candidates_pruned", static_cast<int64_t>(stats.candidates_pruned)},
-      {"candidates_bound_passed",
-       static_cast<int64_t>(stats.candidates_bound_passed)},
-      {"slcp_probes", static_cast<int64_t>(stats.slcp_probes)},
-      {"lcp_rows", static_cast<int64_t>(stats.lcp_rows)},
-      {"lcp_rows_dropped", static_cast<int64_t>(stats.lcp_rows_dropped)},
-      {"slcp_nodes_visited", static_cast<int64_t>(stats.slcp_nodes_visited)},
-      {"slcp_runs_visited", static_cast<int64_t>(stats.slcp_runs_visited)},
-      {"maintenance_runs", static_cast<int64_t>(stats.maintenance_runs)},
-      {"segments_expired", static_cast<int64_t>(stats.segments_expired)},
-      {"mining_ns", stats.mining_ns},
-      {"slcp_ns", stats.slcp_ns},
-      {"maintenance_ns", stats.maintenance_ns},
-      {"live_segments", static_cast<int64_t>(view.live_segments)},
-      {"index_nodes", static_cast<int64_t>(view.index_nodes)},
-      {"index_entries", static_cast<int64_t>(view.index_entries)},
-      {"index_bytes", static_cast<int64_t>(view.index_bytes)},
-      {"arena_bytes", static_cast<int64_t>(view.arena_bytes)},
-      {"compression_ratio_x1000",
-       static_cast<int64_t>(view.compression_ratio * 1000.0)},
-  };
-  trace::WriteSlowOpDump(report);
-}
-
-}  // namespace
 
 EngineFront::EngineFront(DurationMs xi, DurationMs suppression_window,
                          telemetry::MetricRegistry* metrics)
@@ -129,10 +81,6 @@ void MineTimed(const MineSite& site, uint64_t flow, FcpMiner& miner,
   miner.AddSegment(segment, out);
   const int64_t elapsed = stats.mining_ns + stats.maintenance_ns - before;
   site.latency_us->Record(static_cast<uint64_t>(elapsed) / 1000);
-  const int64_t slow_ns = trace::SlowOpThresholdNs();
-  if (slow_ns > 0 && elapsed >= slow_ns) {
-    DumpSlowOp(site.span, segment, miner, site.shard, elapsed);
-  }
 }
 
 }  // namespace fcp

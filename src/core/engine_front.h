@@ -109,19 +109,16 @@ class EngineFront {
 };
 
 /// Where a mine step runs: its trace-span name (a string literal; the
-/// recorder keeps the pointer), the shard it runs on (0 on the serial
-/// engine) and the histogram it records its latency into.
+/// recorder keeps the pointer) and the histogram it records its latency
+/// into.
 struct MineSite {
   const char* span = "";
-  uint32_t shard = 0;
   telemetry::LatencyHistogram* latency_us = nullptr;
 };
 
 /// The timed mine step both engines run per segment. Opens `site.span` on
-/// `flow` and ends the segment's flow arrow there, mines `segment` into
-/// `out`, records the call's latency and, past the --slow_op_ns threshold,
-/// writes a slow-op dump (segment, miner stats and Introspect() state,
-/// flight-recorder tail).
+/// `flow` with the segment's length as its arg and ends the segment's flow
+/// arrow there, mines `segment` into `out` and records the call's latency.
 void MineTimed(const MineSite& site, uint64_t flow, FcpMiner& miner,
                const Segment& segment, std::vector<Fcp>* out);
 

@@ -12,7 +12,7 @@ MiningEngine::MiningEngine(MinerKind kind, const MiningParams& params,
       miner_(MakeMiner(kind, params)) {
   FCP_CHECK(params.Validate().ok());
   miner_metrics_ = MinerMetrics::Register(front_.registry(), "");
-  mine_site_ = {"engine/mine", 0, front_.MineLatency("")};
+  mine_site_ = {"engine/mine", front_.MineLatency("")};
   heartbeat_ = front_.RegisterIngestStage(options.watchdog);
 }
 

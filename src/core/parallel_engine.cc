@@ -83,7 +83,7 @@ void ParallelEngine::RegisterMetrics() {
         telemetry::FormatLabel("shard", std::to_string(s));
     ShardTelemetry& t = shard_telemetry_[s];
     t.miner = MinerMetrics::Register(registry, label);
-    t.mine = {"shard/mine", s, front_.MineLatency(label)};
+    t.mine = {"shard/mine", front_.MineLatency(label)};
     t.discovery_latency_us = registry->GetHistogram(
         "fcp_discovery_latency_us{" + label + "}");
     t.segments_routed =

@@ -43,32 +43,7 @@ int QueryInt(std::string_view query, std::string_view key, int fallback) {
 }  // namespace
 
 std::string TracezJson() {
-  std::string out = "{\"enabled\":";
-  out += trace::IsEnabled() ? "true" : "false";
-  out += ",\"slow_op_threshold_ns\":";
-  out += std::to_string(trace::SlowOpThresholdNs());
-  out += ",\"slow_op_dumps\":";
-  out += std::to_string(trace::SlowOpDumpCount());
-  out += ",\"recent_slow_ops\":[";
-  bool first = true;
-  for (const trace::SlowOpSummary& s : trace::RecentSlowOps()) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"captured_unix_ms\":" + std::to_string(s.captured_unix_ms);
-    out += ",\"op\":";
-    telemetry::AppendJsonString(&out, s.op);
-    out += ",\"duration_ns\":" + std::to_string(s.duration_ns);
-    out += ",\"miner\":";
-    telemetry::AppendJsonString(&out, s.miner);
-    out += ",\"shard\":" + std::to_string(s.shard);
-    out += ",\"segment_id\":" + std::to_string(s.segment_id);
-    out += ",\"segment_length\":" + std::to_string(s.segment_length);
-    out += ",\"dump_path\":";
-    telemetry::AppendJsonString(&out, s.dump_path);
-    out += '}';
-  }
-  out += "]}";
-  return out;
+  return trace::IsEnabled() ? "{\"enabled\":true}" : "{\"enabled\":false}";
 }
 
 void InstallStandardEndpoints(ObsServer& server, EndpointSources sources) {
@@ -166,7 +141,7 @@ void InstallStandardEndpoints(ObsServer& server, EndpointSources sources) {
         "  /statusz        pipeline topology + watchdog stage table\n"
         "  /healthz        liveness (503 when stalled)\n"
         "  /readyz         readiness (503 while starting or stalled)\n"
-        "  /tracez         flight-recorder slow-op summaries\n"
+        "  /tracez         flight-recorder state\n"
         "  /pprof/profile  folded CPU+wait profile (?seconds=N&hz=F)\n"
         "  /pprof/heap     folded allocation-site profile\n"};
   });

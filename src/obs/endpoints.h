@@ -6,7 +6,7 @@
 //   /statusz  pipeline topology + watchdog stage table (JSON)
 //   /healthz  liveness: 200 unless the watchdog says stalled (503)
 //   /readyz   readiness: 503 until SetReady()+clean evaluation, 503 on stall
-//   /tracez   flight-recorder state + last-N slow-op summaries (JSON)
+//   /tracez   flight-recorder state (JSON)
 //
 // All handlers are snapshot-on-scrape: each call builds a fresh string from
 // relaxed atomics / snapshot mutexes and touches nothing on the mining hot
@@ -49,9 +49,8 @@ struct EndpointSources {
 /// Installs the six standard handlers on `server`. Call before Start().
 void InstallStandardEndpoints(ObsServer& server, EndpointSources sources);
 
-/// The /tracez payload builder (exposed for tests): flight-recorder
-/// compile/enable state, slow-op threshold and dump count, and the retained
-/// slow-op summary ring, newest last.
+/// The /tracez payload builder (exposed for tests): whether the flight
+/// recorder is recording, as {"enabled":true|false}.
 std::string TracezJson();
 
 }  // namespace obs

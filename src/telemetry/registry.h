@@ -57,8 +57,8 @@ std::string FormatLabel(const std::string& key, const std::string& value);
 
 /// Appends `s` to `out` as a quoted JSON string: quote and backslash are
 /// escaped, and every control character is written as an escape (\n, \r,
-/// \t or \u00XX), never raw. Shared by the metric reports, the trace and
-/// slow-op dump writers, and /tracez.
+/// \t or \u00XX), never raw. Shared by the metric reports and the trace
+/// writer.
 void AppendJsonString(std::string* out, std::string_view s);
 
 /// Serializes samples as one flat JSON object: scalar metrics map name ->

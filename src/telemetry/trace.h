@@ -124,6 +124,8 @@ struct ParsedTraceEvent {
   uint64_t tid = 0;
   std::string id;      ///< flow id, empty when absent
   std::string arg_name;  ///< metadata events: args.name
+  uint64_t arg = 0;      ///< args.arg (a mine span's segment length)
+  uint64_t flow = 0;     ///< args.flow (a mine span's segment id)
 };
 
 /// Strict parse of Chrome trace-event JSON (object form). Returns nullopt
@@ -134,72 +136,6 @@ std::optional<std::vector<ParsedTraceEvent>> ParseChromeTraceJson(
 
 /// True iff `json` parses as valid Chrome trace-event JSON.
 bool ValidateChromeTraceJson(const std::string& json, std::string* error);
-
-// --- Slow-op forensic capture (trace_sink.cc). -----------------------------
-
-/// Forensic dumps written per ConfigureSlowOp call (first triggers win: the
-/// earliest slow ops are the interesting ones, and a pathological run must
-/// not flood the disk). Each ConfigureSlowOp resets the count.
-inline constexpr uint64_t kMaxSlowOpDumps = 8;
-
-/// Global slow-op capture configuration. `threshold_ns` <= 0 disables
-/// capture; dumps land at `<dump_prefix>.slowop-<n>.json`, at most
-/// kMaxSlowOpDumps of them.
-struct SlowOpOptions {
-  int64_t threshold_ns = 0;
-  std::string dump_prefix = "fcp";
-};
-
-/// Installs the configuration (thread-safe; typically once at startup).
-void ConfigureSlowOp(const SlowOpOptions& options);
-
-/// The active threshold; 0 when capture is disabled. Relaxed load.
-int64_t SlowOpThresholdNs();
-
-/// Dumps written so far.
-uint64_t SlowOpDumpCount();
-
-/// What a slow mine call looked like. The core layer fills this from the
-/// triggering Segment and the miner's stats/Introspect() (the telemetry
-/// layer stays independent of core types — everything arrives pre-rendered).
-struct SlowOpReport {
-  const char* op = "";          ///< e.g. "engine/mine", "shard/mine"
-  int64_t duration_ns = 0;
-  std::string miner;            ///< miner name()
-  uint32_t shard = 0;
-  std::string segment_debug;    ///< Segment::DebugString()
-  uint64_t segment_id = 0;
-  uint64_t stream = 0;
-  uint64_t segment_length = 0;
-  int64_t segment_start_ms = 0;
-  int64_t segment_end_ms = 0;
-  /// Introspection/stats counters, serialized as a flat "state" object.
-  std::vector<std::pair<std::string, int64_t>> state;
-};
-
-/// Writes one structured slow-op dump: the report, the active threshold and
-/// the calling thread's flight-recorder tail. Returns the path written, or
-/// "" when capture is disabled or kMaxSlowOpDumps was reached.
-std::string WriteSlowOpDump(const SlowOpReport& report);
-
-/// One retained slow-op summary — the in-memory digest behind /tracez
-/// (DESIGN.md §2.8). Summaries keep accumulating after the kMaxSlowOpDumps
-/// disk cap is exhausted (dump_path is then empty), so a long-running process
-/// still reports its most recent slow ops live.
-struct SlowOpSummary {
-  int64_t captured_unix_ms = 0;  ///< wall-clock capture time
-  std::string op;
-  int64_t duration_ns = 0;
-  std::string miner;
-  uint32_t shard = 0;
-  uint64_t segment_id = 0;
-  uint64_t segment_length = 0;
-  std::string dump_path;  ///< "" when no forensic dump was written
-};
-
-/// The last-N retained slow-op summaries, oldest first (N is a small fixed
-/// cap). Cleared by ConfigureSlowOp, so each capture session starts empty.
-std::vector<SlowOpSummary> RecentSlowOps();
 
 // --- RAII span. ------------------------------------------------------------
 

@@ -1,16 +1,12 @@
-// Chrome trace-event serialization and slow-op forensic dumps for the
-// fcp::trace flight recorder (see trace.h).
+// Chrome trace-event serialization and parsing for the fcp::trace flight
+// recorder (see trace.h).
 
 #include "telemetry/trace.h"
 
-#include <atomic>
 #include <cctype>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
-#include <mutex>
 
 #include "telemetry/registry.h"
 
@@ -270,32 +266,6 @@ class JsonParser {
   size_t pos_ = 0;
 };
 
-bool WriteFile(const std::string& path, const std::string& contents) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
-  std::fclose(f);
-  return written == contents.size();
-}
-
-// --- Slow-op state. --------------------------------------------------------
-
-/// Cap on the in-memory slow-op summary ring behind RecentSlowOps().
-constexpr size_t kRecentSlowOpCap = 64;
-
-struct SlowOpState {
-  std::mutex mu;
-  SlowOpOptions options;
-  std::atomic<int64_t> threshold_ns{0};
-  std::atomic<uint64_t> dumps{0};
-  std::deque<SlowOpSummary> recent;  ///< oldest first, <= kRecentSlowOpCap
-};
-
-SlowOpState& GetSlowOpState() {
-  static SlowOpState* state = new SlowOpState();
-  return *state;
-}
-
 }  // namespace
 
 std::string SerializeChromeTrace(const std::vector<ThreadTrace>& threads) {
@@ -341,7 +311,12 @@ std::string SerializeChromeTrace(const std::vector<ThreadTrace>& threads) {
 }
 
 bool WriteChromeTrace(const std::string& path) {
-  return WriteFile(path, SerializeChromeTrace(Snapshot()));
+  const std::string json = SerializeChromeTrace(Snapshot());
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
+  std::fclose(f);
+  return written == json.size();
 }
 
 std::optional<std::vector<ParsedTraceEvent>> ParseChromeTraceJson(
@@ -425,6 +400,14 @@ std::optional<std::vector<ParsedTraceEvent>> ParseChromeTraceJson(
           arg_name->kind == JsonValue::Kind::kString) {
         parsed.arg_name = arg_name->str;
       }
+      const JsonValue* arg = args->Find("arg");
+      if (arg != nullptr && arg->kind == JsonValue::Kind::kNumber) {
+        parsed.arg = static_cast<uint64_t>(arg->number);
+      }
+      const JsonValue* flow = args->Find("flow");
+      if (flow != nullptr && flow->kind == JsonValue::Kind::kNumber) {
+        parsed.flow = static_cast<uint64_t>(flow->number);
+      }
     }
     out.push_back(std::move(parsed));
   }
@@ -433,104 +416,6 @@ std::optional<std::vector<ParsedTraceEvent>> ParseChromeTraceJson(
 
 bool ValidateChromeTraceJson(const std::string& json, std::string* error) {
   return ParseChromeTraceJson(json, error).has_value();
-}
-
-void ConfigureSlowOp(const SlowOpOptions& options) {
-  SlowOpState& state = GetSlowOpState();
-  std::lock_guard<std::mutex> lock(state.mu);
-  state.options = options;
-  state.threshold_ns.store(options.threshold_ns < 0 ? 0 : options.threshold_ns,
-                           std::memory_order_relaxed);
-  state.dumps.store(0, std::memory_order_relaxed);
-  state.recent.clear();
-}
-
-std::vector<SlowOpSummary> RecentSlowOps() {
-  SlowOpState& state = GetSlowOpState();
-  std::lock_guard<std::mutex> lock(state.mu);
-  return std::vector<SlowOpSummary>(state.recent.begin(), state.recent.end());
-}
-
-int64_t SlowOpThresholdNs() {
-  return GetSlowOpState().threshold_ns.load(std::memory_order_relaxed);
-}
-
-uint64_t SlowOpDumpCount() {
-  return GetSlowOpState().dumps.load(std::memory_order_relaxed);
-}
-
-std::string WriteSlowOpDump(const SlowOpReport& report) {
-  SlowOpState& state = GetSlowOpState();
-  std::string path;
-  int64_t threshold = 0;
-  {
-    std::lock_guard<std::mutex> lock(state.mu);
-    if (state.options.threshold_ns <= 0) return "";
-    const uint64_t n = state.dumps.load(std::memory_order_relaxed);
-    const bool dump_to_disk = n < kMaxSlowOpDumps;
-    if (dump_to_disk) {
-      state.dumps.store(n + 1, std::memory_order_relaxed);
-      path = state.options.dump_prefix + ".slowop-" + std::to_string(n) +
-             ".json";
-    }
-    // Retain the in-memory summary even once the disk cap is exhausted —
-    // /tracez keeps reporting fresh slow ops for the life of the process.
-    SlowOpSummary summary;
-    summary.captured_unix_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count();
-    summary.op = report.op;
-    summary.duration_ns = report.duration_ns;
-    summary.miner = report.miner;
-    summary.shard = report.shard;
-    summary.segment_id = report.segment_id;
-    summary.segment_length = report.segment_length;
-    summary.dump_path = path;
-    state.recent.push_back(std::move(summary));
-    if (state.recent.size() > kRecentSlowOpCap) state.recent.pop_front();
-    if (!dump_to_disk) return "";
-    threshold = state.options.threshold_ns;
-  }
-
-  std::string out = "{\n";
-  out += "  \"op\": ";
-  AppendJsonString(&out, report.op);
-  out += ",\n  \"duration_ns\": " + std::to_string(report.duration_ns);
-  out += ",\n  \"threshold_ns\": " + std::to_string(threshold);
-  out += ",\n  \"miner\": ";
-  AppendJsonString(&out, report.miner);
-  out += ",\n  \"shard\": " + std::to_string(report.shard);
-  out += ",\n  \"segment\": {\n    \"id\": " +
-         std::to_string(report.segment_id);
-  out += ",\n    \"stream\": " + std::to_string(report.stream);
-  out += ",\n    \"length\": " + std::to_string(report.segment_length);
-  out += ",\n    \"start_ms\": " + std::to_string(report.segment_start_ms);
-  out += ",\n    \"end_ms\": " + std::to_string(report.segment_end_ms);
-  out += ",\n    \"debug\": ";
-  AppendJsonString(&out, report.segment_debug);
-  out += "\n  },\n  \"state\": {";
-  for (size_t i = 0; i < report.state.size(); ++i) {
-    out += i == 0 ? "\n    " : ",\n    ";
-    AppendJsonString(&out, report.state[i].first);
-    out += ": " + std::to_string(report.state[i].second);
-  }
-  out += "\n  },\n  \"recorder_tail\": ";
-  // The flight-recorder tail leading up to the slow op, capped per thread so
-  // a dump stays readable; embedded as a complete Chrome trace document so
-  // the tail itself opens in Perfetto when extracted.
-  constexpr size_t kTailCap = 512;
-  std::vector<ThreadTrace> threads = Snapshot();
-  for (ThreadTrace& thread : threads) {
-    if (thread.events.size() > kTailCap) {
-      thread.events.erase(thread.events.begin(),
-                          thread.events.end() - kTailCap);
-    }
-  }
-  out += SerializeChromeTrace(threads);
-  out += "}\n";
-  WriteFile(path, out);
-  return path;
 }
 
 }  // namespace fcp::trace

@@ -227,8 +227,7 @@ TEST(ObsServerTest, StandardEndpointsOverRegistryAndWatchdog) {
             std::string::npos);
 
   EXPECT_EQ(StatusOf(Get(port, "/tracez")), 200);
-  EXPECT_NE(BodyOf(Get(port, "/tracez")).find("\"recent_slow_ops\""),
-            std::string::npos);
+  EXPECT_EQ(BodyOf(Get(port, "/tracez")), "{\"enabled\":false}");
 
   // A stall flips healthz to 503 (wedged consumer: busy, no progress).
   heartbeat->MarkIdle(false);

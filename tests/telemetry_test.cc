@@ -237,6 +237,11 @@ TEST(TelemetrySerializerTest, LabelValueEscaping) {
   EXPECT_EQ(EscapeLabelValue("a\nb"), "a\\nb");
   EXPECT_EQ(EscapeLabelValue("\\\"\n"), "\\\\\\\"\\n");
   EXPECT_EQ(FormatLabel("path", "C:\\tmp"), "path=\"C:\\\\tmp\"");
+
+  // JSON strings escape every control byte; none is written raw.
+  std::string json;
+  AppendJsonString(&json, "Coo\x01Mine\n\t\"\\");
+  EXPECT_EQ(json, "\"Coo\\u0001Mine\\n\\t\\\"\\\\\"");
 }
 
 TEST(TelemetrySerializerTest, EscapedLabelValuesSurvivePrometheusAndJson) {

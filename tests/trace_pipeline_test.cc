@@ -1,15 +1,13 @@
 // End-to-end flight-recorder coverage: a serial MiningEngine run and a
 // sharded ParallelEngine run, both traced, must serialize to valid Chrome
 // trace JSON whose flow events stitch each segment's journey together — in
-// the sharded case across thread boundaries (ingest -> shard). The
-// slow-op path is exercised with a 1 ns threshold so every mine call
-// triggers a forensic dump.
+// the sharded case across thread boundaries (ingest -> shard) — and whose
+// mine spans name the segment they mined, so `fcptrace --slowest` can say
+// which segment a slow mine call was.
 
-#include <cstdio>
-#include <fstream>
+#include <cstdlib>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -53,16 +51,27 @@ std::vector<trace::ParsedTraceEvent> StopAndParse() {
   return parsed.value_or(std::vector<trace::ParsedTraceEvent>{});
 }
 
+// Checks that every `span` B event carries its segment: args.arg is the
+// segment's length (>= 1) and args.flow its id, and that the mine spans
+// cover exactly the segments whose flows the mux began.
+void ExpectMineSpansNameTheirSegments(
+    const std::vector<trace::ParsedTraceEvent>& events, const char* span) {
+  std::set<uint64_t> begun, mined;
+  for (const trace::ParsedTraceEvent& e : events) {
+    if (e.ph == 's') begun.insert(std::strtoull(e.id.c_str(), nullptr, 16));
+    if (e.ph == 'B' && e.name == span) {
+      EXPECT_GE(e.arg, 1u) << span << " on segment " << e.flow;
+      mined.insert(e.flow);
+    }
+  }
+  ASSERT_FALSE(mined.empty()) << "no " << span << " spans";
+  EXPECT_EQ(mined, begun);
+}
+
 class TracePipelineTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    trace::Reset();
-    trace::ConfigureSlowOp(trace::SlowOpOptions{});
-  }
-  void TearDown() override {
-    trace::ConfigureSlowOp(trace::SlowOpOptions{});
-    trace::Reset();
-  }
+  void SetUp() override { trace::Reset(); }
+  void TearDown() override { trace::Reset(); }
 };
 
 TEST_F(TracePipelineTest, SerialRunEmitsSpansAndCompleteFlows) {
@@ -91,6 +100,7 @@ TEST_F(TracePipelineTest, SerialRunEmitsSpansAndCompleteFlows) {
   // nothing wrapped in this run).
   EXPECT_EQ(flow_begins.size(), segments);
   EXPECT_EQ(flow_begins, flow_ends);
+  ExpectMineSpansNameTheirSegments(events, "engine/mine");
 }
 
 TEST_F(TracePipelineTest, ShardedRunConnectsFlowsAcrossThreads) {
@@ -144,47 +154,7 @@ TEST_F(TracePipelineTest, ShardedRunConnectsFlowsAcrossThreads) {
   EXPECT_TRUE(span_names.count("mux/segment_complete"));
   EXPECT_TRUE(span_names.count("ingest/route"));
   EXPECT_TRUE(span_names.count("shard/mine"));
-}
-
-TEST_F(TracePipelineTest, SlowOpThresholdProducesForensicDump) {
-  trace::Start(256);
-  trace::SlowOpOptions slow;
-  slow.threshold_ns = 1;  // every mine call is "slow"
-  slow.dump_prefix = ::testing::TempDir() + "/pipeline_slowop";
-  trace::ConfigureSlowOp(slow);
-
-  MiningEngine engine(MinerKind::kCooMine, Params());
-  for (const ObjectEvent& event : Trace()) engine.PushEvent(event);
-  engine.Flush();
-  trace::Stop();
-
-  // More slow mine calls than the cap: the dumps stop at kMaxSlowOpDumps.
-  ASSERT_GT(engine.segments_completed(), trace::kMaxSlowOpDumps);
-  EXPECT_EQ(trace::SlowOpDumpCount(), trace::kMaxSlowOpDumps);
-
-  const std::string path = slow.dump_prefix + ".slowop-0.json";
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string dump = buf.str();
-
-  // The dump ties together the op, the triggering segment, the miner's
-  // introspection state and the flight-recorder tail.
-  EXPECT_NE(dump.find("\"op\": \"engine/mine\""), std::string::npos);
-  EXPECT_NE(dump.find("\"miner\": \"CooMine\""), std::string::npos);
-  EXPECT_NE(dump.find("\"segment\""), std::string::npos);
-  EXPECT_NE(dump.find("\"debug\""), std::string::npos);
-  EXPECT_NE(dump.find("\"state\""), std::string::npos);
-  EXPECT_NE(dump.find("\"live_segments\""), std::string::npos);
-  EXPECT_NE(dump.find("\"index_bytes\""), std::string::npos);
-  EXPECT_NE(dump.find("\"recorder_tail\""), std::string::npos);
-  EXPECT_NE(dump.find("\"traceEvents\""), std::string::npos);
-
-  for (uint64_t n = 0; n < trace::SlowOpDumpCount(); ++n) {
-    std::remove(
-        (slow.dump_prefix + ".slowop-" + std::to_string(n) + ".json").c_str());
-  }
+  ExpectMineSpansNameTheirSegments(events, "shard/mine");
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Unit tests for the fcp::trace flight recorder (DESIGN.md §2.5): ring
 // recording and drop-oldest wrap, span balancing, Chrome trace-event
-// serialization round-trips, slow-op forensic dumps and the fatal-signal
-// black box. The recorder is process-global, so every test starts from
-// Reset() and leaves the recorder disabled.
+// serialization round-trips and the fatal-signal black box. The recorder
+// is process-global, so every test starts from Reset() and leaves the
+// recorder disabled.
 
 #include "telemetry/trace.h"
 
@@ -22,7 +22,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/crash_dump.h"
-#include "obs/endpoints.h"
 #include "telemetry/thread_registry.h"
 
 namespace fcp {
@@ -178,6 +177,7 @@ TEST_F(TraceSerializerTest, SerializeParseRoundTrip) {
     trace::Span span("mine", /*flow=*/0, /*arg=*/5);
     trace::Emit(trace::Phase::kFlowEnd, "segment", 255);
   }
+  { trace::Span span("route", /*flow=*/255, /*arg=*/3); }
   trace::Emit(trace::Phase::kFlowBegin, "segment", 255);
   trace::Emit(trace::Phase::kInstant, "mark", 0, 9);
   trace::Stop();
@@ -193,7 +193,18 @@ TEST_F(TraceSerializerTest, SerializeParseRoundTrip) {
   bool saw_flow_begin = false, saw_flow_end = false, saw_instant = false;
   for (const trace::ParsedTraceEvent& e : *parsed) {
     switch (e.ph) {
-      case 'B': ++begins; EXPECT_EQ(e.name, "mine"); break;
+      case 'B':
+        ++begins;
+        // A span's flow and arg survive as args.flow / args.arg.
+        if (e.name == "mine") {
+          EXPECT_EQ(e.arg, 5u);
+          EXPECT_EQ(e.flow, 0u);
+        } else {
+          EXPECT_EQ(e.name, "route");
+          EXPECT_EQ(e.arg, 3u);
+          EXPECT_EQ(e.flow, 255u);
+        }
+        break;
       case 'E': ++ends; break;
       case 'M': metadata_names.insert(e.arg_name); break;
       case 'i': saw_instant = true; EXPECT_EQ(e.name, "mark"); break;
@@ -209,8 +220,8 @@ TEST_F(TraceSerializerTest, SerializeParseRoundTrip) {
       default: break;
     }
   }
-  EXPECT_EQ(begins, 1u);
-  EXPECT_EQ(ends, 1u);
+  EXPECT_EQ(begins, 2u);
+  EXPECT_EQ(ends, 2u);
   EXPECT_TRUE(metadata_names.count("serializer"));  // thread_name metadata
   EXPECT_TRUE(saw_instant);
   EXPECT_TRUE(saw_flow_begin);
@@ -260,117 +271,6 @@ TEST_F(TraceSerializerTest, WriteChromeTraceProducesValidFile) {
   ASSERT_TRUE(trace::WriteChromeTrace(path));
   std::string error;
   EXPECT_TRUE(trace::ValidateChromeTraceJson(ReadFile(path), &error)) << error;
-  std::remove(path.c_str());
-}
-
-class SlowOpTest : public TraceRecorderTest {
- protected:
-  void TearDown() override {
-    trace::ConfigureSlowOp(trace::SlowOpOptions{});  // disable for next test
-    TraceRecorderTest::TearDown();
-  }
-};
-
-trace::SlowOpReport MakeReport() {
-  trace::SlowOpReport report;
-  report.op = "test/mine";
-  report.duration_ns = 123456;
-  report.miner = "CooMine";
-  report.shard = 2;
-  report.segment_debug = "segment{...}";
-  report.segment_id = 42;
-  report.stream = 7;
-  report.segment_length = 5;
-  report.state = {{"segments_processed", 10}, {"fcps_emitted", 3}};
-  return report;
-}
-
-TEST_F(SlowOpTest, DisabledThresholdWritesNothing) {
-  trace::ConfigureSlowOp(trace::SlowOpOptions{});
-  EXPECT_EQ(trace::SlowOpThresholdNs(), 0);
-  EXPECT_EQ(trace::WriteSlowOpDump(MakeReport()), "");
-  EXPECT_EQ(trace::SlowOpDumpCount(), 0u);
-}
-
-TEST_F(SlowOpTest, NegativeThresholdIsTreatedAsDisabled) {
-  trace::SlowOpOptions options;
-  options.threshold_ns = -5;
-  trace::ConfigureSlowOp(options);
-  EXPECT_EQ(trace::SlowOpThresholdNs(), 0);
-}
-
-TEST_F(SlowOpTest, DumpContainsReportStateAndRecorderTail) {
-  trace::Start(64);
-  telemetry::ThreadScope scope("slowop");
-  trace::Emit(trace::Phase::kInstant, "before-the-slow-op");
-
-  trace::SlowOpOptions options;
-  options.threshold_ns = 1;
-  options.dump_prefix = ::testing::TempDir() + "/slowop_unit";
-  trace::ConfigureSlowOp(options);
-
-  const std::string path = trace::WriteSlowOpDump(MakeReport());
-  ASSERT_EQ(path, options.dump_prefix + ".slowop-0.json");
-  EXPECT_EQ(trace::SlowOpDumpCount(), 1u);
-
-  const std::string dump = ReadFile(path);
-  EXPECT_NE(dump.find("\"op\": \"test/mine\""), std::string::npos);
-  EXPECT_NE(dump.find("\"duration_ns\": 123456"), std::string::npos);
-  EXPECT_NE(dump.find("\"miner\": \"CooMine\""), std::string::npos);
-  EXPECT_NE(dump.find("\"id\": 42"), std::string::npos);
-  EXPECT_NE(dump.find("\"segments_processed\": 10"), std::string::npos);
-  EXPECT_NE(dump.find("\"recorder_tail\""), std::string::npos);
-  EXPECT_NE(dump.find("before-the-slow-op"), std::string::npos);
-  trace::Stop();
-  std::remove(path.c_str());
-}
-
-TEST_F(SlowOpTest, MaxDumpsCapsTheFloodAndConfigureResets) {
-  trace::SlowOpOptions options;
-  options.threshold_ns = 1;
-  options.dump_prefix = ::testing::TempDir() + "/slowop_cap";
-  trace::ConfigureSlowOp(options);
-
-  std::set<std::string> paths;
-  for (uint64_t i = 0; i < trace::kMaxSlowOpDumps; ++i) {
-    const std::string path = trace::WriteSlowOpDump(MakeReport());
-    EXPECT_NE(path, "");
-    paths.insert(path);
-  }
-  EXPECT_EQ(paths.size(), trace::kMaxSlowOpDumps);  // all distinct
-  EXPECT_EQ(trace::WriteSlowOpDump(MakeReport()), "");  // cap reached
-  EXPECT_EQ(trace::SlowOpDumpCount(), trace::kMaxSlowOpDumps);
-  // The op past the cap is still summarized for /tracez, without a dump.
-  const std::vector<trace::SlowOpSummary> recent = trace::RecentSlowOps();
-  ASSERT_FALSE(recent.empty());
-  EXPECT_EQ(recent.back().dump_path, "");
-
-  trace::ConfigureSlowOp(options);  // reconfiguring resets the budget
-  EXPECT_EQ(trace::SlowOpDumpCount(), 0u);
-  const std::string again = trace::WriteSlowOpDump(MakeReport());
-  EXPECT_EQ(again, options.dump_prefix + ".slowop-0.json");
-  for (const std::string& path : paths) std::remove(path.c_str());
-}
-
-TEST_F(SlowOpTest, TracezJsonEscapesControlCharacters) {
-  // A dump prefix with a tab (fcpmine's --trace path is user input) must
-  // reach /tracez escaped: a raw control byte is invalid JSON.
-  trace::SlowOpOptions options;
-  options.threshold_ns = 1;
-  options.dump_prefix = ::testing::TempDir() + "/slowop\ttab";
-  trace::ConfigureSlowOp(options);
-  trace::SlowOpReport report = MakeReport();
-  report.miner = "Coo\x01Mine\n";
-  const std::string path = trace::WriteSlowOpDump(report);
-  ASSERT_NE(path, "");
-
-  const std::string json = obs::TracezJson();
-  for (const char c : json) {
-    EXPECT_GE(static_cast<unsigned char>(c), 0x20)
-        << "raw control byte " << static_cast<int>(c) << " in " << json;
-  }
-  EXPECT_NE(json.find("slowop\\ttab.slowop-0.json"), std::string::npos);
-  EXPECT_NE(json.find("\"miner\":\"Coo\\u0001Mine\\n\""), std::string::npos);
   std::remove(path.c_str());
 }
 

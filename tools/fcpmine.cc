@@ -45,15 +45,13 @@
 //                         Perfetto / chrome://tracing). ring_kb sizes each
 //                         thread's ring (default 256 KiB, at most 1 GiB).
 //                         Also arms a fatal-signal handler that dumps the
-//                         recorder to <path>.crash.json.
-//   --slow_op_ns=N        dump forensics (triggering segment, miner state,
-//                         recorder tail) for any mine call slower than N ns;
-//                         dumps land at <trace path or "fcpmine">.slowop-<n>
-//                         .json
+//                         recorder to <path>.crash.json. `fcptrace
+//                         --input=<path> --slowest=N` lists the slowest
+//                         mine calls with their segment id and length.
 //   --listen=[host:]port  serve the live introspection plane over HTTP while
 //                         mining: GET /metrics (Prometheus 0.0.4), /varz
 //                         (JSON), /statusz (pipeline topology), /healthz,
-//                         /readyz, /tracez (recent slow ops), /pprof/profile
+//                         /readyz, /tracez (recorder state), /pprof/profile
 //                         and /pprof/heap (folded profiles). Read-only,
 //                         snapshot-on-scrape; results are byte-identical
 //                         with the server on or off. Also arms the pipeline
@@ -154,6 +152,9 @@ int main(int argc, char** argv) {
       {"metrics_interval",
        "--metrics writes one report at exit; read live values from "
        "--listen's /metrics"},
+      {"slow_op_ns",
+       "record the run with --trace and list its slowest mine calls with "
+       "fcptrace --slowest"},
   };
   for (const auto& removed : kRemovedFlags) {
     if (flags.Has(removed.name)) {
@@ -164,7 +165,7 @@ int main(int argc, char** argv) {
   flags.RejectUnknown({"input", "synthetic", "events", "algo", "xi", "tau",
                        "theta", "min_size", "max_size", "report", "k",
                        "suppress", "stats", "metrics", "batch",
-                       "shards", "trace", "slow_op_ns", "listen",
+                       "shards", "trace", "listen",
                        "watchdog_interval_ms", "stall_timeout_ms", "pace",
                        "profile"});
   // These are cast to unsigned below, where a negative value would wrap.
@@ -186,8 +187,8 @@ int main(int argc, char** argv) {
   // Names main for the flight recorder and the profiler alike.
   fcp::telemetry::ThreadScope main_scope("main");
 
-  // --- Flight recorder + slow-op forensics: arm before any mining runs so
-  // the whole run (including engine construction) is on the record. ---------
+  // --- Flight recorder: arm before any mining runs so the whole run
+  // (including engine construction) is on the record. ------------------------
   const std::string trace_flag = flags.GetString("trace", "");
   std::string trace_path;
   if (!trace_flag.empty()) {
@@ -253,15 +254,6 @@ int main(int argc, char** argv) {
         if (++ticks % 10 == 0) fcp::prof::CollectNow();
       }
     });
-  }
-
-  const int64_t slow_op_ns = flags.GetInt("slow_op_ns", 0);
-  if (slow_op_ns < 0) return Fail("--slow_op_ns must be >= 0");
-  if (slow_op_ns > 0) {
-    fcp::trace::SlowOpOptions slow;
-    slow.threshold_ns = slow_op_ns;
-    slow.dump_prefix = trace_path.empty() ? "fcpmine" : trace_path;
-    fcp::trace::ConfigureSlowOp(slow);
   }
 
   // --- Load or synthesize the trace. ---------------------------------------
@@ -541,12 +533,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(pstats.samples),
                  static_cast<unsigned long long>(pstats.drops),
                  static_cast<unsigned long long>(pstats.threads));
-  }
-  if (slow_op_ns > 0 && fcp::trace::SlowOpDumpCount() > 0) {
-    std::fprintf(
-        stderr, "fcpmine: %llu slow-op dump(s) written (prefix %s)\n",
-        static_cast<unsigned long long>(fcp::trace::SlowOpDumpCount()),
-        (trace_path.empty() ? "fcpmine" : trace_path.c_str()));
   }
 
   // --- Report. ----------------------------------------------------------------

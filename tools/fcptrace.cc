@@ -4,7 +4,9 @@
 // trace::WriteChromeTrace) produced, checks it against the schema Perfetto
 // expects, and summarizes it: per-name span statistics, the slowest
 // individual spans, and flow connectivity (does any segment's journey
-// actually cross a thread boundary?).
+// actually cross a thread boundary?). A slow `engine/mine` or `shard/mine`
+// row names the segment it mined (its id and length); on a sharded run
+// the thread name (`shard-N`) names the shard.
 //
 // Examples:
 //   fcptrace --input=run.trace.json
@@ -13,7 +15,8 @@
 //
 // Flags:
 //   --input=<path>        Chrome trace JSON to inspect (required)
-//   --slowest=N           print the N slowest spans (default 10; 0 = skip)
+//   --slowest=N           print the N slowest spans (default 10; 0 = skip;
+//                         negative exits 1)
 //   --validate            parse + schema-check only, print "valid", exit
 //   --require_cross_thread_flows   exit nonzero unless at least one flow id
 //                         appears on >= 2 distinct threads (CI uses this to
@@ -21,6 +24,7 @@
 //   Any other flag exits 2 with `unknown flag --<name>`.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -52,6 +56,8 @@ struct SlowSpan {
   uint64_t tid = 0;
   double ts_us = 0;
   double dur_us = 0;
+  uint64_t flow = 0;  ///< args.flow: a mine span's segment id
+  uint64_t arg = 0;   ///< args.arg: a mine span's segment length
 };
 
 }  // namespace
@@ -62,6 +68,8 @@ int main(int argc, char** argv) {
       {"input", "slowest", "validate", "require_cross_thread_flows"});
   const std::string input = flags.GetString("input", "");
   if (input.empty()) return Fail("need --input=<trace.json>");
+  const int64_t slowest = flags.GetInt("slowest", 10);
+  if (slowest < 0) return Fail("--slowest must be >= 0");
 
   std::ifstream in(input, std::ios::binary);
   if (!in) return Fail("cannot open " + input);
@@ -92,8 +100,8 @@ int main(int argc, char** argv) {
         }
         break;
       case 'B':
-        open[event.tid].push_back(
-            SlowSpan{event.name, event.tid, event.ts_us, 0});
+        open[event.tid].push_back(SlowSpan{event.name, event.tid, event.ts_us,
+                                           0, event.flow, event.arg});
         break;
       case 'E': {
         std::vector<SlowSpan>& stack = open[event.tid];
@@ -149,22 +157,30 @@ int main(int argc, char** argv) {
     table.Print(std::cout);
   }
 
-  const size_t slowest = static_cast<size_t>(flags.GetInt("slowest", 10));
   if (slowest > 0 && !spans.empty()) {
     std::sort(spans.begin(), spans.end(),
               [](const SlowSpan& a, const SlowSpan& b) {
                 return a.dur_us > b.dur_us;
               });
     std::printf("slowest spans:\n");
-    for (size_t i = 0; i < std::min(slowest, spans.size()); ++i) {
+    const size_t rows = std::min(static_cast<size_t>(slowest), spans.size());
+    for (size_t i = 0; i < rows; ++i) {
       const SlowSpan& span = spans[i];
       const auto name_it = thread_names.find(span.tid);
-      std::printf("  %10.2f us  %-24s  tid %llu%s%s  @ %.3f us\n",
+      std::printf("  %10.2f us  %-24s  tid %llu%s%s  @ %.3f us",
                   span.dur_us, span.name.c_str(),
                   static_cast<unsigned long long>(span.tid),
                   name_it != thread_names.end() ? " " : "",
                   name_it != thread_names.end() ? name_it->second.c_str() : "",
                   span.ts_us);
+      // The engines open their mine spans on the segment's id (the flow) with
+      // its length as the arg (MineTimed, core/engine_front.cc).
+      if (span.name == "engine/mine" || span.name == "shard/mine") {
+        std::printf("  segment %llu len %llu",
+                    static_cast<unsigned long long>(span.flow),
+                    static_cast<unsigned long long>(span.arg));
+      }
+      std::printf("\n");
     }
   }
 
