@@ -1,46 +1,17 @@
 #include "bench_util.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "common/check.h"
 #include "stream/stream_mux.h"
+#include "telemetry/registry.h"
 
 namespace fcp::bench {
-
-MinerDriver::MinerDriver(MinerKind kind, const MiningParams& params)
-    : mux_(params.xi), miner_(MakeMiner(kind, params)) {}
-
-void MinerDriver::PushEvents(const std::vector<ObjectEvent>& events,
-                             size_t begin, size_t end) {
-  FCP_CHECK(begin <= end && end <= events.size());
-  for (size_t i = begin; i < end; ++i) {
-    scratch_.clear();
-    mux_.Push(events[i], &scratch_);
-    for (const SegmentRef& segment : scratch_) {
-      sink_.clear();
-      miner_->AddSegment(segment, &sink_);
-      ++segments_completed_;
-    }
-  }
-}
-
-CostSample MinerDriver::Measure(const std::vector<ObjectEvent>& events,
-                                size_t begin, size_t end) {
-  const MinerStats before = miner_->stats();
-  PushEvents(events, begin, end);
-  const MinerStats& after = miner_->stats();
-  CostSample sample;
-  sample.mining_ms =
-      static_cast<double>(after.mining_ns - before.mining_ns) / 1e6;
-  sample.maintenance_ms =
-      static_cast<double>(after.maintenance_ns - before.maintenance_ns) / 1e6;
-  sample.fcps = after.fcps_emitted - before.fcps_emitted;
-  return sample;
-}
 
 std::vector<Segment> BuildCyclicTrace(const std::vector<Segment>& segments,
                                       size_t pool_size, int cycles,
@@ -65,23 +36,6 @@ std::vector<Segment> BuildCyclicTrace(const std::vector<Segment>& segments,
     }
   }
   return out;
-}
-
-CostSample MinerDriver::MeasureRate(const std::vector<ObjectEvent>& events,
-                                    size_t* cursor, uint64_t rate) {
-  const uint64_t window = std::max<uint64_t>(5 * rate, 25000);
-  const size_t begin = *cursor;
-  const size_t end = std::min<size_t>(begin + window, events.size());
-  CostSample sample = Measure(events, begin, end);
-  *cursor = end;
-  const double scale_factor =
-      end > begin ? static_cast<double>(rate) / static_cast<double>(end - begin)
-                  : 0.0;
-  sample.mining_ms *= scale_factor;
-  sample.maintenance_ms *= scale_factor;
-  sample.fcps = static_cast<uint64_t>(
-      static_cast<double>(sample.fcps) * scale_factor);
-  return sample;
 }
 
 std::string_view DatasetName(Dataset dataset) {
@@ -141,35 +95,28 @@ std::vector<Segment> SegmentTrace(const std::vector<ObjectEvent>& events,
   return segments;
 }
 
-CostSample ProcessRange(FcpMiner* miner, const std::vector<Segment>& segments,
-                        size_t begin, size_t end) {
-  FCP_CHECK(begin <= end && end <= segments.size());
-  const MinerStats before = miner->stats();
-  std::vector<Fcp> scratch;
-  for (size_t i = begin; i < end; ++i) {
-    scratch.clear();
-    miner->AddSegment(segments[i], &scratch);
-  }
-  const MinerStats& after = miner->stats();
-  CostSample sample;
-  sample.mining_ms =
-      static_cast<double>(after.mining_ns - before.mining_ns) / 1e6;
-  sample.maintenance_ms =
-      static_cast<double>(after.maintenance_ns - before.maintenance_ns) / 1e6;
-  sample.fcps = after.fcps_emitted - before.fcps_emitted;
-  return sample;
+namespace {
+
+[[noreturn]] void RejectScale(const std::string& text) {
+  std::fprintf(stderr, "bad value for --scale: '%s'\n", text.c_str());
+  std::exit(2);
 }
 
-BenchScale::BenchScale(const Flags& flags) {
-  factor = flags.GetDouble("scale", 1.0);
+}  // namespace
+
+BenchScale::BenchScale(const Flags& flags)
+    : factor(flags.GetDouble("scale", 1.0)),
+      text(flags.GetString("scale", "1")) {
+  if (!std::isfinite(factor) || factor <= 0) RejectScale(text);
   if (flags.GetBool("quick", false)) factor /= 4.0;
-  FCP_CHECK(factor > 0);
 }
 
 uint64_t BenchScale::Events(uint64_t paper_value) const {
-  const uint64_t scaled =
-      static_cast<uint64_t>(static_cast<double>(paper_value) * factor);
-  return scaled < 1000 ? 1000 : scaled;
+  const double scaled = static_cast<double>(paper_value) * factor;
+  // 2^64: the cast below is undefined for anything at or past it.
+  if (scaled >= 18446744073709551616.0) RejectScale(text);
+  const uint64_t events = static_cast<uint64_t>(scaled);
+  return events < 1000 ? 1000 : events;
 }
 
 void PrintHeader(const std::string& figure, const std::string& note) {
@@ -196,16 +143,21 @@ void MaybeAppendBenchJson(const Flags& flags, const std::string& bench,
   const std::string path = flags.GetString("json", "");
   if (path.empty()) return;
 
+  auto quoted = [](std::string_view s) {
+    std::string out;
+    telemetry::AppendJsonString(&out, s);
+    return out;
+  };
   std::ostringstream run;
-  run << "  {\"bench\": \"" << bench << "\", \"label\": \"" << label
-      << "\", \"records\": [\n";
+  run << "  {\"bench\": " << quoted(bench) << ", \"label\": " << quoted(label)
+      << ", \"records\": [\n";
   for (size_t i = 0; i < records.size(); ++i) {
     const JsonRecord& r = records[i];
-    run << "    {\"name\": \"" << r.name << "\", \"ns_per_op\": "
+    run << "    {\"name\": " << quoted(r.name) << ", \"ns_per_op\": "
         << r.ns_per_op << ", \"allocs_per_op\": " << r.allocs_per_op
         << ", \"rss_bytes\": " << r.rss_bytes;
     for (const auto& [key, value] : r.extras) {
-      run << ", \"" << key << "\": " << value;
+      run << ", " << quoted(key) << ": " << value;
     }
     run << "}" << (i + 1 < records.size() ? ",\n" : "\n");
   }

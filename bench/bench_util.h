@@ -1,28 +1,21 @@
-// Shared plumbing for the figure-reproduction bench harness.
-//
-// Every bench binary regenerates one table/figure of the paper's evaluation
-// (Section 6) as an aligned text table: one row per plotted point. The
-// workload interpretation follows EXPERIMENTS.md: "processing the data within
-// one second at arrival rate R" = processing R consecutive events of the
-// trace, after a warm-up of Ds events.
+// Shared plumbing for the bench binaries: the synthetic datasets with their
+// paper-default parameters, pre-segmented traces, --quick/--scale sizing and
+// the BENCH_*.json writer. `bench_paper` regenerates the paper's evaluation
+// (Section 6) from these.
 
 #ifndef FCP_BENCH_BENCH_UTIL_H_
 #define FCP_BENCH_BENCH_UTIL_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/params.h"
 #include "common/types.h"
-#include "core/miner.h"
 #include "datagen/traffic_gen.h"
 #include "datagen/twitter_gen.h"
 #include "stream/segment.h"
-#include "stream/segment_ref.h"
-#include "stream/stream_mux.h"
 #include "util/flags.h"
 
 namespace fcp::bench {
@@ -57,59 +50,16 @@ std::vector<Segment> BuildCyclicTrace(const std::vector<Segment>& segments,
                                       size_t pool_size, int cycles,
                                       const MiningParams& params);
 
-/// Cost split of processing a batch of segments with a miner.
-struct CostSample {
-  double mining_ms = 0;
-  double maintenance_ms = 0;
-  double total_ms() const { return mining_ms + maintenance_ms; }
-  uint64_t fcps = 0;
-};
-
-/// Feeds segments [begin, end) to the miner, returning the stats-delta cost
-/// split.
-CostSample ProcessRange(FcpMiner* miner, const std::vector<Segment>& segments,
-                        size_t begin, size_t end);
-
-/// Drives one miner behind a segmenter, measuring stats deltas over event
-/// ranges. Segmentation cost is excluded from the mining/maintenance split
-/// (the paper measures index structures and algorithms, not the splitter).
-class MinerDriver {
- public:
-  MinerDriver(MinerKind kind, const MiningParams& params);
-
-  /// Feeds events[begin, end) without measuring.
-  void PushEvents(const std::vector<ObjectEvent>& events, size_t begin,
-                  size_t end);
-
-  /// Feeds events[begin, end) and returns the miner-stats cost delta.
-  CostSample Measure(const std::vector<ObjectEvent>& events, size_t begin,
-                     size_t end);
-
-  /// Measures the cost of "one second of data at `rate` events/s" by
-  /// processing a window of max(5*rate, 25000) events starting at *cursor
-  /// (advanced past the window) and scaling the measured cost to `rate`
-  /// events. The window amortizes periodic expiry sweeps, which would
-  /// otherwise land in some rate points and not others.
-  CostSample MeasureRate(const std::vector<ObjectEvent>& events,
-                         size_t* cursor, uint64_t rate);
-
-  FcpMiner& miner() { return *miner_; }
-  uint64_t segments_completed() const { return segments_completed_; }
-
- private:
-  StreamMux mux_;
-  std::unique_ptr<FcpMiner> miner_;
-  std::vector<SegmentRef> scratch_;
-  std::vector<Fcp> sink_;
-  uint64_t segments_completed_ = 0;
-};
-
 /// Standard bench scaling: --quick divides all data sizes by 4 (CI-speed),
-/// --scale=<f> applies a custom factor.
+/// --scale=<f> applies a custom factor. A factor that is not finite and
+/// positive, or that scales a count past 2^64, prints
+/// `bad value for --scale` and exits with status 2.
 struct BenchScale {
   explicit BenchScale(const Flags& flags);
+  /// `paper_value` times the factor, at least 1000.
   uint64_t Events(uint64_t paper_value) const;
   double factor = 1.0;
+  std::string text;  ///< --scale as passed, for the error message
 };
 
 /// One benchmark measurement for the JSON trajectory files (BENCH_*.json).
