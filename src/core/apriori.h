@@ -15,8 +15,7 @@
 //   // min_pattern_size of them) and their shard ownership flags; builds the
 //   // per-object supports. A supporter holding fewer than min_pattern_size
 //   // of the objects supports no reported pattern, so every policy leaves
-//   // it out (the trigger itself holds them all); that keeps the miners'
-//   // candidate counts identical.
+//   // it out (the trigger itself holds them all).
 //   void Load(std::span<const ObjectId> objects,
 //             std::span<const uint8_t> owned);
 //   // Object index `oi`'s support. False when a cheap bound already proves
@@ -43,6 +42,14 @@
 // candidate accounting and FCP emission. It asks for the stream list and the
 // occurrences only for a pattern it is about to emit; every other test is
 // the early-exit count.
+//
+// A miner may restrict the pass to the patterns holding one of a set of
+// "fresh" objects (serial CooMine's new-object rule, DESIGN.md §2.1). Its
+// policy then loads only the supporters holding a fresh object. The support
+// of a pattern with a fresh object is still exact, and a subset's support
+// still bounds its supersets', so the pass runs as before and only the
+// emission is filtered. The candidates it checks are then a subset of the
+// unrestricted pass's.
 
 #ifndef FCP_CORE_APRIORI_H_
 #define FCP_CORE_APRIORI_H_
@@ -157,6 +164,10 @@ struct AprioriScratch {
 /// A trigger with fewer mined objects than min_pattern_size returns before
 /// the policy's Load, so every miner skips it alike.
 ///
+/// `fresh`, if not empty, flags each probe object (1 = fresh): only
+/// patterns holding a fresh object are emitted, and with none flagged the
+/// pass returns before the policy's Load.
+///
 /// Accounting: every singleton and every candidate that survives the subset
 /// prune bumps candidates_checked; those that also pass the policy's cheap
 /// bound bump candidates_bound_passed; every rejected one bumps
@@ -166,7 +177,8 @@ template <typename Policy>
 void MineApriori(const Segment& trigger, const MiningParams& params,
                  const ShardSpec& shard, Policy& policy,
                  AprioriScratch<typename Policy::Elem>* scratch,
-                 MinerStats* stats, std::vector<Fcp>* out) {
+                 MinerStats* stats, std::vector<Fcp>* out,
+                 std::span<const uint8_t> fresh = {}) {
   using Elem = typename Policy::Elem;
   AprioriScratch<Elem>& s = *scratch;
 
@@ -189,7 +201,21 @@ void MineApriori(const Segment& trigger, const MiningParams& params,
   }
   if (!any_owned) return;
   stats->slcp_probes += num_objects;
+  if (!fresh.empty() &&
+      std::find(fresh.begin(), fresh.end(), 1) == fresh.end()) {
+    return;
+  }
   policy.Load(objects, s.owned);
+
+  // Whether the pattern (prefix[0..k-1], last) may be emitted: it holds a
+  // fresh object, or no restriction applies.
+  auto holds_fresh = [&](const uint32_t* prefix, size_t k, uint32_t last) {
+    if (fresh.empty() || fresh[last]) return true;
+    for (size_t i = 0; i < k; ++i) {
+      if (fresh[prefix[i]]) return true;
+    }
+    return false;
+  };
 
   // The exact frequency test (Def. 3): >= theta distinct streams. A
   // pattern that will not be emitted only needs the early-exit count.
@@ -254,7 +280,8 @@ void MineApriori(const Segment& trigger, const MiningParams& params,
       continue;
     }
     ++stats->candidates_bound_passed;
-    const bool emitted = params.min_pattern_size <= 1 && s.owned[oi];
+    const bool emitted = params.min_pattern_size <= 1 && s.owned[oi] &&
+                         holds_fresh(nullptr, 0, oi);
     if (emitted ? !emit_if_frequent(support, nullptr, 0, oi)
                 : !frequent(support)) {
       ++stats->candidates_pruned;
@@ -294,7 +321,7 @@ void MineApriori(const Segment& trigger, const MiningParams& params,
           continue;
         }
         ++stats->candidates_bound_passed;
-        if (k + 1 >= params.min_pattern_size
+        if (k + 1 >= params.min_pattern_size && holds_fresh(pi, k, last)
                 ? !emit_if_frequent(s.cand, pi, k, last)
                 : !frequent(s.cand)) {
           ++stats->candidates_pruned;

@@ -172,12 +172,36 @@ class CooMine::TidsetSupport {
   size_t words_ = 0;  ///< bitset words per tidset
 };
 
+// Scanning kEntriesPerSlot log entries (sequential, a few cache lines) is
+// priced as one Hlist slot of a walk (a dependent cache miss).
+class CooMine::RecertifyPrice final : public FreshWalkPrice {
+ public:
+  static constexpr uint64_t kEntriesPerSlot = 16;
+
+  RecertifyPrice(CooMine* miner, std::span<const ObjectId> mined,
+                 uint64_t log_begin)
+      : miner_(*miner), mined_(mined), log_begin_(log_begin) {}
+
+  uint64_t ExtraSlots(uint64_t slack) override {
+    const uint64_t scan = (miner_.log_.next_id() - log_begin_) /
+                          kEntriesPerSlot;
+    if (scan >= slack) return slack;
+    return scan + miner_.CollectLogged(mined_, log_begin_, slack - scan);
+  }
+
+ private:
+  CooMine& miner_;
+  const std::span<const ObjectId> mined_;
+  const uint64_t log_begin_;
+};
+
 void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
   // Validity is anchored at the stream-time watermark (max end time seen):
   // segments complete out of end-time order across streams, and a monotonic
   // anchor keeps lazy deletion consistent with per-trigger re-evaluation.
   watermark_ = std::max(watermark_, segment.end_time());
   const Timestamp now = watermark_;
+  ++triggers_;
 
   // --- Mining phase: SLCP + Apriori over the LCP table. -------------------
   // A trigger with fewer mined objects than min_pattern_size completes no
@@ -189,29 +213,58 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
   scratch_.expired.clear();
   const std::span<const ObjectId> mined =
       MinedObjects(segment, params_.max_segment_objects);
+  const size_t out_begin = out->size();
   if (mined.size() >= params_.min_pattern_size) {
-    const uint64_t visits_before = tree_.stats().distance_bound_visits;
-    const uint64_t runs_before = tree_.stats().runs_visited;
-    const uint64_t skips_before = tree_.stats().slcp_chains_skipped;
+    const SegTreeStats tree_before = tree_.stats();
+    const bool trigger_valid = now - segment.start_time() <= params_.tau;
+    // The new-object rule (DESIGN.md §2.1): with its premise, SLCP may walk
+    // only the new objects' chains; the Apriori pass then emits only the
+    // patterns holding a new object, and the log supplies the rest.
+    const StreamTrigger* previous =
+        shard_.IsSingleton() ? MarkFreshObjects(segment, mined, now) : nullptr;
+    std::span<const uint8_t> fresh;
+    if (previous != nullptr) fresh = scratch_.fresh;
+    RecertifyPrice price(
+        this, mined,
+        previous != nullptr ? std::max(previous->log_begin, log_.first_id())
+                            : 0);
+    bool fresh_only;
     {
       trace::Span slcp_span("coomine/slcp");
-      tree_.SlcpInto(mined, now, params_.tau, &scratch_.expired,
-                     &scratch_.lcp, shard_, params_.min_pattern_size);
+      fresh_only = tree_.SlcpInto(mined, now, params_.tau, &scratch_.expired,
+                                  &scratch_.lcp, shard_,
+                                  params_.min_pattern_size, fresh, &price);
     }
     stats_.slcp_ns += MonotonicNowNs() - start_ns;
     stats_.lcp_rows += scratch_.lcp.rows.size();
     stats_.lcp_rows_dropped += scratch_.lcp.rows_dropped;
+    // Every supporter of a pattern holding a fresh object holds that object
+    // and so has a row: without rows only the trigger supports it, one
+    // stream, below any theta > 1. The pass is skipped then; its probe
+    // objects still count.
+    if (fresh_only && scratch_.lcp.rows.empty() && params_.theta > 1) {
+      stats_.slcp_probes += mined.size();
+    } else {
+      trace::Span apriori_span("coomine/apriori");
+      TidsetSupport support(segment, trigger_valid, params_, &scratch_);
+      MineApriori(segment, params_, shard_, support, &scratch_.apriori,
+                  &stats_, out,
+                  fresh_only ? fresh : std::span<const uint8_t>{});
+    }
+    if (fresh_only) {
+      ++stats_.new_object_triggers;
+      ReemitLogged(segment, trigger_valid, now, out_begin, out);
+    }
+    // The re-certification walks count as SLCP visits too.
+    const SegTreeStats& tree_after = tree_.stats();
     stats_.slcp_nodes_visited +=
-        tree_.stats().distance_bound_visits - visits_before;
-    stats_.slcp_runs_visited += tree_.stats().runs_visited - runs_before;
+        tree_after.distance_bound_visits - tree_before.distance_bound_visits;
+    stats_.slcp_runs_visited +=
+        tree_after.runs_visited - tree_before.runs_visited;
     stats_.slcp_chains_skipped +=
-        tree_.stats().slcp_chains_skipped - skips_before;
-    trace::Span apriori_span("coomine/apriori");
-    TidsetSupport support(segment, now - segment.start_time() <= params_.tau,
-                          params_, &scratch_);
-    MineApriori(segment, params_, shard_, support, &scratch_.apriori, &stats_,
-                out);
+        tree_after.slcp_chains_skipped - tree_before.slcp_chains_skipped;
   }
+  if (shard_.IsSingleton()) RecordTrigger(segment, mined, now, out_begin, *out);
   const int64_t mined_ns = MonotonicNowNs();
   stats_.mining_ns += mined_ns - start_ns;
 
@@ -225,13 +278,201 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
   ++stats_.segments_processed;
 }
 
+const CooMine::StreamTrigger* CooMine::MarkFreshObjects(
+    const Segment& segment, std::span<const ObjectId> mined, Timestamp now) {
+  const StreamTrigger* previous = last_trigger_.Find(segment.stream());
+  if (previous == nullptr || previous->number <= last_cut_ ||
+      now - previous->start > params_.tau) {
+    return nullptr;
+  }
+  // Only expired segments are removed, so a valid G_p is indexed.
+  const std::vector<ObjectId>& held = previous->objects;
+  std::vector<uint8_t>& fresh = scratch_.fresh;
+  // A branch-free merge of the two sorted lists: a mined object below the
+  // held one is fresh, an equal one is not, and a larger one waits for the
+  // next held object (its flag is written again).
+  fresh.assign(mined.size(), 1);
+  size_t i = 0, j = 0;
+  while (i < mined.size() && j < held.size()) {
+    const ObjectId a = mined[i], b = held[j];
+    fresh[i] = a != b ? 1 : 0;
+    i += a <= b ? 1 : 0;
+    j += a >= b ? 1 : 0;
+  }
+  return previous;
+}
+
+uint64_t CooMine::CollectLogged(std::span<const ObjectId> mined,
+                                uint64_t log_begin, uint64_t slack) {
+  MiningScratch& s = scratch_;
+  s.logged.clear();
+  // Every frequent pattern P of the trigger's old objects was emitted by
+  // the last trigger T before this one whose mined objects hold P: each of
+  // P's supporters now was indexed and valid at T, and G_p, which holds P
+  // and is valid now, stood in for this stream. T is G_p or later, because
+  // G_p holds P and no trigger since was cut. So P is in the log since
+  // G_p's first FCP. A signature with a bit outside the old objects' rules
+  // an entry out.
+  s.old_objects.clear();
+  uint64_t old_signature = 0;
+  for (size_t i = 0; i < mined.size(); ++i) {
+    if (s.fresh[i]) continue;
+    s.old_objects.push_back(mined[i]);
+    old_signature |= ObjectBit(mined[i]);
+  }
+  // Re-certifying a pattern walks its shortest chain. A pattern logged
+  // twice is priced twice, which errs toward the full walk; the count stops
+  // at the slack, before the sort.
+  uint64_t slots = 0;
+  for (uint64_t id = log_begin; id < log_.next_id(); ++id) {
+    if ((log_.Signature(id) & ~old_signature) != 0) continue;
+    const std::span<const ObjectId> pattern = log_.Pattern(id);
+    if (!std::includes(s.old_objects.begin(), s.old_objects.end(),
+                       pattern.begin(), pattern.end())) {
+      continue;
+    }
+    uint32_t shortest = ~uint32_t{0};
+    for (const ObjectId object : pattern) {
+      shortest = std::min(shortest, tree_.chain_length(object));
+    }
+    slots += shortest;
+    if (slots >= slack) return slack;
+    s.logged.push_back(id);
+  }
+  // Each pattern once, in emission order.
+  std::sort(s.logged.begin(), s.logged.end(), [&](uint64_t a, uint64_t b) {
+    return EmitOrderLess(log_.Pattern(a), log_.Pattern(b));
+  });
+  s.logged.erase(std::unique(s.logged.begin(), s.logged.end(),
+                             [&](uint64_t a, uint64_t b) {
+                               return !EmitOrderLess(log_.Pattern(a),
+                                                   log_.Pattern(b));
+                             }),
+                 s.logged.end());
+  return slots;
+}
+
+void CooMine::ReemitLogged(const Segment& segment, bool trigger_valid,
+                           Timestamp now, size_t out_begin,
+                           std::vector<Fcp>* out) {
+  MiningScratch& s = scratch_;
+  if (s.logged.empty()) return;
+  // Re-certify each at `now`, counting the trigger itself while it is
+  // valid, and build its FCP as the Apriori pass would.
+  s.reemitted.clear();
+  for (const uint64_t id : s.logged) {
+    ++stats_.log_patterns_certified;
+    const std::span<const ObjectId> pattern = log_.Pattern(id);
+    tree_.SupportersInto(pattern, now, params_.tau, &s.supporters);
+    s.streams.clear();
+    if (trigger_valid) s.streams.push_back(segment.stream());
+    for (const LcpTable::Row& row : s.supporters.rows) {
+      s.streams.push_back(row.stream);
+    }
+    if (s.streams.size() < params_.theta) continue;
+    RadixSortU32(&s.streams, &s.sort_scratch);
+    s.streams.erase(std::unique(s.streams.begin(), s.streams.end()),
+                    s.streams.end());
+    if (s.streams.size() < params_.theta) continue;
+    Fcp fcp;
+    fcp.objects.assign(pattern.begin(), pattern.end());
+    fcp.streams.assign(s.streams.begin(), s.streams.end());
+    fcp.trigger = segment.id();
+    fcp.window_start = kMaxTimestamp;
+    fcp.window_end = kMinTimestamp;
+    if (trigger_valid) {
+      fcp.window_start = segment.start_time();
+      fcp.window_end = segment.end_time();
+    }
+    for (const LcpTable::Row& row : s.supporters.rows) {
+      fcp.window_start = std::min(fcp.window_start, row.start);
+      fcp.window_end = std::max(fcp.window_end, row.end);
+    }
+    s.reemitted.push_back(std::move(fcp));
+  }
+  stats_.reemissions += s.reemitted.size();
+  stats_.fcps_emitted += s.reemitted.size();
+
+  // Merge from the back: both runs are in EmitOrderLess order, and no
+  // pattern is in both (only the Apriori pass's hold a fresh object).
+  size_t mined_end = out->size();
+  size_t j = s.reemitted.size();
+  out->resize(mined_end + j);
+  for (size_t w = out->size(); j > 0;) {
+    if (mined_end > out_begin &&
+        EmitOrderLess(s.reemitted[j - 1].objects,
+                      (*out)[mined_end - 1].objects)) {
+      (*out)[--w] = std::move((*out)[--mined_end]);
+    } else {
+      (*out)[--w] = std::move(s.reemitted[--j]);
+    }
+  }
+  s.reemitted.clear();
+}
+
+void CooMine::RecordTrigger(const Segment& segment,
+                            std::span<const ObjectId> mined, Timestamp now,
+                            size_t out_begin, const std::vector<Fcp>& out) {
+  // A later trigger needs the entries since its G_p's first, and G_p is
+  // valid then: those were emitted at a watermark >= G_p's start, which is
+  // >= that trigger's watermark - tau >= this one's.
+  log_.DropBefore(now - params_.tau);
+  const uint64_t log_begin = log_.next_id();
+  for (size_t i = out_begin; i < out.size(); ++i) {
+    log_.Append(out[i].objects, now);
+  }
+  StreamTrigger& last = last_trigger_[segment.stream()];
+  last.number = triggers_;
+  last.start = segment.start_time();
+  last.log_begin = log_begin;
+  last.objects.assign(segment.distinct_objects().begin(),
+                      segment.distinct_objects().end());
+  if (mined.size() < segment.distinct_objects().size()) last_cut_ = triggers_;
+}
+
+void CooMine::EmissionLog::Append(std::span<const ObjectId> pattern,
+                                  Timestamp at) {
+  uint64_t signature = 0;
+  for (const ObjectId object : pattern) signature |= ObjectBit(object);
+  entries_.push_back(Entry{at, signature, objects_base_ + objects_.size(),
+                           static_cast<uint32_t>(pattern.size())});
+  objects_.insert(objects_.end(), pattern.begin(), pattern.end());
+}
+
+void CooMine::EmissionLog::DropBefore(Timestamp at) {
+  while (head_ < entries_.size() && entries_[head_].at < at) ++head_;
+  // Compact once the dropped half dominates: amortized O(1) per entry, and
+  // erasing a prefix keeps the capacity.
+  if (head_ >= 64 && 2 * head_ >= entries_.size()) {
+    const uint64_t objects_end = head_ < entries_.size()
+                                     ? entries_[head_].begin
+                                     : objects_base_ + objects_.size();
+    objects_.erase(objects_.begin(),
+                   objects_.begin() +
+                       static_cast<ptrdiff_t>(objects_end - objects_base_));
+    objects_base_ = objects_end;
+    entries_.erase(entries_.begin(),
+                   entries_.begin() + static_cast<ptrdiff_t>(head_));
+    base_ += head_;
+    head_ = 0;
+  }
+}
+
+std::span<const ObjectId> CooMine::EmissionLog::Pattern(uint64_t id) const {
+  const Entry& entry = entries_[id - base_];
+  return {objects_.data() + (entry.begin - objects_base_), entry.size};
+}
+
 void CooMine::AddSegmentIndexOnly(const Segment& segment) {
   // Migration backfill: index the segment exactly as AddSegment's
   // maintenance phase would — same watermark anchor, same periodic-sweep
   // cadence — with SLCP and the Apriori pass skipped. The Fcp output is
   // insensitive to Hlist chain order (streams are sorted and the window is
-  // a min/max), so inserting an old segment after newer ones is safe.
+  // a min/max), so inserting an old segment after newer ones is safe. A
+  // segment indexed unmined breaks the new-object rule's premise, as a cut
+  // trigger does.
   watermark_ = std::max(watermark_, segment.end_time());
+  last_cut_ = ++triggers_;
   trace::Span backfill_span("coomine/index_backfill");
   Stopwatch maint_timer;
   IndexSegment(segment, watermark_);

@@ -34,11 +34,22 @@
 // may shrink, but never below that of an owned pattern containing it, so
 // the downward-closure prune stays sound. With the default ShardSpec the
 // filter is the identity.
+//
+// New-object rule (serial only, DESIGN.md §2.1): when the stream's previous
+// trigger G_p is still valid and no trigger since G_p was cut by
+// max_segment_objects, every frequent pattern made only of objects G_p
+// holds was already emitted by a trigger since G_p. When that is the
+// cheaper search, such a trigger mines only the patterns holding a new
+// object (SLCP walks the new objects' chains; the Apriori pass emits only
+// those patterns) and re-certifies the old ones it finds in a tau-bounded
+// log of the patterns it emitted. The output is unchanged; the candidates
+// checked can only drop.
 
 #ifndef FCP_CORE_COOMINE_H_
 #define FCP_CORE_COOMINE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/params.h"
@@ -101,11 +112,95 @@ class CooMine : public FcpMiner {
     std::vector<StreamId> sort_scratch;  ///< RadixSortU32 buffer
     std::vector<uint64_t> object_bits;  ///< per-object row bitsets
     AprioriScratch<uint64_t> apriori;   ///< level store, tidsets as words
+    // The new-object rule's buffers.
+    std::vector<uint8_t> fresh;          ///< per mined object: 1 iff new
+    std::vector<ObjectId> old_objects;   ///< the mined objects G_p holds
+    std::vector<uint64_t> logged;        ///< log entries to re-certify
+    LcpTable supporters;                 ///< one logged pattern's supporters
+    std::vector<StreamId> streams;       ///< its distinct streams
+    std::vector<Fcp> reemitted;          ///< the re-certified FCPs
+  };
+
+  /// The tau-bounded log of the patterns this serial miner emitted, in
+  /// emission order. Entry ids count every entry ever appended; the live
+  /// ones are [first_id(), next_id()). Each entry carries its pattern's
+  /// signature (one bit per object, as Tail::signature), so a scan rejects
+  /// most entries without reading the pattern. Both arrays are queues
+  /// compacted in place, so a warm log allocates nothing.
+  class EmissionLog {
+   public:
+    uint64_t first_id() const { return base_ + head_; }
+    uint64_t next_id() const { return base_ + entries_.size(); }
+    /// Appends `pattern` (sorted, non-empty), emitted at watermark `at`.
+    void Append(std::span<const ObjectId> pattern, Timestamp at);
+    /// Drops the entries emitted before watermark `at`.
+    void DropBefore(Timestamp at);
+    uint64_t Signature(uint64_t id) const {
+      return entries_[id - base_].signature;
+    }
+    std::span<const ObjectId> Pattern(uint64_t id) const;
+
+   private:
+    struct Entry {
+      Timestamp at;
+      uint64_t signature;
+      uint64_t begin;  ///< offset of the pattern, counted like the ids
+      uint32_t size;
+    };
+
+    std::vector<Entry> entries_;  ///< live from index head_
+    size_t head_ = 0;
+    uint64_t base_ = 0;  ///< id of entries_[0]
+    std::vector<ObjectId> objects_;
+    uint64_t objects_base_ = 0;  ///< offset of objects_[0]
+  };
+
+  /// Prices the new-object walk for SlcpInto (the log scan and the
+  /// re-certification walks it entails), collecting the trigger's old
+  /// patterns on the way.
+  class RecertifyPrice;
+
+  /// What the new-object rule keeps of a stream's last trigger. Its
+  /// objects are copied here, not looked up in the Seg-tree: a stream's
+  /// record stays cache-hot, the segment's tree entry does not.
+  struct StreamTrigger {
+    uint64_t number = 0;  ///< its trigger number (triggers_ then)
+    Timestamp start = 0;
+    uint64_t log_begin = 0;  ///< the log id of its first FCP
+    std::vector<ObjectId> objects;  ///< its sorted distinct objects
   };
 
   /// The periodic full sweep (when due) followed by the Seg-tree insert:
   /// the indexing step AddSegment and AddSegmentIndexOnly share.
   void IndexSegment(const Segment& segment, Timestamp now);
+
+  /// The new-object rule's premise for `segment` at watermark `now`: its
+  /// stream's previous trigger G_p is valid (and so still indexed), and no
+  /// trigger since G_p was cut by the cap. If it holds, flags in
+  /// scratch_.fresh the mined objects G_p does not hold and returns G_p's
+  /// record; otherwise returns null.
+  const StreamTrigger* MarkFreshObjects(const Segment& segment,
+                                        std::span<const ObjectId> mined,
+                                        Timestamp now);
+
+  /// Fills scratch_.logged with the trigger's old patterns, each once in
+  /// EmitOrderLess order: the patterns logged from id `log_begin` on that
+  /// only old objects (scratch_.fresh) of `mined` hold. Returns the Hlist
+  /// slots re-certifying them walks, or `slack` once it is reached.
+  uint64_t CollectLogged(std::span<const ObjectId> mined, uint64_t log_begin,
+                         uint64_t slack);
+
+  /// Appends the patterns of scratch_.logged still frequent at `now` to
+  /// `out`, merged into the trigger's FCPs (those from index `out_begin`
+  /// on) in EmitOrderLess order.
+  void ReemitLogged(const Segment& segment, bool trigger_valid, Timestamp now,
+                    size_t out_begin, std::vector<Fcp>* out);
+
+  /// Logs the trigger's FCPs (from index `out_begin` of `out`) and records
+  /// the trigger as its stream's last.
+  void RecordTrigger(const Segment& segment, std::span<const ObjectId> mined,
+                     Timestamp now, size_t out_begin,
+                     const std::vector<Fcp>& out);
 
   MiningParams params_;
   CooMineOptions options_;
@@ -115,6 +210,13 @@ class CooMine : public FcpMiner {
   MiningScratch scratch_;
   Timestamp last_sweep_ = kMinTimestamp;
   Timestamp watermark_ = kMinTimestamp;
+  // The new-object rule's state (serial only).
+  EmissionLog log_;
+  FlatMap<StreamId, StreamTrigger> last_trigger_;
+  uint64_t triggers_ = 0;  ///< segments received, mined or backfilled
+  /// Number of the last trigger cut by the cap or backfilled unmined
+  /// (0: none): the rule needs none since G_p.
+  uint64_t last_cut_ = 0;
 };
 
 }  // namespace fcp

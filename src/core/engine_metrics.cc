@@ -30,6 +30,11 @@ MinerMetrics MinerMetrics::Register(telemetry::MetricRegistry* registry,
       registry->GetCounter(Name("fcp_slcp_nodes_visited_total", labels));
   m.slcp_runs_visited =
       registry->GetCounter(Name("fcp_slcp_runs_visited_total", labels));
+  m.new_object_triggers =
+      registry->GetCounter(Name("fcp_new_object_triggers_total", labels));
+  m.reemissions = registry->GetCounter(Name("fcp_reemissions_total", labels));
+  m.log_patterns_certified =
+      registry->GetCounter(Name("fcp_log_patterns_certified_total", labels));
   m.maintenance_runs =
       registry->GetCounter(Name("fcp_maintenance_runs_total", labels));
   m.segments_expired =
@@ -74,6 +79,11 @@ void MinerMetrics::PublishDelta(const MinerStats& current,
   Bump(slcp_nodes_visited,
        current.slcp_nodes_visited - last->slcp_nodes_visited);
   Bump(slcp_runs_visited, current.slcp_runs_visited - last->slcp_runs_visited);
+  Bump(new_object_triggers,
+       current.new_object_triggers - last->new_object_triggers);
+  Bump(reemissions, current.reemissions - last->reemissions);
+  Bump(log_patterns_certified,
+       current.log_patterns_certified - last->log_patterns_certified);
   Bump(maintenance_runs, current.maintenance_runs - last->maintenance_runs);
   Bump(segments_expired, current.segments_expired - last->segments_expired);
   Bump(mining_ns, static_cast<uint64_t>(current.mining_ns - last->mining_ns));

@@ -32,6 +32,9 @@ struct MinerMetrics {
   telemetry::Counter* lcp_rows_dropped = nullptr;
   telemetry::Counter* slcp_nodes_visited = nullptr;
   telemetry::Counter* slcp_runs_visited = nullptr;
+  telemetry::Counter* new_object_triggers = nullptr;
+  telemetry::Counter* reemissions = nullptr;
+  telemetry::Counter* log_patterns_certified = nullptr;
   telemetry::Counter* maintenance_runs = nullptr;
   telemetry::Counter* segments_expired = nullptr;
   telemetry::Counter* mining_ns = nullptr;

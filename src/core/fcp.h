@@ -3,6 +3,8 @@
 #ifndef FCP_CORE_FCP_H_
 #define FCP_CORE_FCP_H_
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,9 +46,10 @@ bool FcpLess(const Fcp& a, const Fcp& b);
 
 /// The order every miner emits one trigger's FCPs in: by size, then
 /// lexicographically. The sharded engine merges its shards' lists by it.
-inline bool EmitOrderLess(const Pattern& a, const Pattern& b) {
+inline bool EmitOrderLess(std::span<const ObjectId> a,
+                          std::span<const ObjectId> b) {
   if (a.size() != b.size()) return a.size() < b.size();
-  return a < b;
+  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
 }
 
 }  // namespace fcp

@@ -57,13 +57,23 @@ struct MinerStats {
                                    ///< DIMine/MatrixMine
   uint64_t slcp_nodes_visited = 0; ///< CooMine: Seg-tree nodes (slots)
                                    ///< stepped by SLCP's DistanceBound
-                                   ///< searches (0 for DIMine/MatrixMine)
+                                   ///< searches, re-certification walks
+                                   ///< included (0 for DIMine/MatrixMine)
   uint64_t slcp_runs_visited = 0;  ///< CooMine: Seg-tree runs those
                                    ///< searches entered (0 for
                                    ///< DIMine/MatrixMine)
   uint64_t slcp_chains_skipped = 0;  ///< CooMine: SLCP searches that
                                      ///< skipped the probe's dominant Hlist
                                      ///< chain (0 for DIMine/MatrixMine)
+  uint64_t new_object_triggers = 0;  ///< serial CooMine: triggers that mined
+                                     ///< only patterns holding an object new
+                                     ///< since the stream's previous trigger
+                                     ///< (DESIGN.md §2.1; 0 otherwise)
+  uint64_t reemissions = 0;  ///< serial CooMine: FCPs of those triggers
+                             ///< re-certified from the emission log (part
+                             ///< of fcps_emitted)
+  uint64_t log_patterns_certified = 0;  ///< serial CooMine: logged patterns
+                                        ///< those triggers re-certified
   uint64_t maintenance_runs = 0;   ///< full expiry sweeps executed
   uint64_t segments_expired = 0;
   int64_t mining_ns = 0;
@@ -88,6 +98,9 @@ struct MinerStats {
     slcp_nodes_visited += other.slcp_nodes_visited;
     slcp_runs_visited += other.slcp_runs_visited;
     slcp_chains_skipped += other.slcp_chains_skipped;
+    new_object_triggers += other.new_object_triggers;
+    reemissions += other.reemissions;
+    log_patterns_certified += other.log_patterns_certified;
     maintenance_runs += other.maintenance_runs;
     segments_expired += other.segments_expired;
     mining_ns += other.mining_ns;

@@ -14,10 +14,12 @@ namespace {
 constexpr size_t kPoolSlabRuns = 512;          // runs per run-pool slab
 constexpr size_t kChunkSlabBytes = 64 * 1024;  // bytes per chunk-arena slab
 
-// The bit of `object` in a Tail::signature: the top six bits of a
-// multiplicative (Fibonacci) hash.
-uint64_t ObjectBit(ObjectId object) {
-  return uint64_t{1} << ((object * 0x9e3779b97f4a7c15ULL) >> 58);
+// Appends `value` through emplace_back(). The new-object walk and the
+// supporter search append rows and hits this way, so the full SLCP walk's
+// push_back instantiations keep their few call sites and stay inlined.
+template <typename T>
+void Append(std::vector<T>& values, const T& value) {
+  values.emplace_back() = value;
 }
 
 // Adds `delta` (mod 2^32) to the first-key index of the slots at [lo, hi).
@@ -712,10 +714,11 @@ bool SegTree::HoldsObject(uint32_t tail, ObjectId object,
                             object);
 }
 
-void SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
+bool SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
                        DurationMs tau, std::vector<SegmentId>* expired,
                        LcpTable* out, const ShardSpec& shard,
-                       uint32_t min_common) const {
+                       uint32_t min_common, std::span<const uint8_t> fresh,
+                       FreshWalkPrice* price) const {
   out->Clear();
   // Rows are grouped without sorting: a tail entry stamped with this call's
   // epoch has already been reached. The epoch is 64 bit and only grows, so
@@ -732,13 +735,28 @@ void SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
     while (begin < np && !shard.Owns(probe_objects[begin])) ++begin;
   }
   std::vector<const Chain*>& chains = probe_chains_;
-  chains.clear();
+  chains.assign(np - begin, nullptr);
+  // New-object walk: the fresh chains are looked up first. If they hold no
+  // slot and the caller's price is 0 too, the walk is free and empty, and
+  // the other chains need no lookup.
+  const bool may_walk_fresh = !fresh.empty() && shard.IsSingleton();
+  uint64_t fresh_slots = 0;
+  if (may_walk_fresh) {
+    for (size_t pos = 0; pos < np; ++pos) {
+      if (!fresh[pos]) continue;
+      chains[pos] = hlist_.Find(probe_objects[pos]);
+      if (chains[pos] != nullptr) fresh_slots += chains[pos]->length;
+    }
+    if (fresh_slots == 0 && (price == nullptr || price->ExtraSlots(1) == 0)) {
+      return true;
+    }
+  }
   size_t skip = np;  // the skipped position; np: none
   uint64_t total_slots = 0;
   uint32_t longest = 0;
   for (size_t pos = begin; pos < np; ++pos) {
-    const Chain* chain = hlist_.Find(probe_objects[pos]);
-    chains.push_back(chain);
+    const Chain*& chain = chains[pos - begin];
+    if (!may_walk_fresh || !fresh[pos]) chain = hlist_.Find(probe_objects[pos]);
     if (chain == nullptr) continue;
     total_slots += chain->length;
     if (chain->length > longest) {
@@ -748,11 +766,17 @@ void SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
   }
   // Dominant-chain skip: a row of >= 2 objects holds one besides
   // probe[skip], whose chain the walk below reaches its tail from.
-  if (min_common >= 2 && longest > total_slots - longest) {
-    ++stats_.slcp_chains_skipped;
-  } else {
-    skip = np;
+  if (min_common < 2 || longest <= total_slots - longest) skip = np;
+  // The new-object walk is taken when the fresh chains, plus what the
+  // caller prices the walk at, are a shorter search than this one.
+  const uint64_t searched = total_slots - (skip < np ? longest : 0);
+  if (may_walk_fresh && fresh_slots < searched &&
+      (price == nullptr ||
+       price->ExtraSlots(searched - fresh_slots) < searched - fresh_slots)) {
+    WalkFreshChains(probe_objects, fresh, now, tau, expired, min_common, out);
+    return true;
   }
+  if (skip < np) ++stats_.slcp_chains_skipped;
   const ObjectId skipped = skip < np ? probe_objects[skip] : 0;
   const uint64_t skipped_bit = ObjectBit(skipped);
   const bool skipped_owned = skip < np && shard.Owns(skipped);
@@ -833,13 +857,25 @@ void SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
     });
   }
   out->rows_dropped = parked;
+  LayOutRows(skip, hits_before_skip, min_common, /*sort_slices=*/false,
+             expired, out);
+  return false;
+}
+
+// Forced inline, as it was in SlcpInto: both walks end here.
+[[gnu::always_inline]] inline void SegTree::LayOutRows(
+    size_t skip, size_t hits_before_skip, uint32_t min_common,
+    bool sort_slices, std::vector<SegmentId>* expired, LcpTable* out) const {
   // Lay the rows out back to back (prefix sum of the counts), then place
   // every hit in one pass, with probe[skip] between the hits before and
-  // after it. The walk went through positions in ascending order, so each
-  // row's positions land ascending. (A parked tail never holds probe[skip],
-  // so the parked position of a row opened later needs no ordering against
-  // it.) A row with fewer than min_common positions (possible for
-  // min_common >= 3) gets no slice and is dropped after the placement.
+  // after it. The full walk went through positions in ascending order, so
+  // each row's positions land ascending. (A parked tail never holds
+  // probe[skip], so the parked position of a row opened later needs no
+  // ordering against it.) The new-object walk records a row's old positions
+  // before its walked ones, so it sorts each slice. A row with fewer than
+  // min_common positions (possible for min_common >= 3) gets no slice and
+  // is dropped after the placement.
+  const std::vector<Hit>& hit_records = hit_records_;
   constexpr uint32_t kDropped = ~uint32_t{0};
   uint32_t offset = 0;
   uint64_t short_rows = 0;
@@ -863,11 +899,18 @@ void SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
   for (size_t i = 0; i < hits_before_skip; ++i) {
     place(hit_records[i].row, hit_records[i].position);
   }
-  for (const uint32_t row : skip_rows) {
+  for (const uint32_t row : skip_rows_) {
     place(row, static_cast<uint32_t>(skip));
   }
   for (size_t i = hits_before_skip; i < hit_records.size(); ++i) {
     place(hit_records[i].row, hit_records[i].position);
+  }
+  if (sort_slices) {
+    uint32_t* const pool = out->common_pool.data();
+    for (const LcpTable::Row& row : out->rows) {
+      if (row.common_begin == kDropped) continue;
+      std::sort(pool + row.common_begin, pool + row.common_end);
+    }
   }
   if (short_rows > 0) {
     std::erase_if(out->rows, [](const LcpTable::Row& row) {
@@ -881,6 +924,114 @@ void SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
     expired->erase(std::unique(expired->begin(), expired->end()),
                    expired->end());
   }
+}
+
+// Flattened: its tail tests inline here without growing the full walk.
+[[gnu::flatten]] void SegTree::WalkFreshChains(
+    std::span<const ObjectId> probe_objects, std::span<const uint8_t> fresh,
+    Timestamp now, DurationMs tau, std::vector<SegmentId>* expired,
+    uint32_t min_common, LcpTable* out) const {
+  // A row the full walk would build holds a fresh position iff the walk of
+  // that position's chain reaches its tail, so only fresh chains are walked.
+  // Every tail reached opens a row that counts its fresh hits, and its Tail
+  // entry is prefetched. Then each row's tail is tested for the old
+  // objects: the signature first, prefetching the object list of the tails
+  // it passes, then a binary search per old object. Both tests run after
+  // the walk, so the tails' cache misses overlap. The old positions are
+  // recorded after the fresh ones, so LayOutRows sorts each slice, and it
+  // drops the rows shorter than min_common. The serial walk owns every
+  // position.
+  const uint64_t epoch = probe_epoch_;
+  const size_t np = probe_objects.size();
+  std::vector<Hit>& hit_records = hit_records_;
+  std::vector<uint32_t>& row_tails = row_tails_;
+  hit_records.clear();
+  skip_rows_.clear();
+  row_tails.clear();
+  for (size_t pos = 0; pos < np; ++pos) {
+    const Chain* chain = probe_chains_[pos];
+    if (!fresh[pos] || chain == nullptr) continue;
+    const uint32_t position = static_cast<uint32_t>(pos);
+    CollectRelevantTails(chain->head, now, tau, expired, [&](const TailKey* t) {
+      if (t->probe_epoch != epoch) {
+        t->probe_epoch = epoch;
+        t->probe_row = static_cast<uint32_t>(out->rows.size());
+        __builtin_prefetch(&tails_[t->tail]);
+        Append(out->rows, LcpTable::Row{.start = t->start});
+        Append(row_tails, t->tail);
+      }
+      LcpTable::Row& row = out->rows[t->probe_row];
+      if (row.common_end == position + 1) return;  // repeated object
+      row.common_end = position + 1;
+      ++row.common_begin;
+      Append(hit_records, Hit{t->probe_row, position});
+    });
+  }
+  uint64_t old_signature = 0;
+  for (size_t q = 0; q < np; ++q) {
+    if (!fresh[q]) old_signature |= ObjectBit(probe_objects[q]);
+  }
+  // A tail whose signature shares no bit with the old objects holds none;
+  // its row_tails slot is cleared to skip the second pass.
+  constexpr uint32_t kNoOldObject = ~uint32_t{0};
+  for (size_t r = 0; r < out->rows.size(); ++r) {
+    const Tail& entry = tails_[row_tails[r]];
+    LcpTable::Row& row = out->rows[r];
+    row.segment = entry.segment;
+    row.stream = entry.stream;
+    row.end = entry.end;
+    if ((entry.signature & old_signature) == 0) {
+      row_tails[r] = kNoOldObject;
+    } else {
+      __builtin_prefetch(entry.objects.begin());
+    }
+  }
+  for (size_t r = 0; r < out->rows.size(); ++r) {
+    if (row_tails[r] == kNoOldObject) continue;
+    const uint32_t row = static_cast<uint32_t>(r);
+    for (size_t q = 0; q < np; ++q) {
+      if (!fresh[q] && HoldsObject(row_tails[r], probe_objects[q],
+                                   ObjectBit(probe_objects[q]))) {
+        ++out->rows[r].common_begin;
+        Append(hit_records, Hit{row, static_cast<uint32_t>(q)});
+      }
+    }
+  }
+  LayOutRows(np, hit_records.size(), min_common, /*sort_slices=*/true,
+             expired, out);
+}
+
+void SegTree::SupportersInto(std::span<const ObjectId> objects, Timestamp now,
+                             DurationMs tau, LcpTable* out) const {
+  out->Clear();
+  const Chain* shortest = nullptr;
+  size_t from = 0;
+  for (size_t i = 0; i < objects.size(); ++i) {
+    const Chain* chain = hlist_.Find(objects[i]);
+    if (chain == nullptr) return;
+    if (shortest == nullptr || chain->length < shortest->length) {
+      shortest = chain;
+      from = i;
+    }
+  }
+  // A segment holding an object twice is reached twice on its chain: the
+  // epoch stamp keeps one row per segment.
+  const uint64_t epoch = ++probe_epoch_;
+  CollectRelevantTails(shortest->head, now, tau, nullptr, [&](const TailKey* t) {
+    if (t->probe_epoch == epoch) return;
+    t->probe_epoch = epoch;
+    for (size_t i = 0; i < objects.size(); ++i) {
+      if (i != from &&
+          !HoldsObject(t->tail, objects[i], ObjectBit(objects[i]))) {
+        return;
+      }
+    }
+    const Tail& entry = tails_[t->tail];
+    Append(out->rows, LcpTable::Row{.segment = entry.segment,
+                                    .stream = entry.stream,
+                                    .start = t->start,
+                                    .end = entry.end});
+  });
 }
 
 std::vector<LcpRow> SegTree::Slcp(const Segment& probe, Timestamp now,

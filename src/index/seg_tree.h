@@ -43,6 +43,9 @@
 //    object's chain when it holds more slots than all the other probe
 //    objects' chains together; the walk of the others tests each segment
 //    it reaches for that object instead (SlcpInto, DESIGN.md §2.1).
+//  - SLCP can walk only the chains of the probe objects new since the
+//    stream's previous trigger, testing each segment it reaches for the
+//    others the same way (SlcpInto's `fresh`, DESIGN.md §2.1).
 //
 // Hot-path memory layout (DESIGN.md §2 "Hot-path memory layout"): runs live
 // in a slab ObjectPool; their slot, tail key and child arrays live in
@@ -67,6 +70,27 @@
 #include "util/ring_buffer.h"
 
 namespace fcp {
+
+/// The bit of `object` in a 64-bit object-set signature (Tail::signature):
+/// the top six bits of a multiplicative (Fibonacci) hash. A clear bit proves
+/// the object absent from the set.
+inline uint64_t ObjectBit(ObjectId object) {
+  return uint64_t{1} << ((object * 0x9e3779b97f4a7c15ULL) >> 58);
+}
+
+/// What taking SlcpInto's new-object walk costs its caller besides the
+/// walk itself, in Hlist slots (serial CooMine: re-certifying the patterns
+/// it logged, DESIGN.md §2.1).
+class FreshWalkPrice {
+ public:
+  /// Called only when the fresh chains hold fewer slots than the full walk
+  /// would search; `slack` is the difference. A result >= slack keeps the
+  /// full walk, so the count may stop there.
+  virtual uint64_t ExtraSlots(uint64_t slack) = 0;
+
+ protected:
+  ~FreshWalkPrice() = default;
+};
 
 /// Tuning knobs of the Seg-tree.
 struct SegTreeOptions {
@@ -246,10 +270,33 @@ class SegTree {
   /// the search reached and built no row for.
   /// Expired segments are only discovered on the chains actually searched;
   /// the periodic RemoveExpired sweep covers the rest.
-  void SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
+  ///
+  /// New-object walk (DESIGN.md §2.1): `fresh`, if not empty, flags the
+  /// probe positions new to the trigger (one byte per position, 1 = new).
+  /// On the serial shard, when the fresh positions' chains hold fewer slots
+  /// than the walk above would search, and `price` (if given) prices the
+  /// difference above its extra cost, only the fresh chains are walked,
+  /// with no chain skipped, and each tail reached is tested for the other
+  /// probe objects (Tail::signature, then a binary search). The table then
+  /// holds exactly the rows of the full walk that hold a fresh position,
+  /// with the same common positions; `rows_dropped` counts the reached
+  /// tails whose row is short. When the fresh chains hold no slot and the
+  /// price is 0 (asked with slack 1), the walk is empty and the other
+  /// chains are not looked up. Returns true iff this walk ran.
+  bool SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
                 DurationMs tau, std::vector<SegmentId>* expired,
                 LcpTable* out, const ShardSpec& shard = {},
-                uint32_t min_common = 1) const;
+                uint32_t min_common = 1,
+                std::span<const uint8_t> fresh = {},
+                FreshWalkPrice* price = nullptr) const;
+
+  /// The valid segments holding every object of `objects` (sorted,
+  /// distinct, non-empty), one row each, in `out->rows` (with empty common
+  /// slices): walks the shortest of the objects' Hlist chains and tests each
+  /// segment it reaches for the others, as the new-object walk does.
+  /// Expired segments it passes are left for the sweep.
+  void SupportersInto(std::span<const ObjectId> objects, Timestamp now,
+                      DurationMs tau, LcpTable* out) const;
 
   /// Convenience SLCP shape for tests/benches: SlcpInto over all of the
   /// probe's distinct objects with min_common 1, one owning LcpRow per
@@ -493,6 +540,19 @@ class SegTree {
   // True iff segment tails_[tail] contains `object`, whose ObjectBit is
   // `bit`.
   bool HoldsObject(uint32_t tail, ObjectId object, uint64_t bit) const;
+  // SlcpInto's new-object walk over the chains in probe_chains_ (serial,
+  // no chain skipped).
+  void WalkFreshChains(std::span<const ObjectId> probe_objects,
+                       std::span<const uint8_t> fresh, Timestamp now,
+                       DurationMs tau, std::vector<SegmentId>* expired,
+                       uint32_t min_common, LcpTable* out) const;
+  // SlcpInto's last step: lays out the rows' common slices from
+  // hit_records_ (probe position `skip` placed for skip_rows_ between the
+  // first `hits_before_skip` hits and the rest), sorting each slice if
+  // asked, drops rows shorter than min_common, and sorts `expired`.
+  void LayOutRows(size_t skip, size_t hits_before_skip, uint32_t min_common,
+                  bool sort_slices, std::vector<SegmentId>* expired,
+                  LcpTable* out) const;
 
   SegTreeOptions options_;
   ObjectPool<Run> pool_;
@@ -535,6 +595,7 @@ class SegTree {
   mutable std::vector<Hit> hit_records_;             // SLCP walk hits
   mutable std::vector<const Chain*> probe_chains_;   // SLCP per position
   mutable std::vector<uint32_t> skip_rows_;  // rows holding the skipped object
+  mutable std::vector<uint32_t> row_tails_;  // new-object walk: rows' tails
   mutable uint64_t probe_epoch_ = 0;  // bumped once per SlcpInto call
   mutable SegTreeStats stats_;
 };

@@ -175,6 +175,72 @@ TEST(AllocRegressionTest, MinSizeTwoSteadyStateIsAllocationFree) {
   }
 }
 
+// Sliding-window pool: each of 12 streams keeps a window of five objects
+// and swaps one per segment, so a stream's consecutive segments overlap and
+// serial CooMine mines most triggers under its new-object rule (DESIGN.md
+// §2.1). A 40-object universe makes cross-stream patterns recur.
+std::vector<Segment> BuildSlidingPool(size_t count, Rng& rng) {
+  constexpr StreamId kStreams = 12;
+  std::vector<std::vector<ObjectId>> window(kStreams);
+  std::vector<Segment> pool;
+  pool.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    std::vector<ObjectId>& objects = window[i % kStreams];
+    while (objects.size() < 5) {
+      objects.push_back(static_cast<ObjectId>(rng.Below(40)));
+    }
+    objects[rng.Below(objects.size())] = static_cast<ObjectId>(rng.Below(40));
+    std::vector<SegmentEntry> entries;
+    const Timestamp time = static_cast<Timestamp>(i * 50);
+    for (ObjectId object : objects) entries.push_back(SegmentEntry{object, time});
+    pool.emplace_back(static_cast<SegmentId>(i),
+                      static_cast<StreamId>(i % kStreams), std::move(entries));
+  }
+  return pool;
+}
+
+// The new-object rule's state — the per-stream record of the last trigger,
+// the flags and the emission log — converges like every other buffer: with
+// theta unreachable the steady-state half mines under the rule and
+// allocates nothing. With theta = 2 it also emits and re-certifies logged
+// patterns; every emitted FCP allocates its two lists (objects, streams),
+// and nothing else does.
+TEST(AllocRegressionTest, NewObjectRuleSteadyStateIsAllocationFree) {
+  for (const uint32_t theta : {1u << 20, 2u}) {
+    SCOPED_TRACE("theta " + std::to_string(theta));
+    MiningParams params = SteadyParams();
+    params.theta = theta;
+    params.min_pattern_size = 2;
+    Rng rng(7);
+    const std::vector<Segment> trace =
+        BuildCyclicTrace(BuildSlidingPool(400, rng), /*cycles=*/6, params);
+    auto miner = MakeMiner(MinerKind::kCooMine, params);
+    std::vector<Fcp> sink;
+    sink.reserve(64);
+    const size_t warm = trace.size() / 2;
+    for (size_t i = 0; i < warm; ++i) {
+      sink.clear();
+      miner->AddSegment(trace[i], &sink);
+    }
+    const MinerStats before_stats = miner->stats();
+    const uint64_t before = alloc_counter::allocations();
+    for (size_t i = warm; i < trace.size(); ++i) {
+      sink.clear();
+      miner->AddSegment(trace[i], &sink);
+    }
+    const uint64_t allocations = alloc_counter::allocations() - before;
+    const MinerStats& stats = miner->stats();
+    const uint64_t emitted = stats.fcps_emitted - before_stats.fcps_emitted;
+    EXPECT_GT(stats.new_object_triggers - before_stats.new_object_triggers,
+              (trace.size() - warm) / 2);
+    EXPECT_EQ(allocations, 2 * emitted);
+    if (theta == 2) {
+      EXPECT_GT(emitted, 0u);
+      EXPECT_GT(stats.reemissions - before_stats.reemissions, 0u);
+    }
+  }
+}
+
 // The sharded deployment must not scale allocations with the shard count:
 // S replicas each index the full closed universe, so any per-posting heap
 // growth (the doubling chain a plain std::vector pays per object) is paid S

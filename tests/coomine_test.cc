@@ -1,5 +1,6 @@
 #include "core/coomine.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -414,6 +415,200 @@ TEST(CooMineTest, PureLazyDeletionMatchesPeriodicSweeps) {
   without_sweeps.seg_tree().CheckInvariants();
   EXPECT_LE(with_sweeps.seg_tree().num_segments(),
             without_sweeps.seg_tree().num_segments());
+}
+
+// Sliding-window streams (the traffic regime): each stream's segment keeps
+// most of its predecessor's `width` objects and swaps in one or two from a
+// shared universe, so consecutive triggers overlap and cross-stream patterns
+// recur. A stream's segments come `gap` apart.
+std::vector<Segment> SlidingWindowTrace(uint64_t seed, size_t count,
+                                        Timestamp gap, size_t width,
+                                        ObjectId universe = 30) {
+  constexpr StreamId kStreams = 5;
+  Rng rng(seed);
+  std::vector<std::vector<ObjectId>> window(kStreams);
+  std::vector<Segment> segments;
+  Timestamp now = 0;
+  for (SegmentId id = 0; id < count; ++id) {
+    const StreamId stream = static_cast<StreamId>(id % kStreams);
+    std::vector<ObjectId>& objects = window[stream];
+    const size_t swaps = objects.empty() ? width : 1 + rng.Below(2);
+    for (size_t i = 0; i < swaps; ++i) {
+      if (objects.size() >= width) {
+        objects.erase(objects.begin() +
+                      static_cast<ptrdiff_t>(rng.Below(objects.size())));
+      }
+      objects.push_back(static_cast<ObjectId>(rng.Below(universe)));
+    }
+    if (stream == 0) now += gap;
+    std::vector<SegmentEntry> entries;
+    for (size_t i = 0; i < objects.size(); ++i) {
+      entries.push_back(
+          SegmentEntry{objects[i], now + static_cast<Timestamp>(stream + i)});
+    }
+    segments.emplace_back(id, stream, std::move(entries));
+  }
+  return segments;
+}
+
+// Serial CooMine against the brute-force oracle and DIMine, trigger by
+// trigger: the same discoveries (streams and windows included), and
+// exactly DIMine's list, so the re-certified patterns are merged in
+// EmitOrderLess order. Returns CooMine's counters.
+MinerStats ExpectCooMineMatchesOracle(const MiningParams& params,
+                                      const std::vector<Segment>& segments) {
+  auto coo = MakeMiner(MinerKind::kCooMine, params);
+  auto oracle = MakeMiner(MinerKind::kBruteForce, params);
+  auto di = MakeMiner(MinerKind::kDiMine, params);
+  std::vector<Fcp> got, want, ordered;
+  for (const Segment& segment : segments) {
+    got.clear();
+    want.clear();
+    ordered.clear();
+    coo->AddSegment(segment, &got);
+    oracle->AddSegment(segment, &want);
+    di->AddSegment(segment, &ordered);
+    EXPECT_EQ(FullSignatures(got), FullSignatures(want))
+        << "trigger " << segment.DebugString();
+    EXPECT_EQ(got.size(), ordered.size()) << segment.DebugString();
+    for (size_t i = 0; i < std::min(got.size(), ordered.size()); ++i) {
+      EXPECT_EQ(got[i].objects, ordered[i].objects) << segment.DebugString();
+    }
+  }
+  EXPECT_EQ(coo->stats().fcps_emitted, di->stats().fcps_emitted);
+  return coo->stats();
+}
+
+MiningParams NewObjectParams() {
+  MiningParams params;
+  params.xi = Seconds(60);
+  params.tau = Minutes(5);
+  params.theta = 2;
+  params.min_pattern_size = 2;
+  params.max_pattern_size = 4;
+  return params;
+}
+
+// The new-object rule fires on most triggers of overlapping windows, and
+// re-certifies logged patterns, at every size floor; the output is the
+// oracle's.
+TEST(CooMineNewObjectTest, MatchesOracleWhereTheRuleFires) {
+  for (const uint32_t min_size : {1u, 2u, 3u}) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE("m " + std::to_string(min_size) + " seed " +
+                   std::to_string(seed));
+      MiningParams params = NewObjectParams();
+      params.min_pattern_size = min_size;
+      const std::vector<Segment> segments =
+          SlidingWindowTrace(seed, 400, Seconds(20), 5);
+      const MinerStats stats = ExpectCooMineMatchesOracle(params, segments);
+      // At m = 1 every old singleton is a logged pattern to re-certify, so
+      // the full walk is cheaper on most triggers.
+      EXPECT_GT(stats.new_object_triggers,
+                min_size == 1 ? 0 : segments.size() / 2);
+      EXPECT_GT(stats.reemissions, 0u);
+      EXPECT_LE(stats.reemissions, stats.log_patterns_certified);
+    }
+  }
+}
+
+// Fallback: a stream's previous trigger has expired (its segments come
+// more than tau apart), so every trigger mines in full.
+TEST(CooMineNewObjectTest, ExpiredPreviousTriggerMinesInFull) {
+  MiningParams params = NewObjectParams();
+  const std::vector<Segment> segments =
+      SlidingWindowTrace(4, 200, params.tau + Seconds(1), 5);
+  const MinerStats stats = ExpectCooMineMatchesOracle(params, segments);
+  EXPECT_EQ(stats.new_object_triggers, 0u);
+  EXPECT_EQ(stats.reemissions, 0u);
+  EXPECT_GT(stats.fcps_emitted, 0u);
+}
+
+// Fallback: a trigger cut by max_segment_objects may hold a pattern beyond
+// its mined prefix and emit nothing for it. Here {a, b} is frequent only at
+// the last trigger, whose stream's previous trigger holds it; the two cut
+// supporters between them never mined it, so the log does not hold it and
+// the last trigger must mine in full to find it.
+TEST(CooMineNewObjectTest, CutTriggerSinceThePreviousOneMinesInFull) {
+  constexpr ObjectId kA = 10, kB = 11;
+  MiningParams params = NewObjectParams();
+  params.theta = 3;
+  params.max_segment_objects = 2;
+  const std::vector<Segment> segments = {
+      MakeSegment(1, 1, {kA, kB}, 0),
+      MakeSegment(2, 2, {1, 2, kA, kB}, 1000),
+      MakeSegment(3, 3, {3, 4, kA, kB}, 2000),
+      MakeSegment(4, 1, {kA, kB}, 3000),
+  };
+  auto coo = MakeMiner(MinerKind::kCooMine, params);
+  std::vector<Fcp> out;
+  for (const Segment& segment : segments) coo->AddSegment(segment, &out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].objects, (Pattern{kA, kB}));
+  EXPECT_EQ(out[0].trigger, 4u);
+  EXPECT_EQ(out[0].streams, (std::vector<StreamId>{1, 2, 3}));
+  EXPECT_EQ(coo->stats().new_object_triggers, 0u);
+  EXPECT_EQ(FullSignatures(out),
+            FullSignatures(MineBruteForce(params, segments)));
+
+  // The same triggers uncut: the last one takes the rule (no new object)
+  // and re-certifies {a, b}, which the third trigger emitted.
+  params.max_segment_objects = 0;
+  auto uncut = MakeMiner(MinerKind::kCooMine, params);
+  out.clear();
+  for (const Segment& segment : segments) uncut->AddSegment(segment, &out);
+  EXPECT_EQ(FullSignatures(out),
+            FullSignatures(MineBruteForce(params, segments)));
+  EXPECT_EQ(uncut->stats().new_object_triggers, 1u);
+  EXPECT_EQ(uncut->stats().reemissions, 1u);
+}
+
+// Fallback: on a trace cut now and then by the cap, the triggers with a cut
+// since their stream's previous trigger mine in full and the rest take the
+// rule; the output is the oracle's either way.
+TEST(CooMineNewObjectTest, OccasionalCutsMatchOracle) {
+  MiningParams params = NewObjectParams();
+  params.max_segment_objects = 5;
+  // Six-object windows over 12 objects often repeat one, so only some
+  // segments hold more than five distinct objects.
+  const std::vector<Segment> segments =
+      SlidingWindowTrace(5, 400, Seconds(20), 6, 12);
+  size_t cut = 0;
+  for (const Segment& segment : segments) {
+    cut += segment.distinct_objects().size() > 5 ? 1 : 0;
+  }
+  ASSERT_GT(cut, 0u);
+  ASSERT_LT(cut, segments.size());
+  const MinerStats stats = ExpectCooMineMatchesOracle(params, segments);
+  EXPECT_GT(stats.new_object_triggers, 0u);
+  EXPECT_LT(stats.new_object_triggers, segments.size() - cut);
+}
+
+// Fallback: shard miners mine in full; their union is the oracle's.
+TEST(CooMineNewObjectTest, ShardsMineInFull) {
+  const MiningParams params = NewObjectParams();
+  const std::vector<Segment> segments =
+      SlidingWindowTrace(6, 400, Seconds(20), 5);
+  constexpr uint32_t kShards = 4;
+  std::vector<std::unique_ptr<FcpMiner>> shards;
+  for (uint32_t s = 0; s < kShards; ++s) {
+    shards.push_back(
+        MakeMiner(MinerKind::kCooMine, params, ShardSpec{s, kShards}));
+  }
+  std::vector<Fcp> out;
+  for (const Segment& segment : segments) {
+    for (auto& shard : shards) {
+      shard->AdvanceWatermark(segment.end_time());
+      shard->AddSegment(segment, &out);
+    }
+  }
+  EXPECT_EQ(FullSignatures(out),
+            FullSignatures(MineBruteForce(params, segments)));
+  for (const auto& shard : shards) {
+    EXPECT_EQ(shard->stats().new_object_triggers, 0u);
+    EXPECT_EQ(shard->stats().reemissions, 0u);
+    EXPECT_EQ(shard->stats().log_patterns_certified, 0u);
+  }
 }
 
 // The tidset support loops (util/kernels/kernels.h) against the

@@ -67,6 +67,23 @@ void ExpectSlcpWithinMining(MinerKind kind, const MinerStats& stats) {
   }
 }
 
+// The new-object rule's counters in the registry (`label` is "" or a shard
+// label) mirror the miner's stats.
+void ExpectNewObjectCounters(
+    const std::vector<telemetry::MetricSample>& metrics,
+    const std::string& label, const MinerStats& stats) {
+  SCOPED_TRACE("label " + label);
+  EXPECT_EQ(Find(metrics, "fcp_new_object_triggers_total" + label)
+                .counter_value,
+            stats.new_object_triggers);
+  EXPECT_EQ(Find(metrics, "fcp_reemissions_total" + label).counter_value,
+            stats.reemissions);
+  EXPECT_EQ(Find(metrics, "fcp_log_patterns_certified_total" + label)
+                .counter_value,
+            stats.log_patterns_certified);
+  EXPECT_LE(stats.reemissions, stats.log_patterns_certified);
+}
+
 class MetricsConsistencyTest
     : public ::testing::TestWithParam<std::tuple<MinerKind, uint32_t>> {};
 
@@ -97,6 +114,15 @@ TEST_P(MetricsConsistencyTest, SerialAndShardedAgreeOnSemanticCounters) {
             serial.miner().stats().slcp_runs_visited);
   EXPECT_EQ(Find(serial_metrics, "fcp_lcp_rows_dropped_total").counter_value,
             serial.miner().stats().lcp_rows_dropped);
+  ExpectNewObjectCounters(serial_metrics, "", serial.miner().stats());
+  // Serial CooMine mines most of this camera trace's triggers under the
+  // new-object rule (DESIGN.md §2.1); the posting miners have no such rule.
+  if (kind == MinerKind::kCooMine) {
+    EXPECT_GT(serial.miner().stats().new_object_triggers, 0u);
+    EXPECT_GT(serial.miner().stats().reemissions, 0u);
+  } else {
+    EXPECT_EQ(serial.miner().stats().new_object_triggers, 0u);
+  }
   // At min_pattern_size 2 SLCP reaches segments sharing one object with the
   // trigger and builds them no row; the posting miners have no LCP table.
   if (kind == MinerKind::kCooMine) {
@@ -165,6 +191,11 @@ TEST_P(MetricsConsistencyTest, SerialAndShardedAgreeOnSemanticCounters) {
                   .counter_value,
               stats.lcp_rows_dropped)
         << "shard " << s;
+    ExpectNewObjectCounters(sharded_metrics, label, stats);
+    // The rule is serial: a shard of several mines every trigger in full.
+    if (num_shards > 1) {
+      EXPECT_EQ(stats.new_object_triggers, 0u) << "shard " << s;
+    }
     EXPECT_EQ(Find(sharded_metrics,
                    "fcp_candidates_bound_passed_total" + label)
                   .counter_value,

@@ -29,8 +29,11 @@ struct GridParams {
 };
 
 // Random multi-stream segment workload: segments arrive in end-time order,
-// with object overlap engineered so that cross-stream patterns happen.
-std::vector<Segment> RandomWorkload(uint64_t seed, size_t count) {
+// with object overlap engineered so that cross-stream patterns happen. With
+// `one_stream_each`, every segment is a stream of its own, so no trigger has
+// a previous trigger on its stream.
+std::vector<Segment> RandomWorkload(uint64_t seed, size_t count,
+                                    bool one_stream_each = false) {
   Rng rng(seed);
   std::vector<Segment> segments;
   Timestamp now = 0;
@@ -45,9 +48,67 @@ std::vector<Segment> RandomWorkload(uint64_t seed, size_t count) {
       entries.push_back(SegmentEntry{static_cast<ObjectId>(rng.Below(12)), t});
       t += static_cast<Timestamp>(rng.Below(Seconds(5)));
     }
-    segments.emplace_back(id, stream, std::move(entries));
+    segments.emplace_back(id, one_stream_each ? static_cast<StreamId>(id)
+                                              : stream,
+                          std::move(entries));
   }
   return segments;
+}
+
+// Mines `workload` through the brute-force oracle and the three Apriori
+// miners (in that order), checking every miner against the oracle on every
+// trigger, and returns the miners.
+std::vector<std::unique_ptr<FcpMiner>> MineAll(
+    const MiningParams& params, const std::vector<Segment>& workload,
+    size_t* reference_fcps) {
+  std::vector<std::unique_ptr<FcpMiner>> miners;
+  miners.push_back(MakeMiner(MinerKind::kBruteForce, params));
+  miners.push_back(MakeMiner(MinerKind::kCooMine, params));
+  miners.push_back(MakeMiner(MinerKind::kDiMine, params));
+  miners.push_back(MakeMiner(MinerKind::kMatrixMine, params));
+  std::vector<Fcp> reference, candidate;
+  *reference_fcps = 0;
+  for (const Segment& segment : workload) {
+    reference.clear();
+    miners[0]->AddSegment(segment, &reference);
+    *reference_fcps += reference.size();
+    const auto want = SignaturesOf(reference);
+    for (size_t i = 1; i < miners.size(); ++i) {
+      candidate.clear();
+      miners[i]->AddSegment(segment, &candidate);
+      EXPECT_EQ(SignaturesOf(candidate), want)
+          << miners[i]->name() << " disagrees with BruteForce on segment "
+          << segment.DebugString();
+    }
+  }
+  return miners;
+}
+
+// DIMine and MatrixMine run one driver over the same supporters (and drop
+// the same ones under the size floor), so they do identical work. CooMine
+// emits the same FCPs from as many probe objects. Its new-object rule
+// (DESIGN.md §2.1) loads only the supporters holding an object new to the
+// trigger, so its candidates are a subset of theirs; without the rule the
+// work is identical.
+void ExpectSameWork(const std::vector<std::unique_ptr<FcpMiner>>& miners) {
+  const MinerStats& coo = miners[1]->stats();
+  const MinerStats& di = miners[2]->stats();
+  const MinerStats& matrix = miners[3]->stats();
+  EXPECT_EQ(matrix.candidates_checked, di.candidates_checked);
+  EXPECT_EQ(matrix.candidates_pruned, di.candidates_pruned);
+  EXPECT_EQ(matrix.fcps_emitted, di.fcps_emitted);
+  EXPECT_EQ(matrix.slcp_probes, di.slcp_probes);
+  for (const MinerStats* other : {&di, &matrix}) {
+    EXPECT_EQ(coo.fcps_emitted, other->fcps_emitted);
+    EXPECT_EQ(coo.slcp_probes, other->slcp_probes);
+    EXPECT_LE(coo.candidates_checked, other->candidates_checked);
+    if (coo.new_object_triggers == 0) {
+      EXPECT_EQ(coo.candidates_checked, other->candidates_checked);
+      EXPECT_EQ(coo.candidates_pruned, other->candidates_pruned);
+    }
+  }
+  EXPECT_LE(coo.reemissions, coo.log_patterns_certified);
+  EXPECT_LE(coo.reemissions, coo.fcps_emitted);
 }
 
 class MinerEquivalenceTest : public ::testing::TestWithParam<GridParams> {};
@@ -62,47 +123,36 @@ TEST_P(MinerEquivalenceTest, AllMinersAgreeOnEveryTrigger) {
   params.max_pattern_size = grid.max_k;
   ASSERT_TRUE(params.Validate().ok());
 
-  std::vector<std::unique_ptr<FcpMiner>> miners;
-  miners.push_back(MakeMiner(MinerKind::kBruteForce, params));
-  miners.push_back(MakeMiner(MinerKind::kCooMine, params));
-  miners.push_back(MakeMiner(MinerKind::kDiMine, params));
-  miners.push_back(MakeMiner(MinerKind::kMatrixMine, params));
-
-  const std::vector<Segment> workload = RandomWorkload(grid.seed, 150);
-  std::vector<Fcp> reference, candidate;
   size_t reference_fcps = 0;
-  for (const Segment& segment : workload) {
-    reference.clear();
-    miners[0]->AddSegment(segment, &reference);
-    reference_fcps += reference.size();
-    const auto want = SignaturesOf(reference);
-    for (size_t i = 1; i < miners.size(); ++i) {
-      candidate.clear();
-      miners[i]->AddSegment(segment, &candidate);
-      EXPECT_EQ(SignaturesOf(candidate), want)
-          << miners[i]->name() << " disagrees with BruteForce on segment "
-          << segment.DebugString();
-    }
-  }
+  const auto miners =
+      MineAll(params, RandomWorkload(grid.seed, 150), &reference_fcps);
 
   // The size-floor legs must report something, or they test nothing.
   if (grid.min_size > 1) {
     EXPECT_GT(reference_fcps, 0u) << "the workload mined nothing";
   }
+  ExpectSameWork(miners);
+}
 
-  // The Apriori miners run one driver and differ only in how support is
-  // computed (and drop the same supporters under the size floor), so they
-  // do identical work, not just produce identical output.
-  const MinerStats& coo = miners[1]->stats();
-  for (size_t i = 2; i < miners.size(); ++i) {
-    const MinerStats& other = miners[i]->stats();
-    EXPECT_EQ(other.candidates_checked, coo.candidates_checked)
-        << miners[i]->name();
-    EXPECT_EQ(other.candidates_pruned, coo.candidates_pruned)
-        << miners[i]->name();
-    EXPECT_EQ(other.fcps_emitted, coo.fcps_emitted) << miners[i]->name();
-    EXPECT_EQ(other.slcp_probes, coo.slcp_probes) << miners[i]->name();
-  }
+// With one stream per segment no trigger has a previous trigger on its
+// stream, so CooMine never restricts a trigger to its new objects and the
+// three Apriori miners do the very same work.
+TEST_P(MinerEquivalenceTest, IdenticalWorkWithoutThePreviousTrigger) {
+  const GridParams grid = GetParam();
+  MiningParams params;
+  params.xi = Minutes(2);
+  params.tau = grid.tau;
+  params.theta = grid.theta;
+  params.min_pattern_size = grid.min_size;
+  params.max_pattern_size = grid.max_k;
+  ASSERT_TRUE(params.Validate().ok());
+  size_t reference_fcps = 0;
+  const auto miners =
+      MineAll(params, RandomWorkload(grid.seed, 150, /*one_stream_each=*/true),
+              &reference_fcps);
+  EXPECT_EQ(miners[1]->stats().new_object_triggers, 0u);
+  EXPECT_EQ(miners[1]->stats().reemissions, 0u);
+  ExpectSameWork(miners);
 }
 
 std::vector<GridParams> MakeGrid() {
@@ -195,17 +245,10 @@ TEST(MinerEquivalenceStreamTest, SegmenterFedMinersAgree) {
   mux.FlushAll(&completed);
   mine_completed();
 
-  // The Apriori miners do identical work here too: an expired trigger
-  // drops out of every miner's support alike.
-  const MinerStats& coo = miners[1]->stats();
-  for (size_t m = 2; m < miners.size(); ++m) {
-    const MinerStats& other = miners[m]->stats();
-    EXPECT_EQ(other.candidates_checked, coo.candidates_checked)
-        << miners[m]->name();
-    EXPECT_EQ(other.candidates_pruned, coo.candidates_pruned)
-        << miners[m]->name();
-    EXPECT_EQ(other.fcps_emitted, coo.fcps_emitted) << miners[m]->name();
-  }
+  // An expired trigger drops out of every miner's support alike, and
+  // CooMine's new-object rule fires on the busy streams.
+  EXPECT_GT(miners[1]->stats().new_object_triggers, 0u);
+  ExpectSameWork(miners);
 }
 
 }  // namespace

@@ -115,6 +115,7 @@ TEST_P(SegTreePropertyTest, MatchesNaiveStoreUnderRandomWorkload) {
   SegmentId next_id = 0;
   Timestamp now = 0;
   std::vector<SegmentId> live;
+  uint64_t fresh_walks = 0;
 
   for (int step = 0; step < 400; ++step) {
     now += static_cast<Timestamp>(rng.Below(40));
@@ -189,6 +190,43 @@ TEST_P(SegTreePropertyTest, MatchesNaiveStoreUnderRandomWorkload) {
               << shard.index << "/" << shard.count;
         }
       }
+      // New-object walk: with a random set of fresh positions (a separate
+      // generator, so the workload stays the same), whenever SlcpInto takes
+      // the walk it returns exactly the full walk's rows that hold a fresh
+      // position, with the same common objects; otherwise the full rows.
+      const std::vector<ObjectId>& objects = probe.distinct_objects();
+      Rng mask_rng(param.seed * 1000 + static_cast<uint64_t>(step));
+      for (uint32_t min_common : {1u, 2u, 3u}) {
+        LcpTable full;
+        tree.SlcpInto(objects, now, kTau, nullptr, &full, {}, min_common);
+        bool well_formed = true;
+        const auto full_rows =
+            fcp::testing::SlcpRowsOf(full, probe, &well_formed);
+        for (int trial = 0; trial < 4; ++trial) {
+          std::vector<uint8_t> fresh(objects.size());
+          for (uint8_t& flag : fresh) flag = mask_rng.Below(3) == 0 ? 1 : 0;
+          LcpTable table;
+          const bool walked = tree.SlcpInto(objects, now, kTau, nullptr,
+                                            &table, {}, min_common, fresh);
+          fresh_walks += walked ? 1 : 0;
+          auto want = full_rows;
+          if (walked) {
+            std::erase_if(want, [&](const auto& row) {
+              return std::none_of(
+                  row.second.begin(), row.second.end(), [&](ObjectId o) {
+                    const auto at =
+                        std::lower_bound(objects.begin(), objects.end(), o);
+                    return fresh[static_cast<size_t>(at - objects.begin())];
+                  });
+            });
+          }
+          EXPECT_EQ(fcp::testing::SlcpRowsOf(table, probe, &well_formed),
+                    want)
+              << "step=" << step << " m=" << min_common
+              << " walked=" << walked;
+          EXPECT_TRUE(well_formed) << "step=" << step;
+        }
+      }
       // Lazily delete what the search flagged, mirroring CooMine.
       for (SegmentId id : expired) {
         tree.Remove(id);
@@ -200,8 +238,10 @@ TEST_P(SegTreePropertyTest, MatchesNaiveStoreUnderRandomWorkload) {
     EXPECT_EQ(tree.total_objects(), naive.total_objects());
   }
   tree.CheckInvariants();
-  // Some of the probes above skipped their dominant chain.
+  // Some of the probes above skipped their dominant chain, and some took
+  // the new-object walk.
   EXPECT_GT(tree.stats().slcp_chains_skipped, 0u);
+  EXPECT_GT(fresh_walks, 0u);
   // Compression never goes negative: node count <= stored objects.
   EXPECT_LE(tree.num_nodes(), tree.total_objects());
 }

@@ -585,6 +585,13 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.slcp_chains_skipped),
         static_cast<unsigned long long>(stats.segments_expired),
         static_cast<unsigned long long>(events_reordered));
+    // Serial CooMine's new-object rule (DESIGN.md §2.1); 0 otherwise.
+    std::fprintf(stderr,
+                 "  new-object triggers %llu, re-emissions %llu (%llu logged "
+                 "patterns certified)\n",
+                 static_cast<unsigned long long>(stats.new_object_triggers),
+                 static_cast<unsigned long long>(stats.reemissions),
+                 static_cast<unsigned long long>(stats.log_patterns_certified));
     // The sum above hides how unevenly the shards share the work.
     for (size_t s = 0; s < shard_stats.size(); ++s) {
       const fcp::MinerStats& shard = shard_stats[s];
