@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/coomine.h"
 #include "core/mining_engine.h"
 #include "datagen/twitter_gen.h"
 #include "index/di_index.h"
@@ -626,8 +625,8 @@ void Tables34(const Options& options) {
 
 // --- Ablation: Seg-tree design choices on TR -------------------------------
 
-// DistanceBound pruning on/off (nodes stepped, runs entered, SLCP time),
-// then lazy deletion vs eager per-segment sweeps (maintenance time).
+// DistanceBound pruning on/off (nodes stepped, runs entered, SLCP time).
+// Each probe sweeps the tree at its watermark first, as CooMine does.
 void Ablation(const Options& options) {
   const MiningParams params = DefaultParams(Dataset::kTraffic);
   const std::vector<ObjectEvent> events = GenerateEvents(
@@ -651,8 +650,8 @@ void Ablation(const Options& options) {
     size_t rows_total = 0;
     for (size_t i = indexed; i < segments.size(); ++i) {
       watermark = std::max(watermark, segments[i].end_time());
-      rows_total +=
-          tree.Slcp(segments[i], watermark, params.tau, nullptr).size();
+      tree.RemoveExpired(watermark, params.tau);
+      rows_total += tree.Slcp(segments[i]).size();
     }
     table.AddRow({"distance_bound", use_bound ? "on" : "off",
                   TablePrinter::Num(clock.ElapsedMillis(), 1) + " ms",
@@ -660,32 +659,6 @@ void Ablation(const Options& options) {
                       " nodes visited (" +
                       std::to_string(tree.stats().runs_visited) + " runs)",
                   std::to_string(rows_total) + " LCP rows"});
-  }
-
-  for (bool lazy : {true, false}) {
-    MiningParams p = params;
-    p.tau = Minutes(5);  // ensure expiry happens within the trace
-    if (!lazy) p.maintenance_interval = 1;  // sweep on (almost) every segment
-    CooMine miner(p);
-    std::vector<Fcp> sink;
-    StreamMux mux(p.xi);
-    std::vector<SegmentRef> scratch;
-    Stopwatch clock;
-    for (const ObjectEvent& event : events) {
-      scratch.clear();
-      mux.Push(event, &scratch);
-      for (const SegmentRef& segment : scratch) {
-        sink.clear();
-        miner.AddSegment(*segment, &sink);
-      }
-    }
-    table.AddRow(
-        {"expiry", lazy ? "lazy (LD)" : "eager sweeps",
-         TablePrinter::Num(clock.ElapsedMillis(), 1) + " ms total",
-         TablePrinter::Num(
-             static_cast<double>(miner.stats().maintenance_ns) / 1e6, 1) +
-             " ms maintenance",
-         std::to_string(miner.stats().maintenance_runs) + " sweeps"});
   }
   Emit(table, options);
 }
@@ -744,7 +717,7 @@ constexpr Figure kFigures[] = {
      "bursting across many user streams surface as FCPs.",
      Tables34},
     {"ablation", "Ablation: Seg-tree design choices (TR workload)",
-     "DistanceBound pruning, lazy deletion.", Ablation},
+     "DistanceBound pruning on and off.", Ablation},
 };
 
 // The entries --figure names, in table order; every entry without it.

@@ -38,8 +38,8 @@ struct MiningParams {
   uint32_t max_segment_objects = 0;
 
   /// Maintenance knob: how often (in event time) the DI-Index / Matrix run
-  /// their full expiry sweeps; the Seg-tree uses lazy deletion and only
-  /// consults this for its memory-pressure fallback sweep.
+  /// their full expiry sweeps. CooMine does not read it: it sweeps the
+  /// Seg-tree's start-ordered Tlist before every trigger.
   DurationMs maintenance_interval = Minutes(5);
 
   /// Returns OK iff the parameter combination is meaningful.

@@ -12,9 +12,8 @@
 
 namespace fcp {
 
-CooMine::CooMine(const MiningParams& params, CooMineOptions options,
-                 const ShardSpec& shard)
-    : params_(params), options_(options), shard_(shard) {
+CooMine::CooMine(const MiningParams& params, const ShardSpec& shard)
+    : params_(params), shard_(shard) {
   FCP_CHECK(params.Validate().ok());
   FCP_CHECK(shard.count >= 1 && shard.index < shard.count);
 }
@@ -198,25 +197,29 @@ class CooMine::RecertifyPrice final : public FreshWalkPrice {
 void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
   // Validity is anchored at the stream-time watermark (max end time seen):
   // segments complete out of end-time order across streams, and a monotonic
-  // anchor keeps lazy deletion consistent with per-trigger re-evaluation.
+  // anchor expires each segment once and for good.
   watermark_ = std::max(watermark_, segment.end_time());
   const Timestamp now = watermark_;
+  const bool trigger_valid = now - segment.start_time() <= params_.tau;
   ++triggers_;
+
+  // The phases share their boundary clock reads: sweep start, mining start,
+  // SLCP end, mining end = insert start, end. The sweep and the insert are
+  // maintenance.
+  const int64_t sweep_ns = MonotonicNowNs();
+  Sweep(now);
+  const int64_t start_ns = MonotonicNowNs();
+  stats_.maintenance_ns += start_ns - sweep_ns;
 
   // --- Mining phase: SLCP + Apriori over the LCP table. -------------------
   // A trigger with fewer mined objects than min_pattern_size completes no
   // reportable pattern; it skips the search and the pass (MineApriori would
-  // return before loading the table anyway). The phases share their
-  // boundary clock reads: start, SLCP end, mining end = maintenance start,
-  // end.
-  const int64_t start_ns = MonotonicNowNs();
-  scratch_.expired.clear();
+  // return before loading the table anyway).
   const std::span<const ObjectId> mined =
       MinedObjects(segment, params_.max_segment_objects);
   const size_t out_begin = out->size();
   if (mined.size() >= params_.min_pattern_size) {
     const SegTreeStats tree_before = tree_.stats();
-    const bool trigger_valid = now - segment.start_time() <= params_.tau;
     // The new-object rule (DESIGN.md §2.1): with its premise, SLCP may walk
     // only the new objects' chains; the Apriori pass then emits only the
     // patterns holding a new object, and the log supplies the rest.
@@ -231,8 +234,7 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
     bool fresh_only;
     {
       trace::Span slcp_span("coomine/slcp");
-      fresh_only = tree_.SlcpInto(mined, now, params_.tau, &scratch_.expired,
-                                  &scratch_.lcp, shard_,
+      fresh_only = tree_.SlcpInto(mined, &scratch_.lcp, shard_,
                                   params_.min_pattern_size, fresh, &price);
     }
     stats_.slcp_ns += MonotonicNowNs() - start_ns;
@@ -253,7 +255,7 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
     }
     if (fresh_only) {
       ++stats_.new_object_triggers;
-      ReemitLogged(segment, trigger_valid, now, out_begin, out);
+      ReemitLogged(segment, trigger_valid, out_begin, out);
     }
     // The re-certification walks count as SLCP visits too.
     const SegTreeStats& tree_after = tree_.stats();
@@ -268,11 +270,12 @@ void CooMine::AddSegment(const Segment& segment, std::vector<Fcp>* out) {
   const int64_t mined_ns = MonotonicNowNs();
   stats_.mining_ns += mined_ns - start_ns;
 
-  // --- Maintenance phase: lazy deletion + periodic sweep + insert. --------
+  // --- Maintenance phase: the insert (the sweep ran first). --------------
+  // The watermark only grows, so an expired trigger (an idle stream's late
+  // segment) supports nothing from now on and is not indexed: the tree
+  // keeps exactly the segments valid at the watermark.
   trace::Span maintenance_span("coomine/maintenance");
-  for (SegmentId id : scratch_.expired) tree_.Remove(id);
-  stats_.segments_expired += scratch_.expired.size();
-  IndexSegment(segment, now);
+  if (trigger_valid) tree_.Insert(segment);
   stats_.maintenance_ns += MonotonicNowNs() - mined_ns;
 
   ++stats_.segments_processed;
@@ -285,7 +288,7 @@ const CooMine::StreamTrigger* CooMine::MarkFreshObjects(
       now - previous->start > params_.tau) {
     return nullptr;
   }
-  // Only expired segments are removed, so a valid G_p is indexed.
+  // The sweep removes only expired segments, so a valid G_p is indexed.
   const std::vector<ObjectId>& held = previous->objects;
   std::vector<uint8_t>& fresh = scratch_.fresh;
   // A branch-free merge of the two sorted lists: a mined object below the
@@ -353,17 +356,16 @@ uint64_t CooMine::CollectLogged(std::span<const ObjectId> mined,
 }
 
 void CooMine::ReemitLogged(const Segment& segment, bool trigger_valid,
-                           Timestamp now, size_t out_begin,
-                           std::vector<Fcp>* out) {
+                           size_t out_begin, std::vector<Fcp>* out) {
   MiningScratch& s = scratch_;
   if (s.logged.empty()) return;
-  // Re-certify each at `now`, counting the trigger itself while it is
-  // valid, and build its FCP as the Apriori pass would.
+  // Re-certify each against the swept tree, counting the trigger itself
+  // while it is valid, and build its FCP as the Apriori pass would.
   s.reemitted.clear();
   for (const uint64_t id : s.logged) {
     ++stats_.log_patterns_certified;
     const std::span<const ObjectId> pattern = log_.Pattern(id);
-    tree_.SupportersInto(pattern, now, params_.tau, &s.supporters);
+    tree_.SupportersInto(pattern, &s.supporters);
     s.streams.clear();
     if (trigger_valid) s.streams.push_back(segment.stream());
     for (const LcpTable::Row& row : s.supporters.rows) {
@@ -464,40 +466,34 @@ std::span<const ObjectId> CooMine::EmissionLog::Pattern(uint64_t id) const {
 }
 
 void CooMine::AddSegmentIndexOnly(const Segment& segment) {
-  // Migration backfill: index the segment exactly as AddSegment's
-  // maintenance phase would — same watermark anchor, same periodic-sweep
-  // cadence — with SLCP and the Apriori pass skipped. The Fcp output is
-  // insensitive to Hlist chain order (streams are sorted and the window is
-  // a min/max), so inserting an old segment after newer ones is safe. A
-  // segment indexed unmined breaks the new-object rule's premise, as a cut
-  // trigger does.
+  // Migration backfill: index the segment exactly as AddSegment would —
+  // same watermark anchor, same sweep, an expired segment left out — with
+  // SLCP and the Apriori pass skipped. The Fcp output is insensitive to
+  // Hlist chain order (streams are sorted and the window is a min/max), so
+  // inserting an old segment after newer ones is safe. A segment indexed
+  // unmined breaks the new-object rule's premise, as a cut trigger does.
   watermark_ = std::max(watermark_, segment.end_time());
   last_cut_ = ++triggers_;
   trace::Span backfill_span("coomine/index_backfill");
   Stopwatch maint_timer;
-  IndexSegment(segment, watermark_);
+  Sweep(watermark_);
+  if (watermark_ - segment.start_time() <= params_.tau) tree_.Insert(segment);
   stats_.maintenance_ns += maint_timer.ElapsedNanos();
   ++stats_.segments_indexed_only;
 }
 
-void CooMine::IndexSegment(const Segment& segment, Timestamp now) {
-  if (options_.periodic_sweep &&
-      (last_sweep_ == kMinTimestamp ||
-       now - last_sweep_ >= params_.maintenance_interval)) {
-    if (last_sweep_ != kMinTimestamp) {
-      stats_.segments_expired += tree_.RemoveExpired(now, params_.tau);
-      ++stats_.maintenance_runs;
-    }
-    last_sweep_ = now;
-  }
-  tree_.Insert(segment);
+void CooMine::Sweep(Timestamp now) {
+  trace::Span sweep_span("coomine/sweep");
+  const size_t removed = tree_.RemoveExpired(now, params_.tau);
+  // The tree now holds exactly the segments valid at `now`.
+  FCP_DCHECK(tree_.oldest_start() >= now - params_.tau);
+  stats_.segments_expired += removed;
+  if (removed > 0) ++stats_.maintenance_runs;
 }
 
 void CooMine::ForceMaintenance(Timestamp now) {
   Stopwatch maint_timer;
-  stats_.segments_expired += tree_.RemoveExpired(now, params_.tau);
-  ++stats_.maintenance_runs;
-  last_sweep_ = now;
+  Sweep(now);
   stats_.maintenance_ns += maint_timer.ElapsedNanos();
 }
 

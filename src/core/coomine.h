@@ -1,10 +1,11 @@
 // CooMine (Section 5 of the paper): Seg-tree based FCP mining.
 //
-// For every completed segment: (1) SLCP finds the largest common CP between
-// the new segment and each valid existing segment (the LCP table), then
-// (2) an Apriori pass over the LCP table yields the FCPs the new segment
-// completes. Expired segments discovered by the search are deleted lazily
-// (the paper's LD strategy); a periodic sweep bounds memory.
+// For every completed segment: (0) the Seg-tree's Tlist sweep removes every
+// segment expired at the watermark, so the tree holds exactly the valid
+// segments, (1) SLCP finds the largest common CP between the new segment and
+// each of them (the LCP table), then (2) an Apriori pass over the LCP table
+// yields the FCPs the new segment completes. The sweep replaces the paper's
+// lazy deletion and memory-pressure sweep (DESIGN.md §2 item 9).
 //
 // Only patterns of min_pattern_size (m) or more objects are reported, so
 // SLCP is given the mined objects and m, and builds a row only for a
@@ -61,20 +62,11 @@
 
 namespace fcp {
 
-/// CooMine-specific knobs (the MiningParams thresholds are shared).
-struct CooMineOptions {
-  /// Run a full Seg-tree expiry sweep every MiningParams::maintenance_
-  /// interval of event time (the paper triggers this sweep on memory
-  /// pressure; an event-time cadence is deterministic and testable).
-  bool periodic_sweep = true;
-};
-
 class CooMine : public FcpMiner {
  public:
   /// `shard` restricts mining to patterns whose minimum object the shard
   /// owns (see MakeMiner's sharded overload); the default owns everything.
-  explicit CooMine(const MiningParams& params, CooMineOptions options = {},
-                   const ShardSpec& shard = {});
+  explicit CooMine(const MiningParams& params, const ShardSpec& shard = {});
 
   void AddSegment(const Segment& segment, std::vector<Fcp>* out) override;
   void AddSegmentIndexOnly(const Segment& segment) override;
@@ -103,7 +95,6 @@ class CooMine : public FcpMiner {
   /// mining path.
   struct MiningScratch {
     LcpTable lcp;                       ///< SLCP output table
-    std::vector<SegmentId> expired;     ///< lazily deleted segments
     std::vector<uint32_t> row_rank;     ///< per LCP row: its stream's rank
     FlatMap<StreamId, uint32_t> stream_rank;  ///< stream -> rank + 1
     std::vector<StreamId> rank_streams;  ///< rank -> stream
@@ -170,9 +161,12 @@ class CooMine : public FcpMiner {
     std::vector<ObjectId> objects;  ///< its sorted distinct objects
   };
 
-  /// The periodic full sweep (when due) followed by the Seg-tree insert:
-  /// the indexing step AddSegment and AddSegmentIndexOnly share.
-  void IndexSegment(const Segment& segment, Timestamp now);
+  /// The Tlist sweep at watermark `now` (see SegTree::RemoveExpired), after
+  /// which the tree holds exactly the segments valid at `now`: AddSegment's
+  /// first step, and AddSegmentIndexOnly's before it inserts. Counts the
+  /// expired segments, and the sweep in maintenance_runs if it removed any;
+  /// the callers time it.
+  void Sweep(Timestamp now);
 
   /// The new-object rule's premise for `segment` at watermark `now`: its
   /// stream's previous trigger G_p is valid (and so still indexed), and no
@@ -190,10 +184,10 @@ class CooMine : public FcpMiner {
   uint64_t CollectLogged(std::span<const ObjectId> mined, uint64_t log_begin,
                          uint64_t slack);
 
-  /// Appends the patterns of scratch_.logged still frequent at `now` to
-  /// `out`, merged into the trigger's FCPs (those from index `out_begin`
-  /// on) in EmitOrderLess order.
-  void ReemitLogged(const Segment& segment, bool trigger_valid, Timestamp now,
+  /// Appends the patterns of scratch_.logged still frequent among the
+  /// swept tree's segments to `out`, merged into the trigger's FCPs (those
+  /// from index `out_begin` on) in EmitOrderLess order.
+  void ReemitLogged(const Segment& segment, bool trigger_valid,
                     size_t out_begin, std::vector<Fcp>* out);
 
   /// Logs the trigger's FCPs (from index `out_begin` of `out`) and records
@@ -203,12 +197,10 @@ class CooMine : public FcpMiner {
                      const std::vector<Fcp>& out);
 
   MiningParams params_;
-  CooMineOptions options_;
   ShardSpec shard_;
   SegTree tree_;
   MinerStats stats_;
   MiningScratch scratch_;
-  Timestamp last_sweep_ = kMinTimestamp;
   Timestamp watermark_ = kMinTimestamp;
   // The new-object rule's state (serial only).
   EmissionLog log_;

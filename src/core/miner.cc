@@ -69,7 +69,7 @@ std::unique_ptr<FcpMiner> MakeMiner(MinerKind kind, const MiningParams& params,
   FCP_CHECK(shard.count >= 1 && shard.index < shard.count);
   switch (kind) {
     case MinerKind::kCooMine:
-      return std::make_unique<CooMine>(params, CooMineOptions{}, shard);
+      return std::make_unique<CooMine>(params, shard);
     case MinerKind::kDiMine:
       return std::make_unique<DiMine>(params, shard);
     case MinerKind::kMatrixMine:

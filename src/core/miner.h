@@ -74,7 +74,11 @@ struct MinerStats {
                              ///< of fcps_emitted)
   uint64_t log_patterns_certified = 0;  ///< serial CooMine: logged patterns
                                         ///< those triggers re-certified
-  uint64_t maintenance_runs = 0;   ///< full expiry sweeps executed
+  uint64_t maintenance_runs = 0;   ///< expiry sweeps: DIMine/MatrixMine
+                                   ///< count every periodic or forced full
+                                   ///< sweep; CooMine sweeps before every
+                                   ///< trigger and counts the sweeps that
+                                   ///< removed at least one segment
   uint64_t segments_expired = 0;
   int64_t mining_ns = 0;
   int64_t slcp_ns = 0;  ///< CooMine: SLCP share of mining_ns (0 for
@@ -200,8 +204,9 @@ class FcpMiner {
   /// before AddSegment to keep expiry decisions byte-identical to serial.
   virtual void AdvanceWatermark(Timestamp now) = 0;
 
-  /// Forces a full expiry sweep with `now` as the current time. Miners also
-  /// self-trigger sweeps every MiningParams::maintenance_interval.
+  /// Forces a full expiry sweep with `now` as the current time. DIMine and
+  /// MatrixMine also sweep every MiningParams::maintenance_interval; CooMine
+  /// sweeps at its watermark before every trigger.
   virtual void ForceMaintenance(Timestamp now) = 0;
 
   /// Advisory hint that `segment` will be passed to AddSegment soon: warms

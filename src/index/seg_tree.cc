@@ -453,8 +453,8 @@ void SegTree::Insert(const Segment& segment) {
   // Each id is inserted once; checked here, where the map is probed anyway.
   const bool inserted = tail_of_.Insert(segment.id(), tail);
   FCP_CHECK(inserted);
-  tlist_.push_back(
-      TlistEntry{segment.id(), segment.start_time(), segment.end_time()});
+  tlist_.push_back(TlistEntry{segment.id(), segment.start_time()});
+  std::push_heap(tlist_.begin(), tlist_.end(), StartsLater);
   total_objects_ += length;
   ++stats_.segments_inserted;
 }
@@ -465,7 +465,7 @@ void SegTree::Insert(const Segment& segment) {
 
 void SegTree::Remove(SegmentId id) {
   const uint32_t* tail = tail_of_.Find(id);
-  if (tail == nullptr) return;  // removed (lazy deletion races)
+  if (tail == nullptr) return;  // not present
   RemoveSegmentPath(id, *tail);
 }
 
@@ -533,7 +533,7 @@ void SegTree::RemoveSegmentPath(SegmentId id, uint32_t tail) {
   total_objects_ -= length;
   tail_of_.Erase(id);
   ++stats_.segments_removed;
-  // The Tlist entry is left behind and skipped/cleaned by RemoveExpired.
+  // The Tlist entry is left behind and skipped once RemoveExpired pops it.
 }
 
 void SegTree::RemoveDeadSlots(Run* run, uint32_t lo, uint32_t hi) {
@@ -580,28 +580,19 @@ void SegTree::RemoveDeadSlots(Run* run, uint32_t lo, uint32_t hi) {
 }
 
 size_t SegTree::RemoveExpired(Timestamp now, DurationMs tau) {
-  // Tlist is in completion order, which tracks segment start order closely;
-  // scanning from the front and stopping at the first live, non-expired
-  // entry makes the sweep O(#expired) — the purpose of the Tlist
-  // (Section 4.5). A segment completed out of start order may survive one
-  // sweep longer; it is still filtered from every query by the validity
-  // check and is removed once the entries ahead of it expire (or lazily via
-  // Slcp's expired-flagging).
+  // The heap's top is the oldest start, so the sweep pops exactly the
+  // expired entries and stops at the first valid one — the purpose of the
+  // Tlist (Section 4.5). A segment that completed late (an idle stream's)
+  // is ordered by its start, not queued behind younger ones.
   size_t removed = 0;
-  while (!tlist_.empty()) {
-    const TlistEntry& entry = tlist_.front();
-    const uint32_t* tail = tail_of_.Find(entry.segment);
-    if (tail == nullptr) {
-      tlist_.pop_front();  // removed earlier (lazy deletion); drop stale
-      continue;
-    }
-    if (now - entry.start > tau) {
-      RemoveSegmentPath(entry.segment, *tail);
-      tlist_.pop_front();
-      ++removed;
-    } else {
-      break;
-    }
+  while (!tlist_.empty() && now - tlist_.front().start > tau) {
+    std::pop_heap(tlist_.begin(), tlist_.end(), StartsLater);
+    const SegmentId segment = tlist_.back().segment;
+    tlist_.pop_back();
+    const uint32_t* tail = tail_of_.Find(segment);
+    if (tail == nullptr) continue;  // Remove()d earlier
+    RemoveSegmentPath(segment, *tail);
+    ++removed;
   }
   return removed;
 }
@@ -611,10 +602,7 @@ size_t SegTree::RemoveExpired(Timestamp now, DurationMs tau) {
 // ---------------------------------------------------------------------------
 
 template <typename OnHit>
-void SegTree::CollectRelevantTails(SlotRef head, Timestamp now,
-                                   DurationMs tau,
-                                   std::vector<SegmentId>* expired,
-                                   OnHit&& on_hit) const {
+void SegTree::CollectRelevantTails(SlotRef head, OnHit&& on_hit) const {
   // The paper's search, one run at a time: a visit to a slot with budget b
   // steps on to its child with budget min(child distance, b - 1) while
   // b > 0, so inside a run the walk is a scan of one array. Each slot
@@ -653,14 +641,7 @@ void SegTree::CollectRelevantTails(SlotRef head, Timestamp now,
     const uint32_t num_keys = run->tail_keys.count;
     uint32_t t = hot[index].key;
     for (; t < num_keys && keys[t].index <= k; ++t) {
-      if (keys[t].index + offset >= keys[t].length) continue;
-      if (now - keys[t].start > tau) {
-        if (expired != nullptr) {
-          expired->push_back(tails_[keys[t].tail].segment);
-        }
-      } else {
-        on_hit(keys + t);
-      }
+      if (keys[t].index + offset < keys[t].length) on_hit(keys + t);
     }
     if (budget == 0) return;
     // A child's own bound is applied when it is entered, so queuing it
@@ -692,13 +673,11 @@ void SegTree::CollectRelevantTails(SlotRef head, Timestamp now,
   stats_.runs_visited += runs;
 }
 
-std::vector<SegmentId> SegTree::RelevantSegments(ObjectId object,
-                                                 Timestamp now,
-                                                 DurationMs tau) const {
+std::vector<SegmentId> SegTree::RelevantSegments(ObjectId object) const {
   std::vector<SegmentId> result;
   const Chain* chain = hlist_.Find(object);
   if (chain == nullptr) return result;
-  CollectRelevantTails(chain->head, now, tau, nullptr, [&](const TailKey* key) {
+  CollectRelevantTails(chain->head, [&](const TailKey* key) {
     result.push_back(tails_[key->tail].segment);
   });
   std::sort(result.begin(), result.end());
@@ -714,10 +693,9 @@ bool SegTree::HoldsObject(uint32_t tail, ObjectId object,
                             object);
 }
 
-bool SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
-                       DurationMs tau, std::vector<SegmentId>* expired,
-                       LcpTable* out, const ShardSpec& shard,
-                       uint32_t min_common, std::span<const uint8_t> fresh,
+bool SegTree::SlcpInto(std::span<const ObjectId> probe_objects, LcpTable* out,
+                       const ShardSpec& shard, uint32_t min_common,
+                       std::span<const uint8_t> fresh,
                        FreshWalkPrice* price) const {
   out->Clear();
   // Rows are grouped without sorting: a tail entry stamped with this call's
@@ -773,7 +751,7 @@ bool SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
   if (may_walk_fresh && fresh_slots < searched &&
       (price == nullptr ||
        price->ExtraSlots(searched - fresh_slots) < searched - fresh_slots)) {
-    WalkFreshChains(probe_objects, fresh, now, tau, expired, min_common, out);
+    WalkFreshChains(probe_objects, fresh, min_common, out);
     return true;
   }
   if (skip < np) ++stats_.slcp_chains_skipped;
@@ -815,7 +793,7 @@ bool SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
         skip < np && (owned ? skipped_owned || skip > pos
                             : skipped_owned && skip < pos);
     const uint32_t position = static_cast<uint32_t>(pos);
-    CollectRelevantTails(chain->head, now, tau, expired, [&](const TailKey* t) {
+    CollectRelevantTails(chain->head, [&](const TailKey* t) {
       if (t->probe_epoch != epoch) {
         const bool with_skipped =
             test_skipped && HoldsObject(t->tail, skipped, skipped_bit);
@@ -857,15 +835,14 @@ bool SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
     });
   }
   out->rows_dropped = parked;
-  LayOutRows(skip, hits_before_skip, min_common, /*sort_slices=*/false,
-             expired, out);
+  LayOutRows(skip, hits_before_skip, min_common, /*sort_slices=*/false, out);
   return false;
 }
 
 // Forced inline, as it was in SlcpInto: both walks end here.
 [[gnu::always_inline]] inline void SegTree::LayOutRows(
     size_t skip, size_t hits_before_skip, uint32_t min_common,
-    bool sort_slices, std::vector<SegmentId>* expired, LcpTable* out) const {
+    bool sort_slices, LcpTable* out) const {
   // Lay the rows out back to back (prefix sum of the counts), then place
   // every hit in one pass, with probe[skip] between the hits before and
   // after it. The full walk went through positions in ascending order, so
@@ -918,18 +895,11 @@ bool SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
     });
     out->rows_dropped += short_rows;
   }
-  // Lazy deletion removes these in id order; the list is short.
-  if (expired != nullptr) {
-    std::sort(expired->begin(), expired->end());
-    expired->erase(std::unique(expired->begin(), expired->end()),
-                   expired->end());
-  }
 }
 
 // Flattened: its tail tests inline here without growing the full walk.
 [[gnu::flatten]] void SegTree::WalkFreshChains(
     std::span<const ObjectId> probe_objects, std::span<const uint8_t> fresh,
-    Timestamp now, DurationMs tau, std::vector<SegmentId>* expired,
     uint32_t min_common, LcpTable* out) const {
   // A row the full walk would build holds a fresh position iff the walk of
   // that position's chain reaches its tail, so only fresh chains are walked.
@@ -952,7 +922,7 @@ bool SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
     const Chain* chain = probe_chains_[pos];
     if (!fresh[pos] || chain == nullptr) continue;
     const uint32_t position = static_cast<uint32_t>(pos);
-    CollectRelevantTails(chain->head, now, tau, expired, [&](const TailKey* t) {
+    CollectRelevantTails(chain->head, [&](const TailKey* t) {
       if (t->probe_epoch != epoch) {
         t->probe_epoch = epoch;
         t->probe_row = static_cast<uint32_t>(out->rows.size());
@@ -997,12 +967,11 @@ bool SegTree::SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
       }
     }
   }
-  LayOutRows(np, hit_records.size(), min_common, /*sort_slices=*/true,
-             expired, out);
+  LayOutRows(np, hit_records.size(), min_common, /*sort_slices=*/true, out);
 }
 
-void SegTree::SupportersInto(std::span<const ObjectId> objects, Timestamp now,
-                             DurationMs tau, LcpTable* out) const {
+void SegTree::SupportersInto(std::span<const ObjectId> objects,
+                             LcpTable* out) const {
   out->Clear();
   const Chain* shortest = nullptr;
   size_t from = 0;
@@ -1017,7 +986,7 @@ void SegTree::SupportersInto(std::span<const ObjectId> objects, Timestamp now,
   // A segment holding an object twice is reached twice on its chain: the
   // epoch stamp keeps one row per segment.
   const uint64_t epoch = ++probe_epoch_;
-  CollectRelevantTails(shortest->head, now, tau, nullptr, [&](const TailKey* t) {
+  CollectRelevantTails(shortest->head, [&](const TailKey* t) {
     if (t->probe_epoch == epoch) return;
     t->probe_epoch = epoch;
     for (size_t i = 0; i < objects.size(); ++i) {
@@ -1034,11 +1003,9 @@ void SegTree::SupportersInto(std::span<const ObjectId> objects, Timestamp now,
   });
 }
 
-std::vector<LcpRow> SegTree::Slcp(const Segment& probe, Timestamp now,
-                                  DurationMs tau,
-                                  std::vector<SegmentId>* expired) const {
+std::vector<LcpRow> SegTree::Slcp(const Segment& probe) const {
   LcpTable table;
-  SlcpInto(probe.distinct_objects(), now, tau, expired, &table);
+  SlcpInto(probe.distinct_objects(), &table);
   const std::vector<ObjectId>& probe_objects = probe.distinct_objects();
   std::vector<LcpRow> rows;
   rows.reserve(table.rows.size());
@@ -1088,7 +1055,7 @@ size_t SegTree::MemoryUsage() const {
 size_t SegTree::TableBytes() const {
   return tails_.capacity() * sizeof(Tail) +
          free_tails_.capacity() * sizeof(uint32_t) + hlist_.MemoryUsage() +
-         tlist_.MemoryUsage() + tail_of_.MemoryUsage() +
+         tlist_.capacity() * sizeof(TlistEntry) + tail_of_.MemoryUsage() +
          tie_counts_.MemoryUsage();
 }
 

@@ -5,8 +5,9 @@
 //    carrying that object (paper Fig. 2 left edge), and its length. Prefix
 //    search and SLCP start from Hlist, which is why segments may share
 //    prefixes *anywhere* in the tree, not only at the root.
-//  - Tlist: tail references in segment completion order, used to find
-//    obsolete segments quickly (Section 4.5).
+//  - Tlist: tail references in a binary min-heap on segment start, used to
+//    find obsolete segments quickly (Section 4.5): a sweep pops exactly the
+//    expired ones, whatever order the segments completed in.
 //
 // Layout (DESIGN.md §2.1): the paper's tree is stored path-compressed. A
 // *run* is a path in which every slot but the last has exactly one child;
@@ -46,13 +47,18 @@
 //  - SLCP can walk only the chains of the probe objects new since the
 //    stream's previous trigger, testing each segment it reaches for the
 //    others the same way (SlcpInto's `fresh`, DESIGN.md §2.1).
+//  - Expiry is one exact sweep, not lazy deletion (DESIGN.md §2 item 9): the
+//    caller sweeps the start-ordered Tlist at its watermark before every
+//    search, so the tree holds exactly the valid segments and the searches
+//    test no validity.
 //
 // Hot-path memory layout (DESIGN.md §2 "Hot-path memory layout"): runs live
 // in a slab ObjectPool; their slot, tail key and child arrays live in
 // size-class ChunkArenas and are recycled through per-capacity free lists;
 // the tail table reuses freed entries; the id maps are open-addressing
-// FlatMaps and the Tlist is a ring buffer. Steady-state insert/remove churn
-// therefore performs no heap allocations once the structures are warm.
+// FlatMaps and the Tlist is a heap in a vector that keeps its capacity.
+// Steady-state insert/remove churn therefore performs no heap allocations
+// once the structures are warm.
 
 #ifndef FCP_INDEX_SEG_TREE_H_
 #define FCP_INDEX_SEG_TREE_H_
@@ -67,7 +73,6 @@
 #include "stream/segment.h"
 #include "util/arena.h"
 #include "util/flat_map.h"
-#include "util/ring_buffer.h"
 
 namespace fcp {
 
@@ -201,39 +206,46 @@ class SegTree {
 
   /// Inserts a completed segment (paper Section 4.4): finds its longest
   /// matching prefix via Hlist, shares it, appends the remainder, updates
-  /// (distance, count) along the prefix, appends the tail to Tlist and the
-  /// new slots to their Hlist chains. Runs of entries sharing a timestamp
-  /// are laid down rare-first (see the header comment).
+  /// (distance, count) along the prefix, pushes the tail onto the Tlist heap
+  /// and the new slots onto their Hlist chains. Runs of entries sharing a
+  /// timestamp are laid down rare-first (see the header comment).
   void Insert(const Segment& segment);
 
   /// Removes one segment (paper Section 4.5): backtracks length-1 steps from
   /// the tail, decrements counts, deletes count==0 slots and re-attaches any
   /// disconnected subtrees under the root. No-op if the segment is not
-  /// present.
+  /// present. Its Tlist entry stays until it expires, so a removed id must
+  /// not be inserted again.
   void Remove(SegmentId id);
 
   /// Removes every segment whose validity window has passed
-  /// (`now - start > tau`), using Tlist order to stop early. Returns the
-  /// number of segments removed. This is the paper's memory-pressure sweep;
-  /// CooMine otherwise deletes lazily through ExpiredCandidates().
+  /// (`now - start > tau`): pops the Tlist heap while its oldest start has
+  /// expired, skipping the entries of segments already Remove()d. Returns
+  /// the number of segments removed. O(#expired log #live): it reads no
+  /// live entry but the heap's top.
   size_t RemoveExpired(Timestamp now, DurationMs tau);
+
+  /// The smallest start on the Tlist (kMaxTimestamp if empty): after
+  /// RemoveExpired(now, tau), at least now - tau.
+  Timestamp oldest_start() const {
+    return tlist_.empty() ? kMaxTimestamp : tlist_.front().start;
+  }
 
   /// SLCP (paper Algorithm 2) into a caller-owned reusable table: for every
   /// object of `probe_objects` (sorted, distinct: the prefix of the probe's
-  /// `distinct_objects()` the miner mines), finds all valid segments
-  /// containing it via DistanceBound (Algorithm 3), and emits one row per
-  /// relevant segment with the common object set. Expired segments
-  /// encountered during the search are recorded in `expired` (if non-null)
-  /// for lazy deletion by the caller; they do not appear in the result, and
-  /// `expired` comes back sorted and distinct. Rows come in discovery order,
-  /// each segment once, and name their common objects by ascending position
-  /// in `probe_objects` (see LcpTable). Neither rows nor hits are sorted:
-  /// each call bumps a 64-bit probe epoch, and a tail entry stamped with it
-  /// has already been reached.
+  /// `distinct_objects()` the miner mines), finds all segments containing
+  /// it via DistanceBound (Algorithm 3), and emits one row per relevant
+  /// segment with the common object set. Rows come in discovery order, each
+  /// segment once, and name their common objects by ascending position in
+  /// `probe_objects` (see LcpTable). Neither rows nor hits are sorted: each
+  /// call bumps a 64-bit probe epoch, and a tail entry stamped with it has
+  /// already been reached.
   ///
-  /// `now` anchors validity (callers pass the probe's end time). The probe
-  /// itself must not be in the tree yet (mine first, insert after). `out` is
-  /// cleared first; with a warm table the call performs no allocations.
+  /// Every segment in the tree counts: the caller sweeps it first
+  /// (RemoveExpired at the probe's watermark), so it holds exactly the
+  /// valid segments. The probe itself must not be in the tree yet (mine
+  /// first, insert after). `out` is cleared first; with a warm table the
+  /// call performs no allocations.
   ///
   /// `min_common` (the miner's min_pattern_size, m) drops every segment
   /// whose common set holds fewer than m probe objects: such a segment
@@ -268,8 +280,6 @@ class SegTree {
   /// `out->rows_dropped` counts the segments whose row holds an object
   /// other than the skipped probe[h] but fewer than m objects: the tails
   /// the search reached and built no row for.
-  /// Expired segments are only discovered on the chains actually searched;
-  /// the periodic RemoveExpired sweep covers the rest.
   ///
   /// New-object walk (DESIGN.md §2.1): `fresh`, if not empty, flags the
   /// probe positions new to the trigger (one byte per position, 1 = new).
@@ -283,32 +293,26 @@ class SegTree {
   /// tails whose row is short. When the fresh chains hold no slot and the
   /// price is 0 (asked with slack 1), the walk is empty and the other
   /// chains are not looked up. Returns true iff this walk ran.
-  bool SlcpInto(std::span<const ObjectId> probe_objects, Timestamp now,
-                DurationMs tau, std::vector<SegmentId>* expired,
-                LcpTable* out, const ShardSpec& shard = {},
-                uint32_t min_common = 1,
+  bool SlcpInto(std::span<const ObjectId> probe_objects, LcpTable* out,
+                const ShardSpec& shard = {}, uint32_t min_common = 1,
                 std::span<const uint8_t> fresh = {},
                 FreshWalkPrice* price = nullptr) const;
 
-  /// The valid segments holding every object of `objects` (sorted,
-  /// distinct, non-empty), one row each, in `out->rows` (with empty common
-  /// slices): walks the shortest of the objects' Hlist chains and tests each
-  /// segment it reaches for the others, as the new-object walk does.
-  /// Expired segments it passes are left for the sweep.
-  void SupportersInto(std::span<const ObjectId> objects, Timestamp now,
-                      DurationMs tau, LcpTable* out) const;
+  /// The segments holding every object of `objects` (sorted, distinct,
+  /// non-empty), one row each, in `out->rows` (with empty common slices):
+  /// walks the shortest of the objects' Hlist chains and tests each segment
+  /// it reaches for the others, as the new-object walk does. Like SlcpInto,
+  /// it counts every segment in the tree.
+  void SupportersInto(std::span<const ObjectId> objects, LcpTable* out) const;
 
   /// Convenience SLCP shape for tests/benches: SlcpInto over all of the
   /// probe's distinct objects with min_common 1, one owning LcpRow per
   /// relevant segment, with the common positions mapped back to object ids.
-  std::vector<LcpRow> Slcp(const Segment& probe, Timestamp now,
-                           DurationMs tau,
-                           std::vector<SegmentId>* expired) const;
+  std::vector<LcpRow> Slcp(const Segment& probe) const;
 
-  /// All valid segments containing `object` (DistanceBound over the object's
-  /// Hlist chain). Exposed for tests and the ablation bench.
-  std::vector<SegmentId> RelevantSegments(ObjectId object, Timestamp now,
-                                          DurationMs tau) const;
+  /// All segments containing `object` (DistanceBound over the object's
+  /// Hlist chain), sorted. Exposed for tests and the ablation bench.
+  std::vector<SegmentId> RelevantSegments(ObjectId object) const;
 
   /// Number of slots on `object`'s Hlist chain (0 if none): the length
   /// SlcpInto's dominant-chain skip compares.
@@ -408,7 +412,7 @@ class SegTree {
   };
 
   // The fields SLCP reads for every tail on a stepped slot: the tail's
-  // place, the coverage and validity tests, and the grouping stamp. A run
+  // place, the coverage test, the row's start and the grouping stamp. A run
   // keeps them in one array in slot order; the rest of the entry (Tail) is
   // read only when a tail gets a row, or on removal.
   struct TailKey {
@@ -449,12 +453,16 @@ class SegTree {
     bool tie_counted;
   };
 
-  // Tlist element: completion-ordered reference to a segment (via tail_of_).
+  // Tlist element: a segment (found via tail_of_) and its start, the heap
+  // key.
   struct TlistEntry {
     SegmentId segment = kInvalidSegmentId;
     Timestamp start = 0;
-    Timestamp end = 0;
   };
+  // The Tlist heap's order: the oldest start on top.
+  static bool StartsLater(const TlistEntry& a, const TlistEntry& b) {
+    return a.start > b.start;
+  }
 
   // The slots at indices [lo, hi] of one run on a path (prefix match,
   // removal).
@@ -530,29 +538,24 @@ class SegTree {
 
   // --- search helpers ---
   // DistanceBound (Algorithm 3) from every slot of the Hlist chain that
-  // starts at `head`: calls on_hit(const TailKey*) for each valid tail whose
-  // segment covers the start slot, in search order, and appends the expired
-  // ones to `expired` (if non-null).
+  // starts at `head`: calls on_hit(const TailKey*) for each tail whose
+  // segment covers the start slot, in search order.
   template <typename OnHit>
-  void CollectRelevantTails(SlotRef head, Timestamp now, DurationMs tau,
-                            std::vector<SegmentId>* expired,
-                            OnHit&& on_hit) const;
+  void CollectRelevantTails(SlotRef head, OnHit&& on_hit) const;
   // True iff segment tails_[tail] contains `object`, whose ObjectBit is
   // `bit`.
   bool HoldsObject(uint32_t tail, ObjectId object, uint64_t bit) const;
   // SlcpInto's new-object walk over the chains in probe_chains_ (serial,
   // no chain skipped).
   void WalkFreshChains(std::span<const ObjectId> probe_objects,
-                       std::span<const uint8_t> fresh, Timestamp now,
-                       DurationMs tau, std::vector<SegmentId>* expired,
-                       uint32_t min_common, LcpTable* out) const;
+                       std::span<const uint8_t> fresh, uint32_t min_common,
+                       LcpTable* out) const;
   // SlcpInto's last step: lays out the rows' common slices from
   // hit_records_ (probe position `skip` placed for skip_rows_ between the
   // first `hits_before_skip` hits and the rest), sorting each slice if
-  // asked, drops rows shorter than min_common, and sorts `expired`.
+  // asked, and drops rows shorter than min_common.
   void LayOutRows(size_t skip, size_t hits_before_skip, uint32_t min_common,
-                  bool sort_slices, std::vector<SegmentId>* expired,
-                  LcpTable* out) const;
+                  bool sort_slices, LcpTable* out) const;
 
   SegTreeOptions options_;
   ObjectPool<Run> pool_;
@@ -572,7 +575,7 @@ class SegTree {
   std::vector<uint32_t> free_tails_;
   Run* root_;  // holds no slots; its children are the top-level runs
   FlatMap<ObjectId, Chain> hlist_;
-  RingBuffer<TlistEntry> tlist_;
+  std::vector<TlistEntry> tlist_;  // min-heap on start (StartsLater)
   FlatMap<SegmentId, uint32_t> tail_of_;  // segment -> its tail
   // object -> number of live tied segments containing it: the popularity
   // key of the tie rule. Untied segments are not counted, so data without

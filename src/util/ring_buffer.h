@@ -3,7 +3,7 @@
 // Replaces std::deque on the hot path: a deque allocates and frees 512-byte
 // blocks as the FIFO advances, which shows up as steady-state heap traffic.
 // The ring only allocates when the live element count outgrows its capacity;
-// a size-stable FIFO (the Seg-tree's Tlist) performs zero allocations.
+// a size-stable FIFO (a segmenter's window) performs zero allocations.
 
 #ifndef FCP_UTIL_RING_BUFFER_H_
 #define FCP_UTIL_RING_BUFFER_H_

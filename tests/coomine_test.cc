@@ -130,7 +130,7 @@ TEST(CooMineTest, ExpiredSupportersDoNotCount) {
   const Timestamp late = params.tau + Minutes(5);
   miner.AddSegment(MakeSegment(2, 2, {1, 2}, late), &out);
   EXPECT_TRUE(out.empty());
-  // And the expired segment was lazily deleted from the Seg-tree.
+  // And the sweep before the trigger removed the expired segment.
   EXPECT_EQ(miner.seg_tree().num_segments(), 1u);
 }
 
@@ -151,8 +151,9 @@ TEST(CooMineTest, LazyDeletionKeepsTreeConsistent) {
     if (i % 25 == 0) miner.seg_tree().CheckInvariants();
   }
   miner.seg_tree().CheckInvariants();
-  // tau = 30 min: at most ~31 minutes of segments may be live.
-  EXPECT_LE(miner.seg_tree().num_segments(), 35u);
+  // tau = 30 min and one segment a minute: the sweep before each trigger
+  // leaves exactly the 31 segments started in the last 30 minutes.
+  EXPECT_EQ(miner.seg_tree().num_segments(), 31u);
 }
 
 TEST(CooMineTest, ForceMaintenanceSweeps) {
@@ -186,7 +187,7 @@ TEST(CooMineTest, StatsAccumulate) {
 // each AddSegment's SLCP, on the serial and the ownership-filtered paths.
 TEST(CooMineTest, SlcpNodesVisitedMatchesSegTreeVisits) {
   for (const ShardSpec shard : {ShardSpec{}, ShardSpec{1, 3}}) {
-    CooMine miner(Example4Params(), {}, shard);
+    CooMine miner(Example4Params(), shard);
     std::vector<Fcp> out;
     std::vector<Segment> segments = PaperSegments();
     segments.push_back(MakeSegment(30, 3, {m, n, p, o}, 600));
@@ -380,41 +381,57 @@ TEST(CooMineTest, ExpiredTriggerDoesNotSupportItsOwnPatterns) {
   }
 }
 
-TEST(CooMineTest, PureLazyDeletionMatchesPeriodicSweeps) {
-  // Expiry policy must not change results: validity is re-checked at every
-  // query, so a miner that never sweeps (pure LD) emits the same FCPs.
+// CooMine sweeps the Seg-tree's start-ordered Tlist before every trigger
+// and indexes no expired trigger, so after every AddSegment the tree holds
+// exactly the segments valid at the watermark. An idle stream (stream 9)
+// completes its segments late and out of start order, some of them already
+// expired, the case a completion-ordered sweep left behind. Serially and at
+// S = 4, the output equals the brute-force oracle's.
+TEST(CooMineTest, SweptTreeHoldsExactlyTheValidSegments) {
   MiningParams params = Example4Params();
   params.theta = 2;
-  CooMineOptions lazy_only;
-  lazy_only.periodic_sweep = false;
-  CooMine with_sweeps(params);
-  CooMine without_sweeps(params, lazy_only);
-
-  fcp::Rng rng(55);
+  Rng rng(55);
   Timestamp now = 0;
-  std::vector<Fcp> a, b;
+  std::vector<Segment> segments;
   for (SegmentId id = 0; id < 300; ++id) {
     now += static_cast<Timestamp>(rng.Below(Minutes(2)));
+    const bool idle = rng.Below(5) == 0;
+    const Timestamp start =
+        idle ? now - static_cast<Timestamp>(rng.Below(2 * params.tau)) : now;
     std::vector<SegmentEntry> entries;
     const size_t length = 1 + rng.Below(5);
     for (size_t i = 0; i < length; ++i) {
       entries.push_back(SegmentEntry{static_cast<ObjectId>(rng.Below(10)),
-                                     now + static_cast<Timestamp>(i)});
+                                     start + static_cast<Timestamp>(i)});
     }
-    const Segment segment(id, static_cast<StreamId>(rng.Below(4)),
+    segments.emplace_back(id, idle ? 9 : static_cast<StreamId>(rng.Below(4)),
                           std::move(entries));
-    a.clear();
-    b.clear();
-    with_sweeps.AddSegment(segment, &a);
-    without_sweeps.AddSegment(segment, &b);
-    ASSERT_EQ(testing::SignaturesOf(a), testing::SignaturesOf(b))
-        << "at segment " << id;
   }
-  // The sweeping miner holds fewer live segments; both stay consistent.
-  with_sweeps.seg_tree().CheckInvariants();
-  without_sweeps.seg_tree().CheckInvariants();
-  EXPECT_LE(with_sweeps.seg_tree().num_segments(),
-            without_sweeps.seg_tree().num_segments());
+
+  CooMine miner(params);
+  Timestamp watermark = kMinTimestamp;
+  size_t late_expired = 0;  // idle segments expired on arrival
+  std::vector<Fcp> out;
+  for (size_t i = 0; i < segments.size(); ++i) {
+    watermark = std::max(watermark, segments[i].end_time());
+    if (watermark - segments[i].start_time() > params.tau) ++late_expired;
+    miner.AddSegment(segments[i], &out);
+    size_t valid = 0;
+    for (size_t j = 0; j <= i; ++j) {
+      valid += watermark - segments[j].start_time() <= params.tau ? 1 : 0;
+    }
+    ASSERT_EQ(miner.seg_tree().num_segments(), valid) << "at segment " << i;
+    ASSERT_GE(miner.seg_tree().oldest_start(), watermark - params.tau);
+  }
+  miner.seg_tree().CheckInvariants();
+  EXPECT_GT(late_expired, 0u);
+  EXPECT_GT(miner.stats().segments_expired, 0u);
+  EXPECT_GT(miner.stats().maintenance_runs, 0u);
+  EXPECT_LE(miner.stats().maintenance_runs, miner.stats().segments_expired);
+  EXPECT_FALSE(out.empty());
+  const auto want = FullSignatures(MineBruteForce(params, segments));
+  EXPECT_EQ(FullSignatures(out), want);
+  EXPECT_EQ(FullSignatures(MineCooMine(params, 4, segments)), want);
 }
 
 // Sliding-window streams (the traffic regime): each stream's segment keeps

@@ -1,8 +1,11 @@
 // Property tests: the Seg-tree under random workloads behaves exactly like a
 // naive segment store — SLCP included, with and without a pattern-size floor
-// and per shard (each shard's rows against the owned-suffix oracle) — and its structural invariants survive arbitrary
-// insert/expire interleavings (which re-root the subtrees deletion cuts off),
-// with and without DistanceBound pruning.
+// and per shard (each shard's rows against the owned-suffix oracle) — and its
+// structural invariants survive arbitrary insert/expire interleavings (which
+// re-root the subtrees deletion cuts off), with and without DistanceBound
+// pruning. Segments start up to 1.5 tau before they are inserted, so they
+// complete out of start order, and the Tlist sweep before each query must
+// leave exactly the valid ones.
 
 #include <algorithm>
 #include <map>
@@ -28,6 +31,14 @@ class NaiveStore {
     segments_[segment.id()] = segment;
   }
   void Remove(SegmentId id) { segments_.erase(id); }
+
+  size_t CountValid(Timestamp now) const {
+    size_t valid = 0;
+    for (const auto& [id, segment] : segments_) {
+      valid += now - segment.start_time() <= kTau ? 1 : 0;
+    }
+    return valid;
+  }
 
   size_t RemoveExpired(Timestamp now) {
     size_t removed = 0;
@@ -116,13 +127,31 @@ TEST_P(SegTreePropertyTest, MatchesNaiveStoreUnderRandomWorkload) {
   Timestamp now = 0;
   std::vector<SegmentId> live;
   uint64_t fresh_walks = 0;
+  uint64_t swept = 0;
+  // How long before `now` an inserted segment starts: its own generator, so
+  // the rest of the workload does not depend on it.
+  Rng age_rng(param.seed + 7777);
+
+  // The Tlist sweep at `now` leaves exactly the oracle's valid segments,
+  // whatever order they completed in. Every search counts every segment in
+  // the tree, so each query sweeps first.
+  auto sweep = [&](int step) {
+    const size_t valid = naive.CountValid(now);
+    swept += tree.RemoveExpired(now, kTau);
+    EXPECT_EQ(tree.num_segments(), valid) << "step=" << step;
+    EXPECT_GE(tree.oldest_start(), now - kTau) << "step=" << step;
+    naive.RemoveExpired(now);
+    std::erase_if(live, [&](SegmentId id) { return !tree.Contains(id); });
+  };
 
   for (int step = 0; step < 400; ++step) {
     now += static_cast<Timestamp>(rng.Below(40));
     const uint64_t dice = rng.Below(100);
     if (dice < 55 || live.empty()) {
       // Insert.
-      const Segment segment = RandomSegment(next_id++, rng, now);
+      const Timestamp start =
+          now - static_cast<Timestamp>(age_rng.Below(3 * kTau / 2));
+      const Segment segment = RandomSegment(next_id++, rng, start);
       tree.Insert(segment);
       naive.Insert(segment);
       live.push_back(segment.id());
@@ -134,27 +163,20 @@ TEST_P(SegTreePropertyTest, MatchesNaiveStoreUnderRandomWorkload) {
       tree.Remove(id);
       naive.Remove(id);
     } else if (dice < 80) {
-      // Expiry sweep.
-      EXPECT_EQ(tree.RemoveExpired(now, kTau), naive.RemoveExpired(now));
-      live.clear();  // lazily rebuilt below
-      for (ObjectId o = 0; o < 15; ++o) {
-        for (SegmentId id : naive.RelevantSegments(o, now)) {
-          live.push_back(id);
-        }
-      }
-      std::sort(live.begin(), live.end());
-      live.erase(std::unique(live.begin(), live.end()), live.end());
+      // Expiry sweep alone.
+      sweep(step);
     } else if (dice < 92) {
       // Point query.
+      sweep(step);
       const ObjectId object = static_cast<ObjectId>(rng.Below(15));
-      EXPECT_EQ(tree.RelevantSegments(object, now, kTau),
+      EXPECT_EQ(tree.RelevantSegments(object),
                 naive.RelevantSegments(object, now))
           << "object=" << object << " step=" << step;
     } else {
       // SLCP probe.
+      sweep(step);
       const Segment probe = RandomSegment(next_id++, rng, now);
-      std::vector<SegmentId> expired;
-      const auto rows = tree.Slcp(probe, now, kTau, &expired);
+      const auto rows = tree.Slcp(probe);
       std::map<SegmentId, std::vector<ObjectId>> got;
       for (const LcpRow& row : rows) got[row.segment] = row.common;
       const auto want = naive.Slcp(probe, now);
@@ -171,8 +193,7 @@ TEST_P(SegTreePropertyTest, MatchesNaiveStoreUnderRandomWorkload) {
              {ShardSpec{}, ShardSpec{0, 2}, ShardSpec{1, 2}, ShardSpec{0, 3},
               ShardSpec{1, 3}, ShardSpec{2, 3}}) {
           LcpTable table;
-          tree.SlcpInto(probe.distinct_objects(), now, kTau, nullptr, &table,
-                        shard, min_common);
+          tree.SlcpInto(probe.distinct_objects(), &table, shard, min_common);
           bool well_formed = true;
           const auto shard_got =
               fcp::testing::SlcpRowsOf(table, probe, &well_formed);
@@ -198,7 +219,7 @@ TEST_P(SegTreePropertyTest, MatchesNaiveStoreUnderRandomWorkload) {
       Rng mask_rng(param.seed * 1000 + static_cast<uint64_t>(step));
       for (uint32_t min_common : {1u, 2u, 3u}) {
         LcpTable full;
-        tree.SlcpInto(objects, now, kTau, nullptr, &full, {}, min_common);
+        tree.SlcpInto(objects, &full, {}, min_common);
         bool well_formed = true;
         const auto full_rows =
             fcp::testing::SlcpRowsOf(full, probe, &well_formed);
@@ -206,8 +227,8 @@ TEST_P(SegTreePropertyTest, MatchesNaiveStoreUnderRandomWorkload) {
           std::vector<uint8_t> fresh(objects.size());
           for (uint8_t& flag : fresh) flag = mask_rng.Below(3) == 0 ? 1 : 0;
           LcpTable table;
-          const bool walked = tree.SlcpInto(objects, now, kTau, nullptr,
-                                            &table, {}, min_common, fresh);
+          const bool walked =
+              tree.SlcpInto(objects, &table, {}, min_common, fresh);
           fresh_walks += walked ? 1 : 0;
           auto want = full_rows;
           if (walked) {
@@ -227,21 +248,17 @@ TEST_P(SegTreePropertyTest, MatchesNaiveStoreUnderRandomWorkload) {
           EXPECT_TRUE(well_formed) << "step=" << step;
         }
       }
-      // Lazily delete what the search flagged, mirroring CooMine.
-      for (SegmentId id : expired) {
-        tree.Remove(id);
-        naive.Remove(id);
-      }
     }
     if (step % 20 == 0) tree.CheckInvariants();
     EXPECT_EQ(tree.num_segments(), naive.size());
     EXPECT_EQ(tree.total_objects(), naive.total_objects());
   }
   tree.CheckInvariants();
-  // Some of the probes above skipped their dominant chain, and some took
-  // the new-object walk.
+  // Some of the probes above skipped their dominant chain, some took the
+  // new-object walk, and the sweeps removed segments.
   EXPECT_GT(tree.stats().slcp_chains_skipped, 0u);
   EXPECT_GT(fresh_walks, 0u);
+  EXPECT_GT(swept, 0u);
   // Compression never goes negative: node count <= stored objects.
   EXPECT_LE(tree.num_nodes(), tree.total_objects());
 }

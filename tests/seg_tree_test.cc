@@ -124,15 +124,12 @@ TEST(SegTreeTest, RelevantSegmentsFindsAllContainingSegments) {
   SegTree tree;
   for (const Segment& g : PaperS1Segments()) tree.Insert(g);
   for (const Segment& g : PaperS2Segments()) tree.Insert(g);
-  const Timestamp now = 600;
 
-  EXPECT_EQ(tree.RelevantSegments(c, now, kTau),
+  EXPECT_EQ(tree.RelevantSegments(c),
             (std::vector<SegmentId>{10, 11, 13, 20, 21, 23}));
-  EXPECT_EQ(tree.RelevantSegments(n, now, kTau),
-            (std::vector<SegmentId>{12, 13, 23, 24}));
-  EXPECT_EQ(tree.RelevantSegments(t, now, kTau),
-            (std::vector<SegmentId>{14}));
-  EXPECT_TRUE(tree.RelevantSegments(999, now, kTau).empty());
+  EXPECT_EQ(tree.RelevantSegments(n), (std::vector<SegmentId>{12, 13, 23, 24}));
+  EXPECT_EQ(tree.RelevantSegments(t), (std::vector<SegmentId>{14}));
+  EXPECT_TRUE(tree.RelevantSegments(999).empty());
 }
 
 TEST(SegTreeTest, PaperTable1Slcp) {
@@ -142,9 +139,8 @@ TEST(SegTreeTest, PaperTable1Slcp) {
 
   // Example 4's new segment G0 = (m,n,p,o) in stream s3.
   const Segment probe = MakeSegment(30, 3, {m, n, p, o}, 600);
-  std::vector<SegmentId> expired;
-  const std::vector<LcpRow> rows = tree.Slcp(probe, 600, kTau, &expired);
-  EXPECT_TRUE(expired.empty());
+  EXPECT_EQ(tree.RemoveExpired(600, kTau), 0u);
+  const std::vector<LcpRow> rows = tree.Slcp(probe);
 
   std::map<SegmentId, std::vector<ObjectId>> got;
   for (const LcpRow& row : rows) got[row.segment] = row.common;
@@ -163,7 +159,7 @@ TEST(SegTreeTest, SlcpReportsStreamAndTimes) {
   SegTree tree;
   tree.Insert(MakeSegment(1, 7, {c, d}, 1000));
   const Segment probe = MakeSegment(2, 8, {d}, 1500);
-  const auto rows = tree.Slcp(probe, 1500, kTau, nullptr);
+  const auto rows = tree.Slcp(probe);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].segment, 1u);
   EXPECT_EQ(rows[0].stream, 7u);
@@ -194,7 +190,7 @@ TEST(SegTreeTest, SlcpReturnsObjectIdsNotProbePositions) {
       {2, {ids[3], ids[26], ids[29]}},
   };
   std::map<SegmentId, std::vector<ObjectId>> got;
-  for (const LcpRow& row : tree.Slcp(probe, 600, kTau, nullptr)) {
+  for (const LcpRow& row : tree.Slcp(probe)) {
     got[row.segment] = row.common;
   }
   EXPECT_EQ(got, want);
@@ -205,8 +201,7 @@ TEST(SegTreeTest, SlcpReturnsObjectIdsNotProbePositions) {
   for (const ShardSpec shard :
        {ShardSpec{}, ShardSpec{0, 2}, ShardSpec{1, 2}}) {
     LcpTable table;
-    tree.SlcpInto(probe.distinct_objects(), 600, kTau, nullptr, &table,
-                  shard);
+    tree.SlcpInto(probe.distinct_objects(), &table, shard);
     const auto shard_want = testing::ShardRowsOf(want, shard, 1);
     for (const LcpTable::Row& row : table.rows) {
       std::vector<ObjectId> common;
@@ -225,17 +220,21 @@ TEST(SegTreeTest, SlcpReturnsObjectIdsNotProbePositions) {
   EXPECT_EQ(rows_found, (std::set<SegmentId>{1, 2}));
 }
 
-TEST(SegTreeTest, SlcpSkipsExpiredAndReportsThem) {
+// SLCP tests no validity: it counts every segment in the tree, so the
+// caller sweeps at the probe's watermark first and the expired segment is
+// gone before the search.
+TEST(SegTreeTest, SlcpOnSweptTreeSkipsExpired) {
   SegTree tree;
   tree.Insert(MakeSegment(1, 1, {c, d}, 0));
   tree.Insert(MakeSegment(2, 2, {c}, 100));
   const Timestamp now = kTau + 50;  // segment 1 has expired, 2 is valid
   const Segment probe = MakeSegment(3, 3, {c}, now);
-  std::vector<SegmentId> expired;
-  const auto rows = tree.Slcp(probe, now, kTau, &expired);
+  EXPECT_EQ(tree.RemoveExpired(now, kTau), 1u);
+  EXPECT_FALSE(tree.Contains(1));
+  const auto rows = tree.Slcp(probe);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].segment, 2u);
-  EXPECT_EQ(expired, std::vector<SegmentId>{1});
+  tree.CheckInvariants();
 }
 
 TEST(SegTreeTest, RemoveSharedPrefixKeepsOtherSegments) {
@@ -250,10 +249,8 @@ TEST(SegTreeTest, RemoveSharedPrefixKeepsOtherSegments) {
   tree.CheckInvariants();
   EXPECT_EQ(tree.num_segments(), 4u);
   EXPECT_EQ(tree.num_nodes(), 15u);
-  EXPECT_EQ(tree.RelevantSegments(c, 600, kTau),
-            (std::vector<SegmentId>{11, 13}));
-  EXPECT_EQ(tree.RelevantSegments(b, 600, kTau),
-            (std::vector<SegmentId>{14}));
+  EXPECT_EQ(tree.RelevantSegments(c), (std::vector<SegmentId>{11, 13}));
+  EXPECT_EQ(tree.RelevantSegments(b), (std::vector<SegmentId>{14}));
 }
 
 TEST(SegTreeTest, RemoveLeafSegment) {
@@ -263,9 +260,8 @@ TEST(SegTreeTest, RemoveLeafSegment) {
   tree.Remove(14);  // (h,b,k,r,s,t): h shared with G2, rest unique
   tree.CheckInvariants();
   EXPECT_EQ(tree.num_nodes(), 11u);
-  EXPECT_TRUE(tree.RelevantSegments(t, 600, kTau).empty());
-  EXPECT_EQ(tree.RelevantSegments(h, 600, kTau),
-            (std::vector<SegmentId>{12}));
+  EXPECT_TRUE(tree.RelevantSegments(t).empty());
+  EXPECT_EQ(tree.RelevantSegments(h), (std::vector<SegmentId>{12}));
 }
 
 TEST(SegTreeTest, RemoveIsIdempotent) {
@@ -317,8 +313,7 @@ TEST(SegTreeTest, SameSegmentInsertedTwiceByDifferentIdsShares) {
   EXPECT_EQ(tree.num_segments(), 2u);
   EXPECT_NEAR(tree.CompressionRatio(), 0.5, 1e-12);
   // Both segments are tails on the same node.
-  EXPECT_EQ(tree.RelevantSegments(f, 10, kTau),
-            (std::vector<SegmentId>{1, 2}));
+  EXPECT_EQ(tree.RelevantSegments(f), (std::vector<SegmentId>{1, 2}));
   tree.CheckInvariants();
 }
 
@@ -326,9 +321,9 @@ TEST(SegTreeTest, DuplicateObjectsWithinSegment) {
   SegTree tree;
   tree.Insert(MakeSegment(1, 1, {c, c, d, c}, 0));
   EXPECT_EQ(tree.num_nodes(), 4u);
-  EXPECT_EQ(tree.RelevantSegments(c, 0, kTau), (std::vector<SegmentId>{1}));
+  EXPECT_EQ(tree.RelevantSegments(c), (std::vector<SegmentId>{1}));
   const Segment probe = MakeSegment(2, 2, {c, d}, 10);
-  const auto rows = tree.Slcp(probe, 10, kTau, nullptr);
+  const auto rows = tree.Slcp(probe);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].common, (std::vector<ObjectId>{c, d}));
   tree.CheckInvariants();
@@ -351,8 +346,7 @@ TEST(SegTreeTest, RepeatedObjectYieldsOnePositionPerRow) {
        {ShardSpec{}, ShardSpec{0, 2}, ShardSpec{1, 2}, ShardSpec{0, 3},
         ShardSpec{1, 3}, ShardSpec{2, 3}}) {
     LcpTable table;
-    tree.SlcpInto(probe.distinct_objects(), 30, kTau, nullptr, &table,
-                  shard);
+    tree.SlcpInto(probe.distinct_objects(), &table, shard);
     bool well_formed = true;
     const auto got = testing::SlcpRowsOf(table, probe, &well_formed);
     EXPECT_TRUE(well_formed) << shard.index << "/" << shard.count;
@@ -389,8 +383,7 @@ TEST(SegTreeTest, MinCommonTwoDropsARepeatedSingleSharedObject) {
       {1, {c}}, {2, {c, e}}, {3, {e}}, {4, {e}}};
   for (const ShardSpec shard : kSlcpShards) {
     LcpTable table;
-    tree.SlcpInto(probe.distinct_objects(), 40, kTau, nullptr, &table, shard,
-                  /*min_common=*/2);
+    tree.SlcpInto(probe.distinct_objects(), &table, shard, /*min_common=*/2);
     bool well_formed = true;
     uint64_t dropped = 0;
     EXPECT_EQ(testing::SlcpRowsOf(table, probe, &well_formed),
@@ -416,8 +409,7 @@ TEST(SegTreeTest, MinCommonRowOpenedOnSecondHitListsTheFirst) {
   tree.Insert(MakeSequence(2, 2, {d}, 10));
   const Segment probe = MakeSequence(3, 3, {c, d, e}, 20);  // c=0 d=1 e=2
   LcpTable table;
-  tree.SlcpInto(probe.distinct_objects(), 20, kTau, nullptr, &table, {},
-                /*min_common=*/2);
+  tree.SlcpInto(probe.distinct_objects(), &table, {}, /*min_common=*/2);
   ASSERT_EQ(table.rows.size(), 1u);
   EXPECT_EQ(table.rows[0].segment, 1u);
   EXPECT_EQ(std::vector<uint32_t>(table.CommonBegin(table.rows[0]),
@@ -451,8 +443,7 @@ TEST(SegTreeTest, MinCommonNeverReportsAPositionPastTheMinedPrefix) {
       {1, {ids[1], ids[5]}}};
   for (const ShardSpec shard : kSlcpShards) {
     LcpTable table;
-    tree.SlcpInto(mined, 600, kTau, nullptr, &table, shard,
-                  /*min_common=*/2);
+    tree.SlcpInto(mined, &table, shard, /*min_common=*/2);
     for (const uint32_t position : table.common_pool) {
       EXPECT_LT(position, kCap) << shard.index << "/" << shard.count;
     }
@@ -508,8 +499,7 @@ TEST(SegTreeTest, SlcpRowsStaySetExactUnderReattachAndRemoveChurn) {
     for (const ShardSpec shard : {ShardSpec{}, ShardSpec{1, 2}}) {
       for (int repeat = 0; repeat < 2; ++repeat) {
         LcpTable table;
-        tree.SlcpInto(probe.distinct_objects(), 0, kTau, nullptr, &table,
-                      shard);
+        tree.SlcpInto(probe.distinct_objects(), &table, shard);
         bool well_formed = true;
         const auto got = testing::SlcpRowsOf(table, probe, &well_formed);
         ASSERT_TRUE(well_formed) << "step=" << step;
@@ -571,8 +561,7 @@ TEST(SegTreeTest, ShardSlcpSkipsAHotOwnedChainAndAHotOtherChain) {
     }
     for (uint32_t min_common : {1u, 2u, 3u}) {
       LcpTable table;
-      tree.SlcpInto(probe.distinct_objects(), 600, kTau, nullptr, &table,
-                    shard, min_common);
+      tree.SlcpInto(probe.distinct_objects(), &table, shard, min_common);
       bool well_formed = true;
       uint64_t dropped = 0;
       EXPECT_EQ(testing::SkippedObject(tree, probe.distinct_objects(), shard,
@@ -660,8 +649,8 @@ TEST(SegTreeTest, SlcpSkipsTheDominantChainWithoutChangingRows) {
                   std::optional<ObjectId>(hot))
             << tc.name;
         LcpTable reference_table;
-        tree.SlcpInto(probe.distinct_objects(), 5000, kTau, nullptr,
-                      &reference_table, spec, /*min_common=*/1);
+        tree.SlcpInto(probe.distinct_objects(), &reference_table, spec,
+                      /*min_common=*/1);
         bool well_formed = true;
         std::map<SegmentId, std::vector<ObjectId>> reference;
         for (auto& [segment, row] :
@@ -670,8 +659,7 @@ TEST(SegTreeTest, SlcpSkipsTheDominantChainWithoutChangingRows) {
         }
         const uint64_t skips = tree.stats().slcp_chains_skipped;
         LcpTable table;
-        tree.SlcpInto(probe.distinct_objects(), 5000, kTau, nullptr, &table,
-                      spec, min_common);
+        tree.SlcpInto(probe.distinct_objects(), &table, spec, min_common);
         EXPECT_EQ(tree.stats().slcp_chains_skipped, skips + 1)
             << tc.name << " shard " << spec.count << " m=" << min_common;
         EXPECT_EQ(testing::SlcpRowsOf(table, probe, &well_formed), reference)
@@ -694,8 +682,7 @@ TEST(SegTreeTest, SingleObjectSegments) {
   tree.Insert(MakeSegment(1, 1, {c}, 0));
   tree.Insert(MakeSegment(2, 2, {c}, 10));
   EXPECT_EQ(tree.num_nodes(), 1u);  // fully shared
-  EXPECT_EQ(tree.RelevantSegments(c, 10, kTau),
-            (std::vector<SegmentId>{1, 2}));
+  EXPECT_EQ(tree.RelevantSegments(c), (std::vector<SegmentId>{1, 2}));
   tree.Remove(1);
   EXPECT_EQ(tree.num_nodes(), 1u);
   tree.Remove(2);
@@ -717,8 +704,8 @@ TEST(SegTreeTest, DistanceBoundPruningMatchesExhaustive) {
     exhaustive.Insert(g);
   }
   for (ObjectId object : {b, c, d, e, f, h, j, k, m, n, o, p, r, s, t, w, z}) {
-    EXPECT_EQ(pruned.RelevantSegments(object, 600, kTau),
-              exhaustive.RelevantSegments(object, 600, kTau))
+    EXPECT_EQ(pruned.RelevantSegments(object),
+              exhaustive.RelevantSegments(object))
         << "object " << object;
   }
   // Pruning must visit no more nodes than the exhaustive search.
@@ -736,8 +723,7 @@ TEST(SegTreeTest, RootAttachModeKeepsCorrectness) {
   // No merging: the orphan chain re-roots as-is (7 nodes remain).
   EXPECT_EQ(tree.num_nodes(), 7u);
   EXPECT_GE(tree.stats().subtrees_reattached, 1u);
-  EXPECT_EQ(tree.RelevantSegments(c, 20, kTau),
-            (std::vector<SegmentId>{2, 3}));
+  EXPECT_EQ(tree.RelevantSegments(c), (std::vector<SegmentId>{2, 3}));
 }
 
 TEST(SegTreeTest, MemoryUsageGrowsAndIsRetainedForReuse) {
@@ -786,9 +772,8 @@ TEST(SegTreeTest, PrefixProbeCapLimitsSharingButNotCorrectness) {
   tree.CheckInvariants();
   // Queries stay exact regardless of sharing.
   std::sort(with_c.begin(), with_c.end());
-  EXPECT_EQ(tree.RelevantSegments(c, 1000, kTau), with_c);
-  EXPECT_EQ(tree.RelevantSegments(f, 1000, kTau),
-            (std::vector<SegmentId>{1, 2, 4}));
+  EXPECT_EQ(tree.RelevantSegments(c), with_c);
+  EXPECT_EQ(tree.RelevantSegments(f), (std::vector<SegmentId>{1, 2, 4}));
 }
 
 TEST(SegTreeTest, UnboundedPrefixProbesMatchPaperAlgorithm) {
@@ -808,20 +793,27 @@ TEST(SegTreeTest, UnboundedPrefixProbesMatchPaperAlgorithm) {
   tree.CheckInvariants();
 }
 
-TEST(SegTreeTest, SweepStopsAtFirstLiveEntry) {
-  // An out-of-completion-order old segment behind a live one survives the
-  // sweep (documented Tlist behaviour) but is still invisible to queries.
+TEST(SegTreeTest, SweepRemovesExpiredSegmentCompletedAfterLiveOne) {
+  // The Tlist is ordered by start, not by completion: an old segment that
+  // completed after a young one (an idle stream's) is removed as soon as
+  // it expires, and the young one stays.
   SegTree tree;
   tree.Insert(MakeSegment(1, 1, {c}, 1000));  // completes first, young
   tree.Insert(MakeSegment(2, 2, {d}, 0));     // completes later, old
-  const Timestamp now = kTau + 500;           // only segment 2 is expired
-  EXPECT_EQ(tree.RemoveExpired(now, kTau), 0u);  // blocked by live front
-  EXPECT_EQ(tree.num_segments(), 2u);
-  EXPECT_TRUE(tree.RelevantSegments(d, now, kTau).empty());  // still exact
-  // Once the front expires too, the straggler goes with it.
-  const Timestamp later = 1000 + kTau + 1;
-  EXPECT_EQ(tree.RemoveExpired(later, kTau), 2u);
+  tree.Insert(MakeSegment(3, 3, {d}, 500));   // completes last, old too
+  const Timestamp now = kTau + 600;  // segments 2 and 3 are expired
+  EXPECT_EQ(tree.RemoveExpired(now, kTau), 2u);
+  EXPECT_EQ(tree.num_segments(), 1u);
+  EXPECT_TRUE(tree.Contains(1));
+  EXPECT_TRUE(tree.RelevantSegments(d).empty());
+  EXPECT_EQ(tree.oldest_start(), 1000);
+  tree.CheckInvariants();
+  // A Remove()d segment's entry is skipped when the sweep reaches it.
+  tree.Insert(MakeSegment(4, 4, {d}, 2000));
+  tree.Remove(1);
+  EXPECT_EQ(tree.RemoveExpired(2000 + kTau + 1, kTau), 1u);
   EXPECT_EQ(tree.num_segments(), 0u);
+  EXPECT_EQ(tree.oldest_start(), kMaxTimestamp);
   tree.CheckInvariants();
 }
 
@@ -970,8 +962,8 @@ class RunTwins {
     pruned_.CheckInvariants();
     exhaustive_.CheckInvariants();
     for (ObjectId object : objects_) {
-      EXPECT_EQ(pruned_.RelevantSegments(object, 1000, kTau),
-                exhaustive_.RelevantSegments(object, 1000, kTau))
+      EXPECT_EQ(pruned_.RelevantSegments(object),
+                exhaustive_.RelevantSegments(object))
           << "object " << object;
     }
   }
@@ -998,8 +990,7 @@ TEST(SegTreeRunTest, SlidingWindowAppendsInPlaceAtAChildlessRunEnd) {
   EXPECT_EQ(tree.stats().appends_in_place, 2u);
   EXPECT_EQ(tree.num_runs(), 1u);  // b c d e f: one array
   EXPECT_EQ(tree.num_nodes(), 5u);
-  EXPECT_EQ(tree.RelevantSegments(d, 1000, kTau),
-            (std::vector<SegmentId>{1, 2, 3}));
+  EXPECT_EQ(tree.RelevantSegments(d), (std::vector<SegmentId>{1, 2, 3}));
 }
 
 TEST(SegTreeRunTest, TailInTheMiddleOfARunCoversOnlyItsOwnLength) {
@@ -1010,12 +1001,9 @@ TEST(SegTreeRunTest, TailInTheMiddleOfARunCoversOnlyItsOwnLength) {
   const SegTree& tree = twins.tree();
   EXPECT_EQ(tree.num_runs(), 1u);
   // Segment 2 covers c and d only: b sits above it, e below its tail.
-  EXPECT_EQ(tree.RelevantSegments(b, 1000, kTau),
-            (std::vector<SegmentId>{1}));
-  EXPECT_EQ(tree.RelevantSegments(c, 1000, kTau),
-            (std::vector<SegmentId>{1, 2}));
-  EXPECT_EQ(tree.RelevantSegments(e, 1000, kTau),
-            (std::vector<SegmentId>{1}));
+  EXPECT_EQ(tree.RelevantSegments(b), (std::vector<SegmentId>{1}));
+  EXPECT_EQ(tree.RelevantSegments(c), (std::vector<SegmentId>{1, 2}));
+  EXPECT_EQ(tree.RelevantSegments(e), (std::vector<SegmentId>{1}));
 }
 
 TEST(SegTreeRunTest, NewPathDivergingMidRunSplitsTheRun) {
@@ -1028,10 +1016,8 @@ TEST(SegTreeRunTest, NewPathDivergingMidRunSplitsTheRun) {
   EXPECT_EQ(tree.num_runs(), 3u);  // b c d, then e and h below d
   EXPECT_EQ(tree.num_nodes(), 5u);
   EXPECT_EQ(tree.stats().prefix_nodes_shared, 2u);
-  EXPECT_EQ(tree.RelevantSegments(c, 1000, kTau),
-            (std::vector<SegmentId>{1, 2}));
-  EXPECT_EQ(tree.RelevantSegments(h, 1000, kTau),
-            (std::vector<SegmentId>{2}));
+  EXPECT_EQ(tree.RelevantSegments(c), (std::vector<SegmentId>{1, 2}));
+  EXPECT_EQ(tree.RelevantSegments(h), (std::vector<SegmentId>{2}));
 }
 
 // Tails sit at slot offsets, so a segment ending mid-run needs no split;
@@ -1047,8 +1033,7 @@ TEST(SegTreeRunTest, SegmentEndingMidRunSplitsOnlyWhenAPathLeavesThere) {
   const SegTree& tree = twins.tree();
   EXPECT_EQ(tree.stats().runs_split, 1u);
   EXPECT_EQ(tree.num_runs(), 3u);
-  EXPECT_EQ(tree.RelevantSegments(c, 1000, kTau),
-            (std::vector<SegmentId>{1, 2, 3}));
+  EXPECT_EQ(tree.RelevantSegments(c), (std::vector<SegmentId>{1, 2, 3}));
   twins.Remove(2);
   twins.Check();
   EXPECT_EQ(tree.num_nodes(), 5u);
@@ -1070,10 +1055,8 @@ TEST(SegTreeRunTest, ExpiryFrontTrimReRootsTheRestOfTheRun) {
   EXPECT_EQ(tree.stats().subtrees_reattached, 1u);
   EXPECT_EQ(tree.num_runs(), 3u);
   EXPECT_EQ(tree.num_nodes(), 4u);
-  EXPECT_EQ(tree.RelevantSegments(j, 1000, kTau),
-            (std::vector<SegmentId>{3}));
-  EXPECT_EQ(tree.RelevantSegments(b, 1000, kTau),
-            (std::vector<SegmentId>{1}));
+  EXPECT_EQ(tree.RelevantSegments(j), (std::vector<SegmentId>{3}));
+  EXPECT_EQ(tree.RelevantSegments(b), (std::vector<SegmentId>{1}));
   // (j, k) now hangs under the root, not under b.
   EXPECT_EQ(tree.DebugString(),
             "root\n"
@@ -1098,10 +1081,8 @@ TEST(SegTreeRunTest, DeadSlotMidRunReRootsTheLowerPiece) {
   EXPECT_EQ(tree.stats().subtrees_reattached, 1u);
   EXPECT_EQ(tree.num_runs(), 2u);
   EXPECT_EQ(tree.num_nodes(), 4u);
-  EXPECT_EQ(tree.RelevantSegments(e, 1000, kTau),
-            (std::vector<SegmentId>{3}));
-  EXPECT_EQ(tree.RelevantSegments(c, 1000, kTau),
-            (std::vector<SegmentId>{1}));
+  EXPECT_EQ(tree.RelevantSegments(e), (std::vector<SegmentId>{3}));
+  EXPECT_EQ(tree.RelevantSegments(c), (std::vector<SegmentId>{1}));
   // (e, f) now hangs under the root, not under c.
   EXPECT_EQ(tree.DebugString(),
             "root\n"
