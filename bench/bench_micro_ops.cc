@@ -6,8 +6,8 @@
 // Before the google-benchmark suite, a custom-timed section runs the
 // merge-vs-gallop crossover sweep behind kGallopCrossoverRatio
 // (util/intersect.h): the linear merge against galloping at each size
-// ratio. `--json=<path>` appends those datapoints to a BENCH_*.json
-// trajectory. `--benchmark_filter='^$'` skips the google-benchmark suite
+// ratio. `--json=<path>` appends those datapoints to a JSON trajectory
+// file. `--benchmark_filter='^$'` skips the google-benchmark suite
 // when only the sweep is wanted.
 
 #include <benchmark/benchmark.h>

@@ -23,6 +23,7 @@
 
 #include "bench_util.h"
 #include "core/mining_engine.h"
+#include "core/posting_miner.h"
 #include "datagen/twitter_gen.h"
 #include "index/di_index.h"
 #include "index/matrix_index.h"
@@ -78,7 +79,7 @@ class IndexTrio {
       : params_(params), mux_(params.xi) {}
 
   /// Inserts every segment `event` completes into all three indexes and,
-  /// with `sweep_on_cadence`, expires them every maintenance_interval.
+  /// with `sweep_on_cadence`, expires them every kMaintenanceInterval.
   void PushEvent(const ObjectEvent& event, bool sweep_on_cadence) {
     scratch_.clear();
     mux_.Push(event, &scratch_);
@@ -88,7 +89,7 @@ class IndexTrio {
       EachTimed([&](auto& index) { index.Insert(segment); });
       if (last_sweep_ == kMinTimestamp) last_sweep_ = watermark_;
       if (sweep_on_cadence &&
-          watermark_ - last_sweep_ >= params_.maintenance_interval) {
+          watermark_ - last_sweep_ >= kMaintenanceInterval) {
         SweepNow();
       }
     }
@@ -240,7 +241,7 @@ void Fig5f(const Options& options) {
         tree.Insert(*ref);
         watermark = std::max(watermark, ref->end_time());
         if (last_sweep == kMinTimestamp) last_sweep = watermark;
-        if (watermark - last_sweep >= params.maintenance_interval) {
+        if (watermark - last_sweep >= kMaintenanceInterval) {
           tree.RemoveExpired(watermark, params.tau);
           last_sweep = watermark;
         }

@@ -1,7 +1,7 @@
 // Shared plumbing for the bench binaries: the synthetic datasets with their
 // paper-default parameters, pre-segmented traces, --quick/--scale sizing and
-// the BENCH_*.json writer. `bench_paper` regenerates the paper's evaluation
-// (Section 6) from these.
+// the `--json` trajectory writer. `bench_paper` regenerates the paper's
+// evaluation (Section 6) from these.
 
 #ifndef FCP_BENCH_BENCH_UTIL_H_
 #define FCP_BENCH_BENCH_UTIL_H_
@@ -62,7 +62,7 @@ struct BenchScale {
   std::string text;  ///< --scale as passed, for the error message
 };
 
-/// One benchmark measurement for the JSON trajectory files (BENCH_*.json).
+/// One benchmark measurement for the `--json` trajectory files.
 /// Every bench emits the same base schema {name, ns_per_op, allocs_per_op,
 /// rss_bytes}; bench-specific dimensions (speedup, deliveries per trigger,
 /// telemetry overhead, ...) go in `extras` as additional numeric fields
@@ -86,8 +86,8 @@ uint64_t CurrentRssBytes();
 /// If `--json=<path>` was passed, appends one run object
 /// `{"bench":..., "label":..., "records":[...]}` to the JSON array at
 /// <path> (creating it as `[...]` if absent). The file stays a valid JSON
-/// array across appends so successive PRs can extend a BENCH_*.json
-/// trajectory without a JSON parser.
+/// array across appends, so successive runs extend one trajectory file
+/// without a JSON parser.
 void MaybeAppendBenchJson(const Flags& flags, const std::string& bench,
                           const std::string& label,
                           const std::vector<JsonRecord>& records);

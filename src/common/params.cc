@@ -25,9 +25,6 @@ Status MiningParams::Validate() const {
   if (min_pattern_size == 0) {
     return Status::InvalidArgument("min_pattern_size must be >= 1");
   }
-  if (maintenance_interval <= 0) {
-    return Status::InvalidArgument("maintenance_interval must be positive");
-  }
   return Status::OK();
 }
 

@@ -37,11 +37,6 @@ struct MiningParams {
   /// lattice; real deployments bound this. 0 disables the cap.
   uint32_t max_segment_objects = 0;
 
-  /// Maintenance knob: how often (in event time) the DI-Index / Matrix run
-  /// their full expiry sweeps. CooMine does not read it: it sweeps the
-  /// Seg-tree's start-ordered Tlist before every trigger.
-  DurationMs maintenance_interval = Minutes(5);
-
   /// Returns OK iff the parameter combination is meaningful.
   Status Validate() const;
 

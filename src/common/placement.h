@@ -4,7 +4,7 @@
 // well as the object popularity distribution allows: the shard owning a hot
 // word pays the O(f_w^2) pairwise probe work of that word, so at Zipf
 // s = 1.0 one shard is ~half of all mining cost and the pipeline tops out
-// far short of linear (BENCH_scaling.json). A PlacementMap makes the
+// far short of linear (README.md, "Skewed input"). A PlacementMap makes the
 // object -> shard function data: a dense table for the moved id range
 // (generators hand out ids densely) with the Mix64 hash as fallback for
 // every other object. Every pipeline starts on the hash; the Rebalancer

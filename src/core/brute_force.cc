@@ -85,13 +85,6 @@ void BruteForceMiner::AddSegmentIndexOnly(const Segment& segment) {
   ++stats_.segments_indexed_only;
 }
 
-void BruteForceMiner::ForceMaintenance(Timestamp now) {
-  while (!segments_.empty() && now - segments_.front().start > params_.tau) {
-    segments_.pop_front();
-  }
-  ++stats_.maintenance_runs;
-}
-
 size_t BruteForceMiner::MemoryUsage() const {
   size_t bytes = sizeof(Stored) * segments_.size();
   for (const Stored& s : segments_) bytes += s.objects.size() * sizeof(ObjectId);

@@ -32,7 +32,6 @@ class BruteForceMiner : public FcpMiner {
   void AdvanceWatermark(Timestamp now) override {
     watermark_ = now > watermark_ ? now : watermark_;
   }
-  void ForceMaintenance(Timestamp now) override;
   size_t MemoryUsage() const override;
   const MinerStats& stats() const override { return stats_; }
   std::string_view name() const override { return "BruteForce"; }

@@ -491,12 +491,6 @@ void CooMine::Sweep(Timestamp now) {
   if (removed > 0) ++stats_.maintenance_runs;
 }
 
-void CooMine::ForceMaintenance(Timestamp now) {
-  Stopwatch maint_timer;
-  Sweep(now);
-  stats_.maintenance_ns += maint_timer.ElapsedNanos();
-}
-
 void CooMine::PrefetchSegment(const Segment& segment) const {
   // Warm the Hlist head slots the upcoming AddSegment will probe. Capped:
   // beyond a few lines the prefetches evict each other before they help.

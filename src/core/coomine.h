@@ -76,7 +76,6 @@ class CooMine : public FcpMiner {
   void AdvanceWatermark(Timestamp now) override {
     watermark_ = std::max(watermark_, now);
   }
-  void ForceMaintenance(Timestamp now) override;
   void PrefetchSegment(const Segment& segment) const override;
   size_t MemoryUsage() const override;
   const MinerStats& stats() const override { return stats_; }

@@ -204,11 +204,6 @@ class FcpMiner {
   /// before AddSegment to keep expiry decisions byte-identical to serial.
   virtual void AdvanceWatermark(Timestamp now) = 0;
 
-  /// Forces a full expiry sweep with `now` as the current time. DIMine and
-  /// MatrixMine also sweep every MiningParams::maintenance_interval; CooMine
-  /// sweeps at its watermark before every trigger.
-  virtual void ForceMaintenance(Timestamp now) = 0;
-
   /// Advisory hint that `segment` will be passed to AddSegment soon: warms
   /// the index cache lines its objects will probe (Hlist heads, posting-list
   /// slots). MUST have no observable effect — batched ingestion calls it for

@@ -182,27 +182,11 @@ void PostingMiner<Index>::IndexSegment(const Segment& segment, Timestamp now) {
   index_.Insert(segment);
   if (last_sweep_ == kMinTimestamp) {
     last_sweep_ = now;
-  } else if (now - last_sweep_ >= params_.maintenance_interval) {
+  } else if (now - last_sweep_ >= kMaintenanceInterval) {
     stats_.segments_expired += index_.RemoveExpired(now, params_.tau);
     ++stats_.maintenance_runs;
     last_sweep_ = now;
   }
-}
-
-template <typename Index>
-void PostingMiner<Index>::ForceMaintenance(Timestamp now) {
-  Stopwatch maint_timer;
-  stats_.segments_expired += index_.RemoveExpired(now, params_.tau);
-  ++stats_.maintenance_runs;
-  last_sweep_ = now;
-  // Maintenance is the sanctioned boundary for releasing pathological
-  // scratch high-water marks (a viral trigger's supporter lists); a steady
-  // workload never trips the policy, so the hot path stays allocation-free.
-  ShrinkToFitIfOversized(&scratch_.apriori.level.supp);
-  ShrinkToFitIfOversized(&scratch_.apriori.next.supp);
-  ShrinkToFitIfOversized(&scratch_.apriori.cand);
-  ShrinkToFitIfOversized(&scratch_.pair_cell);
-  stats_.maintenance_ns += maint_timer.ElapsedNanos();
 }
 
 template <typename Index>

@@ -45,6 +45,12 @@
 
 namespace fcp {
 
+/// How often, in event time, DIMine and MatrixMine run their full expiry
+/// sweep: the paper's periodic maintenance, whose cost Fig. 5(c)-(e)
+/// measure. CooMine has no cadence: it sweeps the Seg-tree's start-ordered
+/// Tlist before every trigger.
+inline constexpr DurationMs kMaintenanceInterval = Minutes(5);
+
 /// `Index` is DiIndex (DIMine) or MatrixIndex (MatrixMine).
 template <typename Index>
 class PostingMiner final : public FcpMiner {
@@ -62,7 +68,6 @@ class PostingMiner final : public FcpMiner {
   void AdvanceWatermark(Timestamp now) override {
     watermark_ = std::max(watermark_, now);
   }
-  void ForceMaintenance(Timestamp now) override;
   void PrefetchSegment(const Segment& segment) const override;
   size_t MemoryUsage() const override { return index_.MemoryUsage(); }
   const MinerStats& stats() const override { return stats_; }

@@ -106,30 +106,6 @@ void IntersectSorted(const std::vector<T>& a, const std::vector<T>& b,
   IntersectSorted(a.data(), a.size(), b.data(), b.size(), out);
 }
 
-/// Scratch-capacity release policy. IntersectSorted (and the miners' other
-/// scratch vectors) clear but never shrink, so one pathological trigger — a
-/// viral object with a million-entry posting list, say — leaves its
-/// high-water capacity pinned forever. Calling shrink_to_fit
-/// unconditionally would be worse: steady-state capacity would be released
-/// and re-allocated every call, breaking the zero-allocation invariant.
-///
-/// This helper splits the difference: it releases a vector's buffer only
-/// when the capacity exceeds both a floor (small buffers are never worth
-/// releasing) and `oversize_factor` times the current size. Callers invoke
-/// it at *maintenance* boundaries (the periodic expiry sweep), never per
-/// operation, so a stable workload — whose scratch sizes hover near their
-/// high-water marks — never trips it and stays allocation-free, while a
-/// workload shift of oversize_factor+ eventually returns the memory.
-/// Returns true iff the buffer was released.
-template <typename T>
-bool ShrinkToFitIfOversized(std::vector<T>* v, size_t oversize_factor = 8,
-                            size_t min_capacity_bytes = 4096) {
-  if (v->capacity() * sizeof(T) <= min_capacity_bytes) return false;
-  if (v->capacity() / oversize_factor <= v->size()) return false;
-  v->shrink_to_fit();
-  return true;
-}
-
 }  // namespace fcp
 
 #endif  // FCP_UTIL_INTERSECT_H_

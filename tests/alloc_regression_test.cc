@@ -15,10 +15,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,10 +32,13 @@
 #include "core/miner.h"
 #include "index/seg_tree.h"
 #include "io/trace_io.h"
+#include "obs/endpoints.h"
+#include "obs/obs_server.h"
+#include "obs/watchdog.h"
 #include "stream/segment.h"
 #include "telemetry/registry.h"
+#include "telemetry/thread_registry.h"
 #include "telemetry/trace.h"
-#include "util/intersect.h"
 #include "util/rng.h"
 
 namespace fcp {
@@ -257,50 +264,72 @@ TEST(AllocRegressionTest, NewObjectRuleSteadyStateIsAllocationFree) {
 // S replicas each index the full closed universe, so any per-posting heap
 // growth (the doubling chain a plain std::vector pays per object) is paid S
 // times over. With arena-pooled postings every replica converges during the
-// warm cycles and the steady-state half must be allocation-free — the same
-// zero the serial miner achieves, not merely "small".
+// warm cycles, so over the steady-state half each miner at each S allocates
+// exactly what the serial miner does: nothing with theta unreachable, and
+// with theta = 2 the two lists (objects, streams) of each emitted FCP.
 TEST(AllocRegressionTest, ShardedDiMineSteadyStateIsAllocationFree) {
-  constexpr uint32_t kShards = 4;
-  const MiningParams params = SteadyParams();
-  Rng rng(42);
-  const std::vector<Segment> trace =
-      BuildCyclicTrace(BuildSegmentPool(400, rng), /*cycles=*/6, params);
+  for (const MinerKind kind :
+       {MinerKind::kCooMine, MinerKind::kDiMine, MinerKind::kMatrixMine}) {
+    for (const uint32_t shards : {1u, 2u, 4u, 8u}) {
+      for (const uint32_t theta : {1u << 20, 2u}) {
+        SCOPED_TRACE(std::string(MinerKindToString(kind)) + " S=" +
+                     std::to_string(shards) + " theta " +
+                     std::to_string(theta));
+        MiningParams params = SteadyParams();
+        params.theta = theta;
+        Rng rng(42);
+        const std::vector<Segment> trace =
+            BuildCyclicTrace(BuildSegmentPool(400, rng), /*cycles=*/6, params);
 
-  std::vector<std::unique_ptr<FcpMiner>> miners;
-  for (uint32_t s = 0; s < kShards; ++s) {
-    miners.push_back(MakeMiner(MinerKind::kDiMine, params,
-                               ShardSpec{s, kShards}));
-  }
-  std::vector<Fcp> sink;
-  sink.reserve(64);
-  std::vector<uint32_t> targets;
-  targets.reserve(kShards);
-  auto deliver = [&](const Segment& segment) {
-    targets.clear();
-    // Route off the raw entries (DistinctObjects() allocates a fresh vector,
-    // which would charge the harness's own routing to the miners).
-    for (const SegmentEntry& entry : segment.entries()) {
-      const uint32_t shard = ShardOf(entry.object, kShards);
-      if (std::find(targets.begin(), targets.end(), shard) == targets.end()) {
-        targets.push_back(shard);
+        std::vector<std::unique_ptr<FcpMiner>> miners;
+        for (uint32_t s = 0; s < shards; ++s) {
+          miners.push_back(MakeMiner(kind, params, ShardSpec{s, shards}));
+        }
+        std::vector<Fcp> sink;
+        sink.reserve(64);
+        std::vector<uint32_t> targets;
+        targets.reserve(shards);
+        auto deliver = [&](const Segment& segment) {
+          targets.clear();
+          // Route off the raw entries (DistinctObjects() allocates a fresh
+          // vector, which would charge the harness's own routing to the
+          // miners).
+          for (const SegmentEntry& entry : segment.entries()) {
+            const uint32_t shard = ShardOf(entry.object, shards);
+            if (std::find(targets.begin(), targets.end(), shard) ==
+                targets.end()) {
+              targets.push_back(shard);
+            }
+          }
+          for (uint32_t target : targets) {
+            miners[target]->AdvanceWatermark(segment.end_time());
+            sink.clear();
+            miners[target]->AddSegment(segment, &sink);
+          }
+        };
+        auto emitted_so_far = [&] {
+          uint64_t total = 0;
+          for (const auto& miner : miners) total += miner->stats().fcps_emitted;
+          return total;
+        };
+
+        const size_t warm = trace.size() / 2;
+        for (size_t i = 0; i < warm; ++i) deliver(trace[i]);
+
+        const uint64_t emitted_before = emitted_so_far();
+        const uint64_t before = alloc_counter::allocations();
+        for (size_t i = warm; i < trace.size(); ++i) deliver(trace[i]);
+        const uint64_t allocations = alloc_counter::allocations() - before;
+        const uint64_t emitted = emitted_so_far() - emitted_before;
+        EXPECT_EQ(allocations, 2 * emitted);
+        if (theta == 2) {
+          EXPECT_GT(emitted, 0u);
+        } else {
+          EXPECT_EQ(emitted, 0u);
+        }
       }
     }
-    for (uint32_t target : targets) {
-      miners[target]->AdvanceWatermark(segment.end_time());
-      sink.clear();
-      miners[target]->AddSegment(segment, &sink);
-    }
-  };
-
-  const size_t warm = trace.size() / 2;
-  for (size_t i = 0; i < warm; ++i) deliver(trace[i]);
-
-  const uint64_t before = alloc_counter::allocations();
-  for (size_t i = warm; i < trace.size(); ++i) deliver(trace[i]);
-  const uint64_t allocations = alloc_counter::allocations() - before;
-  EXPECT_EQ(allocations, 0u)
-      << "sharded (S=" << kShards << ") DiMine steady state performed "
-      << allocations << " heap allocations";
+  }
 }
 
 // The flight recorder must preserve the invariant with recording ON
@@ -322,71 +351,119 @@ TEST(AllocRegressionTest, TracingEnabledSteadyStateIsAllocationFree) {
   trace::Reset();
 }
 
-// ShrinkToFitIfOversized is the one sanctioned capacity release. At a
-// maintenance boundary it must (a) stay silent on steady-state buffers —
-// zero allocations — and (b) give back a pathological high-water mark.
-TEST(AllocRegressionTest, ShrinkPolicyKeepsSteadyStateAllocationFree) {
-  std::vector<uint64_t> scratch;
-  scratch.reserve(2048);  // steady-state capacity, well above the byte floor
-  scratch.resize(1500);   // hovers near the high-water mark
-  const uint64_t before = alloc_counter::allocations();
-  for (int sweep = 0; sweep < 100; ++sweep) {
-    scratch.resize(1200 + (sweep % 300));
-    EXPECT_FALSE(ShrinkToFitIfOversized(&scratch));
-  }
-  EXPECT_EQ(alloc_counter::allocations() - before, 0u)
-      << "steady-state shrink checks must not touch the heap";
-
-  // Workload shift: capacity 100x the live size is released (this is the
-  // maintenance boundary, where an allocation is sanctioned).
-  scratch.resize(16);
-  EXPECT_TRUE(ShrinkToFitIfOversized(&scratch));
-  EXPECT_LT(scratch.capacity(), size_t{2048});
-}
-
 // The telemetry record path must not reintroduce allocations: the same
 // steady-state replay, but with the full per-segment publish sequence the
 // engines run — a histogram Record, a PublishDelta of the miner stats and a
 // PublishIntrospection of the index view. Registration happens before the
-// measured region (it is the one place telemetry may allocate).
-TEST(AllocRegressionTest, TelemetryPublishSteadyStateIsAllocationFree) {
+// measured region (it is the one place telemetry may allocate). A
+// `heartbeat`, if given, is marked busy before each AddSegment and beaten
+// and marked idle after it, as the engines' stage loops do.
+void MineWithTelemetry(MinerKind kind, telemetry::MetricRegistry* registry,
+                       obs::StageHeartbeat* heartbeat = nullptr) {
   const MiningParams params = SteadyParams();
   Rng rng(42);
   const std::vector<Segment> trace =
       BuildCyclicTrace(BuildSegmentPool(400, rng), /*cycles=*/6, params);
 
-  telemetry::MetricRegistry registry;
-  const MinerMetrics metrics = MinerMetrics::Register(&registry, "");
+  const MinerMetrics metrics = MinerMetrics::Register(registry, "");
   telemetry::LatencyHistogram* latency =
-      registry.GetHistogram("fcp_segment_mine_latency_us");
+      registry->GetHistogram("fcp_segment_mine_latency_us");
   MinerStats published;
 
-  auto miner = MakeMiner(MinerKind::kCooMine, params);
+  auto miner = MakeMiner(kind, params);
   std::vector<Fcp> sink;
   sink.reserve(64);
+  auto mine = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      if (heartbeat != nullptr) heartbeat->MarkIdle(false);
+      sink.clear();
+      miner->AddSegment(trace[i], &sink);
+      latency->Record(static_cast<uint64_t>(i % 1000));
+      metrics.PublishDelta(miner->stats(), &published);
+      metrics.PublishIntrospection(miner->Introspect());
+      if (heartbeat != nullptr) {
+        heartbeat->Beat();
+        heartbeat->MarkIdle(true);
+      }
+    }
+  };
 
   const size_t warm = trace.size() / 2;
-  for (size_t i = 0; i < warm; ++i) {
-    sink.clear();
-    miner->AddSegment(trace[i], &sink);
-    latency->Record(static_cast<uint64_t>(i % 1000));
-    metrics.PublishDelta(miner->stats(), &published);
-    metrics.PublishIntrospection(miner->Introspect());
-  }
-
+  mine(0, warm);
   const uint64_t before = alloc_counter::allocations();
-  for (size_t i = warm; i < trace.size(); ++i) {
-    sink.clear();
-    miner->AddSegment(trace[i], &sink);
-    latency->Record(static_cast<uint64_t>(i % 1000));
-    metrics.PublishDelta(miner->stats(), &published);
-    metrics.PublishIntrospection(miner->Introspect());
-  }
+  mine(warm, trace.size());
   const uint64_t allocations = alloc_counter::allocations() - before;
   EXPECT_EQ(allocations, 0u)
       << "telemetry-instrumented steady state performed " << allocations
       << " heap allocations";
   EXPECT_EQ(latency->TotalCount(), trace.size());
+}
+
+TEST(AllocRegressionTest, TelemetryPublishSteadyStateIsAllocationFree) {
+  for (MinerKind kind :
+       {MinerKind::kCooMine, MinerKind::kDiMine, MinerKind::kMatrixMine}) {
+    SCOPED_TRACE(MinerKindToString(kind));
+    telemetry::MetricRegistry registry;
+    MineWithTelemetry(kind, &registry);
+  }
+}
+
+// True once a live thread has opened a ThreadScope named `name`, so the
+// scope's registration allocation is behind it.
+bool ThreadScopeOpen(const char* name) {
+  telemetry::RegistryLock lock;
+  for (const telemetry::ThreadRecord* record : lock.threads()) {
+    if (record->profiled && !record->retired &&
+        std::strcmp(record->name, name) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Polls `done` every millisecond for up to ten seconds.
+bool WaitFor(const std::function<bool()>& done) {
+  for (int i = 0; i < 10000; ++i) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+// The introspection plane costs the mining thread nothing (DESIGN.md §2.8):
+// with a live ObsServer serving the standard endpoints and a started
+// watchdog evaluating the mining stage, the instrumented steady state still
+// allocates nothing anywhere in the process while nobody scrapes. The
+// server's poll thread and the watchdog's first evaluation, which leaves
+// `starting` and so builds its log line, are waited out before mining.
+TEST(AllocRegressionTest, ObsPlaneSteadyStateIsAllocationFree) {
+  telemetry::MetricRegistry registry;
+  obs::WatchdogOptions watchdog_options;
+  watchdog_options.poll_interval_ms = 1;
+  watchdog_options.metrics = &registry;
+  obs::Watchdog watchdog(watchdog_options);
+  obs::StageHeartbeat* heartbeat = watchdog.RegisterStage("mine");
+
+  obs::ObsServerOptions server_options;
+  server_options.metrics = &registry;
+  obs::ObsServer server(server_options);
+  obs::EndpointSources sources;
+  sources.registry = &registry;
+  sources.watchdog = &watchdog;
+  obs::InstallStandardEndpoints(server, sources);
+  ASSERT_TRUE(server.Start().ok());
+  watchdog.SetReady();
+  watchdog.Start();
+  ASSERT_TRUE(WaitFor([&] { return ThreadScopeOpen("obs-server"); }));
+  ASSERT_TRUE(WaitFor(
+      [&] { return watchdog.state() != obs::HealthState::kStarting; }));
+
+  MineWithTelemetry(MinerKind::kCooMine, &registry, heartbeat);
+  EXPECT_EQ(watchdog.state(), obs::HealthState::kHealthy);
+  EXPECT_EQ(server.requests_served(), 0u);
+
+  server.Stop();
+  watchdog.Stop();
 }
 
 TEST(AllocRegressionTest, SegTreeSteadyStateChurnIsAllocationFree) {

@@ -156,18 +156,6 @@ TEST(CooMineTest, LazyDeletionKeepsTreeConsistent) {
   EXPECT_EQ(miner.seg_tree().num_segments(), 31u);
 }
 
-TEST(CooMineTest, ForceMaintenanceSweeps) {
-  MiningParams params = Example4Params();
-  CooMine miner(params);
-  std::vector<Fcp> out;
-  miner.AddSegment(MakeSegment(1, 1, {1, 2}, 0), &out);
-  miner.AddSegment(MakeSegment(2, 2, {3, 4}, 100), &out);
-  EXPECT_EQ(miner.seg_tree().num_segments(), 2u);
-  miner.ForceMaintenance(params.tau + 200);
-  EXPECT_EQ(miner.seg_tree().num_segments(), 0u);
-  EXPECT_GE(miner.stats().maintenance_runs, 1u);
-}
-
 TEST(CooMineTest, StatsAccumulate) {
   CooMine miner(Example4Params());
   std::vector<Fcp> out;

@@ -55,7 +55,6 @@ TEST(DiMineTest, ExpiredSegmentsDropOut) {
 
 TEST(DiMineTest, PeriodicSweepShrinksIndex) {
   MiningParams params = Params(2);
-  params.maintenance_interval = Minutes(1);
   DiMine miner(params);
   std::vector<Fcp> out;
   Timestamp now = 0;

@@ -193,44 +193,5 @@ TEST(KernelIntersectTest, RandomU64MatchesReference) {
   IntersectRandomCases<uint64_t>();
 }
 
-TEST(ShrinkToFitTest, SmallBuffersAreNeverReleased) {
-  // Below the byte floor the release is never worth it, no matter the ratio.
-  std::vector<uint64_t> v;
-  v.reserve(4096 / sizeof(uint64_t));  // exactly the default floor
-  EXPECT_FALSE(ShrinkToFitIfOversized(&v));
-  EXPECT_GE(v.capacity(), 4096 / sizeof(uint64_t));
-}
-
-TEST(ShrinkToFitTest, SteadyStateCapacityIsKept) {
-  // A buffer whose size hovers near capacity must be left alone — releasing
-  // it would re-pay the allocation next call and break the zero-alloc
-  // steady state.
-  std::vector<uint64_t> v(4000);
-  const size_t capacity = v.capacity();
-  v.resize(3000);  // 1.3x oversize: below the 8x default factor
-  EXPECT_FALSE(ShrinkToFitIfOversized(&v));
-  EXPECT_EQ(v.capacity(), capacity);
-}
-
-TEST(ShrinkToFitTest, PathologicalHighWaterMarkIsReleased) {
-  std::vector<uint64_t> v(100000);  // viral-trigger high-water mark
-  v.resize(10);                     // workload shifted back to tiny
-  EXPECT_TRUE(ShrinkToFitIfOversized(&v));
-  EXPECT_LT(v.capacity() * sizeof(uint64_t), size_t{100000} * 8);
-  EXPECT_EQ(v.size(), size_t{10});
-}
-
-TEST(ShrinkToFitTest, CustomFactorAndFloorAreHonored) {
-  std::vector<uint64_t> v(1000);
-  v.resize(400);
-  // 2.5x oversized: released under factor 2, kept under the default 8.
-  EXPECT_FALSE(ShrinkToFitIfOversized(&v));
-  EXPECT_TRUE(ShrinkToFitIfOversized(&v, /*oversize_factor=*/2));
-  // A huge floor protects even a massively oversized buffer.
-  std::vector<uint64_t> w(100000);
-  w.resize(1);
-  EXPECT_FALSE(ShrinkToFitIfOversized(&w, 8, /*min_capacity_bytes=*/1 << 30));
-}
-
 }  // namespace
 }  // namespace fcp

@@ -60,7 +60,6 @@ TEST(MatrixMineTest, ExpiredCellsFiltered) {
 
 TEST(MatrixMineTest, SweepRunsOnInterval) {
   MiningParams params = Params(2);
-  params.maintenance_interval = Minutes(1);
   MatrixMine miner(params);
   std::vector<Fcp> out;
   Timestamp now = 0;

@@ -59,12 +59,6 @@ TEST(MiningParamsTest, RejectsZeroMinSize) {
   EXPECT_FALSE(params.Validate().ok());
 }
 
-TEST(MiningParamsTest, RejectsNonPositiveMaintenanceInterval) {
-  MiningParams params;
-  params.maintenance_interval = 0;
-  EXPECT_FALSE(params.Validate().ok());
-}
-
 TEST(MiningParamsTest, ToStringMentionsEveryKnob) {
   MiningParams params;
   params.xi = Seconds(60);
