@@ -22,6 +22,14 @@ namespace {
 /// for input. Bounds how long a busy thread holds back a release.
 constexpr size_t kMaxStaged = 32;
 
+/// Most events the ingest thread, and most deliveries a shard, pops per
+/// lock round trip (BoundedQueue::PopBatch; DESIGN.md §2.4). A pop takes
+/// what is queued and never waits for a batch to fill, so the caps bound
+/// only the work between two looks at the queue: a shard publishes its
+/// mined lists and telemetry once per popped batch.
+constexpr size_t kIngestPopBatch = 256;
+constexpr size_t kShardPopBatch = 64;
+
 }  // namespace
 
 ParallelEngine::ParallelEngine(MinerKind kind, const MiningParams& params,
@@ -401,28 +409,32 @@ void ParallelEngine::IngestLoop() {
   };
 
   // An event counts as routed once its triggers are on routed_: they are
-  // published with a try-lock, kept staged while the lock is busy, and
-  // published with a wait before this thread blocks for events or once
-  // kMaxStaged are staged.
+  // published with a try-lock after each event, kept staged while the lock
+  // is busy, and published with a wait before this thread blocks for
+  // events or once kMaxStaged are staged.
+  std::vector<ObjectEvent> batch;
+  batch.reserve(kIngestPopBatch);
   uint64_t routed_events = 0;
   while (true) {
     if (heartbeat != nullptr) heartbeat->MarkIdle(true);
-    std::optional<ObjectEvent> event = events_.TryPop();
-    if (!event) {
+    if (events_.PopBatch(&batch, kIngestPopBatch, /*wait=*/false) == 0) {
       PublishRouted(&staged, /*wait=*/true);
       events_routed_.store(routed_events, std::memory_order_release);
-      event = events_.Pop();
+      if (events_.PopBatch(&batch, kIngestPopBatch, /*wait=*/true) == 0) {
+        break;
+      }
     }
-    if (!event) break;
     if (heartbeat != nullptr) heartbeat->MarkIdle(false);
-    front_.mux().Push(*event, &completed);
-    front_.PublishReordered();
-    route_completed();
-    ++routed_events;
-    if (PublishRouted(&staged, /*wait=*/staged.size() >= kMaxStaged)) {
-      events_routed_.store(routed_events, std::memory_order_release);
+    for (const ObjectEvent& event : batch) {
+      front_.mux().Push(event, &completed);
+      front_.PublishReordered();
+      route_completed();
+      ++routed_events;
+      if (PublishRouted(&staged, /*wait=*/staged.size() >= kMaxStaged)) {
+        events_routed_.store(routed_events, std::memory_order_release);
+      }
+      if (heartbeat != nullptr) heartbeat->Beat();
     }
-    if (heartbeat != nullptr) heartbeat->Beat();
   }
   // Queue closed and drained: flush every stream's trailing window.
   front_.mux().FlushAll(&completed);
@@ -435,7 +447,6 @@ void ParallelEngine::ProcessDelivery(uint32_t shard_index,
                                      ShardDelivery&& delivery) {
   FcpMiner& miner = *shard_miners_[shard_index];
   ShardRuntime& runtime = *shard_runtime_[shard_index];
-  ShardTelemetry& telemetry = shard_telemetry_[shard_index];
   // The migration fence, consumer side: adopt the snapshot this delivery was
   // routed under before any ownership decision. Placement flips strictly
   // between deliveries, so one segment is never mined under two placements.
@@ -461,10 +472,9 @@ void ParallelEngine::ProcessDelivery(uint32_t shard_index,
     trace::Span backfill_span("shard/index_backfill", delivery.trace_flow,
                               shard_index);
     miner.AddSegmentIndexOnly(*delivery.segment);
-    telemetry.miner.PublishDelta(miner.stats(), &telemetry.published);
-    telemetry.miner.PublishIntrospection(miner.Introspect());
     return;
   }
+  ShardTelemetry& telemetry = shard_telemetry_[shard_index];
   std::vector<Fcp>& mined = runtime.mined_scratch;
   mined.clear();
   // The flow-end closes the arrow the ingest thread began under the same id
@@ -480,18 +490,12 @@ void ParallelEngine::ProcessDelivery(uint32_t shard_index,
   staged.lists.push_back(TriggerCount{delivery.segment->id(),
                                       static_cast<uint32_t>(mined.size())});
   for (Fcp& fcp : mined) staged.fcps.push_back(std::move(fcp));
-  PublishMined(shard_index, /*wait=*/staged.lists.size() >= kMaxStaged);
   // Segment->discovery latency: shard-queue wait + mining, measured
   // from the router's enqueue stamp.
   telemetry.discovery_latency_us->Record(
       static_cast<uint64_t>(
           std::max<int64_t>(0, MonotonicNowNs() - delivery.routed_at_ns)) /
       1000);
-  // Only this shard's thread touches its miner, so delta-publishing the
-  // miner's plain-counter stats is race-free; readers only read the
-  // atomics.
-  telemetry.miner.PublishDelta(miner.stats(), &telemetry.published);
-  telemetry.miner.PublishIntrospection(miner.Introspect());
 }
 
 void ParallelEngine::ShardLoop(uint32_t shard_index) {
@@ -501,19 +505,32 @@ void ParallelEngine::ShardLoop(uint32_t shard_index) {
   BoundedQueue<ShardDelivery>& queue = router_->queue(shard_index);
   obs::StageHeartbeat* heartbeat =
       shard_heartbeats_.empty() ? nullptr : shard_heartbeats_[shard_index];
+  const FcpMiner& miner = *shard_miners_[shard_index];
+  ShardTelemetry& telemetry = shard_telemetry_[shard_index];
+  const OutputFifo& staged = shard_runtime_[shard_index]->staged;
+  std::vector<ShardDelivery> batch;
+  batch.reserve(kShardPopBatch);
 
   while (true) {
     if (heartbeat != nullptr) heartbeat->MarkIdle(true);
-    std::optional<ShardDelivery> delivery = queue.TryPop();
-    if (!delivery) {
+    if (queue.PopBatch(&batch, kShardPopBatch, /*wait=*/false) == 0) {
       // Nothing to mine: publish what is staged before waiting, so no
       // trigger waits on an idle shard.
       PublishMined(shard_index, /*wait=*/true);
-      delivery = queue.Pop();
+      if (queue.PopBatch(&batch, kShardPopBatch, /*wait=*/true) == 0) break;
     }
-    if (!delivery) break;
     if (heartbeat != nullptr) heartbeat->MarkIdle(false);
-    ProcessDelivery(shard_index, std::move(*delivery));
+    for (ShardDelivery& delivery : batch) {
+      ProcessDelivery(shard_index, std::move(delivery));
+    }
+    // Once per batch, mined or backfilled: only this shard's thread touches
+    // its miner, so delta-publishing the miner's plain-counter stats is
+    // race-free; readers only read the atomics. Published before the mined
+    // lists, so a caller that sees them mined (WaitUntilIdle) sees their
+    // telemetry too.
+    telemetry.miner.PublishDelta(miner.stats(), &telemetry.published);
+    telemetry.miner.PublishIntrospection(miner.Introspect());
+    PublishMined(shard_index, /*wait=*/staged.lists.size() >= kMaxStaged);
   }
   threads_running_.fetch_sub(1, std::memory_order_release);
 }

@@ -30,8 +30,14 @@
 // releases it; the pushing thread moves the accepted alerts into results()
 // on its next call. No output is buffered until Finish().
 //
-// All backpressure blocks on condition variables (BoundedQueue::Push /
-// Pop) — no spin loops anywhere in the pipeline.
+// Both queue hand-offs are chunked on each side (DESIGN.md §2.4): PushBatch
+// hands events over with BoundedQueue::PushAll, and the ingest thread and
+// each shard take whatever is queued with PopBatch, up to a fixed cap,
+// under one lock and with one producer wake-up per batch. A shard publishes
+// its mined lists and miner telemetry once per popped batch, and with a
+// wait before it blocks for input, so a trigger's release waits for the
+// rest of its shard's batch but never for more input. All backpressure
+// blocks on condition variables — no spin loops anywhere in the pipeline.
 
 #ifndef FCP_CORE_PARALLEL_ENGINE_H_
 #define FCP_CORE_PARALLEL_ENGINE_H_
@@ -215,14 +221,17 @@ class ParallelEngine {
 
   /// Shard `shard`'s lag behind the router watermark `routed`.
   int64_t ShardLagMs(uint32_t shard, Timestamp routed) const;
-  /// Pops events, segments them through the front end's mux and routes
-  /// every completed segment (plus the rebalancer's observe/migrate step);
-  /// flushes every stream's open window once the event queue is closed and
-  /// drained.
+  /// Pops events in batches, segments them one by one through the front
+  /// end's mux and routes every completed segment (plus the rebalancer's
+  /// observe/migrate step); flushes every stream's open window once the
+  /// event queue is closed and drained.
   void IngestLoop();
+  /// Pops deliveries in batches and processes them one by one; publishes
+  /// the shard's telemetry and mined lists after each batch.
   void ShardLoop(uint32_t shard_index);
   /// Applies the delivery's placement snapshot, advances the watermark and
-  /// mines (or index-backfills) it with shard `shard_index`'s miner.
+  /// mines (or index-backfills) it with shard `shard_index`'s miner; a
+  /// mined list is staged for ShardLoop's publish.
   void ProcessDelivery(uint32_t shard_index, ShardDelivery&& delivery);
   /// release_mu_, taken with a try-lock; a busy lock is waited for only if
   /// `wait`. The caller checks owns_lock().
@@ -279,7 +288,8 @@ class ParallelEngine {
     /// shared_ptr alive between deliveries that carry the same snapshot).
     std::shared_ptr<const PlacementMap> active_placement;
     std::vector<Fcp> mined_scratch;
-    /// Mined, not yet published to shard_output_ (the try-lock was busy).
+    /// Mined, not yet published to shard_output_ (its batch is still being
+    /// mined, or the publish's try-lock was busy).
     OutputFifo staged;
     /// Watermark of the last delivery this shard processed; sampled by the
     /// observability plane against the router's to compute per-shard lag.

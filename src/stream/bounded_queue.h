@@ -5,6 +5,7 @@
 #ifndef FCP_STREAM_BOUNDED_QUEUE_H_
 #define FCP_STREAM_BOUNDED_QUEUE_H_
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -30,12 +31,15 @@ namespace fcp {
 /// harness uses this to detect saturation: once the producer can no longer
 /// enqueue at the offered arrival rate, the workload is unsustainable.
 /// `Push` blocks on a condition variable until space frees up, so lossless
-/// producers exert backpressure without burning a core. `Close()` wakes
-/// everyone; `Pop` returns nullopt once closed and drained.
+/// producers exert backpressure without burning a core. `PushAll` and
+/// `PopBatch` are the chunked forms of `Push` and `Pop`: one lock round trip
+/// per chunk, and one wake-up of the other side per chunk. `Close()` wakes
+/// everyone; `Pop` returns nullopt, and `PopBatch` 0, once closed and
+/// drained.
 ///
 /// Off-CPU profiling: the optional wait tags name this queue's block points
 /// to fcp::prof (`wait;<tag>` pseudo stacks). `pop_wait_tag` covers
-/// consumer-side empty waits (Pop), `push_wait_tag`
+/// consumer-side empty waits (Pop, PopBatch), `push_wait_tag`
 /// covers producer-side full waits, i.e. backpressure (Push/PushAll). Tags
 /// must have static storage duration. When the profiler is not armed the
 /// instrumentation costs one relaxed load on paths that were about to
@@ -130,6 +134,31 @@ class BoundedQueue {
     return PopLockedOrNull(lock);
   }
 
+  /// Bulk pop: replaces `*out` with up to `max` items from the front, in
+  /// FIFO order, taken under one lock; `*out` keeps its capacity, so a
+  /// caller that reserves `max` once pops without allocating. It never
+  /// waits for a batch to fill: with `wait` it blocks (like Pop) only while
+  /// the queue is empty and open, then takes whatever is queued. One
+  /// notification per batch wakes the producers blocked on a full queue.
+  /// Returns the number of items popped: 0 iff the queue was empty (and,
+  /// with `wait`, closed).
+  size_t PopBatch(std::vector<T>* out, size_t max, bool wait) {
+    FCP_DCHECK(max > 0);
+    out->clear();
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (wait && !closed_ && count_ == 0) {
+        prof::WaitTimer wait_timer(pop_wait_tag_);
+        cv_.wait(lock, [&] { return closed_ || count_ > 0; });
+      }
+      const size_t n = std::min(count_, max);
+      for (size_t i = 0; i < n; ++i) out->push_back(TakeFrontLocked());
+    }
+    // The batch may have freed room for every blocked producer.
+    if (!out->empty()) space_cv_.notify_all();
+    return out->size();
+  }
+
   /// Marks the queue closed; producers fail, consumers drain then see eof.
   void Close() {
     {
@@ -174,16 +203,23 @@ class BoundedQueue {
     if (count_ > high_watermark_) high_watermark_ = count_;
   }
 
-  /// Pops the front under `lock` (empty -> nullopt), waking one blocked
-  /// producer when an item was removed. The vacated slot is reset to T{} so
-  /// resources (e.g. a SegmentRef's slab reference) are released at pop
-  /// time, not when the slot is eventually overwritten.
-  std::optional<T> PopLockedOrNull(std::unique_lock<std::mutex>& lock) {
-    if (count_ == 0) return std::nullopt;
-    std::optional<T> item(std::move(slots_[head_]));
+  /// Removes and returns the front item; the queue must be non-empty. The
+  /// vacated slot is reset to T{} so resources (e.g. a SegmentRef's slab
+  /// reference) are released at pop time, not when the slot is eventually
+  /// overwritten.
+  T TakeFrontLocked() {
+    T item(std::move(slots_[head_]));
     slots_[head_] = T{};
     head_ = head_ + 1 < capacity_ ? head_ + 1 : 0;
     --count_;
+    return item;
+  }
+
+  /// Pops the front under `lock` (empty -> nullopt), waking one blocked
+  /// producer when an item was removed.
+  std::optional<T> PopLockedOrNull(std::unique_lock<std::mutex>& lock) {
+    if (count_ == 0) return std::nullopt;
+    std::optional<T> item(TakeFrontLocked());
     lock.unlock();
     space_cv_.notify_one();
     return item;

@@ -1,5 +1,8 @@
 #include "stream/bounded_queue.h"
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -279,6 +282,141 @@ TEST(BoundedQueueTest, PushAllOnClosedQueueEnqueuesNothing) {
   EXPECT_EQ(q.PushAll(&batch), 0u);
   EXPECT_TRUE(batch.empty());
   EXPECT_EQ(q.TryPop(), std::nullopt);
+}
+
+TEST(BoundedQueueTest, PopBatchKeepsFifoOrderAndHonoursMax) {
+  BoundedQueue<int> q(16);
+  std::vector<int> items = {1, 2, 3, 4, 5, 6, 7};
+  q.PushAll(&items);
+  std::vector<int> batch;
+  batch.reserve(3);
+  EXPECT_EQ(q.PopBatch(&batch, 3, /*wait=*/false), 3u);
+  EXPECT_EQ(batch, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(q.PopBatch(&batch, 3, /*wait=*/true), 3u);
+  EXPECT_EQ(batch, (std::vector<int>{4, 5, 6}));  // replaced, not appended
+  EXPECT_EQ(q.PopBatch(&batch, 3, /*wait=*/false), 1u);
+  EXPECT_EQ(batch, (std::vector<int>{7}));
+  EXPECT_EQ(batch.capacity(), 3u);  // the reserved buffer is reused
+  EXPECT_EQ(q.depth(), 0u);
+}
+
+TEST(BoundedQueueTest, PopBatchAcrossTheRingWrap) {
+  BoundedQueue<int> q(4);
+  std::vector<int> items = {1, 2, 3};
+  q.PushAll(&items);
+  std::vector<int> batch;
+  EXPECT_EQ(q.PopBatch(&batch, 2, /*wait=*/false), 2u);
+  items = {4, 5, 6};  // slots 3, 0, 1: the ring wraps
+  EXPECT_EQ(q.PushAll(&items), 3u);
+  EXPECT_EQ(q.PopBatch(&batch, 8, /*wait=*/false), 4u);
+  EXPECT_EQ(batch, (std::vector<int>{3, 4, 5, 6}));
+}
+
+TEST(BoundedQueueTest, NonWaitingPopBatchOnEmptyQueueReturnsZero) {
+  BoundedQueue<int> q(4);
+  std::vector<int> batch = {9};
+  EXPECT_EQ(q.PopBatch(&batch, 4, /*wait=*/false), 0u);
+  EXPECT_TRUE(batch.empty());
+  EXPECT_FALSE(q.closed());
+}
+
+TEST(BoundedQueueTest, WaitingPopBatchTakesWhatIsQueuedWithoutFillingMax) {
+  BoundedQueue<int> q(64);
+  q.Push(1);
+  q.Push(2);
+  std::vector<int> batch;
+  // Two items queued, cap 64, queue open: the pop must return at once.
+  EXPECT_EQ(q.PopBatch(&batch, 64, /*wait=*/true), 2u);
+  EXPECT_EQ(batch, (std::vector<int>{1, 2}));
+
+  // On an empty queue it blocks until one item arrives, then returns it.
+  std::thread producer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    q.Push(3);
+  });
+  EXPECT_EQ(q.PopBatch(&batch, 64, /*wait=*/true), 1u);
+  EXPECT_EQ(batch, (std::vector<int>{3}));
+  producer.join();
+}
+
+TEST(BoundedQueueTest, PopBatchReturnsZeroOnlyOnceClosedAndDrained) {
+  BoundedQueue<int> q(8);
+  std::vector<int> items = {1, 2, 3};
+  q.PushAll(&items);
+  q.Close();
+  std::vector<int> batch;
+  EXPECT_EQ(q.PopBatch(&batch, 2, /*wait=*/true), 2u);
+  EXPECT_EQ(q.PopBatch(&batch, 2, /*wait=*/true), 1u);
+  EXPECT_EQ(batch, (std::vector<int>{3}));
+  EXPECT_EQ(q.PopBatch(&batch, 2, /*wait=*/true), 0u);
+  EXPECT_EQ(q.PopBatch(&batch, 2, /*wait=*/false), 0u);
+
+  // A consumer blocked on an empty queue is woken by Close() with 0.
+  BoundedQueue<int> empty(4);
+  std::thread closer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    empty.Close();
+  });
+  EXPECT_EQ(empty.PopBatch(&batch, 4, /*wait=*/true), 0u);
+  closer.join();
+}
+
+TEST(BoundedQueueTest, PopBatchResumesProducersBlockedOnAFullQueue) {
+  // The producers block in Push and PushAll on a full queue; one PopBatch
+  // that frees room for both must let both finish.
+  BoundedQueue<int> q(4);
+  std::vector<int> fill = {1, 2, 3, 4};
+  q.PushAll(&fill);
+  std::atomic<int> done{0};
+  std::thread pusher([&] {
+    EXPECT_TRUE(q.Push(5));
+    ++done;
+  });
+  std::thread bulk_pusher([&] {
+    std::vector<int> items = {6, 7};
+    EXPECT_EQ(q.PushAll(&items), 2u);
+    ++done;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(done.load(), 0);  // both blocked: the queue is full
+  std::vector<int> batch;
+  EXPECT_EQ(q.PopBatch(&batch, 4, /*wait=*/false), 4u);
+  EXPECT_EQ(batch, (std::vector<int>{1, 2, 3, 4}));
+  pusher.join();
+  bulk_pusher.join();
+  EXPECT_EQ(done.load(), 2);
+  EXPECT_EQ(q.depth(), 3u);
+}
+
+TEST(BoundedQueueTest, PopBatchUnderConcurrentPushAllKeepsFifoOrder) {
+  // One producer pushes 0..N-1 in bursts of varying size, one consumer pops
+  // batches of varying cap, waiting and not: it must see 0..N-1 in order.
+  constexpr int kTotal = 20000;
+  BoundedQueue<int> q(16);
+  std::thread producer([&] {
+    std::vector<int> burst;
+    int next = 0;
+    while (next < kTotal) {
+      const int n = std::min(1 + next % 23, kTotal - next);
+      for (int i = 0; i < n; ++i) burst.push_back(next++);
+      q.PushAll(&burst);
+    }
+    q.Close();
+  });
+  std::vector<int> popped;
+  std::vector<int> batch;
+  for (size_t round = 0;; ++round) {
+    const size_t max = 1 + round % 7;
+    if (q.PopBatch(&batch, max, /*wait=*/round % 2 == 0) == 0) {
+      if (round % 2 == 0) break;  // a waiting pop: closed and drained
+      continue;
+    }
+    EXPECT_LE(batch.size(), max);
+    popped.insert(popped.end(), batch.begin(), batch.end());
+  }
+  producer.join();
+  ASSERT_EQ(popped.size(), static_cast<size_t>(kTotal));
+  for (int i = 0; i < kTotal; ++i) ASSERT_EQ(popped[i], i);
 }
 
 TEST(BoundedQueueDeathTest, ZeroCapacityAborts) {

@@ -199,12 +199,16 @@ TEST(ParallelEngineTest, AlertsAreReleasedLiveInSerialOrder) {
   // Output is online: after WaitUntilIdle() — before Finish() — the alerts
   // accepted so far are exactly the serial engine's for the same event
   // prefix, in the same order. A suppression window makes the acceptance
-  // decisions depend on that order.
+  // decisions depend on that order. The feed is per-event Push or PushBatch
+  // in 256-event chunks (the pipeline pops both in batches), and the first
+  // checkpoint comes after a short prefix: a batched pop must never hold a
+  // routed trigger back waiting for more input.
   const MiningParams params = Params();
   const TrafficTrace trace = Trace(36);
   const DurationMs suppression = Minutes(10);
   const size_t n = trace.events.size();
-  const std::vector<size_t> checkpoints = {n / 3, 2 * n / 3, n};
+  const std::vector<size_t> checkpoints = {n / 8, n / 3, 2 * n / 3, n};
+  constexpr size_t kChunk = 256;
 
   for (MinerKind kind :
        {MinerKind::kCooMine, MinerKind::kDiMine, MinerKind::kMatrixMine}) {
@@ -225,9 +229,12 @@ TEST(ParallelEngineTest, AlertsAreReleasedLiveInSerialOrder) {
     ASSERT_FALSE(expected.front().empty());
     ASSERT_GT(serial.collector().total_suppressed(), 0u);
 
-    for (uint32_t shards : {2u, 4u}) {
+    for (const auto& [shards, batched] :
+         {std::pair{2u, false}, std::pair{4u, false}, std::pair{2u, true},
+          std::pair{4u, true}}) {
       const std::string where = std::string(MinerKindToString(kind)) +
-                                " shards=" + std::to_string(shards);
+                                " shards=" + std::to_string(shards) +
+                                (batched ? " PushBatch" : " Push");
       ParallelEngineOptions options;
       options.num_miner_shards = shards;
       options.suppression_window = suppression;
@@ -238,8 +245,14 @@ TEST(ParallelEngineTest, AlertsAreReleasedLiveInSerialOrder) {
       ParallelEngine engine(kind, params, options);
       pushed = 0;
       for (size_t c = 0; c < checkpoints.size(); ++c) {
-        for (; pushed < checkpoints[c]; ++pushed) {
-          engine.Push(trace.events[pushed]);
+        while (pushed < checkpoints[c]) {
+          if (batched) {
+            const size_t chunk = std::min(kChunk, checkpoints[c] - pushed);
+            engine.PushBatch(std::span(trace.events.data() + pushed, chunk));
+            pushed += chunk;
+          } else {
+            engine.Push(trace.events[pushed++]);
+          }
         }
         engine.WaitUntilIdle();
         const std::vector<Fcp> snapshot = engine.SnapshotResults();
